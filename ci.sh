@@ -4,7 +4,9 @@
 # REVBIFPN_MAX_THREADS — tests that explicitly call set_max_threads still
 # exercise the multi-threaded paths (programmatic overrides win), while
 # everything else runs single-threaded, catching accidental dependence on
-# worker-pool concurrency.
+# worker-pool concurrency — and the kernel crate once more oversubscribed
+# (four threads on whatever cores CI got), where pool workers lose their
+# cores mid-poll and the fork-join's park fallback does the work.
 set -eu
 cd "$(dirname "$0")"
 
@@ -19,6 +21,9 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo test (REVBIFPN_MAX_THREADS=1)"
 REVBIFPN_MAX_THREADS=1 cargo test -q --workspace
+
+echo "== cargo test, kernel crate oversubscribed (REVBIFPN_MAX_THREADS=4)"
+REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-tensor
 
 echo "== fault-injection suite (resilience layer, end to end)"
 cargo test -q --test fault_injection
@@ -55,6 +60,9 @@ cargo run -q --release --example train_bench -- --smoke
 
 echo "== stage-pipelined delayed-gradient parity (within 0.5 pt of serial top-1, release)"
 cargo test -q --release -p revbifpn-train --test pipeline_invariance -- --ignored
+
+echo "== benchmark smoke (every workload for 2 s with its output checks on, harness self-tests)"
+crates/perf/smoke.sh
 
 echo "== checkpoint cross-profile round-trip (release writes, debug reads)"
 CKPT_TMP="$(mktemp -d)/xprofile.ckpt"

@@ -538,16 +538,12 @@ impl FrozenLayer {
             FrozenLayer::Identity => (x.clone(), in_absmax),
             FrozenLayer::SpaceToDepth { block } => (space_to_depth(x, *block), in_absmax),
             FrozenLayer::Conv(fc) => fc.forward_carry(x, in_absmax),
-            FrozenLayer::Seq(children) => {
-                let mut cur = x.clone();
-                let mut carry = in_absmax;
-                for c in children {
-                    let (y, m) = c.forward_carry(&cur, carry);
-                    cur = y;
-                    carry = m;
-                }
-                (cur, carry)
-            }
+            FrozenLayer::Seq(children) => match children.split_first() {
+                None => (x.clone(), in_absmax),
+                Some((first, rest)) => rest
+                    .iter()
+                    .fold(first.forward_carry(x, in_absmax), |(cur, carry), c| c.forward_carry(&cur, carry)),
+            },
             FrozenLayer::Residual(inner) => {
                 let (b, _) = inner.forward_carry(x, in_absmax);
                 (&b + x, None)

@@ -10,13 +10,15 @@
 //! Alongside activation accounting, this module re-exports the kernel
 //! scratch-arena counters from `revbifpn_tensor` (see [`scratch_stats`]) so
 //! training loops can assert that steady-state conv/GEMM calls perform zero
-//! heap allocations, and [`report`] bundles both views into one snapshot.
+//! heap allocations, and the worker pool's fork-join counters (see
+//! [`par_stats`]); [`report`] bundles all of them into one snapshot.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+pub use revbifpn_tensor::par::{stats as par_stats, ParStats};
 pub use revbifpn_tensor::scratch::{
     reset_stats as reset_scratch_stats, stats as scratch_stats, ScratchStats,
 };
@@ -367,8 +369,9 @@ pub fn reset_phase_timers() {
     }
 }
 
-/// One snapshot of both memory views: cached activations (this module) and
-/// the kernel scratch arena (`revbifpn_tensor::scratch`).
+/// One snapshot of both memory views — cached activations (this module) and
+/// the kernel scratch arena (`revbifpn_tensor::scratch`) — and of the worker
+/// pool's fork-join counters (`revbifpn_tensor::par`).
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryReport {
     /// Bytes of activation state currently cached for backward.
@@ -385,6 +388,10 @@ pub struct MemoryReport {
     /// bytes). `heap_growths` staying flat across steps means conv/GEMM calls
     /// are allocation-free at steady state.
     pub scratch: ScratchStats,
+    /// Worker-pool counters (process-wide, monotonic): fork-joins dispatched
+    /// and worker parks. A forward's `dispatches` delta is a property of the
+    /// model and the thread budget, not of the machine's speed.
+    pub par: ParStats,
 }
 
 /// Captures a [`MemoryReport`] for the current thread.
@@ -395,6 +402,7 @@ pub fn report() -> MemoryReport {
         packed_weight_bytes: packed_current(),
         quant_packed_weight_bytes: quant_packed_current(),
         scratch: scratch_stats(),
+        par: par_stats(),
     }
 }
 

@@ -22,11 +22,14 @@ pub struct FrozenRevBlock {
 impl FrozenRevBlock {
     /// Fused forward pass (additive coupling, eval semantics).
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (x1, x2) = x.split_channels(self.c_split);
-        let f_out = self.f.forward(&x2);
-        let y1 = &x1 + &f_out;
-        let g_out = self.g.forward(&y1);
-        let y2 = &x2 + &g_out;
+        // Only `x2` is copied out (F takes a tensor); `x1` is read where it
+        // lies and both sums land in the transforms' own outputs. f32
+        // addition commutes, so the bits match `x1 + F(x2)` / `x2 + G(y1)`.
+        let x2 = x.channel_slice(self.c_split, x.shape().c);
+        let mut y1 = self.f.forward(&x2);
+        y1.add_channels_of(x, 0);
+        let mut y2 = self.g.forward(&y1);
+        y2.add_assign(&x2);
         Tensor::concat_channels(&[&y1, &y2])
     }
 
@@ -80,31 +83,39 @@ impl FrozenSilo {
     /// Panics if `xs.len() != n_in`.
     pub fn forward(&self, xs: &[Tensor]) -> Vec<Tensor> {
         assert_eq!(xs.len(), self.n_in, "FrozenSilo expects {} input streams", self.n_in);
-        // Down half: m_0 = x_0, m_i = x_i + sum_{j<i} D_ij(x_j).
-        let mut mids: Vec<Tensor> = Vec::with_capacity(self.n_out);
-        mids.push(xs[0].clone());
+        const FED: &str = "stream must receive at least one contribution";
+        // No input or intermediate is copied: every sum starts from its
+        // first transform's output and adds the identity term into it (f32
+        // addition commutes, so the bits match `x_i + D_i0(x_0) + ..`).
+        //
+        // Down half: m_0 = x_0 (borrowed), m_i = x_i + sum_{j<i} D_ij(x_j).
+        let mut mids: Vec<Tensor> = Vec::with_capacity(self.n_out - 1);
         for i in 1..self.n_out {
-            let mut acc: Option<Tensor> = if i < self.n_in { Some(xs[i].clone()) } else { None };
-            for (j, d) in self.down[i].iter().enumerate().take(i.min(self.n_in)) {
-                let t = d.forward(&xs[j]);
-                match &mut acc {
-                    Some(a) => a.add_assign(&t),
-                    None => acc = Some(t),
-                }
+            let mut terms = self.down[i].iter().zip(xs).take(i).map(|(d, x)| d.forward(x));
+            let mut acc = terms.next().expect(FED);
+            if i < self.n_in {
+                acc.add_assign(&xs[i]);
             }
-            mids.push(acc.expect("stream must receive at least one contribution"));
-        }
-        // Up half: o_{N-1} = m_{N-1}, o_i = m_i + sum_{j>i} U_ij(m_j).
-        let mut outs = vec![Tensor::zeros(revbifpn_tensor::Shape::new(1, 1, 1, 1)); self.n_out];
-        outs[self.n_out - 1] = mids[self.n_out - 1].clone();
-        for i in (0..self.n_out - 1).rev() {
-            let mut acc = mids[i].clone();
-            for (u, m) in self.up[i].iter().zip(&mids[i + 1..]) {
-                let t = u.forward(m);
+            for t in terms {
                 acc.add_assign(&t);
             }
-            outs[i] = acc;
+            mids.push(acc);
         }
+        let mid = |i: usize| if i == 0 { &xs[0] } else { &mids[i - 1] };
+        // Up half, last stream first: o_i = m_i + sum_{j>i} U_ij(m_j).
+        let mut outs: Vec<Tensor> = Vec::with_capacity(self.n_out);
+        for i in (0..self.n_out - 1).rev() {
+            let mut terms = self.up[i].iter().enumerate().map(|(k, u)| u.forward(mid(i + 1 + k)));
+            let mut acc = terms.next().expect(FED);
+            acc.add_assign(mid(i));
+            for t in terms {
+                acc.add_assign(&t);
+            }
+            outs.push(acc);
+        }
+        outs.reverse();
+        // o_{N-1} = m_{N-1}, moved (a one-stream silo hands back its input).
+        outs.push(mids.pop().unwrap_or_else(|| xs[0].clone()));
         outs
     }
 
@@ -162,12 +173,11 @@ impl FrozenStage {
                 assert_eq!(xs.len(), blocks.len(), "FrozenStage stream count mismatch");
                 xs.iter()
                     .zip(blocks)
-                    .map(|(x, chain)| {
-                        let mut cur = x.clone();
-                        for b in chain {
-                            cur = b.forward(&cur);
+                    .map(|(x, chain)| match chain.split_first() {
+                        None => x.clone(),
+                        Some((first, rest)) => {
+                            rest.iter().fold(first.forward(x), |cur, b| b.forward(&cur))
                         }
-                        cur
                     })
                     .collect()
             }
@@ -393,6 +403,35 @@ mod tests {
                 tol
             );
         }
+    }
+
+    #[test]
+    fn frozen_stages_match_the_allocating_formulas_bit_for_bit() {
+        // The forwards build every sum inside a transform's output instead
+        // of cloning inputs; the values must be those of the plain formulas.
+        let mut rng = StdRng::seed_from_u64(60);
+        let mut fb = RevStage::freeze(&make_blocks(1, 61)).unwrap();
+        fb.compile();
+        let x = Tensor::randn(Shape::new(2, C[0], 8, 8), 1.0, &mut rng);
+        let crate::FrozenStage::Blocks(chains) = &fb else { panic!("block stage") };
+        let b = &chains[0][0];
+        let (x1, x2) = x.split_channels(b.c_split);
+        let y1 = &x1 + &b.f.forward(&x2);
+        let y2 = &x2 + &b.g.forward(&y1);
+        assert_eq!(fb.forward(std::slice::from_ref(&x))[0], Tensor::concat_channels(&[&y1, &y2]));
+
+        let mut silo = make_silo(2, 3, 62).freeze().unwrap();
+        silo.compile();
+        let xs = [
+            Tensor::randn(Shape::new(2, C[0], 8, 8), 1.0, &mut rng),
+            Tensor::randn(Shape::new(2, C[1], 4, 4), 1.0, &mut rng),
+        ];
+        let m0 = xs[0].clone();
+        let m1 = &xs[1] + &silo.down[1][0].forward(&xs[0]);
+        let m2 = &silo.down[2][0].forward(&xs[0]) + &silo.down[2][1].forward(&xs[1]);
+        let o1 = &m1 + &silo.up[1][0].forward(&m2);
+        let o0 = &(&m0 + &silo.up[0][0].forward(&m1)) + &silo.up[0][1].forward(&m2);
+        assert_eq!(silo.forward(&xs), vec![o0, o1, m2]);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
 use crate::par::{num_threads_for, parallel_over_slices, parallel_tiles, SyncPtr};
 use crate::qmatmul::{
-    int8_act_scale, qgemm_prepacked, quantize_activations, quantize_weights_per_row, PackedGemmAI8,
-    INT8_ACT_ZERO_POINT,
+    cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
+    quantize_weights_per_row, PackedGemmAI8, INT8_ACT_ZERO_POINT,
 };
 use crate::scratch;
 use crate::shape::{Shape, ShapeError};
@@ -442,20 +442,28 @@ impl ConvPlan {
                 let os = out.shape();
                 let (oh, ow) = (os.h, os.w);
                 let ohw = oh * ow;
+                let hw = xs.hw();
+                let ksz = self.spec.kh * self.spec.kw;
                 let spec = self.spec;
                 let xdata = x.data();
                 let bias = &self.bias;
                 let act = self.act;
+                let avx2 = cpu_has_avx2();
+                let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
                 let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
                 parallel_tiles(xs.n * xs.c, |tile| {
-                    let (_, c) = (tile / xs.c, tile % xs.c);
-                    let xplane = &xdata[tile * xs.hw()..(tile + 1) * xs.hw()];
-                    let kern = &weight[c * spec.kh * spec.kw..(c + 1) * spec.kh * spec.kw];
+                    let c = tile % xs.c;
+                    // One copy into a zero-padded image buys a plane kernel
+                    // with every window in-bounds: no interior/border split,
+                    // no per-pixel bounds checks.
+                    let mut xpad = scratch::take(ph2 * pw2);
+                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs, &spec, &mut xpad, |src, dst| {
+                        dst.copy_from_slice(src)
+                    });
                     // SAFETY: tile exclusively owns output plane (n, c).
                     let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-                    fused_depthwise_plane_forward(
-                        xplane, kern, &spec, xs, oh, ow, bias[c], act, 1.0, yplane,
-                    );
+                    let kern = &weight[c * ksz..(c + 1) * ksz];
+                    depthwise_padded_plane(&xpad, kern, &spec, pw2, oh, ow, bias[c], act, 1.0, avx2, yplane);
                 });
             }
             PlanKind::General { groups } => {
@@ -733,16 +741,14 @@ impl QuantConvPlan {
                 let bias = &self.bias;
                 let act = self.act;
                 let inv = 1.0 / a_scale;
-                // Padded plane geometry: quantization copies the plane
-                // anyway, so it writes into a zero-padded image (zero is
-                // exactly representable in the quantized domain), and the
-                // plane kernel runs with every window in-bounds — no
-                // interior/border split, no per-pixel bounds checks.
+                let avx2 = int8_use_avx2();
+                // Quantization copies the plane anyway, so it writes into
+                // the same zero-padded image the f32 plan uses (zero is
+                // exactly representable in the quantized domain).
                 let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
                 let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
                 parallel_tiles(xs.n * xs.c, |tile| {
                     let c = tile % xs.c;
-                    let xplane = &xdata[tile * hw..(tile + 1) * hw];
                     // Quantized taps and activations as integer-valued f32:
                     // every per-tap product (<= 63 * 127) and partial sum
                     // stays far below 2^24, so the f32 accumulation in the
@@ -754,29 +760,14 @@ impl QuantConvPlan {
                     for (d, &q) in kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]) {
                         *d = q as f32;
                     }
-                    for iy in 0..xs.h {
-                        let at = (iy + spec.ph) * pw2 + spec.pw;
-                        crate::qmatmul::quantize_centered_f32(
-                            &xplane[iy * xs.w..(iy + 1) * xs.w],
-                            inv,
-                            &mut xq[at..at + xs.w],
-                        );
-                    }
+                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs, &spec, xq, |src, dst| {
+                        crate::qmatmul::quantize_centered_f32(src, inv, dst)
+                    });
                     // SAFETY: tile exclusively owns output plane (n, c).
                     let yplane =
                         unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-                    quant_depthwise_padded_plane(
-                        xq,
-                        kern,
-                        &spec,
-                        pw2,
-                        oh,
-                        ow,
-                        bias[c],
-                        act,
-                        a_scale * scales[c],
-                        yplane,
-                    );
+                    let scale = a_scale * scales[c];
+                    depthwise_padded_plane(xq, kern, &spec, pw2, oh, ow, bias[c], act, scale, avx2, yplane);
                     let m = crate::qmatmul::abs_max_slice(yplane);
                     omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
                 });
@@ -932,9 +923,9 @@ fn depthwise_interior_bounds(spec: &ConvSpec, xs: Shape, oh: usize, ow: usize) -
 
 /// Computes one `(sample, channel)` output plane of a depthwise forward.
 ///
-/// This is the bounds-checked reference kernel; the production forward path
-/// runs [`fused_depthwise_plane_forward`], whose pre-epilogue sums are
-/// asserted bitwise equal to this kernel in tests.
+/// This is the bounds-checked reference kernel: training runs
+/// [`fused_depthwise_plane_forward`], asserted bitwise equal to it in tests,
+/// and the frozen plans' padded-plane family is tested against it.
 #[cfg_attr(not(test), allow(dead_code))]
 fn depthwise_plane_forward(
     xplane: &[f32],
@@ -970,17 +961,14 @@ fn depthwise_plane_forward(
     }
 }
 
-/// One `(sample, channel)` plane of the *fused* depthwise forward used by
-/// frozen [`ConvPlan`]s: interior/border split (no per-pixel bounds checks
-/// where the kernel window cannot leave the input) with the per-channel
-/// bias and activation applied in the same pass over the plane. The
-/// epilogue is `act(acc * scale + bias)`; f32 plans pass `scale = 1.0`
-/// (a bitwise identity), the int8 plan passes its dequantization scale.
-///
-/// Accumulation order per output pixel is identical to
-/// [`depthwise_plane_forward`] (`ky` outer, `kx` inner), so the pre-bias
-/// sums are bitwise equal to the reference kernel's.
-#[allow(clippy::too_many_arguments)]
+/// One `(sample, channel)` plane of the *training* depthwise forward:
+/// interior/border split (no per-pixel bounds checks where the kernel window
+/// cannot leave the input) reading the plane in place. Frozen plans run
+/// [`depthwise_padded_plane`] instead; training keeps this kernel because
+/// its accumulation order per output pixel is identical to
+/// [`depthwise_plane_forward`] (`ky` outer, `kx` inner) for every geometry,
+/// so its output equals the reference kernel's bit for bit (asserted in
+/// tests).
 fn fused_depthwise_plane_forward(
     xplane: &[f32],
     kern: &[f32],
@@ -988,9 +976,6 @@ fn fused_depthwise_plane_forward(
     xs: Shape,
     oh: usize,
     ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
     yplane: &mut [f32],
 ) {
     let (w, h) = (xs.w, xs.h);
@@ -1001,7 +986,7 @@ fn fused_depthwise_plane_forward(
     // Output ranges whose kernel window stays fully inside the input.
     let (ox_lo, ox_hi, oy_lo, oy_hi) = depthwise_interior_bounds(spec, xs, oh, ow);
 
-    // Border pixels: the reference per-pixel kernel with the epilogue inline.
+    // Border pixels: the reference per-pixel kernel.
     let border_px = |oy: usize, ox: usize| -> f32 {
         let iy0 = (oy * sh) as isize - ph as isize;
         let ix0 = (ox * sw) as isize - pw as isize;
@@ -1021,7 +1006,7 @@ fn fused_depthwise_plane_forward(
                 acc += xrow[ix as usize] * kv;
             }
         }
-        act.apply(acc * scale + bias)
+        acc
     };
 
     for oy in 0..oh {
@@ -1048,9 +1033,6 @@ fn fused_depthwise_plane_forward(
                     }
                 }
             }
-            for v in seg.iter_mut() {
-                *v = act.apply(*v * scale + bias);
-            }
         } else {
             // Strided interior: per-pixel accumulation, bounds checks hoisted.
             for (ox, y) in yrow.iter_mut().enumerate().take(ox_hi).skip(ox_lo) {
@@ -1062,7 +1044,7 @@ fn fused_depthwise_plane_forward(
                         acc += xrow[ix0 + kx] * kv;
                     }
                 }
-                *y = act.apply(acc * scale + bias);
+                *y = acc;
             }
         }
         for (ox, y) in yrow.iter_mut().enumerate().take(ox_lo) {
@@ -1074,20 +1056,40 @@ fn fused_depthwise_plane_forward(
     }
 }
 
-/// One quantized depthwise output plane over a **zero-padded** input plane
-/// of row stride `pw2` (see the `Depthwise` arm of
-/// [`QuantConvPlan::try_forward_quant`]): every kernel window is in-bounds,
-/// so there is no interior/border split and no per-pixel bounds checks.
-/// The epilogue matches [`fused_depthwise_plane_forward`]:
-/// `act(acc * scale + bias)` per element.
+/// Copies one `h x w` plane into the interior of the zeroed
+/// `(h + 2 ph) x (w + 2 pw)` image `xpad`, one row at a time through `row`
+/// (a plain copy for f32 plans, the quantizer for int8 plans).
+fn pad_plane(
+    xplane: &[f32],
+    xs: Shape,
+    spec: &ConvSpec,
+    xpad: &mut [f32],
+    row: impl Fn(&[f32], &mut [f32]),
+) {
+    let pw2 = xs.w + 2 * spec.pw;
+    for (iy, src) in xplane.chunks_exact(xs.w).enumerate() {
+        let at = (iy + spec.ph) * pw2 + spec.pw;
+        row(src, &mut xpad[at..at + xs.w]);
+    }
+}
+
+/// One frozen depthwise output plane over a **zero-padded** input plane of
+/// row stride `pw2` (see [`pad_plane`]): every kernel window is in-bounds, so
+/// there is no interior/border split and no per-pixel bounds checks. This is
+/// the one depthwise kernel of both frozen plans; the epilogue is
+/// `act(acc * scale + bias)` per element, where f32 plans pass `scale = 1.0`
+/// (a bitwise identity) and int8 plans their dequantization scale.
 ///
-/// Inputs and taps are integer-valued f32 (products and sums stay far below
-/// 2^24 and are exact), so the result is bitwise identical for any
-/// accumulation order — the AVX2-compiled twin below is a safe dispatch, not
-/// a numerics choice.
+/// The body is compiled twice (baseline and AVX2, see
+/// [`depthwise_padded_plane`]) and both compilations give the same bits on
+/// any input: the vectorized loops run over output columns, never across an
+/// accumulation. The specialised stencils do order the taps differently from
+/// the generic paths; for int8 plans that is invisible too (inputs and taps
+/// are integer-valued f32 whose products and sums stay far below 2^24, hence
+/// exact), for f32 plans it is a last-bit rounding difference.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn quant_depthwise_padded_plane_body(
+fn depthwise_padded_plane_body(
     xpad: &[f32],
     kern: &[f32],
     spec: &ConvSpec,
@@ -1102,11 +1104,11 @@ fn quant_depthwise_padded_plane_body(
     let (kh, kw) = (spec.kh, spec.kw);
     let (sh, sw) = (spec.sh, spec.sw);
     if kh == 5 && kw == 5 && sh == 2 && sw == 2 {
-        quant_dw_s2_stencil5(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
+        dw_s2_stencil5(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
     } else if sh == 1 && sw == 1 && kh == 3 && kw == 3 {
-        quant_dw_stencil::<3>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
+        dw_stencil::<3>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
     } else if sh == 1 && sw == 1 && kh == 5 && kw == 5 {
-        quant_dw_stencil::<5>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
+        dw_stencil::<5>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
     } else if sh == 1 && sw == 1 {
         // Stride 1, other kernel sizes: whole-row segments per tap —
         // contiguous loads the compiler vectorizes at the enabled feature
@@ -1142,11 +1144,9 @@ fn quant_depthwise_padded_plane_body(
 }
 
 /// Dot product of a `kh x kw` window (rows strided by `pw2` in `xpad`,
-/// taps contiguous in `kern`) — the strided quantized depthwise inner loop.
-/// Row segments reduce 4-wide (SSE2 baseline, so it inlines into both
-/// compilations of the plane body) with a single horizontal sum at the end;
-/// operands are integer-valued f32, so the reduction-order change versus a
-/// sequential loop is exact.
+/// taps contiguous in `kern`) — the strided depthwise inner loop. Row
+/// segments reduce 4-wide (explicit SSE2, so both compilations of the plane
+/// body run the same instructions) with a single horizontal sum at the end.
 #[inline(always)]
 fn window_dot(xpad: &[f32], base: usize, pw2: usize, kh: usize, kw: usize, kern: &[f32]) -> f32 {
     debug_assert!(base + (kh - 1) * pw2 + kw <= xpad.len() && kern.len() >= kh * kw);
@@ -1192,12 +1192,11 @@ fn window_dot(xpad: &[f32], base: usize, pw2: usize, kh: usize, kw: usize, kern:
 /// `K x K` stride-1 stencil over a zero-padded plane: all `K*K` taps
 /// accumulate in registers per output vector (one store per output instead
 /// of a read-modify-write pass per tap). The output-column loop
-/// auto-vectorizes; the tap loops fully unroll (`K` is const). Sums are
-/// exact integer arithmetic, so the accumulation-order change versus the
-/// per-tap formulation is invisible bit-for-bit.
+/// auto-vectorizes; the tap loops fully unroll (`K` is const). Per output
+/// the taps still add in `ky`-outer, `kx`-inner order.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn quant_dw_stencil<const K: usize>(
+fn dw_stencil<const K: usize>(
     xpad: &[f32],
     kern: &[f32],
     pw2: usize,
@@ -1234,11 +1233,11 @@ fn quant_dw_stencil<const K: usize>(
 /// `even[j + kx/2]` / `odd[j + (kx-1)/2]` — contiguous loads the
 /// output-column loop vectorizes, instead of a strided per-pixel window dot.
 /// Unwritten tail cells of the half-rows are never read (tap reach stays
-/// inside the deinterleaved image); sums are exact integer arithmetic, so
-/// the reassociation versus [`window_dot`] is invisible bit-for-bit.
+/// inside the deinterleaved image). Each row adds its even taps before its
+/// odd ones.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn quant_dw_s2_stencil5(
+fn dw_s2_stencil5(
     xpad: &[f32],
     kern: &[f32],
     pw2: usize,
@@ -1298,10 +1297,10 @@ fn quant_dw_s2_stencil5(
     }
 }
 
-/// [`quant_depthwise_padded_plane_body`] recompiled with AVX2 enabled (8-wide
+/// [`depthwise_padded_plane_body`] recompiled with AVX2 enabled (8-wide
 /// row segments instead of baseline 4-wide). `fma` is deliberately *not*
 /// enabled: a fused `v * scale + bias` epilogue would round differently from
-/// the scalar build.
+/// the baseline build.
 ///
 /// # Safety
 ///
@@ -1309,7 +1308,7 @@ fn quant_dw_s2_stencil5(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn quant_depthwise_padded_plane_avx2(
+unsafe fn depthwise_padded_plane_avx2(
     xpad: &[f32],
     kern: &[f32],
     spec: &ConvSpec,
@@ -1321,11 +1320,15 @@ unsafe fn quant_depthwise_padded_plane_avx2(
     scale: f32,
     yplane: &mut [f32],
 ) {
-    quant_depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
+    depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
 }
 
+/// Runs the padded-plane body, AVX2-compiled when `avx2` is set. Callers
+/// pass [`cpu_has_avx2`] (f32 plans) or [`int8_use_avx2`] (int8 plans, which
+/// also honour the forced-scalar switch); the choice never changes a bit.
 #[allow(clippy::too_many_arguments)]
-fn quant_depthwise_padded_plane(
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn depthwise_padded_plane(
     xpad: &[f32],
     kern: &[f32],
     spec: &ConvSpec,
@@ -1335,19 +1338,19 @@ fn quant_depthwise_padded_plane(
     bias: f32,
     act: EpilogueAct,
     scale: f32,
+    avx2: bool,
     yplane: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::qmatmul::int8_use_avx2() {
-        // SAFETY: feature presence checked by the dispatch.
+    if avx2 {
+        debug_assert!(cpu_has_avx2());
+        // SAFETY: both sources of `avx2` include the CPU feature check.
         unsafe {
-            quant_depthwise_padded_plane_avx2(
-                xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane,
-            )
+            depthwise_padded_plane_avx2(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane)
         };
         return;
     }
-    quant_depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
+    depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
 }
 
 fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
@@ -1360,22 +1363,13 @@ fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) 
     let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
     // One tile per (sample, channel) plane: fine enough to keep every worker
     // busy even at batch 1, and planes are disjoint by construction.
-    //
-    // Training now runs the interior/border-split kernel too, with an
-    // identity epilogue (bias 0, no activation): per-pixel tap order matches
-    // the reference kernel, the accumulator can never be `-0.0` (it starts
-    // at `+0.0` and IEEE-754 sums reaching zero from nonzero terms round to
-    // `+0.0`), and `acc + 0.0` is then a bitwise identity — so adopting the
-    // fast kernel changes no training bits (asserted in tests).
     parallel_tiles(xs.n * xs.c, |tile| {
         let (_, c) = (tile / xs.c, tile % xs.c);
         let xplane = &xdata[tile * xs.hw()..(tile + 1) * xs.hw()];
         let kern = &wdata[c * spec.kh * spec.kw..(c + 1) * spec.kh * spec.kw];
         // SAFETY: tile exclusively owns output plane (n, c).
         let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-        fused_depthwise_plane_forward(
-            xplane, kern, spec, xs, oh, ow, 0.0, EpilogueAct::None, 1.0, yplane,
-        );
+        fused_depthwise_plane_forward(xplane, kern, spec, xs, oh, ow, yplane);
     });
 }
 
@@ -2154,6 +2148,89 @@ mod tests {
             for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "k={} s={} idx {i}", spec.kh, spec.sh);
             }
+        }
+    }
+
+    /// Differential check of the frozen f32 depthwise (one padded-plane
+    /// family for every geometry) against the naive reference kernel, at
+    /// 1e-5 relative; on the way, the AVX2 and baseline compilations of the
+    /// plane body must agree bit for bit on the first plane.
+    fn check_depthwise_plan(xs: Shape, spec: ConvSpec, act: EpilogueAct, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(xs, 1.0, &mut rng);
+        let w = Tensor::randn(Shape::new(xs.c, 1, spec.kh, spec.kw), 0.5, &mut rng);
+        let bias: Vec<f32> = (0..xs.c).map(|c| 0.25 * c as f32 - 0.5).collect();
+        let ksz = spec.kh * spec.kw;
+        let what = format!("{xs} k{}x{} s{} p{},{} {act:?}", spec.kh, spec.kw, spec.sh, spec.ph, spec.pw);
+
+        let got = ConvPlan::new(&w, bias.clone(), spec, act).forward(&x);
+        let os = got.shape();
+        let mut want = Tensor::zeros(os);
+        for (tile, yplane) in want.data_mut().chunks_exact_mut(os.hw()).enumerate() {
+            let c = tile % xs.c;
+            let xplane = &x.data()[tile * xs.hw()..(tile + 1) * xs.hw()];
+            depthwise_plane_forward(xplane, &w.data()[c * ksz..(c + 1) * ksz], &spec, xs, os.h, os.w, yplane);
+            yplane.iter_mut().for_each(|v| *v = act.apply(*v + bias[c]));
+        }
+        let tol = 1e-5 * (1.0 + want.abs_max());
+        assert!(got.max_abs_diff(&want) <= tol, "{what}: diff {} > {tol}", got.max_abs_diff(&want));
+
+        #[cfg(target_arch = "x86_64")]
+        if cpu_has_avx2() {
+            let pw2 = xs.w + 2 * spec.pw;
+            let mut xpad = vec![0.0f32; (xs.h + 2 * spec.ph) * pw2];
+            pad_plane(&x.data()[..xs.hw()], xs, &spec, &mut xpad, |s, d| d.copy_from_slice(s));
+            let (mut base, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
+            let kern = &w.data()[..ksz];
+            depthwise_padded_plane_body(&xpad, kern, &spec, pw2, os.h, os.w, bias[0], act, 1.0, &mut base);
+            // SAFETY: AVX2 presence checked just above.
+            unsafe {
+                depthwise_padded_plane_avx2(&xpad, kern, &spec, pw2, os.h, os.w, bias[0], act, 1.0, &mut wide)
+            };
+            for (i, (a, b)) in base.iter().zip(&wide).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: avx2 != baseline at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_depthwise_matches_reference_on_edge_shapes() {
+        // The shapes the stencils were not written for: planes smaller than
+        // the kernel (the 17x17/s8 silo hop lands on 7x7 at S0's last
+        // stream), single pixels, odd extents under every silo stride,
+        // asymmetric and absent padding.
+        let acts = [EpilogueAct::None, EpilogueAct::HardSwish];
+        for (i, &(k, s)) in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)].iter().enumerate() {
+            for (j, &(h, w)) in [(1, 1), (7, 7), (1, 9), (13, 2), (15, 11)].iter().enumerate() {
+                for n in [1, 3] {
+                    let xs = Shape::new(n, 5, h, w);
+                    check_depthwise_plan(xs, ConvSpec::depthwise(k, s, 5), acts[(i + j) % 2], (i * 10 + j) as u64);
+                }
+            }
+        }
+        for spec in [
+            ConvSpec::depthwise(3, 1, 12).with_padding(0, 0),
+            ConvSpec::depthwise(5, 2, 12).with_padding(4, 1),
+            ConvSpec::depthwise(5, 1, 12).with_padding(0, 3),
+        ] {
+            check_depthwise_plan(Shape::new(1, 12, 9, 8), spec, EpilogueAct::Relu, 99);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn frozen_depthwise_matches_reference_kernel(
+            ks in proptest::sample::select(vec![(3usize, 1usize), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)]),
+            h in 1usize..=17,
+            w in 1usize..=17,
+            c in proptest::sample::select(vec![1usize, 3, 7, 9, 20]),
+            n in proptest::sample::select(vec![1usize, 3]),
+            act in proptest::sample::select(vec![EpilogueAct::None, EpilogueAct::Relu, EpilogueAct::HardSwish]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            check_depthwise_plan(Shape::new(n, c, h, w), ConvSpec::depthwise(ks.0, ks.1, c), act, seed);
         }
     }
 

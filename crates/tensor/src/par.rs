@@ -11,7 +11,7 @@
 //! # Threading model
 //!
 //! - The caller always participates in its own job, so a "w-way" parallel
-//!   section uses `w - 1` pool workers plus the calling thread.
+//!   section uses up to `w - 1` pool workers plus the calling thread.
 //! - [`parallel_tiles`] hands out tile indices from a shared atomic counter
 //!   (dynamic load balancing). Every tile computes a value that depends only
 //!   on the tile index, never on which worker ran it, so results are
@@ -23,6 +23,37 @@
 //!   all participants finish, so a failing tile cannot leave the pool wedged
 //!   or let a caller observe partially-written output silently.
 //!
+//! # The fork-join handoff: spin, then park
+//!
+//! A frozen batch-1 forward makes a few hundred fork-joins of tens of
+//! microseconds each, so the handoff itself is on the latency path. It is
+//! built to cost two cache-line transfers when the pool is warm and to cost
+//! no CPU when it is idle:
+//!
+//! - Each worker owns one mailbox: an atomic pointer to the dispatching
+//!   caller's `Job`, which lives **on the caller's stack**. A dispatch
+//!   claims idle workers by compare-and-swap on their mailboxes — no lock, no
+//!   queue, no heap allocation. A worker that is busy with another caller's
+//!   job is skipped: the tile counter is shared, so the job completes with
+//!   however many participants it got (the caller alone, at worst), and two
+//!   concurrent callers never wait on each other.
+//! - An idle worker polls its mailbox for `SPIN_WINDOW` (50 µs) and then
+//!   parks. After the first 2 µs every poll also yields the core, so a
+//!   waiter that shares its core with the thread it is waiting for
+//!   (oversubscribed budget, busy host) hands the core over instead of
+//!   burning the window against it. The dispatcher wakes only a worker whose
+//!   `parked` flag is up; a polling worker picks the job up from the mailbox
+//!   on its own. Both sides use `SeqCst` on the (`parked`, mailbox) pair, so
+//!   a worker about to park and a dispatcher publishing a job cannot miss
+//!   each other.
+//! - The caller runs its share, then waits for the job's remaining-worker
+//!   count to reach zero: polling for the same window first, parking after.
+//!   The last worker to finish unparks it.
+//!
+//! [`stats`] counts fork-joins (`dispatches`) and worker parks (`parks`), so
+//! "this change multiplied the dispatches" and "the pool never sleeps" are
+//! numbers rather than guesses.
+//!
 //! The worker count defaults to `std::thread::available_parallelism`, can be
 //! capped process-wide with the `REVBIFPN_MAX_THREADS` environment variable
 //! (read once at first use), and can be overridden programmatically with
@@ -32,14 +63,32 @@
 //! on small CI machines.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Upper bound on pool size; guards against pathological
 /// `set_max_threads(huge)` calls. Far above any sensible worker count.
 const MAX_POOL_WORKERS: usize = 192;
+
+/// How long an idle worker polls its mailbox before parking, and how long a
+/// caller polls for its workers before parking. Long enough to cover the
+/// serial glue between two kernels of a frozen forward (so back-to-back
+/// fork-joins never pay a futex wake), short enough that an idle or
+/// oversubscribed pool gives its cores back almost at once.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// The part of [`SPIN_WINDOW`] spent in a pure busy-wait before polls start
+/// yielding the core (see [`spin_until`]).
+const SPIN_BEFORE_YIELD: Duration = Duration::from_micros(2);
+
+/// Fork-joins dispatched to the pool (inline runs are not counted).
+static DISPATCHES: AtomicU64 = AtomicU64::new(0);
+/// Times a worker gave up polling and parked.
+static PARKS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// True while this thread is executing inside a parallel section
@@ -85,136 +134,216 @@ pub fn num_threads_for(items: usize) -> usize {
     t.max(1).min(items.max(1))
 }
 
-/// Countdown latch: the caller blocks until every dispatched worker has
-/// finished its share of the job, collecting panic flags along the way.
-struct Latch {
-    state: Mutex<(usize, bool)>,
-    cv: Condvar,
+/// Snapshot of the fork-join counters (process-wide, monotonic).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ParStats {
+    /// Fork-joins handed to the pool. Sections that ran inline (one-thread
+    /// budget, one tile, nested) are not counted.
+    pub dispatches: u64,
+    /// Times a pool worker stopped polling and parked. Flat while jobs
+    /// arrive back to back; one per worker once the pool goes idle.
+    pub parks: u64,
 }
 
-impl Latch {
-    fn new(count: usize) -> Self {
-        Self { state: Mutex::new((count, false)), cv: Condvar::new() }
-    }
-
-    fn done(&self, panicked: bool) {
-        let mut g = self.state.lock().unwrap();
-        g.0 -= 1;
-        g.1 |= panicked;
-        if g.0 == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until the count reaches zero; returns whether any participant
-    /// panicked.
-    fn wait(&self) -> bool {
-        let mut g = self.state.lock().unwrap();
-        while g.0 > 0 {
-            g = self.cv.wait(g).unwrap();
-        }
-        g.1
+/// Reads the fork-join counters.
+pub fn stats() -> ParStats {
+    ParStats {
+        dispatches: DISPATCHES.load(Ordering::Relaxed),
+        parks: PARKS.load(Ordering::Relaxed),
     }
 }
 
-/// A borrowed job closure smuggled to a worker thread. The raw pointer is
-/// only dereferenced before `latch.done()` runs, and the dispatching caller
-/// blocks on the latch before the closure's stack frame unwinds, so the
-/// borrow is live for every dereference.
-struct SendTask {
+/// One fork-join, living on the dispatching caller's stack for exactly the
+/// duration of [`run_job`]. Workers reach it through their mailbox pointer.
+struct Job {
+    /// The caller's closure with its lifetime erased.
     task: *const (dyn Fn() + Sync),
-    latch: Arc<Latch>,
+    /// Claimed workers that have not finished yet. A worker's decrement is
+    /// its last access to the job; zero releases the caller.
+    remaining: AtomicUsize,
+    panicked: AtomicBool,
+    /// Whom the last finishing worker unparks.
+    caller: Thread,
 }
 
-// SAFETY: see the struct docs — lifetime is enforced by the latch protocol,
-// and the closure itself is `Sync` so shared execution is sound.
-unsafe impl Send for SendTask {}
-
-/// One pool worker's mailbox. Tasks queue so concurrent dispatchers never
-/// overwrite each other; each queued task is a tile-puller that exits
-/// immediately if its job is already drained.
+/// One pool worker's mailbox, alive for the whole process. Aligned so that
+/// neighbouring workers polling their own slots share no cache line.
+#[repr(align(128))]
 struct WorkerSlot {
-    queue: Mutex<Vec<SendTask>>,
-    cv: Condvar,
+    /// Null when the worker is free; otherwise the job it is running (or is
+    /// about to pick up). Dispatchers claim the slot null -> job, the worker
+    /// releases it job -> null.
+    job: AtomicPtr<Job>,
+    /// Up while the worker is parked or about to park.
+    parked: AtomicBool,
+    /// The worker's handle, set before the slot is published.
+    thread: OnceLock<Thread>,
 }
 
-fn worker_main(slot: Arc<WorkerSlot>) {
+static SLOTS: [WorkerSlot; MAX_POOL_WORKERS] = [const {
+    WorkerSlot {
+        job: AtomicPtr::new(std::ptr::null_mut()),
+        parked: AtomicBool::new(false),
+        thread: OnceLock::new(),
+    }
+}; MAX_POOL_WORKERS];
+
+/// Number of leading [`SLOTS`] that have a live worker thread.
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+/// Polls `ready` for [`SPIN_WINDOW`]; returns whether it came true. After
+/// [`SPIN_BEFORE_YIELD`] every poll also yields the core: on a core of its
+/// own the yield returns at once, but when the thread being waited for
+/// shares this core (oversubscribed budget, busy host) it is what lets that
+/// thread run instead of burning the rest of the window against it.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    if ready() {
+        return true;
+    }
+    let start = Instant::now();
+    loop {
+        let waited = start.elapsed();
+        if waited >= SPIN_WINDOW {
+            return false;
+        }
+        if waited < SPIN_BEFORE_YIELD {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        if ready() {
+            return true;
+        }
+    }
+}
+
+fn worker_main(slot: &'static WorkerSlot) {
     IN_PARALLEL.with(|f| f.set(true));
     loop {
-        let job = {
-            let mut q = slot.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.pop() {
-                    break job;
-                }
-                q = slot.cv.wait(q).unwrap();
+        if !spin_until(|| !slot.job.load(Ordering::Acquire).is_null()) {
+            PARKS.fetch_add(1, Ordering::Relaxed);
+            // Raise the flag, then look again: a dispatcher stores the job
+            // and then reads the flag, both `SeqCst`, so either this load
+            // sees the job or the dispatcher sees the flag and unparks us
+            // (an unpark that arrives before `park` makes it return at once).
+            slot.parked.store(true, Ordering::SeqCst);
+            while slot.job.load(Ordering::SeqCst).is_null() {
+                std::thread::park();
             }
-        };
-        // SAFETY: the dispatching caller keeps the closure alive until the
-        // latch (decremented below, after the call) reaches zero.
-        let task = unsafe { &*job.task };
+            slot.parked.store(false, Ordering::Relaxed);
+        }
+        let job = slot.job.load(Ordering::Acquire);
+        // SAFETY: a non-null mailbox holds a pointer to a `Job` on the stack
+        // of a caller that is inside `run_job` and cannot leave it before
+        // this worker's `remaining` decrement below: the claim incremented
+        // `remaining` before publishing the pointer, and `run_job` returns
+        // (or unwinds) only after observing zero. The same argument keeps
+        // the erased `task` borrow alive.
+        let (task, caller) = unsafe { (&*(*job).task, (*job).caller.clone()) };
         let panicked = catch_unwind(AssertUnwindSafe(task)).is_err();
-        job.latch.done(panicked);
+        if panicked {
+            // SAFETY: as above; still before the decrement.
+            unsafe { (*job).panicked.store(true, Ordering::Relaxed) };
+        }
+        // Free the mailbox first: once `remaining` hits zero the caller may
+        // dispatch again at once and should find this worker claimable.
+        slot.job.store(std::ptr::null_mut(), Ordering::Release);
+        // SAFETY: as above. This decrement is the last access to `*job`:
+        // the moment it lands the caller may pop the frame, which is why the
+        // caller's handle was cloned out beforehand. `Release` publishes the
+        // tile writes and the panic flag to the caller's `Acquire` load.
+        if unsafe { (*job).remaining.fetch_sub(1, Ordering::AcqRel) } == 1 {
+            caller.unpark();
+        }
     }
-}
-
-fn pool() -> &'static Mutex<Vec<Arc<WorkerSlot>>> {
-    static POOL: OnceLock<Mutex<Vec<Arc<WorkerSlot>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Number of pool threads spawned so far (they persist for the process).
 pub fn pool_size() -> usize {
-    pool().lock().unwrap().len()
+    SPAWNED.load(Ordering::Acquire)
 }
 
-/// Grows the pool to at least `want` workers and returns handles to `want`
-/// of them (fewer if thread spawning fails, e.g. under resource limits).
-fn acquire_workers(want: usize) -> Vec<Arc<WorkerSlot>> {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
+/// Grows the pool to at least `want` workers (fewer if thread spawning
+/// fails, e.g. under resource limits) and returns how many exist. Takes the
+/// growth lock only when the pool is actually short.
+fn ensure_workers(want: usize) -> usize {
+    static GROW: Mutex<()> = Mutex::new(());
     let want = want.min(MAX_POOL_WORKERS);
-    let mut slots = pool().lock().unwrap();
-    while slots.len() < want {
-        let slot = Arc::new(WorkerSlot { queue: Mutex::new(Vec::new()), cv: Condvar::new() });
-        let for_thread = Arc::clone(&slot);
-        let spawned = std::thread::Builder::new()
-            .name(format!("revbifpn-par-{}", slots.len()))
-            .spawn(move || worker_main(for_thread));
-        match spawned {
-            Ok(_) => slots.push(slot),
-            Err(_) => break,
-        }
+    let have = SPAWNED.load(Ordering::Acquire);
+    if have >= want {
+        return have;
     }
-    let n = slots.len().min(want);
-    // Rotate the starting worker between jobs so back-to-back small jobs
-    // from different callers don't all pile onto worker 0.
-    let start = NEXT.fetch_add(1, Ordering::Relaxed);
-    (0..n).map(|i| Arc::clone(&slots[(start + i) % slots.len()])).collect()
+    let _g = GROW.lock().unwrap_or_else(|e| e.into_inner());
+    let mut have = SPAWNED.load(Ordering::Acquire);
+    while have < want {
+        let slot = &SLOTS[have];
+        let spawned = std::thread::Builder::new()
+            .name(format!("revbifpn-par-{have}"))
+            .spawn(move || worker_main(slot));
+        let Ok(handle) = spawned else { break };
+        slot.thread.set(handle.thread().clone()).expect("slot is published once");
+        have += 1;
+        SPAWNED.store(have, Ordering::Release);
+    }
+    have
 }
 
-/// Runs `task` on `extra` pool workers and the current thread, returning
-/// once every participant is done. Panics from any participant are
-/// re-raised here.
+/// Runs `task` on up to `extra` pool workers and the current thread,
+/// returning once every participant is done. Panics from any participant
+/// are re-raised here.
 fn run_job(extra: usize, task: &(dyn Fn() + Sync)) {
-    let workers = acquire_workers(extra);
-    let latch = Arc::new(Latch::new(workers.len()));
-    // SAFETY: the lifetime is erased to smuggle the borrow into SendTask;
-    // the latch-drain below keeps the referent alive past every worker use.
-    let ptr: *const (dyn Fn() + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(task) };
-    for slot in &workers {
-        slot.queue.lock().unwrap().push(SendTask { task: ptr, latch: Arc::clone(&latch) });
-        slot.cv.notify_one();
+    DISPATCHES.fetch_add(1, Ordering::Relaxed);
+    let job = Job {
+        // SAFETY: only the lifetime is erased, to let the pointer sit in a
+        // `'static` mailbox; the wait below keeps `task` borrowed until no
+        // worker can dereference it any more.
+        task: unsafe {
+            std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(task)
+        },
+        remaining: AtomicUsize::new(0),
+        panicked: AtomicBool::new(false),
+        caller: std::thread::current(),
+    };
+    let job_ptr = std::ptr::addr_of!(job).cast_mut();
+    let mut claimed = 0;
+    for slot in &SLOTS[..ensure_workers(extra)] {
+        if claimed == extra {
+            break;
+        }
+        // Count the worker in before it can see the job (and count it out
+        // again if the slot turns out to be busy with another caller's job).
+        job.remaining.fetch_add(1, Ordering::Relaxed);
+        let won = slot.job.compare_exchange(
+            std::ptr::null_mut(),
+            job_ptr,
+            Ordering::SeqCst,
+            Ordering::Relaxed,
+        );
+        if won.is_err() {
+            job.remaining.fetch_sub(1, Ordering::Relaxed);
+            continue;
+        }
+        claimed += 1;
+        if slot.parked.load(Ordering::SeqCst) {
+            slot.thread.get().expect("published slots carry their thread").unpark();
+        }
     }
     IN_PARALLEL.with(|f| f.set(true));
     let caller = catch_unwind(AssertUnwindSafe(task));
     IN_PARALLEL.with(|f| f.set(false));
-    // Always drain the latch before unwinding: workers hold a raw borrow of
-    // `task` until their `done()`.
-    let worker_panicked = latch.wait();
+    // Always wait before returning or unwinding: until `remaining` reads
+    // zero a worker may still dereference `job` and `task`.
+    let done = || job.remaining.load(Ordering::Acquire) == 0;
+    if !spin_until(done) {
+        // A worker's unpark can predate this park (then it returns at
+        // once) or belong to an earlier job (then the loop parks again).
+        while !done() {
+            std::thread::park();
+        }
+    }
     match caller {
         Err(payload) => resume_unwind(payload),
-        Ok(()) if worker_panicked => panic!("parallel worker panicked"),
+        Ok(()) if job.panicked.load(Ordering::Relaxed) => panic!("parallel worker panicked"),
         Ok(()) => {}
     }
 }

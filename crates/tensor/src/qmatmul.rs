@@ -475,17 +475,23 @@ pub fn set_int8_force_scalar(on: bool) {
     force_scalar_flag().store(on, Ordering::Relaxed);
 }
 
-pub(crate) fn int8_use_avx2() -> bool {
+/// Whether this CPU can run the AVX2-compiled kernel bodies (the detection
+/// macro caches its answer).
+pub(crate) fn cpu_has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        let have = *DETECTED.get_or_init(|| std::is_x86_feature_detected!("avx2"));
-        have && !force_scalar_flag().load(Ordering::Relaxed)
+        std::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
+}
+
+/// AVX2 dispatch for the int8 kernels: the CPU check minus the forced-scalar
+/// switch.
+pub(crate) fn int8_use_avx2() -> bool {
+    cpu_has_avx2() && !force_scalar_flag().load(Ordering::Relaxed)
 }
 
 /// `max |v|` over a slice. The scalar `fold` form does not auto-vectorize

@@ -236,21 +236,23 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn axpy(&mut self, alpha: f32, x: &Self) {
         assert_eq!(self.shape, x.shape, "axpy requires equal shapes");
-        if self.data.len() < PAR_ELEMWISE_MIN {
-            for (a, &b) in self.data.iter_mut().zip(&x.data) {
-                *a += alpha * b;
-            }
-            return;
+        axpy_slices(&mut self.data, alpha, &x.data);
+    }
+
+    /// In-place `self += x[:, c_off..c_off + self.c]`: adds a channel window
+    /// of `x`, read where it lies, without materializing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if batch/spatial dims differ or the window leaves `x`.
+    pub fn add_channels_of(&mut self, x: &Self, c_off: usize) {
+        let (s, xs) = (self.shape, x.shape);
+        assert_eq!((s.n, s.h, s.w), (xs.n, xs.h, xs.w), "add_channels_of requires matching batch and spatial dims");
+        assert!(c_off + s.c <= xs.c, "channel window must lie inside the source");
+        for (n, dst) in self.data.chunks_exact_mut(s.chw()).enumerate() {
+            let at = (n * xs.c + c_off) * s.hw();
+            axpy_slices(dst, 1.0, &x.data[at..at + s.chw()]);
         }
-        let ptr = SyncPtr::new(self.data.as_mut_ptr());
-        let xd = &x.data;
-        parallel_chunks(self.data.len(), |lo, hi| {
-            // SAFETY: chunks are disjoint sub-slices of the buffer.
-            let s = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-            for (a, &b) in s.iter_mut().zip(&xd[lo..hi]) {
-                *a += alpha * b;
-            }
-        });
     }
 
     /// In-place `self += x`.
@@ -450,17 +452,22 @@ impl Tensor {
     /// Panics if `c_split` is 0 or >= `c`.
     pub fn split_channels(&self, c_split: usize) -> (Tensor, Tensor) {
         assert!(c_split > 0 && c_split < self.shape.c, "c_split must be inside (0, c)");
-        let s1 = self.shape.with_c(c_split);
-        let s2 = self.shape.with_c(self.shape.c - c_split);
-        let mut a = Tensor::zeros(s1);
-        let mut b = Tensor::zeros(s2);
+        (self.channel_slice(0, c_split), self.channel_slice(c_split, self.shape.c))
+    }
+
+    /// Copies channels `c0..c1` into a new tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `c0 < c1 <= c`.
+    pub fn channel_slice(&self, c0: usize, c1: usize) -> Tensor {
+        assert!(c0 < c1 && c1 <= self.shape.c, "channel range must be non-empty and inside 0..c");
         let hw = self.shape.hw();
-        for n in 0..self.shape.n {
-            let src = &self.data[n * self.shape.chw()..(n + 1) * self.shape.chw()];
-            a.data[n * s1.chw()..(n + 1) * s1.chw()].copy_from_slice(&src[..c_split * hw]);
-            b.data[n * s2.chw()..(n + 1) * s2.chw()].copy_from_slice(&src[c_split * hw..]);
+        let mut out = Tensor::zeros(self.shape.with_c(c1 - c0));
+        for (src, dst) in self.data.chunks_exact(self.shape.chw()).zip(out.data.chunks_exact_mut((c1 - c0) * hw)) {
+            dst.copy_from_slice(&src[c0 * hw..c1 * hw]);
         }
-        (a, b)
+        out
     }
 
     /// Repeats the channel dimension `times` times (used by the
@@ -469,6 +476,25 @@ impl Tensor {
         let refs: Vec<&Tensor> = (0..times).map(|_| self).collect();
         Tensor::concat_channels(&refs)
     }
+}
+
+/// `dst += alpha * src` over equal-length slices (pool-parallel when large).
+fn axpy_slices(dst: &mut [f32], alpha: f32, src: &[f32]) {
+    debug_assert_eq!(dst.len(), src.len());
+    if dst.len() < PAR_ELEMWISE_MIN {
+        for (a, &b) in dst.iter_mut().zip(src) {
+            *a += alpha * b;
+        }
+        return;
+    }
+    let ptr = SyncPtr::new(dst.as_mut_ptr());
+    parallel_chunks(dst.len(), |lo, hi| {
+        // SAFETY: chunks are disjoint sub-slices of the buffer.
+        let s = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
+        for (a, &b) in s.iter_mut().zip(&src[lo..hi]) {
+            *a += alpha * b;
+        }
+    });
 }
 
 impl fmt::Debug for Tensor {
@@ -606,6 +632,18 @@ mod tests {
         assert_eq!(b.shape(), Shape::new(2, 3, 3, 3));
         let back = Tensor::concat_channels(&[&a, &b]);
         assert_eq!(back, x);
+    }
+
+    #[test]
+    fn add_channels_of_adds_the_window_in_place() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = Tensor::randn(Shape::new(2, 5, 3, 3), 1.0, &mut rng);
+        let base = Tensor::randn(Shape::new(2, 2, 3, 3), 1.0, &mut rng);
+        for c_off in [0, 1, 3] {
+            let mut got = base.clone();
+            got.add_channels_of(&x, c_off);
+            assert_eq!(got, &base + &x.channel_slice(c_off, c_off + 2), "c_off {c_off}");
+        }
     }
 
     #[test]
