@@ -589,19 +589,7 @@ impl FrozenLayer {
             FrozenLayer::SqueezeExcite { reduce, expand } => {
                 let s = global_avg_pool(x);
                 let g = expand.forward(&reduce.forward(&s));
-                let xs = x.shape();
-                let (c, hw) = (xs.c, xs.hw());
-                let mut y = x.clone();
-                for n in 0..xs.n {
-                    for ci in 0..c {
-                        let gv = g.data()[n * c + ci];
-                        let base = (n * c + ci) * hw;
-                        for v in &mut y.data_mut()[base..base + hw] {
-                            *v *= gv;
-                        }
-                    }
-                }
-                y
+                x.mul_planes(&g)
             }
         }
     }

@@ -10,8 +10,9 @@
 //! Alongside activation accounting, this module re-exports the kernel
 //! scratch-arena counters from `revbifpn_tensor` (see [`scratch_stats`]) so
 //! training loops can assert that steady-state conv/GEMM calls perform zero
-//! heap allocations, and the worker pool's fork-join counters (see
-//! [`par_stats`]); [`report`] bundles all of them into one snapshot.
+//! heap allocations, the worker pool's fork-join counters (see
+//! [`par_stats`]) and the blocked GEMM's B-operand counters (see
+//! [`gemm_stats`]); [`report`] bundles all of them into one snapshot.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -19,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 pub use revbifpn_tensor::par::{stats as par_stats, ParStats};
+pub use revbifpn_tensor::{gemm_stats, GemmStats};
 pub use revbifpn_tensor::scratch::{
     reset_stats as reset_scratch_stats, stats as scratch_stats, ScratchStats,
 };
@@ -371,7 +373,8 @@ pub fn reset_phase_timers() {
 
 /// One snapshot of both memory views — cached activations (this module) and
 /// the kernel scratch arena (`revbifpn_tensor::scratch`) — and of the worker
-/// pool's fork-join counters (`revbifpn_tensor::par`).
+/// pool's fork-join counters (`revbifpn_tensor::par`) and the GEMM's
+/// B-operand counters.
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryReport {
     /// Bytes of activation state currently cached for backward.
@@ -392,6 +395,11 @@ pub struct MemoryReport {
     /// and worker parks. A forward's `dispatches` delta is a property of the
     /// model and the thread budget, not of the machine's speed.
     pub par: ParStats,
+    /// Blocked-GEMM B panels multiplied in place vs packed first
+    /// (process-wide, monotonic). A forward's deltas are a property of the
+    /// model's shapes; a packed count above the ragged-edge and
+    /// transposed-operand panels means a shape fell off the in-place path.
+    pub gemm: GemmStats,
 }
 
 /// Captures a [`MemoryReport`] for the current thread.
@@ -403,6 +411,7 @@ pub fn report() -> MemoryReport {
         quant_packed_weight_bytes: quant_packed_current(),
         scratch: scratch_stats(),
         par: par_stats(),
+        gemm: gemm_stats(),
     }
 }
 

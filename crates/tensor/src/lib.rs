@@ -41,8 +41,8 @@ pub use conv::{
     QuantPlanKind,
 };
 pub use matmul::{
-    gemm_layout_fingerprint, reference, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
-    sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA,
+    gemm_layout_fingerprint, gemm_stats, reference, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
+    sgemm_prepacked, Epilogue, EpilogueAct, GemmStats, PackedGemmA,
 };
 pub use qmatmul::{
     int8_act_scale, qgemm_prepacked, quantize_activations, quantize_weights_per_row,

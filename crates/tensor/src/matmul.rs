@@ -10,20 +10,33 @@
 //!
 //! BLIS-style three-level blocking with fixed tile sizes:
 //!
-//! - micro-kernel: `MR x NR = 6 x 16` register tile (12 AVX2 accumulators +
-//!   broadcast + two B vectors fits the 16 ymm registers);
-//! - `KC = 256` depth slices, packed into contiguous A panels (`MR`-row
-//!   interleave) and B panels (`NR`-column interleave) held in thread-local
-//!   scratch (see [`crate::scratch`]);
 //! - `MC x NC = 96 x 512` macro-tiles of C, distributed over the worker
-//!   pool with [`crate::par::parallel_tiles`].
+//!   pool with [`crate::par::parallel_tiles`];
+//! - `KC = 256` depth slices. A is packed into contiguous `MR`-row panels
+//!   (per call into thread-local [`crate::scratch`], or once as a
+//!   [`PackedGemmA`]). B is **not** copied when its rows are contiguous: a
+//!   full `NR`-column panel is read where it lies, one `NR`-float row per
+//!   depth step at the caller's row stride. Only a ragged last panel, or a B
+//!   viewed through a column stride ([`sgemm_a_bt`]), is packed first — into
+//!   one `NR x KC` scratch panel the same kernel reads at row stride `NR`.
+//!   [`gemm_stats`] counts both kinds;
+//! - micro-kernel: `MR x NR = 6 x 16` register tile (12 AVX2 accumulators +
+//!   broadcast + two B vectors fits the 16 ymm registers). The kernel also
+//!   finishes its tile in those registers — `alpha`, the first slice's
+//!   `beta`, later slices' accumulate and, on the last slice, bias and
+//!   activation — and stores each C element once per slice, with the
+//!   operations and order of `beta * c + alpha * acc` and
+//!   [`Epilogue::apply`] and no `fma`, so a fused call equals the unfused
+//!   call plus a separate epilogue pass bit for bit.
 //!
 //! The macro-tile grid depends only on `(m, n)` and the constants — never on
-//! the worker count — and each tile accumulates its `KC` slices
-//! sequentially, so results are **byte-identical for any thread count**.
-//! The micro-kernel uses AVX2+FMA when the CPU has it (checked once at
-//! runtime) with a portable scalar fallback; those two paths may round
-//! differently, but the choice is per-process, not per-call.
+//! the worker count — each tile accumulates its `KC` slices sequentially,
+//! and an element's FMA chain is the same whether its B panel was packed or
+//! read in place, so results are **byte-identical for any thread count and
+//! either B layout**. The micro-kernel uses AVX2+FMA when the CPU has it
+//! (checked at runtime) with a portable fallback of the same interface;
+//! those two may round differently, but the choice is per-process, not
+//! per-call.
 //!
 //! Problems too small to amortize packing fall through to the simple
 //! [`reference`] kernels, which are also kept as the oracle for tests and
@@ -32,6 +45,7 @@
 use crate::blob::{Panel, SharedBytes};
 use crate::par::{parallel_tiles, SyncPtr};
 use crate::scratch;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Activation applied by a fused GEMM epilogue during tile write-back.
 ///
@@ -331,84 +345,188 @@ fn pack_a(a: MatRef<'_>, i0: usize, mc: usize, p0: usize, kc: usize, dst: &mut [
     }
 }
 
-/// Packs depth `p0..p0+kc`, columns `j0..j0+nc` of `b` into `NR`-column
-/// panels: panel `jr` stores element `(p, c)` at `jr*NR*kc + p*NR + c`,
-/// zero-padded to a full `NR` columns.
-fn pack_b(b: MatRef<'_>, j0: usize, nc: usize, p0: usize, kc: usize, dst: &mut [f32]) {
-    for jr in 0..nc.div_ceil(NR) {
-        let base = jr * NR * kc;
-        let cols = NR.min(nc - jr * NR);
-        for p in 0..kc {
-            let at = base + p * NR;
-            for c in 0..cols {
-                dst[at + c] = b.at(p0 + p, j0 + jr * NR + c);
-            }
-            for c in cols..NR {
-                dst[at + c] = 0.0;
-            }
+/// Packs depth `p0..p0+kc`, columns `j..j+cols` of `b` into one `NR`-column
+/// panel: element `(p, c)` lands at `p*NR + c`, zero-padded to `NR` columns.
+fn pack_b(b: MatRef<'_>, j: usize, cols: usize, p0: usize, kc: usize, dst: &mut [f32]) {
+    for (p, drow) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
+        for (c, d) in drow.iter_mut().enumerate() {
+            *d = if c < cols { b.at(p0 + p, j + c) } else { 0.0 };
         }
     }
 }
 
-/// Portable micro-kernel: `acc += A_panel @ B_panel` over `kc` depth steps.
-fn mk_scalar(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+/// What a micro-kernel does with its finished tile, per element: `v = alpha
+/// * acc`, then `v = beta * c + v` and `v = epi.apply(row, v)` for whichever
+/// of `beta` and `epi` is present, then one store to C.
+struct Finish<'a> {
+    alpha: f32,
+    /// `None` on a first K slice with `beta == 0` (C is never read), else
+    /// the caller's beta; `1.0` on later slices (`1.0 * c` is exact).
+    beta: Option<f32>,
+    /// Present on the last K slice only.
+    epi: Option<&'a Epilogue<'a>>,
+}
+
+/// The C side of one micro-kernel call: `rows x cols` elements at `c`, row
+/// stride `ldc`; `row0` is the first row's index in C (the bias index).
+struct CTile {
+    c: *mut f32,
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+    row0: usize,
+}
+
+/// One tile of C from an `MR`-row packed A panel and `NR` columns of B whose
+/// depth step `p` starts at `bp + p * ldb` — a packed panel is `ldb == NR`,
+/// B read in place is `ldb ==` its row stride.
+///
+/// # Safety
+///
+/// `ap` must be valid for `kc * MR` reads, `bp + p * ldb` for `NR` reads at
+/// every `p < kc`, and `t.c + r * t.ldc` for `t.cols` reads and writes at
+/// every `r < t.rows`, with `t.rows <= MR`, `1 <= t.cols <= NR` and no other
+/// thread touching those C elements. [`mk_avx2`] also needs AVX2 and FMA.
+type MicroKernel =
+    unsafe fn(kc: usize, ap: *const f32, bp: *const f32, ldb: usize, t: &CTile, fin: &Finish<'_>);
+
+/// Portable micro-kernel (see [`MicroKernel`] for the contract).
+unsafe fn mk_portable(kc: usize, ap: *const f32, bp: *const f32, ldb: usize, t: &CTile, fin: &Finish<'_>) {
+    let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
-        let arow = &ap[p * MR..p * MR + MR];
-        let brow = &bp[p * NR..p * NR + NR];
+        // SAFETY: the caller guarantees `MR` floats at `ap + p * MR` and
+        // `NR` floats at `bp + p * ldb` for every `p < kc`.
+        let (arow, brow) = unsafe {
+            (std::slice::from_raw_parts(ap.add(p * MR), MR), std::slice::from_raw_parts(bp.add(p * ldb), NR))
+        };
         for (accrow, &av) in acc.iter_mut().zip(arow) {
             for (c, &bv) in accrow.iter_mut().zip(brow) {
                 *c += av * bv;
             }
         }
     }
+    for (r, accrow) in acc.iter().enumerate().take(t.rows) {
+        // SAFETY: the caller owns `t.cols` elements at `t.c + r * t.ldc`.
+        let crow = unsafe { std::slice::from_raw_parts_mut(t.c.add(r * t.ldc), t.cols) };
+        for (cv, &av) in crow.iter_mut().zip(accrow) {
+            let mut v = fin.alpha * av;
+            if let Some(beta) = fin.beta {
+                v += beta * *cv;
+            }
+            *cv = fin.epi.map_or(v, |e| e.apply(t.row0 + r, v));
+        }
+    }
 }
 
-/// AVX2+FMA micro-kernel: 6x16 tile in twelve ymm accumulators.
+/// Eight lanes of [`EpilogueAct::apply`], shared by the f32 tile store and
+/// the int8 dequantizing write-back. Same IEEE operations in the same order
+/// as the scalar form and no `fma`, so finite and infinite inputs give the
+/// same bits; `min`/`max` take the constant first so a NaN lane comes back
+/// as NaN exactly where `f32::clamp` passes it through (`Relu` maps NaN to
+/// 0 in both forms). Only NaN payloads may differ.
 ///
 /// # Safety
 ///
-/// Caller must ensure the CPU supports AVX2 and FMA, `ap` points to at least
-/// `kc * MR` floats, and `bp` to at least `kc * NR` floats.
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub(crate) unsafe fn act_avx2(act: EpilogueAct, v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_ps();
+    let six = _mm256_set1_ps(6.0);
+    let gate = |v| _mm256_min_ps(six, _mm256_max_ps(zero, _mm256_add_ps(v, _mm256_set1_ps(3.0))));
+    match act {
+        EpilogueAct::None => v,
+        EpilogueAct::Relu => _mm256_max_ps(v, zero),
+        EpilogueAct::HardSwish => _mm256_div_ps(_mm256_mul_ps(v, gate(v)), six),
+        EpilogueAct::HardSigmoid => _mm256_div_ps(gate(v), six),
+    }
+}
+
+/// AVX2+FMA micro-kernel (see [`MicroKernel`] for the contract): the 6x16
+/// tile lives in twelve ymm accumulators from the first FMA to its single
+/// store; a tile narrower than `NR` masks its loads and stores.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mk_avx2(kc: usize, ap: *const f32, bp: *const f32, acc: &mut [[f32; NR]; MR]) {
+unsafe fn mk_avx2(kc: usize, ap: *const f32, bp: *const f32, ldb: usize, t: &CTile, fin: &Finish<'_>) {
     use std::arch::x86_64::*;
     let mut lo = [_mm256_setzero_ps(); MR];
     let mut hi = [_mm256_setzero_ps(); MR];
     for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(p * NR));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
+        let b0 = _mm256_loadu_ps(bp.add(p * ldb));
+        let b1 = _mm256_loadu_ps(bp.add(p * ldb + 8));
         for r in 0..MR {
             let av = _mm256_set1_ps(*ap.add(p * MR + r));
             lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
             hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
         }
     }
-    for r in 0..MR {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
+    let cols = t.cols;
+    let alpha = _mm256_set1_ps(fin.alpha);
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Finishes lanes `j0..j0+8` of row `r`; rows at or past `t.rows` and
+    // lanes at or past `cols` are neither read nor written. A macro repeated
+    // per register, not a loop or a closure: a loop stays rolled and indexes
+    // `lo`/`hi` at run time, a call clobbers every ymm register, and either
+    // way all twelve accumulators go through the stack.
+    macro_rules! finish {
+        ($($r:literal $j0:literal $acc:ident;)*) => {$(
+            if $r < t.rows && cols > $j0 {
+                let at = t.c.add($r * t.ldc + $j0);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((cols - $j0) as i32), lane);
+                let mut v = _mm256_mul_ps(alpha, $acc[$r]);
+                if let Some(beta) = fin.beta {
+                    let old = if cols >= $j0 + 8 { _mm256_loadu_ps(at) } else { _mm256_maskload_ps(at, mask) };
+                    v = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(beta), old), v);
+                }
+                if let Some(e) = fin.epi {
+                    if let Some(bias) = e.bias_at(t.row0 + $r) {
+                        v = _mm256_add_ps(v, _mm256_set1_ps(bias));
+                    }
+                    v = act_avx2(e.act(), v);
+                }
+                if cols >= $j0 + 8 {
+                    _mm256_storeu_ps(at, v);
+                } else {
+                    _mm256_maskstore_ps(at, mask, v);
+                }
+            }
+        )*};
     }
+    const _: () = assert!(MR == 6, "the tile store below is written out for six rows");
+    finish! { 0 0 lo; 0 8 hi; 1 0 lo; 1 8 hi; 2 0 lo; 2 8 hi; 3 0 lo; 3 8 hi; 4 0 lo; 4 8 hi; 5 0 lo; 5 8 hi; }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn have_avx2_fma() -> bool {
-    static DETECTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-    })
-}
-
-#[inline]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+/// This process's micro-kernel (the detection macro caches its answer).
+fn microkernel() -> MicroKernel {
     #[cfg(target_arch = "x86_64")]
-    if have_avx2_fma() {
-        // SAFETY: feature presence checked above; pointer extents checked by
-        // the debug assert and guaranteed by the packed-panel layout.
-        unsafe { mk_avx2(kc, ap.as_ptr(), bp.as_ptr(), acc) };
-        return;
+    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+        return mk_avx2;
     }
-    mk_scalar(kc, ap, bp, acc);
+    mk_portable
+}
+
+/// B panels multiplied in place, and packed first (process-wide, monotonic).
+static B_IN_PLACE: AtomicU64 = AtomicU64::new(0);
+static B_PACKED: AtomicU64 = AtomicU64::new(0);
+
+/// Snapshot of the blocked GEMM's B-operand counters. One panel is `NR`
+/// columns of one `KC` depth slice of one macro-tile.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GemmStats {
+    /// Panels read in place: B's rows are contiguous and the panel is full.
+    pub b_panels_in_place: u64,
+    /// Panels packed first: a ragged last panel, or a transposed B.
+    pub b_panels_packed: u64,
+}
+
+/// Reads the blocked GEMM's B-operand counters.
+pub fn gemm_stats() -> GemmStats {
+    GemmStats {
+        b_panels_in_place: B_IN_PLACE.load(Ordering::Relaxed),
+        b_panels_packed: B_PACKED.load(Ordering::Relaxed),
+    }
 }
 
 /// The A operand of the blocked engine: a strided view packed per call into
@@ -422,13 +540,13 @@ enum ASrc<'a> {
 
 /// `c[m, n] = beta * c + alpha * a[m, k] @ b[k, n]` through strided views,
 /// blocked and parallelized as described in the module docs. Beta is folded
-/// into the first KC slice's write-back: with `beta == 0` the output is
+/// into the first KC slice's tile store: with `beta == 0` the output is
 /// written without being read or pre-zeroed, which matters for small-k GEMMs
 /// (e.g. the 3x3 stem conv) where output traffic rivals the FLOPs.
 ///
-/// When an [`Epilogue`] is supplied it is applied to each output row chunk
-/// during the **last** KC slice's write-back — the values are then fully
-/// accumulated, still register/L1-resident, and written out exactly once.
+/// When an [`Epilogue`] is supplied the micro-kernel applies it in the
+/// **last** KC slice's tile store — the values are then fully accumulated
+/// and still in registers.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     m: usize,
@@ -444,6 +562,7 @@ fn gemm_blocked(
     let n_ic = m.div_ceil(MC);
     let n_jc = n.div_ceil(NC);
     let cptr = SyncPtr::new(c.as_mut_ptr());
+    let mk = microkernel();
     parallel_tiles(n_ic * n_jc, |tile| {
         let (ic, jc) = (tile / n_jc, tile % n_jc);
         let i0 = ic * MC;
@@ -454,11 +573,15 @@ fn gemm_blocked(
             ASrc::Mat(_) => Some(scratch::take(mc.div_ceil(MR) * MR * KC.min(k))),
             ASrc::Packed(_) => None,
         };
-        let mut bpack = scratch::take(nc.div_ceil(NR) * NR * KC.min(k));
+        let mut bpack = scratch::take(NR * KC.min(k));
+        let (mut in_place, mut packed) = (0, 0);
         for p0 in (0..k).step_by(KC) {
             let kc = KC.min(k - p0);
-            let first_slice = p0 == 0;
-            let last_slice = p0 + kc == k;
+            let fin = Finish {
+                alpha,
+                beta: if p0 > 0 { Some(1.0) } else { Some(beta).filter(|&b| b != 0.0) },
+                epi: epi.filter(|_| p0 + kc == k),
+            };
             let apanels: &[f32] = match (a, apack.as_mut()) {
                 (ASrc::Mat(view), Some(buf)) => {
                     pack_a(view, i0, mc, p0, kc, buf);
@@ -467,45 +590,40 @@ fn gemm_blocked(
                 (ASrc::Packed(pa), _) => pa.block(ic, p0, kc),
                 (ASrc::Mat(_), None) => unreachable!("scratch panel allocated for view operands"),
             };
-            pack_b(b, j0, nc, p0, kc, &mut bpack);
-            for jr in 0..nc.div_ceil(NR) {
-                let bpanel = &bpack[jr * NR * kc..(jr + 1) * NR * kc];
-                let cols = NR.min(nc - jr * NR);
+            for j in (j0..j0 + nc).step_by(NR) {
+                let cols = NR.min(j0 + nc - j);
+                let (bp, ldb) = if b.cs == 1 && cols == NR {
+                    in_place += 1;
+                    // The last depth row's `NR` floats end inside the slice.
+                    debug_assert!((p0 + kc - 1) * b.rs + j + NR <= b.data.len());
+                    (b.data[p0 * b.rs + j..].as_ptr(), b.rs)
+                } else {
+                    packed += 1;
+                    pack_b(b, j, cols, p0, kc, &mut bpack);
+                    (bpack.as_ptr(), NR)
+                };
                 for ir in 0..mc.div_ceil(MR) {
                     let apanel = &apanels[ir * MR * kc..(ir + 1) * MR * kc];
-                    let rows = MR.min(mc - ir * MR);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel(kc, apanel, bpanel, &mut acc);
-                    for (r, accrow) in acc.iter().enumerate().take(rows) {
-                        let row = i0 + ir * MR + r;
-                        // SAFETY: this tile exclusively owns C rows
-                        // i0..i0+mc x cols j0..j0+nc; tiles are disjoint.
-                        let crow = unsafe {
-                            let start = row * n + j0 + jr * NR;
-                            std::slice::from_raw_parts_mut(cptr.get().add(start), cols)
-                        };
-                        if first_slice && beta == 0.0 {
-                            for (cv, &av) in crow.iter_mut().zip(accrow) {
-                                *cv = alpha * av;
-                            }
-                        } else if first_slice && beta != 1.0 {
-                            for (cv, &av) in crow.iter_mut().zip(accrow) {
-                                *cv = beta * *cv + alpha * av;
-                            }
-                        } else {
-                            for (cv, &av) in crow.iter_mut().zip(accrow) {
-                                *cv += alpha * av;
-                            }
-                        }
-                        if let (true, Some(e)) = (last_slice, epi) {
-                            for cv in crow.iter_mut() {
-                                *cv = e.apply(row, *cv);
-                            }
-                        }
-                    }
+                    let row = i0 + ir * MR;
+                    let rows = MR.min(m - row);
+                    debug_assert!((row + rows - 1) * n + j + cols <= m * n);
+                    // SAFETY: `mk` is `mk_avx2` only when the CPU has AVX2
+                    // and FMA. `apanel` holds `kc * MR` floats. `bp` is the
+                    // packed panel (`kc * NR` floats, `ldb == NR`) or row
+                    // `p0`, column `j` of the caller's B, where `cs == 1`,
+                    // `j + NR <= n` and `p0 + kc <= k` keep every `NR`-float
+                    // row read inside the slice (asserted above). This tile
+                    // alone owns C rows `i0..i0+mc` x cols `j0..j0+nc`, and
+                    // `rows` / `cols` stop at `m` / `n`.
+                    unsafe {
+                        let t = CTile { c: cptr.get().add(row * n + j), ldc: n, rows, cols, row0: row };
+                        mk(kc, apanel.as_ptr(), bp, ldb, &t, &fin)
+                    };
                 }
             }
         }
+        B_IN_PLACE.fetch_add(in_place, Ordering::Relaxed);
+        B_PACKED.fetch_add(packed, Ordering::Relaxed);
     });
 }
 
@@ -602,8 +720,8 @@ pub fn sgemm_fused(m: usize, k: usize, n: usize, alpha: f32, a: &[f32], b: &[f32
 }
 
 /// `c = epilogue(pa @ b)` against a persistently packed left operand: the
-/// A-panel packing pass is skipped entirely, B still packs per call into
-/// thread-local scratch (its contents change every call).
+/// A-panel packing pass is skipped entirely and B, whose contents change
+/// every call, is read in place (all but a ragged last panel).
 ///
 /// Always runs the blocked engine — a packed operand exists precisely so
 /// repeated calls avoid per-call A traffic, and the reference kernels cannot
@@ -987,6 +1105,144 @@ mod tests {
         sgemm_prepacked(&pa, n, &b, &mut c8, &epi);
         crate::par::set_max_threads(0);
         assert_eq!(c1, c8);
+    }
+
+    const ACTS: [EpilogueAct; 4] =
+        [EpilogueAct::None, EpilogueAct::Relu, EpilogueAct::HardSwish, EpilogueAct::HardSigmoid];
+
+    /// The blocked engine itself (no small-problem cutoff) on a row-major A.
+    #[allow(clippy::too_many_arguments)]
+    fn engine(m: usize, k: usize, n: usize, alpha: f32, beta: f32, a: &[f32], b: MatRef<'_>, c0: &[f32], epi: Option<&Epilogue<'_>>) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        gemm_blocked(m, k, n, alpha, beta, ASrc::Mat(MatRef { data: a, rs: k, cs: 1 }), b, &mut c, epi);
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Differential test of the engine over tile-edge shapes: B read in
+        /// place and the same B passed through a column stride (which packs
+        /// every panel) must agree bit for bit, a fused epilogue must equal
+        /// the unfused result plus `apply_rows` bit for bit, and the unfused
+        /// result must match the scalar reference. Runs with debug
+        /// assertions on, so every in-place read and tile store also passes
+        /// the engine's extent contracts.
+        #[test]
+        fn engine_is_bitwise_stable_across_b_layouts_and_epilogues(
+            m in proptest::sample::select(vec![1usize, 5, 7, 97, 100]),
+            k in proptest::sample::select(vec![1usize, 24, KC, KC + 1, 2 * KC + 3]),
+            n in proptest::sample::select(vec![1usize, 7, 15, 16, 17, 31, 32, 33, NC, NC + 1, NC + 15]),
+            act in proptest::sample::select(ACTS.to_vec()),
+            with_bias in proptest::prelude::any::<bool>(),
+            alpha in proptest::sample::select(vec![1.0f32, 0.7, -1.3]),
+            beta in proptest::sample::select(vec![0.0f32, 1.0, 0.5]),
+            seed in 0u64..1000,
+        ) {
+            let a = rand_vec(m * k, seed);
+            let b = rand_vec(k * n, seed + 1);
+            let c0 = rand_vec(m * n, seed + 2);
+            let bias = rand_vec(m, seed + 3);
+            let mut bt = vec![0.0; n * k];
+            for p in 0..k {
+                for j in 0..n {
+                    bt[j * k + p] = b[p * n + j];
+                }
+            }
+            let rows = MatRef { data: &b, rs: n, cs: 1 };
+            let strided = MatRef { data: &bt, rs: 1, cs: k };
+            let epi = Epilogue::new(with_bias.then_some(&bias[..]), act);
+
+            let before = gemm_stats();
+            let plain = engine(m, k, n, alpha, beta, &a, rows, &c0, None);
+            let full_panels = (k.div_ceil(KC) * (n / NR)) as u64;
+            assert!(gemm_stats().b_panels_in_place - before.b_panels_in_place >= full_panels);
+            assert_eq!(plain, engine(m, k, n, alpha, beta, &a, strided, &c0, None), "in place vs packed");
+
+            let fused = engine(m, k, n, alpha, beta, &a, rows, &c0, Some(&epi));
+            assert_eq!(fused, engine(m, k, n, alpha, beta, &a, strided, &c0, Some(&epi)), "fused: in place vs packed");
+            let mut want = plain.clone();
+            epi.apply_rows(m, n, &mut want);
+            assert_eq!(fused, want, "fused vs unfused + apply_rows");
+
+            let mut oracle = c0.clone();
+            reference::sgemm(m, k, n, alpha, &a, &b, beta, &mut oracle);
+            for (x, y) in plain.iter().zip(&oracle) {
+                assert!((x - y).abs() < 1e-3, "({m},{k},{n}): {x} vs {y}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_activation_is_bitwise_the_scalar_one() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        use std::arch::x86_64::*;
+        // Signed zeros, the clamp's corners and their neighbours, subnormals,
+        // infinities, values whose `v * 6` overflows, and NaN. A NaN result
+        // must be NaN in both forms (its payload is not compared).
+        let sweep = [
+            0.0f32, -0.0, 3.0, -3.0, 6.0, -6.0, 2.999_999_8, -2.999_999_8, 3.000_000_2, -3.000_000_2,
+            1e-40, -1e-40, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::INFINITY, f32::NEG_INFINITY,
+            3e38, -3e38, f32::MAX, f32::MIN, 1.5, -1.5, 0.1, f32::NAN,
+        ];
+        for act in ACTS {
+            for lanes in sweep.chunks_exact(8) {
+                let mut got = [0.0f32; 8];
+                // SAFETY: AVX2 checked above; both arrays hold eight floats.
+                unsafe { _mm256_storeu_ps(got.as_mut_ptr(), act_avx2(act, _mm256_loadu_ps(lanes.as_ptr()))) };
+                for (&v, &g) in lanes.iter().zip(&got) {
+                    let want = act.apply(v);
+                    assert!(
+                        g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                        "{act:?}({v:e}): vector {g:e} vs scalar {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_tile_body_matches_reference() {
+        // (rows, cols, k, n, j): one tile at column `j` of a `[k, n]` B —
+        // full-width tiles read B in place, the narrow ones a packed panel.
+        for &(rows, cols, k, n, j) in &[(6, 16, 24, 40, 16), (6, 16, 300, 16, 0), (5, 9, 37, 9, 0), (1, 1, 1, 1, 0), (3, 4, 8, 20, 16)] {
+            let a = rand_vec(rows * k, 91);
+            let b = rand_vec(k * n, 92);
+            let c0 = rand_vec(rows * n, 93);
+            let (mut c, mut want) = (c0.clone(), c0.clone());
+            reference::sgemm(rows, k, n, 0.7, &a, &b, 0.5, &mut want);
+            let mut ap = vec![0.0; MR * k];
+            pack_a(MatRef { data: &a, rs: k, cs: 1 }, 0, rows, 0, k, &mut ap);
+            let bview = MatRef { data: &b, rs: n, cs: 1 };
+            let mut bpack = vec![0.0; NR * k];
+            let (bp, ldb) = if cols == NR {
+                (b[j..].as_ptr(), n)
+            } else {
+                pack_b(bview, j, cols, 0, k, &mut bpack);
+                (bpack.as_ptr(), NR)
+            };
+            let fin = Finish { alpha: 0.7, beta: Some(0.5), epi: None };
+            // SAFETY: `ap` holds `k * MR` floats; `bp` either a `k * NR`
+            // packed panel or column `j` of `b` with `j + NR <= n`; the tile
+            // is `rows x cols` of `c` at column `j`, `j + cols <= n`.
+            unsafe {
+                let t = CTile { c: c.as_mut_ptr().add(j), ldc: n, rows, cols, row0: 0 };
+                mk_portable(k, ap.as_ptr(), bp, ldb, &t, &fin);
+            }
+            for r in 0..rows {
+                for col in 0..n {
+                    let (x, y) = (c[r * n + col], want[r * n + col]);
+                    if (j..j + cols).contains(&col) {
+                        assert!((x - y).abs() < 1e-5, "({rows},{cols},{k}) at ({r},{col}): {x} vs {y}");
+                    } else {
+                        assert_eq!(x.to_bits(), c0[r * n + col].to_bits(), "wrote outside the tile");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //! concerns exist and results are byte-identical for any thread count.
 
 use crate::blob::{Panel, SharedBytes};
+#[cfg(target_arch = "x86_64")]
+use crate::matmul::act_avx2;
 use crate::matmul::{Epilogue, EpilogueAct};
 use crate::par::{parallel_tiles, SyncPtr};
 use crate::scratch;
@@ -583,11 +585,8 @@ unsafe fn qdequant_row_avx2(
     let vcorr = _mm256_set1_epi32(corr);
     let vscale = _mm256_set1_ps(scale);
     let vbias = _mm256_set1_ps(bias.unwrap_or(0.0));
-    let zero = _mm256_setzero_ps();
-    let three = _mm256_set1_ps(3.0);
-    let six = _mm256_set1_ps(6.0);
     let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-    let mut vmax = zero;
+    let mut vmax = _mm256_setzero_ps();
     let mut j = 0;
     while j + 8 <= cols {
         let a = _mm256_loadu_si256(accrow.as_ptr().add(j) as *const __m256i);
@@ -595,18 +594,7 @@ unsafe fn qdequant_row_avx2(
         if bias.is_some() {
             v = _mm256_add_ps(v, vbias);
         }
-        v = match act {
-            EpilogueAct::None => v,
-            EpilogueAct::Relu => _mm256_max_ps(v, zero),
-            EpilogueAct::HardSwish => {
-                let t = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(v, three), zero), six);
-                _mm256_div_ps(_mm256_mul_ps(v, t), six)
-            }
-            EpilogueAct::HardSigmoid => {
-                let t = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(v, three), zero), six);
-                _mm256_div_ps(t, six)
-            }
-        };
+        v = act_avx2(act, v);
         _mm256_storeu_ps(crow.as_mut_ptr().add(j), v);
         vmax = _mm256_max_ps(vmax, _mm256_and_ps(v, absmask));
         j += 8;

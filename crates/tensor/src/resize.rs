@@ -8,6 +8,7 @@
 //! results are bitwise identical for any thread count.
 
 use crate::par::{parallel_tiles, SyncPtr};
+use crate::scratch;
 use crate::shape::{Shape, ShapeError};
 use crate::tensor::Tensor;
 
@@ -98,16 +99,19 @@ pub fn try_resize(x: &Tensor, oh: usize, ow: usize, mode: ResizeMode) -> Result<
                 let xplane = &xd[p * ihw..(p + 1) * ihw];
                 // SAFETY: tile `p` owns the disjoint output plane `p`.
                 let oplane = unsafe { std::slice::from_raw_parts_mut(optr.get().add(p * ohw), ohw) };
-                for (oy, &(y0, y1, ty)) in wy.iter().enumerate() {
-                    let (r0, r1) = (y0 * xs.w, y1 * xs.w);
-                    for (ox, &(x0, x1, tx)) in wx.iter().enumerate() {
-                        let v00 = xplane[r0 + x0];
-                        let v01 = xplane[r0 + x1];
-                        let v10 = xplane[r1 + x0];
-                        let v11 = xplane[r1 + x1];
-                        let top = v00 + tx * (v01 - v00);
-                        let bot = v10 + tx * (v11 - v10);
-                        oplane[oy * ow + ox] = top + ty * (bot - top);
+                // Horizontal pass: each source row is interpolated to `ow`
+                // columns once, however many output rows blend it.
+                let mut rows = scratch::take(xs.h * ow);
+                for (xrow, hrow) in xplane.chunks_exact(xs.w).zip(rows.chunks_exact_mut(ow)) {
+                    for (h, &(x0, x1, tx)) in hrow.iter_mut().zip(&wx) {
+                        *h = xrow[x0] + tx * (xrow[x1] - xrow[x0]);
+                    }
+                }
+                // Vertical pass: blend two interpolated rows, contiguously.
+                for (orow, &(y0, y1, ty)) in oplane.chunks_exact_mut(ow).zip(&wy) {
+                    let (top, bot) = (&rows[y0 * ow..(y0 + 1) * ow], &rows[y1 * ow..(y1 + 1) * ow]);
+                    for ((o, &t), &b) in orow.iter_mut().zip(top).zip(bot) {
+                        *o = t + ty * (b - t);
                     }
                 }
             });
@@ -231,6 +235,33 @@ mod tests {
         assert!((y.at(0, 0, 0, 1) - 1.0).abs() < 1e-6);
         assert!((y.at(0, 0, 0, 2) - 3.0).abs() < 1e-6);
         assert!((y.at(0, 0, 0, 3) - 4.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bilinear_is_bitwise_the_four_tap_formula() {
+        // The two-pass kernel evaluates `top + ty * (bot - top)` with
+        // `top`/`bot` the horizontal lerps of rows `y0`/`y1` — the same
+        // expressions, per value, as gathering four taps per output pixel.
+        let mut rng = StdRng::seed_from_u64(4);
+        let cases = [(4, 4, 8, 8), (7, 5, 14, 10), (5, 9, 15, 27), (3, 3, 12, 12), (6, 7, 6, 21), (8, 8, 4, 4), (9, 5, 4, 3), (1, 6, 8, 48)];
+        for (h, w, oh, ow) in cases {
+            let x = Tensor::randn(Shape::new(2, 3, h, w), 1.0, &mut rng);
+            let y = resize(&x, oh, ow, ResizeMode::Bilinear);
+            let wy = bilinear_axis(oh, h as f64 / oh as f64, h);
+            let wx = bilinear_axis(ow, w as f64 / ow as f64, w);
+            for n in 0..2 {
+                for c in 0..3 {
+                    for (oy, &(y0, y1, ty)) in wy.iter().enumerate() {
+                        for (ox, &(x0, x1, tx)) in wx.iter().enumerate() {
+                            let top = x.at(n, c, y0, x0) + tx * (x.at(n, c, y0, x1) - x.at(n, c, y0, x0));
+                            let bot = x.at(n, c, y1, x0) + tx * (x.at(n, c, y1, x1) - x.at(n, c, y1, x0));
+                            let want = top + ty * (bot - top);
+                            assert_eq!(y.at(n, c, oy, ox).to_bits(), want.to_bits(), "{h}x{w} -> {oh}x{ow} at ({oy},{ox})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

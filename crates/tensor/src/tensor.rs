@@ -391,6 +391,34 @@ impl Tensor {
         });
     }
 
+    /// `y[n, c, :, :] = self[n, c, :, :] * gate[n, c]` as a new tensor, each
+    /// plane read and written once (a squeeze-excite gate applied without a
+    /// clone-then-scale round trip).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is not `[n, c, 1, 1]` for `self`'s `n` and `c`.
+    pub fn mul_planes(&self, gate: &Self) -> Self {
+        let (n, c, hw) = (self.shape.n, self.shape.c, self.shape.hw());
+        assert_eq!(gate.shape, Shape::new(n, c, 1, 1), "gate must hold one factor per plane");
+        let mut data: Vec<f32> = Vec::with_capacity(n * c * hw);
+        let ptr = SyncPtr::new(data.spare_capacity_mut().as_mut_ptr());
+        let (xd, gd) = (&self.data, &gate.data);
+        parallel_tiles(n * c, |p| {
+            // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)` of
+            // the `n*c*hw`-float spare capacity (`MaybeUninit`, so the slice
+            // may cover uninitialized memory).
+            let plane = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(p * hw), hw) };
+            let g = gd[p];
+            for (y, &x) in plane.iter_mut().zip(&xd[p * hw..(p + 1) * hw]) {
+                y.write(x * g);
+            }
+        });
+        // SAFETY: every plane of `0..n*c` was initialized by exactly one tile.
+        unsafe { data.set_len(n * c * hw) };
+        Self { shape: self.shape, data }
+    }
+
     /// Per-channel sum over batch and spatial dims; returns `[1, c, 1, 1]`.
     pub fn sum_per_channel(&self) -> Self {
         let mut out = Tensor::zeros(Shape::vector(self.shape.c));
@@ -614,6 +642,10 @@ mod tests {
         let sc = Tensor::from_vec(Shape::vector(2), vec![2.0, 0.5]).unwrap();
         x.mul_channel(&sc);
         assert_eq!(x.data(), &[22.0, 22.0, 10.5, 10.5, 22.0, 22.0, 10.5, 10.5]);
+        // One factor per (sample, channel) plane, out of place.
+        let gate = Tensor::from_vec(Shape::new(2, 2, 1, 1), vec![1.0, 2.0, 0.5, -1.0]).unwrap();
+        let y = x.mul_planes(&gate);
+        assert_eq!(y.data(), &[22.0, 22.0, 21.0, 21.0, 11.0, 11.0, -10.5, -10.5]);
     }
 
     #[test]

@@ -1,23 +1,44 @@
-//! Decomposes the batch-1 RevBiFPN-S0 stem conv into its phases (im2col,
-//! GEMM, total conv2d) and prints per-phase wall-clock. Diagnostic tool for
-//! kernel tuning; not part of any paper experiment.
+//! Kernel-level wall-clock probe for GEMM tuning; not part of any paper
+//! experiment. Prints the median and fastest time of each row:
+//!
+//! * the batch-1 RevBiFPN-S0 stem conv and the GEMM it lowers to;
+//! * the pointwise convs of an S0 forward at their real shapes, through the
+//!   frozen path's `sgemm_prepacked` (B is the activation, read in place);
+//! * square `sgemm` at 256, 512 and 1024, where B's row stride is a power of
+//!   two and in-place rows compete for the same cache sets.
+//!
+//! Run the same file from a checkout of another commit to compare kernels
+//! (`revbifpn-perf run --trace 1` reports a subset of these as metrics).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use revbifpn_repro::tensor::{conv2d, sgemm, ConvSpec, Shape, Tensor};
+use revbifpn_repro::tensor::{
+    conv2d, sgemm, sgemm_prepacked, ConvSpec, Epilogue, EpilogueAct, PackedGemmA, Shape, Tensor,
+};
+use std::hint::black_box;
 use std::time::Instant;
 
-fn time(label: &str, iters: usize, mut f: impl FnMut()) {
-    // Warm up.
+/// Times `f` for about 300 ms after a warm-up and prints median and minimum;
+/// `macs` (0 = none) adds the GMAC/s at the median.
+fn time(label: &str, macs: usize, mut f: impl FnMut()) {
     for _ in 0..3 {
         f();
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
+    let mut samples = Vec::new();
+    let t_end = Instant::now() + std::time::Duration::from_millis(300);
+    while Instant::now() < t_end || samples.len() < 5 {
+        let t0 = Instant::now();
         f();
+        samples.push(t0.elapsed().as_secs_f64() * 1e6);
     }
-    let per = t0.elapsed().as_secs_f64() / iters as f64;
-    println!("{label:32} {:.3} ms", per * 1e3);
+    samples.sort_by(f64::total_cmp);
+    let (med, min) = (samples[samples.len() / 2], samples[0]);
+    let rate = if macs > 0 { format!("  {:6.1} GMAC/s", macs as f64 / med / 1e3) } else { String::new() };
+    println!("{label:32} median {med:10.1} us  min {min:10.1} us{rate}");
+}
+
+fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
+    Tensor::randn(Shape::new(1, 1, 1, len), 1.0, rng).into_vec()
 }
 
 fn main() {
@@ -25,32 +46,45 @@ fn main() {
     let img = Tensor::randn(Shape::new(1, 3, 224, 224), 1.0, &mut rng);
     let w_stem = Tensor::randn(Shape::new(48, 3, 3, 3), 0.1, &mut rng);
     let stem = ConvSpec::kxk(3, 2);
-    let iters = 40;
-
-    time("conv2d stem total", iters, || {
-        let _ = conv2d(&img, &w_stem, None, &stem);
+    time("conv2d stem total", 0, || {
+        black_box(conv2d(&img, &w_stem, None, &stem));
+    });
+    time("Tensor::zeros [1,48,112,112]", 0, || {
+        black_box(Tensor::zeros(Shape::new(1, 48, 112, 112)));
     });
 
-    // The GEMM the stem lowers to: [48 x 27] * [27 x 12544].
-    let (m, k, n) = (48, 27, 112 * 112);
-    let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 * 0.1).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.1).collect();
-    let mut c = vec![0.0f32; m * n];
-    time("sgemm 48x27x12544", iters, || {
-        sgemm(m, k, n, 1.0, &a, &b, 0.0, &mut c);
-    });
+    // (c_in, c_out, side): the MBConv expand and project of a coupling on
+    // each S0 stream (half the stream's channels, expansion 2/3/4/6), then
+    // the head's 320 -> 1280.
+    let pointwise = [
+        (24, 48, 56),
+        (48, 24, 56),
+        (32, 96, 28),
+        (96, 32, 28),
+        (40, 160, 14),
+        (160, 40, 14),
+        (80, 480, 7),
+        (480, 80, 7),
+        (320, 1280, 7),
+    ];
+    for (c_in, c_out, side) in pointwise {
+        let n = side * side;
+        let pa = PackedGemmA::pack(c_out, c_in, &randn(c_out * c_in, &mut rng));
+        let (x, bias) = (randn(c_in * n, &mut rng), randn(c_out, &mut rng));
+        let epi = Epilogue::new(Some(&bias), EpilogueAct::HardSwish);
+        let mut y = vec![0.0f32; c_out * n];
+        time(&format!("pointwise {c_in}->{c_out} @ {side}x{side}"), c_out * c_in * n, || {
+            sgemm_prepacked(&pa, n, black_box(&x), &mut y, &epi);
+            black_box(&y);
+        });
+    }
 
-    // Same FLOPs, square-ish: the shape the blocked kernel likes.
-    let (m2, k2, n2) = (128, 128, 2048);
-    let a2: Vec<f32> = (0..m2 * k2).map(|i| (i % 7) as f32 * 0.1).collect();
-    let b2: Vec<f32> = (0..k2 * n2).map(|i| (i % 5) as f32 * 0.1).collect();
-    let mut c2 = vec![0.0f32; m2 * n2];
-    time("sgemm 128x128x2048", iters, || {
-        sgemm(m2, k2, n2, 1.0, &a2, &b2, 0.0, &mut c2);
-    });
-
-    // Output allocation cost: zeroing a [1,48,112,112] tensor.
-    time("Tensor::zeros out", iters, || {
-        let _ = Tensor::zeros(Shape::new(1, 48, 112, 112));
-    });
+    for (m, k, n) in [(48, 27, 112 * 112), (256, 256, 256), (512, 512, 512), (1024, 1024, 1024)] {
+        let (a, b) = (randn(m * k, &mut rng), randn(k * n, &mut rng));
+        let mut c = vec![0.0f32; m * n];
+        time(&format!("sgemm {m}x{k}x{n}"), m * k * n, || {
+            sgemm(m, k, n, 1.0, &a, black_box(&b), 0.0, &mut c);
+            black_box(&c);
+        });
+    }
 }

@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# A/B of this tree against a parent commit with `revbifpn-perf`, the way the
+# published sets under results/perf_pr14/ were made.
+#
+#   results/perf_pr14/ab.sh <parent-rev> <scratch-dir> <out-dir> [first-seed] [pairs] [workload...]
+#
+# The parent side is a fresh checkout of <parent-rev> (a clone with no
+# target/ in it); the change side is this working tree. Each side builds
+# into its OWN fresh CARGO_TARGET_DIR under <scratch-dir>. Do not substitute
+# a `cp -r` of a tree that has a warm target/: cargo fingerprints by mtime,
+# calls the copied rlibs fresh, and links the other side's kernels into
+# "this" side's binary — and the result stamp's git_rev cannot tell.
+#
+# One process per workload and seed, `--seconds 10 --trace 0` as the driver
+# runs them, each binary from its own checkout; odd seeds run the parent
+# first, even seeds the change. Ends with the `compare` table and one traced
+# `infer_f32_b1` run per side.
+set -euo pipefail
+
+PARENT_REV=$1
+SCRATCH=$(mkdir -p "$2" && cd "$2" && pwd)
+OUT=$(mkdir -p "$3" && cd "$3" && pwd)
+FIRST=${4:-1}
+PAIRS=${5:-10}
+shift $(( $# < 5 ? $# : 5 ))
+WORKLOADS=("$@")
+[ ${#WORKLOADS[@]} -gt 0 ] || WORKLOADS=(infer_f32_b1 infer_int8_b1 train_rev_serial train_rev_shard2 serve_steady)
+REPO=$(cd "$(dirname "$0")/../.." && pwd)
+
+if [ ! -d "$SCRATCH/parent" ]; then
+    git clone --quiet --no-hardlinks "$REPO" "$SCRATCH/parent"
+    git -C "$SCRATCH/parent" checkout --quiet --detach "$PARENT_REV"
+fi
+(cd "$SCRATCH/parent" && CARGO_TARGET_DIR="$SCRATCH/parent-target" cargo build --release --quiet -p revbifpn-perf)
+(cd "$REPO" && CARGO_TARGET_DIR="$SCRATCH/change-target" cargo build --release --quiet -p revbifpn-perf)
+
+# run <side> <checkout> <seed> <workload> <trace> <dir>
+run() {
+    mkdir -p "$6"
+    (cd "$2" && "$SCRATCH/$1-target/release/revbifpn-perf" run --workload "$4" --seed "$3" \
+        --seconds 10 --trace "$5" --out "$6") > /dev/null
+}
+
+for seed in $(seq "$FIRST" $((FIRST + PAIRS - 1))); do
+    for w in "${WORKLOADS[@]}"; do
+        if [ $((seed % 2)) -eq 1 ]; then
+            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$OUT/parent/s$seed"
+            run change "$REPO" "$seed" "$w" 0 "$OUT/change/s$seed"
+        else
+            run change "$REPO" "$seed" "$w" 0 "$OUT/change/s$seed"
+            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$OUT/parent/s$seed"
+        fi
+        echo "seed $seed $w done"
+    done
+done
+
+"$SCRATCH/change-target/release/revbifpn-perf" compare "$OUT/parent" "$OUT/change" \
+    | tee "$OUT/compare_parent_change.txt" || true
+
+run parent "$SCRATCH/parent" "$FIRST" infer_f32_b1 1 "$OUT/traced/parent"
+run change "$REPO" "$FIRST" infer_f32_b1 1 "$OUT/traced/change"

@@ -1,11 +1,22 @@
-//! Pins how many fork-joins one frozen S0 forward hands to the worker pool.
+//! Pins how many fork-joins one frozen S0 forward hands to the worker pool,
+//! and how many GEMM B panels it multiplies in place and packs first.
 //!
 //! A dispatch costs about a microsecond when the pool is warm, but a change
 //! that splits kernels or adds element-wise passes multiplies them; this
 //! number makes that visible as a count instead of as a slowdown somebody
 //! has to profile. The count depends on the model and on the budget being
-//! at least two threads, not on the machine. The counters are process-wide,
-//! so this file holds exactly one test.
+//! at least two threads, not on the machine. The 322 are the 276 kernel
+//! fork-joins plus one per squeeze-excite gate (46), which scales its planes
+//! in parallel.
+//!
+//! The blocked GEMM reads a B panel in place when B's rows are contiguous
+//! and the panel is a full 16 columns, and packs it otherwise. Per forward
+//! that is 562 packed panels: 315 for the classifier's `sgemm_a_bt` (its
+//! `[1000, 1280]` weight is the transposed operand: 63 panels x 5 depth
+//! slices) and 247 ragged last panels (14x14 and 7x7 maps are 196 and 49
+//! columns, squeeze-excite GEMMs one). A larger count means some shape fell
+//! off the in-place path. The counters are process-wide, so this file holds
+//! exactly one test.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,14 +30,24 @@ fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
     let frozen = RevBiFPNClassifier::new(RevBiFPNConfig::s0(1000)).freeze().expect("S0 freezes");
     let x = Tensor::randn(Shape::new(1, 3, 224, 224), 1.0, &mut StdRng::seed_from_u64(1));
     let first = frozen.forward(&x);
-    let before = meter::par_stats().dispatches;
+    let (before, gemm_before) = (meter::par_stats().dispatches, meter::gemm_stats());
     let second = frozen.forward(&x);
     let per_forward = meter::par_stats().dispatches - before;
+    let gemm = meter::gemm_stats();
     par::set_max_threads(0);
     assert_eq!(first, second, "repeat forwards must agree bit for bit");
     assert_eq!(
-        per_forward, 276,
+        per_forward, 322,
         "fork-joins per frozen S0@224 batch-1 forward changed; if intended, update this pin \
          and say why in CHANGES.md"
+    );
+    assert_eq!(
+        (
+            gemm.b_panels_in_place - gemm_before.b_panels_in_place,
+            gemm.b_panels_packed - gemm_before.b_panels_packed
+        ),
+        (6527, 562),
+        "GEMM B panels (read in place, packed first) per forward changed; packing is for ragged \
+         last panels and transposed operands only"
     );
 }
