@@ -63,6 +63,7 @@ cargo test -q --release -p revbifpn-train --test pipeline_invariance -- --ignore
 
 echo "== benchmark smoke (every workload for 2 s with its output checks on, harness self-tests)"
 crates/perf/smoke.sh
+bash -n perf_ab.sh
 
 echo "== checkpoint cross-profile round-trip (release writes, debug reads)"
 CKPT_TMP="$(mktemp -d)/xprofile.ckpt"

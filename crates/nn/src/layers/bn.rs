@@ -9,6 +9,7 @@
 //! exactly and the resulting gradients equal conventional training's
 //! bit-for-bit (up to f32 addition rounding in the couplings).
 
+use super::planes::{par_collect, plane_sums};
 use crate::freeze::{FreezeError, FrozenLayer};
 use crate::meter::Cached;
 use crate::mode::CacheMode;
@@ -117,21 +118,11 @@ impl BatchNorm2d {
     fn record_moments(&mut self, x: &Tensor) {
         let xs = x.shape();
         let hw = xs.hw();
-        let mut sum = vec![0.0f64; xs.n * self.c];
-        let mut sqsum = vec![0.0f64; xs.n * self.c];
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let base = (n * self.c + c) * hw;
-                let (mut s, mut q) = (0.0f64, 0.0f64);
-                for &v in &x.data()[base..base + hw] {
-                    let v = v as f64;
-                    s += v;
-                    q += v * v;
-                }
-                sum[n * self.c + c] = s;
-                sqsum[n * self.c + c] = q;
-            }
-        }
+        let xd = x.data();
+        let (sum, sqsum) = par_collect(xs.n * self.c, |p| plane_sums([&xd[p * hw..(p + 1) * hw]], |[v]| [v, v * v]))
+            .into_iter()
+            .map(|[s, q]| (s, q))
+            .unzip();
         // Overwrite, never accumulate: if a step is skipped and retried
         // (non-finite tripwire), only the latest pass's moments survive.
         self.pending = Some(BnMoments { samples: xs.n, hw, sum, sqsum });
@@ -161,53 +152,53 @@ impl BatchNorm2d {
 
     fn batch_stats(&self, x: &Tensor) -> (Tensor, Tensor) {
         let xs = x.shape();
-        let m = (xs.n * xs.hw()) as f32;
-        let mut mean = Tensor::zeros(Shape::vector(self.c));
-        let mut var = Tensor::zeros(Shape::vector(self.c));
-        let hw = xs.hw();
-        for c in 0..self.c {
-            let mut s = 0.0f64;
-            for n in 0..xs.n {
-                let base = (n * self.c + c) * hw;
-                s += x.data()[base..base + hw].iter().map(|&v| v as f64).sum::<f64>();
-            }
-            mean.data_mut()[c] = (s / m as f64) as f32;
-        }
-        for c in 0..self.c {
-            let mu = mean.data()[c] as f64;
-            let mut s = 0.0f64;
-            for n in 0..xs.n {
-                let base = (n * self.c + c) * hw;
-                s += x.data()[base..base + hw].iter().map(|&v| (v as f64 - mu) * (v as f64 - mu)).sum::<f64>();
-            }
-            var.data_mut()[c] = (s / m as f64) as f32;
-        }
-        (mean, var)
+        let (c, hw) = (self.c, xs.hw());
+        let m = (xs.n * hw) as f64;
+        let xd = x.data();
+        let plane = |n: usize, ci: usize| &xd[(n * c + ci) * hw..(n * c + ci + 1) * hw];
+        // One tile per channel does both passes while its planes are hot;
+        // samples add in order, so the result is a function of `x` alone.
+        let (mean, var) = par_collect(c, |ci| {
+            let sum: f64 = (0..xs.n).map(|n| plane_sums([plane(n, ci)], |[v]| [v])[0]).sum();
+            let mean = (sum / m) as f32;
+            let mu = mean as f64;
+            let sq: f64 = (0..xs.n).map(|n| plane_sums([plane(n, ci)], |[v]| [(v - mu) * (v - mu)])[0]).sum();
+            (mean, (sq / m) as f32)
+        })
+        .into_iter()
+        .unzip();
+        (Tensor::from_vec_unchecked(Shape::vector(c), mean), Tensor::from_vec_unchecked(Shape::vector(c), var))
     }
 
-    fn normalize(&self, x: &Tensor, mean: &Tensor, var: &Tensor) -> (Tensor, Tensor) {
-        // Returns (y, xhat) where y = gamma * xhat + beta.
-        let xs = x.shape();
-        let hw = xs.hw();
-        let mut xhat = x.clone();
-        let mut inv_std = Tensor::zeros(Shape::vector(self.c));
-        for c in 0..self.c {
-            inv_std.data_mut()[c] = 1.0 / (var.data()[c] + self.eps).sqrt();
-        }
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let mu = mean.data()[c];
-                let is = inv_std.data()[c];
-                let base = (n * self.c + c) * hw;
-                for v in &mut xhat.data_mut()[base..base + hw] {
-                    *v = (*v - mu) * is;
+    fn inv_std(&self, var: &Tensor) -> Tensor {
+        var.map(|v| 1.0 / (v + self.eps).sqrt())
+    }
+
+    /// `y = ((x - mean) * inv_std) * gamma + beta` in one plane-parallel
+    /// pass into fresh memory. `xhat` — the inner parenthesis — is written
+    /// out too only for a caller that keeps it for the backward pass.
+    fn normalize(&self, x: &Tensor, mean: &Tensor, inv_std: &Tensor, keep_xhat: bool) -> (Tensor, Option<Tensor>) {
+        let c = self.c;
+        let coeffs = |p: usize| {
+            let ci = p % c;
+            (mean.data()[ci], inv_std.data()[ci], self.gamma.value.data()[ci], self.beta.value.data()[ci])
+        };
+        if keep_xhat {
+            let [y, xhat] = Tensor::map_planes([x], |p| {
+                let (mu, is, g, b) = coeffs(p);
+                move |[v]: [f32; 1]| {
+                    let xh = (v - mu) * is;
+                    [xh * g + b, xh]
                 }
-            }
+            });
+            (y, Some(xhat))
+        } else {
+            let [y] = Tensor::map_planes([x], |p| {
+                let (mu, is, g, b) = coeffs(p);
+                move |[v]: [f32; 1]| [(v - mu) * is * g + b]
+            });
+            (y, None)
         }
-        let mut y = xhat.clone();
-        y.mul_channel(&self.gamma.value);
-        y.add_channel_bias(&self.beta.value);
-        (y, xhat)
     }
 
     fn update_running(&mut self, mean: &Tensor, var: &Tensor) {
@@ -222,169 +213,99 @@ impl BatchNorm2d {
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         assert_eq!(x.shape().c, self.c, "BatchNorm channel mismatch");
-        if self.decoupled && mode != CacheMode::None {
-            return match mode {
-                CacheMode::Stats => {
+        // A Full pass after a Stats pass is the reversible recomputation:
+        // it reuses the frozen statistics and neither updates the running
+        // statistics nor records moments a second time.
+        let frozen = if mode == CacheMode::Full { self.frozen.take() } else { None };
+        let (mean, var) = match frozen {
+            Some(stats) => stats,
+            None if mode == CacheMode::None || self.decoupled => {
+                if mode != CacheMode::None {
                     self.record_moments(x);
-                    let (y, _) = self.normalize(x, &self.running_mean, &self.running_var);
-                    // Freeze a copy of the (pre-step) running stats so the
-                    // Full-mode recomputation knows not to re-record moments
-                    // and the cache accounting matches the coupled mode.
-                    let frozen = (self.running_mean.clone(), self.running_var.clone());
-                    let bytes = frozen.0.bytes() + frozen.1.bytes();
-                    self.frozen.put(frozen, bytes);
-                    y
                 }
-                _ => {
-                    let (mean, var) = match self.frozen.take() {
-                        // Reversible recomputation: the Stats pass already
-                        // recorded this batch's moments.
-                        Some(mv) => mv,
-                        None => {
-                            self.record_moments(x);
-                            (self.running_mean.clone(), self.running_var.clone())
-                        }
-                    };
-                    let (y, xhat) = self.normalize(x, &mean, &var);
-                    let mut inv_std = Tensor::zeros(Shape::vector(self.c));
-                    for c in 0..self.c {
-                        inv_std.data_mut()[c] = 1.0 / (var.data()[c] + self.eps).sqrt();
-                    }
-                    let bytes = xhat.bytes() + inv_std.bytes();
-                    self.saved.put((xhat, inv_std), bytes);
-                    y
-                }
-            };
-        }
-        match mode {
-            CacheMode::None => {
-                let (y, _) = self.normalize(x, &self.running_mean.clone(), &self.running_var.clone());
-                y
+                (self.running_mean.clone(), self.running_var.clone())
             }
-            CacheMode::Stats => {
+            None => {
                 let (mean, var) = self.batch_stats(x);
                 self.update_running(&mean, &var);
-                let (y, _) = self.normalize(x, &mean, &var);
-                let bytes = mean.bytes() + var.bytes();
-                self.frozen.put((mean, var), bytes);
-                y
+                (mean, var)
             }
-            CacheMode::Full => {
-                // Reuse frozen stats if the reversible engine recorded them;
-                // in that case this is a recomputation, so do not update the
-                // running statistics again.
-                let (mean, var) = match self.frozen.take() {
-                    Some((m, v)) => (m, v),
-                    None => {
-                        let (m, v) = self.batch_stats(x);
-                        self.update_running(&m, &v);
-                        (m, v)
-                    }
-                };
-                let (y, xhat) = self.normalize(x, &mean, &var);
-                let mut inv_std = Tensor::zeros(Shape::vector(self.c));
-                for c in 0..self.c {
-                    inv_std.data_mut()[c] = 1.0 / (var.data()[c] + self.eps).sqrt();
-                }
+        };
+        let inv_std = self.inv_std(&var);
+        let (y, xhat) = self.normalize(x, &mean, &inv_std, mode == CacheMode::Full);
+        match (mode, xhat) {
+            (CacheMode::Full, Some(xhat)) => {
                 let bytes = xhat.bytes() + inv_std.bytes();
                 self.saved.put((xhat, inv_std), bytes);
-                y
             }
+            // Freeze the statistics this pass normalized with (in decoupled
+            // mode a copy of the pre-step running statistics), so the
+            // Full-mode recomputation reproduces it exactly.
+            (CacheMode::Stats, _) => {
+                let bytes = mean.bytes() + var.bytes();
+                self.frozen.put((mean, var), bytes);
+            }
+            _ => {}
         }
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let (xhat, inv_std) = self.saved.take().expect("BatchNorm2d::backward without Full forward");
-        if self.decoupled {
-            let xs = dy.shape();
-            let hw = xs.hw();
-            let c = self.c;
-            // dgamma/dbeta: per-sample channel partials (f64 inner sums over
-            // hw, cast to f32 per sample) merged with the pairwise sample
-            // tree, so shard-local trees compose into the global batch tree
-            // bit for bit (each partial depends only on its own sample).
+        let xs = dy.shape();
+        let (c, hw) = (self.c, xs.hw());
+        let (dyd, xhd) = (dy.data(), xhat.data());
+        // (Σ dy·xhat, Σ dy) of one plane.
+        let plane_grads = |n: usize, ci: usize| {
+            let at = (n * c + ci) * hw;
+            plane_sums([&dyd[at..at + hw], &xhd[at..at + hw]], |[d, xh]| [d * xh, d])
+        };
+        let (gamma, is) = (self.gamma.value.data(), inv_std.data());
+        let mut dgamma = Tensor::zeros(Shape::vector(c));
+        let mut dbeta = Tensor::zeros(Shape::vector(c));
+        let dx = if self.decoupled {
+            // dgamma/dbeta: per-sample channel partials (f64 sums over hw,
+            // cast to f32 per sample) merged with the pairwise sample tree,
+            // so shard-local trees compose into the global batch tree bit
+            // for bit (each partial depends only on its own sample).
             let mut partial = vec![0.0f32; 2 * c];
-            let dyd = dy.data();
-            let xhd = xhat.data();
             par::tree_reduce_with_slabs(xs.n, 2 * c, &mut partial, |n, slab| {
-                for ci in 0..c {
-                    let base = (n * c + ci) * hw;
-                    let (mut sg, mut sb) = (0.0f64, 0.0f64);
-                    for i in 0..hw {
-                        let d = dyd[base + i] as f64;
-                        sg += d * xhd[base + i] as f64;
-                        sb += d;
-                    }
+                for (ci, [sg, sb]) in par_collect(c, |ci| plane_grads(n, ci)).into_iter().enumerate() {
                     slab[ci] = sg as f32;
                     slab[c + ci] = sb as f32;
                 }
             });
-            let mut dgamma = Tensor::zeros(Shape::vector(c));
-            let mut dbeta = Tensor::zeros(Shape::vector(c));
             dgamma.data_mut().copy_from_slice(&partial[..c]);
             dbeta.data_mut().copy_from_slice(&partial[c..]);
-            self.gamma.accumulate(&dgamma);
-            self.beta.accumulate(&dbeta);
             // The normalization statistics are pre-step running statistics —
             // constants w.r.t. this batch — so dx is just the per-channel
             // affine transpose: dx = gamma * inv_std * dy.
-            let mut dx = dy.clone();
-            for n in 0..xs.n {
-                for ci in 0..c {
-                    let k = self.gamma.value.data()[ci] * inv_std.data()[ci];
-                    let base = (n * c + ci) * hw;
-                    for v in &mut dx.data_mut()[base..base + hw] {
-                        *v *= k;
-                    }
-                }
+            let [dx] = Tensor::map_planes([dy], |p| {
+                let k = gamma[p % c] * is[p % c];
+                move |[d]: [f32; 1]| [d * k]
+            });
+            dx
+        } else {
+            // Per-channel reductions, samples in order.
+            let sums = par_collect(c, |ci| {
+                (0..xs.n).map(|n| plane_grads(n, ci)).fold([0.0f64; 2], |s, g| [s[0] + g[0], s[1] + g[1]])
+            });
+            for (ci, s) in sums.iter().enumerate() {
+                dgamma.data_mut()[ci] = s[0] as f32;
+                dbeta.data_mut()[ci] = s[1] as f32;
             }
-            return dx;
-        }
-        let xs = dy.shape();
-        let hw = xs.hw();
-        let m = (xs.n * hw) as f32;
-
-        // Per-channel reductions.
-        let mut sum_dy = vec![0.0f64; self.c];
-        let mut sum_dy_xhat = vec![0.0f64; self.c];
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let base = (n * self.c + c) * hw;
-                for i in 0..hw {
-                    let d = dy.data()[base + i] as f64;
-                    sum_dy[c] += d;
-                    sum_dy_xhat[c] += d * xhat.data()[base + i] as f64;
-                }
-            }
-        }
-        // Parameter gradients.
-        let mut dgamma = Tensor::zeros(Shape::vector(self.c));
-        let mut dbeta = Tensor::zeros(Shape::vector(self.c));
-        for c in 0..self.c {
-            dgamma.data_mut()[c] = sum_dy_xhat[c] as f32;
-            dbeta.data_mut()[c] = sum_dy[c] as f32;
-        }
+            // dx = gamma * inv_std / m * (m*dy - sum(dy) - xhat * sum(dy*xhat))
+            let m = (xs.n * hw) as f32;
+            let [dx] = Tensor::map_planes([dy, &xhat], |p| {
+                let ci = p % c;
+                let k = gamma[ci] * is[ci] / m;
+                let (s1, s2) = (sums[ci][1] as f32, sums[ci][0] as f32);
+                move |[d, xh]: [f32; 2]| [k * (m * d - s1 - xh * s2)]
+            });
+            dx
+        };
         self.gamma.accumulate(&dgamma);
         self.beta.accumulate(&dbeta);
-
-        // Input gradient:
-        // dx = gamma * inv_std / m * (m*dy - sum(dy) - xhat * sum(dy*xhat))
-        let mut dx = Tensor::zeros(xs);
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let g = self.gamma.value.data()[c];
-                let is = inv_std.data()[c];
-                let k = g * is / m;
-                let s1 = sum_dy[c] as f32;
-                let s2 = sum_dy_xhat[c] as f32;
-                let base = (n * self.c + c) * hw;
-                for i in 0..hw {
-                    let d = dy.data()[base + i];
-                    let xh = xhat.data()[base + i];
-                    dx.data_mut()[base + i] = k * (m * d - s1 - xh * s2);
-                }
-            }
-        }
         dx
     }
 
@@ -640,6 +561,66 @@ mod tests {
             }
         }
         bn.clear_cache();
+    }
+
+    #[test]
+    fn one_pass_normalize_matches_the_three_pass_formula_bitwise() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for xs in [Shape::new(3, 5, 4, 6), Shape::new(1, 2, 1, 1), Shape::new(2, 7, 3, 3)] {
+            let mut bn = BatchNorm2d::new(xs.c);
+            bn.gamma.value = Tensor::uniform(Shape::vector(xs.c), 0.5, 1.5, &mut rng);
+            bn.beta.value = Tensor::uniform(Shape::vector(xs.c), -0.5, 0.5, &mut rng);
+            let x = Tensor::randn(xs, 2.0, &mut rng).map(|v| v + 0.7);
+            let (mean, var) = bn.batch_stats(&x);
+            // The formula pass by pass: center and scale, then gamma, then beta.
+            let mut xhat_want = x.clone();
+            for (p, plane) in xhat_want.data_mut().chunks_exact_mut(xs.hw()).enumerate() {
+                let (mu, is) = (mean.data()[p % xs.c], 1.0 / (var.data()[p % xs.c] + bn.eps).sqrt());
+                plane.iter_mut().for_each(|v| *v = (*v - mu) * is);
+            }
+            let mut y_want = xhat_want.clone();
+            y_want.mul_channel(&bn.gamma.value);
+            y_want.add_channel_bias(&bn.beta.value);
+
+            let y_stats = bn.forward(&x, CacheMode::Stats);
+            let y_full = bn.forward(&x, CacheMode::Full);
+            let (xhat, _) = bn.saved.take().expect("Full pass keeps xhat");
+            for (name, got, want) in [("y (Stats)", &y_stats, &y_want), ("y (Full)", &y_full, &y_want), ("xhat", &xhat, &xhat_want)] {
+                for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{xs} {name} idx {i}");
+                }
+            }
+            bn.clear_cache();
+        }
+    }
+
+    #[test]
+    fn moments_match_an_f64_two_pass_oracle() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (n, c) = (3usize, 2usize);
+        for hw in [1usize, 7, 8, 9, 576] {
+            let x = Tensor::randn(Shape::new(n, c, 1, hw), 3.0, &mut rng).map(|v| v - 4.0);
+            let plane = |p: usize| x.data()[p * hw..(p + 1) * hw].iter().map(|&v| v as f64);
+            let mut bn = BatchNorm2d::new(c);
+            bn.record_moments(&x);
+            let m = bn.take_moments().expect("recorded");
+            for p in 0..n * c {
+                let (s, q): (f64, f64) = (plane(p).sum(), plane(p).map(|v| v * v).sum());
+                assert!((m.sum[p] - s).abs() <= 1e-12 * s.abs(), "hw {hw} plane {p} sum");
+                assert!((m.sqsum[p] - q).abs() <= 1e-12 * q.abs(), "hw {hw} plane {p} sqsum");
+            }
+            let (mean, var) = bn.batch_stats(&x);
+            let cnt = (n * hw) as f64;
+            for ci in 0..c {
+                let all = || (0..n).flat_map(|ni| plane(ni * c + ci));
+                let mu = all().sum::<f64>() / cnt;
+                assert!((mean.data()[ci] as f64 - mu).abs() <= 1e-6 * mu.abs(), "hw {hw} mean");
+                // Second pass around the mean the layer rounded to f32.
+                let mu32 = mean.data()[ci] as f64;
+                let v = all().map(|v| (v - mu32) * (v - mu32)).sum::<f64>() / cnt;
+                assert!((var.data()[ci] as f64 - v).abs() <= 1e-6 * v.abs().max(1e-30), "hw {hw} var");
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! hard-sigmoid gate). RevBiFPN applies SE on the high-resolution streams
 //! (Ridnik et al. 2021; ablated in Table 5 of the paper).
 
+use super::planes::{par_collect, plane_sums};
 use crate::freeze::{FreezeError, FrozenLayer};
 use crate::layers::act::{HardSigmoid, Relu};
 use crate::layers::conv::Conv2d;
@@ -69,18 +70,7 @@ impl Layer for SqueezeExcite {
     fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         assert_eq!(x.shape().c, self.c, "SqueezeExcite channel mismatch");
         let g = self.gate(x, mode);
-        let xs = x.shape();
-        let mut y = x.clone();
-        let hw = xs.hw();
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let gv = g.data()[n * self.c + c];
-                let base = (n * self.c + c) * hw;
-                for v in &mut y.data_mut()[base..base + hw] {
-                    *v *= gv;
-                }
-            }
-        }
+        let y = x.mul_planes(&g);
         if mode == CacheMode::Full {
             let bytes = x.bytes() + g.bytes();
             self.cache.put((x.clone(), g), bytes);
@@ -92,21 +82,14 @@ impl Layer for SqueezeExcite {
         let (x, g) = self.cache.take().expect("SqueezeExcite::backward without Full forward");
         let xs = x.shape();
         let hw = xs.hw();
-        // Direct path: dx = dy * g (broadcast over hw).
-        let mut dx = dy.clone();
-        let mut dg = Tensor::zeros(Shape::new(xs.n, self.c, 1, 1));
-        for n in 0..xs.n {
-            for c in 0..self.c {
-                let gv = g.data()[n * self.c + c];
-                let base = (n * self.c + c) * hw;
-                let mut acc = 0.0f32;
-                for i in 0..hw {
-                    acc += dy.data()[base + i] * x.data()[base + i];
-                    dx.data_mut()[base + i] *= gv;
-                }
-                dg.data_mut()[n * self.c + c] = acc;
-            }
-        }
+        // Direct path: dx = dy * g (broadcast over hw); gate gradient:
+        // dg = Σ_hw dy * x, one plane at a time.
+        let mut dx = dy.mul_planes(&g);
+        let (dyd, xd) = (dy.data(), x.data());
+        let dg = par_collect(xs.n * self.c, |p| {
+            plane_sums([&dyd[p * hw..(p + 1) * hw], &xd[p * hw..(p + 1) * hw]], |[d, v]| [d * v])[0] as f32
+        });
+        let dg = Tensor::from_vec_unchecked(Shape::new(xs.n, self.c, 1, 1), dg);
         // Gate path backward through hsig -> expand -> relu -> reduce -> gap.
         let de = self.hsig.backward(&dg);
         let dr = self.expand.backward(&de);

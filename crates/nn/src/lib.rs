@@ -49,6 +49,7 @@ pub mod layers {
     mod dropout;
     mod linear;
     mod mbconv;
+    mod planes;
     mod se;
     mod shape_ops;
 

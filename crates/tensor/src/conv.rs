@@ -20,12 +20,34 @@
 //! pairwise tree — never from per-*thread* accumulators, whose count would
 //! vary with the pool size.
 //!
-//! Workspace buffers (im2col columns, gradient slabs) come from the
-//! thread-local scratch arena ([`crate::scratch`]), so steady-state calls
-//! perform no heap allocation beyond the output tensors themselves.
+//! Workspace buffers (im2col columns, gradient slabs, padded planes) come
+//! from the thread-local scratch arena ([`crate::scratch`]), so steady-state
+//! calls perform no heap allocation beyond the output tensors themselves.
+//!
+//! # One depthwise family
+//!
+//! Frozen plans and training share one depthwise kernel family over
+//! **zero-padded planes** (`pad_plane` copies a plane into a scratch image
+//! whose border stays zero, so every window is in-bounds and no kernel
+//! splits interior from border):
+//!
+//! - the forward is `depthwise_padded_plane` everywhere — training calls it
+//!   with the identity epilogue (`bias 0`, no activation, `scale 1`);
+//! - at stride 1 the input gradient **is that forward kernel**, run over
+//!   `dy` zero-padded by `k - 1 - p` with the taps flipped, and each tap's
+//!   weight gradient is one contiguous dot product of the padded `dy` and
+//!   `x` images (`lane_dot`: eight lanes by position, four accumulators,
+//!   reduced in one order fixed by the source);
+//! - the strided silo kernels (5/s2, 9/s4, 17/s8) and any other geometry
+//!   walk pixel by pixel over a padded `x` and a padded `dx` accumulator
+//!   (`dw_grad_walk`), in the reference walk's order.
+//!
+//! Plane bodies are compiled twice, baseline and AVX2 (never `fma`), and
+//! give the same bits either way; small planes (6², 3²) go several to a
+//! parallel tile so one scratch borrow serves them all.
 
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
-use crate::par::{num_threads_for, parallel_over_slices, parallel_tiles, SyncPtr};
+use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, SyncPtr};
 use crate::qmatmul::{
     cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
     quantize_weights_per_row, PackedGemmAI8, INT8_ACT_ZERO_POINT,
@@ -457,7 +479,7 @@ impl ConvPlan {
                     // with every window in-bounds: no interior/border split,
                     // no per-pixel bounds checks.
                     let mut xpad = scratch::take(ph2 * pw2);
-                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs, &spec, &mut xpad, |src, dst| {
+                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |src, dst| {
                         dst.copy_from_slice(src)
                     });
                     // SAFETY: tile exclusively owns output plane (n, c).
@@ -760,7 +782,7 @@ impl QuantConvPlan {
                     for (d, &q) in kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]) {
                         *d = q as f32;
                     }
-                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs, &spec, xq, |src, dst| {
+                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs.w, spec.ph, spec.pw, pw2, xq, |src, dst| {
                         crate::qmatmul::quantize_centered_f32(src, inv, dst)
                     });
                     // SAFETY: tile exclusively owns output plane (n, c).
@@ -905,171 +927,21 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Op
 
 // ---------------------------------------------------------------- depthwise
 
-/// Output-coordinate ranges `[ox_lo, ox_hi) × [oy_lo, oy_hi)` whose kernel
-/// window stays fully inside the input — the "interior" where per-tap
-/// bounds checks are provably redundant. Shared by the fused forward and
-/// the interior/border backward kernels.
-fn depthwise_interior_bounds(spec: &ConvSpec, xs: Shape, oh: usize, ow: usize) -> (usize, usize, usize, usize) {
-    let (w, h) = (xs.w, xs.h);
-    let (kh, kw) = (spec.kh, spec.kw);
-    let (sh, sw) = (spec.sh, spec.sw);
-    let (ph, pw) = (spec.ph, spec.pw);
-    let ox_lo = pw.div_ceil(sw).min(ow);
-    let ox_hi = if w + pw >= kw { ((w + pw - kw) / sw + 1).min(ow) } else { 0 }.max(ox_lo);
-    let oy_lo = ph.div_ceil(sh).min(oh);
-    let oy_hi = if h + ph >= kh { ((h + ph - kh) / sh + 1).min(oh) } else { 0 }.max(oy_lo);
-    (ox_lo, ox_hi, oy_lo, oy_hi)
-}
-
-/// Computes one `(sample, channel)` output plane of a depthwise forward.
-///
-/// This is the bounds-checked reference kernel: training runs
-/// [`fused_depthwise_plane_forward`], asserted bitwise equal to it in tests,
-/// and the frozen plans' padded-plane family is tested against it.
-#[cfg_attr(not(test), allow(dead_code))]
-fn depthwise_plane_forward(
-    xplane: &[f32],
-    kern: &[f32],
-    spec: &ConvSpec,
-    xs: Shape,
-    oh: usize,
-    ow: usize,
-    yplane: &mut [f32],
-) {
-    for oy in 0..oh {
-        let iy0 = (oy * spec.sh) as isize - spec.ph as isize;
-        for ox in 0..ow {
-            let ix0 = (ox * spec.sw) as isize - spec.pw as isize;
-            let mut acc = 0.0f32;
-            for ky in 0..spec.kh {
-                let iy = iy0 + ky as isize;
-                if iy < 0 || iy >= xs.h as isize {
-                    continue;
-                }
-                let xrow = &xplane[iy as usize * xs.w..(iy as usize + 1) * xs.w];
-                let krow = &kern[ky * spec.kw..(ky + 1) * spec.kw];
-                for (kx, &kv) in krow.iter().enumerate() {
-                    let ix = ix0 + kx as isize;
-                    if ix < 0 || ix >= xs.w as isize {
-                        continue;
-                    }
-                    acc += xrow[ix as usize] * kv;
-                }
-            }
-            yplane[oy * ow + ox] = acc;
-        }
-    }
-}
-
-/// One `(sample, channel)` plane of the *training* depthwise forward:
-/// interior/border split (no per-pixel bounds checks where the kernel window
-/// cannot leave the input) reading the plane in place. Frozen plans run
-/// [`depthwise_padded_plane`] instead; training keeps this kernel because
-/// its accumulation order per output pixel is identical to
-/// [`depthwise_plane_forward`] (`ky` outer, `kx` inner) for every geometry,
-/// so its output equals the reference kernel's bit for bit (asserted in
-/// tests).
-fn fused_depthwise_plane_forward(
-    xplane: &[f32],
-    kern: &[f32],
-    spec: &ConvSpec,
-    xs: Shape,
-    oh: usize,
-    ow: usize,
-    yplane: &mut [f32],
-) {
-    let (w, h) = (xs.w, xs.h);
-    let (kh, kw) = (spec.kh, spec.kw);
-    let (sh, sw) = (spec.sh, spec.sw);
-    let (ph, pw) = (spec.ph, spec.pw);
-
-    // Output ranges whose kernel window stays fully inside the input.
-    let (ox_lo, ox_hi, oy_lo, oy_hi) = depthwise_interior_bounds(spec, xs, oh, ow);
-
-    // Border pixels: the reference per-pixel kernel.
-    let border_px = |oy: usize, ox: usize| -> f32 {
-        let iy0 = (oy * sh) as isize - ph as isize;
-        let ix0 = (ox * sw) as isize - pw as isize;
-        let mut acc = 0.0f32;
-        for ky in 0..kh {
-            let iy = iy0 + ky as isize;
-            if iy < 0 || iy >= h as isize {
-                continue;
-            }
-            let xrow = &xplane[iy as usize * w..(iy as usize + 1) * w];
-            let krow = &kern[ky * kw..(ky + 1) * kw];
-            for (kx, &kv) in krow.iter().enumerate() {
-                let ix = ix0 + kx as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                acc += xrow[ix as usize] * kv;
-            }
-        }
-        acc
-    };
-
-    for oy in 0..oh {
-        let yrow = &mut yplane[oy * ow..(oy + 1) * ow];
-        if oy < oy_lo || oy >= oy_hi {
-            for (ox, y) in yrow.iter_mut().enumerate() {
-                *y = border_px(oy, ox);
-            }
-            continue;
-        }
-        let iy0 = oy * sh - ph;
-        if sh == 1 && sw == 1 && ox_hi > ox_lo {
-            // Stride 1: accumulate whole row segments per kernel tap —
-            // contiguous loads that the compiler vectorises.
-            let len = ox_hi - ox_lo;
-            let seg = &mut yrow[ox_lo..ox_hi];
-            seg.fill(0.0);
-            for ky in 0..kh {
-                let xrow = &xplane[(iy0 + ky) * w..(iy0 + ky + 1) * w];
-                for (kx, &kv) in kern[ky * kw..(ky + 1) * kw].iter().enumerate() {
-                    let src = &xrow[ox_lo + kx - pw..ox_lo + kx - pw + len];
-                    for (d, s) in seg.iter_mut().zip(src) {
-                        *d += kv * *s;
-                    }
-                }
-            }
-        } else {
-            // Strided interior: per-pixel accumulation, bounds checks hoisted.
-            for (ox, y) in yrow.iter_mut().enumerate().take(ox_hi).skip(ox_lo) {
-                let ix0 = ox * sw - pw;
-                let mut acc = 0.0f32;
-                for ky in 0..kh {
-                    let xrow = &xplane[(iy0 + ky) * w..(iy0 + ky + 1) * w];
-                    for (kx, &kv) in kern[ky * kw..(ky + 1) * kw].iter().enumerate() {
-                        acc += xrow[ix0 + kx] * kv;
-                    }
-                }
-                *y = acc;
-            }
-        }
-        for (ox, y) in yrow.iter_mut().enumerate().take(ox_lo) {
-            *y = border_px(oy, ox);
-        }
-        for (ox, y) in yrow.iter_mut().enumerate().skip(ox_hi) {
-            *y = border_px(oy, ox);
-        }
-    }
-}
-
-/// Copies one `h x w` plane into the interior of the zeroed
-/// `(h + 2 ph) x (w + 2 pw)` image `xpad`, one row at a time through `row`
-/// (a plain copy for f32 plans, the quantizer for int8 plans).
+/// Copies one plane of row width `w` into the zeroed image `xpad` of row
+/// stride `stride`, its first element at row `ph`, column `pw`, one row at a
+/// time through `row` (a plain copy for f32, the quantizer for int8 plans).
 fn pad_plane(
-    xplane: &[f32],
-    xs: Shape,
-    spec: &ConvSpec,
+    plane: &[f32],
+    w: usize,
+    ph: usize,
+    pw: usize,
+    stride: usize,
     xpad: &mut [f32],
     row: impl Fn(&[f32], &mut [f32]),
 ) {
-    let pw2 = xs.w + 2 * spec.pw;
-    for (iy, src) in xplane.chunks_exact(xs.w).enumerate() {
-        let at = (iy + spec.ph) * pw2 + spec.pw;
-        row(src, &mut xpad[at..at + xs.w]);
+    for (iy, src) in plane.chunks_exact(w).enumerate() {
+        let at = (iy + ph) * stride + pw;
+        row(src, &mut xpad[at..at + w]);
     }
 }
 
@@ -1353,26 +1225,234 @@ fn depthwise_padded_plane(
     depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
 }
 
+/// The training depthwise forward: the frozen plans' padded-plane kernel
+/// with the identity epilogue (`bias 0`, no activation, `scale 1`).
 fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
     let xs = x.shape();
     let os = out.shape();
-    let (oh, ow) = (os.h, os.w);
-    let xdata = x.data();
-    let wdata = w.data();
-    let ohw = oh * ow;
+    let (hw, ohw) = (xs.hw(), os.hw());
+    let ksz = spec.kh * spec.kw;
+    let (xdata, wdata) = (x.data(), w.data());
+    let avx2 = cpu_has_avx2();
+    let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
     let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
-    // One tile per (sample, channel) plane: fine enough to keep every worker
-    // busy even at batch 1, and planes are disjoint by construction.
-    parallel_tiles(xs.n * xs.c, |tile| {
-        let (_, c) = (tile / xs.c, tile % xs.c);
-        let xplane = &xdata[tile * xs.hw()..(tile + 1) * xs.hw()];
-        let kern = &wdata[c * spec.kh * spec.kw..(c + 1) * spec.kh * spec.kw];
-        // SAFETY: tile exclusively owns output plane (n, c).
-        let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-        fused_depthwise_plane_forward(xplane, kern, spec, xs, oh, ow, yplane);
+    parallel_plane_groups(xs.n * xs.c, ph2 * pw2, |group| {
+        // One padded image per tile (small planes go several to a tile):
+        // every plane overwrites the interior and the zero border stays.
+        let mut xpad = scratch::take(ph2 * pw2);
+        for p in group {
+            pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |src, dst| {
+                dst.copy_from_slice(src)
+            });
+            // SAFETY: output plane `p` belongs to exactly one tile.
+            let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(p * ohw), ohw) };
+            let kern = &wdata[(p % xs.c) * ksz..(p % xs.c + 1) * ksz];
+            depthwise_padded_plane(&xpad, kern, spec, pw2, os.h, os.w, 0.0, EpilogueAct::None, 1.0, avx2, yplane);
+        }
     });
 }
 
+/// Scratch geometry of one depthwise-backward plane: the row stride both
+/// images share, then the lengths of the padded `x` image, of the second
+/// image and of the tap workspace.
+///
+/// With stride 1 and padding within the kernel's reach (`stencil`), the
+/// second image is `dy` zero-padded by `k - 1 - p` — the input of the
+/// forward kernel that computes `dx` — laid out at the `x` image's row
+/// stride so that every tap gradient is one contiguous dot product of the
+/// two images (eight floats of zero slack round its length up); the
+/// workspace holds the flipped taps and eight lanes per tap. Every other
+/// geometry walks pixel by pixel and accumulates `dx` in a padded image.
+struct DwBackwardGeometry {
+    stencil: bool,
+    stride: usize,
+    x_len: usize,
+    aux_len: usize,
+    taps_len: usize,
+}
+
+impl DwBackwardGeometry {
+    fn new(xs: Shape, spec: &ConvSpec, need_dx: bool) -> Self {
+        let stencil = spec.sh == 1 && spec.sw == 1 && spec.ph < spec.kh && spec.pw < spec.kw;
+        let ksz = spec.kh * spec.kw;
+        if stencil {
+            let stride = xs.w + (2 * spec.pw).max(spec.kw - 1);
+            let (x_len, aux_len) = ((xs.h + 2 * spec.ph) * stride + 8, (xs.h + spec.kh - 1) * stride + 8);
+            Self { stencil, stride, x_len, aux_len, taps_len: 9 * ksz }
+        } else {
+            let stride = xs.w + 2 * spec.pw;
+            let x_len = (xs.h + 2 * spec.ph) * stride;
+            Self { stencil, stride, x_len, aux_len: if need_dx { x_len } else { 0 }, taps_len: 0 }
+        }
+    }
+
+    fn floats(&self) -> usize {
+        self.x_len + self.aux_len + self.taps_len
+    }
+}
+
+/// Products of two equally long slices (a multiple of eight floats) summed
+/// into eight lanes: element `i` lands in lane `i % 8`, through one of four
+/// independent accumulators (`i / 8 % 4`) that are then added lane by lane
+/// as `(a0 + a1) + (a2 + a3)`. Element-wise only, so the baseline and the
+/// AVX2 compilation give the same bits.
+#[inline(always)]
+fn lane_dot(a: &[f32], b: &[f32]) -> [f32; 8] {
+    let mut acc = [[0.0f32; 8]; 4];
+    let (a32, b32) = (a.chunks_exact(32), b.chunks_exact(32));
+    let (a_rest, b_rest) = (a32.remainder(), b32.remainder());
+    for (x, y) in a32.zip(b32) {
+        for (q, lanes) in acc.iter_mut().enumerate() {
+            for l in 0..8 {
+                lanes[l] += x[8 * q + l] * y[8 * q + l];
+            }
+        }
+    }
+    for ((x, y), lanes) in a_rest.chunks_exact(8).zip(b_rest.chunks_exact(8)).zip(acc.iter_mut()) {
+        for l in 0..8 {
+            lanes[l] += x[l] * y[l];
+        }
+    }
+    std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]))
+}
+
+/// Reduces each tap's eight lanes in one fixed order. Out of line on
+/// purpose: inlined next to [`lane_dot`], LLVM's SLP pass seeds two-float
+/// vectors from this tree and drags the dot loops down to 64-bit loads.
+#[inline(never)]
+fn sum_tap_lanes(lanes: &[f32], dkern: &mut [f32]) {
+    for (d, a) in dkern.iter_mut().zip(lanes.chunks_exact(8)) {
+        *d = ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+    }
+}
+
+/// Per-pixel walk of one plane's gradients over zero-padded images, for the
+/// strided silo kernels and any geometry the stride-1 path does not cover:
+/// each `(pixel, ky)` is one contiguous `kw`-wide axpy into the tap
+/// gradients and, given `dx = (taps, padded dx image)`, one into the padded
+/// input gradient. Every window is in-bounds; what lands on the padding is
+/// dropped when the interior is copied out. Pixels go in row-major order
+/// with the reference walk's `g == 0` skip, so each element sees its adds in
+/// the reference's order.
+#[inline(always)]
+fn dw_grad_walk(
+    xpad: &[f32],
+    stride: usize,
+    dyplane: &[f32],
+    spec: &ConvSpec,
+    ow: usize,
+    dkern: &mut [f32],
+    mut dx: Option<(&[f32], &mut [f32])>,
+) {
+    let kw = spec.kw;
+    for (oy, dyrow) in dyplane.chunks_exact(ow).enumerate() {
+        for (ox, &g) in dyrow.iter().enumerate() {
+            if g == 0.0 {
+                continue;
+            }
+            for ky in 0..spec.kh {
+                let at = (oy * spec.sh + ky) * stride + ox * spec.sw;
+                for (d, xv) in dkern[ky * kw..(ky + 1) * kw].iter_mut().zip(&xpad[at..at + kw]) {
+                    *d += g * xv;
+                }
+                if let Some((kern, dxpad)) = dx.as_mut() {
+                    for (d, kv) in dxpad[at..at + kw].iter_mut().zip(&kern[ky * kw..(ky + 1) * kw]) {
+                        *d += g * kv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Both gradients of one `(sample, channel)` plane. `work` is the tile's
+/// scratch, laid out by [`DwBackwardGeometry`]; the padding of its images
+/// must be zero on entry and is zero again on return. `avx2` says which
+/// compilation of the forward kernel computes `dx`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn depthwise_backward_plane_body(
+    xplane: &[f32],
+    dyplane: &[f32],
+    kern: &[f32],
+    spec: &ConvSpec,
+    xs: Shape,
+    os: Shape,
+    work: &mut [f32],
+    dkern: &mut [f32],
+    dxplane: Option<&mut [f32]>,
+    avx2: bool,
+) {
+    let geo = DwBackwardGeometry::new(xs, spec, dxplane.is_some());
+    let stride = geo.stride;
+    let (xpad, rest) = work.split_at_mut(geo.x_len);
+    let (aux, taps) = rest.split_at_mut(geo.aux_len);
+    pad_plane(xplane, xs.w, spec.ph, spec.pw, stride, xpad, |src, dst| dst.copy_from_slice(src));
+    if geo.stencil {
+        let (kflip, lanes) = taps.split_at_mut(kern.len());
+        let (qh, qw) = (spec.kh - 1 - spec.ph, spec.kw - 1 - spec.pw);
+        pad_plane(dyplane, os.w, qh, qw, stride, aux, |src, dst| dst.copy_from_slice(src));
+        // dw[ky][kx] = Σ dy[oy][ox] · xpad[oy + ky][ox + kx]: with both
+        // images at one row stride that is a single dot product per tap
+        // (the gaps between `dy`'s rows are zero).
+        let len = ((os.h - 1) * stride + os.w).next_multiple_of(8);
+        let dy_img = &aux[qh * stride + qw..qh * stride + qw + len];
+        for (tap, lanes) in lanes.chunks_exact_mut(8).enumerate() {
+            let at = tap / spec.kw * stride + tap % spec.kw;
+            lanes.copy_from_slice(&lane_dot(dy_img, &xpad[at..at + len]));
+        }
+        sum_tap_lanes(lanes, dkern);
+        if let Some(dxplane) = dxplane {
+            // dx = dy ⋆ flip(w): per element the taps add in the reference
+            // walk's order (the last output pixel's tap first). A call of
+            // the forward's own two compilations, not a third and fourth
+            // inlined copy: with those, LLVM stopped inlining the stencils'
+            // row-array setup and the frozen depthwise lost 5-18 %.
+            kflip.iter_mut().zip(kern.iter().rev()).for_each(|(f, &k)| *f = k);
+            depthwise_padded_plane(aux, kflip, spec, stride, xs.h, xs.w, 0.0, EpilogueAct::None, 1.0, avx2, dxplane);
+        }
+    } else {
+        let dx = dxplane.is_some().then_some((kern, &mut *aux));
+        dw_grad_walk(xpad, stride, dyplane, spec, os.w, dkern, dx);
+        if let Some(dxplane) = dxplane {
+            for (iy, dst) in dxplane.chunks_exact_mut(xs.w).enumerate() {
+                let at = (iy + spec.ph) * stride + spec.pw;
+                dst.copy_from_slice(&aux[at..at + xs.w]);
+            }
+            aux.fill(0.0);
+        }
+    }
+}
+
+/// [`depthwise_backward_plane_body`] recompiled with AVX2 enabled, without
+/// `fma`, like [`depthwise_padded_plane_avx2`]: the same bits, wider loops.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn depthwise_backward_plane_avx2(
+    xplane: &[f32],
+    dyplane: &[f32],
+    kern: &[f32],
+    spec: &ConvSpec,
+    xs: Shape,
+    os: Shape,
+    work: &mut [f32],
+    dkern: &mut [f32],
+    dxplane: Option<&mut [f32]>,
+) {
+    depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, work, dkern, dxplane, true);
+}
+
+/// The depthwise backward on the forward's padded planes, one pass per
+/// `(sample, channel)` plane for both gradients (see
+/// [`DwBackwardGeometry`]): at stride 1 `dx` **is** the forward kernel, run
+/// over zero-padded `dy` with the taps flipped, and `dw` is one
+/// [`lane_dot`] per tap; other geometries run [`dw_grad_walk`]. Per-sample
+/// tap gradients merge through the pairwise sample tree.
 fn depthwise_backward(
     x: &Tensor,
     w: &Tensor,
@@ -1382,151 +1462,47 @@ fn depthwise_backward(
 ) -> (Option<Tensor>, Tensor) {
     let xs = x.shape();
     let os = dy.shape();
-    let (oh, ow) = (os.h, os.w);
-    let xdata = x.data();
-    let wdata = w.data();
-    let dydata = dy.data();
+    let (hw, ohw) = (xs.hw(), os.hw());
     let ksz = spec.kh * spec.kw;
-
-    // Interior/border split, mirroring the forward kernel: inside the
-    // interior rectangle the kernel window cannot leave the input, so the
-    // per-tap bounds checks vanish. Output pixels are still visited in
-    // row-major order with identical per-pixel tap order (`ky` outer, `kx`
-    // inner) and the same `g == 0.0` skip, so the accumulation sequence —
-    // and therefore every f32 bit — matches the fully bounds-checked
-    // reference walk (asserted in tests).
-    let (ox_lo, ox_hi, oy_lo, oy_hi) = depthwise_interior_bounds(spec, xs, oh, ow);
+    let (xdata, wdata, dydata) = (x.data(), w.data(), dy.data());
+    let avx2 = cpu_has_avx2();
+    let floats = DwBackwardGeometry::new(xs, spec, need_dx).floats();
 
     let mut dw = Tensor::zeros(w.shape());
+    let mut dx = need_dx.then(|| Tensor::zeros(xs));
+    let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
     reduce_sample_grads(xs.n, xs.c * ksz, dw.data_mut(), |n, slab| {
         // Channels within a sample are independent; tile over them so a
         // single-sample backward still fills the pool.
         let slab_ptr = SyncPtr::new(slab.as_mut_ptr());
-        parallel_tiles(xs.c, |c| {
-            let xplane = &xdata[(n * xs.c + c) * xs.hw()..(n * xs.c + c + 1) * xs.hw()];
-            let dyplane = &dydata[(n * os.c + c) * oh * ow..(n * os.c + c + 1) * oh * ow];
-            // SAFETY: channel tiles own disjoint `ksz` stretches of the slab.
-            let dkern = unsafe { std::slice::from_raw_parts_mut(slab_ptr.get().add(c * ksz), ksz) };
-            let border_px = |oy: usize, ox: usize, g: f32, dkern: &mut [f32]| {
-                let iy0 = (oy * spec.sh) as isize - spec.ph as isize;
-                let ix0 = (ox * spec.sw) as isize - spec.pw as isize;
-                for ky in 0..spec.kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= xs.h as isize {
-                        continue;
-                    }
-                    for kx in 0..spec.kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= xs.w as isize {
-                            continue;
-                        }
-                        dkern[ky * spec.kw + kx] += g * xplane[iy as usize * xs.w + ix as usize];
-                    }
-                }
-            };
-            for oy in 0..oh {
-                let dyrow = &dyplane[oy * ow..(oy + 1) * ow];
-                if oy < oy_lo || oy >= oy_hi {
-                    for (ox, &g) in dyrow.iter().enumerate() {
-                        if g != 0.0 {
-                            border_px(oy, ox, g, dkern);
-                        }
-                    }
+        parallel_plane_groups(xs.c, floats, |group| {
+            let mut work = scratch::take(floats);
+            for c in group {
+                let p = n * xs.c + c;
+                let xplane = &xdata[p * hw..(p + 1) * hw];
+                let dyplane = &dydata[p * ohw..(p + 1) * ohw];
+                let kern = &wdata[c * ksz..(c + 1) * ksz];
+                // SAFETY: channel `c` of sample `n` belongs to exactly one
+                // tile, which owns its `ksz` stretch of the sample's slab
+                // and its input-gradient plane.
+                let (dkern, dxplane) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(slab_ptr.get().add(c * ksz), ksz),
+                        dxptr.as_ref().map(|d| std::slice::from_raw_parts_mut(d.get().add(p * hw), hw)),
+                    )
+                };
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // SAFETY: `avx2` is the CPU feature check.
+                    unsafe {
+                        depthwise_backward_plane_avx2(xplane, dyplane, kern, spec, xs, os, &mut work, dkern, dxplane)
+                    };
                     continue;
                 }
-                let iy0 = oy * spec.sh - spec.ph;
-                for (ox, &g) in dyrow.iter().enumerate().take(ox_lo) {
-                    if g != 0.0 {
-                        border_px(oy, ox, g, dkern);
-                    }
-                }
-                for (ox, &g) in dyrow.iter().enumerate().take(ox_hi).skip(ox_lo) {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let ix0 = ox * spec.sw - spec.pw;
-                    for ky in 0..spec.kh {
-                        let xrow = &xplane[(iy0 + ky) * xs.w + ix0..(iy0 + ky) * xs.w + ix0 + spec.kw];
-                        for (kx, &xv) in xrow.iter().enumerate() {
-                            dkern[ky * spec.kw + kx] += g * xv;
-                        }
-                    }
-                }
-                for (ox, &g) in dyrow.iter().enumerate().skip(ox_hi) {
-                    if g != 0.0 {
-                        border_px(oy, ox, g, dkern);
-                    }
-                }
+                depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, &mut work, dkern, dxplane, false);
             }
         });
     });
-
-    let dx = if need_dx {
-        let mut dx = Tensor::zeros(xs);
-        let hw = xs.hw();
-        let dxptr = SyncPtr::new(dx.data_mut().as_mut_ptr());
-        parallel_tiles(xs.n * xs.c, |tile| {
-            let (n, c) = (tile / xs.c, tile % xs.c);
-            let dyplane = &dydata[(n * os.c + c) * oh * ow..(n * os.c + c + 1) * oh * ow];
-            let kern = &wdata[c * ksz..(c + 1) * ksz];
-            // SAFETY: tile exclusively owns input-gradient plane (n, c).
-            let dxplane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(tile * hw), hw) };
-            let border_px = |oy: usize, ox: usize, g: f32, dxplane: &mut [f32]| {
-                let iy0 = (oy * spec.sh) as isize - spec.ph as isize;
-                let ix0 = (ox * spec.sw) as isize - spec.pw as isize;
-                for ky in 0..spec.kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= xs.h as isize {
-                        continue;
-                    }
-                    for kx in 0..spec.kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= xs.w as isize {
-                            continue;
-                        }
-                        dxplane[iy as usize * xs.w + ix as usize] += g * kern[ky * spec.kw + kx];
-                    }
-                }
-            };
-            for oy in 0..oh {
-                let dyrow = &dyplane[oy * ow..(oy + 1) * ow];
-                if oy < oy_lo || oy >= oy_hi {
-                    for (ox, &g) in dyrow.iter().enumerate() {
-                        if g != 0.0 {
-                            border_px(oy, ox, g, dxplane);
-                        }
-                    }
-                    continue;
-                }
-                let iy0 = oy * spec.sh - spec.ph;
-                for (ox, &g) in dyrow.iter().enumerate().take(ox_lo) {
-                    if g != 0.0 {
-                        border_px(oy, ox, g, dxplane);
-                    }
-                }
-                for (ox, &g) in dyrow.iter().enumerate().take(ox_hi).skip(ox_lo) {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let ix0 = ox * spec.sw - spec.pw;
-                    for ky in 0..spec.kh {
-                        let dxrow = &mut dxplane[(iy0 + ky) * xs.w + ix0..(iy0 + ky) * xs.w + ix0 + spec.kw];
-                        for (kx, d) in dxrow.iter_mut().enumerate() {
-                            *d += g * kern[ky * spec.kw + kx];
-                        }
-                    }
-                }
-                for (ox, &g) in dyrow.iter().enumerate().skip(ox_hi) {
-                    if g != 0.0 {
-                        border_px(oy, ox, g, dxplane);
-                    }
-                }
-            }
-        });
-        Some(dx)
-    } else {
-        None
-    };
     (dx, dw)
 }
 
@@ -1794,6 +1770,44 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Computes one `(sample, channel)` output plane of a depthwise forward.
+    ///
+    /// This is the bounds-checked reference kernel the padded-plane family
+    /// (frozen plans and training alike) is tested against.
+    fn depthwise_plane_forward(
+        xplane: &[f32],
+        kern: &[f32],
+        spec: &ConvSpec,
+        xs: Shape,
+        oh: usize,
+        ow: usize,
+        yplane: &mut [f32],
+    ) {
+        for oy in 0..oh {
+            let iy0 = (oy * spec.sh) as isize - spec.ph as isize;
+            for ox in 0..ow {
+                let ix0 = (ox * spec.sw) as isize - spec.pw as isize;
+                let mut acc = 0.0f32;
+                for ky in 0..spec.kh {
+                    let iy = iy0 + ky as isize;
+                    if iy < 0 || iy >= xs.h as isize {
+                        continue;
+                    }
+                    let xrow = &xplane[iy as usize * xs.w..(iy as usize + 1) * xs.w];
+                    let krow = &kern[ky * spec.kw..(ky + 1) * spec.kw];
+                    for (kx, &kv) in krow.iter().enumerate() {
+                        let ix = ix0 + kx as isize;
+                        if ix < 0 || ix >= xs.w as isize {
+                            continue;
+                        }
+                        acc += xrow[ix as usize] * kv;
+                    }
+                }
+                yplane[oy * ow + ox] = acc;
+            }
+        }
     }
 
     fn finite_diff_check(x: &Tensor, w: &Tensor, spec: &ConvSpec) {
@@ -2108,49 +2122,6 @@ mod tests {
         assert!(g.dx.is_none());
     }
 
-    #[test]
-    fn training_depthwise_forward_bitwise_matches_reference_kernel() {
-        // The training path now runs the interior/border-split kernel with an
-        // identity epilogue; its output must match the bounds-checked
-        // reference kernel bit for bit, including asymmetric padding.
-        let mut rng = StdRng::seed_from_u64(30);
-        let cases = [
-            ConvSpec::depthwise(3, 1, 3),
-            ConvSpec::depthwise(3, 2, 3),
-            ConvSpec::depthwise(5, 2, 3),
-            ConvSpec::depthwise(7, 4, 3),
-            ConvSpec::depthwise(3, 1, 3).with_padding(0, 0),
-            ConvSpec::depthwise(5, 1, 3).with_padding(4, 1),
-        ];
-        for spec in cases {
-            let x = Tensor::randn(Shape::new(2, 3, 11, 9), 1.0, &mut rng);
-            let w = Tensor::randn(Shape::new(3, 1, spec.kh, spec.kw), 0.5, &mut rng);
-            let got = conv2d(&x, &w, None, &spec);
-            let os = got.shape();
-            let xs = x.shape();
-            let mut want = Tensor::zeros(os);
-            for n in 0..xs.n {
-                for c in 0..xs.c {
-                    let xplane = &x.data()[(n * xs.c + c) * xs.hw()..(n * xs.c + c + 1) * xs.hw()];
-                    let kern = &w.data()[c * spec.kh * spec.kw..(c + 1) * spec.kh * spec.kw];
-                    let base = (n * os.c + c) * os.hw();
-                    depthwise_plane_forward(
-                        xplane,
-                        kern,
-                        &spec,
-                        xs,
-                        os.h,
-                        os.w,
-                        &mut want.data_mut()[base..base + os.hw()],
-                    );
-                }
-            }
-            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "k={} s={} idx {i}", spec.kh, spec.sh);
-            }
-        }
-    }
-
     /// Differential check of the frozen f32 depthwise (one padded-plane
     /// family for every geometry) against the naive reference kernel, at
     /// 1e-5 relative; on the way, the AVX2 and baseline compilations of the
@@ -2179,7 +2150,7 @@ mod tests {
         if cpu_has_avx2() {
             let pw2 = xs.w + 2 * spec.pw;
             let mut xpad = vec![0.0f32; (xs.h + 2 * spec.ph) * pw2];
-            pad_plane(&x.data()[..xs.hw()], xs, &spec, &mut xpad, |s, d| d.copy_from_slice(s));
+            pad_plane(&x.data()[..xs.hw()], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |s, d| d.copy_from_slice(s));
             let (mut base, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
             let kern = &w.data()[..ksz];
             depthwise_padded_plane_body(&xpad, kern, &spec, pw2, os.h, os.w, bias[0], act, 1.0, &mut base);
@@ -2234,8 +2205,8 @@ mod tests {
         }
     }
 
-    /// The pre-split depthwise backward: fully bounds-checked per-pixel walk,
-    /// kept as the bitwise oracle for the interior/border production kernel.
+    /// The naive depthwise backward: fully bounds-checked per-pixel walk, the
+    /// oracle for the padded-plane production kernels.
     fn depthwise_backward_ref(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec) -> (Tensor, Tensor) {
         let xs = x.shape();
         let os = dy.shape();
@@ -2288,31 +2259,128 @@ mod tests {
         (dx, dw)
     }
 
+    fn assert_same_bits(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (p, q)) in a.iter().zip(b).enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "{what}: idx {i}: {p} vs {q}");
+        }
+    }
+
+    /// Differential check of the training depthwise — forward, `dx`, `dw` —
+    /// against the bounds-checked oracles at 1e-5 relative, with exact zeros
+    /// sprinkled into `dy`; stride-1 `dx` must equal the reference walk's
+    /// value element by element (only the sign of a zero may differ). On the
+    /// way: `need_dx = false` gives the same `dw` bits, 1 and 4 threads give
+    /// the same bits, and so do the AVX2 and baseline plane bodies.
+    fn check_training_depthwise(xs: Shape, spec: ConvSpec, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(xs, 1.0, &mut rng);
+        let w = Tensor::randn(Shape::new(xs.c, 1, spec.kh, spec.kw), 0.5, &mut rng);
+        let os = spec.out_shape(xs, xs.c);
+        let mut dy = Tensor::randn(os, 1.0, &mut rng);
+        dy.map_inplace(|v| if v < -0.3 { 0.0 } else { v });
+        let ksz = spec.kh * spec.kw;
+        let what = format!("{xs} k{}x{} s{} p{},{}", spec.kh, spec.kw, spec.sh, spec.ph, spec.pw);
+
+        let _budget = crate::par::tests_budget_lock();
+        let run = || {
+            let y = conv2d(&x, &w, None, &spec);
+            let (dx, dw) = depthwise_backward(&x, &w, &dy, &spec, true);
+            (y, dx.expect("need_dx"), dw)
+        };
+        crate::par::set_max_threads(1);
+        let (y, dx, dw) = run();
+        crate::par::set_max_threads(4);
+        let (y4, dx4, dw4) = run();
+        let (no_dx, dw_only) = depthwise_backward(&x, &w, &dy, &spec, false);
+        crate::par::set_max_threads(0);
+        assert_same_bits(y.data(), y4.data(), &format!("{what}: y at 1 vs 4 threads"));
+        assert_same_bits(dx.data(), dx4.data(), &format!("{what}: dx at 1 vs 4 threads"));
+        assert_same_bits(dw.data(), dw4.data(), &format!("{what}: dw at 1 vs 4 threads"));
+        assert!(no_dx.is_none());
+        assert_same_bits(dw.data(), dw_only.data(), &format!("{what}: dw without dx"));
+
+        let mut y_want = Tensor::zeros(os);
+        for (p, yplane) in y_want.data_mut().chunks_exact_mut(os.hw()).enumerate() {
+            let c = p % xs.c;
+            let xplane = &x.data()[p * xs.hw()..(p + 1) * xs.hw()];
+            depthwise_plane_forward(xplane, &w.data()[c * ksz..(c + 1) * ksz], &spec, xs, os.h, os.w, yplane);
+        }
+        let (dx_want, dw_want) = depthwise_backward_ref(&x, &w, &dy, &spec);
+        for (name, got, want) in [("y", &y, &y_want), ("dx", &dx, &dx_want), ("dw", &dw, &dw_want)] {
+            let tol = 1e-5 * (1.0 + want.abs_max());
+            assert!(got.max_abs_diff(want) <= tol, "{what}: {name} diff {} > {tol}", got.max_abs_diff(want));
+        }
+        if spec.sh == 1 && spec.sw == 1 {
+            for (i, (a, b)) in dx.data().iter().zip(dx_want.data()).enumerate() {
+                assert!(a == b, "{what}: stride-1 dx idx {i}: {a} != {b}");
+            }
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        if cpu_has_avx2() {
+            let planes = |avx2: bool| {
+                let mut work = vec![0.0f32; DwBackwardGeometry::new(xs, &spec, true).floats()];
+                let work = work.as_mut_slice();
+                let (mut dk, mut dxp) = (vec![0.0f32; ksz], vec![0.0f32; xs.hw()]);
+                let (xp, dyp, kern) = (&x.data()[..xs.hw()], &dy.data()[..os.hw()], &w.data()[..ksz]);
+                if avx2 {
+                    // SAFETY: AVX2 presence checked just above.
+                    unsafe { depthwise_backward_plane_avx2(xp, dyp, kern, &spec, xs, os, work, &mut dk, Some(&mut dxp)) };
+                } else {
+                    depthwise_backward_plane_body(xp, dyp, kern, &spec, xs, os, work, &mut dk, Some(&mut dxp), false);
+                }
+                (dk, dxp)
+            };
+            let ((dk_base, dx_base), (dk_wide, dx_wide)) = (planes(false), planes(true));
+            assert_same_bits(&dk_base, &dk_wide, &format!("{what}: dw avx2 vs baseline"));
+            assert_same_bits(&dx_base, &dx_wide, &format!("{what}: dx avx2 vs baseline"));
+        }
+    }
+
     #[test]
-    fn depthwise_backward_bitwise_matches_reference_walk() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let cases = [
-            ConvSpec::depthwise(3, 1, 4),
-            ConvSpec::depthwise(3, 2, 4),
-            ConvSpec::depthwise(5, 2, 4),
-            ConvSpec::depthwise(5, 1, 4).with_padding(4, 1),
-        ];
-        for spec in cases {
-            let x = Tensor::randn(Shape::new(3, 4, 10, 9), 1.0, &mut rng);
-            let w = Tensor::randn(Shape::new(4, 1, spec.kh, spec.kw), 0.5, &mut rng);
-            let mut dy = Tensor::randn(spec.out_shape(x.shape(), 4), 1.0, &mut rng);
-            // Sprinkle exact zeros so the `g == 0.0` skip is exercised on
-            // both sides of the split.
-            dy.map_inplace(|v| if v < -0.3 { 0.0 } else { v });
-            let (dx_want, dw_want) = depthwise_backward_ref(&x, &w, &dy, &spec);
-            let (dx_got, dw_got) = depthwise_backward(&x, &w, &dy, &spec, true);
-            let dx_got = dx_got.unwrap();
-            for (i, (a, b)) in dw_got.data().iter().zip(dw_want.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "dw k={} s={} idx {i}", spec.kh, spec.sh);
+    fn training_depthwise_matches_reference_on_edge_shapes() {
+        // Single pixels and 3x3 planes under the silo strides, kernels
+        // larger than the plane, odd widths, batch 1 and 3.
+        for (i, &(k, s)) in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)].iter().enumerate() {
+            for (j, &(h, w)) in [(1, 1), (3, 3), (1, 9), (13, 2), (15, 11), (24, 24)].iter().enumerate() {
+                for n in [1, 3] {
+                    check_training_depthwise(Shape::new(n, 5, h, w), ConvSpec::depthwise(k, s, 5), (i * 10 + j) as u64);
+                }
             }
-            for (i, (a, b)) in dx_got.data().iter().zip(dx_want.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "dx k={} s={} idx {i}", spec.kh, spec.sh);
+        }
+        // Asymmetric, absent and beyond-the-kernel padding (the last has no
+        // forward-kernel `dx`: it runs the walk at stride 1).
+        for spec in [
+            ConvSpec::depthwise(3, 1, 12).with_padding(0, 0),
+            ConvSpec::depthwise(5, 1, 12).with_padding(4, 1),
+            ConvSpec::depthwise(5, 2, 12).with_padding(4, 1),
+            ConvSpec::depthwise(3, 1, 12).with_padding(3, 4),
+            ConvSpec::depthwise(5, 2, 12).with_padding(0, 0),
+        ] {
+            check_training_depthwise(Shape::new(2, 12, 9, 8), spec, 98);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn training_depthwise_matches_reference_kernels(
+            ks in proptest::sample::select(vec![(3usize, 1usize), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)]),
+            h in 1usize..=17,
+            w in 1usize..=17,
+            pad in proptest::sample::select(vec![None, Some((0usize, 0usize)), Some((4, 1)), Some((1, 6))]),
+            c in proptest::sample::select(vec![1usize, 3, 7, 20]),
+            n in proptest::sample::select(vec![1usize, 3]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut spec = ConvSpec::depthwise(ks.0, ks.1, c);
+            if let Some((ph, pw)) = pad {
+                spec = spec.with_padding(ph, pw);
             }
+            proptest::prop_assume!(h + 2 * spec.ph >= spec.kh && w + 2 * spec.pw >= spec.kw);
+            check_training_depthwise(Shape::new(n, c, h, w), spec, seed);
         }
     }
 

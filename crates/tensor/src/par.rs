@@ -42,17 +42,32 @@
 //!   waiter that shares its core with the thread it is waiting for
 //!   (oversubscribed budget, busy host) hands the core over instead of
 //!   burning the window against it. The dispatcher wakes only a worker whose
-//!   `parked` flag is up; a polling worker picks the job up from the mailbox
-//!   on its own. Both sides use `SeqCst` on the (`parked`, mailbox) pair, so
-//!   a worker about to park and a dispatcher publishing a job cannot miss
-//!   each other.
-//! - The caller runs its share, then waits for the job's remaining-worker
-//!   count to reach zero: polling for the same window first, parking after.
-//!   The last worker to finish unparks it.
+//!   `parked` flag is up, and lowers the flag as it does (one futex wake per
+//!   sleep, however many dispatches pass while the worker wakes up); a
+//!   polling worker picks the job up from the mailbox on its own. Both sides
+//!   use `SeqCst` on the (`parked`, mailbox) pair, so a worker about to park
+//!   and a dispatcher publishing a job cannot miss each other. A woken
+//!   worker goes back to polling for a full window even when the job that
+//!   woke it is gone: the wake says fork-joins are flowing again.
+//! - A worker *takes* an offered job by compare-and-swap (offered -> taken)
+//!   before it touches it. The caller runs its share — for tiles, until the
+//!   shared counter is exhausted — and then **withdraws** the offer from
+//!   every claimed worker that has not taken it yet (offered -> free), so a
+//!   fork-join never waits for a worker that is still parked, being woken,
+//!   or off its core: such a worker would find no tile left anyway. Without
+//!   this, every stall of a worker *between* jobs (a futex wake after serial
+//!   glue, a neighbour process on its core, and above all a worker that the
+//!   guest scheduler left on the caller's own core, which it can do for
+//!   hundreds of milliseconds) was charged to the next fork-join in full,
+//!   and the step or request time swung with placement and neighbours.
+//! - The caller then waits for the workers that did take the job: polling
+//!   for the same window first, parking after. The last one to finish
+//!   unparks it.
 //!
-//! [`stats`] counts fork-joins (`dispatches`) and worker parks (`parks`), so
-//! "this change multiplied the dispatches" and "the pool never sleeps" are
-//! numbers rather than guesses.
+//! [`stats`] counts fork-joins (`dispatches`), worker parks (`parks`) and
+//! withdrawn offers (`withdrawn`), so "this change multiplied the
+//! dispatches", "the pool never sleeps" and "the workers keep arriving late"
+//! are numbers rather than guesses.
 //!
 //! The worker count defaults to `std::thread::available_parallelism`, can be
 //! capped process-wide with the `REVBIFPN_MAX_THREADS` environment variable
@@ -89,6 +104,8 @@ const SPIN_BEFORE_YIELD: Duration = Duration::from_micros(2);
 static DISPATCHES: AtomicU64 = AtomicU64::new(0);
 /// Times a worker gave up polling and parked.
 static PARKS: AtomicU64 = AtomicU64::new(0);
+/// Offers a caller took back because the worker had not taken them.
+static WITHDRAWN: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// True while this thread is executing inside a parallel section
@@ -143,6 +160,11 @@ pub struct ParStats {
     /// Times a pool worker stopped polling and parked. Flat while jobs
     /// arrive back to back; one per worker once the pool goes idle.
     pub parks: u64,
+    /// Offers a caller withdrew because it finished its share before the
+    /// worker took the job (the worker was parked, waking or off its core).
+    /// A few per hundred dispatches on a quiet host; most of them on a host
+    /// whose cores are shared.
+    pub withdrawn: u64,
 }
 
 /// Reads the fork-join counters.
@@ -150,6 +172,7 @@ pub fn stats() -> ParStats {
     ParStats {
         dispatches: DISPATCHES.load(Ordering::Relaxed),
         parks: PARKS.load(Ordering::Relaxed),
+        withdrawn: WITHDRAWN.load(Ordering::Relaxed),
     }
 }
 
@@ -158,8 +181,9 @@ pub fn stats() -> ParStats {
 struct Job {
     /// The caller's closure with its lifetime erased.
     task: *const (dyn Fn() + Sync),
-    /// Claimed workers that have not finished yet. A worker's decrement is
-    /// its last access to the job; zero releases the caller.
+    /// Claimed workers that have neither finished nor had their offer
+    /// withdrawn. A worker's decrement is its last access to the job; zero
+    /// releases the caller.
     remaining: AtomicUsize,
     panicked: AtomicBool,
     /// Whom the last finishing worker unparks.
@@ -170,9 +194,10 @@ struct Job {
 /// neighbouring workers polling their own slots share no cache line.
 #[repr(align(128))]
 struct WorkerSlot {
-    /// Null when the worker is free; otherwise the job it is running (or is
-    /// about to pick up). Dispatchers claim the slot null -> job, the worker
-    /// releases it job -> null.
+    /// Null when the worker is free, a job a dispatcher offers it, or
+    /// [`TAKEN`] while it runs one. Dispatchers claim the slot null -> job
+    /// and may withdraw job -> null; the worker takes job -> `TAKEN` and
+    /// releases `TAKEN` -> null.
     job: AtomicPtr<Job>,
     /// Up while the worker is parked or about to park.
     parked: AtomicBool,
@@ -187,6 +212,11 @@ static SLOTS: [WorkerSlot; MAX_POOL_WORKERS] = [const {
         thread: OnceLock::new(),
     }
 }; MAX_POOL_WORKERS];
+
+/// Mailbox value of a worker that has taken a job and not finished it: not
+/// null (the slot is not claimable) and no job's address (nothing to
+/// withdraw). Never dereferenced.
+const TAKEN: *mut Job = std::ptr::NonNull::dangling().as_ptr();
 
 /// Number of leading [`SLOTS`] that have a live worker thread.
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
@@ -224,21 +254,38 @@ fn worker_main(slot: &'static WorkerSlot) {
             PARKS.fetch_add(1, Ordering::Relaxed);
             // Raise the flag, then look again: a dispatcher stores the job
             // and then reads the flag, both `SeqCst`, so either this load
-            // sees the job or the dispatcher sees the flag and unparks us
-            // (an unpark that arrives before `park` makes it return at once).
+            // sees the job or the dispatcher sees the flag, lowers it and
+            // unparks us (an unpark that arrives before `park` makes it
+            // return at once). Sleep until the flag is down — not until a
+            // job is there: the job that woke us may be finished and
+            // withdrawn by now, but its dispatcher is in a run of fork-joins
+            // and the next offer should find this worker polling, not
+            // asleep again behind another futex wake. A stale unpark token
+            // finds the flag still up and parks again.
             slot.parked.store(true, Ordering::SeqCst);
-            while slot.job.load(Ordering::SeqCst).is_null() {
+            while slot.parked.load(Ordering::SeqCst) && slot.job.load(Ordering::SeqCst).is_null() {
                 std::thread::park();
             }
             slot.parked.store(false, Ordering::Relaxed);
         }
+        // Take the offer. Losing the exchange means the dispatcher withdrew
+        // it (its own share covered the job): back to polling.
         let job = slot.job.load(Ordering::Acquire);
-        // SAFETY: a non-null mailbox holds a pointer to a `Job` on the stack
-        // of a caller that is inside `run_job` and cannot leave it before
-        // this worker's `remaining` decrement below: the claim incremented
-        // `remaining` before publishing the pointer, and `run_job` returns
-        // (or unwinds) only after observing zero. The same argument keeps
-        // the erased `task` borrow alive.
+        let took = !job.is_null()
+            && slot.job.compare_exchange(job, TAKEN, Ordering::AcqRel, Ordering::Relaxed).is_ok();
+        if !took {
+            continue;
+        }
+        // SAFETY: `job` was in the mailbox at the exchange, so it points to
+        // a `Job` on the stack of a caller that is inside `run_job`, and
+        // that caller cannot leave before this worker's `remaining`
+        // decrement below: the claim incremented `remaining` before
+        // publishing the pointer, the offer can no longer be withdrawn (the
+        // mailbox holds `TAKEN`), and `run_job` returns (or unwinds) only
+        // after observing zero. The same argument keeps the erased `task`
+        // borrow alive. (A pointer loaded before a withdrawal is never
+        // dereferenced: either the exchange fails, or the mailbox holds
+        // that address again because a live job at it was offered since.)
         let (task, caller) = unsafe { (&*(*job).task, (*job).caller.clone()) };
         let panicked = catch_unwind(AssertUnwindSafe(task)).is_err();
         if panicked {
@@ -288,9 +335,12 @@ fn ensure_workers(want: usize) -> usize {
     have
 }
 
-/// Runs `task` on up to `extra` pool workers and the current thread,
-/// returning once every participant is done. Panics from any participant
-/// are re-raised here.
+/// Runs `task` on the current thread and on up to `extra` pool workers,
+/// returning once every participant that started is done. `task` must pull
+/// its work from a shared source and return when that is spent (as the tile
+/// puller does): a worker that has not started when the caller's own call
+/// returns is not waited for — its offer is withdrawn. Panics from any
+/// participant are re-raised here.
 fn run_job(extra: usize, task: &(dyn Fn() + Sync)) {
     DISPATCHES.fetch_add(1, Ordering::Relaxed);
     let job = Job {
@@ -305,8 +355,9 @@ fn run_job(extra: usize, task: &(dyn Fn() + Sync)) {
         caller: std::thread::current(),
     };
     let job_ptr = std::ptr::addr_of!(job).cast_mut();
+    let pool = &SLOTS[..ensure_workers(extra)];
     let mut claimed = 0;
-    for slot in &SLOTS[..ensure_workers(extra)] {
+    for slot in pool {
         if claimed == extra {
             break;
         }
@@ -324,7 +375,9 @@ fn run_job(extra: usize, task: &(dyn Fn() + Sync)) {
             continue;
         }
         claimed += 1;
-        if slot.parked.load(Ordering::SeqCst) {
+        // Lower the flag before the wake so that the dispatches that follow
+        // while the worker is still waking up skip the futex call.
+        if slot.parked.load(Ordering::SeqCst) && slot.parked.swap(false, Ordering::SeqCst) {
             slot.thread.get().expect("published slots carry their thread").unpark();
         }
     }
@@ -334,6 +387,24 @@ fn run_job(extra: usize, task: &(dyn Fn() + Sync)) {
     // Always wait before returning or unwinding: until `remaining` reads
     // zero a worker may still dereference `job` and `task`.
     let done = || job.remaining.load(Ordering::Acquire) == 0;
+    if !done() {
+        // This thread's share is over — for tiles, the counter is spent — so
+        // a worker that has not taken the offer yet has nothing left to do:
+        // take the offer back instead of waiting for it to wake up, look
+        // and leave. Winning the exchange means the worker never saw (and
+        // now never will see) this job, so its count is ours to drop.
+        for slot in pool {
+            let withdrew = slot.job.load(Ordering::Relaxed) == job_ptr
+                && slot
+                    .job
+                    .compare_exchange(job_ptr, std::ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok();
+            if withdrew {
+                job.remaining.fetch_sub(1, Ordering::Relaxed);
+                WITHDRAWN.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
     if !spin_until(done) {
         // A worker's unpark can predate this park (then it returns at
         // once) or belong to an earlier job (then the loop parks again).
@@ -381,6 +452,24 @@ where
         f(t);
     };
     run_job(threads - 1, &puller);
+}
+
+/// Fewest floats of work a [`parallel_plane_groups`] tile covers.
+const PLANE_GROUP_FLOATS: usize = 2048;
+
+/// Runs `f(range)` over `0..planes` in tiles of whole consecutive planes:
+/// one plane per tile when a plane brings `plane_floats >= 2048` floats of
+/// work, otherwise as many as reach that — so per-tile costs (the tile
+/// hand-out, a scratch borrow and its zero-fill) are shared by the 6² and 3²
+/// planes that would otherwise be dominated by them. The grouping is a
+/// function of the plane size alone, and under [`parallel_tiles`]' contract
+/// (a plane's result depends only on its index) it never changes a value.
+pub(crate) fn parallel_plane_groups<F>(planes: usize, plane_floats: usize, f: F)
+where
+    F: Fn(std::ops::Range<usize>) + Sync,
+{
+    let per = (PLANE_GROUP_FLOATS / plane_floats.max(1)).max(1);
+    parallel_tiles(planes.div_ceil(per), |tile| f(tile * per..((tile + 1) * per).min(planes)));
 }
 
 /// Splits `0..items` into `num_threads_for(items)` contiguous chunks and

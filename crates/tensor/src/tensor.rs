@@ -1,6 +1,6 @@
 //! The dense `f32` NCHW tensor and its element-wise operations.
 
-use crate::par::{parallel_chunks, parallel_tiles, SyncPtr};
+use crate::par::{parallel_chunks, parallel_plane_groups, parallel_tiles, SyncPtr};
 use crate::shape::{Shape, ShapeMismatchError};
 use rand::{Rng, RngExt};
 use std::fmt;
@@ -399,24 +399,76 @@ impl Tensor {
     ///
     /// Panics if `gate` is not `[n, c, 1, 1]` for `self`'s `n` and `c`.
     pub fn mul_planes(&self, gate: &Self) -> Self {
-        let (n, c, hw) = (self.shape.n, self.shape.c, self.shape.hw());
-        assert_eq!(gate.shape, Shape::new(n, c, 1, 1), "gate must hold one factor per plane");
-        let mut data: Vec<f32> = Vec::with_capacity(n * c * hw);
-        let ptr = SyncPtr::new(data.spare_capacity_mut().as_mut_ptr());
-        let (xd, gd) = (&self.data, &gate.data);
-        parallel_tiles(n * c, |p| {
-            // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)` of
-            // the `n*c*hw`-float spare capacity (`MaybeUninit`, so the slice
-            // may cover uninitialized memory).
-            let plane = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(p * hw), hw) };
-            let g = gd[p];
-            for (y, &x) in plane.iter_mut().zip(&xd[p * hw..(p + 1) * hw]) {
-                y.write(x * g);
+        assert_eq!(gate.shape, Shape::new(self.shape.n, self.shape.c, 1, 1), "gate must hold one factor per plane");
+        let [y] = Self::map_planes([self], |p| {
+            let g = gate.data[p];
+            move |[x]: [f32; 1]| [x * g]
+        });
+        y
+    }
+
+    /// Builds `O` tensors of the inputs' common shape in one plane-parallel
+    /// pass: `per_plane(p)` returns the element function of `(n, c)` plane
+    /// `p = n * c_count + c`, which maps the `I` input values at a position
+    /// to the `O` output values there. Every plane is read and written once,
+    /// into fresh (never zero-filled) memory — the shape of a normalisation,
+    /// a gate or an input-gradient pass that would otherwise clone and then
+    /// rewrite in place. Each element depends only on its own inputs, so the
+    /// result is bitwise identical for any thread count.
+    ///
+    /// ```
+    /// use revbifpn_tensor::{Shape, Tensor};
+    /// let x = Tensor::from_vec(Shape::new(1, 2, 1, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+    /// let scale = [10.0, 100.0];
+    /// let [y, neg] = Tensor::map_planes([&x], |p| move |[v]: [f32; 1]| [v * scale[p], -v]);
+    /// assert_eq!(y.data(), &[10.0, 20.0, 300.0, 400.0]);
+    /// assert_eq!(neg.data(), &[-1.0, -2.0, -3.0, -4.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `I == 0` or the input shapes differ.
+    #[doc(hidden)] // every caller is in this workspace (BatchNorm, `mul_planes`)
+    pub fn map_planes<const I: usize, const O: usize, G>(
+        inputs: [&Self; I],
+        per_plane: impl Fn(usize) -> G + Sync,
+    ) -> [Self; O]
+    where
+        G: Fn([f32; I]) -> [f32; O],
+    {
+        let shape = inputs[0].shape;
+        assert!(inputs.iter().all(|t| t.shape == shape), "map_planes requires equal shapes");
+        let (planes, hw) = (shape.n * shape.c, shape.hw());
+        let mut outs: [Vec<f32>; O] = std::array::from_fn(|_| Vec::with_capacity(planes * hw));
+        let ptrs: [SyncPtr<std::mem::MaybeUninit<f32>>; O] =
+            std::array::from_fn(|o| SyncPtr::new(outs[o].spare_capacity_mut().as_mut_ptr()));
+        // Small planes go several to a tile, so a 3x3 map does not pay one
+        // tile hand-out per nine floats.
+        parallel_plane_groups(planes, hw, |group| {
+            for p in group {
+                let f = per_plane(p);
+                let src: [&[f32]; I] = std::array::from_fn(|i| &inputs[i].data[p * hw..(p + 1) * hw]);
+                // SAFETY: plane `p` belongs to exactly one tile, which owns
+                // `[p*hw, (p+1)*hw)` of every output's `planes*hw`-float
+                // spare capacity (`MaybeUninit`, so the slices may cover
+                // uninitialized memory).
+                let mut dst: [&mut [std::mem::MaybeUninit<f32>]; O] = std::array::from_fn(|o| unsafe {
+                    std::slice::from_raw_parts_mut(ptrs[o].get().add(p * hw), hw)
+                });
+                for j in 0..hw {
+                    let y = f(std::array::from_fn(|i| src[i][j]));
+                    for (d, v) in dst.iter_mut().zip(y) {
+                        d[j].write(v);
+                    }
+                }
             }
         });
-        // SAFETY: every plane of `0..n*c` was initialized by exactly one tile.
-        unsafe { data.set_len(n * c * hw) };
-        Self { shape: self.shape, data }
+        for v in &mut outs {
+            // SAFETY: every plane of `0..planes` was initialized by exactly
+            // one tile, element by element.
+            unsafe { v.set_len(planes * hw) };
+        }
+        outs.map(|data| Self { shape, data })
     }
 
     /// Per-channel sum over batch and spatial dims; returns `[1, c, 1, 1]`.
@@ -646,6 +698,25 @@ mod tests {
         let gate = Tensor::from_vec(Shape::new(2, 2, 1, 1), vec![1.0, 2.0, 0.5, -1.0]).unwrap();
         let y = x.mul_planes(&gate);
         assert_eq!(y.data(), &[22.0, 22.0, 21.0, 21.0, 11.0, 11.0, -10.5, -10.5]);
+    }
+
+    #[test]
+    fn map_planes_groups_small_planes_without_changing_values() {
+        // 3x3 planes go many to a tile; two inputs, one output.
+        let _g = crate::par::tests_budget_lock();
+        let mut rng = StdRng::seed_from_u64(10);
+        let s = Shape::new(3, 250, 3, 3);
+        let (a, b) = (Tensor::randn(s, 1.0, &mut rng), Tensor::randn(s, 1.0, &mut rng));
+        let run = || Tensor::map_planes([&a, &b], |p| move |[x, y]: [f32; 2]| [x * p as f32 - y])[0].clone();
+        crate::par::set_max_threads(1);
+        let one = run();
+        crate::par::set_max_threads(4);
+        let four = run();
+        crate::par::set_max_threads(0);
+        assert_eq!(one, four);
+        for (i, v) in one.data().iter().enumerate() {
+            assert_eq!(*v, a.data()[i] * (i / 9) as f32 - b.data()[i], "idx {i}");
+        }
     }
 
     #[test]

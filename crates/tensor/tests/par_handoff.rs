@@ -3,8 +3,9 @@
 //! The handoff has three states per side (polling, parked, running) and the
 //! bugs worth fearing are the transitions: a wake-up lost between "about to
 //! park" and "job published", a caller released before its worker is done,
-//! a worker stuck on a stale job. A lost wake-up hangs rather than fails, so
-//! every test runs under a watchdog that kills the process with a message.
+//! a worker stuck on a stale job, an offer withdrawn by the caller while the
+//! worker takes it. A lost wake-up hangs rather than fails, so every test
+//! runs under a watchdog that kills the process with a message.
 //!
 //! `set_max_threads` and the `par::stats` counters are process-global, so
 //! the tests in this file take one lock and run one at a time; the pool is
@@ -172,7 +173,17 @@ fn idle_worker_parks_once_and_stays_parked() {
     // churn) and the counter then stays put for as long as nothing arrives.
     with_watchdog("idle pool", 2, Duration::from_secs(60), || {
         let before = stats().parks;
-        parallel_tiles(2, |_| {});
+        let arrived = AtomicUsize::new(0);
+        parallel_tiles(2, |_| {
+            // Both participants must show up, or the caller could run both
+            // tiles and withdraw the offer from a worker that stays parked.
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let t = Instant::now();
+            while arrived.load(Ordering::SeqCst) < 2 && t.elapsed() < Duration::from_secs(5) {
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(arrived.load(Ordering::SeqCst), 2, "the worker must have joined the job");
         let t = Instant::now();
         while stats().parks == before && t.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(1));
@@ -180,5 +191,51 @@ fn idle_worker_parks_once_and_stays_parked() {
         assert_eq!(stats().parks, before + 1, "the engaged worker must park after its spin window");
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(stats().parks, before + 1, "a parked worker must stay parked while the pool is idle");
+    });
+}
+
+#[test]
+fn caller_does_not_wait_for_a_worker_that_has_not_started() {
+    // The worker is parked (the pool idled past its spin window) when a job
+    // of two short tiles arrives. The caller runs both long before the
+    // futex wake lands, withdraws the offer and returns: the tiles ran
+    // exactly once each, on the caller, and the pool is usable afterwards.
+    with_watchdog("withdrawn offers", 2, Duration::from_secs(120), || {
+        let caller = std::thread::current().id();
+        let before = stats();
+        let mut on_caller = 0;
+        for _ in 0..200 {
+            // Let the worker park: an engaged worker polls 50 us, then parks.
+            let parks = stats().parks;
+            let arrived = AtomicUsize::new(0);
+            parallel_tiles(2, |_| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let t = Instant::now();
+                while arrived.load(Ordering::SeqCst) < 2 && t.elapsed() < Duration::from_secs(5) {
+                    std::hint::spin_loop();
+                }
+            });
+            let t = Instant::now();
+            while stats().parks == parks && t.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let hits = [AtomicU64::new(0), AtomicU64::new(0)];
+            let ran_here = AtomicUsize::new(0);
+            parallel_tiles(2, |t| {
+                hits[t].fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() == caller {
+                    ran_here.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "every tile runs exactly once");
+            on_caller += usize::from(ran_here.load(Ordering::Relaxed) == 2);
+        }
+        let after = stats();
+        // A job the caller ran alone while the worker was parked ends in a
+        // withdrawal or in a worker that woke in time to take the (empty)
+        // job; on any host the first must happen at least once in 200 tries.
+        assert!(on_caller > 0, "a parked worker cannot beat the caller to two empty tiles every time");
+        assert!(after.withdrawn > before.withdrawn, "a job finished before the worker woke must be withdrawn");
+        hammer(2_000, 2, 0x5eed_0006);
     });
 }

@@ -1,26 +1,33 @@
-//! Kernel-level wall-clock probe for GEMM tuning; not part of any paper
-//! experiment. Prints the median and fastest time of each row:
+//! Kernel-level wall-clock probe for GEMM and train-step tuning; not part of
+//! any paper experiment. Prints the median and fastest time of each row:
 //!
 //! * the batch-1 RevBiFPN-S0 stem conv and the GEMM it lowers to;
 //! * the pointwise convs of an S0 forward at their real shapes, through the
 //!   frozen path's `sgemm_prepacked` (B is the activation, read in place);
 //! * square `sgemm` at 256, 512 and 1024, where B's row stride is a power of
-//!   two and in-place rows compete for the same cache sets.
+//!   two and in-place rows compete for the same cache sets;
+//! * the training depthwise forward and backward at every shape a reversible
+//!   S0@96 batch-4 step calls, with the calls per step (a step runs each
+//!   forward twice: the Stats pass and the reconstruction) and the weighted
+//!   per-step totals, then BatchNorm forward / backward at the two extremes.
 //!
 //! Run the same file from a checkout of another commit to compare kernels
 //! (`revbifpn-perf run --trace 1` reports a subset of these as metrics).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use revbifpn_repro::nn::layers::BatchNorm2d;
+use revbifpn_repro::nn::{CacheMode, Layer};
 use revbifpn_repro::tensor::{
-    conv2d, sgemm, sgemm_prepacked, ConvSpec, Epilogue, EpilogueAct, PackedGemmA, Shape, Tensor,
+    conv2d, conv2d_backward, sgemm, sgemm_prepacked, ConvSpec, Epilogue, EpilogueAct, PackedGemmA,
+    Shape, Tensor,
 };
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Times `f` for about 300 ms after a warm-up and prints median and minimum;
-/// `macs` (0 = none) adds the GMAC/s at the median.
-fn time(label: &str, macs: usize, mut f: impl FnMut()) {
+/// `macs` (0 = none) adds the GMAC/s at the median. Returns the median in µs.
+fn time(label: &str, macs: usize, mut f: impl FnMut()) -> f64 {
     for _ in 0..3 {
         f();
     }
@@ -35,6 +42,67 @@ fn time(label: &str, macs: usize, mut f: impl FnMut()) {
     let (med, min) = (samples[samples.len() / 2], samples[0]);
     let rate = if macs > 0 { format!("  {:6.1} GMAC/s", macs as f64 / med / 1e3) } else { String::new() };
     println!("{label:32} median {med:10.1} us  min {min:10.1} us{rate}");
+    med
+}
+
+/// `(channels, side, kernel, stride, backward calls per step)` of every
+/// depthwise conv in a reversible S0@96 batch-4 train step; the forward runs
+/// twice per backward.
+const TRAIN_DEPTHWISE: [(usize, usize, usize, usize, usize); 14] = [
+    (48, 24, 3, 1, 11),
+    (48, 24, 5, 2, 6),
+    (48, 24, 9, 4, 4),
+    (48, 24, 17, 8, 3),
+    (64, 12, 3, 1, 6),
+    (64, 12, 5, 2, 5),
+    (64, 12, 9, 4, 3),
+    (96, 12, 3, 1, 10),
+    (80, 6, 3, 1, 9),
+    (80, 6, 5, 2, 3),
+    (128, 6, 5, 2, 1),
+    (160, 6, 5, 1, 8),
+    (160, 3, 3, 1, 10),
+    (480, 3, 5, 1, 6),
+];
+
+fn train_rows(rng: &mut StdRng) {
+    let (mut fwd_ms, mut bwd_ms) = (0.0, 0.0);
+    for (c, side, k, s, calls) in TRAIN_DEPTHWISE {
+        let spec = ConvSpec::depthwise(k, s, c);
+        let x = Tensor::randn(Shape::new(4, c, side, side), 1.0, rng);
+        let w = Tensor::randn(Shape::new(c, 1, k, k), 0.5, rng);
+        let dy = Tensor::randn(spec.out_shape(x.shape(), c), 1.0, rng);
+        let macs = spec.macs(x.shape(), c) as usize;
+        let what = format!("4x{c}x{side}x{side} {k}/s{s}");
+        let f = time(&format!("dw fwd {what} x{}", 2 * calls), macs, || {
+            black_box(conv2d(black_box(&x), &w, None, &spec));
+        });
+        let b = time(&format!("dw bwd {what} x{calls}"), 2 * macs, || {
+            black_box(conv2d_backward(&x, &w, black_box(&dy), &spec, true));
+        });
+        fwd_ms += f * (2 * calls) as f64 / 1e3;
+        bwd_ms += b * calls as f64 / 1e3;
+    }
+    println!("depthwise per train step: forward {fwd_ms:.1} ms, backward {bwd_ms:.1} ms (medians x calls)");
+
+    for (c, side) in [(48, 24), (480, 3)] {
+        let mut bn = BatchNorm2d::new(c);
+        let x = Tensor::randn(Shape::new(4, c, side, side), 1.0, rng);
+        let dy = Tensor::randn(x.shape(), 1.0, rng);
+        time(&format!("bn fwd stats 4x{c}x{side}x{side}"), 0, || {
+            black_box(bn.forward(black_box(&x), CacheMode::Stats));
+        });
+        // The backward consumes the Full cache, so time the pair and the
+        // forward alone; the difference is the backward.
+        time(&format!("bn fwd full 4x{c}x{side}x{side}"), 0, || {
+            black_box(bn.forward(black_box(&x), CacheMode::Full));
+        });
+        time(&format!("bn fwd full + bwd 4x{c}x{side}x{side}"), 0, || {
+            bn.forward(black_box(&x), CacheMode::Full);
+            black_box(bn.backward(black_box(&dy)));
+        });
+        bn.clear_cache();
+    }
 }
 
 fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
@@ -87,4 +155,6 @@ fn main() {
             black_box(&c);
         });
     }
+
+    train_rows(&mut rng);
 }

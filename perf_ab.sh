@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # A/B of this tree against a parent commit with `revbifpn-perf`, the way the
-# published sets under results/perf_pr14/ were made.
+# published sets under results/perf_pr14/ and results/perf_pr15/ were made.
 #
-#   results/perf_pr14/ab.sh <parent-rev> <scratch-dir> <out-dir> [first-seed] [pairs] [workload...]
+#   ./perf_ab.sh <parent-rev> <scratch-dir> <out-dir> <traced-workload> [first-seed] [pairs] [workload...]
 #
 # The parent side is a fresh checkout of <parent-rev> (a clone with no
 # target/ in it); the change side is this working tree. Each side builds
@@ -14,18 +14,19 @@
 # One process per workload and seed, `--seconds 10 --trace 0` as the driver
 # runs them, each binary from its own checkout; odd seeds run the parent
 # first, even seeds the change. Ends with the `compare` table and one traced
-# `infer_f32_b1` run per side.
+# run of <traced-workload> per side.
 set -euo pipefail
 
 PARENT_REV=$1
 SCRATCH=$(mkdir -p "$2" && cd "$2" && pwd)
 OUT=$(mkdir -p "$3" && cd "$3" && pwd)
-FIRST=${4:-1}
-PAIRS=${5:-10}
-shift $(( $# < 5 ? $# : 5 ))
+TRACED=$4
+FIRST=${5:-1}
+PAIRS=${6:-10}
+shift $(( $# < 6 ? $# : 6 ))
 WORKLOADS=("$@")
 [ ${#WORKLOADS[@]} -gt 0 ] || WORKLOADS=(infer_f32_b1 infer_int8_b1 train_rev_serial train_rev_shard2 serve_steady)
-REPO=$(cd "$(dirname "$0")/../.." && pwd)
+REPO=$(cd "$(dirname "$0")" && pwd)
 
 if [ ! -d "$SCRATCH/parent" ]; then
     git clone --quiet --no-hardlinks "$REPO" "$SCRATCH/parent"
@@ -57,5 +58,5 @@ done
 "$SCRATCH/change-target/release/revbifpn-perf" compare "$OUT/parent" "$OUT/change" \
     | tee "$OUT/compare_parent_change.txt" || true
 
-run parent "$SCRATCH/parent" "$FIRST" infer_f32_b1 1 "$OUT/traced/parent"
-run change "$REPO" "$FIRST" infer_f32_b1 1 "$OUT/traced/change"
+run parent "$SCRATCH/parent" "$FIRST" "$TRACED" 1 "$OUT/traced/parent"
+run change "$REPO" "$FIRST" "$TRACED" 1 "$OUT/traced/change"
