@@ -18,6 +18,7 @@ mod ema;
 pub mod faults;
 mod metrics;
 mod pipeline;
+mod reduce;
 pub mod resume;
 mod schedule;
 mod sgd;

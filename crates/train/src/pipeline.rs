@@ -39,17 +39,16 @@
 //! micro-batch over [`PipelineConfig::shards`] replica cells (shards
 //! *inside* a stage), reusing the shard engine's merge trees.
 
+use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch, tree_merge_slabs};
 use crate::shard::ShardStepFaults;
-use crate::trainer::{evaluate, EpochStats, TrainConfig, TrainHistory};
+use crate::trainer::{evaluate, step_batch, EpochStats, TrainConfig, TrainHistory};
 use crate::metrics::{top1_accuracy, AverageMeter, PhaseBreakdown};
 use crate::schedule::LrSchedule;
 use crate::sgd::Sgd;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use revbifpn::{RevBiFPN, RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::SynthScale;
 use revbifpn_nn::layers::BnMoments;
-use revbifpn_nn::loss::{label_smooth, one_hot, softmax_cross_entropy_per_sample};
+use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
 use revbifpn_nn::{meter, CacheMode, Layer};
 use revbifpn_rev::{CellTrip, DriftConfig, DriftStageReport, StageCell, StageControl, StageMsg};
 use revbifpn_tensor::{par, Shape, Tensor};
@@ -156,29 +155,6 @@ enum DriverMsg {
 // Small helpers shared by the driver and the workers.
 // ---------------------------------------------------------------------
 
-/// Largest `s <= want` with `s | n` and `n / s` a power of two (the
-/// shard-alignment precondition), falling back to 1. Pure in `n`, so all
-/// engines degrade to the same split.
-fn effective_split(n: usize, want: usize) -> usize {
-    let mut s = want.min(n).next_power_of_two();
-    while s > want.min(n) {
-        s /= 2;
-    }
-    while s > 1 && !(n.is_multiple_of(s) && (n / s).is_power_of_two()) {
-        s /= 2;
-    }
-    s.max(1)
-}
-
-/// Contiguous sample slice `[lo, lo + n)` of a batch tensor.
-fn slice_batch(t: &Tensor, lo: usize, n: usize) -> Tensor {
-    let chw = t.shape().chw();
-    Tensor::from_vec_unchecked(
-        Shape { n, ..t.shape() },
-        t.data()[lo * chw..(lo + n) * chw].to_vec(),
-    )
-}
-
 /// Concatenates per-shard stream lists back into full-micro streams, in
 /// shard (= sample) order.
 fn concat_streams(parts: &[Vec<Tensor>]) -> Vec<Tensor> {
@@ -196,71 +172,6 @@ fn concat_streams(parts: &[Vec<Tensor>]) -> Vec<Tensor> {
         .collect()
 }
 
-/// Pairwise stride-doubling tree over leaf gradient slabs (same shape as
-/// `ShardEngine::merge_grads`); returns the root slab. `slabs.len()` must
-/// be a power of two for subtree alignment.
-fn tree_merge_slabs(mut slabs: Vec<Vec<Tensor>>) -> Vec<Tensor> {
-    let l = slabs.len();
-    let mut stride = 1;
-    while stride < l {
-        let mut lo = 0;
-        while lo + stride < l {
-            let (left, right) = slabs.split_at_mut(lo + stride);
-            for (d, s) in left[lo].iter_mut().zip(right[0].iter()) {
-                for (a, b) in d.data_mut().iter_mut().zip(s.data()) {
-                    *a += *b;
-                }
-            }
-            lo += 2 * stride;
-        }
-        stride *= 2;
-    }
-    slabs.swap_remove(0)
-}
-
-/// Concatenates per-leaf BN moment tables (leaf order = sample order)
-/// into one full-batch table.
-fn concat_moments(tables: Vec<BnMoments>) -> BnMoments {
-    let hw = tables[0].hw;
-    let mut samples = 0;
-    let mut sum = Vec::new();
-    let mut sqsum = Vec::new();
-    for t in tables {
-        assert_eq!(t.hw, hw, "BN spatial extent mismatch across leaves");
-        samples += t.samples;
-        sum.extend_from_slice(&t.sum);
-        sqsum.extend_from_slice(&t.sqsum);
-    }
-    BnMoments { samples, hw, sum, sqsum }
-}
-
-/// Tree-reduces a full-batch per-sample moment table to `(mean, var)`
-/// (same tree and arithmetic as `ShardEngine::merge_bn_stats`).
-fn reduce_moments(n: usize, m: &BnMoments) -> (Tensor, Tensor) {
-    assert_eq!(m.samples, n, "BN moment sample count mismatch");
-    let c = m.sum.len() / n.max(1);
-    let mut s1 = m.sum.clone();
-    let mut s2 = m.sqsum.clone();
-    par::tree_reduce_serial(n, |d, s| {
-        for ci in 0..c {
-            s1[d * c + ci] += s1[s * c + ci];
-            s2[d * c + ci] += s2[s * c + ci];
-        }
-    });
-    let denom = (n * m.hw) as f64;
-    let mut mean = vec![0.0f32; c];
-    let mut var = vec![0.0f32; c];
-    for ci in 0..c {
-        let mu = s1[ci] / denom;
-        mean[ci] = mu as f32;
-        var[ci] = (s2[ci] / denom - mu * mu).max(0.0) as f32;
-    }
-    (
-        Tensor::from_vec_unchecked(Shape::vector(c), mean),
-        Tensor::from_vec_unchecked(Shape::vector(c), var),
-    )
-}
-
 /// Stores one op's per-BN moments into a `[bn][slot]` table, sizing it on
 /// first use.
 fn note_moms(store: &mut Vec<Vec<Option<BnMoments>>>, slots: usize, idx: usize, moms: Vec<BnMoments>) {
@@ -274,14 +185,13 @@ fn note_moms(store: &mut Vec<Vec<Option<BnMoments>>>, slots: usize, idx: usize, 
 }
 
 /// Reduces a `[bn][slot]` edge moment table into `(mean, var)` pairs.
-fn reduce_mom_table(n: usize, store: Vec<Vec<Option<BnMoments>>>) -> Vec<(Tensor, Tensor)> {
+fn reduce_mom_table(n: usize, store: &[Vec<Option<BnMoments>>]) -> Vec<(Tensor, Tensor)> {
     store
-        .into_iter()
+        .iter()
         .map(|per_slot| {
-            let tables: Vec<BnMoments> =
-                per_slot.into_iter().map(|m| m.expect("missing BN moments")).collect();
-            let full = concat_moments(tables);
-            reduce_moments(n, &full)
+            let full =
+                concat_moments(per_slot.iter().map(|m| m.as_ref().expect("missing BN moments")));
+            reduce_moments(n, full)
         })
         .collect()
 }
@@ -586,12 +496,9 @@ impl Worker {
             .iter()
             .map(|per_leaf| {
                 let m = concat_moments(
-                    per_leaf
-                        .iter()
-                        .map(|m| m.clone().expect("missing leaf moments at fold"))
-                        .collect(),
+                    per_leaf.iter().map(|m| m.as_ref().expect("missing leaf moments at fold")),
                 );
-                reduce_moments(m.samples, &m)
+                reduce_moments(m.samples, m)
             })
             .collect();
         let mut it = stats.iter();
@@ -608,16 +515,15 @@ impl Worker {
     }
 
     fn finalize(&self, seq: u64, st: WorkerStep) -> StageReport {
-        let slabs: Vec<Vec<Tensor>> =
+        let mut slabs: Vec<Vec<Tensor>> =
             st.slabs.into_iter().map(|s| s.expect("missing leaf slab")).collect();
-        let grads = tree_merge_slabs(slabs);
+        tree_merge_slabs(&mut slabs);
+        let grads = slabs.swap_remove(0);
         let moments: Vec<BnMoments> = st
             .moments
-            .into_iter()
+            .iter()
             .map(|per_leaf| {
-                concat_moments(
-                    per_leaf.into_iter().map(|m| m.expect("missing leaf moments")).collect(),
-                )
+                concat_moments(per_leaf.iter().map(|m| m.as_ref().expect("missing leaf moments")))
             })
             .collect();
         let mut meters = Vec::with_capacity(2 * st.fwd_meters.len());
@@ -1376,11 +1282,11 @@ impl PipelineEngine {
 
         meter::time_phase(meter::Phase::Reduce, || {
             // Stem gradients: tree over the micro leaves.
-            let stem_root =
-                tree_merge_slabs(stem_slabs.into_iter().map(|s| s.unwrap()).collect());
+            let mut stem: Vec<Vec<Tensor>> = stem_slabs.into_iter().map(|s| s.unwrap()).collect();
+            tree_merge_slabs(&mut stem);
             let mut i = 0;
             primary.visit_stem_params(&mut |p| {
-                p.grad.data_mut().copy_from_slice(stem_root[i].data());
+                p.grad.data_mut().copy_from_slice(stem[0][i].data());
                 i += 1;
             });
             // Body gradients: each worker already tree-merged its leaves.
@@ -1397,21 +1303,22 @@ impl PipelineEngine {
                 assert_eq!(j, r.grads.len(), "stage param count mismatch");
             }
             // Neck/head gradients.
-            let nh_root = tree_merge_slabs(nh_slabs.into_iter().map(|s| s.unwrap()).collect());
+            let mut nh: Vec<Vec<Tensor>> = nh_slabs.into_iter().map(|s| s.unwrap()).collect();
+            tree_merge_slabs(&mut nh);
             let mut i = 0;
             primary.visit_neck_head_params(&mut |p| {
-                p.grad.data_mut().copy_from_slice(nh_root[i].data());
+                p.grad.data_mut().copy_from_slice(nh[0][i].data());
                 i += 1;
             });
             // BN statistics, in primary.visit_bn order: stem, body
             // stages, then neck/head.
-            self.pending_stats = reduce_mom_table(n, stem_moms);
+            self.pending_stats = reduce_mom_table(n, &stem_moms);
             for r in &reports {
                 for m in &r.moments {
-                    self.pending_stats.push(reduce_moments(n, m));
+                    self.pending_stats.push(reduce_moments(n, m.clone()));
                 }
             }
-            self.pending_stats.extend(reduce_mom_table(n, nh_moms));
+            self.pending_stats.extend(reduce_mom_table(n, &nh_moms));
         });
 
         PipelineStepOutput {
@@ -1484,7 +1391,7 @@ fn load_nh_stats(edge: &mut RevBiFPNClassifier, stats: &[Tensor]) {
 /// same `apply_global_stats`, via the edge replica's own BN layers).
 fn fold_nh_stats(edge: &mut RevBiFPNClassifier, acc: &mut [Tensor], n: usize, moms: &[Vec<Option<BnMoments>>]) {
     load_nh_stats(edge, acc);
-    let stats = reduce_mom_table(n, moms.to_vec());
+    let stats = reduce_mom_table(n, moms);
     let mut it = stats.iter();
     edge.visit_neck_head_bn(&mut |bn| {
         let (mean, var) = it.next().expect("nh fold BN count mismatch");
@@ -1599,8 +1506,7 @@ pub fn train_pipeline_delayed(
     assert!(cfg.pipeline.stages >= 1, "delayed mode needs pipeline.stages >= 1");
     assert!(cfg.pipeline.staleness >= 1, "delayed mode needs staleness >= 1 (use the sync engine for K = 0)");
     assert_eq!(cfg.ema_decay, 0.0, "parameter EMA is unsupported in delayed mode");
-    let num_classes = model.cfg().num_classes;
-    assert_eq!(num_classes, data.num_classes(), "model/data class mismatch");
+    assert_eq!(model.cfg().num_classes, data.num_classes(), "model/data class mismatch");
 
     let mut eng = PipelineEngine::new(model.cfg(), &cfg.pipeline, cfg.resilience.drift);
     let p = eng.workers.len();
@@ -1652,26 +1558,12 @@ pub fn train_pipeline_delayed(
         meter::reset();
         let epoch_t0 = Instant::now();
         let mut next_admit = epoch * steps_per_epoch;
-        // Ragged tails admit fewer steps.
-        let mut end = (epoch + 1) * steps_per_epoch;
+        let end = (epoch + 1) * steps_per_epoch;
         loop {
             // Admit up to K+1 overlapping steps.
             while next_admit < end && flights.len() <= cfg.pipeline.staleness {
                 let t = next_admit as u64;
-                let b = next_admit - epoch * steps_per_epoch;
-                let n = cfg.batch_size.min(cfg.train_size - b * cfg.batch_size);
-                if n == 0 {
-                    end = next_admit;
-                    break;
-                }
-                let start = (epoch * cfg.train_size + b * cfg.batch_size) as u64;
-                let (mut images, labels) = data.batch(start, n);
-                let mut targets =
-                    label_smooth(&one_hot(&labels, num_classes), cfg.label_smoothing);
-                let mut aug_rng = StdRng::seed_from_u64(
-                    cfg.seed ^ 0xA06 ^ (next_admit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                cfg.augment.apply(&mut images, &mut targets, &mut aug_rng);
+                let (images, targets, labels) = step_batch(data, cfg, next_admit);
                 let fl = Flight::new(images, targets, labels, eng.micros, p);
                 let s_eff = effective_split(fl.mb, eng.shards);
                 for w in &eng.workers {
@@ -1970,7 +1862,7 @@ fn apply_ready(
             let (lo, hi) = (eng.bounds[i], eng.bounds[i + 1]);
             meter::time_phase(meter::Phase::Reduce, || {
                 let stats: Vec<(Tensor, Tensor)> =
-                    r.moments.iter().map(|m| reduce_moments(n, m)).collect();
+                    r.moments.iter().map(|m| reduce_moments(n, m.clone())).collect();
                 let body = primary.backbone_mut().body_mut();
                 let mut it = stats.iter();
                 body.visit_bn_range(lo, hi, &mut |bn| {
@@ -2014,8 +1906,8 @@ fn apply_ready(
         }
         let n = fl.n;
         meter::time_phase(meter::Phase::Reduce, || {
-            let stem_stats = reduce_mom_table(n, std::mem::take(&mut fl.stem_moms));
-            let nh_stats = reduce_mom_table(n, std::mem::take(&mut fl.nh_moms));
+            let stem_stats = reduce_mom_table(n, &fl.stem_moms);
+            let nh_stats = reduce_mom_table(n, &fl.nh_moms);
             let mut it = stem_stats.iter().chain(nh_stats.iter());
             primary.visit_stem_bn(&mut |bn| {
                 let (mean, var) = it.next().expect("edge BN count mismatch");
@@ -2026,20 +1918,20 @@ fn apply_ready(
                 bn.apply_global_stats(mean, var);
             });
             assert!(it.next().is_none(), "edge BN count mismatch");
-            let stem_root = tree_merge_slabs(
-                fl.stem_slabs.iter_mut().map(|s| s.take().expect("missing stem slab")).collect(),
-            );
+            let mut stem: Vec<Vec<Tensor>> =
+                fl.stem_slabs.iter_mut().map(|s| s.take().expect("missing stem slab")).collect();
+            tree_merge_slabs(&mut stem);
             let mut i = 0;
             primary.visit_stem_params(&mut |p| {
-                p.grad.data_mut().copy_from_slice(stem_root[i].data());
+                p.grad.data_mut().copy_from_slice(stem[0][i].data());
                 i += 1;
             });
-            let nh_root = tree_merge_slabs(
-                fl.nh_slabs.iter_mut().map(|s| s.take().expect("missing nh slab")).collect(),
-            );
+            let mut nh: Vec<Vec<Tensor>> =
+                fl.nh_slabs.iter_mut().map(|s| s.take().expect("missing nh slab")).collect();
+            tree_merge_slabs(&mut nh);
             let mut i = 0;
             primary.visit_neck_head_params(&mut |p| {
-                p.grad.data_mut().copy_from_slice(nh_root[i].data());
+                p.grad.data_mut().copy_from_slice(nh[0][i].data());
                 i += 1;
             });
         });
@@ -2106,6 +1998,7 @@ mod tests {
     use super::*;
     use crate::shard::ShardEngine;
     use revbifpn_data::SynthScaleConfig;
+    use revbifpn_nn::loss::{label_smooth, one_hot};
 
     fn setup() -> (RevBiFPNClassifier, SynthScale) {
         let data = SynthScale::new(SynthScaleConfig::new(32), 5);

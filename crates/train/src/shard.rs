@@ -28,6 +28,7 @@
 //! layers draw from a batch-order-dependent RNG stream, which would break
 //! the per-sample-independence property everything above rests on.
 
+use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch, tree_merge_slabs};
 use revbifpn::{RevBiFPNClassifier, RunMode};
 use revbifpn_nn::layers::BnMoments;
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
@@ -134,22 +135,6 @@ impl ShardEngine {
         self.shards
     }
 
-    /// Effective shard count for a batch of `n`: the largest `S` not above
-    /// the configured count with `S | n` and `n / S` a power of two (the
-    /// shard-alignment theorem's precondition), falling back to 1. The
-    /// result depends only on `n`, so different engines degrade to the
-    /// same split and stay mutually bitwise-comparable.
-    fn effective_shards(&self, n: usize) -> usize {
-        let mut s = self.shards.min(n).next_power_of_two();
-        while s > self.shards.min(n) {
-            s /= 2;
-        }
-        while s > 1 && !(n.is_multiple_of(s) && (n / s).is_power_of_two()) {
-            s /= 2;
-        }
-        s.max(1)
-    }
-
     /// Runs one sharded training step against the primary model.
     ///
     /// Broadcasts the primary's parameters and buffers to the replicas,
@@ -170,7 +155,7 @@ impl ShardEngine {
         assert!(mode != RunMode::Eval, "sharded step requires a training mode");
         let n = images.shape().n;
         assert_eq!(targets.shape().n, n, "images/targets batch mismatch");
-        let s_eff = self.effective_shards(n);
+        let s_eff = effective_split(n, self.shards);
         let m = n / s_eff;
         self.pending_stats.clear();
 
@@ -181,20 +166,8 @@ impl ShardEngine {
 
         // Slice the batch into contiguous per-shard tensors (sample-major,
         // so shard k owns samples [k*m, (k+1)*m)).
-        let img_chw = images.shape().chw();
-        let tgt_chw = targets.shape().chw();
         let mut shard_inputs: Vec<(Tensor, Tensor)> = (0..s_eff)
-            .map(|k| {
-                let img = Tensor::from_vec_unchecked(
-                    Shape { n: m, ..images.shape() },
-                    images.data()[k * m * img_chw..(k + 1) * m * img_chw].to_vec(),
-                );
-                let tgt = Tensor::from_vec_unchecked(
-                    Shape { n: m, ..targets.shape() },
-                    targets.data()[k * m * tgt_chw..(k + 1) * m * tgt_chw].to_vec(),
-                );
-                (img, tgt)
-            })
+            .map(|k| (slice_batch(images, k * m, m), slice_batch(targets, k * m, m)))
             .collect();
 
         // One round of shard tasks: forward, per-sample loss, reversible
@@ -356,20 +329,7 @@ impl ShardEngine {
                 });
             }
         }
-        let mut stride = 1;
-        while stride < s_eff {
-            let mut lo = 0;
-            while lo + stride < s_eff {
-                let (left, right) = self.shard_grads.split_at_mut(lo + stride);
-                for (d, s) in left[lo].iter_mut().zip(right[0].iter()) {
-                    for (a, b) in d.data_mut().iter_mut().zip(s.data()) {
-                        *a += *b;
-                    }
-                }
-                lo += 2 * stride;
-            }
-            stride *= 2;
-        }
+        tree_merge_slabs(&mut self.shard_grads[..s_eff]);
         let mut i = 0;
         primary.visit_params(&mut |p| {
             p.grad.data_mut().copy_from_slice(self.shard_grads[0][i].data());
@@ -391,57 +351,10 @@ impl ShardEngine {
         }
         let num_bns = per_shard[0].len();
         for j in 0..num_bns {
-            let hw = per_shard[0][j].hw;
-            let c = per_shard[0][j].sum.len() / per_shard[0][j].samples.max(1);
             // Global sample-major moment table: shard k's samples land at
             // rows [k*m, (k+1)*m), restoring batch order.
-            let mut s1: Vec<f64> = Vec::with_capacity(n * c);
-            let mut s2: Vec<f64> = Vec::with_capacity(n * c);
-            for shard in &per_shard {
-                let m = &shard[j];
-                assert_eq!(m.hw, hw, "BN spatial extent mismatch across shards");
-                s1.extend_from_slice(&m.sum);
-                s2.extend_from_slice(&m.sqsum);
-            }
-            assert_eq!(s1.len(), n * c, "BN moment sample count mismatch");
-            par::tree_reduce_serial(n, |d, s| {
-                for ci in 0..c {
-                    s1[d * c + ci] += s1[s * c + ci];
-                    s2[d * c + ci] += s2[s * c + ci];
-                }
-            });
-            let denom = (n * hw) as f64;
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ci in 0..c {
-                let mu = s1[ci] / denom;
-                mean[ci] = mu as f32;
-                var[ci] = (s2[ci] / denom - mu * mu).max(0.0) as f32;
-            }
-            self.pending_stats.push((
-                Tensor::from_vec_unchecked(Shape::vector(c), mean),
-                Tensor::from_vec_unchecked(Shape::vector(c), var),
-            ));
+            let table = concat_moments(per_shard.iter().map(|shard| &shard[j]));
+            self.pending_stats.push(reduce_moments(n, table));
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn effective_shards_respects_alignment() {
-        let cfg = revbifpn::RevBiFPNConfig::tiny(5);
-        let eng = ShardEngine::new(&cfg, 4, DriftConfig::default());
-        assert_eq!(eng.effective_shards(16), 4);
-        assert_eq!(eng.effective_shards(8), 4);
-        assert_eq!(eng.effective_shards(4), 4);
-        assert_eq!(eng.effective_shards(2), 2);
-        assert_eq!(eng.effective_shards(1), 1);
-        // 12 / 4 = 3 is not a power of two: collapse to 1 (12/2 = 6 fails
-        // too), keeping the split a pure function of n.
-        assert_eq!(eng.effective_shards(12), 1);
-        assert_eq!(eng.effective_shards(3), 1);
     }
 }

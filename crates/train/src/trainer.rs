@@ -7,10 +7,10 @@
 //! On top of the recipe sits a resilience layer:
 //!
 //! * **Non-finite tripwires** — every step scans logits and gradient norms;
-//!   a poisoned step is skipped, parameters/buffers/momentum are restored
-//!   from a rolling in-memory snapshot, and the learning rate backs off
-//!   (recovering over subsequent clean steps). Bounded by `max_retries`
-//!   consecutive trips, after which the run aborts.
+//!   a poisoned step is skipped, the persistent buffers it touched are
+//!   restored from a rolling in-memory snapshot, and the learning rate
+//!   backs off (recovering over subsequent clean steps). Bounded by
+//!   `max_retries` consecutive trips, after which the run aborts.
 //! * **Drift-sentinel integration** — the reversible body's sentinel (see
 //!   `revbifpn_rev::DriftConfig`) is configured per run; a
 //!   `FallbackToCached` event also trips the step, since gradients computed
@@ -187,37 +187,63 @@ impl TrainHistory {
     }
 }
 
-/// Rolling in-memory snapshot of everything a skipped step must roll back:
-/// parameter values, persistent buffers (BN running stats mutate during the
-/// forward pass), and SGD momentum.
+/// Rolling in-memory snapshot of what a skipped step must roll back: the
+/// persistent buffers (the serial step's coupled-BN forward updates the
+/// running statistics in place). Nothing else a tripped step runs writes
+/// model or optimizer state — `opt.step` and `ema.update` run on the clean
+/// branch only, and the shard and pipeline engines write the primary's
+/// `grad` slots and hold their BN statistics back for `apply_bn_stats` —
+/// which `tests/fault_injection.rs` pins for all three executors.
 struct Snapshot {
-    params: Vec<Tensor>,
     buffers: Vec<Tensor>,
-    sgd: Vec<Tensor>,
 }
 
 impl Snapshot {
-    fn capture(model: &mut RevBiFPNClassifier, opt: &Sgd) -> Self {
-        let mut params = Vec::new();
-        model.visit_params(&mut |p| params.push(p.value.clone()));
+    fn new(model: &mut RevBiFPNClassifier) -> Self {
         let mut buffers = Vec::new();
         model.visit_buffers(&mut |t| buffers.push(t.clone()));
-        Self { params, buffers, sgd: opt.buffers().to_vec() }
+        Self { buffers }
     }
 
-    fn restore(&self, model: &mut RevBiFPNClassifier, opt: &mut Sgd) {
-        let mut i = 0;
-        model.visit_params(&mut |p| {
-            p.value = self.params[i].clone();
-            i += 1;
-        });
+    fn capture(&mut self, model: &mut RevBiFPNClassifier) {
         let mut j = 0;
         model.visit_buffers(&mut |t| {
-            *t = self.buffers[j].clone();
+            self.buffers[j].data_mut().copy_from_slice(t.data());
             j += 1;
         });
-        opt.set_buffers(self.sgd.clone());
     }
+
+    fn restore(&self, model: &mut RevBiFPNClassifier) {
+        let mut j = 0;
+        model.visit_buffers(&mut |t| {
+            t.data_mut().copy_from_slice(self.buffers[j].data());
+            j += 1;
+        });
+    }
+}
+
+/// The batch of global step `step`: images, smoothed one-hot targets and
+/// labels, augmented. Samples are indexed by step and the augmentation RNG
+/// is reseeded per step, so the batch is a pure function of `(cfg.seed,
+/// step)`: bit-exact resume depends on this formula, and on every training
+/// loop drawing its batches from here.
+pub(crate) fn step_batch(
+    data: &SynthScale,
+    cfg: &TrainConfig,
+    step: usize,
+) -> (Tensor, Tensor, Vec<usize>) {
+    let steps_per_epoch = cfg.train_size.div_ceil(cfg.batch_size);
+    let (epoch, b) = (step / steps_per_epoch, step % steps_per_epoch);
+    // b < steps_per_epoch, so a ragged last batch still holds a sample.
+    let n = cfg.batch_size.min(cfg.train_size - b * cfg.batch_size);
+    let start = (epoch * cfg.train_size + b * cfg.batch_size) as u64;
+    let (mut images, labels) = data.batch(start, n);
+    let mut targets = label_smooth(&one_hot(&labels, data.num_classes()), cfg.label_smoothing);
+    let mut aug_rng = StdRng::seed_from_u64(
+        cfg.seed ^ 0xA06 ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    cfg.augment.apply(&mut images, &mut targets, &mut aug_rng);
+    (images, targets, labels)
 }
 
 /// Evaluates top-1 accuracy on `val_size` deterministic validation samples
@@ -266,8 +292,7 @@ pub fn train_classifier_with(
     opts: &RunOptions,
 ) -> TrainHistory {
     assert!(mode != RunMode::Eval, "training requires a training RunMode");
-    let num_classes = model.cfg().num_classes;
-    assert_eq!(num_classes, data.num_classes(), "model/data class mismatch");
+    assert_eq!(model.cfg().num_classes, data.num_classes(), "model/data class mismatch");
 
     let steps_per_epoch = cfg.train_size.div_ceil(cfg.batch_size);
     let schedule = LrSchedule::paper_like(cfg.lr, steps_per_epoch * cfg.epochs);
@@ -285,6 +310,7 @@ pub fn train_classifier_with(
         assert_eq!(mode, RunMode::TrainReversible, "pipelined training is reversible-only");
         PipelineEngine::new(model.cfg(), &cfg.pipeline, res.drift)
     });
+    let mut snapshot = res.tripwires.then(|| Snapshot::new(model));
     let phases_start = meter::phase_times();
 
     let mut history = TrainHistory::default();
@@ -317,21 +343,12 @@ pub fn train_classifier_with(
             if step < start_step {
                 continue;
             }
-            let n = cfg.batch_size.min(cfg.train_size - b * cfg.batch_size);
-            if n == 0 {
-                break;
-            }
-            let start = (epoch * cfg.train_size + b * cfg.batch_size) as u64;
-            let (mut images, labels) = data.batch(start, n);
-            let mut targets = label_smooth(&one_hot(&labels, num_classes), cfg.label_smoothing);
-            // Per-step reseed keeps augmentation a pure function of
-            // (seed, step): required for bit-exact resume.
-            let mut aug_rng = StdRng::seed_from_u64(
-                cfg.seed ^ 0xA06 ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            cfg.augment.apply(&mut images, &mut targets, &mut aug_rng);
+            let (images, targets, labels) = step_batch(data, cfg, step);
+            let n = labels.len();
 
-            let snapshot = res.tripwires.then(|| Snapshot::capture(model, &opt));
+            if let Some(s) = &mut snapshot {
+                s.capture(model);
+            }
             let fallback_before = meter::event_count("rev.drift_fallback");
             meter::reset();
 
@@ -339,40 +356,33 @@ pub fn train_classifier_with(
             let mut loss = 0.0f64;
             let mut acc_val = 0.0f64;
             let mut backward_ran = false;
-            let logits = if let Some(pe) = &mut pipe {
-                let sf = ShardStepFaults {
-                    nan_grad: opts.faults.nan_grad_at(step),
-                    bit_flip: opts.faults.bit_flip_at(step),
-                };
-                let out = pe.step(model, &images, &targets, mode, &sf);
-                if out.backward_ran {
-                    loss = out.loss;
+            let sf = ShardStepFaults {
+                nan_grad: opts.faults.nan_grad_at(step),
+                bit_flip: opts.faults.bit_flip_at(step),
+            };
+            let engine_out = match (&mut pipe, &mut engine) {
+                (Some(pe), _) => {
+                    let out = pe.step(model, &images, &targets, mode, &sf);
+                    Some((out.logits, out.loss, out.backward_ran))
+                }
+                (None, Some(eng)) => {
+                    let out = eng.step(model, &images, &targets, mode, &sf);
+                    Some((out.logits, out.loss, out.backward_ran))
+                }
+                (None, None) => None,
+            };
+            let logits = if let Some((logits, engine_loss, ran)) = engine_out {
+                if ran {
+                    loss = engine_loss;
                     backward_ran = true;
                 } else if res.tripwires {
                     tripped = true;
                 } else {
                     // Tripwires off: reproduce the serial path's panic
                     // semantics by forming the loss on non-finite logits.
-                    let _ = softmax_cross_entropy(&out.logits, &targets);
+                    let _ = softmax_cross_entropy(&logits, &targets);
                 }
-                out.logits
-            } else if let Some(eng) = &mut engine {
-                let sf = ShardStepFaults {
-                    nan_grad: opts.faults.nan_grad_at(step),
-                    bit_flip: opts.faults.bit_flip_at(step),
-                };
-                let out = eng.step(model, &images, &targets, mode, &sf);
-                if out.backward_ran {
-                    loss = out.loss;
-                    backward_ran = true;
-                } else if res.tripwires {
-                    tripped = true;
-                } else {
-                    // Tripwires off: reproduce the serial path's panic
-                    // semantics by forming the loss on non-finite logits.
-                    let _ = softmax_cross_entropy(&out.logits, &targets);
-                }
-                out.logits
+                logits
             } else {
                 let logits =
                     meter::time_phase(meter::Phase::Forward, || model.forward(&images, mode));
@@ -383,10 +393,10 @@ pub fn train_classifier_with(
                 } else {
                     let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets);
                     loss = l;
-                    if opts.faults.nan_grad_at(step) {
+                    if sf.nan_grad {
                         dlogits.data_mut()[0] = f32::NAN;
                     }
-                    if let Some(f) = opts.faults.bit_flip_at(step) {
+                    if let Some(f) = sf.bit_flip {
                         model.backbone_mut().body_mut().inject_recon_fault(f);
                     }
                     model.zero_grads();
@@ -421,7 +431,7 @@ pub fn train_classifier_with(
                 consecutive_trips += 1;
                 meter::count("train.nonfinite_step");
                 if let Some(s) = &snapshot {
-                    s.restore(model, &mut opt);
+                    s.restore(model);
                 }
                 if let Some(eng) = &mut engine {
                     eng.clear_replica_caches();

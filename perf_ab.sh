@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # A/B of this tree against a parent commit with `revbifpn-perf`, the way the
-# published sets under results/perf_pr14/ and results/perf_pr15/ were made.
+# published sets under results/perf_pr*/ were made.
 #
 #   ./perf_ab.sh <parent-rev> <scratch-dir> <out-dir> <traced-workload> [first-seed] [pairs] [workload...]
 #
@@ -13,7 +13,11 @@
 #
 # One process per workload and seed, `--seconds 10 --trace 0` as the driver
 # runs them, each binary from its own checkout; odd seeds run the parent
-# first, even seeds the change. Ends with the `compare` table and one traced
+# first, even seeds the change. The per-run files stay under
+# <scratch-dir>/runs/{parent,change}/s<seed>/, where `compare` reads them;
+# <out-dir> receives compare_parent_change.txt, parent.jsonl and change.jsonl
+# (one result object per line, seed then workload; EXPERIMENTS.md
+# "Performance" has the loop that unpacks them again) and traced/, one traced
 # run of <traced-workload> per side.
 set -euo pipefail
 
@@ -27,6 +31,8 @@ shift $(( $# < 6 ? $# : 6 ))
 WORKLOADS=("$@")
 [ ${#WORKLOADS[@]} -gt 0 ] || WORKLOADS=(infer_f32_b1 infer_int8_b1 train_rev_serial train_rev_shard2 serve_steady)
 REPO=$(cd "$(dirname "$0")" && pwd)
+RUNS="$SCRATCH/runs"
+rm -rf "$RUNS"
 
 if [ ! -d "$SCRATCH/parent" ]; then
     git clone --quiet --no-hardlinks "$REPO" "$SCRATCH/parent"
@@ -45,18 +51,25 @@ run() {
 for seed in $(seq "$FIRST" $((FIRST + PAIRS - 1))); do
     for w in "${WORKLOADS[@]}"; do
         if [ $((seed % 2)) -eq 1 ]; then
-            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$OUT/parent/s$seed"
-            run change "$REPO" "$seed" "$w" 0 "$OUT/change/s$seed"
+            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$RUNS/parent/s$seed"
+            run change "$REPO" "$seed" "$w" 0 "$RUNS/change/s$seed"
         else
-            run change "$REPO" "$seed" "$w" 0 "$OUT/change/s$seed"
-            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$OUT/parent/s$seed"
+            run change "$REPO" "$seed" "$w" 0 "$RUNS/change/s$seed"
+            run parent "$SCRATCH/parent" "$seed" "$w" 0 "$RUNS/parent/s$seed"
         fi
         echo "seed $seed $w done"
     done
 done
 
-"$SCRATCH/change-target/release/revbifpn-perf" compare "$OUT/parent" "$OUT/change" \
+"$SCRATCH/change-target/release/revbifpn-perf" compare "$RUNS/parent" "$RUNS/change" \
     | tee "$OUT/compare_parent_change.txt" || true
+for side in parent change; do
+    for seed in $(seq "$FIRST" $((FIRST + PAIRS - 1))); do
+        for w in "${WORKLOADS[@]}"; do
+            jq -c . "$RUNS/$side/s$seed/$w.json"
+        done
+    done > "$OUT/$side.jsonl"
+done
 
 run parent "$SCRATCH/parent" "$FIRST" "$TRACED" 1 "$OUT/traced/parent"
 run change "$REPO" "$FIRST" "$TRACED" 1 "$OUT/traced/change"

@@ -7,11 +7,12 @@
 
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::{SynthScale, SynthScaleConfig};
+use revbifpn_nn::checkpoint::load_blobs;
 use revbifpn_rev::{DriftPolicy, ReconFault};
 use revbifpn_tensor::Tensor;
 use revbifpn_train::{
     tear_file, train_classifier, train_classifier_with, CheckpointCfg, Fault, FaultPlan,
-    RunOptions, TrainConfig,
+    PipelineConfig, RunOptions, TrainConfig,
 };
 use std::path::PathBuf;
 
@@ -64,16 +65,81 @@ fn nan_gradient_step_is_skipped_and_run_recovers() {
     );
 }
 
+/// Runs `cfg` with one fault and per-step checkpoints; returns the history
+/// and every non-meta blob of the `ckpt_step`-th checkpoint: the parameters,
+/// BN buffers and SGD momentum the run held when it wrote it.
+fn run_checkpointed(
+    data: &SynthScale,
+    cfg: &TrainConfig,
+    fault: Fault,
+    ckpt_step: usize,
+    tag: &str,
+) -> (revbifpn_train::TrainHistory, Vec<(String, Vec<f32>)>) {
+    let mut ck = CheckpointCfg::new(tmp_dir(tag));
+    ck.every_steps = 1;
+    let (mut model, _) = setup();
+    let opts = RunOptions {
+        faults: FaultPlan::none().with(fault),
+        checkpoint: Some(ck.clone()),
+        auto_resume: false,
+    };
+    let h = train_classifier_with(&mut model, data, cfg, RunMode::TrainReversible, &opts);
+    let mut blobs = load_blobs(ck.dir.join(format!("ckpt_step_{ckpt_step:08}.ckpt"))).unwrap();
+    assert_eq!(blobs.remove(0).0, "meta");
+    std::fs::remove_dir_all(&ck.dir).unwrap();
+    (h, blobs)
+}
+
 #[test]
 fn persistent_nan_aborts_after_bounded_retries() {
-    let cfg = small_cfg();
-    let (mut model, data) = setup();
-    let faults = (0..6).fold(FaultPlan::none(), |p, s| p.with(Fault::NanGrad { step: s }));
-    let opts = RunOptions { faults, ..RunOptions::default() };
-    let h = train_classifier_with(&mut model, &data, &cfg, RunMode::TrainReversible, &opts);
-    assert!(h.aborted, "unrecoverable NaNs must abort, not loop forever");
-    // max_retries (3) consecutive trips tolerated, the 4th aborts.
-    assert_eq!(h.nonfinite_skips, u64::from(cfg.resilience.max_retries) + 1);
+    let engines = [
+        ("serial", small_cfg()),
+        ("shard2", TrainConfig { shards: 2, ..small_cfg() }),
+        ("pipe_p2m2", TrainConfig { pipeline: PipelineConfig::sync(2, 2), ..small_cfg() }),
+    ];
+    for (name, cfg) in engines {
+        let (mut model, data) = setup();
+        let faults = (0..6).fold(FaultPlan::none(), |p, s| p.with(Fault::NanGrad { step: s }));
+        let opts = RunOptions { faults, ..RunOptions::default() };
+        let h = train_classifier_with(&mut model, &data, &cfg, RunMode::TrainReversible, &opts);
+        assert!(h.aborted, "{name}: unrecoverable NaNs must abort, not loop forever");
+        // max_retries (3) consecutive trips tolerated, the 4th aborts.
+        assert_eq!(h.nonfinite_skips, u64::from(cfg.resilience.max_retries) + 1, "{name}");
+
+        // A tripped step leaves nothing behind: a run that trips at step K
+        // and gives up checkpoints, after its rollback, the state a clean
+        // run checkpoints after step K-1 — parameters, BN buffers and
+        // momentum, bit for bit.
+        const K: usize = 2;
+        let mut cfg = cfg;
+        cfg.resilience.max_retries = 0;
+        cfg.resilience.drift.policy = DriftPolicy::FallbackToCached;
+        let (h_clean, clean) =
+            run_checkpointed(&data, &cfg, Fault::Kill { step: K - 1 }, K, &format!("{name}_clean"));
+        assert!(h_clean.killed && h_clean.nonfinite_skips == 0, "{name}");
+        for section in ["param/", "buf/", "sgd/"] {
+            assert!(clean.iter().any(|(n, _)| n.starts_with(section)), "{name}: no {section} blob");
+        }
+        let trips = [
+            ("nan", Fault::NanGrad { step: K }),
+            (
+                "bitflip",
+                Fault::ActivationBitFlip {
+                    step: K,
+                    fault: ReconFault { stage: 0, stream: 0, index: 0, bit: 30 },
+                },
+            ),
+        ];
+        for (kind, fault) in trips {
+            let (h, tripped) =
+                run_checkpointed(&data, &cfg, fault, K + 1, &format!("{name}_{kind}"));
+            assert!(h.aborted && h.nonfinite_skips == 1, "{name}/{kind}: step {K} must trip once");
+            assert_eq!(tripped.len(), clean.len(), "{name}/{kind}");
+            for ((blob, got), (_, want)) in tripped.iter().zip(&clean) {
+                assert!(got == want, "{name}/{kind}: a tripped step moved {blob}");
+            }
+        }
+    }
 }
 
 #[test]
