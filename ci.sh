@@ -78,6 +78,11 @@ if git grep -nIE 'BENCH_[a-z_]+\.json|(freeze|quant|coldstart|serve_throughput|t
     echo "the lines above cite a bench that no longer exists: quote a revbifpn-perf metric instead" >&2
     exit 1
 fi
+if git grep -nIE 'dw_stencil|dw_s2_stencil5|window_dot' \
+    -- ':!ci.sh' ':!CHANGES.md' ':!CHANGELOG.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md'; then
+    echo "the lines above bring back a depthwise path beside the one plane kernel (dw_plane in conv.rs)" >&2
+    exit 1
+fi
 DIRTY="$(git status --porcelain -- results/)"
 if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2

@@ -292,27 +292,41 @@ impl FusedConv {
     ///
     /// Panics if the conv was not compiled.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_carry(x, None).0
+        self.forward_carry(x, Carry::default()).0
     }
 
-    /// Fused forward with activation-absmax carrying: `in_absmax` is `x`'s
-    /// exact absolute maximum if the producer already computed it (the int8
-    /// path folds the scan into each write-back); the returned absmax is
-    /// `Some` when this conv's kernel produced one for the next consumer.
-    /// The f32 path ignores and yields no carry.
+    /// Fused forward with the producer → consumer [`Carry`]: the int8 path
+    /// reads `x`'s absmax from it instead of scanning and hands on its
+    /// output's (the f32 path ignores and yields none); a depthwise conv of
+    /// either precision hands on its output's plane sums.
     ///
     /// # Panics
     ///
     /// Panics if the conv was not compiled.
-    pub fn forward_carry(&self, x: &Tensor, in_absmax: Option<f32>) -> (Tensor, Option<f32>) {
+    pub(crate) fn forward_carry(&self, x: &Tensor, carry: Carry) -> (Tensor, Carry) {
         if let Some(q) = &self.qplan {
-            let (y, m) = q.forward_quant(x, in_absmax);
-            (y, Some(m))
+            let (y, m, plane_sums) = q.forward_quant(x, carry.absmax);
+            (y, Carry { absmax: Some(m), plane_sums })
         } else {
             let plan = self.plan.as_ref().expect("FusedConv::forward before compile()");
-            (plan.forward(x), None)
+            let (y, plane_sums) = plan.try_forward_sums(x).unwrap_or_else(|e| panic!("{e}"));
+            (y, Carry { absmax: None, plane_sums })
         }
     }
+}
+
+/// What a fused kernel learned about its output while writing it, handed to
+/// the layer that consumes that output so it need not pass over it again.
+/// Layers that change values drop what no longer holds.
+#[derive(Debug, Default)]
+pub(crate) struct Carry {
+    /// The tensor's exact absolute maximum (int8 convs fold the scan into
+    /// their write-back; the next quantized conv takes its activation scale
+    /// from it).
+    absmax: Option<f32>,
+    /// Every plane's sum as `[n, c, 1, 1]` (depthwise convs finish it in
+    /// the kernel's registers; a squeeze-excite gate pools from it).
+    plane_sums: Option<Tensor>,
 }
 
 /// Standalone activation kinds, for positions where the activation cannot
@@ -519,36 +533,52 @@ impl FrozenLayer {
     ///
     /// Panics if the tree contains an uncompiled conv.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_carry(x, None).0
+        self.forward_carry(x, Carry::default()).0
     }
 
-    /// Fused forward with activation-absmax carrying (see
-    /// [`FusedConv::forward_carry`]): quantized convs fold their output's
-    /// absmax scan into the kernel write-back and hand it to the next
-    /// quantized consumer through value-preserving layers, so chained int8
-    /// layers never re-scan their inputs. Layers that change values (or
-    /// whose outputs' absmax is not exactly the input's) drop the carry.
+    /// Fused forward threading the producer → consumer [`Carry`]: quantized
+    /// convs fold their output's absmax scan into the kernel write-back and
+    /// hand it to the next quantized consumer through value-preserving
+    /// layers, so chained int8 layers never re-scan their inputs; a
+    /// depthwise conv hands its plane sums to a squeeze-excite gate that
+    /// directly follows it, which then skips its pooling pass. Layers that
+    /// change values drop the carry.
     ///
     /// # Panics
     ///
     /// Panics if the tree contains an uncompiled conv.
-    pub fn forward_carry(&self, x: &Tensor, in_absmax: Option<f32>) -> (Tensor, Option<f32>) {
+    pub(crate) fn forward_carry(&self, x: &Tensor, carry: Carry) -> (Tensor, Carry) {
         match self {
-            // Exact value-preserving rearrangements keep the carry alive.
-            FrozenLayer::Identity => (x.clone(), in_absmax),
-            FrozenLayer::SpaceToDepth { block } => (space_to_depth(x, *block), in_absmax),
-            FrozenLayer::Conv(fc) => fc.forward_carry(x, in_absmax),
+            // Exact value-preserving rearrangements keep what still holds.
+            FrozenLayer::Identity => (x.clone(), carry),
+            FrozenLayer::SpaceToDepth { block } => {
+                (space_to_depth(x, *block), Carry { plane_sums: None, ..carry })
+            }
+            FrozenLayer::Conv(fc) => fc.forward_carry(x, carry),
             FrozenLayer::Seq(children) => match children.split_first() {
-                None => (x.clone(), in_absmax),
+                None => (x.clone(), carry),
                 Some((first, rest)) => rest
                     .iter()
-                    .fold(first.forward_carry(x, in_absmax), |(cur, carry), c| c.forward_carry(&cur, carry)),
+                    .fold(first.forward_carry(x, carry), |(cur, carry), c| c.forward_carry(&cur, carry)),
             },
             FrozenLayer::Residual(inner) => {
-                let (b, _) = inner.forward_carry(x, in_absmax);
-                (&b + x, None)
+                let (b, _) = inner.forward_carry(x, carry);
+                (&b + x, Carry::default())
             }
-            other => (other.forward_uncarried(x), None),
+            FrozenLayer::SqueezeExcite { reduce, expand } => {
+                let xs = x.shape();
+                let pooled = match carry.plane_sums {
+                    Some(mut sums) => {
+                        debug_assert_eq!(sums.shape(), Shape::new(xs.n, xs.c, 1, 1));
+                        let hw = xs.hw() as f32;
+                        sums.map_inplace(|s| s / hw);
+                        sums
+                    }
+                    None => global_avg_pool(x),
+                };
+                (x.mul_planes(&expand.forward(&reduce.forward(&pooled))), Carry::default())
+            }
+            other => (other.forward_uncarried(x), Carry::default()),
         }
     }
 
@@ -559,6 +589,7 @@ impl FrozenLayer {
             | FrozenLayer::Conv(_)
             | FrozenLayer::Seq(_)
             | FrozenLayer::Residual(_)
+            | FrozenLayer::SqueezeExcite { .. }
             | FrozenLayer::SpaceToDepth { .. } => unreachable!("handled by forward_carry"),
             FrozenLayer::Affine { scale, bias } => {
                 let mut y = x.clone();
@@ -586,11 +617,6 @@ impl FrozenLayer {
             }
             FrozenLayer::Upsample { factor, mode } => upsample(x, *factor, *mode),
             FrozenLayer::GlobalAvgPool => global_avg_pool(x),
-            FrozenLayer::SqueezeExcite { reduce, expand } => {
-                let s = global_avg_pool(x);
-                let g = expand.forward(&reduce.forward(&s));
-                x.mul_planes(&g)
-            }
         }
     }
 }
@@ -669,6 +695,30 @@ mod tests {
         let got = frozen.forward(&x);
         let tol = 1e-5 * (1.0 + want.abs_max());
         assert!(got.max_abs_diff(&want) < tol, "diff {}", got.max_abs_diff(&want));
+    }
+
+    #[test]
+    fn squeeze_excite_pools_from_the_depthwise_carry() {
+        // Depthwise -> SE, f32 and int8: the gate must take the conv's plane
+        // sums (no pooling pass) and land where the pooled fallback does.
+        let mut rng = StdRng::seed_from_u64(11);
+        let seq = Sequential::new()
+            .push(Box::new(Conv2d::depthwise(8, 3, 1, &mut rng)))
+            .push(Box::new(HardSwish::new()))
+            .push(Box::new(SqueezeExcite::new(8, 0.25, &mut rng)));
+        let x = Tensor::randn(Shape::new(2, 8, 9, 7), 1.0, &mut rng);
+        for frozen in [freeze_layer(&seq).unwrap(), freeze_layer_int8(&seq).unwrap()] {
+            let FrozenLayer::Seq(children) = &frozen else { panic!("conv + gate stay two layers") };
+            let (mid, carry) = children[0].forward_carry(&x, Carry::default());
+            let sums = carry.plane_sums.expect("a depthwise conv carries its plane sums");
+            let (pooled, hw) = (global_avg_pool(&mid), mid.shape().hw() as f32);
+            for (s, p) in sums.data().iter().zip(pooled.data()) {
+                assert!((s / hw - p).abs() <= 1e-5 * (1.0 + p.abs()), "sum {s} vs mean {p}");
+            }
+            let (got, want) = (frozen.forward(&x), children[1].forward(&mid));
+            let tol = 1e-5 * (1.0 + want.abs_max());
+            assert!(got.max_abs_diff(&want) <= tol, "diff {}", got.max_abs_diff(&want));
+        }
     }
 
     #[test]
@@ -771,9 +821,10 @@ mod tests {
 
         // The carry path (scan folded into the producer's write-back) must
         // be bit-identical to forwards that re-scan at every layer.
-        let (carried, m) = int8.forward_carry(&x, Some(x.abs_max()));
+        let (carried, carry) =
+            int8.forward_carry(&x, Carry { absmax: Some(x.abs_max()), plane_sums: None });
         assert_eq!(carried, got);
-        assert_eq!(m.expect("quantized chain ends in a conv"), got.abs_max());
+        assert_eq!(carry.absmax.expect("quantized chain ends in a conv"), got.abs_max());
     }
 
     #[test]

@@ -182,19 +182,18 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, mode);
+        // The first child reads `x` itself; only an empty chain copies.
+        match self.layers.split_first_mut() {
+            None => x.clone(),
+            Some((first, rest)) => rest.iter_mut().fold(first.forward(x, mode), |cur, l| l.forward(&cur, mode)),
         }
-        cur
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut cur = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
+        match self.layers.split_last_mut() {
+            None => dy.clone(),
+            Some((last, rest)) => rest.iter_mut().rev().fold(last.backward(dy), |cur, l| l.backward(&cur)),
         }
-        cur
     }
 
     fn out_shape(&self, x: Shape) -> Shape {

@@ -26,13 +26,14 @@
 //!
 //! # One depthwise family
 //!
-//! Frozen plans and training share one depthwise kernel family over
-//! **zero-padded planes** (`pad_plane` copies a plane into a scratch image
-//! whose border stays zero, so every window is in-bounds and no kernel
-//! splits interior from border):
+//! Frozen plans and training share one depthwise kernel over **zero-padded
+//! plane images** ([`crate::dw_plane`]: register tile, column phases for
+//! strided kernels, epilogue and plane abs-max / sum in registers, AVX2 and a
+//! scalar twin with the same bits):
 //!
-//! - the forward is `depthwise_padded_plane` everywhere — training calls it
-//!   with the identity epilogue (`bias 0`, no activation, `scale 1`);
+//! - the forward is `depthwise_planes` everywhere — f32 plans, int8 plans
+//!   (which quantize on the way into the image) and training, which passes
+//!   the identity epilogue (`bias 0`, no activation, `scale 1`);
 //! - at stride 1 the input gradient **is that forward kernel**, run over
 //!   `dy` zero-padded by `k - 1 - p` with the taps flipped, and each tap's
 //!   weight gradient is one contiguous dot product of the padded `dy` and
@@ -42,10 +43,11 @@
 //!   walk pixel by pixel over a padded `x` and a padded `dx` accumulator
 //!   (`dw_grad_walk`), in the reference walk's order.
 //!
-//! Plane bodies are compiled twice, baseline and AVX2 (never `fma`), and
-//! give the same bits either way; small planes (6², 3²) go several to a
-//! parallel tile so one scratch borrow serves them all.
+//! The backward's plane body is compiled twice, baseline and AVX2 (never
+//! `fma`), and gives the same bits either way; small planes (6², 3²) go
+//! several to a parallel tile so one scratch borrow serves them all.
 
+use crate::dw_plane::{depthwise_padded_plane, pad_plane, DwCall, PlaneImage};
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
 use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, SyncPtr};
 use crate::qmatmul::{
@@ -427,6 +429,18 @@ impl ConvPlan {
     /// Returns an error if `x`'s channels disagree with the plan or the
     /// padded input is smaller than the kernel.
     pub fn try_forward(&self, x: &Tensor) -> Result<Tensor, ShapeError> {
+        self.try_forward_sums(x).map(|(y, _)| y)
+    }
+
+    /// [`ConvPlan::try_forward`] that also hands back what a depthwise plan
+    /// summed on the way: every output plane's sum, `[n, c, 1, 1]`, finished
+    /// in the kernel's registers (`None` from pointwise and general plans).
+    /// A squeeze-excite gate that follows reads its pooled input from it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvPlan::try_forward`].
+    pub fn try_forward_sums(&self, x: &Tensor) -> Result<(Tensor, Option<Tensor>), ShapeError> {
         let xs = x.shape();
         if xs.c != self.c_in {
             return Err(ShapeError::DimMismatch {
@@ -448,6 +462,7 @@ impl ConvPlan {
             });
         }
         let mut out = Tensor::zeros(self.out_shape(xs));
+        let mut sums = None;
         match &self.kind {
             PlanKind::Pointwise(pa) => {
                 let hw = xs.hw();
@@ -461,32 +476,17 @@ impl ConvPlan {
                 });
             }
             PlanKind::Depthwise { weight } => {
-                let os = out.shape();
-                let (oh, ow) = (os.h, os.w);
-                let ohw = oh * ow;
-                let hw = xs.hw();
                 let ksz = self.spec.kh * self.spec.kw;
-                let spec = self.spec;
-                let xdata = x.data();
-                let bias = &self.bias;
-                let act = self.act;
-                let avx2 = cpu_has_avx2();
-                let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
-                let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
-                parallel_tiles(xs.n * xs.c, |tile| {
-                    let c = tile % xs.c;
-                    // One copy into a zero-padded image buys a plane kernel
-                    // with every window in-bounds: no interior/border split,
-                    // no per-pixel bounds checks.
-                    let mut xpad = scratch::take(ph2 * pw2);
-                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |src, dst| {
-                        dst.copy_from_slice(src)
-                    });
-                    // SAFETY: tile exclusively owns output plane (n, c).
-                    let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-                    let kern = &weight[c * ksz..(c + 1) * ksz];
-                    depthwise_padded_plane(&xpad, kern, &spec, pw2, oh, ow, bias[c], act, 1.0, avx2, yplane);
-                });
+                let (plane_sums, _) = depthwise_planes(
+                    x,
+                    &self.spec,
+                    cpu_has_avx2(),
+                    &mut out,
+                    None,
+                    |c, kern| kern.copy_from_slice(&weight[c * ksz..(c + 1) * ksz]),
+                    |c| (1.0, self.bias[c], self.act),
+                );
+                sums = Some(plane_sums);
             }
             PlanKind::General { groups } => {
                 let os = out.shape();
@@ -512,7 +512,7 @@ impl ConvPlan {
                 });
             }
         }
-        Ok(out)
+        Ok((out, sums))
     }
 }
 
@@ -690,13 +690,14 @@ impl QuantConvPlan {
 
     /// Quantized fused forward. `in_absmax` is the input's absolute maximum
     /// if the producing layer already folded the scan into its write-back
-    /// (`None` scans here). Returns the output and *its* absmax.
+    /// (`None` scans here). Returns the output, *its* absmax and, from a
+    /// depthwise plan, its plane sums (see [`ConvPlan::try_forward_sums`]).
     ///
     /// # Panics
     ///
     /// Panics on input-shape violations; see
     /// [`QuantConvPlan::try_forward_quant`].
-    pub fn forward_quant(&self, x: &Tensor, in_absmax: Option<f32>) -> (Tensor, f32) {
+    pub fn forward_quant(&self, x: &Tensor, in_absmax: Option<f32>) -> (Tensor, f32, Option<Tensor>) {
         self.try_forward_quant(x, in_absmax).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -710,7 +711,7 @@ impl QuantConvPlan {
         &self,
         x: &Tensor,
         in_absmax: Option<f32>,
-    ) -> Result<(Tensor, f32), ShapeError> {
+    ) -> Result<(Tensor, f32, Option<Tensor>), ShapeError> {
         let xs = x.shape();
         if xs.c != self.c_in {
             return Err(ShapeError::DimMismatch {
@@ -737,6 +738,7 @@ impl QuantConvPlan {
         // Non-negative f32 max over u32 bit patterns is monotone: fetch_max
         // on the bits merges per-sample/per-plane maxima deterministically.
         let omax = AtomicU32::new(0);
+        let mut sums = None;
         match &self.kind {
             QuantPlanKind::Pointwise(pa) => {
                 let hw = xs.hw();
@@ -753,46 +755,26 @@ impl QuantConvPlan {
                 });
             }
             QuantPlanKind::Depthwise { qweight, scales } => {
-                let os = out.shape();
-                let (oh, ow) = (os.h, os.w);
-                let ohw = oh * ow;
-                let hw = xs.hw();
                 let ksz = self.spec.kh * self.spec.kw;
-                let spec = self.spec;
-                let xdata = x.data();
-                let bias = &self.bias;
-                let act = self.act;
-                let inv = 1.0 / a_scale;
-                let avx2 = int8_use_avx2();
-                // Quantization copies the plane anyway, so it writes into
-                // the same zero-padded image the f32 plan uses (zero is
-                // exactly representable in the quantized domain).
-                let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
-                let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
-                parallel_tiles(xs.n * xs.c, |tile| {
-                    let c = tile % xs.c;
-                    // Quantized taps and activations as integer-valued f32:
-                    // every per-tap product (<= 63 * 127) and partial sum
-                    // stays far below 2^24, so the f32 accumulation in the
-                    // plane kernel is *exact* integer arithmetic — results
-                    // are bitwise deterministic for any summation order or
-                    // vector width, like the i32 GEMM path.
-                    let mut buf = scratch::take(ksz + ph2 * pw2);
-                    let (kern, xq) = buf.split_at_mut(ksz);
-                    for (d, &q) in kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]) {
-                        *d = q as f32;
-                    }
-                    pad_plane(&xdata[tile * hw..(tile + 1) * hw], xs.w, spec.ph, spec.pw, pw2, xq, |src, dst| {
-                        crate::qmatmul::quantize_centered_f32(src, inv, dst)
-                    });
-                    // SAFETY: tile exclusively owns output plane (n, c).
-                    let yplane =
-                        unsafe { std::slice::from_raw_parts_mut(yptr.get().add(tile * ohw), ohw) };
-                    let scale = a_scale * scales[c];
-                    depthwise_padded_plane(xq, kern, &spec, pw2, oh, ow, bias[c], act, scale, avx2, yplane);
-                    let m = crate::qmatmul::abs_max_slice(yplane);
-                    omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                });
+                // Quantized taps and activations as integer-valued f32:
+                // every per-tap product (<= 63 * 127) and partial sum stays
+                // far below 2^24, so the f32 accumulation in the plane
+                // kernel is *exact* integer arithmetic — results are bitwise
+                // deterministic for any summation order or vector width,
+                // like the i32 GEMM path. Quantization copies the plane
+                // anyway, so it writes the zero-padded image directly (zero
+                // is exactly representable in the quantized domain).
+                let (plane_sums, m) = depthwise_planes(
+                    x,
+                    &self.spec,
+                    int8_use_avx2(),
+                    &mut out,
+                    Some(1.0 / a_scale),
+                    |c, kern| kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]).for_each(|(d, &q)| *d = q as f32),
+                    |c| (a_scale * scales[c], self.bias[c], self.act),
+                );
+                omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
+                sums = Some(plane_sums);
             }
             QuantPlanKind::General { groups } => {
                 let os = out.shape();
@@ -821,7 +803,7 @@ impl QuantConvPlan {
                 });
             }
         }
-        Ok((out, f32::from_bits(omax.load(std::sync::atomic::Ordering::Relaxed))))
+        Ok((out, f32::from_bits(omax.load(std::sync::atomic::Ordering::Relaxed)), sums))
     }
 }
 
@@ -927,329 +909,73 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Op
 
 // ---------------------------------------------------------------- depthwise
 
-/// Copies one plane of row width `w` into the zeroed image `xpad` of row
-/// stride `stride`, its first element at row `ph`, column `pw`, one row at a
-/// time through `row` (a plain copy for f32, the quantizer for int8 plans).
-fn pad_plane(
-    plane: &[f32],
-    w: usize,
-    ph: usize,
-    pw: usize,
-    stride: usize,
-    xpad: &mut [f32],
-    row: impl Fn(&[f32], &mut [f32]),
-) {
-    for (iy, src) in plane.chunks_exact(w).enumerate() {
-        let at = (iy + ph) * stride + pw;
-        row(src, &mut xpad[at..at + w]);
-    }
-}
-
-/// One frozen depthwise output plane over a **zero-padded** input plane of
-/// row stride `pw2` (see [`pad_plane`]): every kernel window is in-bounds, so
-/// there is no interior/border split and no per-pixel bounds checks. This is
-/// the one depthwise kernel of both frozen plans; the epilogue is
-/// `act(acc * scale + bias)` per element, where f32 plans pass `scale = 1.0`
-/// (a bitwise identity) and int8 plans their dequantization scale.
-///
-/// The body is compiled twice (baseline and AVX2, see
-/// [`depthwise_padded_plane`]) and both compilations give the same bits on
-/// any input: the vectorized loops run over output columns, never across an
-/// accumulation. The specialised stencils do order the taps differently from
-/// the generic paths; for int8 plans that is invisible too (inputs and taps
-/// are integer-valued f32 whose products and sums stay far below 2^24, hence
-/// exact), for f32 plans it is a last-bit rounding difference.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn depthwise_padded_plane_body(
-    xpad: &[f32],
-    kern: &[f32],
+/// Runs [`depthwise_padded_plane`] over every `(sample, channel)` plane of
+/// `x` into `out` — the one driver of frozen f32 plans, int8 plans and the
+/// training forward. `quant` is [`pad_plane`]'s (int8 plans quantize on the
+/// way into the image), `taps` writes a channel's taps as f32, `epilogue`
+/// gives a channel's `(scale, bias, act)`. Returns the output's plane sums as
+/// `[n, c, 1, 1]` and its absolute maximum, both finished in the kernel's
+/// registers.
+fn depthwise_planes(
+    x: &Tensor,
     spec: &ConvSpec,
-    pw2: usize,
-    oh: usize,
-    ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
-    yplane: &mut [f32],
-) {
-    let (kh, kw) = (spec.kh, spec.kw);
-    let (sh, sw) = (spec.sh, spec.sw);
-    if kh == 5 && kw == 5 && sh == 2 && sw == 2 {
-        dw_s2_stencil5(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
-    } else if sh == 1 && sw == 1 && kh == 3 && kw == 3 {
-        dw_stencil::<3>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
-    } else if sh == 1 && sw == 1 && kh == 5 && kw == 5 {
-        dw_stencil::<5>(xpad, kern, pw2, oh, ow, bias, act, scale, yplane);
-    } else if sh == 1 && sw == 1 {
-        // Stride 1, other kernel sizes: whole-row segments per tap —
-        // contiguous loads the compiler vectorizes at the enabled feature
-        // width.
-        for oy in 0..oh {
-            let yrow = &mut yplane[oy * ow..(oy + 1) * ow];
-            yrow.fill(0.0);
-            for ky in 0..kh {
-                let xrow = &xpad[(oy + ky) * pw2..(oy + ky) * pw2 + pw2];
-                for (kx, &kv) in kern[ky * kw..(ky + 1) * kw].iter().enumerate() {
-                    for (d, s) in yrow.iter_mut().zip(&xrow[kx..kx + ow]) {
-                        *d += kv * *s;
-                    }
-                }
-            }
-            for v in yrow.iter_mut() {
-                *v = act.apply(*v * scale + bias);
-            }
-        }
-    } else {
-        // Strided (silo downsamples: 5x5/s2, 9x9/s4, 17x17/s8): windows of
-        // neighboring outputs overlap little or not at all, so each output
-        // is one dot product over its contiguous-per-row window.
-        for oy in 0..oh {
-            let iy0 = oy * sh;
-            let yrow = &mut yplane[oy * ow..(oy + 1) * ow];
-            for (ox, y) in yrow.iter_mut().enumerate() {
-                let acc = window_dot(xpad, iy0 * pw2 + ox * sw, pw2, kh, kw, kern);
-                *y = act.apply(acc * scale + bias);
-            }
-        }
-    }
-}
-
-/// Dot product of a `kh x kw` window (rows strided by `pw2` in `xpad`,
-/// taps contiguous in `kern`) — the strided depthwise inner loop. Row
-/// segments reduce 4-wide (explicit SSE2, so both compilations of the plane
-/// body run the same instructions) with a single horizontal sum at the end.
-#[inline(always)]
-fn window_dot(xpad: &[f32], base: usize, pw2: usize, kh: usize, kw: usize, kern: &[f32]) -> f32 {
-    debug_assert!(base + (kh - 1) * pw2 + kw <= xpad.len() && kern.len() >= kh * kw);
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is baseline on x86_64; the debug assert states the
-    // in-bounds contract the callers' padded-plane geometry guarantees.
-    unsafe {
-        use std::arch::x86_64::*;
-        let mut accv = _mm_setzero_ps();
-        let mut acc = 0.0f32;
-        for ky in 0..kh {
-            let xr = xpad.as_ptr().add(base + ky * pw2);
-            let kr = kern.as_ptr().add(ky * kw);
-            let mut kx = 0;
-            while kx + 4 <= kw {
-                accv = _mm_add_ps(
-                    accv,
-                    _mm_mul_ps(_mm_loadu_ps(xr.add(kx)), _mm_loadu_ps(kr.add(kx))),
-                );
-                kx += 4;
-            }
-            while kx < kw {
-                acc += *xr.add(kx) * *kr.add(kx);
-                kx += 1;
-            }
-        }
-        let s2 = _mm_add_ps(accv, _mm_movehl_ps(accv, accv));
-        let s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
-        acc + _mm_cvtss_f32(s1)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let mut acc = 0.0f32;
-        for ky in 0..kh {
-            for kx in 0..kw {
-                acc += xpad[base + ky * pw2 + kx] * kern[ky * kw + kx];
-            }
-        }
-        acc
-    }
-}
-
-/// `K x K` stride-1 stencil over a zero-padded plane: all `K*K` taps
-/// accumulate in registers per output vector (one store per output instead
-/// of a read-modify-write pass per tap). The output-column loop
-/// auto-vectorizes; the tap loops fully unroll (`K` is const). Per output
-/// the taps still add in `ky`-outer, `kx`-inner order.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn dw_stencil<const K: usize>(
-    xpad: &[f32],
-    kern: &[f32],
-    pw2: usize,
-    oh: usize,
-    ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
-    yplane: &mut [f32],
-) {
-    let kl: [[f32; K]; K] = std::array::from_fn(|ky| std::array::from_fn(|kx| kern[ky * K + kx]));
-    for oy in 0..oh {
-        let yrow = &mut yplane[oy * ow..(oy + 1) * ow];
-        let rows: [&[f32]; K] =
-            std::array::from_fn(|ky| &xpad[(oy + ky) * pw2..(oy + ky) * pw2 + ow + K - 1]);
-        for (j, y) in yrow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (krow, xrow) in kl.iter().zip(&rows) {
-                for (kx, kv) in krow.iter().enumerate() {
-                    acc += xrow[j + kx] * kv;
-                }
-            }
-            *y = acc * scale + bias;
-        }
-        for y in yrow.iter_mut() {
-            *y = act.apply(*y);
-        }
-    }
-}
-
-/// 5x5 stride-2 depthwise (the one-hop silo downsample) as a contiguous
-/// stencil: each padded input row is deinterleaved once into even/odd column
-/// halves, after which output column `j` reads `x[2j + kx]` as
-/// `even[j + kx/2]` / `odd[j + (kx-1)/2]` — contiguous loads the
-/// output-column loop vectorizes, instead of a strided per-pixel window dot.
-/// Unwritten tail cells of the half-rows are never read (tap reach stays
-/// inside the deinterleaved image). Each row adds its even taps before its
-/// odd ones.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn dw_s2_stencil5(
-    xpad: &[f32],
-    kern: &[f32],
-    pw2: usize,
-    oh: usize,
-    ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
-    yplane: &mut [f32],
-) {
-    let rows = (oh - 1) * 2 + 5;
-    let hw2 = pw2.div_ceil(2);
-    let mut buf = scratch::take(2 * rows * hw2);
-    {
-        let (ehalf, ohalf) = buf.split_at_mut(rows * hw2);
-        for r in 0..rows {
-            let src = &xpad[r * pw2..r * pw2 + pw2];
-            let er = &mut ehalf[r * hw2..r * hw2 + hw2];
-            let or = &mut ohalf[r * hw2..r * hw2 + hw2];
-            for j in 0..pw2 / 2 {
-                er[j] = src[2 * j];
-                or[j] = src[2 * j + 1];
-            }
-            if pw2 % 2 == 1 {
-                er[pw2 / 2] = src[pw2 - 1];
-            }
-        }
-    }
-    let (ehalf, ohalf) = buf.split_at(rows * hw2);
-    let ke: [[f32; 3]; 5] = std::array::from_fn(|ky| std::array::from_fn(|m| kern[ky * 5 + 2 * m]));
-    let ko: [[f32; 2]; 5] =
-        std::array::from_fn(|ky| std::array::from_fn(|m| kern[ky * 5 + 2 * m + 1]));
-    for oy in 0..oh {
-        let yrow = &mut yplane[oy * ow..(oy + 1) * ow];
-        let base = oy * 2;
-        let erows: [&[f32]; 5] =
-            std::array::from_fn(|ky| &ehalf[(base + ky) * hw2..(base + ky) * hw2 + hw2]);
-        let orows: [&[f32]; 5] =
-            std::array::from_fn(|ky| &ohalf[(base + ky) * hw2..(base + ky) * hw2 + hw2]);
-        for (j, y) in yrow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for ((krow, xrow), (korow, xorow)) in
-                ke.iter().zip(&erows).zip(ko.iter().zip(&orows))
-            {
-                for (m, kv) in krow.iter().enumerate() {
-                    acc += xrow[j + m] * kv;
-                }
-                for (m, kv) in korow.iter().enumerate() {
-                    acc += xorow[j + m] * kv;
-                }
-            }
-            *y = acc * scale + bias;
-        }
-        for y in yrow.iter_mut() {
-            *y = act.apply(*y);
-        }
-    }
-}
-
-/// [`depthwise_padded_plane_body`] recompiled with AVX2 enabled (8-wide
-/// row segments instead of baseline 4-wide). `fma` is deliberately *not*
-/// enabled: a fused `v * scale + bias` epilogue would round differently from
-/// the baseline build.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn depthwise_padded_plane_avx2(
-    xpad: &[f32],
-    kern: &[f32],
-    spec: &ConvSpec,
-    pw2: usize,
-    oh: usize,
-    ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
-    yplane: &mut [f32],
-) {
-    depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
-}
-
-/// Runs the padded-plane body, AVX2-compiled when `avx2` is set. Callers
-/// pass [`cpu_has_avx2`] (f32 plans) or [`int8_use_avx2`] (int8 plans, which
-/// also honour the forced-scalar switch); the choice never changes a bit.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn depthwise_padded_plane(
-    xpad: &[f32],
-    kern: &[f32],
-    spec: &ConvSpec,
-    pw2: usize,
-    oh: usize,
-    ow: usize,
-    bias: f32,
-    act: EpilogueAct,
-    scale: f32,
     avx2: bool,
-    yplane: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        debug_assert!(cpu_has_avx2());
-        // SAFETY: both sources of `avx2` include the CPU feature check.
-        unsafe {
-            depthwise_padded_plane_avx2(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane)
-        };
-        return;
-    }
-    depthwise_padded_plane_body(xpad, kern, spec, pw2, oh, ow, bias, act, scale, yplane);
-}
-
-/// The training depthwise forward: the frozen plans' padded-plane kernel
-/// with the identity epilogue (`bias 0`, no activation, `scale 1`).
-fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
-    let xs = x.shape();
-    let os = out.shape();
+    out: &mut Tensor,
+    quant: Option<f32>,
+    taps: impl Fn(usize, &mut [f32]) + Sync,
+    epilogue: impl Fn(usize) -> (f32, f32, EpilogueAct) + Sync,
+) -> (Tensor, f32) {
+    let (xs, os) = (x.shape(), out.shape());
     let (hw, ohw) = (xs.hw(), os.hw());
     let ksz = spec.kh * spec.kw;
-    let (xdata, wdata) = (x.data(), w.data());
-    let avx2 = cpu_has_avx2();
-    let (ph2, pw2) = (xs.h + 2 * spec.ph, xs.w + 2 * spec.pw);
-    let yptr = SyncPtr::new(out.data_mut().as_mut_ptr());
-    parallel_plane_groups(xs.n * xs.c, ph2 * pw2, |group| {
-        // One padded image per tile (small planes go several to a tile):
-        // every plane overwrites the interior and the zero border stays.
-        let mut xpad = scratch::take(ph2 * pw2);
+    let xdata = x.data();
+    let lay = PlaneImage::new(xs.h, xs.w, spec);
+    let floats = lay.floats(xs.w);
+    let mut sums = Tensor::zeros(Shape::new(xs.n, xs.c, 1, 1));
+    // Non-negative f32 max over u32 bit patterns is monotone: fetch_max on
+    // the bits merges the planes' maxima deterministically.
+    let omax = AtomicU32::new(0);
+    let (yptr, sptr) = (SyncPtr::new(out.data_mut().as_mut_ptr()), SyncPtr::new(sums.data_mut().as_mut_ptr()));
+    parallel_plane_groups(xs.n * xs.c, floats, |group| {
+        // One copy into a zero-padded image buys a plane kernel with every
+        // window in-bounds. Small planes go several to a tile and share its
+        // image: each overwrites the interior, the zero border stays.
+        let mut buf = scratch::take(ksz + floats);
+        let (kern, img) = buf.split_at_mut(ksz);
+        let mut group_max = 0.0f32;
         for p in group {
-            pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |src, dst| {
-                dst.copy_from_slice(src)
-            });
-            // SAFETY: output plane `p` belongs to exactly one tile.
-            let yplane = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(p * ohw), ohw) };
-            let kern = &wdata[(p % xs.c) * ksz..(p % xs.c + 1) * ksz];
-            depthwise_padded_plane(&xpad, kern, spec, pw2, os.h, os.w, 0.0, EpilogueAct::None, 1.0, avx2, yplane);
+            let c = p % xs.c;
+            taps(c, kern);
+            pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, lay, img, quant);
+            // SAFETY: plane `p` belongs to exactly one tile, which owns its
+            // output plane and its slot of `sums`.
+            let (yplane, sum) =
+                unsafe { (std::slice::from_raw_parts_mut(yptr.get().add(p * ohw), ohw), &mut *sptr.get().add(p)) };
+            let (scale, bias, act) = epilogue(c);
+            let call = DwCall { lay, oh: os.h, ow: os.w, scale, bias, act };
+            let (m, s) = depthwise_padded_plane(img, kern, spec, &call, avx2, yplane);
+            *sum = s;
+            group_max = group_max.max(m);
         }
+        omax.fetch_max(group_max.to_bits(), std::sync::atomic::Ordering::Relaxed);
     });
+    (sums, f32::from_bits(omax.load(std::sync::atomic::Ordering::Relaxed)))
+}
+
+/// The training depthwise forward: the frozen plans' kernel and driver with
+/// the identity epilogue (`scale 1`, `bias 0`, no activation).
+fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
+    let ksz = spec.kh * spec.kw;
+    let wdata = w.data();
+    depthwise_planes(
+        x,
+        spec,
+        cpu_has_avx2(),
+        out,
+        None,
+        |c, kern| kern.copy_from_slice(&wdata[c * ksz..(c + 1) * ksz]),
+        |_| (1.0, 0.0, EpilogueAct::None),
+    );
 }
 
 /// Scratch geometry of one depthwise-backward plane: the row stride both
@@ -1368,7 +1094,7 @@ fn dw_grad_walk(
 /// Both gradients of one `(sample, channel)` plane. `work` is the tile's
 /// scratch, laid out by [`DwBackwardGeometry`]; the padding of its images
 /// must be zero on entry and is zero again on return. `avx2` says which
-/// compilation of the forward kernel computes `dx`.
+/// twin of the forward kernel computes `dx`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn depthwise_backward_plane_body(
@@ -1387,11 +1113,14 @@ fn depthwise_backward_plane_body(
     let stride = geo.stride;
     let (xpad, rest) = work.split_at_mut(geo.x_len);
     let (aux, taps) = rest.split_at_mut(geo.aux_len);
-    pad_plane(xplane, xs.w, spec.ph, spec.pw, stride, xpad, |src, dst| dst.copy_from_slice(src));
+    // Both images are single-phase, whatever the stride: only the stride-1
+    // path runs the phase-reading forward kernel.
+    let lay = PlaneImage::single_phase(stride);
+    pad_plane(xplane, xs.w, spec.ph, spec.pw, lay, xpad, None);
     if geo.stencil {
         let (kflip, lanes) = taps.split_at_mut(kern.len());
         let (qh, qw) = (spec.kh - 1 - spec.ph, spec.kw - 1 - spec.pw);
-        pad_plane(dyplane, os.w, qh, qw, stride, aux, |src, dst| dst.copy_from_slice(src));
+        pad_plane(dyplane, os.w, qh, qw, lay, aux, None);
         // dw[ky][kx] = Σ dy[oy][ox] · xpad[oy + ky][ox + kx]: with both
         // images at one row stride that is a single dot product per tap
         // (the gaps between `dy`'s rows are zero).
@@ -1404,12 +1133,10 @@ fn depthwise_backward_plane_body(
         sum_tap_lanes(lanes, dkern);
         if let Some(dxplane) = dxplane {
             // dx = dy ⋆ flip(w): per element the taps add in the reference
-            // walk's order (the last output pixel's tap first). A call of
-            // the forward's own two compilations, not a third and fourth
-            // inlined copy: with those, LLVM stopped inlining the stencils'
-            // row-array setup and the frozen depthwise lost 5-18 %.
+            // walk's order (the last output pixel's tap first).
             kflip.iter_mut().zip(kern.iter().rev()).for_each(|(f, &k)| *f = k);
-            depthwise_padded_plane(aux, kflip, spec, stride, xs.h, xs.w, 0.0, EpilogueAct::None, 1.0, avx2, dxplane);
+            let call = DwCall { lay, oh: xs.h, ow: xs.w, scale: 1.0, bias: 0.0, act: EpilogueAct::None };
+            depthwise_padded_plane(aux, kflip, spec, &call, avx2, dxplane);
         }
     } else {
         let dx = dxplane.is_some().then_some((kern, &mut *aux));
@@ -1425,7 +1152,7 @@ fn depthwise_backward_plane_body(
 }
 
 /// [`depthwise_backward_plane_body`] recompiled with AVX2 enabled, without
-/// `fma`, like [`depthwise_padded_plane_avx2`]: the same bits, wider loops.
+/// `fma`, like the forward kernel's AVX2 twin: the same bits, wider loops.
 ///
 /// # Safety
 ///
@@ -1910,7 +1637,7 @@ mod tests {
                 let plan = QuantConvPlan::new(&w, bias.clone(), spec, act);
                 assert!(plan.packed_bytes() > 0);
                 assert_eq!((plan.c_out(), plan.c_in()), (ws.n, xs.c));
-                let (got, omax) = plan.forward_quant(&x, None);
+                let (got, omax, _) = plan.forward_quant(&x, None);
                 let want = fused_ref(&x, &w, &bias, &spec, act);
                 assert_eq!(got.shape(), want.shape());
                 assert_eq!(omax, got.abs_max(), "folded absmax must be the true output absmax");
@@ -1943,14 +1670,14 @@ mod tests {
         let x = Tensor::randn(Shape::new(2, 8, 12, 12), 1.0, &mut rng);
         let w = Tensor::randn(Shape::new(16, 8, 3, 3), 0.4, &mut rng);
         let plan = QuantConvPlan::new(&w, vec![0.05; 16], ConvSpec::kxk(3, 1), EpilogueAct::HardSwish);
-        let (first, m0) = plan.forward_quant(&x, None);
+        let (first, m0, _) = plan.forward_quant(&x, None);
         for _ in 0..3 {
-            let (y, m) = plan.forward_quant(&x, None);
+            let (y, m, _) = plan.forward_quant(&x, None);
             assert_eq!(y, first, "quant forwards must be bitwise stable");
             assert_eq!(m.to_bits(), m0.to_bits());
         }
         // A producer-carried absmax equal to the scan's must be bit-identical.
-        let (carried, mc) = plan.forward_quant(&x, Some(x.abs_max()));
+        let (carried, mc, _) = plan.forward_quant(&x, Some(x.abs_max()));
         assert_eq!(carried, first);
         assert_eq!(mc.to_bits(), m0.to_bits());
     }
@@ -2122,10 +1849,14 @@ mod tests {
         assert!(g.dx.is_none());
     }
 
-    /// Differential check of the frozen f32 depthwise (one padded-plane
-    /// family for every geometry) against the naive reference kernel, at
-    /// 1e-5 relative; on the way, the AVX2 and baseline compilations of the
-    /// plane body must agree bit for bit on the first plane.
+    /// Differential check of the frozen f32 depthwise against the naive
+    /// reference kernel, `==` on every element (the reference skips
+    /// out-of-bounds taps where the kernel adds `0 * k`; `==` treats ±0
+    /// alike), and of the plan's plane sums against a plain fold. On the
+    /// way, on the first plane: the AVX2 and the scalar twin agree bit for
+    /// bit — outputs, abs-max and sum — on f32 inputs and on the
+    /// integer-valued inputs, taps and scale of an int8 plan, and the
+    /// abs-max is the plain fold's.
     fn check_depthwise_plan(xs: Shape, spec: ConvSpec, act: EpilogueAct, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = Tensor::randn(xs, 1.0, &mut rng);
@@ -2134,55 +1865,73 @@ mod tests {
         let ksz = spec.kh * spec.kw;
         let what = format!("{xs} k{}x{} s{} p{},{} {act:?}", spec.kh, spec.kw, spec.sh, spec.ph, spec.pw);
 
-        let got = ConvPlan::new(&w, bias.clone(), spec, act).forward(&x);
+        let (got, sums) = ConvPlan::new(&w, bias.clone(), spec, act).try_forward_sums(&x).unwrap();
+        // One channel is one group: that plan takes the im2col path, which
+        // sums in the GEMM's order and is held to 1e-5 relative instead.
+        assert_eq!(sums.is_some(), xs.c > 1, "{what}: depthwise plans sum their planes");
+        let tol = if xs.c > 1 { 0.0 } else { 1e-5 * (1.0 + got.abs_max()) };
         let os = got.shape();
-        let mut want = Tensor::zeros(os);
-        for (tile, yplane) in want.data_mut().chunks_exact_mut(os.hw()).enumerate() {
-            let c = tile % xs.c;
-            let xplane = &x.data()[tile * xs.hw()..(tile + 1) * xs.hw()];
-            depthwise_plane_forward(xplane, &w.data()[c * ksz..(c + 1) * ksz], &spec, xs, os.h, os.w, yplane);
-            yplane.iter_mut().for_each(|v| *v = act.apply(*v + bias[c]));
+        let mut want = vec![0.0f32; os.hw()];
+        for (p, yplane) in got.data().chunks_exact(os.hw()).enumerate() {
+            let c = p % xs.c;
+            let xplane = &x.data()[p * xs.hw()..(p + 1) * xs.hw()];
+            depthwise_plane_forward(xplane, &w.data()[c * ksz..(c + 1) * ksz], &spec, xs, os.h, os.w, &mut want);
+            for (i, (g, v)) in yplane.iter().zip(&want).enumerate() {
+                let v = act.apply(*v + bias[c]);
+                assert!((*g - v).abs() <= tol, "{what}: plane {p} idx {i}: {g} != {v}");
+            }
+            let (fold, mass) = yplane.iter().fold((0.0f32, 0.0f32), |(s, m), v| (s + v, m + v.abs()));
+            if let Some(sum) = sums.as_ref().map(|s| s.data()[p]) {
+                assert!((sum - fold).abs() <= 1e-5 * (1.0 + mass), "{what}: plane {p} sum {sum} vs {fold}");
+            }
         }
-        let tol = 1e-5 * (1.0 + want.abs_max());
-        assert!(got.max_abs_diff(&want) <= tol, "{what}: diff {} > {tol}", got.max_abs_diff(&want));
 
         #[cfg(target_arch = "x86_64")]
         if cpu_has_avx2() {
-            let pw2 = xs.w + 2 * spec.pw;
-            let mut xpad = vec![0.0f32; (xs.h + 2 * spec.ph) * pw2];
-            pad_plane(&x.data()[..xs.hw()], xs.w, spec.ph, spec.pw, pw2, &mut xpad, |s, d| d.copy_from_slice(s));
-            let (mut base, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
-            let kern = &w.data()[..ksz];
-            depthwise_padded_plane_body(&xpad, kern, &spec, pw2, os.h, os.w, bias[0], act, 1.0, &mut base);
-            // SAFETY: AVX2 presence checked just above.
-            unsafe {
-                depthwise_padded_plane_avx2(&xpad, kern, &spec, pw2, os.h, os.w, bias[0], act, 1.0, &mut wide)
-            };
-            for (i, (a, b)) in base.iter().zip(&wide).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{what}: avx2 != baseline at {i}");
+            let lay = PlaneImage::new(xs.h, xs.w, &spec);
+            let inv = 63.0 / x.abs_max().max(1e-6);
+            for int8 in [false, true] {
+                let mut img = vec![0.0f32; lay.floats(xs.w)];
+                pad_plane(&x.data()[..xs.hw()], xs.w, spec.ph, spec.pw, lay, &mut img, int8.then_some(inv));
+                let kern: Vec<f32> = w.data()[..ksz].iter().map(|k| if int8 { (k * 40.0).round() } else { *k }).collect();
+                let call = DwCall { lay, oh: os.h, ow: os.w, scale: if int8 { 0.0137 } else { 1.0 }, bias: bias[0], act };
+                let (mut scalar, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
+                let stats_scalar = depthwise_padded_plane(&img, &kern, &spec, &call, false, &mut scalar);
+                let stats_wide = depthwise_padded_plane(&img, &kern, &spec, &call, true, &mut wide);
+                assert_same_bits(&scalar, &wide, &format!("{what} int8 {int8}: avx2 vs scalar twin"));
+                assert_same_bits(&[stats_scalar.0, stats_scalar.1], &[stats_wide.0, stats_wide.1], &format!("{what}: twin stats"));
+                assert_eq!(stats_wide.0, scalar.iter().fold(0.0f32, |m, v| m.max(v.abs())), "{what}: abs-max vs fold");
             }
         }
     }
 
     #[test]
     fn frozen_depthwise_matches_reference_on_edge_shapes() {
-        // The shapes the stencils were not written for: planes smaller than
-        // the kernel (the 17x17/s8 silo hop lands on 7x7 at S0's last
-        // stream), single pixels, odd extents under every silo stride,
-        // asymmetric and absent padding.
+        // Planes smaller than the kernel (the 17x17/s8 silo hop lands on
+        // 7x7 at S0's last stream), single pixels, odd extents under every
+        // silo stride, asymmetric and absent padding.
         let acts = [EpilogueAct::None, EpilogueAct::HardSwish];
-        for (i, &(k, s)) in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)].iter().enumerate() {
+        let shapes = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (9, 4), (17, 8)];
+        for (i, &(k, s)) in shapes.iter().enumerate() {
             for (j, &(h, w)) in [(1, 1), (7, 7), (1, 9), (13, 2), (15, 11)].iter().enumerate() {
                 for n in [1, 3] {
                     let xs = Shape::new(n, 5, h, w);
                     check_depthwise_plan(xs, ConvSpec::depthwise(k, s, 5), acts[(i + j) % 2], (i * 10 + j) as u64);
                 }
             }
+            // Every output width around the vector: the masked tail (< 8),
+            // the reused last vector, and heights the row band does not
+            // divide.
+            for (j, ow) in [1, 3, 6, 7, 8, 9, 15, 16, 17].into_iter().enumerate() {
+                let (w, h) = ((ow - 1) * s + k - 2 * (k / 2), (j % 7) * s + k - 2 * (k / 2));
+                check_depthwise_plan(Shape::new(1, 2, h, w), ConvSpec::depthwise(k, s, 2), acts[j % 2], (i * 10 + j) as u64);
+            }
         }
         for spec in [
             ConvSpec::depthwise(3, 1, 12).with_padding(0, 0),
             ConvSpec::depthwise(5, 2, 12).with_padding(4, 1),
             ConvSpec::depthwise(5, 1, 12).with_padding(0, 3),
+            ConvSpec { kh: 3, kw: 5, sh: 2, sw: 3, ..ConvSpec::depthwise(3, 1, 12) },
         ] {
             check_depthwise_plan(Shape::new(1, 12, 9, 8), spec, EpilogueAct::Relu, 99);
         }

@@ -25,6 +25,7 @@
 
 mod blob;
 mod conv;
+mod dw_plane;
 mod matmul;
 pub mod par;
 mod qmatmul;

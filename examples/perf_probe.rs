@@ -9,7 +9,10 @@
 //! * the training depthwise forward and backward at every shape a reversible
 //!   S0@96 batch-4 step calls, with the calls per step (a step runs each
 //!   forward twice: the Stats pass and the reconstruction) and the weighted
-//!   per-step totals, then BatchNorm forward / backward at the two extremes.
+//!   per-step totals, then BatchNorm forward / backward at the two extremes;
+//! * the frozen depthwise (`ConvPlan`, hard-swish epilogue) at every shape a
+//!   frozen S0@224 batch-1 forward calls, with the calls per forward and the
+//!   weighted total: "depthwise per forward" as one number.
 //!
 //! Run the same file from a checkout of another commit to compare kernels
 //! (`revbifpn-perf run --trace 1` reports a subset of these as metrics).
@@ -19,8 +22,8 @@ use rand::SeedableRng;
 use revbifpn_repro::nn::layers::BatchNorm2d;
 use revbifpn_repro::nn::{CacheMode, Layer};
 use revbifpn_repro::tensor::{
-    conv2d, conv2d_backward, sgemm, sgemm_prepacked, ConvSpec, Epilogue, EpilogueAct, PackedGemmA,
-    Shape, Tensor,
+    conv2d, conv2d_backward, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue, EpilogueAct,
+    PackedGemmA, Shape, Tensor,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -45,10 +48,11 @@ fn time(label: &str, macs: usize, mut f: impl FnMut()) -> f64 {
     med
 }
 
-/// `(channels, side, kernel, stride, backward calls per step)` of every
-/// depthwise conv in a reversible S0@96 batch-4 train step; the forward runs
-/// twice per backward.
-const TRAIN_DEPTHWISE: [(usize, usize, usize, usize, usize); 14] = [
+/// `(channels, side, kernel, stride, calls per pass)` of every depthwise conv
+/// of S0 at 96² (the train workload; a reversible step runs the forward
+/// twice per backward). The frozen 224² forward makes the same 85 calls on
+/// planes 7/3 the side: 56, 28, 14, 7.
+const S0_DEPTHWISE: [(usize, usize, usize, usize, usize); 14] = [
     (48, 24, 3, 1, 11),
     (48, 24, 5, 2, 6),
     (48, 24, 9, 4, 4),
@@ -65,9 +69,26 @@ const TRAIN_DEPTHWISE: [(usize, usize, usize, usize, usize); 14] = [
     (480, 3, 5, 1, 6),
 ];
 
+fn frozen_rows(rng: &mut StdRng) {
+    let mut ms = 0.0;
+    for (c, side, k, s, calls) in S0_DEPTHWISE {
+        let side = side * 7 / 3;
+        let spec = ConvSpec::depthwise(k, s, c);
+        let x = Tensor::randn(Shape::new(1, c, side, side), 1.0, rng);
+        let w = Tensor::randn(Shape::new(c, 1, k, k), 0.5, rng);
+        let plan = ConvPlan::new(&w, vec![0.1; c], spec, EpilogueAct::HardSwish);
+        let macs = spec.macs(x.shape(), c) as usize;
+        let us = time(&format!("dw frozen 1x{c}x{side}x{side} {k}/s{s} x{calls}"), macs, || {
+            black_box(plan.forward(black_box(&x)));
+        });
+        ms += us * calls as f64 / 1e3;
+    }
+    println!("depthwise per frozen S0@224 forward: {ms:.2} ms (medians x calls)");
+}
+
 fn train_rows(rng: &mut StdRng) {
     let (mut fwd_ms, mut bwd_ms) = (0.0, 0.0);
-    for (c, side, k, s, calls) in TRAIN_DEPTHWISE {
+    for (c, side, k, s, calls) in S0_DEPTHWISE {
         let spec = ConvSpec::depthwise(k, s, c);
         let x = Tensor::randn(Shape::new(4, c, side, side), 1.0, rng);
         let w = Tensor::randn(Shape::new(c, 1, k, k), 0.5, rng);
@@ -157,4 +178,5 @@ fn main() {
     }
 
     train_rows(&mut rng);
+    frozen_rows(&mut rng);
 }
