@@ -186,14 +186,14 @@ impl RevShNet {
         outs.into_iter().next().expect("one stream")
     }
 
-    /// Reversible backward from the saved output.
-    pub fn backward_rev(&mut self, y: &Tensor, dy: Tensor) {
-        let _ = self.body.backward(std::slice::from_ref(y), vec![dy], TrainMode::Reversible);
+    /// Reversible backward from the saved output, consuming it.
+    pub fn backward_rev(&mut self, y: Tensor, dy: Tensor) {
+        let _ = self.body.backward(vec![y], vec![dy], TrainMode::Reversible);
     }
 
     /// Conventional backward.
     pub fn backward_cached(&mut self, dy: Tensor) {
-        let _ = self.body.backward(&[], vec![dy], TrainMode::Conventional);
+        let _ = self.body.backward(Vec::new(), vec![dy], TrainMode::Conventional);
     }
 
     fn stream_shape(&self, n: usize, res: usize) -> Shape {
@@ -288,7 +288,8 @@ mod tests {
         let x = Tensor::randn(Shape::new(1, 3, 32, 32), 1.0, &mut rng);
         let y = net.forward(&x, CacheMode::Stats);
         net.visit_params(&mut |p| p.zero_grad());
-        net.backward_rev(&y, Tensor::ones(y.shape()));
+        let dy = Tensor::ones(y.shape());
+        net.backward_rev(y, dy);
         let mut nonzero = 0;
         net.visit_params(&mut |p| {
             if p.grad.abs_max() > 0.0 {

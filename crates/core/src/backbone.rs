@@ -209,19 +209,19 @@ impl RevBiFPN {
         self.body.forward(vec![s0], mode)
     }
 
-    /// Reversible backward from the pyramid: reconstructs all hidden
-    /// activations, accumulates parameter gradients, and returns the
-    /// gradient w.r.t. the input image.
+    /// Reversible backward from the pyramid: consumes the pyramid and its
+    /// gradient, reconstructs all hidden activations, accumulates parameter
+    /// gradients, and returns the gradient w.r.t. the input image.
     ///
     /// The forward pass must have used [`CacheMode::Stats`].
-    pub fn backward_rev(&mut self, pyramid: &[Tensor], dpyramid: Vec<Tensor>) -> Tensor {
+    pub fn backward_rev(&mut self, pyramid: Vec<Tensor>, dpyramid: Vec<Tensor>) -> Tensor {
         let (_, dxs) = self.body.backward(pyramid, dpyramid, TrainMode::Reversible);
         self.stem.backward(&dxs[0])
     }
 
     /// Conventional backward using `Full` caches.
     pub fn backward_cached(&mut self, dpyramid: Vec<Tensor>) -> Tensor {
-        let (_, dxs) = self.body.backward(&[], dpyramid, TrainMode::Conventional);
+        let (_, dxs) = self.body.backward(Vec::new(), dpyramid, TrainMode::Conventional);
         self.stem.backward(&dxs[0])
     }
 
@@ -292,8 +292,8 @@ impl RevBiFPN {
         self.stem.cache_bytes(img, self.stem_mode(mode)) + self.body.cache_bytes(&[s0], mode)
     }
 
-    /// Peak transient bytes of the reversible backward (one stage recomputed
-    /// at a time).
+    /// Peak transient bytes of the reversible backward (one transform
+    /// recomputed at a time).
     pub fn peak_transient_bytes(&self, n: usize) -> u64 {
         let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
         let s0 = self.stem.out_shape(img);
@@ -384,7 +384,7 @@ mod tests {
 
         let pyr = b2.forward(&x, CacheMode::Stats);
         b2.visit_params(&mut |p| p.zero_grad());
-        let dx2 = b2.backward_rev(&pyr, dpyr);
+        let dx2 = b2.backward_rev(pyr, dpyr);
 
         assert!(dx1.max_abs_diff(&dx2) < 1e-3, "dx diff {}", dx1.max_abs_diff(&dx2));
         let mut g1 = Vec::new();
@@ -432,7 +432,7 @@ mod tests {
         let pyr = b.forward(&x, CacheMode::Stats);
         let dpyr: Vec<Tensor> = pyr.iter().map(|p| Tensor::ones(p.shape())).collect();
         b.visit_params(&mut |p| p.zero_grad());
-        let dx = b.backward_rev(&pyr, dpyr);
+        let dx = b.backward_rev(pyr, dpyr);
         assert_eq!(dx.shape(), x.shape());
         let mut stem_grads = 0;
         b.visit_params(&mut |p| {

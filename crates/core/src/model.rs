@@ -144,7 +144,7 @@ impl RevBiFPNClassifier {
         match mode {
             RunMode::TrainReversible => {
                 let pyramid = self.saved_pyramid.take().expect("reversible backward needs the saved pyramid");
-                let _dx = self.backbone.backward_rev(&pyramid, dpyramid);
+                let _dx = self.backbone.backward_rev(pyramid, dpyramid);
             }
             RunMode::TrainConventional => {
                 let _dx = self.backbone.backward_cached(dpyramid);
@@ -275,8 +275,10 @@ impl RevBiFPNClassifier {
                 let stats = self.backbone.cache_bytes(n, CacheMode::Stats);
                 // Two candidate peaks that never coexist: (a) end of forward,
                 // with the neck/head caches resident; (b) mid-backward, with
-                // the largest stage's transient recompute cache resident (the
-                // head caches are already consumed by then).
+                // the largest single transform's transient recompute cache
+                // resident — one RevBlock F or G, or one silo edge, is
+                // recomputed and transposed at a time (the head caches are
+                // already consumed by then).
                 stats + pyramid_bytes + head_neck.max(self.backbone.peak_transient_bytes(n))
             }
         }

@@ -66,7 +66,7 @@ proptest! {
 
         let pyr = b2.forward(&x, CacheMode::Stats);
         b2.visit_params(&mut |p| p.zero_grad());
-        let _ = b2.backward_rev(&pyr, dpyr);
+        let _ = b2.backward_rev(pyr, dpyr);
 
         let mut g1 = Vec::new();
         b1.visit_params(&mut |p| g1.push(p.grad.clone()));

@@ -78,7 +78,7 @@ impl Backbone for RevBackbone {
     fn backward(&mut self, dpyramid: Vec<Tensor>) {
         if self.reversible {
             let pyr = self.saved.take().expect("reversible backward needs saved pyramid");
-            let _ = self.net.backward_rev(&pyr, dpyramid);
+            let _ = self.net.backward_rev(pyr, dpyramid);
         } else {
             let _ = self.net.backward_cached(dpyramid);
         }

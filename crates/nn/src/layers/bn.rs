@@ -269,7 +269,7 @@ impl Layer for BatchNorm2d {
             // so shard-local trees compose into the global batch tree bit
             // for bit (each partial depends only on its own sample).
             let mut partial = vec![0.0f32; 2 * c];
-            par::tree_reduce_with_slabs(xs.n, 2 * c, &mut partial, |n, slab| {
+            par::tree_reduce_with_slabs(xs.n, 1, 2 * c, &mut partial, |n, _, slab| {
                 for (ci, [sg, sb]) in par_collect(c, |ci| plane_grads(n, ci)).into_iter().enumerate() {
                     slab[ci] = sg as f32;
                     slab[c + ci] = sb as f32;

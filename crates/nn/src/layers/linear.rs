@@ -77,13 +77,14 @@ impl Layer for Linear {
         let mut dw = Tensor::zeros(self.weight.value.shape());
         let dyd = dy.data();
         let xd = x.data();
-        par::tree_reduce_with_slabs(n, of * inf, dw.data_mut(), |i, slab| {
-            sgemm_a_bt(of, 1, inf, 1.0, &dyd[i * of..(i + 1) * of], &xd[i * inf..(i + 1) * inf], 1.0, slab);
+        par::tree_reduce_with_slabs(n, of, inf, dw.data_mut(), |i, rows, slab| {
+            let dy_rows = &dyd[i * of + rows.start..i * of + rows.end];
+            sgemm_a_bt(rows.len(), 1, inf, 1.0, dy_rows, &xd[i * inf..(i + 1) * inf], 1.0, slab);
         });
         self.weight.accumulate(&dw);
         // db: per-sample rows of dy reduced with the same tree.
         let mut db = Tensor::zeros(Shape::vector(of));
-        par::tree_reduce_with_slabs(n, of, db.data_mut(), |i, slab| {
+        par::tree_reduce_with_slabs(n, 1, of, db.data_mut(), |i, _, slab| {
             slab.copy_from_slice(&dyd[i * of..(i + 1) * of]);
         });
         self.bias.accumulate(&db);

@@ -237,8 +237,9 @@ impl StageCell {
         cur
     }
 
-    /// Reversible backward for one micro-batch: reconstructs inputs stage
-    /// by stage (checking each against the micro's fingerprints),
+    /// Reversible backward for one micro-batch: consumes the cell's output
+    /// streams and gradients, reconstructs inputs stage by stage (checking
+    /// each against the micro's fingerprints),
     /// accumulates parameter gradients, and returns `(xs, dxs)` at the
     /// cell input.
     ///
@@ -249,12 +250,12 @@ impl StageCell {
     pub fn backward_micro(
         &mut self,
         micro: usize,
-        ys: &[Tensor],
-        dys: &[Tensor],
+        ys: Vec<Tensor>,
+        dys: Vec<Tensor>,
     ) -> Result<(Vec<Tensor>, Vec<Tensor>), CellTrip> {
         self.ensure_micro(micro);
-        let mut cur_y = ys.to_vec();
-        let mut cur_dy = dys.to_vec();
+        let mut cur_y = ys;
+        let mut cur_dy = dys;
         let cfg = self.drift;
         for (i, s) in self.stages.iter_mut().enumerate().rev() {
             if let Some(f) = self.fault {
@@ -266,7 +267,7 @@ impl StageCell {
                     flip_bit(&mut cur_y[stream], f.index, f.bit);
                 }
             }
-            let (xs, dxs) = s.backward_rev(&cur_y, &cur_dy);
+            let (xs, dxs) = s.backward_rev(cur_y, cur_dy);
             if cfg.enabled {
                 if let Some(fp) = self.fingerprints[micro][i].take() {
                     let drift = fingerprint_drift(&fp, &xs);
@@ -387,7 +388,7 @@ mod tests {
         let out = cells[1].forward_micro(0, &mid);
         cells[1].arm_fault(ReconFault { stage: 4, stream: 0, index: 5, bit: 30 });
         let dys: Vec<Tensor> = out.iter().map(|y| Tensor::zeros(y.shape())).collect();
-        let err = cells[1].backward_micro(0, &out, &dys).err().expect("fault must trip the cell");
+        let err = cells[1].backward_micro(0, out, dys).err().expect("fault must trip the cell");
         assert!(err.stage >= 3, "trip should carry a global stage index, got {}", err.stage);
         assert!(err.drift > 5e-2);
     }

@@ -83,28 +83,44 @@ impl RevBlock {
         Tensor::concat_channels(&[&x1, &x2])
     }
 
-    /// Reversible backward: reconstructs the input from `y`, accumulates
-    /// parameter gradients, and returns `(x, dx)`.
+    /// Reversible backward: consumes the output `y` and its gradient `dy`,
+    /// reconstructs the input, accumulates parameter gradients, and returns
+    /// `(x, dx)`.
     ///
     /// Requires that the forward pass ran with [`CacheMode::Stats`] so
     /// BatchNorm statistics and stochastic seeds can be replayed.
-    pub fn backward_rev(&mut self, y: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
-        let (y1, y2) = y.split_channels(self.c_split);
-        let (dy1, dy2) = dy.split_channels(self.c_split);
-        // Reconstruct inputs, re-running F/G with Full caching (they consume
-        // the frozen statistics recorded during the Stats forward).
+    ///
+    /// One transform's recompute is live at a time: G is re-run with `Full`
+    /// caching and transposed (its cache dies in `backward`) before F is
+    /// re-run. That order is free because G's transpose reads only `dy2`,
+    /// and F and G own disjoint parameters. The halves of `y` and `dy` turn
+    /// into those of `x` and `dx` in place — `y2 -= G(y1)` is `x2`,
+    /// `dy1 += G^T dy2` is `dz1`, `y1 -= F(x2)` is `x1`, `dy2 += F^T dz1` is
+    /// `dx2` — each the same IEEE operation as a fresh `a - b` or `a + b`.
+    pub fn backward_rev(&mut self, y: Tensor, dy: Tensor) -> (Tensor, Tensor) {
+        let (mut y1, mut y2) = y.split_channels(self.c_split);
+        drop(y);
+        let (mut dy1, mut dy2) = dy.split_channels(self.c_split);
+        drop(dy);
+        // G first: reconstruct x2, then transpose G into dz1.
         let g_out = meter::time_phase(meter::Phase::Reconstruct, || self.g.forward(&y1, CacheMode::Full));
-        let x2 = &y2 - &g_out;
-        let f_out = meter::time_phase(meter::Phase::Reconstruct, || self.f.forward(&x2, CacheMode::Full));
-        let x1 = &y1 - &f_out;
-        // Gradients (standard RevNet recipe). F and G couple through dz1, so
-        // unlike silo edges they cannot run concurrently.
+        y2.sub_assign(&g_out);
+        drop(g_out);
         let dg_in = meter::time_phase(meter::Phase::Backward, || self.g.backward(&dy2));
-        let dz1 = &dy1 + &dg_in;
-        let df_in = meter::time_phase(meter::Phase::Backward, || self.f.backward(&dz1));
-        let dx2 = &dy2 + &df_in;
-        let x = Tensor::concat_channels(&[&x1, &x2]);
-        let dx = Tensor::concat_channels(&[&dz1, &dx2]);
+        dy1.add_assign(&dg_in);
+        drop(dg_in);
+        // Then F: reconstruct x1 from x2, transpose F into dx2. F and G
+        // couple through dz1, so unlike silo edges they cannot run
+        // concurrently.
+        let f_out = meter::time_phase(meter::Phase::Reconstruct, || self.f.forward(&y2, CacheMode::Full));
+        y1.sub_assign(&f_out);
+        drop(f_out);
+        let df_in = meter::time_phase(meter::Phase::Backward, || self.f.backward(&dy1));
+        dy2.add_assign(&df_in);
+        drop(df_in);
+        let x = Tensor::concat_channels(&[&y1, &y2]);
+        drop((y1, y2));
+        let dx = Tensor::concat_channels(&[&dy1, &dy2]);
         (x, dx)
     }
 
@@ -157,6 +173,15 @@ impl RevBlock {
         let s1 = x.with_c(self.c_split);
         self.f.cache_bytes(s2, mode) + self.g.cache_bytes(s1, mode)
     }
+
+    /// Analytic transient bytes of [`RevBlock::backward_rev`] for input
+    /// shape `x`: one transform's `Full` cache at a time, so the larger of
+    /// F's and G's.
+    pub fn transient_bytes(&self, x: Shape) -> u64 {
+        let s2 = x.with_c(x.c - self.c_split);
+        let s1 = x.with_c(self.c_split);
+        self.f.cache_bytes(s2, CacheMode::Full).max(self.g.cache_bytes(s1, CacheMode::Full))
+    }
 }
 
 #[cfg(test)]
@@ -201,8 +226,61 @@ mod tests {
         let x = Tensor::randn(Shape::new(2, 8, 6, 6), 1.0, &mut rng);
         let y = b.forward(&x, CacheMode::Stats);
         let dy = Tensor::randn(y.shape(), 1.0, &mut rng);
-        let (x_rec, _dx) = b.backward_rev(&y, &dy);
+        let (x_rec, _dx) = b.backward_rev(y, dy);
         assert!(x_rec.max_abs_diff(&x) < 1e-4, "diff {}", x_rec.max_abs_diff(&x));
+    }
+
+    /// Reference order for `backward_rev`: both reconstructions first, then
+    /// both transposes, every coupling a fresh tensor. `backward_rev` must
+    /// equal it bit for bit.
+    fn backward_rev_oracle(b: &mut RevBlock, y: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
+        let (y1, y2) = y.split_channels(b.c_split);
+        let (dy1, dy2) = dy.split_channels(b.c_split);
+        let g_out = b.g.forward(&y1, CacheMode::Full);
+        let x2 = &y2 - &g_out;
+        let f_out = b.f.forward(&x2, CacheMode::Full);
+        let x1 = &y1 - &f_out;
+        let dg_in = b.g.backward(&dy2);
+        let dz1 = &dy1 + &dg_in;
+        let df_in = b.f.backward(&dz1);
+        let dx2 = &dy2 + &df_in;
+        (Tensor::concat_channels(&[&x1, &x2]), Tensor::concat_channels(&[&dz1, &dx2]))
+    }
+
+    #[test]
+    fn backward_rev_equals_the_two_reconstructions_first_oracle_bitwise() {
+        // Plain MBConv bodies, and residual bodies with drop-path whose
+        // seeds the Full recompute must replay in either order.
+        let plain = |rng: &mut StdRng| make_block(8, rng);
+        let drop_path = |rng: &mut StdRng| {
+            let cfg = MBConvCfg::same(6, 3, 2.0).with_drop_path(0.3);
+            RevBlock::new(12, Box::new(MBConv::new(cfg, rng)), Box::new(MBConv::new(cfg, rng)))
+        };
+        let makers: [&dyn Fn(&mut StdRng) -> RevBlock; 2] = [&plain, &drop_path];
+        for (k, make) in makers.iter().enumerate() {
+            let build = || {
+                let mut b = make(&mut StdRng::seed_from_u64(20 + k as u64));
+                randomize_bn(&mut b, &mut StdRng::seed_from_u64(30));
+                b
+            };
+            let (mut got_b, mut want_b) = (build(), build());
+            let mut rng = StdRng::seed_from_u64(40);
+            let x = Tensor::randn(Shape::new(3, got_b.channels(), 7, 7), 1.0, &mut rng);
+            let dy = Tensor::randn(x.shape(), 1.0, &mut rng);
+            let y = got_b.forward(&x, CacheMode::Stats);
+            assert_eq!(y, want_b.forward(&x, CacheMode::Stats));
+            zero_grads_block(&mut got_b);
+            zero_grads_block(&mut want_b);
+            let (want_x, want_dx) = backward_rev_oracle(&mut want_b, &y, &dy);
+            let (got_x, got_dx) = got_b.backward_rev(y, dy);
+            assert_eq!(got_x, want_x, "block {k}: reconstructed input");
+            assert_eq!(got_dx, want_dx, "block {k}: input gradient");
+            let mut want = Vec::new();
+            want_b.visit_params(&mut |p| want.push(p.grad.clone()));
+            let mut got = Vec::new();
+            got_b.visit_params(&mut |p| got.push(p.grad.clone()));
+            assert_eq!(got, want, "block {k}: parameter gradients");
+        }
     }
 
     #[test]
@@ -227,7 +305,7 @@ mod tests {
         // Reversible: Stats + backward_rev.
         let y2 = b2.forward(&x, CacheMode::Stats);
         zero_grads_block(&mut b2);
-        let (_, dx_rev) = b2.backward_rev(&y2, &dy);
+        let (_, dx_rev) = b2.backward_rev(y2.clone(), dy);
 
         assert!(y1.max_abs_diff(&y2) < 1e-5);
         assert!(dx_cached.max_abs_diff(&dx_rev) < 1e-4, "dx diff {}", dx_cached.max_abs_diff(&dx_rev));

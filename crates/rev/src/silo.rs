@@ -178,10 +178,20 @@ impl RevSilo {
         xs
     }
 
-    /// Reversible backward: reconstructs the inputs from the outputs while
-    /// accumulating parameter gradients. Returns `(xs, dxs)`.
+    /// Reversible backward: consumes the outputs and their gradients,
+    /// reconstructs the inputs while accumulating parameter gradients.
+    /// Returns `(xs, dxs)`.
     ///
     /// Requires the forward pass to have run with [`CacheMode::Stats`].
+    ///
+    /// # Ownership
+    ///
+    /// No stream is copied. Output `o_i` becomes mid `m_i` in place once its
+    /// up row is subtracted, and `m_i` becomes input `x_i` once its down row
+    /// is. The gradients `do_j` accumulate the up transposes into `dm_j` in
+    /// place — row `i` reads `do_i` before any row adds into it — and `dm_j`
+    /// in turn becomes `dx_j` once row `j`, the last reader of `dm_j`, is
+    /// done. Virtual streams' mids are dropped after the up half.
     ///
     /// # Parallelism and determinism
     ///
@@ -195,23 +205,19 @@ impl RevSilo {
     /// bitwise independent of the thread count. Edge tasks run under
     /// [`meter::isolated`] and their byte/event traces are absorbed in edge
     /// order, reproducing the serial activation-meter trace exactly.
-    pub fn backward_rev(&mut self, ys: &[Tensor], dys: &[Tensor]) -> (Vec<Tensor>, Vec<Tensor>) {
+    pub fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
         assert_eq!(ys.len(), self.n_out);
         assert_eq!(dys.len(), self.n_out);
-        // Every tensor clone below is accounted for: the coarsest mid (1),
-        // one accumulator per up row (n_out - 1), the dmids seed (n_out),
-        // and the dxs seed (n_in) — O(streams), never O(edges). The event
-        // lets tests assert the count stays that way.
-        meter::count_n("rev.silo.bwd_clones", (2 * self.n_out + self.n_in) as u64);
         type EdgeSlot = Option<((Tensor, Tensor), meter::TaskMeter)>;
         // ---- Invert + differentiate the up half, coarsest row first.
         // o_i = m_i + Σ_{j>i} U_ij(m_j)  =>  dm_j = do_j + Σ_{i<j} U_ij^T do_i.
-        let mut mids: Vec<Option<Tensor>> = vec![None; self.n_out];
-        mids[self.n_out - 1] = Some(ys[self.n_out - 1].clone());
-        let mut dmids: Vec<Tensor> = dys.to_vec();
+        // `mids[i]` holds o_i until row i turns it into m_i; `dmids[i]`
+        // holds do_i until the rows below add into it.
+        let mut mids = ys;
+        let mut dmids = dys;
         for i in (0..self.n_out - 1).rev() {
             let row = &mut self.up[i]; // row[k] transforms stream i+1+k -> i.
-            let dyi = &dys[i];
+            let dyi = &dmids[i];
             let mids_ref = &mids;
             let mut slots: Vec<EdgeSlot> = (0..row.len()).map(|_| None).collect();
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = row
@@ -220,7 +226,7 @@ impl RevSilo {
                 .enumerate()
                 .map(|(k, (u, slot))| {
                     Box::new(move || {
-                        let mj = mids_ref[i + 1 + k].as_ref().expect("mid already reconstructed");
+                        let mj = &mids_ref[i + 1 + k];
                         *slot = Some(meter::isolated(|| {
                             let t = meter::time_phase(meter::Phase::Reconstruct, || u.forward(mj, CacheMode::Full));
                             let g = meter::time_phase(meter::Phase::Backward, || u.backward(dyi));
@@ -230,23 +236,22 @@ impl RevSilo {
                 })
                 .collect();
             par::parallel_join(tasks);
-            let mut acc = ys[i].clone();
             for (k, slot) in slots.into_iter().enumerate() {
                 let ((t, g), tm) = slot.expect("edge task did not run");
                 meter::absorb(&tm);
-                acc.sub_assign(&t);
+                mids[i].sub_assign(&t);
                 dmids[i + 1 + k].add_assign(&g);
             }
-            mids[i] = Some(acc);
         }
 
         // ---- Invert + differentiate the down half, finest row first.
         // m_i = x_i + Σ_{j<i} D_ij(x_j)  =>  dx_j = dm_j + Σ_{i>j} D_ij^T dm_i.
         // Virtual streams (i >= n_in) have no input to reconstruct but their
         // D transforms still contribute gradients, so their edges run too.
-        let mut xs: Vec<Tensor> = Vec::with_capacity(self.n_in);
-        xs.push(mids[0].take().expect("mid 0"));
-        let mut dxs: Vec<Tensor> = (0..self.n_in).map(|j| dmids[j].clone()).collect();
+        // `xs[i]` holds m_i until row i turns it into x_i; `dmids[j]` is
+        // read as dm_j by row j and then accumulates into dx_j.
+        let mut xs = mids;
+        xs.truncate(self.n_in);
         for i in 1..self.n_out {
             let row = &mut self.down[i]; // row[j] transforms stream j -> i.
             let dmi = &dmids[i];
@@ -269,19 +274,17 @@ impl RevSilo {
                 })
                 .collect();
             par::parallel_join(tasks);
-            let mut acc = if i < self.n_in { Some(mids[i].take().expect("mid")) } else { None };
             for (j, slot) in slots.into_iter().enumerate() {
                 let ((t, g), tm) = slot.expect("edge task did not run");
                 meter::absorb(&tm);
-                if let Some(a) = &mut acc {
-                    a.sub_assign(&t);
+                if i < self.n_in {
+                    xs[i].sub_assign(&t);
                 }
-                dxs[j].add_assign(&g);
-            }
-            if let Some(a) = acc {
-                xs.push(a);
+                dmids[j].add_assign(&g);
             }
         }
+        let mut dxs = dmids;
+        dxs.truncate(self.n_in);
         (xs, dxs)
     }
 
@@ -407,6 +410,25 @@ impl RevSilo {
         }
         total
     }
+
+    /// Analytic transient bytes of [`RevSilo::backward_rev`]: each edge task
+    /// recomputes and transposes one edge, so the largest edge's `Full`
+    /// cache (edge meters are absorbed one at a time, in edge order).
+    pub fn transient_bytes(&self, xs: &[Shape]) -> u64 {
+        let mids = self.out_shapes(xs);
+        let mut peak = 0;
+        for i in 1..self.n_out {
+            for j in 0..i.min(self.n_in) {
+                peak = peak.max(self.down[i][j].cache_bytes(xs[j], CacheMode::Full));
+            }
+        }
+        for i in 0..self.n_out {
+            for j in i + 1..self.n_out {
+                peak = peak.max(self.up[i][j - i - 1].cache_bytes(mids[j], CacheMode::Full));
+            }
+        }
+        peak
+    }
 }
 
 #[cfg(test)]
@@ -491,7 +513,7 @@ mod tests {
         let xs = make_inputs(4, 16, 7);
         let ys = s.forward(&xs, CacheMode::Stats);
         let dys: Vec<Tensor> = ys.iter().map(|y| Tensor::ones(y.shape())).collect();
-        let (xs_rec, dxs) = s.backward_rev(&ys, &dys);
+        let (xs_rec, dxs) = s.backward_rev(ys, dys);
         assert_eq!(xs_rec.len(), 4);
         assert_eq!(dxs.len(), 4);
         for (i, (a, b)) in xs_rec.iter().zip(&xs).enumerate() {
@@ -517,7 +539,7 @@ mod tests {
 
         let ys2 = s2.forward(&xs, CacheMode::Stats);
         s2.visit_params(&mut |p| p.zero_grad());
-        let (_, dxs_rev) = s2.backward_rev(&ys2, &dys);
+        let (_, dxs_rev) = s2.backward_rev(ys2.clone(), dys);
 
         for (a, b) in ys1.iter().zip(&ys2) {
             assert!(a.max_abs_diff(b) < 1e-5);
@@ -586,20 +608,23 @@ mod tests {
 
     #[test]
     fn backward_rev_clone_count_is_linear_in_streams() {
-        // The reversible backward allocates exactly 2*n_out + n_in tensor
-        // clones (per-stream accumulators and gradient seeds) — a count that
-        // does not grow with the edge count. The old implementation
-        // additionally cloned each reconstructed mid once per up edge, i.e.
-        // O(streams^2) extra full-tensor allocations.
-        let mut s = make_silo(4, 4, 30);
-        randomize_bn(&mut s, 300);
-        let xs = make_inputs(4, 16, 31);
-        let ys = s.forward(&xs, CacheMode::Stats);
-        let dys: Vec<Tensor> = ys.iter().map(|y| Tensor::ones(y.shape())).collect();
-        let before = revbifpn_nn::meter::event_count("rev.silo.bwd_clones");
-        let _ = s.backward_rev(&ys, &dys);
-        let clones = revbifpn_nn::meter::event_count("rev.silo.bwd_clones") - before;
-        assert_eq!(clones, (2 * 4 + 4) as u64);
+        // The reversible backward clones no stream: every returned input and
+        // input gradient is one of the consumed output or gradient buffers,
+        // turned over in place. Counted here as returned tensors whose
+        // buffer is not an input buffer; the count is 0 for any stream and
+        // edge count.
+        for (n_in, n_out) in [(4usize, 4usize), (2, 4), (1, 2)] {
+            let mut s = make_silo(n_in, n_out, 30);
+            randomize_bn(&mut s, 300);
+            let xs = make_inputs(n_in, 16, 31);
+            let ys = s.forward(&xs, CacheMode::Stats);
+            let dys: Vec<Tensor> = ys.iter().map(|y| Tensor::ones(y.shape())).collect();
+            let seeds: Vec<*const f32> = ys.iter().chain(&dys).map(|t| t.data().as_ptr()).collect();
+            let (xs_rec, dxs) = s.backward_rev(ys, dys);
+            assert_eq!((xs_rec.len(), dxs.len()), (n_in, n_in));
+            let clones = xs_rec.iter().chain(&dxs).filter(|t| !seeds.contains(&t.data().as_ptr())).count();
+            assert_eq!(clones, 0, "{n_in}->{n_out}");
+        }
     }
 
     #[test]
@@ -617,7 +642,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(34);
             let dys: Vec<Tensor> = ys.iter().map(|y| Tensor::randn(y.shape(), 1.0, &mut rng)).collect();
             s.visit_params(&mut |p| p.zero_grad());
-            let (xs_rec, dxs) = s.backward_rev(&ys, &dys);
+            let (xs_rec, dxs) = s.backward_rev(ys, dys);
             let mut grads = Vec::new();
             s.visit_params(&mut |p| grads.push(p.grad.clone()));
             revbifpn_tensor::par::set_max_threads(0);

@@ -11,6 +11,7 @@ use crate::revblock::RevBlock;
 use crate::silo::RevSilo;
 use revbifpn_nn::{meter, CacheMode, Cached, Param};
 use revbifpn_tensor::{Shape, Tensor};
+use std::borrow::Cow;
 
 /// A reversible transformation over a vector of feature streams.
 ///
@@ -24,10 +25,11 @@ pub trait RevStage: std::fmt::Debug + Send {
     /// Exact inverse (evaluation semantics).
     fn inverse(&mut self, ys: &[Tensor]) -> Vec<Tensor>;
 
-    /// Reversible backward from outputs: reconstructs inputs, accumulates
-    /// parameter gradients, returns `(xs, dxs)`. Requires the forward pass
-    /// to have used [`CacheMode::Stats`].
-    fn backward_rev(&mut self, ys: &[Tensor], dys: &[Tensor]) -> (Vec<Tensor>, Vec<Tensor>);
+    /// Reversible backward from outputs: consumes `ys` and `dys`,
+    /// reconstructs inputs, accumulates parameter gradients, returns
+    /// `(xs, dxs)`. Requires the forward pass to have used
+    /// [`CacheMode::Stats`].
+    fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>);
 
     /// Conventional backward consuming `Full` caches.
     fn backward_cached(&mut self, dys: &[Tensor]) -> Vec<Tensor>;
@@ -66,6 +68,12 @@ pub trait RevStage: std::fmt::Debug + Send {
     /// Analytic cache bytes for the given input shapes and mode.
     fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64;
 
+    /// Analytic transient bytes of [`RevStage::backward_rev`]: the largest
+    /// single transform's `Full` cache, since the backward recomputes and
+    /// transposes one transform at a time (in the meter's stream and edge
+    /// order).
+    fn transient_bytes(&self, xs: &[Shape]) -> u64;
+
     /// Short identifier for diagnostics.
     fn name(&self) -> &str {
         "rev_stage"
@@ -88,7 +96,7 @@ impl RevStage for RevSilo {
         RevSilo::inverse(self, ys)
     }
 
-    fn backward_rev(&mut self, ys: &[Tensor], dys: &[Tensor]) -> (Vec<Tensor>, Vec<Tensor>) {
+    fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
         RevSilo::backward_rev(self, ys, dys)
     }
 
@@ -130,6 +138,10 @@ impl RevStage for RevSilo {
 
     fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
         RevSilo::cache_bytes(self, xs, mode)
+    }
+
+    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
+        RevSilo::transient_bytes(self, xs)
     }
 
     fn name(&self) -> &str {
@@ -190,36 +202,31 @@ impl RevStage for BlockStage {
             .collect()
     }
 
-    fn backward_rev(&mut self, ys: &[Tensor], dys: &[Tensor]) -> (Vec<Tensor>, Vec<Tensor>) {
+    fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
         // Streams never interact, so each stream's whole reconstruct+backward
-        // chain is one independent task. Tasks run under `meter::isolated`
-        // and are absorbed in stream order, so the activation-meter trace and
-        // all results are bitwise independent of the thread count.
+        // chain is one independent task, which owns its stream's `y` and
+        // `dy`. Tasks run under `meter::isolated` and are absorbed in stream
+        // order, so the activation-meter trace and all results are bitwise
+        // independent of the thread count.
+        assert_eq!(ys.len(), self.blocks.len(), "BlockStage stream count mismatch");
         let mut slots: Vec<Option<((Tensor, Tensor), meter::TaskMeter)>> =
             (0..self.blocks.len()).map(|_| None).collect();
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
             .blocks
             .iter_mut()
             .zip(slots.iter_mut())
-            .zip(ys.iter().zip(dys))
+            .zip(ys.into_iter().zip(dys))
             .map(|((chain, slot), (y, dy))| {
                 Box::new(move || {
                     *slot = Some(meter::isolated(|| {
-                        let mut cur = y.clone();
-                        let mut dcur = dy.clone();
-                        for b in chain.iter_mut().rev() {
-                            let (x, dx) = b.backward_rev(&cur, &dcur);
-                            cur = x;
-                            dcur = dx;
-                        }
-                        (cur, dcur)
+                        chain.iter_mut().rev().fold((y, dy), |(cur, dcur), b| b.backward_rev(cur, dcur))
                     }));
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         revbifpn_tensor::par::parallel_join(tasks);
-        let mut xs = Vec::with_capacity(ys.len());
-        let mut dxs = Vec::with_capacity(ys.len());
+        let mut xs = Vec::with_capacity(slots.len());
+        let mut dxs = Vec::with_capacity(slots.len());
         for slot in slots {
             let ((x, dx), tm) = slot.expect("stream task did not run");
             meter::absorb(&tm);
@@ -295,6 +302,14 @@ impl RevStage for BlockStage {
             .zip(&self.blocks)
             .map(|(x, chain)| chain.iter().map(|b| b.cache_bytes(*x, mode)).sum::<u64>())
             .sum()
+    }
+
+    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
+        xs.iter()
+            .zip(&self.blocks)
+            .flat_map(|(x, chain)| chain.iter().map(|b| b.transient_bytes(*x)))
+            .max()
+            .unwrap_or(0)
     }
 
     fn name(&self) -> &str {
@@ -662,14 +677,21 @@ impl ReversibleSequence {
     /// Backward pass.
     ///
     /// * `TrainMode::Reversible`: `ys` must be the outputs of the forward
-    ///   pass; activations are reconstructed stage by stage. Returns
-    ///   `(xs, dxs)` at the sequence input.
+    ///   pass; activations are reconstructed stage by stage, each stage
+    ///   consuming its output streams and gradients. Pass `ys` by value
+    ///   (`Vec<Tensor>`) to hand them over; a borrowed slice is cloned once
+    ///   here. Returns `(xs, dxs)` at the sequence input.
     /// * `TrainMode::Conventional`: uses the stages' `Full` caches; `ys` is
     ///   ignored (may be empty). Returns `(vec![], dxs)`.
-    pub fn backward(&mut self, ys: &[Tensor], dys: Vec<Tensor>, mode: TrainMode) -> (Vec<Tensor>, Vec<Tensor>) {
+    pub fn backward<'a>(
+        &mut self,
+        ys: impl Into<Cow<'a, [Tensor]>>,
+        dys: Vec<Tensor>,
+        mode: TrainMode,
+    ) -> (Vec<Tensor>, Vec<Tensor>) {
         match mode {
             TrainMode::Reversible => {
-                let mut cur_y: Vec<Tensor> = ys.to_vec();
+                let mut cur_y: Vec<Tensor> = ys.into().into_owned();
                 let mut cur_dy = dys;
                 let cfg = self.drift;
                 let fault = self.recon_fault.take();
@@ -692,7 +714,7 @@ impl ReversibleSequence {
                             flip_bit(&mut cur_y[stream], f.index, f.bit);
                         }
                     }
-                    let (xs, dxs) = s.backward_rev(&cur_y, &cur_dy);
+                    let (xs, dxs) = s.backward_rev(cur_y, cur_dy);
                     if cfg.enabled {
                         if let Some(fp) = sent.fingerprint.take() {
                             let drift = fingerprint_drift(&fp, &xs);
@@ -810,13 +832,14 @@ impl ReversibleSequence {
     }
 
     /// Analytic *peak transient* cache bytes of the reversible backward: the
-    /// largest single stage's `Full` cache (stages are recomputed one at a
-    /// time and freed immediately).
+    /// largest single transform's `Full` cache — a RevBlock's F or G, or one
+    /// silo edge — because each is recomputed, transposed and freed before
+    /// the next ([`RevStage::transient_bytes`]).
     pub fn peak_transient_bytes(&self, xs: &[Shape]) -> u64 {
         let mut cur = xs.to_vec();
         let mut peak = 0;
         for s in &self.stages {
-            peak = peak.max(s.cache_bytes(&cur, CacheMode::Full));
+            peak = peak.max(s.transient_bytes(&cur));
             cur = s.out_shapes(&cur);
         }
         peak
@@ -996,7 +1019,7 @@ mod tests {
 
         let _y1 = s1.forward(vec![x.clone()], CacheMode::Full);
         s1.visit_params(&mut |p| p.zero_grad());
-        let (_, dx1) = s1.backward(&[], dys.clone(), TrainMode::Conventional);
+        let (_, dx1) = s1.backward(Vec::new(), dys.clone(), TrainMode::Conventional);
 
         let y2 = s2.forward(vec![x.clone()], CacheMode::Stats);
         s2.visit_params(&mut |p| p.zero_grad());
@@ -1044,8 +1067,10 @@ mod tests {
         // Full caches grow ~linearly with stage count; stats stay tiny.
         assert!(full_deep > 3 * full_shallow);
         assert!(stats_deep < full_shallow / 10);
-        // Peak transient of the reversible backward equals one stage's Full cache.
-        assert_eq!(deep.peak_transient_bytes(&shapes), full_shallow.max(full_deep / 4));
+        // Peak transient of the reversible backward is one silo edge's Full
+        // cache: it does not grow with depth, and is below a stage's total.
+        assert_eq!(deep.peak_transient_bytes(&shapes), shallow.peak_transient_bytes(&shapes));
+        assert!(shallow.peak_transient_bytes(&shapes) < full_shallow / 2);
     }
 
     #[test]

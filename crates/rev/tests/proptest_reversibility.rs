@@ -87,7 +87,7 @@ proptest! {
 
         let ys = s2.forward(&xs, CacheMode::Stats);
         s2.visit_params(&mut |p| p.zero_grad());
-        let (x_rec, dx2) = s2.backward_rev(&ys, &dys);
+        let (x_rec, dx2) = s2.backward_rev(ys, dys);
 
         for (a, b) in x_rec.iter().zip(&xs) {
             prop_assert!(a.max_abs_diff(b) < 2e-3);

@@ -830,12 +830,12 @@ where
 /// Accumulates per-**sample** weight-gradient slabs into `dw` with the
 /// crate-wide pairwise sample tree — see
 /// [`crate::par::tree_reduce_with_slabs`] for the determinism and
-/// shard-alignment contract.
-fn reduce_sample_grads<F>(n: usize, len: usize, dw: &mut [f32], fill: F)
+/// shard-alignment contract and the row blocks `fill` is called with.
+fn reduce_sample_grads<F>(n: usize, rows: usize, cols: usize, dw: &mut [f32], fill: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    F: Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync,
 {
-    crate::par::tree_reduce_with_slabs(n, len, dw, fill);
+    crate::par::tree_reduce_with_slabs(n, rows, cols, dw, fill);
 }
 
 /// Per-channel bias gradient: each sample's per-channel plane sums are
@@ -849,7 +849,7 @@ fn bias_grad(dy: &Tensor) -> Tensor {
     let hw = os.hw();
     let dydata = dy.data();
     let mut db = Tensor::zeros(Shape::vector(os.c));
-    reduce_sample_grads(os.n, os.c, db.data_mut(), |n, slab| {
+    reduce_sample_grads(os.n, 1, os.c, db.data_mut(), |n, _, slab| {
         for (c, s) in slab.iter_mut().enumerate() {
             let base = (n * os.c + c) * hw;
             *s = dydata[base..base + hw].iter().sum::<f32>();
@@ -885,12 +885,13 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Op
     let wdata = w.data();
     let dydata = dy.data();
 
-    // dw [c_out, c_in] = sum_n dy_n [c_out, hw] @ x_n^T [hw, c_in]
+    // dw [c_out, c_in] = sum_n dy_n [c_out, hw] @ x_n^T [hw, c_in], one
+    // block of output channels at a time.
     let mut dw = Tensor::zeros(w.shape());
-    reduce_sample_grads(xs.n, c_out * xs.c, dw.data_mut(), |n, slab| {
-        let dyn_ = &dydata[n * chw_out..(n + 1) * chw_out];
+    reduce_sample_grads(xs.n, c_out, xs.c, dw.data_mut(), |n, rows, slab| {
+        let dyn_ = &dydata[n * chw_out + rows.start * hw..n * chw_out + rows.end * hw];
         let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-        sgemm_a_bt(c_out, hw, xs.c, 1.0, dyn_, xn, 1.0, slab);
+        sgemm_a_bt(rows.len(), hw, xs.c, 1.0, dyn_, xn, 1.0, slab);
     });
 
     let dx = if need_dx {
@@ -1198,23 +1199,24 @@ fn depthwise_backward(
     let mut dw = Tensor::zeros(w.shape());
     let mut dx = need_dx.then(|| Tensor::zeros(xs));
     let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
-    reduce_sample_grads(xs.n, xs.c * ksz, dw.data_mut(), |n, slab| {
+    reduce_sample_grads(xs.n, xs.c, ksz, dw.data_mut(), |n, rows, slab| {
         // Channels within a sample are independent; tile over them so a
         // single-sample backward still fills the pool.
         let slab_ptr = SyncPtr::new(slab.as_mut_ptr());
-        parallel_plane_groups(xs.c, floats, |group| {
+        parallel_plane_groups(rows.len(), floats, |group| {
             let mut work = scratch::take(floats);
-            for c in group {
+            for i in group {
+                let c = rows.start + i;
                 let p = n * xs.c + c;
                 let xplane = &xdata[p * hw..(p + 1) * hw];
                 let dyplane = &dydata[p * ohw..(p + 1) * ohw];
                 let kern = &wdata[c * ksz..(c + 1) * ksz];
                 // SAFETY: channel `c` of sample `n` belongs to exactly one
-                // tile, which owns its `ksz` stretch of the sample's slab
-                // and its input-gradient plane.
+                // block and one tile, which owns its `ksz` stretch of the
+                // block's slab and its input-gradient plane.
                 let (dkern, dxplane) = unsafe {
                     (
-                        std::slice::from_raw_parts_mut(slab_ptr.get().add(c * ksz), ksz),
+                        std::slice::from_raw_parts_mut(slab_ptr.get().add(i * ksz), ksz),
                         dxptr.as_ref().map(|d| std::slice::from_raw_parts_mut(d.get().add(p * hw), hw)),
                     )
                 };
@@ -1434,9 +1436,10 @@ fn general_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_d
 
     // One pass per sample computes both the dw slab (reduced tree-wise by
     // reduce_sample_grads) and, when requested, the sample's dx slice —
-    // sharing a single im2col per (sample, group).
+    // sharing a single im2col per (sample, group). The slab is passed as a
+    // single row, which is never split: `dx` must be written once.
     let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
-    reduce_sample_grads(xs.n, dw_len, dw.data_mut(), |n, slab| {
+    reduce_sample_grads(xs.n, 1, dw_len, dw.data_mut(), |n, _, slab| {
         let xn = &xdata[n * chw_in..(n + 1) * chw_in];
         let dyn_ = &dydata[n * chw_out..(n + 1) * chw_out];
         let mut col = scratch::take(k * ohw);

@@ -295,7 +295,7 @@ pub fn gemm_layout_fingerprint() -> u32 {
 }
 
 /// Micro-kernel rows (register-tile height).
-const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 /// Micro-kernel columns (register-tile width, two 8-float AVX2 vectors).
 const NR: usize = 16;
 /// Depth of one packed slice; `KC * (MR + NR) * 4` bytes of panel data stay
@@ -308,7 +308,7 @@ const NC: usize = 512;
 
 /// Problems with `m*n*k` at or below this run on the [`reference`] kernels:
 /// packing overhead would dominate.
-const SMALL_FLOP_CUTOFF: usize = 32 * 32 * 32;
+pub(crate) const SMALL_FLOP_CUTOFF: usize = 32 * 32 * 32;
 
 /// A strided read-only view of a row-major matrix: element `(i, j)` lives at
 /// `data[i * rs + j * cs]`. Transposition is `rs`/`cs` swapping.

@@ -611,50 +611,98 @@ where
     }
 }
 
-/// Accumulates `n` per-leaf gradient slabs into `dst` via the pairwise
-/// tree of [`tree_reduce_serial`].
+/// Floats in one row block of a per-leaf slab (256 KiB): twice the GEMM's
+/// small-problem cutoff, so that no block of a split slab is small (see
+/// [`slab_row_blocks`]).
+const SLAB_BLOCK: usize = 2 * crate::matmul::SMALL_FLOP_CUTOFF;
+
+/// The row blocks [`tree_reduce_with_slabs`] walks a `rows x cols` slab in.
 ///
-/// `fill(leaf, slab)` writes leaf `leaf`'s contribution into a zeroed
-/// `len`-float scratch slab (leaves are typically batch samples); slabs are
-/// then merged with the stride-doubling tree and the root added into `dst`.
+/// A slab of at most [`SLAB_BLOCK`] floats, or of one row, is one block (a
+/// fill that cannot work on a row range passes its slab as one row). A
+/// larger one is cut into blocks of as many whole `MR`-row groups as fit
+/// the budget (at least one group), and a tail of at most half the budget
+/// joins the block before it. Every block of a split slab therefore holds
+/// more than half the budget, which is more than the GEMM's small-problem
+/// cutoff: a fill that runs the blocked GEMM on the whole slab runs it on
+/// every block too, with the same micro-tiles and the same k-order.
+fn slab_row_blocks(rows: usize, cols: usize) -> Vec<std::ops::Range<usize>> {
+    const MR: usize = crate::matmul::MR;
+    if rows * cols <= SLAB_BLOCK {
+        return std::iter::once(0..rows).collect();
+    }
+    let per = (SLAB_BLOCK / cols / MR).max(1) * MR;
+    let mut blocks: Vec<_> = (0..rows).step_by(per).map(|lo| lo..rows.min(lo + per)).collect();
+    if blocks.len() > 1 && blocks[blocks.len() - 1].len() * cols <= SLAB_BLOCK / 2 {
+        let tail = blocks.pop().expect("two blocks");
+        blocks.last_mut().expect("one block").end = tail.end;
+    }
+    blocks
+}
+
+/// Accumulates `n` per-leaf gradient slabs of `rows x cols` floats into
+/// `dst` via the pairwise tree of [`tree_reduce_serial`], one row block at a
+/// time.
+///
+/// `fill(leaf, rows, slab)` writes leaf `leaf`'s contribution to the row
+/// range `rows` into a zeroed `rows.len() * cols`-float scratch slab (leaves
+/// are typically batch samples). Slabs are merged with the stride-doubling
+/// tree and the root added into the block's rows of `dst`. Every element
+/// keeps its place in the tree, and the blocks of [`slab_row_blocks`] keep
+/// every GEMM element in its micro-tile and k-order, so the result is the
+/// one-block result bit for bit while the scratch holds `n` slabs of one
+/// block rather than of the whole weight.
+///
 /// Because the slab count is a property of the problem (not the machine)
 /// and the merge order is the fixed tree, the reduction is bitwise
 /// invariant to thread count *and* — per the shard-alignment theorem — to
 /// power-of-two micro-batch shard boundaries.
-pub fn tree_reduce_with_slabs<F>(n: usize, len: usize, dst: &mut [f32], fill: F)
+pub fn tree_reduce_with_slabs<F>(n: usize, rows: usize, cols: usize, dst: &mut [f32], fill: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    F: Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync,
 {
-    if n == 0 || len == 0 {
+    debug_assert_eq!(dst.len(), rows * cols);
+    if n == 0 || rows * cols == 0 {
         return;
     }
-    let mut slabs = crate::scratch::take(n * len);
-    {
-        let slices: Vec<&mut [f32]> = slabs.chunks_mut(len).collect();
-        if slices.len() >= num_threads_for(usize::MAX) {
-            parallel_over_slices(slices, &fill);
-        } else {
-            for (i, s) in slices.into_iter().enumerate() {
-                fill(i, s);
+    let blocks = slab_row_blocks(rows, cols);
+    let widest = blocks.iter().map(|b| b.len()).max().unwrap_or(0) * cols;
+    // One take per call, sized for the widest block, so the arena sees one
+    // size per weight shape.
+    let mut slabs = crate::scratch::take(n * widest);
+    for (k, block) in blocks.into_iter().enumerate() {
+        let len = block.len() * cols;
+        if k > 0 {
+            slabs[..n * len].fill(0.0);
+        }
+        {
+            let slices: Vec<&mut [f32]> = slabs[..n * len].chunks_mut(len).collect();
+            let fill_block = |i: usize, s: &mut [f32]| fill(i, block.clone(), s);
+            if slices.len() >= num_threads_for(usize::MAX) {
+                parallel_over_slices(slices, fill_block);
+            } else {
+                for (i, s) in slices.into_iter().enumerate() {
+                    fill_block(i, s);
+                }
             }
         }
-    }
-    let ptr = SyncPtr::new(slabs.as_mut_ptr());
-    tree_reduce_parallel(n, |d, s| {
-        // SAFETY: within one stride level the (dst, src) pairs touch
-        // disjoint slabs, and levels are separated by a barrier.
-        let (dst_s, src_s) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(ptr.get().add(d * len), len),
-                std::slice::from_raw_parts(ptr.get().add(s * len), len),
-            )
-        };
-        for (a, b) in dst_s.iter_mut().zip(src_s) {
-            *a += *b;
+        let ptr = SyncPtr::new(slabs.as_mut_ptr());
+        tree_reduce_parallel(n, |d, s| {
+            // SAFETY: within one stride level the (dst, src) pairs touch
+            // disjoint slabs, and levels are separated by a barrier.
+            let (dst_s, src_s) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(ptr.get().add(d * len), len),
+                    std::slice::from_raw_parts(ptr.get().add(s * len), len),
+                )
+            };
+            for (a, b) in dst_s.iter_mut().zip(src_s) {
+                *a += *b;
+            }
+        });
+        for (d, s) in dst[block.start * cols..block.end * cols].iter_mut().zip(&slabs[..len]) {
+            *d += s;
         }
-    });
-    for (d, s) in dst.iter_mut().zip(&slabs[..len]) {
-        *d += s;
     }
 }
 
@@ -995,6 +1043,114 @@ mod tests {
             tree_reduce_serial(shards, |d, s2| partials[d] += partials[s2]);
             assert_eq!(global[0].to_bits(), partials[0].to_bits(), "shards={shards}");
         }
+    }
+
+    #[test]
+    fn slab_row_blocks_cover_whole_mr_groups_above_the_gemm_cutoff() {
+        const MR: usize = crate::matmul::MR;
+        for cols in [1usize, 7, 320, 1280, 5461, 5462, 10923, 70_000] {
+            for rows in [1usize, 5, 6, 7, 13, 100, 204, 205, 500, 1280, 4096] {
+                let blocks = slab_row_blocks(rows, cols);
+                assert_eq!(blocks.first().unwrap().start, 0);
+                assert_eq!(blocks.last().unwrap().end, rows);
+                for pair in blocks.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "{rows}x{cols}: blocks must tile the rows");
+                }
+                if blocks.len() > 1 {
+                    for b in &blocks {
+                        assert_eq!(b.start % MR, 0, "{rows}x{cols}: {b:?} starts inside an MR group");
+                        assert!(
+                            b.len() * cols > crate::matmul::SMALL_FLOP_CUTOFF,
+                            "{rows}x{cols}: {b:?} would drop onto the small-GEMM path"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(slab_row_blocks(1, 1 << 20).len(), 1, "one row is never split");
+    }
+
+    /// The one-block reduction `tree_reduce_with_slabs` performed before it
+    /// walked row blocks: whole slabs, the same sample tree.
+    fn one_block_reduce(
+        n: usize,
+        rows: usize,
+        cols: usize,
+        fill: &(dyn Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync),
+    ) -> Vec<f32> {
+        let mut slabs = vec![vec![0.0f32; rows * cols]; n];
+        for (i, s) in slabs.iter_mut().enumerate() {
+            fill(i, 0..rows, s);
+        }
+        tree_reduce_serial(n, |d, s| {
+            let (head, tail) = slabs.split_at_mut(s);
+            for (a, b) in head[d].iter_mut().zip(&tail[0]) {
+                *a += *b;
+            }
+        });
+        let mut dst = vec![0.0f32; rows * cols];
+        for (d, s) in dst.iter_mut().zip(&slabs[0]) {
+            *d += s;
+        }
+        dst
+    }
+
+    #[test]
+    fn row_blocked_slab_tree_equals_one_block_bitwise() {
+        use crate::{sgemm_a_bt, Shape, Tensor};
+        use rand::{rngs::StdRng, SeedableRng};
+        let first_diff = |a: &[f32], b: &[f32]| a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits());
+        let mut rng = StdRng::seed_from_u64(7);
+        // Pointwise conv dW: [c_out, c_in] += dy [c_out, hw] @ x^T [hw, c_in],
+        // with hw = 260 crossing one KC = 256 slice, and hw = 9 (a 3x3 map),
+        // where a 7-row block alone would be a small GEMM. c_in = 320 makes a
+        // block 204 rows; 619 rows ends in a merged 7-row tail, 762 in its
+        // own 150-row block.
+        let c_in = 320usize;
+        let per = slab_row_blocks(1 << 20, c_in)[0].len();
+        assert_eq!(per, 204);
+        for (hw, c_out) in [9usize, 260].into_iter().flat_map(|hw| {
+            [1usize, 5, 6, 7, per - 1, per + 1, 3 * per + 7, 3 * per + 150].map(|c| (hw, c))
+        }) {
+            for n in [1usize, 2, 3, 4, 8] {
+                let dy = Tensor::randn(Shape::new(n, c_out, 1, hw), 1.0, &mut rng);
+                let x = Tensor::randn(Shape::new(n, c_in, 1, hw), 1.0, &mut rng);
+                let (dyd, xd) = (dy.data(), x.data());
+                let fill = |i: usize, rows: std::ops::Range<usize>, slab: &mut [f32]| {
+                    let dy_rows = &dyd[(i * c_out + rows.start) * hw..(i * c_out + rows.end) * hw];
+                    sgemm_a_bt(rows.len(), hw, c_in, 1.0, dy_rows, &xd[i * c_in * hw..(i + 1) * c_in * hw], 1.0, slab);
+                };
+                let want = one_block_reduce(n, c_out, c_in, &fill);
+                let mut got = vec![0.0f32; c_out * c_in];
+                tree_reduce_with_slabs(n, c_out, c_in, &mut got, fill);
+                assert_eq!(first_diff(&got, &want), None, "pointwise dW hw={hw} c_out={c_out} n={n}");
+            }
+        }
+        assert_eq!(slab_row_blocks(3 * per + 7, c_in).len(), 3);
+        assert_eq!(slab_row_blocks(3 * per + 150, c_in).len(), 4);
+
+        // Linear dW: [out, in] += dy_i [out, 1] @ x_i [1, in] (K = 1). With
+        // in = 1280 a block is 48 rows; a tail of up to 25 rows merges.
+        let inf = 1280usize;
+        let per = slab_row_blocks(1 << 20, inf)[0].len();
+        assert_eq!(per, 48);
+        for of in [1usize, 5, 6, 7, per - 1, per + 1, 3 * per + 5, 3 * per + 30] {
+            for n in [1usize, 2, 3, 4, 8] {
+                let dy = Tensor::randn(Shape::new(n, of, 1, 1), 1.0, &mut rng);
+                let x = Tensor::randn(Shape::new(n, inf, 1, 1), 1.0, &mut rng);
+                let (dyd, xd) = (dy.data(), x.data());
+                let fill = |i: usize, rows: std::ops::Range<usize>, slab: &mut [f32]| {
+                    let dy_rows = &dyd[i * of + rows.start..i * of + rows.end];
+                    sgemm_a_bt(rows.len(), 1, inf, 1.0, dy_rows, &xd[i * inf..(i + 1) * inf], 1.0, slab);
+                };
+                let want = one_block_reduce(n, of, inf, &fill);
+                let mut got = vec![0.0f32; of * inf];
+                tree_reduce_with_slabs(n, of, inf, &mut got, fill);
+                assert_eq!(first_diff(&got, &want), None, "Linear dW out={of} n={n}");
+            }
+        }
+        assert_eq!(slab_row_blocks(3 * per + 5, inf).len(), 3);
+        assert_eq!(slab_row_blocks(3 * per + 30, inf).len(), 4);
     }
 
     #[test]

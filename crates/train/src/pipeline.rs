@@ -284,8 +284,8 @@ type ShardBackwardOut = (Vec<Tensor>, Vec<Tensor>, Vec<Tensor>);
 fn backward_one(
     cell: &mut StageCell,
     slot: usize,
-    ys: &[Tensor],
-    dys: &[Tensor],
+    ys: Vec<Tensor>,
+    dys: Vec<Tensor>,
 ) -> Result<ShardBackwardOut, CellTrip> {
     cell.visit_bn(&mut |bn| bn.clear_cache());
     cell.visit_params(&mut |p| p.grad.data_mut().fill(0.0));
@@ -307,8 +307,8 @@ fn backward_op(
     cells: &mut [StageCell],
     s_eff: usize,
     slot: usize,
-    ys: &[Tensor],
-    dys: &[Tensor],
+    ys: Vec<Tensor>,
+    dys: Vec<Tensor>,
 ) -> (Result<BackwardOk, CellTrip>, meter::TaskMeter) {
     meter::isolated(|| {
         if s_eff == 1 {
@@ -325,6 +325,7 @@ fn backward_op(
                     )
                 })
                 .collect();
+            drop((ys, dys));
             type Slot = Option<(
                 Result<(Vec<Tensor>, Vec<Tensor>, Vec<Tensor>), CellTrip>,
                 meter::TaskMeter,
@@ -337,7 +338,7 @@ fn backward_op(
                 {
                     tasks.push(Box::new(move || {
                         *out_slot =
-                            Some(meter::isolated(|| backward_one(cell, slot, &ys_k, &dys_k)));
+                            Some(meter::isolated(|| backward_one(cell, slot, ys_k, dys_k)));
                     }));
                 }
                 par::parallel_join(tasks);
@@ -689,7 +690,7 @@ impl Worker {
                     }
                     let t = Instant::now();
                     let slot = st.slot_base + micro as usize;
-                    let (res, tm) = backward_op(&mut self.cells, st.shards, slot, &ys, &dys);
+                    let (res, tm) = backward_op(&mut self.cells, st.shards, slot, ys, dys);
                     st.busy_nanos += t.elapsed().as_nanos() as u64;
                     match res {
                         Err(trip) => {

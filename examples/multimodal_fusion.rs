@@ -60,7 +60,7 @@ fn main() {
     // Backward without ever having stored the intermediate fusion states.
     let dys: Vec<Tensor> = fused.iter().map(|f| Tensor::randn(f.shape(), 0.1, &mut rng)).collect();
     fusion.visit_params(&mut |p| p.zero_grad());
-    let (recovered, _grads) = fusion.backward(&fused, dys, TrainMode::Reversible);
+    let (recovered, _grads) = fusion.backward(fused, dys, TrainMode::Reversible);
     println!(
         "sensor reconstruction during backward: camera err {:.2e}, context err {:.2e}",
         recovered[0].max_abs_diff(&camera),

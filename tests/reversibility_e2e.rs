@@ -118,7 +118,7 @@ fn recomputation_error_is_fp_noise_only() {
     let pyr = b.forward(&x, CacheMode::Stats);
     let dpyr: Vec<Tensor> = pyr.iter().map(|p| Tensor::randn(p.shape(), 0.1, &mut rng)).collect();
     b.visit_params(&mut |p| p.zero_grad());
-    let _dx = b.backward_rev(&pyr, dpyr);
+    let _dx = b.backward_rev(pyr, dpyr);
     // If reconstruction had drifted, gradients would blow up; bound them.
     let mut max_grad = 0.0f32;
     b.visit_params(&mut |p| max_grad = max_grad.max(p.grad.abs_max()));
