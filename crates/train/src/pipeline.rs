@@ -606,8 +606,8 @@ impl Worker {
                         assert!(micros <= MAX_MICROS, "too many micro-batches: {micros}");
                         assert!(shards <= self.cells.len(), "shard count exceeds replica cells");
                         if let Some(f) = fault {
-                            // Mirror ShardEngine: the fault fires on shard
-                            // replica 0 only.
+                            // Mirror ShardEngine, where the fault fires on
+                            // shard 0 (the primary model) only.
                             self.cells[0].arm_fault(f);
                         }
                         let slot_base = (seq % self.ring_cap as u64) as usize * MAX_MICROS;

@@ -1,7 +1,8 @@
 //! Data-parallel sharded training step: micro-batch shards run forward +
-//! reversible backward on persistent model replicas, and the per-shard
-//! gradients are merged with a pairwise tree so the result is **bitwise
-//! invariant to the shard count and the thread count**.
+//! reversible backward (shard 0 on the primary model, the others on
+//! persistent replicas), and the per-shard gradients are merged with a
+//! pairwise tree so the result is **bitwise invariant to the shard count
+//! and the thread count**.
 //!
 //! # Determinism contract
 //!
@@ -18,11 +19,12 @@
 //!   the shard gradients with the stride tree;
 //! * the loss: per-sample `f64` cross-entropy terms are tree-summed over
 //!   the full batch in sample order (sample order is shard-independent);
-//! * BatchNorm statistics: replicas run in *decoupled* mode — they
-//!   normalize with the pre-step running statistics (making every sample's
-//!   activations independent of its batch neighbours) and record per-sample
-//!   `f64` moments, which the engine tree-merges globally and applies to
-//!   the primary model once the step is known to be clean.
+//! * BatchNorm statistics: every shard's model (the primary included, for
+//!   the duration of the step) runs in *decoupled* mode — it normalizes
+//!   with the pre-step running statistics (making every sample's
+//!   activations independent of its batch neighbours) and records
+//!   per-sample `f64` moments, which the engine tree-merges globally and
+//!   applies to the primary model once the step is known to be clean.
 //!
 //! The engine requires `dropout == 0` and `drop_path == 0`: stochastic
 //! layers draw from a batch-order-dependent RNG stream, which would break
@@ -36,16 +38,16 @@ use revbifpn_nn::meter;
 use revbifpn_rev::{DriftConfig, ReconFault};
 use revbifpn_tensor::{par, Shape, Tensor};
 
-/// Faults to inject into one sharded step (mirrors the serial trainer's
-/// fault points; see [`crate::FaultPlan`]).
+/// Faults to inject into one sharded step, both on shard 0 — the primary
+/// model (mirrors the serial trainer's fault points; see [`crate::FaultPlan`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStepFaults {
     /// Poison the first logit gradient of shard 0 (sample 0, class 0) with
     /// a NaN after the loss is formed — the sharded analogue of the serial
     /// trainer's `Fault::NanGrad`.
     pub nan_grad: bool,
-    /// Flip a bit in a reconstructed activation on replica 0 (the sharded
-    /// analogue of `Fault::BitFlip`).
+    /// Flip a bit in a reconstructed activation of shard 0's backward (the
+    /// sharded analogue of `Fault::BitFlip`).
     pub bit_flip: Option<ReconFault>,
 }
 
@@ -59,8 +61,9 @@ pub struct ShardStepOutput {
     /// is false.
     pub loss: f64,
     /// `false` when a shard saw non-finite logits: the loss was not formed
-    /// and no gradients were merged into the primary model. The caller's
-    /// tripwire should skip the step (or reproduce the serial panic).
+    /// and no gradients were merged, so the primary's `grad` slots hold
+    /// whatever shard 0 left in them. The caller's tripwire should skip
+    /// the step (or reproduce the serial panic).
     pub backward_ran: bool,
     /// Number of shards the batch was actually split into (collapses to 1
     /// when the batch size is incompatible with the configured count).
@@ -76,30 +79,46 @@ struct ShardResult {
 
 /// Persistent data-parallel step engine.
 ///
-/// Holds one model replica per shard plus reusable staging buffers, so the
-/// per-step cost is copies (parameter sync, gradient gather) and not
-/// allocation. The primary model owned by the caller remains the source of
-/// truth: replicas are re-synced from it at the start of every step, and
-/// only the primary receives merged gradients, BN statistics, optimizer
-/// updates, and checkpoints.
+/// Shard 0 runs on the primary model the caller owns; the engine holds one
+/// replica for each of shards `1..S` and the reusable holders the broadcast
+/// and the merge move tensors through, so a step copies values once per
+/// replica and stages nothing. The primary remains the source of truth:
+/// replicas are re-synced from it at the start of every step, and only the
+/// primary receives merged gradients, BN statistics, optimizer updates, and
+/// checkpoints.
 #[derive(Debug)]
 pub struct ShardEngine {
     replicas: Vec<RevBiFPNClassifier>,
-    shards: usize,
-    /// Primary parameter/buffer values staged for broadcast (reused).
-    param_src: Vec<Tensor>,
-    buffer_src: Vec<Tensor>,
-    /// Per-shard gradient staging buffers (reused; also the tree scratch).
-    shard_grads: Vec<Vec<Tensor>>,
+    /// The replicas' drift-sentinel config; the primary must carry the same.
+    drift: DriftConfig,
+    /// The primary's parameter values and buffers while they are broadcast.
+    values: Vec<Tensor>,
+    buffers: Vec<Tensor>,
+    /// Each shard model's `grad` tensors while the tree merges them.
+    grad_slabs: Vec<Vec<Tensor>>,
     /// Per-BN `(mean, var)` computed by the last step, awaiting
     /// [`ShardEngine::apply_bn_stats`].
     pending_stats: Vec<(Tensor, Tensor)>,
 }
 
+/// What a slot holds while its tensor is moved out (owns no allocation).
+fn hole() -> Tensor {
+    Tensor::zeros(Shape::vector(0))
+}
+
+/// The models of shards `0..=replicas.len()`, in shard order.
+fn shard_models<'a>(
+    primary: &'a mut RevBiFPNClassifier,
+    replicas: &'a mut [RevBiFPNClassifier],
+) -> impl Iterator<Item = &'a mut RevBiFPNClassifier> {
+    std::iter::once(primary).chain(replicas)
+}
+
 impl ShardEngine {
-    /// Builds an engine with `shards` replicas of the model described by
-    /// `cfg`, configured for deterministic sharding (decoupled BN, drift
-    /// sentinel matching the trainer's resilience settings).
+    /// Builds an engine for `shards` shards of the model described by
+    /// `cfg`: `shards - 1` replicas configured for deterministic sharding
+    /// (decoupled BN, drift sentinel `drift`). The primary keeps the drift
+    /// config its owner set, which must equal `drift`.
     ///
     /// # Panics
     ///
@@ -112,7 +131,7 @@ impl ShardEngine {
             "sharded training requires dropout == 0 and drop_path == 0 \
              (stochastic layers depend on batch order)"
         );
-        let replicas = (0..shards)
+        let replicas = (1..shards)
             .map(|_| {
                 let mut r = RevBiFPNClassifier::new(cfg.clone());
                 r.backbone_mut().body_mut().set_drift_config(drift);
@@ -122,28 +141,29 @@ impl ShardEngine {
             .collect();
         Self {
             replicas,
-            shards,
-            param_src: Vec::new(),
-            buffer_src: Vec::new(),
-            shard_grads: vec![Vec::new(); shards],
+            drift,
+            values: Vec::new(),
+            buffers: Vec::new(),
+            grad_slabs: vec![Vec::new(); shards],
             pending_stats: Vec::new(),
         }
     }
 
     /// The configured shard count.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.replicas.len() + 1
     }
 
     /// Runs one sharded training step against the primary model.
     ///
-    /// Broadcasts the primary's parameters and buffers to the replicas,
-    /// runs forward + loss + backward on each micro-batch shard as one
-    /// pool task, then tree-merges per-shard gradients into the primary's
-    /// `grad` slots (overwriting them, like `zero_grads` + `backward`).
-    /// BN statistics are merged but **not** applied — call
-    /// [`ShardEngine::apply_bn_stats`] once the step passes the caller's
-    /// tripwires.
+    /// Broadcasts the primary's parameters and buffers to the replicas in
+    /// use, switches the primary's BatchNorms to decoupled mode, runs
+    /// forward + loss + backward on each micro-batch shard as one pool task
+    /// (shard 0 on the primary), then tree-merges the shard gradients into
+    /// the primary's `grad` slots (overwriting them, like `zero_grads` +
+    /// `backward`) and switches its BatchNorms back. BN statistics are
+    /// merged but **not** applied — call [`ShardEngine::apply_bn_stats`]
+    /// once the step passes the caller's tripwires.
     pub fn step(
         &mut self,
         primary: &mut RevBiFPNClassifier,
@@ -153,16 +173,15 @@ impl ShardEngine {
         faults: &ShardStepFaults,
     ) -> ShardStepOutput {
         assert!(mode != RunMode::Eval, "sharded step requires a training mode");
+        debug_assert_eq!(primary.backbone().body().drift_config(), self.drift, "primary drift config");
         let n = images.shape().n;
         assert_eq!(targets.shape().n, n, "images/targets batch mismatch");
-        let s_eff = effective_split(n, self.shards);
+        let s_eff = effective_split(n, self.shards());
         let m = n / s_eff;
         self.pending_stats.clear();
 
-        self.broadcast(primary);
-        if let Some(f) = faults.bit_flip {
-            self.replicas[0].backbone_mut().body_mut().inject_recon_fault(f);
-        }
+        self.broadcast(primary, s_eff - 1);
+        primary.visit_bn(&mut |bn| bn.set_decoupled(true));
 
         // Slice the batch into contiguous per-shard tensors (sample-major,
         // so shard k owns samples [k*m, (k+1)*m)).
@@ -171,28 +190,27 @@ impl ShardEngine {
             .collect();
 
         // One round of shard tasks: forward, per-sample loss, reversible
-        // backward — all inside the task so every replica's caches live and
+        // backward — all inside the task so every model's caches live and
         // die on one worker, with meter effects fenced by `isolated`.
         let mut slots: Vec<Option<(ShardResult, meter::TaskMeter)>> =
             (0..s_eff).map(|_| None).collect();
         {
             let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(s_eff);
-            for (k, ((replica, slot), (img, tgt))) in self.replicas[..s_eff]
-                .iter_mut()
-                .zip(slots.iter_mut())
-                .zip(shard_inputs.drain(..))
-                .enumerate()
+            let models = shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]);
+            for (k, ((model, slot), (img, tgt))) in
+                models.zip(slots.iter_mut()).zip(shard_inputs.drain(..)).enumerate()
             {
                 let poison = faults.nan_grad && k == 0;
+                let flip = faults.bit_flip.filter(|_| k == 0);
                 tasks.push(Box::new(move || {
                     *slot = Some(meter::isolated(|| {
                         let logits = meter::time_phase(meter::Phase::Forward, || {
-                            replica.forward(&img, mode)
+                            model.forward(&img, mode)
                         });
                         if !logits.is_finite() {
                             // Don't form the loss (it asserts finiteness);
-                            // drop the caches so the replica is reusable.
-                            replica.clear_cache();
+                            // drop the caches so the model is reusable.
+                            model.clear_cache();
                             return ShardResult { logits, losses: Vec::new(), finite: false };
                         }
                         let (losses, mut dlogits) =
@@ -200,8 +218,11 @@ impl ShardEngine {
                         if poison {
                             dlogits.data_mut()[0] = f32::NAN;
                         }
-                        replica.zero_grads();
-                        replica.backward(&dlogits);
+                        if let Some(f) = flip {
+                            model.backbone_mut().body_mut().inject_recon_fault(f);
+                        }
+                        model.zero_grads();
+                        model.backward(&dlogits);
                         ShardResult { logits, losses, finite: true }
                     }));
                 }));
@@ -230,10 +251,10 @@ impl ShardEngine {
         }
 
         if results.iter().any(|r| !r.finite) {
-            // A shard tripped before backward; leave primary grads alone.
-            for r in &mut self.replicas[..s_eff] {
-                r.clear_cache();
-            }
+            // A shard tripped before backward: merge nothing, and hand the
+            // primary back with its BatchNorms coupled and no moments.
+            shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]).for_each(|m| m.clear_cache());
+            primary.visit_bn(&mut |bn| bn.set_decoupled(false));
             return ShardStepOutput { logits, loss: 0.0, backward_ran: false, shards_used: s_eff };
         }
 
@@ -249,8 +270,9 @@ impl ShardEngine {
 
         meter::time_phase(meter::Phase::Reduce, || {
             self.merge_grads(primary, s_eff);
-            self.merge_bn_stats(n, s_eff);
+            self.merge_bn_stats(primary, n, s_eff);
         });
+        primary.visit_bn(&mut |bn| bn.set_decoupled(false));
 
         ShardStepOutput { logits, loss, backward_ran: true, shards_used: s_eff }
     }
@@ -278,83 +300,107 @@ impl ShardEngine {
         self.pending_stats.clear();
     }
 
-    /// Copies the primary's parameters and persistent buffers into every
-    /// replica. Staging tensors are allocated on first use and reused, so
-    /// steady-state steps are copy-only.
-    fn broadcast(&mut self, primary: &mut RevBiFPNClassifier) {
-        if self.param_src.is_empty() {
-            primary.visit_params(&mut |p| self.param_src.push(p.value.clone()));
-            primary.visit_buffers(&mut |t| self.buffer_src.push(t.clone()));
-        } else {
-            let mut i = 0;
-            primary.visit_params(&mut |p| {
-                self.param_src[i].data_mut().copy_from_slice(p.value.data());
-                i += 1;
-            });
-            let mut j = 0;
-            primary.visit_buffers(&mut |t| {
-                self.buffer_src[j].data_mut().copy_from_slice(t.data());
-                j += 1;
-            });
+    /// Copies the primary's parameter values and persistent buffers into
+    /// the first `used` replicas: they are moved out of the primary into
+    /// the engine's holders, copied from there, and moved back.
+    fn broadcast(&mut self, primary: &mut RevBiFPNClassifier, used: usize) {
+        primary.visit_params(&mut |p| self.values.push(std::mem::replace(&mut p.value, hole())));
+        primary.visit_buffers(&mut |t| self.buffers.push(std::mem::replace(t, hole())));
+        for r in &mut self.replicas[..used] {
+            let (mut vals, mut bufs) = (self.values.iter(), self.buffers.iter());
+            r.visit_params(&mut |p| p.value.data_mut().copy_from_slice(vals.next().expect("params").data()));
+            r.visit_buffers(&mut |t| t.data_mut().copy_from_slice(bufs.next().expect("buffers").data()));
         }
-        for r in &mut self.replicas {
-            let mut i = 0;
-            r.visit_params(&mut |p| {
-                p.value.data_mut().copy_from_slice(self.param_src[i].data());
-                i += 1;
-            });
-            let mut j = 0;
-            r.visit_buffers(&mut |t| {
-                t.data_mut().copy_from_slice(self.buffer_src[j].data());
-                j += 1;
-            });
-        }
+        let (mut values, mut buffers) = (self.values.drain(..), self.buffers.drain(..));
+        primary.visit_params(&mut |p| p.value = values.next().expect("params"));
+        primary.visit_buffers(&mut |t| *t = buffers.next().expect("buffers"));
     }
 
-    /// Gathers each shard's parameter gradients and merges them with the
-    /// pairwise stride tree, writing the root into the primary's `grad`
-    /// slots. With per-shard gradients being aligned subtrees of the
-    /// global per-sample tree, the merged result is bitwise identical to a
-    /// single-shard run.
+    /// Merges the shard gradients in place with the pairwise stride tree:
+    /// each shard model's `grad` tensors are moved into its slab, the root
+    /// lands in slab 0 (the primary's), and the slabs are moved back. Shard
+    /// gradients being aligned subtrees of the global per-sample tree, the
+    /// result is bitwise identical to a single-shard run.
     fn merge_grads(&mut self, primary: &mut RevBiFPNClassifier, s_eff: usize) {
-        for k in 0..s_eff {
-            let grads = &mut self.shard_grads[k];
-            if grads.is_empty() {
-                self.replicas[k].visit_params(&mut |p| grads.push(p.grad.clone()));
-            } else {
-                let mut i = 0;
-                self.replicas[k].visit_params(&mut |p| {
-                    grads[i].data_mut().copy_from_slice(p.grad.data());
-                    i += 1;
-                });
-            }
+        let slabs = &mut self.grad_slabs[..s_eff];
+        let models = shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]);
+        for (model, slab) in models.zip(slabs.iter_mut()) {
+            model.visit_params(&mut |p| slab.push(std::mem::replace(&mut p.grad, hole())));
         }
-        tree_merge_slabs(&mut self.shard_grads[..s_eff]);
-        let mut i = 0;
-        primary.visit_params(&mut |p| {
-            p.grad.data_mut().copy_from_slice(self.shard_grads[0][i].data());
-            i += 1;
-        });
+        tree_merge_slabs(slabs);
+        let models = shard_models(primary, &mut self.replicas[..s_eff - 1]);
+        for (model, slab) in models.zip(slabs.iter_mut()) {
+            let mut grads = slab.drain(..);
+            model.visit_params(&mut |p| p.grad = grads.next().expect("params"));
+        }
     }
 
-    /// Collects the per-sample BN moments recorded by every replica and
+    /// Collects the per-sample BN moments recorded by every shard model and
     /// merges them into per-BN global `(mean, var)` pairs with a pairwise
     /// `f64` tree over the full batch, in sample order.
-    fn merge_bn_stats(&mut self, n: usize, s_eff: usize) {
+    fn merge_bn_stats(&mut self, primary: &mut RevBiFPNClassifier, n: usize, s_eff: usize) {
         let mut per_shard: Vec<Vec<BnMoments>> = Vec::with_capacity(s_eff);
-        for r in &mut self.replicas[..s_eff] {
+        for model in shard_models(primary, &mut self.replicas[..s_eff - 1]) {
             let mut list = Vec::new();
-            r.visit_bn(&mut |bn| {
+            model.visit_bn(&mut |bn| {
                 list.push(bn.take_moments().expect("decoupled BN recorded no moments"));
             });
             per_shard.push(list);
         }
-        let num_bns = per_shard[0].len();
-        for j in 0..num_bns {
+        for j in 0..per_shard[0].len() {
             // Global sample-major moment table: shard k's samples land at
             // rows [k*m, (k+1)*m), restoring batch order.
             let table = concat_moments(per_shard.iter().map(|shard| &shard[j]));
             self.pending_stats.push(reduce_moments(n, table));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use revbifpn::RevBiFPNConfig;
+    use revbifpn_data::{SynthScale, SynthScaleConfig};
+    use revbifpn_nn::loss::{label_smooth, one_hot};
+
+    /// The address of every `value` and `grad` buffer, and the value bits.
+    fn primary_state(m: &mut RevBiFPNClassifier) -> (Vec<*const f32>, Vec<u32>) {
+        let (mut ptrs, mut bits) = (Vec::new(), Vec::new());
+        m.visit_params(&mut |p| {
+            ptrs.extend([p.value.data().as_ptr(), p.grad.data().as_ptr()]);
+            bits.extend(p.value.data().iter().map(|v| v.to_bits()));
+        });
+        (ptrs, bits)
+    }
+
+    #[test]
+    fn step_hands_the_primary_back_as_its_owner_left_it() {
+        let data = SynthScale::new(SynthScaleConfig::new(32), 5);
+        let (images, labels) = data.batch(0, 8);
+        let targets = label_smooth(&one_hot(&labels, data.num_classes()), 0.1);
+        // A NaN in the last sample makes the last shard's logits non-finite:
+        // the primary's own at S = 1, a replica's (after the primary ran its
+        // backward) at S = 2.
+        let mut poisoned = images.clone();
+        *poisoned.data_mut().last_mut().expect("non-empty batch") = f32::NAN;
+        for shards in [1, 2] {
+            let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
+            let mut engine = ShardEngine::new(model.cfg(), shards, DriftConfig::default());
+            let before = primary_state(&mut model);
+            for (x, clean) in [(&images, true), (&poisoned, false)] {
+                let label = format!("S={shards} clean={clean}");
+                let faults = ShardStepFaults::default();
+                let out = engine.step(&mut model, x, &targets, RunMode::TrainReversible, &faults);
+                assert_eq!(out.backward_ran, clean, "{label}");
+                model.visit_bn(&mut |bn| {
+                    assert!(!bn.decoupled(), "{label}: a primary BN was left decoupled");
+                    assert!(bn.take_moments().is_none(), "{label}: a primary BN kept its moments");
+                });
+                let (ptrs, bits) = primary_state(&mut model);
+                assert!(ptrs == before.0, "{label}: a value or grad buffer was reallocated");
+                assert!(bits == before.1, "{label}: the step changed a parameter value");
+                assert_eq!(engine.replicas.len(), shards - 1, "{label}");
+            }
         }
     }
 }

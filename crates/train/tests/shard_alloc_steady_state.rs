@@ -1,9 +1,10 @@
 //! Steady-state allocation accounting for the sharded training step.
 //!
 //! After warm-up, a sharded `ShardEngine::step` must run entirely out of
-//! the persistent replica buffers, the per-shard gradient accumulators, and
-//! the warmed thread-local scratch arenas: the scratch `heap_growths`
-//! counter must stay flat across later steps.
+//! the primary's and the replicas' own parameter tensors (the broadcast and
+//! the gradient merge move them through reused holders) and the warmed
+//! thread-local scratch arenas: the scratch `heap_growths` counter must
+//! stay flat across later steps.
 //!
 //! This file holds a single test on purpose: the scratch counters are
 //! process-global, so it must not share its process slot with other tests
@@ -31,7 +32,7 @@ fn sharded_step_makes_zero_scratch_heap_allocations_at_steady_state() {
         0.1,
     );
 
-    let mut step = |engine: &mut ShardEngine, model: &mut RevBiFPNClassifier| {
+    let step = |engine: &mut ShardEngine, model: &mut RevBiFPNClassifier| {
         let out = engine.step(
             model,
             &images,

@@ -11,6 +11,10 @@
 //! - Figure 4 holds in real bytes on the tiny model: from depth 1 to 5 the
 //!   reversible rise stays flat (< 5 %) while the conventional rise grows
 //!   more than 1.8x.
+//! - A `ShardEngine` over the same S0 model keeps at most one value and one
+//!   gradient per parameter for each of its `S - 1` replicas (plus 1 MiB)
+//!   resident after two warm steps: shard 0 runs on the primary itself, and
+//!   nothing is staged.
 //!
 //! The allocator sees every thread, so this file holds exactly one test, and
 //! the test pins the worker pool to one thread so no other thread's arena
@@ -19,7 +23,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
+use revbifpn_nn::loss::one_hot;
+use revbifpn_rev::DriftConfig;
 use revbifpn_tensor::{par, Shape, Tensor};
+use revbifpn_train::{ShardEngine, ShardStepFaults};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -80,14 +87,38 @@ fn step(m: &mut RevBiFPNClassifier, x: &Tensor, mode: RunMode) -> (usize, usize)
     (rise, meter_peak)
 }
 
+/// Live heap a `ShardEngine` with `shards` shards holds over `m` after two
+/// warm steps on `x`, in bytes.
+fn engine_resident(m: &mut RevBiFPNClassifier, x: &Tensor, targets: &Tensor, shards: usize) -> usize {
+    let start = LIVE.load(Ordering::Relaxed);
+    let mut engine = ShardEngine::new(m.cfg(), shards, DriftConfig::default());
+    for _ in 0..2 {
+        let out = engine.step(m, x, targets, RunMode::TrainReversible, &ShardStepFaults::default());
+        assert!(out.backward_ran, "clean sharded step must complete");
+        engine.apply_bn_stats(m);
+    }
+    let resident = LIVE.load(Ordering::Relaxed).saturating_sub(start);
+    drop(engine);
+    resident
+}
+
 #[test]
 fn train_step_heap_follows_the_meter_and_figure4() {
     par::set_max_threads(1);
     let mut rng = StdRng::seed_from_u64(5);
 
-    let mut s0 = RevBiFPNClassifier::new(RevBiFPNConfig::s0(10).with_resolution(96));
+    // Deterministic layers, as sharded training requires (and as the
+    // benchmark's training workloads run).
+    let mut cfg = RevBiFPNConfig::s0(10).with_resolution(96);
+    cfg.dropout = 0.0;
+    cfg.drop_path = 0.0;
+    let mut s0 = RevBiFPNClassifier::new(cfg);
     let x = Tensor::randn(Shape::new(4, 3, 96, 96), 1.0, &mut rng);
     let (rise, meter_peak) = step(&mut s0, &x, RunMode::TrainReversible);
+    let targets = one_hot(&[0, 1, 2, 3], 10);
+    let param_bytes = 8 * s0.param_count() as usize;
+    let resident1 = engine_resident(&mut s0, &x, &targets, 1);
+    let resident2 = engine_resident(&mut s0, &x, &targets, 2);
     drop(s0);
 
     let x = Tensor::randn(Shape::new(4, 3, 32, 32), 1.0, &mut rng);
@@ -101,6 +132,13 @@ fn train_step_heap_follows_the_meter_and_figure4() {
     par::set_max_threads(0);
 
     let mb = |b: f64| b / 1e6;
+    println!(
+        "S0@96 b4 ShardEngine resident after two steps: S=1 {:.2} MB, S=2 {:.2} MB \
+         (value + grad per parameter: {:.2} MB)",
+        mb(resident1 as f64),
+        mb(resident2 as f64),
+        mb(param_bytes as f64)
+    );
     println!(
         "S0@96 b4 rev: heap rise {:.2} MB, meter peak {:.2} MB; \
          tiny rev d1 {:.2} d5 {:.2} MB, conv d1 {:.2} d5 {:.2} MB",
@@ -117,6 +155,18 @@ fn train_step_heap_follows_the_meter_and_figure4() {
         mb(rise as f64),
         mb(meter_peak as f64),
         rise as f64 / meter_peak as f64
+    );
+    const MIB: usize = 1 << 20;
+    assert!(
+        resident1 <= MIB,
+        "S=1 engine holds {:.2} MB: shard 0 must run on the primary",
+        mb(resident1 as f64)
+    );
+    assert!(
+        resident2 <= param_bytes + MIB,
+        "S=2 engine holds {:.2} MB, over one replica's value + grad ({:.2} MB) + 1 MiB",
+        mb(resident2 as f64),
+        mb(param_bytes as f64)
     );
     assert!(
         rev5 < 1.05 * rev1,
