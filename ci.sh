@@ -16,8 +16,8 @@ cargo build --release --workspace
 echo "== cargo test (default thread budget)"
 cargo test -q --workspace
 
-echo "== cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (REVBIFPN_MAX_THREADS=1)"
 REVBIFPN_MAX_THREADS=1 cargo test -q --workspace

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HardSwish, Linear, MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_tensor::{ConvSpec, Shape, Tensor};
 
 /// One stage of the EfficientNet-B0 template.
@@ -188,23 +188,6 @@ impl EfficientNet {
         self.body.macs(Shape::new(n, 3, res, res))
     }
 
-    /// Scalar parameter count.
-    pub fn param_count(&mut self) -> u64 {
-        let mut t = 0u64;
-        self.body.visit_params(&mut |p| t += p.numel() as u64);
-        t
-    }
-
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.body.visit_params(f);
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.body.clear_cache();
-    }
-
     /// Analytic activation-cache bytes of a training forward at batch `n`
     /// and resolution `res` (conventional training: everything cached).
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
@@ -217,10 +200,15 @@ impl EfficientNet {
     }
 }
 
+impl Module for EfficientNet {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.body);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
 
     #[test]
     fn b0_is_paper_scale() {

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Residual, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 fn conv_bn(c_in: usize, c_out: usize, k: usize, stride: usize, rng: &mut StdRng) -> Sequential {
@@ -217,23 +217,16 @@ impl FuseModule {
         }
         total
     }
+}
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for row in &mut self.paths {
-            for p in row.iter_mut().flatten() {
-                p.visit_params(f);
-            }
-        }
-    }
-
-    fn clear_cache(&mut self) {
-        for row in &mut self.paths {
-            for p in row.iter_mut().flatten() {
-                p.clear_cache();
-            }
+impl Module for FuseModule {
+    /// The paths row by row, then the output ReLUs.
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for p in self.paths.iter_mut().flatten().flatten() {
+            f(p.as_mut());
         }
         for r in &mut self.relus {
-            r.clear_cache();
+            f(r);
         }
     }
 }
@@ -279,19 +272,14 @@ impl HrModule {
         let branch: u64 = xs.iter().zip(&self.branches).map(|(&s, b)| b.cache_bytes(s, mode)).sum();
         branch + self.fuse.cache_bytes(xs, mode)
     }
+}
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+impl Module for HrModule {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         for b in &mut self.branches {
-            b.visit_params(f);
+            f(b);
         }
-        self.fuse.visit_params(f);
-    }
-
-    fn clear_cache(&mut self) {
-        for b in &mut self.branches {
-            b.clear_cache();
-        }
-        self.fuse.clear_cache();
+        self.fuse.visit_layers(f);
     }
 }
 
@@ -452,39 +440,17 @@ impl HrNet {
         });
         total
     }
+}
 
-    /// Scalar parameter count.
-    pub fn param_count(&mut self) -> u64 {
-        let mut t = 0u64;
-        self.visit_params(&mut |p| t += p.numel() as u64);
-        t
-    }
-
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.stage1.visit_params(f);
+impl Module for HrNet {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.stem);
+        f(&mut self.stage1);
         for t in &mut self.transitions {
-            t.visit_params(f);
+            f(t.as_mut());
         }
-        for stage in &mut self.stages {
-            for m in stage {
-                m.visit_params(f);
-            }
-        }
-    }
-
-    /// Clears all caches.
-    pub fn clear_cache(&mut self) {
-        self.stem.clear_cache();
-        self.stage1.clear_cache();
-        for t in &mut self.transitions {
-            t.clear_cache();
-        }
-        for stage in &mut self.stages {
-            for m in stage {
-                m.clear_cache();
-            }
+        for m in self.stages.iter_mut().flatten() {
+            m.visit_layers(f);
         }
     }
 }
@@ -503,7 +469,6 @@ impl std::fmt::Debug for WalkPart<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
 
     #[test]
     fn micro_forward_backward_shapes() {

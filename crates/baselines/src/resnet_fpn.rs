@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 /// Bottleneck residual block: 1x1 reduce, 3x3, 1x1 expand (x4), projection
@@ -67,19 +67,12 @@ impl Layer for Bottleneck {
         self.branch.macs(x) + self.shortcut.as_ref().map(|s| s.macs(x)).unwrap_or(0)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.branch.visit_params(f);
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.branch);
         if let Some(sc) = &mut self.shortcut {
-            sc.visit_params(f);
+            f(sc);
         }
-    }
-
-    fn clear_cache(&mut self) {
-        self.branch.clear_cache();
-        if let Some(sc) = &mut self.shortcut {
-            sc.clear_cache();
-        }
-        self.relu.clear_cache();
+        f(&mut self.relu);
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
@@ -241,42 +234,19 @@ impl ResNetFpn {
         }
         total
     }
+}
 
-    /// Scalar parameter count.
-    pub fn param_count(&mut self) -> u64 {
-        let mut t = 0u64;
-        self.visit_params(&mut |p| t += p.numel() as u64);
-        t
-    }
-
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
+impl Module for ResNetFpn {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.stem);
         for s in &mut self.stages {
-            s.visit_params(f);
+            f(s);
         }
-        for l in &mut self.lateral {
-            l.visit_params(f);
-        }
-        for o in &mut self.output {
-            o.visit_params(f);
-        }
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.stem.clear_cache();
-        for s in &mut self.stages {
-            s.clear_cache();
-        }
-        for l in &mut self.lateral {
-            l.clear_cache();
-        }
-        for o in &mut self.output {
-            o.clear_cache();
+        for l in self.lateral.iter_mut().chain(&mut self.output) {
+            f(l);
         }
         for u in &mut self.ups {
-            u.clear_cache();
+            f(u);
         }
     }
 }

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{MBConv, MBConvCfg, SpaceToDepth};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_rev::{BlockStage, RevBlock, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{Shape, Tensor};
 
@@ -205,23 +205,6 @@ impl RevShNet {
         self.body.macs(&[self.stream_shape(n, res)])
     }
 
-    /// Scalar parameter count.
-    pub fn param_count(&mut self) -> u64 {
-        let mut t = 0u64;
-        self.body.visit_params(&mut |p| t += p.numel() as u64);
-        t
-    }
-
-    /// Visits parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.body.visit_params(f);
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.body.clear_cache();
-    }
-
     /// Activation bytes of reversible training: the retained output plus the
     /// transient rematerialization of one whole hourglass block — the
     /// Appendix A.1.1 overhead.
@@ -236,6 +219,17 @@ impl RevShNet {
     pub fn activation_bytes_conv(&self, n: usize, res: usize) -> u64 {
         let s = self.stream_shape(n, res);
         self.body.cache_bytes(&[s], CacheMode::Full)
+    }
+}
+
+impl Module for RevShNet {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.stem);
+        self.body.visit_layers(f);
+    }
+
+    fn clear_state(&mut self) {
+        self.body.clear_state();
     }
 }
 

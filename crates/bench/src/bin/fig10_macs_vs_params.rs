@@ -5,6 +5,7 @@
 use revbifpn::{RevBiFPN, RevBiFPNConfig};
 use revbifpn_baselines::{RevShNet, RevShNetConfig};
 use revbifpn_bench::{arg_usize, fmt_b, fmt_m, quick_mode, Table};
+use revbifpn_nn::Module;
 
 fn main() {
     let max_depth = arg_usize("--max-depth", if quick_mode() { 4 } else { 8 });

@@ -13,7 +13,7 @@ use revbifpn_detect::{
     evaluate_box_ap, evaluate_mask_ap, AreaRanges, Backbone, DetHeadConfig, HrBackbone, MaskDetector,
     RevBackbone,
 };
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_train::{LrSchedule, Sgd};
 
 struct Row {
@@ -109,7 +109,7 @@ fn main() {
     let res = 48;
     let steps = arg_usize("--steps", if quick_mode() { 30 } else { 200 });
     println!("\n## (b) Measured on SynthDet ({res}px, {steps} steps, mask-head substitution)\n");
-    let mut rows = vec![
+    let mut rows = [
         (
             "RevBiFPN-tiny (rev)",
             train_and_eval(

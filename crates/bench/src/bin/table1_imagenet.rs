@@ -14,6 +14,7 @@ use revbifpn::RevBiFPNConfig;
 use revbifpn_baselines::published::{EFFICIENTNET_IMAGENET, HRNET_IMAGENET, REVBIFPN_IMAGENET};
 use revbifpn_baselines::{EfficientNet, EfficientNetConfig};
 use revbifpn_bench::{fmt_b, fmt_gb, fmt_m, quick_mode, Table};
+use revbifpn_nn::Module;
 
 fn main() {
     println!("# Table 1 / Table 11 — ImageNet model comparison\n");
@@ -32,10 +33,9 @@ fn main() {
         "top-1 (paper)",
     ]);
     let max_s = if quick_mode() { 2 } else { 6 };
-    for s in 0..=max_s {
+    for (s, paper) in REVBIFPN_IMAGENET.iter().enumerate().take(max_s + 1) {
         let cfg = RevBiFPNConfig::scaled(s, 1000);
         let sum = summarize(&cfg);
-        let paper = REVBIFPN_IMAGENET[s];
         t.row(vec![
             sum.name.clone(),
             fmt_m(sum.params),
@@ -50,9 +50,8 @@ fn main() {
     }
     // EfficientNet rows (ours built; big variants only when not quick).
     let max_b = if quick_mode() { 1 } else { 4 };
-    for b in 0..=max_b {
+    for (b, paper) in EFFICIENTNET_IMAGENET.iter().enumerate().take(max_b + 1) {
         let mut net = EfficientNet::new(EfficientNetConfig::bx(b, 1000));
-        let paper = EFFICIENTNET_IMAGENET[b];
         let params = net.param_count();
         let macs = net.macs(1);
         let mem = net.activation_bytes(1);

@@ -10,11 +10,11 @@ fn main() {
     println!("# Table 6 — RevBiFPN compound scaling\n");
     const MW: [f32; 7] = [1.0, 1.33, 2.0, 2.67, 4.0, 5.33, 6.67];
     let mut t = Table::new(vec!["model", "m_w", "d", "h and w", "channels (ours)", "neck channels (ours)"]);
-    for s in 0..=6usize {
+    for (s, mw) in MW.iter().enumerate() {
         let cfg = RevBiFPNConfig::scaled(s, 1000);
         t.row(vec![
             cfg.name.clone(),
-            format!("{}", MW[s]),
+            format!("{mw}"),
             format!("{}", cfg.depth),
             format!("{}", cfg.resolution),
             format!("{:?}", cfg.channels),

@@ -21,7 +21,7 @@ use revbifpn_data::{SynthDet, SynthDetConfig};
 use revbifpn_detect::{
     evaluate_box_ap, AreaRanges, Backbone, DetHeadConfig, Detector, HrBackbone, RevBackbone,
 };
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_train::{LrSchedule, Sgd};
 
 fn analytic_section() {
@@ -41,12 +41,11 @@ fn analytic_section() {
         "AP (paper, 1x)",
     ]);
     let max_s = if quick_mode() { 2 } else { 6 };
-    for s in 0..=max_s {
+    for (s, paper) in TABLE9.iter().enumerate().take(max_s + 1) {
         let cfg = RevBiFPNConfig::scaled(s, 1000).with_resolution(res);
         let mut m = RevBiFPNClassifier::new(cfg.clone());
         let b = memory_breakdown(&mut m, 1, RunMode::TrainReversible);
         let mut bb = RevBiFPN::new(cfg);
-        let paper = &TABLE9[s];
         t.row(vec![
             format!("RevBiFPN-S{s} (rev)"),
             fmt_m(bb.param_count()),

@@ -29,7 +29,6 @@ impl Table {
 
     /// Renders the table as markdown.
     pub fn to_markdown(&self) -> String {
-        let ncols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
             for (i, c) in r.iter().enumerate() {
@@ -39,8 +38,8 @@ impl Table {
         let mut out = String::new();
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::from("|");
-            for i in 0..ncols {
-                line.push_str(&format!(" {:<w$} |", cells.get(i).map(|s| s.as_str()).unwrap_or(""), w = widths[i]));
+            for (i, &w) in widths.iter().enumerate() {
+                line.push_str(&format!(" {:<w$} |", cells.get(i).map(|s| s.as_str()).unwrap_or("")));
             }
             line.push('\n');
             line
@@ -99,29 +98,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_renders_markdown() {
-        let mut t = Table::new(vec!["a", "bb"]);
-        t.row(vec!["1", "2"]);
-        let md = t.to_markdown();
-        assert!(md.contains("| a | bb |"));
-        assert!(md.contains("| 1 | 2  |"));
-        assert!(md.contains("|---|"));
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_m(3_210_000), "3.21M");
-        assert_eq!(fmt_b(310_000_000), "0.31B");
-        assert_eq!(fmt_gb(254_000_000), "0.254GB");
-        assert_eq!(fmt_mb(1_500_000), "1.5MB");
-    }
-}
-
 /// Shared ablation runner: trains a (scaled-down) RevBiFPN configuration on
 /// SynthScale and returns `(params, macs, final_val_accuracy)`. Used by the
 /// Table 3/4/5 binaries so every ablation row runs the identical recipe.
@@ -151,4 +127,27 @@ pub fn ablation_run(
     };
     let history = train_classifier(&mut model, &data, &tc, RunMode::TrainReversible);
     (params, macs, history.final_val_acc())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_renders_markdown() {
+        let mut t = Table::new(vec!["a", "bb"]);
+        t.row(vec!["1", "2"]);
+        let md = t.to_markdown();
+        assert!(md.contains("| a | bb |"));
+        assert!(md.contains("| 1 | 2  |"));
+        assert!(md.contains("|---|"));
+    }
+
+    #[test]
+    fn formatters() {
+        assert_eq!(fmt_m(3_210_000), "3.21M");
+        assert_eq!(fmt_b(310_000_000), "0.31B");
+        assert_eq!(fmt_gb(254_000_000), "0.254GB");
+        assert_eq!(fmt_mb(1_500_000), "1.5MB");
+    }
 }

@@ -18,6 +18,7 @@ use crate::freeze::{FrozenBackbone, FrozenClassifier, FrozenClsHead, FrozenStem}
 use revbifpn_nn::artifact::{
     decode_layer, encode_layer, ArtifactReader, ArtifactWriter, TreeReader,
 };
+use revbifpn_nn::FrozenTree;
 use revbifpn_rev::artifact::{decode_sequence, encode_sequence};
 use std::io;
 use std::path::Path;

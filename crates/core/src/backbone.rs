@@ -8,7 +8,7 @@ use crate::stem::Stem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, MBConv, MBConvCfg, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_rev::{BlockStage, RevBlock, RevSilo, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{ResizeMode, Shape, Tensor};
 
@@ -251,39 +251,6 @@ impl RevBiFPN {
         self.stem.macs(img) + self.body.macs(&[s0])
     }
 
-    /// Number of scalar parameters.
-    pub fn param_count(&mut self) -> u64 {
-        let mut total = 0u64;
-        self.visit_params(&mut |p| total += p.numel() as u64);
-        total
-    }
-
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.stem.visit_params(f);
-        self.body.visit_params(f);
-    }
-
-    /// Visits all non-parameter persistent buffers (BatchNorm running
-    /// statistics), mirroring the `visit_params` order.
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.stem.visit_buffers(f);
-        self.body.visit_buffers(f);
-    }
-
-    /// Visits every [`BatchNorm2d`](revbifpn_nn::layers::BatchNorm2d) in
-    /// `visit_params` order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.stem.visit_bn(f);
-        self.body.visit_bn(f);
-    }
-
-    /// Clears all caches.
-    pub fn clear_cache(&mut self) {
-        self.stem.clear_cache();
-        self.body.clear_cache();
-    }
-
     /// Analytic activation-cache bytes of a forward pass for batch `n` in
     /// `mode`.
     pub fn cache_bytes(&self, n: usize, mode: CacheMode) -> u64 {
@@ -298,6 +265,17 @@ impl RevBiFPN {
         let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
         let s0 = self.stem.out_shape(img);
         self.body.peak_transient_bytes(&[s0])
+    }
+}
+
+impl Module for RevBiFPN {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.stem.visit_layers(f);
+        self.body.visit_layers(f);
+    }
+
+    fn clear_state(&mut self) {
+        self.body.clear_state();
     }
 }
 

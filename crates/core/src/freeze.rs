@@ -16,7 +16,7 @@
 //! `"freeze.weights_packed"`) and released when the frozen model drops.
 
 use crate::config::RevBiFPNConfig;
-use revbifpn_nn::{FreezeError, FrozenLayer};
+use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
 use revbifpn_rev::FrozenSequence;
 use revbifpn_tensor::{space_to_depth, Shape, Tensor};
 
@@ -58,30 +58,18 @@ impl FrozenStem {
             FrozenStem::Convolutional { body, .. } => body.forward(x),
         }
     }
+}
 
-    fn compile(&mut self) {
+impl FrozenTree for FrozenStem {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
         if let FrozenStem::Convolutional { body, .. } = self {
-            body.compile();
+            f(body);
         }
     }
 
-    fn quantize(&mut self) {
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
         if let FrozenStem::Convolutional { body, .. } = self {
-            body.quantize();
-        }
-    }
-
-    fn packed_bytes(&self) -> usize {
-        match self {
-            FrozenStem::SpaceToDepth { .. } => 0,
-            FrozenStem::Convolutional { body, .. } => body.packed_bytes(),
-        }
-    }
-
-    fn quant_packed_bytes(&self) -> usize {
-        match self {
-            FrozenStem::SpaceToDepth { .. } => 0,
-            FrozenStem::Convolutional { body, .. } => body.quant_packed_bytes(),
+            f(body);
         }
     }
 }
@@ -105,28 +93,15 @@ impl FrozenClsHead {
         }
         self.tail.forward(&h)
     }
+}
 
-    fn compile(&mut self) {
-        for d in &mut self.downs {
-            d.compile();
-        }
-        self.tail.compile();
+impl FrozenTree for FrozenClsHead {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.downs.iter().chain([&self.tail]).for_each(f);
     }
 
-    fn quantize(&mut self) {
-        for d in &mut self.downs {
-            d.quantize();
-        }
-        self.tail.quantize();
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.downs.iter().map(|d| d.packed_bytes()).sum::<usize>() + self.tail.packed_bytes()
-    }
-
-    fn quant_packed_bytes(&self) -> usize {
-        self.downs.iter().map(|d| d.quant_packed_bytes()).sum::<usize>()
-            + self.tail.quant_packed_bytes()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.downs.iter_mut().chain([&mut self.tail]).for_each(f);
     }
 }
 
@@ -149,29 +124,17 @@ impl FrozenBackbone {
         let s0 = self.stem.forward(x);
         self.body.forward(vec![s0])
     }
+}
 
-    /// Packs all conv weight panels (idempotent).
-    pub fn compile(&mut self) {
-        self.stem.compile();
-        self.body.compile();
+impl FrozenTree for FrozenBackbone {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.stem.visit_frozen(f);
+        self.body.visit_frozen(f);
     }
 
-    /// Lowers every fused conv to int8 weights (see
-    /// [`FrozenLayer::quantize`]; idempotent). Call before
-    /// [`FrozenBackbone::compile`].
-    pub fn quantize(&mut self) {
-        self.stem.quantize();
-        self.body.quantize();
-    }
-
-    /// Total bytes of packed weight panels.
-    pub fn packed_bytes(&self) -> usize {
-        self.stem.packed_bytes() + self.body.packed_bytes()
-    }
-
-    /// Total bytes of quantized (int8) weight panels.
-    pub fn quant_packed_bytes(&self) -> usize {
-        self.stem.quant_packed_bytes() + self.body.quant_packed_bytes()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.stem.visit_frozen_mut(f);
+        self.body.visit_frozen_mut(f);
     }
 }
 
@@ -204,45 +167,19 @@ impl FrozenClassifier {
     pub fn logit_shape(&self, n: usize) -> Shape {
         Shape::new(n, self.cfg().num_classes, 1, 1)
     }
+}
 
-    /// Packs all conv weight panels (idempotent; called by
-    /// [`crate::RevBiFPNClassifier::freeze`]).
-    pub fn compile(&mut self) {
-        self.backbone.compile();
-        for b in &mut self.neck {
-            b.compile();
-        }
-        self.head.compile();
+impl FrozenTree for FrozenClassifier {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.backbone.visit_frozen(f);
+        self.neck.iter().for_each(&mut *f);
+        self.head.visit_frozen(f);
     }
 
-    /// Lowers every fused conv in the model to per-channel int8 weights
-    /// (idempotent; called by [`crate::RevBiFPNClassifier::freeze_int8`]).
-    /// Squeeze-excite gates stay f32 — see [`FrozenLayer::quantize`].
-    pub fn quantize(&mut self) {
-        self.backbone.quantize();
-        for b in &mut self.neck {
-            b.quantize();
-        }
-        self.head.quantize();
-    }
-
-    /// `true` when at least one conv runs the int8 path.
-    pub fn is_quantized(&self) -> bool {
-        self.quant_packed_bytes() > 0
-    }
-
-    /// Total bytes of packed weight panels resident for this model.
-    pub fn packed_bytes(&self) -> usize {
-        self.backbone.packed_bytes()
-            + self.neck.iter().map(|b| b.packed_bytes()).sum::<usize>()
-            + self.head.packed_bytes()
-    }
-
-    /// Total bytes of quantized (int8) weight panels resident for this model.
-    pub fn quant_packed_bytes(&self) -> usize {
-        self.backbone.quant_packed_bytes()
-            + self.neck.iter().map(|b| b.quant_packed_bytes()).sum::<usize>()
-            + self.head.quant_packed_bytes()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.backbone.visit_frozen_mut(f);
+        self.neck.iter_mut().for_each(&mut *f);
+        self.head.visit_frozen_mut(f);
     }
 }
 

@@ -12,7 +12,7 @@ use crate::config::RevBiFPNConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HardSwish, Linear, MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Param, Sequential};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// Per-stream neck: widens pyramid channels for the task heads.
@@ -65,38 +65,27 @@ impl Neck {
         pyramid.iter().zip(&self.blocks).map(|(&s, b)| b.macs(s)).sum()
     }
 
-    /// Visits all parameters.
+    /// Visits all parameters ([`Module::visit_params`]).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for b in &mut self.blocks {
-            b.visit_params(f);
-        }
+        Module::visit_params(self, f)
     }
 
-    /// Visits all non-parameter persistent buffers.
+    /// Visits all persistent buffers ([`Module::visit_buffers`]).
     pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for b in &mut self.blocks {
-            b.visit_buffers(f);
-        }
-    }
-
-    /// Visits every [`BatchNorm2d`](revbifpn_nn::layers::BatchNorm2d) in
-    /// `visit_params` order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for b in &mut self.blocks {
-            b.visit_bn(f);
-        }
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        for b in &mut self.blocks {
-            b.clear_cache();
-        }
+        Module::visit_buffers(self, f)
     }
 
     /// Analytic cache bytes.
     pub fn cache_bytes(&self, pyramid: &[Shape], mode: CacheMode) -> u64 {
         pyramid.iter().zip(&self.blocks).map(|(&s, b)| b.cache_bytes(s, mode)).sum()
+    }
+}
+
+impl Module for Neck {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for b in &mut self.blocks {
+            f(b);
+        }
     }
 }
 
@@ -175,39 +164,6 @@ impl ClsHead {
         total + self.tail.macs(h)
     }
 
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for d in &mut self.downs {
-            d.visit_params(f);
-        }
-        self.tail.visit_params(f);
-    }
-
-    /// Visits all non-parameter persistent buffers.
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for d in &mut self.downs {
-            d.visit_buffers(f);
-        }
-        self.tail.visit_buffers(f);
-    }
-
-    /// Visits every [`BatchNorm2d`](revbifpn_nn::layers::BatchNorm2d) in
-    /// `visit_params` order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for d in &mut self.downs {
-            d.visit_bn(f);
-        }
-        self.tail.visit_bn(f);
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        for d in &mut self.downs {
-            d.clear_cache();
-        }
-        self.tail.clear_cache();
-    }
-
     /// Analytic cache bytes.
     pub fn cache_bytes(&self, neck: &[Shape], mode: CacheMode) -> u64 {
         let mut total = 0;
@@ -217,6 +173,15 @@ impl ClsHead {
             h = neck[i + 1];
         }
         total + self.tail.cache_bytes(h, mode)
+    }
+}
+
+impl Module for ClsHead {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for d in &mut self.downs {
+            f(d);
+        }
+        f(&mut self.tail);
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::backbone::RevBiFPN;
 use crate::config::RevBiFPNConfig;
 use crate::head::{ClsHead, Neck};
-use revbifpn_nn::{meter, CacheMode, Cached, Param};
+use revbifpn_nn::{meter, CacheMode, Cached, FrozenTree, Layer, Module, Param, Part};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// How to run the classifier's forward pass.
@@ -168,6 +168,14 @@ impl RevBiFPNClassifier {
         self.neck.backward(&dneck)
     }
 
+    /// The neck and the head, which follow the backbone in the walk.
+    fn neck_head(&mut self) -> impl Module + '_ {
+        Part::new(move |f| {
+            self.neck.visit_layers(f);
+            self.head.visit_layers(f);
+        })
+    }
+
     /// Visits the stem's parameters only (edge-replica sync and gradient
     /// slab capture in the pipelined trainer).
     pub fn visit_stem_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -184,73 +192,45 @@ impl RevBiFPNClassifier {
         self.backbone.stem_mut().visit_bn(f);
     }
 
-    /// Visits the neck's and head's parameters only, in `visit_params`
-    /// order.
+    /// Visits the neck's and head's parameters only.
     pub fn visit_neck_head_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.neck.visit_params(f);
-        self.head.visit_params(f);
+        self.neck_head().visit_params(f);
     }
 
     /// Visits the neck's and head's persistent buffers only.
     pub fn visit_neck_head_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.neck.visit_buffers(f);
-        self.head.visit_buffers(f);
+        self.neck_head().visit_buffers(f);
     }
 
     /// Visits the neck's and head's BatchNorm layers only.
     pub fn visit_neck_head_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.neck.visit_bn(f);
-        self.head.visit_bn(f);
+        self.neck_head().visit_bn(f);
     }
 
     /// Clears only the neck and head caches (between pipelined edge ops).
     pub fn clear_neck_head_cache(&mut self) {
-        self.neck.clear_cache();
-        self.head.clear_cache();
+        self.neck_head().clear_cache();
     }
 
-    /// Visits all parameters (backbone, neck, head).
+    /// Visits all parameters ([`Module::visit_params`]).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.visit_params(f);
-        self.neck.visit_params(f);
-        self.head.visit_params(f);
+        Module::visit_params(self, f)
     }
 
-    /// Visits all non-parameter persistent buffers (backbone, neck, head),
-    /// mirroring the `visit_params` order.
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.backbone.visit_buffers(f);
-        self.neck.visit_buffers(f);
-        self.head.visit_buffers(f);
-    }
-
-    /// Visits every [`BatchNorm2d`](revbifpn_nn::layers::BatchNorm2d) in
-    /// `visit_params` order (backbone, neck, head).
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.backbone.visit_bn(f);
-        self.neck.visit_bn(f);
-        self.head.visit_bn(f);
-    }
-
-    /// Total scalar parameter count.
+    /// Total scalar parameter count ([`Module::param_count`]).
     pub fn param_count(&mut self) -> u64 {
-        let mut total = 0u64;
-        self.visit_params(&mut |p| total += p.numel() as u64);
-        total
+        Module::param_count(self)
     }
 
-    /// Zeroes all parameter gradients.
+    /// Zeroes all parameter gradients ([`Module::zero_grads`]).
     pub fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
+        Module::zero_grads(self)
     }
 
-    /// Clears every cache (backbone, neck, head, saved pyramid).
+    /// Clears every cache, the saved pyramid included
+    /// ([`Module::clear_cache`]).
     pub fn clear_cache(&mut self) {
-        self.backbone.clear_cache();
-        self.neck.clear_cache();
-        self.head.clear_cache();
-        self.saved_pyramid.clear();
-        self.last_mode = None;
+        Module::clear_cache(self)
     }
 
     /// Total MACs of one forward pass at batch size `n`.
@@ -300,6 +280,19 @@ impl RevBiFPNClassifier {
     /// Logit shape helper.
     pub fn logit_shape(&self, n: usize) -> Shape {
         Shape::new(n, self.cfg().num_classes, 1, 1)
+    }
+}
+
+impl Module for RevBiFPNClassifier {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.backbone.visit_layers(f);
+        self.neck_head().visit_layers(f);
+    }
+
+    fn clear_state(&mut self) {
+        self.backbone.clear_state();
+        self.saved_pyramid.clear();
+        self.last_mode = None;
     }
 }
 

@@ -8,7 +8,7 @@ use crate::config::{RevBiFPNConfig, StemKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, HardSwish};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_tensor::{depth_to_space, space_to_depth, ConvSpec, Shape, Tensor};
 
 /// Duplicates channels cyclically up to `c_target` (`c_target >= x.c`).
@@ -199,41 +199,20 @@ impl Stem {
         }
     }
 
-    /// Visits stem parameters (conv stem only).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        if let Stem::Convolutional { body, .. } = self {
-            body.visit_params(f);
-        }
-    }
-
-    /// Visits persistent buffers (conv stem only; the space-to-depth stem is
-    /// parameter- and buffer-free).
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        if let Stem::Convolutional { body, .. } = self {
-            body.visit_buffers(f);
-        }
-    }
-
-    /// Visits every [`BatchNorm2d`](revbifpn_nn::layers::BatchNorm2d) in
-    /// `visit_params` order (conv stem only).
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        if let Stem::Convolutional { body, .. } = self {
-            body.visit_bn(f);
-        }
-    }
-
-    /// Clears caches (conv stem only).
-    pub fn clear_cache(&mut self) {
-        if let Stem::Convolutional { body, .. } = self {
-            body.clear_cache();
-        }
-    }
-
     /// Analytic cache bytes.
     pub fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
         match self {
             Stem::SpaceToDepth { .. } => 0,
             Stem::Convolutional { body, .. } => body.cache_bytes(x, mode),
+        }
+    }
+}
+
+impl Module for Stem {
+    /// The conv stem's chain; the space-to-depth stem holds no layers.
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        if let Stem::Convolutional { body, .. } = self {
+            f(body);
         }
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPN, RevBiFPNConfig, RevBiFPNClassifier, RunMode};
-use revbifpn_nn::{meter, CacheMode};
+use revbifpn_nn::{meter, CacheMode, Module};
 use revbifpn_tensor::{Shape, Tensor};
 
 fn random_tiny_config(seed: u64, streams: usize, depth: usize, blocks: usize) -> RevBiFPNConfig {

@@ -100,10 +100,11 @@ proptest! {
         let ds = SynthScale::new(SynthScaleConfig::new(8), seed);
         let (images, labels) = ds.batch(start, n);
         prop_assert_eq!(images.shape().n, n);
+        prop_assert_eq!(labels.len(), n);
         let chw = images.shape().chw();
-        for i in 0..n {
+        for (i, &label) in labels.iter().enumerate() {
             let (img, l) = ds.sample(start + i as u64);
-            prop_assert_eq!(labels[i], l);
+            prop_assert_eq!(label, l);
             prop_assert_eq!(&images.data()[i * chw..(i + 1) * chw], img.data());
         }
     }

@@ -13,7 +13,7 @@ use revbifpn::artifact::{decode_backbone, encode_backbone, FLAG_INT8};
 use revbifpn_nn::artifact::{
     decode_layer, encode_layer, ArtifactReader, ArtifactWriter, TreeReader,
 };
-use revbifpn_nn::freeze::FrozenLayer;
+use revbifpn_nn::freeze::{FrozenLayer, FrozenTree};
 use std::io;
 use std::path::Path;
 
@@ -124,7 +124,7 @@ pub fn decode_detector(r: &mut TreeReader<'_>) -> io::Result<FrozenDetector> {
 
 /// Computes the artifact flags for `model` (precision tier + kind).
 pub fn detector_flags(model: &FrozenDetector) -> u32 {
-    FLAG_DETECTOR | if model.quant_packed_bytes() > 0 { FLAG_INT8 } else { 0 }
+    FLAG_DETECTOR | if model.is_quantized() { FLAG_INT8 } else { 0 }
 }
 
 /// Serializes `model` and writes it to `path` atomically and durably.
@@ -172,6 +172,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn::{RevBiFPN, RevBiFPNConfig};
+    use revbifpn_nn::Module;
     use revbifpn_tensor::{Shape, Tensor};
     use std::fs;
 

@@ -4,11 +4,12 @@
 
 use revbifpn::RevBiFPN;
 use revbifpn_baselines::{HrNet, ResNetFpn};
-use revbifpn_nn::{CacheMode, Param};
+use revbifpn_nn::{CacheMode, Layer, Module};
 use revbifpn_tensor::Tensor;
 
-/// A backbone producing a multi-level feature pyramid.
-pub trait Backbone: std::fmt::Debug {
+/// A backbone producing a multi-level feature pyramid. Its walks come from
+/// [`Module`].
+pub trait Backbone: Module + std::fmt::Debug {
     /// Training forward (caches per its training regime).
     fn forward_train(&mut self, x: &Tensor) -> Vec<Tensor>;
 
@@ -23,12 +24,6 @@ pub trait Backbone: std::fmt::Debug {
 
     /// Per-level strides w.r.t. the input image.
     fn strides(&self) -> Vec<usize>;
-
-    /// Visits all parameters.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
-
-    /// Clears caches.
-    fn clear_cache(&mut self);
 
     /// Human-readable name.
     fn name(&self) -> String;
@@ -93,21 +88,23 @@ impl Backbone for RevBackbone {
         (0..self.net.cfg().num_streams()).map(|i| b << i).collect()
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.net.visit_params(f);
-    }
-
-    fn clear_cache(&mut self) {
-        self.net.clear_cache();
-        self.saved = None;
-    }
-
     fn name(&self) -> String {
         format!("{}{}", self.net.cfg().name, if self.reversible { " (rev)" } else { " (conv)" })
     }
 
     fn freeze(&self) -> Result<revbifpn::FrozenBackbone, revbifpn_nn::FreezeError> {
         self.net.freeze()
+    }
+}
+
+impl Module for RevBackbone {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.net.visit_layers(f);
+    }
+
+    fn clear_state(&mut self) {
+        self.net.clear_state();
+        self.saved = None;
     }
 }
 
@@ -145,16 +142,14 @@ impl Backbone for HrBackbone {
         (0..self.net.cfg().num_streams).map(|i| 4 << i).collect()
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.net.visit_params(f);
-    }
-
-    fn clear_cache(&mut self) {
-        self.net.clear_cache();
-    }
-
     fn name(&self) -> String {
         self.net.cfg().name.clone()
+    }
+}
+
+impl Module for HrBackbone {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.net.visit_layers(f);
     }
 }
 
@@ -194,16 +189,14 @@ impl Backbone for FpnBackbone {
         (0..4).map(|i| 4 << i).collect()
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.net.visit_params(f);
-    }
-
-    fn clear_cache(&mut self) {
-        self.net.clear_cache();
-    }
-
     fn name(&self) -> String {
         self.net.cfg().name.clone()
+    }
+}
+
+impl Module for FpnBackbone {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.net.visit_layers(f);
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::head::{decode_detections, DetHeadConfig, LevelOutput};
 use crate::nms::Detection;
 use revbifpn::FrozenBackbone;
-use revbifpn_nn::{FreezeError, FrozenLayer};
+use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
 use revbifpn_tensor::Tensor;
 
 /// Frozen form of the dense [`crate::DetHead`].
@@ -47,37 +47,16 @@ impl FrozenDetHead {
             })
             .collect()
     }
+}
 
-    fn compile(&mut self) {
-        for group in [&mut self.laterals, &mut self.towers, &mut self.cls, &mut self.reg] {
-            for layer in group {
-                layer.compile();
-            }
-        }
+impl FrozenTree for FrozenDetHead {
+    /// Laterals, towers, class branches, then box branches.
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        [&self.laterals, &self.towers, &self.cls, &self.reg].into_iter().flatten().for_each(f);
     }
 
-    fn quantize(&mut self) {
-        for group in [&mut self.laterals, &mut self.towers, &mut self.cls, &mut self.reg] {
-            for layer in group {
-                layer.quantize();
-            }
-        }
-    }
-
-    fn packed_bytes(&self) -> usize {
-        [&self.laterals, &self.towers, &self.cls, &self.reg]
-            .iter()
-            .flat_map(|g| g.iter())
-            .map(|l| l.packed_bytes())
-            .sum()
-    }
-
-    fn quant_packed_bytes(&self) -> usize {
-        [&self.laterals, &self.towers, &self.cls, &self.reg]
-            .iter()
-            .flat_map(|g| g.iter())
-            .map(|l| l.quant_packed_bytes())
-            .sum()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        [&mut self.laterals, &mut self.towers, &mut self.cls, &mut self.reg].into_iter().flatten().for_each(f);
     }
 }
 
@@ -113,30 +92,17 @@ impl FrozenDetector {
         let outputs = self.forward_raw(images);
         decode_detections(&outputs, self.head.strides(), self.head.cfg())
     }
+}
 
-    /// Packs all conv weight panels (idempotent; called by
-    /// [`crate::Detector::freeze`]).
-    pub fn compile(&mut self) {
-        self.backbone.compile();
-        self.head.compile();
+impl FrozenTree for FrozenDetector {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.backbone.visit_frozen(f);
+        self.head.visit_frozen(f);
     }
 
-    /// Lowers every fused conv (backbone and head) to per-channel int8
-    /// weights (idempotent; called by [`crate::Detector::freeze_int8`]).
-    pub fn quantize(&mut self) {
-        self.backbone.quantize();
-        self.head.quantize();
-    }
-
-    /// Total bytes of packed weight panels resident for this detector.
-    pub fn packed_bytes(&self) -> usize {
-        self.backbone.packed_bytes() + self.head.packed_bytes()
-    }
-
-    /// Total bytes of quantized (int8) weight panels resident for this
-    /// detector.
-    pub fn quant_packed_bytes(&self) -> usize {
-        self.backbone.quant_packed_bytes() + self.head.quant_packed_bytes()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.backbone.visit_frozen_mut(f);
+        self.head.visit_frozen_mut(f);
     }
 }
 

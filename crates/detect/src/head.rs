@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use revbifpn_data::BoxAnnotation;
 use revbifpn_nn::layers::{Conv2d, Relu};
 use revbifpn_nn::loss::{focal_loss_with_logits, smooth_l1};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, FrozenTree, Layer, Module, Sequential};
 use revbifpn_tensor::{ConvSpec, Shape, Tensor};
 
 /// Detection-head hyperparameters.
@@ -141,38 +141,6 @@ impl DetHead {
             .collect()
     }
 
-    /// Visits parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for l in &mut self.laterals {
-            l.visit_params(f);
-        }
-        for t in &mut self.towers {
-            t.visit_params(f);
-        }
-        for c in &mut self.cls {
-            c.visit_params(f);
-        }
-        for r in &mut self.reg {
-            r.visit_params(f);
-        }
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        for l in &mut self.laterals {
-            l.clear_cache();
-        }
-        for t in &mut self.towers {
-            t.clear_cache();
-        }
-        for c in &mut self.cls {
-            c.clear_cache();
-        }
-        for r in &mut self.reg {
-            r.clear_cache();
-        }
-    }
-
     /// MACs over pyramid shapes.
     pub fn macs(&self, pyramid: &[Shape]) -> u64 {
         let mut total = 0;
@@ -183,6 +151,21 @@ impl DetHead {
             total += self.cls[l].macs(lat) + self.reg[l].macs(lat);
         }
         total
+    }
+}
+
+impl Module for DetHead {
+    /// Laterals, towers, class branches, then box branches.
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for l in &mut self.laterals {
+            f(l);
+        }
+        for t in &mut self.towers {
+            f(t);
+        }
+        for c in self.cls.iter_mut().chain(&mut self.reg) {
+            f(c);
+        }
     }
 }
 
@@ -330,11 +313,17 @@ impl Detector {
         &self.head
     }
 
+    /// Training forward to the raw per-level head outputs: the backbone
+    /// caches per its training regime, the head conventionally.
+    pub fn forward_train(&mut self, images: &Tensor) -> Vec<LevelOutput> {
+        let pyramid = self.backbone.forward_train(images);
+        self.head.forward(&pyramid, CacheMode::Full)
+    }
+
     /// One training step: forward, loss, backward. Returns
     /// `(total, cls, reg)` losses. Gradients accumulate into parameters.
     pub fn train_step(&mut self, images: &Tensor, objects: &[Vec<BoxAnnotation>]) -> (f64, f64, f64) {
-        let pyramid = self.backbone.forward_train(images);
-        let outputs = self.head.forward(&pyramid, CacheMode::Full);
+        let outputs = self.forward_train(images);
         let shapes: Vec<Shape> = outputs.iter().map(|o| o.cls.shape()).collect();
         let targets = assign_targets(objects, &shapes, self.head.strides(), self.head.cfg().num_classes);
         let (total, lc, lr, grads) = detection_loss(&outputs, &targets);
@@ -390,29 +379,16 @@ impl Detector {
         let outputs = self.forward_raw_eval(images);
         decode_detections(&outputs, self.head.strides(), self.head.cfg())
     }
+}
 
-    /// Visits all parameters (backbone + head).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.visit_params(f);
-        self.head.visit_params(f);
+impl Module for Detector {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.backbone.visit_layers(f);
+        self.head.visit_layers(f);
     }
 
-    /// Zeroes gradients.
-    pub fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.backbone.clear_cache();
-        self.head.clear_cache();
-    }
-
-    /// Parameter count.
-    pub fn param_count(&mut self) -> u64 {
-        let mut t = 0;
-        self.visit_params(&mut |p| t += p.numel() as u64);
-        t
+    fn clear_state(&mut self) {
+        self.backbone.clear_state();
     }
 }
 

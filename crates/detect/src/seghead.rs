@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_data::BoxAnnotation;
 use revbifpn_nn::layers::{Conv2d, Relu, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 /// IoU of two binary masks (`[1, 1, h, w]`, nonzero = foreground).
@@ -91,15 +91,11 @@ impl SegHead {
     pub fn stride(&self) -> usize {
         self.stride
     }
+}
 
-    /// Visits parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.tower.visit_params(f);
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.tower.clear_cache();
+impl Module for SegHead {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.tower);
     }
 }
 
@@ -242,24 +238,17 @@ impl MaskDetector {
             .collect();
         (dets, masks)
     }
+}
 
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.visit_params(f);
-        self.det_head.visit_params(f);
-        self.seg_head.visit_params(f);
+impl Module for MaskDetector {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.backbone.visit_layers(f);
+        self.det_head.visit_layers(f);
+        self.seg_head.visit_layers(f);
     }
 
-    /// Zeroes gradients.
-    pub fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
-    /// Clears caches.
-    pub fn clear_cache(&mut self) {
-        self.backbone.clear_cache();
-        self.det_head.clear_cache();
-        self.seg_head.clear_cache();
+    fn clear_state(&mut self) {
+        self.backbone.clear_state();
     }
 }
 
@@ -307,7 +296,7 @@ mod tests {
     fn rasterize_marks_classes() {
         let ds = SynthDet::new(SynthDetConfig::new(16), 0);
         let s = ds.sample(0);
-        let raster = rasterize_targets(&[s.masks.clone()], &[s.objects.clone()], 16);
+        let raster = rasterize_targets(std::slice::from_ref(&s.masks), std::slice::from_ref(&s.objects), 16);
         let fg = raster[0].iter().filter(|&&v| v > 0).count();
         assert!(fg > 0);
     }
@@ -335,7 +324,7 @@ mod tests {
         let s1 = ds.sample(1);
         let images = Tensor::concat_channels(&[&s0.image]); // single image batch
         md.zero_grads();
-        let (dl, sl) = md.train_step(&images, &[s0.objects.clone()], &[s0.masks.clone()]);
+        let (dl, sl) = md.train_step(&images, std::slice::from_ref(&s0.objects), std::slice::from_ref(&s0.masks));
         assert!(dl.is_finite() && sl.is_finite() && sl > 0.0);
         md.clear_cache();
         let (dets, masks) = md.detect_with_masks(&s1.image);

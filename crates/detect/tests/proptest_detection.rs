@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use revbifpn_data::{iou, BoxAnnotation};
 use revbifpn_detect::{assign_targets, evaluate_box_ap, nms, AreaRanges, Detection};
 use revbifpn_tensor::Shape;

@@ -331,7 +331,7 @@ mod tests {
         let path = std::env::temp_dir().join("revbifpn_ckpt_test_name");
         let mut ps = params();
         save_params(&path, |f| ps.iter_mut().for_each(f)).unwrap();
-        let mut other = vec![Param::new(Tensor::zeros(Shape::vector(4)), true, "linear.weight")];
+        let mut other = [Param::new(Tensor::zeros(Shape::vector(4)), true, "linear.weight")];
         let err = load_params(&path, |f| other.iter_mut().for_each(f)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(path);
@@ -342,7 +342,7 @@ mod tests {
         let path = std::env::temp_dir().join("revbifpn_ckpt_test_shape");
         let mut ps = params();
         save_params(&path, |f| ps.iter_mut().for_each(f)).unwrap();
-        let mut other = vec![
+        let mut other = [
             Param::new(Tensor::zeros(Shape::vector(3)), true, "conv.weight"),
             Param::new(Tensor::zeros(Shape::vector(2)), false, "bn.gamma"),
         ];
@@ -372,7 +372,7 @@ mod tests {
         let path = std::env::temp_dir().join("revbifpn_ckpt_test_trunc");
         let mut ps = params();
         save_params(&path, |f| ps.iter_mut().for_each(f)).unwrap();
-        let mut fewer = vec![Param::new(Tensor::zeros(Shape::vector(4)), true, "conv.weight")];
+        let mut fewer = [Param::new(Tensor::zeros(Shape::vector(4)), true, "conv.weight")];
         assert!(load_params(&path, |f| fewer.iter_mut().for_each(f)).is_err());
         let _ = std::fs::remove_file(path);
     }

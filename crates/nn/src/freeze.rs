@@ -621,6 +621,50 @@ impl FrozenLayer {
     }
 }
 
+/// A frozen container (stage, backbone, head, whole model). It lists its
+/// [`FrozenLayer`]s once, through one shared and one mutable visitor in the
+/// same order, and gets its lowering and accounting from them.
+pub trait FrozenTree {
+    /// Visits each frozen layer once.
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer));
+
+    /// Visits each frozen layer once, mutably, in [`FrozenTree::visit_frozen`]
+    /// order.
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer));
+
+    /// Packs every conv's weight panels (idempotent; see
+    /// [`FrozenLayer::compile`]).
+    fn compile(&mut self) {
+        self.visit_frozen_mut(&mut |l| l.compile());
+    }
+
+    /// Lowers every quantizable conv to int8 (idempotent; see
+    /// [`FrozenLayer::quantize`]). Call before [`FrozenTree::compile`]:
+    /// quantized convs skip the f32 panel pack entirely.
+    fn quantize(&mut self) {
+        self.visit_frozen_mut(&mut |l| l.quantize());
+    }
+
+    /// Total bytes of packed f32 weight panels.
+    fn packed_bytes(&self) -> usize {
+        let mut total = 0;
+        self.visit_frozen(&mut |l| total += l.packed_bytes());
+        total
+    }
+
+    /// Total bytes of quantized (int8) weight panels.
+    fn quant_packed_bytes(&self) -> usize {
+        let mut total = 0;
+        self.visit_frozen(&mut |l| total += l.quant_packed_bytes());
+        total
+    }
+
+    /// `true` when at least one conv runs the int8 path.
+    fn is_quantized(&self) -> bool {
+        self.quant_packed_bytes() > 0
+    }
+}
+
 /// Freezes a layer and compiles the result (packs all conv weight panels).
 pub fn freeze_layer(layer: &dyn Layer) -> Result<FrozenLayer, FreezeError> {
     let mut frozen = layer.freeze()?;

@@ -9,7 +9,6 @@ use crate::freeze::{FreezeError, FrozenLayer};
 use crate::meter::Cached;
 use crate::mode::CacheMode;
 use crate::module::Layer;
-use crate::param::Param;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_tensor::{Shape, Tensor};
@@ -91,6 +90,10 @@ impl Layer for Dropout {
     fn clear_cache(&mut self) {
         self.frozen_seed.clear();
         self.saved.clear();
+    }
+
+    fn reseed(&mut self, draw: &mut dyn FnMut() -> u64) {
+        self.next_seed = draw();
     }
 
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
@@ -189,6 +192,10 @@ impl Layer for DropPath {
         self.saved.clear();
     }
 
+    fn reseed(&mut self, draw: &mut dyn FnMut() -> u64) {
+        self.next_seed = draw();
+    }
+
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
         if self.p == 0.0 {
             return 0;
@@ -253,21 +260,9 @@ impl Layer for Residual {
         self.branch.macs(x)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.branch.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.branch.visit_buffers(f);
-    }
-
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut crate::layers::BatchNorm2d)) {
-        self.branch.visit_bn(f);
-    }
-
-    fn clear_cache(&mut self) {
-        self.branch.clear_cache();
-        self.drop_path.clear_cache();
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(self.branch.as_mut());
+        f(&mut self.drop_path);
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {

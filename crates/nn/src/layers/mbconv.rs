@@ -17,7 +17,6 @@ use crate::layers::se::SqueezeExcite;
 use crate::layers::shape_ops::Upsample;
 use crate::mode::CacheMode;
 use crate::module::{Layer, Sequential};
-use crate::param::Param;
 use rand::Rng;
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
@@ -224,20 +223,8 @@ impl Layer for MBConv {
         self.inner.macs(x)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.inner.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.inner.visit_buffers(f);
-    }
-
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut crate::layers::BatchNorm2d)) {
-        self.inner.visit_bn(f);
-    }
-
-    fn clear_cache(&mut self) {
-        self.inner.clear_cache();
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(self.inner.as_mut());
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {

@@ -9,7 +9,6 @@ use crate::layers::conv::Conv2d;
 use crate::meter::Cached;
 use crate::mode::CacheMode;
 use crate::module::Layer;
-use crate::param::Param;
 use rand::Rng;
 use revbifpn_tensor::{global_avg_pool, global_avg_pool_backward, EpilogueAct, Shape, Tensor};
 
@@ -106,16 +105,15 @@ impl Layer for SqueezeExcite {
         self.reduce.macs(sv) + self.expand.macs(Shape::new(x.n, c_r, 1, 1)) + x.numel() as u64
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.reduce.visit_params(f);
-        self.expand.visit_params(f);
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.reduce);
+        f(&mut self.expand);
+        f(&mut self.relu);
+        f(&mut self.hsig);
     }
 
     fn clear_cache(&mut self) {
-        self.reduce.clear_cache();
-        self.expand.clear_cache();
-        self.relu.clear_cache();
-        self.hsig.clear_cache();
+        self.visit_children(&mut |l| l.clear_cache());
         self.cache.clear();
     }
 

@@ -45,30 +45,46 @@ pub trait Layer: std::fmt::Debug + Send {
         0
     }
 
+    /// Visits each direct child layer once, in walk order (DESIGN.md
+    /// "Module traversal"). Every walk below recurses through it, so a
+    /// composite layer implements only this; a leaf keeps the default of no
+    /// children and overrides the walks over the state it owns.
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        let _ = f;
+    }
+
     /// Visits every parameter (used by optimizers, EMA, counting).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        let _ = f;
+        self.visit_children(&mut |l| l.visit_params(f));
     }
 
     /// Visits every non-parameter persistent buffer (e.g. BatchNorm running
-    /// statistics) in a stable order. Checkpointing uses this so a resumed
-    /// run restores inference-relevant state bit-exactly, not just the
-    /// trainable parameters.
+    /// statistics). Checkpointing uses this so a resumed run restores
+    /// inference-relevant state bit-exactly, not just the trainable
+    /// parameters.
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        let _ = f;
+        self.visit_children(&mut |l| l.visit_buffers(f));
     }
 
-    /// Visits every [`crate::layers::BatchNorm2d`] in the module tree, in a
-    /// stable order that is identical across structurally equal models. The
-    /// sharded training step relies on this to switch model replicas into
-    /// decoupled-statistics mode and to pair up per-sample batch moments
-    /// across replicas by position.
+    /// Visits every [`crate::layers::BatchNorm2d`] in the tree. The sharded
+    /// training step switches replicas into decoupled-statistics mode with
+    /// it and pairs per-sample batch moments across replicas by position.
     fn visit_bn(&mut self, f: &mut dyn FnMut(&mut crate::layers::BatchNorm2d)) {
-        let _ = f;
+        self.visit_children(&mut |l| l.visit_bn(f));
     }
 
     /// Drops all cached state (both `Stats` and `Full` caches).
-    fn clear_cache(&mut self) {}
+    fn clear_cache(&mut self) {
+        self.visit_children(&mut |l| l.clear_cache());
+    }
+
+    /// Restarts every stochastic layer's mask stream from the next value of
+    /// `draw`, in walk order. The trainer calls it at the start of each
+    /// step, so masks are a function of `(seed, step)` like the data, and a
+    /// run resumed into a fresh model draws what the uninterrupted run drew.
+    fn reseed(&mut self, draw: &mut dyn FnMut() -> u64) {
+        self.visit_children(&mut |l| l.reseed(draw));
+    }
 
     /// Analytic prediction of the bytes this layer caches during a forward
     /// pass in `mode` on input shape `x`. Cross-checked against the meter in
@@ -91,6 +107,78 @@ pub trait Layer: std::fmt::Debug + Send {
     /// [`FreezeError::Unsupported`].
     fn freeze(&self) -> Result<FrozenLayer, FreezeError> {
         Err(FreezeError::unsupported("layer", self.name()))
+    }
+}
+
+/// A model tree that is not itself a [`Layer`]: multi-stream stages,
+/// backbones, heads and whole models.
+///
+/// It names its layers once, in walk order, through
+/// [`Module::visit_layers`]; every walk is derived from that list.
+pub trait Module {
+    /// Visits each layer of the tree once, in walk order (a sub-module
+    /// passes `f` on to its own `visit_layers`).
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer));
+
+    /// Drops what this module caches outside its layers (drift sentinels,
+    /// a saved pyramid), including what its sub-modules hold there.
+    /// [`Module::clear_cache`] runs it after clearing the layers.
+    fn clear_state(&mut self) {}
+
+    /// Visits every parameter (see [`Layer::visit_params`]).
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.visit_layers(&mut |l| l.visit_params(f));
+    }
+
+    /// Visits every persistent buffer (see [`Layer::visit_buffers`]).
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.visit_layers(&mut |l| l.visit_buffers(f));
+    }
+
+    /// Visits every BatchNorm (see [`Layer::visit_bn`]).
+    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut crate::layers::BatchNorm2d)) {
+        self.visit_layers(&mut |l| l.visit_bn(f));
+    }
+
+    /// Drops every cache, in the layers and outside them.
+    fn clear_cache(&mut self) {
+        self.visit_layers(&mut |l| l.clear_cache());
+        self.clear_state();
+    }
+
+    /// Restarts every stochastic layer's mask stream (see [`Layer::reseed`]).
+    fn reseed(&mut self, draw: &mut dyn FnMut() -> u64) {
+        self.visit_layers(&mut |l| l.reseed(draw));
+    }
+
+    /// Zeroes every parameter gradient.
+    fn zero_grads(&mut self) {
+        self.visit_params(&mut |p| p.zero_grad());
+    }
+
+    /// Number of scalar parameters.
+    fn param_count(&mut self) -> u64 {
+        let mut total = 0u64;
+        self.visit_params(&mut |p| total += p.numel() as u64);
+        total
+    }
+}
+
+/// A part of a tree as a [`Module`]: the closure lists the part's layers, in
+/// walk order. Sub-walks (a stage range, the neck and head) are the one walk
+/// applied to such a part.
+pub struct Part<F>(F);
+
+impl<F: FnMut(&mut dyn FnMut(&mut dyn Layer))> Part<F> {
+    /// Wraps the closure listing the part's layers.
+    pub fn new(layers: F) -> Self {
+        Self(layers)
+    }
+}
+
+impl<F: FnMut(&mut dyn FnMut(&mut dyn Layer))> Module for Part<F> {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        (self.0)(f)
     }
 }
 
@@ -210,27 +298,9 @@ impl Layer for Sequential {
         total
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         for l in &mut self.layers {
-            l.visit_params(f);
-        }
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for l in &mut self.layers {
-            l.visit_buffers(f);
-        }
-    }
-
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut crate::layers::BatchNorm2d)) {
-        for l in &mut self.layers {
-            l.visit_bn(f);
-        }
-    }
-
-    fn clear_cache(&mut self) {
-        for l in &mut self.layers {
-            l.clear_cache();
+            f(l.as_mut());
         }
     }
 

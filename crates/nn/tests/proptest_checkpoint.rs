@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use revbifpn_nn::checkpoint::{load_blobs, save_blobs, tmp_path};
 use std::path::PathBuf;
 

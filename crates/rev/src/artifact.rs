@@ -143,7 +143,7 @@ mod tests {
     use rand::SeedableRng;
     use revbifpn_nn::artifact::ArtifactReader;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
-    use revbifpn_nn::Layer;
+    use revbifpn_nn::{FrozenTree, Layer};
     use revbifpn_tensor::{Shape, SharedBytes, Tensor};
 
     const C: [usize; 2] = [8, 12];

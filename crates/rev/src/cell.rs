@@ -20,7 +20,7 @@
 
 use crate::stage::{fingerprint, fingerprint_drift, flip_bit};
 use crate::{DriftConfig, DriftPolicy, DriftStageReport, ReconFault, RevStage, ReversibleSequence};
-use revbifpn_nn::{meter, CacheMode, Param};
+use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_tensor::Tensor;
 
 /// A message exchanged between pipeline stages (and the driver).
@@ -291,35 +291,6 @@ impl StageCell {
         Ok((cur_y, cur_dy))
     }
 
-    /// Visits all parameters, in stage order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for s in &mut self.stages {
-            s.visit_params(f);
-        }
-    }
-
-    /// Visits all persistent buffers, in stage order.
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for s in &mut self.stages {
-            s.visit_buffers(f);
-        }
-    }
-
-    /// Visits every BatchNorm layer, in stage order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for s in &mut self.stages {
-            s.visit_bn(f);
-        }
-    }
-
-    /// Clears all stage caches and pending fingerprints.
-    pub fn clear_cache(&mut self) {
-        for s in &mut self.stages {
-            s.clear_cache();
-        }
-        self.reset_step_state();
-    }
-
     /// Per-stage drift statistics, in global stage order.
     pub fn drift_stats(&self) -> Vec<DriftStageReport> {
         self.stages
@@ -332,6 +303,19 @@ impl StageCell {
                 fallback: false,
             })
             .collect()
+    }
+}
+
+impl Module for StageCell {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for s in &mut self.stages {
+            s.visit_layers(f);
+        }
+    }
+
+    /// Drops pending fingerprints and any armed fault.
+    fn clear_state(&mut self) {
+        self.reset_step_state();
     }
 }
 
@@ -388,7 +372,7 @@ mod tests {
         let out = cells[1].forward_micro(0, &mid);
         cells[1].arm_fault(ReconFault { stage: 4, stream: 0, index: 5, bit: 30 });
         let dys: Vec<Tensor> = out.iter().map(|y| Tensor::zeros(y.shape())).collect();
-        let err = cells[1].backward_micro(0, out, dys).err().expect("fault must trip the cell");
+        let err = cells[1].backward_micro(0, out, dys).expect_err("fault must trip the cell");
         assert!(err.stage >= 3, "trip should carry a global stage index, got {}", err.stage);
         assert!(err.drift > 5e-2);
     }

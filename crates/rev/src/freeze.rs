@@ -7,7 +7,7 @@
 //! stages are forward-only; reversibility is a training-time property and
 //! the whole point of freezing is that inference does not pay for it.
 
-use revbifpn_nn::{FreezeError, FrozenLayer};
+use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
 use revbifpn_tensor::Tensor;
 
 /// Frozen form of a [`crate::RevBlock`]:
@@ -32,23 +32,17 @@ impl FrozenRevBlock {
         y2.add_assign(&x2);
         Tensor::concat_channels(&[&y1, &y2])
     }
+}
 
-    fn compile(&mut self) {
-        self.f.compile();
-        self.g.compile();
+impl FrozenTree for FrozenRevBlock {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        f(&self.f);
+        f(&self.g);
     }
 
-    fn quantize(&mut self) {
-        self.f.quantize();
-        self.g.quantize();
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.f.packed_bytes() + self.g.packed_bytes()
-    }
-
-    fn quant_packed_bytes(&self) -> usize {
-        self.f.quant_packed_bytes() + self.g.quant_packed_bytes()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        f(&mut self.f);
+        f(&mut self.g);
     }
 }
 
@@ -118,39 +112,16 @@ impl FrozenSilo {
         outs.push(mids.pop().unwrap_or_else(|| xs[0].clone()));
         outs
     }
+}
 
-    fn compile(&mut self) {
-        for row in self.down.iter_mut().chain(self.up.iter_mut()) {
-            for l in row {
-                l.compile();
-            }
-        }
+impl FrozenTree for FrozenSilo {
+    /// All down rows, then all up rows.
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.down.iter().chain(&self.up).flatten().for_each(f);
     }
 
-    fn quantize(&mut self) {
-        for row in self.down.iter_mut().chain(self.up.iter_mut()) {
-            for l in row {
-                l.quantize();
-            }
-        }
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.down
-            .iter()
-            .chain(self.up.iter())
-            .flat_map(|row| row.iter())
-            .map(|l| l.packed_bytes())
-            .sum()
-    }
-
-    fn quant_packed_bytes(&self) -> usize {
-        self.down
-            .iter()
-            .chain(self.up.iter())
-            .flat_map(|row| row.iter())
-            .map(|l| l.quant_packed_bytes())
-            .sum()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.down.iter_mut().chain(&mut self.up).flatten().for_each(f);
     }
 }
 
@@ -186,50 +157,28 @@ impl FrozenStage {
 
     /// Packs all conv weight panels in this stage (idempotent).
     pub fn compile(&mut self) {
-        match self {
-            FrozenStage::Silo(s) => s.compile(),
-            FrozenStage::Blocks(blocks) => {
-                for chain in blocks {
-                    for b in chain {
-                        b.compile();
-                    }
-                }
-            }
-        }
+        FrozenTree::compile(self)
     }
 
     /// Lowers every fused conv in this stage to int8 (see
     /// [`FrozenLayer::quantize`]; idempotent).
     pub fn quantize(&mut self) {
+        FrozenTree::quantize(self)
+    }
+}
+
+impl FrozenTree for FrozenStage {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
         match self {
-            FrozenStage::Silo(s) => s.quantize(),
-            FrozenStage::Blocks(blocks) => {
-                for chain in blocks {
-                    for b in chain {
-                        b.quantize();
-                    }
-                }
-            }
+            FrozenStage::Silo(s) => s.visit_frozen(f),
+            FrozenStage::Blocks(blocks) => blocks.iter().flatten().for_each(|b| b.visit_frozen(f)),
         }
     }
 
-    /// Total bytes of packed weight panels in this stage.
-    pub fn packed_bytes(&self) -> usize {
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
         match self {
-            FrozenStage::Silo(s) => s.packed_bytes(),
-            FrozenStage::Blocks(blocks) => {
-                blocks.iter().flat_map(|chain| chain.iter()).map(|b| b.packed_bytes()).sum()
-            }
-        }
-    }
-
-    /// Total bytes of quantized weight panels in this stage.
-    pub fn quant_packed_bytes(&self) -> usize {
-        match self {
-            FrozenStage::Silo(s) => s.quant_packed_bytes(),
-            FrozenStage::Blocks(blocks) => {
-                blocks.iter().flat_map(|chain| chain.iter()).map(|b| b.quant_packed_bytes()).sum()
-            }
+            FrozenStage::Silo(s) => s.visit_frozen_mut(f),
+            FrozenStage::Blocks(blocks) => blocks.iter_mut().flatten().for_each(|b| b.visit_frozen_mut(f)),
         }
     }
 }
@@ -264,31 +213,15 @@ impl FrozenSequence {
         }
         cur
     }
+}
 
-    /// Packs all conv weight panels (idempotent).
-    pub fn compile(&mut self) {
-        for s in &mut self.stages {
-            s.compile();
-        }
+impl FrozenTree for FrozenSequence {
+    fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
+        self.stages.iter().for_each(|s| s.visit_frozen(f));
     }
 
-    /// Lowers every fused conv in the chain to int8 weights (idempotent).
-    /// Call before [`FrozenSequence::compile`]; quantized convs skip the f32
-    /// panel pack entirely.
-    pub fn quantize(&mut self) {
-        for s in &mut self.stages {
-            s.quantize();
-        }
-    }
-
-    /// Total bytes of packed weight panels across all stages.
-    pub fn packed_bytes(&self) -> usize {
-        self.stages.iter().map(|s| s.packed_bytes()).sum()
-    }
-
-    /// Total bytes of quantized (int8) weight panels across all stages.
-    pub fn quant_packed_bytes(&self) -> usize {
-        self.stages.iter().map(|s| s.quant_packed_bytes()).sum()
+    fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
+        self.stages.iter_mut().for_each(|s| s.visit_frozen_mut(f));
     }
 }
 
@@ -302,7 +235,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
-    use revbifpn_nn::{CacheMode, Layer};
+    use revbifpn_nn::{CacheMode, FrozenTree, Layer, Module};
     use revbifpn_tensor::{Shape, Tensor};
 
     const C: [usize; 3] = [8, 12, 16];

@@ -14,7 +14,7 @@
 //! activation survives the forward pass. RevBiFPN uses these blocks for all
 //! same-resolution transformations (paper Section 3), with MBConv bodies.
 
-use revbifpn_nn::{meter, CacheMode, Layer, Param};
+use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// A reversible residual block with additive coupling.
@@ -141,32 +141,6 @@ impl RevBlock {
         self.f.macs(s2) + self.g.macs(s1)
     }
 
-    /// Visits the parameters of `F` and `G`.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.f.visit_params(f);
-        self.g.visit_params(f);
-    }
-
-    /// Visits all non-parameter persistent buffers (`F` then `G`), mirroring
-    /// [`RevBlock::visit_params`].
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.f.visit_buffers(f);
-        self.g.visit_buffers(f);
-    }
-
-    /// Visits every BatchNorm in `F` then `G`, mirroring
-    /// [`RevBlock::visit_params`].
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.f.visit_bn(f);
-        self.g.visit_bn(f);
-    }
-
-    /// Clears all sub-module caches.
-    pub fn clear_cache(&mut self) {
-        self.f.clear_cache();
-        self.g.clear_cache();
-    }
-
     /// Analytic cache bytes for input shape `x` in `mode`.
     pub fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
         let s2 = x.with_c(x.c - self.c_split);
@@ -181,6 +155,13 @@ impl RevBlock {
         let s2 = x.with_c(x.c - self.c_split);
         let s1 = x.with_c(self.c_split);
         self.f.cache_bytes(s2, CacheMode::Full).max(self.g.cache_bytes(s1, CacheMode::Full))
+    }
+}
+
+impl Module for RevBlock {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(self.f.as_mut());
+        f(self.g.as_mut());
     }
 }
 

@@ -22,7 +22,7 @@
 // correspondence with the math.
 #![allow(clippy::needless_range_loop)]
 
-use revbifpn_nn::{meter, CacheMode, Layer, Param};
+use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_tensor::{par, Shape, Tensor};
 
 /// Factory signature for the silo's fusion transforms: `(from_stream,
@@ -335,65 +335,6 @@ impl RevSilo {
         total
     }
 
-    /// Visits all transform parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for row in &mut self.down {
-            for l in row {
-                l.visit_params(f);
-            }
-        }
-        for row in &mut self.up {
-            for l in row {
-                l.visit_params(f);
-            }
-        }
-    }
-
-    /// Visits all non-parameter persistent buffers, mirroring the
-    /// [`RevSilo::visit_params`] traversal order (all down rows, then all up
-    /// rows).
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for row in &mut self.down {
-            for l in row {
-                l.visit_buffers(f);
-            }
-        }
-        for row in &mut self.up {
-            for l in row {
-                l.visit_buffers(f);
-            }
-        }
-    }
-
-    /// Visits every BatchNorm in the transforms, mirroring the
-    /// [`RevSilo::visit_params`] traversal order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for row in &mut self.down {
-            for l in row {
-                l.visit_bn(f);
-            }
-        }
-        for row in &mut self.up {
-            for l in row {
-                l.visit_bn(f);
-            }
-        }
-    }
-
-    /// Clears all transform caches.
-    pub fn clear_cache(&mut self) {
-        for row in &mut self.down {
-            for l in row {
-                l.clear_cache();
-            }
-        }
-        for row in &mut self.up {
-            for l in row {
-                l.clear_cache();
-            }
-        }
-    }
-
     /// Analytic cache bytes for input shapes `xs` in `mode`.
     pub fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
         let mids = self.out_shapes(xs);
@@ -428,6 +369,15 @@ impl RevSilo {
             }
         }
         peak
+    }
+}
+
+impl Module for RevSilo {
+    /// All down rows, then all up rows.
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for l in self.down.iter_mut().chain(&mut self.up).flatten() {
+            f(l.as_mut());
+        }
     }
 }
 

@@ -9,16 +9,17 @@
 
 use crate::revblock::RevBlock;
 use crate::silo::RevSilo;
-use revbifpn_nn::{meter, CacheMode, Cached, Param};
+use revbifpn_nn::{meter, CacheMode, Cached, Layer, Module, Part};
 use revbifpn_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 
 /// A reversible transformation over a vector of feature streams.
 ///
-/// `Send` mirrors the bound on [`revbifpn_nn::Layer`]: stages run inside
+/// Its walks come from [`Module`]: a stage lists its layers once. `Send`
+/// mirrors the bound on [`revbifpn_nn::Layer`]: stages run inside
 /// worker-pool tasks (sharded training) and schedule their own sub-layer
 /// work on the pool.
-pub trait RevStage: std::fmt::Debug + Send {
+pub trait RevStage: Module + std::fmt::Debug + Send {
     /// Forward pass: `n_in` streams in, `n_out` streams out.
     fn forward(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor>;
 
@@ -45,25 +46,6 @@ pub trait RevStage: std::fmt::Debug + Send {
 
     /// MAC count of one forward pass.
     fn macs(&self, xs: &[Shape]) -> u64;
-
-    /// Visits all parameters.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
-
-    /// Visits all non-parameter persistent buffers (BatchNorm running
-    /// statistics) in a stable order, for checkpoint/resume.
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        let _ = f;
-    }
-
-    /// Visits every BatchNorm layer in a stable order (see
-    /// [`revbifpn_nn::Layer::visit_bn`]); the sharded trainer uses this to
-    /// manage decoupled batch statistics.
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        let _ = f;
-    }
-
-    /// Clears all caches.
-    fn clear_cache(&mut self);
 
     /// Analytic cache bytes for the given input shapes and mode.
     fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64;
@@ -118,22 +100,6 @@ impl RevStage for RevSilo {
 
     fn macs(&self, xs: &[Shape]) -> u64 {
         RevSilo::macs(self, xs)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        RevSilo::visit_params(self, f)
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        RevSilo::visit_buffers(self, f)
-    }
-
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        RevSilo::visit_bn(self, f)
-    }
-
-    fn clear_cache(&mut self) {
-        RevSilo::clear_cache(self)
     }
 
     fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
@@ -265,38 +231,6 @@ impl RevStage for BlockStage {
         xs.iter().zip(&self.blocks).map(|(x, chain)| chain.iter().map(|b| b.macs(*x)).sum::<u64>()).sum()
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for chain in &mut self.blocks {
-            for b in chain {
-                b.visit_params(f);
-            }
-        }
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for chain in &mut self.blocks {
-            for b in chain {
-                b.visit_buffers(f);
-            }
-        }
-    }
-
-    fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for chain in &mut self.blocks {
-            for b in chain {
-                b.visit_bn(f);
-            }
-        }
-    }
-
-    fn clear_cache(&mut self) {
-        for chain in &mut self.blocks {
-            for b in chain {
-                b.clear_cache();
-            }
-        }
-    }
-
     fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
         xs.iter()
             .zip(&self.blocks)
@@ -323,6 +257,15 @@ impl RevStage for BlockStage {
             .map(|chain| chain.iter().map(RevBlock::freeze).collect::<Result<Vec<_>, _>>())
             .collect::<Result<Vec<_>, _>>()?;
         Ok(crate::FrozenStage::Blocks(blocks))
+    }
+}
+
+impl Module for BlockStage {
+    /// Stream by stream, each chain in forward order.
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for b in self.blocks.iter_mut().flatten() {
+            b.visit_layers(f);
+        }
     }
 }
 
@@ -546,20 +489,6 @@ impl ReversibleSequence {
         self.recon_fault = Some(fault);
     }
 
-    /// Visits all non-parameter persistent buffers, in stage order.
-    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for s in &mut self.stages {
-            s.visit_buffers(f);
-        }
-    }
-
-    /// Visits every BatchNorm layer, in stage order.
-    pub fn visit_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        for s in &mut self.stages {
-            s.visit_bn(f);
-        }
-    }
-
     /// Number of stages.
     pub fn len(&self) -> usize {
         self.stages.len()
@@ -772,52 +701,14 @@ impl ReversibleSequence {
         total
     }
 
-    /// Visits all parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for s in &mut self.stages {
-            s.visit_params(f);
-        }
-    }
-
-    /// Visits the parameters of stages `lo..hi` only (pipeline-stage
-    /// parameter sync and gradient merge against a partitioned copy).
-    pub fn visit_params_range(&mut self, lo: usize, hi: usize, f: &mut dyn FnMut(&mut Param)) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_params(f);
-        }
-    }
-
-    /// Visits the persistent buffers of stages `lo..hi` only.
-    pub fn visit_buffers_range(&mut self, lo: usize, hi: usize, f: &mut dyn FnMut(&mut Tensor)) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_buffers(f);
-        }
-    }
-
-    /// Visits the BatchNorm layers of stages `lo..hi` only.
-    pub fn visit_bn_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d),
-    ) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_bn(f);
-        }
-    }
-
-    /// Clears all stage caches, pending fingerprints, and stored fallback
-    /// inputs. Fallback *flags* and drift statistics persist (a stage that
-    /// tripped the sentinel stays on the cached path for the rest of the
-    /// run); use [`ReversibleSequence::set_drift_config`] to fully reset.
-    pub fn clear_cache(&mut self) {
-        for s in &mut self.stages {
-            s.clear_cache();
-        }
-        for sent in &mut self.sentinels {
-            sent.fingerprint = None;
-            sent.fallback_inputs.clear();
-        }
+    /// Stages `lo..hi` as a [`Module`]: pipeline-stage parameter sync and
+    /// gradient merge walk a partitioned copy with the one walk.
+    pub fn stage_range(&mut self, lo: usize, hi: usize) -> impl Module + '_ {
+        Part::new(move |f| {
+            for s in &mut self.stages[lo..hi] {
+                s.visit_layers(f);
+            }
+        })
     }
 
     /// Analytic cache bytes of a forward pass in `mode`, summed over stages.
@@ -872,6 +763,23 @@ impl ReversibleSequence {
             cur = s.out_shapes(&cur);
         }
         stored + max_seg.max(seg_cache)
+    }
+}
+
+impl Module for ReversibleSequence {
+    fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        self.stage_range(0, self.stages.len()).visit_layers(f);
+    }
+
+    /// Drops pending fingerprints and stored fallback inputs. Fallback
+    /// *flags* and drift statistics persist (a stage that tripped the
+    /// sentinel stays on the cached path for the rest of the run); use
+    /// [`ReversibleSequence::set_drift_config`] to fully reset.
+    fn clear_state(&mut self) {
+        for sent in &mut self.sentinels {
+            sent.fingerprint = None;
+            sent.fallback_inputs.clear();
+        }
     }
 }
 

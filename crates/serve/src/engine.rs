@@ -26,7 +26,7 @@ use crate::validate::{Quarantine, ValidationPolicy};
 use revbifpn::artifact::load_classifier_artifact;
 use revbifpn::{FrozenClassifier, RevBiFPNClassifier, RevBiFPNConfig};
 use revbifpn_nn::artifact::{prune_quarantine, quarantine_path, rename_with_retries};
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, FrozenTree};
 use revbifpn_tensor::{try_resize, ResizeMode, Shape, Tensor};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};

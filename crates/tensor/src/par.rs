@@ -595,7 +595,7 @@ where
 /// pool; levels are separated by a barrier. The edge set and per-edge
 /// `pair(dst, src)` arguments are identical to the serial walk, so results
 /// agree bitwise with it whenever each `pair` call is deterministic.
-pub fn tree_reduce_parallel<F>(n: usize, pair: F)
+fn tree_reduce_parallel<F>(n: usize, pair: F)
 where
     F: Fn(usize, usize) + Sync,
 {
@@ -838,7 +838,7 @@ mod tests {
 
     #[test]
     fn slices_receive_correct_indices() {
-        let mut buf = vec![0.0f32; 40];
+        let mut buf = [0.0f32; 40];
         let slices: Vec<&mut [f32]> = buf.chunks_mut(10).collect();
         parallel_over_slices(slices, |i, s| {
             for v in s.iter_mut() {
@@ -1070,13 +1070,15 @@ mod tests {
         assert_eq!(slab_row_blocks(1, 1 << 20).len(), 1, "one row is never split");
     }
 
+    type SlabFill<'a> = dyn Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync + 'a;
+
     /// The one-block reduction `tree_reduce_with_slabs` performed before it
     /// walked row blocks: whole slabs, the same sample tree.
     fn one_block_reduce(
         n: usize,
         rows: usize,
         cols: usize,
-        fill: &(dyn Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync),
+        fill: &SlabFill<'_>,
     ) -> Vec<f32> {
         let mut slabs = vec![vec![0.0f32; rows * cols]; n];
         for (i, s) in slabs.iter_mut().enumerate() {

@@ -57,8 +57,8 @@ proptest! {
                 return;
             }
             calls.fetch_add(1, Ordering::Relaxed);
-            for i in a..b {
-                visits[i].fetch_add(1, Ordering::Relaxed);
+            for v in &visits[a..b] {
+                v.fetch_add(1, Ordering::Relaxed);
             }
         });
         prop_assert_eq!(bad_chunks.load(Ordering::Relaxed), 0, "empty/out-of-range chunks dispatched");

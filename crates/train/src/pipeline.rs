@@ -49,7 +49,7 @@ use revbifpn::{RevBiFPN, RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::SynthScale;
 use revbifpn_nn::layers::BnMoments;
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
-use revbifpn_nn::{meter, CacheMode, Layer};
+use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_rev::{CellTrip, DriftConfig, DriftStageReport, StageCell, StageControl, StageMsg};
 use revbifpn_tensor::{par, Shape, Tensor};
 use std::collections::{BTreeMap, VecDeque};
@@ -782,9 +782,9 @@ impl std::fmt::Debug for PipelineEngine {
 fn body_payload(primary: &mut RevBiFPNClassifier, lo: usize, hi: usize) -> (Vec<Tensor>, Vec<Tensor>) {
     let body = primary.backbone_mut().body_mut();
     let mut params = Vec::new();
-    body.visit_params_range(lo, hi, &mut |p| params.push(p.value.clone()));
+    body.stage_range(lo, hi).visit_params(&mut |p| params.push(p.value.clone()));
     let mut buffers = Vec::new();
-    body.visit_buffers_range(lo, hi, &mut |t| buffers.push(t.clone()));
+    body.stage_range(lo, hi).visit_buffers(&mut |t| buffers.push(t.clone()));
     (params, buffers)
 }
 
@@ -1293,14 +1293,11 @@ impl PipelineEngine {
             // Body gradients: each worker already tree-merged its leaves.
             for (k, r) in reports.iter().enumerate() {
                 let mut j = 0;
-                primary.backbone_mut().body_mut().visit_params_range(
-                    self.bounds[k],
-                    self.bounds[k + 1],
-                    &mut |p| {
-                        p.grad.data_mut().copy_from_slice(r.grads[j].data());
-                        j += 1;
-                    },
-                );
+                let body = primary.backbone_mut().body_mut();
+                body.stage_range(self.bounds[k], self.bounds[k + 1]).visit_params(&mut |p| {
+                    p.grad.data_mut().copy_from_slice(r.grads[j].data());
+                    j += 1;
+                });
                 assert_eq!(j, r.grads.len(), "stage param count mismatch");
             }
             // Neck/head gradients.
@@ -1866,13 +1863,13 @@ fn apply_ready(
                     r.moments.iter().map(|m| reduce_moments(n, m.clone())).collect();
                 let body = primary.backbone_mut().body_mut();
                 let mut it = stats.iter();
-                body.visit_bn_range(lo, hi, &mut |bn| {
+                body.stage_range(lo, hi).visit_bn(&mut |bn| {
                     let (mean, var) = it.next().expect("stage BN count mismatch");
                     bn.apply_global_stats(mean, var);
                 });
                 assert!(it.next().is_none(), "stage BN count mismatch");
                 let mut j = 0;
-                body.visit_params_range(lo, hi, &mut |p| {
+                body.stage_range(lo, hi).visit_params(&mut |p| {
                     p.grad.data_mut().copy_from_slice(r.grads[j].data());
                     j += 1;
                 });
@@ -1880,7 +1877,7 @@ fn apply_ready(
             });
             meter::time_phase(meter::Phase::Optimizer, || {
                 stage_sgds[i].step(schedule.lr(v as usize), |f| {
-                    primary.backbone_mut().body_mut().visit_params_range(lo, hi, f)
+                    primary.backbone_mut().body_mut().stage_range(lo, hi).visit_params(f)
                 });
             });
             fl.stage_applied[i] = true;

@@ -29,25 +29,18 @@ pub(crate) fn slice_batch(t: &Tensor, lo: usize, n: usize) -> Tensor {
     Tensor::from_vec_unchecked(Shape { n, ..t.shape() }, t.data()[lo * chw..(lo + n) * chw].to_vec())
 }
 
-/// Pairwise stride-doubling tree over leaf gradient slabs, in place: the
-/// root lands in `slabs[0]`, the other slabs are left as tree scratch.
+/// [`par::tree_reduce_serial`] over leaf gradient slabs, in place: the root
+/// lands in `slabs[0]`, the other slabs are left as tree scratch.
 /// `slabs.len()` must be a power of two for subtree alignment.
 pub(crate) fn tree_merge_slabs(slabs: &mut [Vec<Tensor>]) {
-    let l = slabs.len();
-    let mut stride = 1;
-    while stride < l {
-        let mut lo = 0;
-        while lo + stride < l {
-            let (left, right) = slabs.split_at_mut(lo + stride);
-            for (d, s) in left[lo].iter_mut().zip(right[0].iter()) {
-                for (a, b) in d.data_mut().iter_mut().zip(s.data()) {
-                    *a += *b;
-                }
+    par::tree_reduce_serial(slabs.len(), |d, s| {
+        let (left, right) = slabs.split_at_mut(s);
+        for (a, b) in left[d].iter_mut().zip(&right[0]) {
+            for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
+                *x += *y;
             }
-            lo += 2 * stride;
         }
-        stride *= 2;
-    }
+    });
 }
 
 /// Concatenates per-leaf BatchNorm moment tables (leaf order = sample

@@ -4,8 +4,10 @@
 //! to continue bit-exactly: model parameters, persistent buffers (BatchNorm
 //! running statistics), SGD momentum, the EMA shadow, and scalar state
 //! (completed steps, LR backoff scale, tripwire skip count). RNG state needs
-//! no blob: the trainer derives its augmentation stream from
-//! `(seed, step)`, so replaying from `step` reproduces the same draws.
+//! no blob: the trainer derives its augmentation stream and the dropout and
+//! drop-path mask streams from `(seed, step)` (it reseeds every stochastic
+//! layer at the start of a step), so replaying from `step` — into the same
+//! model or a freshly built one — reproduces the same draws.
 //!
 //! Files use the crash-safe v2 container from `revbifpn_nn::checkpoint`
 //! (per-blob CRC32, atomic tmp+fsync+rename), named
@@ -19,7 +21,7 @@ use crate::ema::Ema;
 use crate::sgd::Sgd;
 use revbifpn::RevBiFPNClassifier;
 use revbifpn_nn::checkpoint::{load_blobs, save_blobs};
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_tensor::{Shape, Tensor};
 use std::io;
 use std::path::{Path, PathBuf};

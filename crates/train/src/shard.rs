@@ -34,7 +34,7 @@ use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch
 use revbifpn::{RevBiFPNClassifier, RunMode};
 use revbifpn_nn::layers::BnMoments;
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_rev::{DriftConfig, ReconFault};
 use revbifpn_tensor::{par, Shape, Tensor};
 

@@ -17,8 +17,10 @@
 //!   from a drifted reconstruction are suspect.
 //! * **Crash-safe checkpoint/resume** — periodic `TrainState` checkpoints
 //!   (see [`crate::resume`]) plus auto-resume. Because data, augmentation
-//!   RNG, and schedule are all derived from `(seed, step)`, a resumed run
-//!   replays the remaining steps bit-exactly.
+//!   RNG, dropout and drop-path masks, and schedule are all derived from
+//!   `(seed, step)` — every stochastic layer is reseeded at the start of a
+//!   step — a run resumed into a freshly built model replays the remaining
+//!   steps bit-exactly.
 //! * **Deterministic fault injection** — a [`FaultPlan`] pins faults to
 //!   step indices so every recovery path can be proven end to end.
 
@@ -36,7 +38,7 @@ use revbifpn::{RevBiFPNClassifier, RunMode};
 use revbifpn_data::augment::AugmentPolicy;
 use revbifpn_data::SynthScale;
 use revbifpn_nn::loss::{label_smooth, one_hot, softmax_cross_entropy};
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_rev::DriftConfig;
 use revbifpn_tensor::Tensor;
 
@@ -222,6 +224,12 @@ impl Snapshot {
     }
 }
 
+/// The RNG stream `salt` of global step `step`, a pure function of
+/// `(cfg.seed, step)`.
+fn step_rng(cfg: &TrainConfig, salt: u64, step: usize) -> StdRng {
+    StdRng::seed_from_u64(cfg.seed ^ salt ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// The batch of global step `step`: images, smoothed one-hot targets and
 /// labels, augmented. Samples are indexed by step and the augmentation RNG
 /// is reseeded per step, so the batch is a pure function of `(cfg.seed,
@@ -239,11 +247,16 @@ pub(crate) fn step_batch(
     let start = (epoch * cfg.train_size + b * cfg.batch_size) as u64;
     let (mut images, labels) = data.batch(start, n);
     let mut targets = label_smooth(&one_hot(&labels, data.num_classes()), cfg.label_smoothing);
-    let mut aug_rng = StdRng::seed_from_u64(
-        cfg.seed ^ 0xA06 ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    cfg.augment.apply(&mut images, &mut targets, &mut aug_rng);
+    cfg.augment.apply(&mut images, &mut targets, &mut step_rng(cfg, 0xA06, step));
     (images, targets, labels)
+}
+
+/// Restarts the dropout and drop-path mask streams for global step `step`,
+/// so the masks too are a pure function of `(cfg.seed, step)`: a run resumed
+/// into a freshly built model draws what the uninterrupted run drew.
+fn reseed_masks(model: &mut RevBiFPNClassifier, cfg: &TrainConfig, step: usize) {
+    let mut rng = step_rng(cfg, 0xD809, step);
+    model.reseed(&mut || rng.random());
 }
 
 /// Evaluates top-1 accuracy on `val_size` deterministic validation samples
@@ -280,10 +293,10 @@ pub fn train_classifier(
 /// checkpointing, and auto-resume.
 ///
 /// Determinism contract: batches are indexed by step, the augmentation RNG
-/// is reseeded per step from `(cfg.seed, step)`, and the LR schedule is a
-/// pure function of the step — so a run resumed from a step-`k` checkpoint
-/// replays steps `k..` bit-exactly, and a faulted-then-recovered run is
-/// reproducible.
+/// and the stochastic layers' mask streams are reseeded per step from
+/// `(cfg.seed, step)`, and the LR schedule is a pure function of the step —
+/// so a run resumed from a step-`k` checkpoint replays steps `k..`
+/// bit-exactly, and a faulted-then-recovered run is reproducible.
 pub fn train_classifier_with(
     model: &mut RevBiFPNClassifier,
     data: &SynthScale,
@@ -345,6 +358,7 @@ pub fn train_classifier_with(
             }
             let (images, targets, labels) = step_batch(data, cfg, step);
             let n = labels.len();
+            reseed_masks(model, cfg, step);
 
             if let Some(s) = &mut snapshot {
                 s.capture(model);

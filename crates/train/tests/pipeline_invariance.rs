@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::{SynthScale, SynthScaleConfig};
 use revbifpn_nn::loss::{label_smooth, one_hot};
+use revbifpn_nn::Module;
 use revbifpn_rev::{DriftConfig, DriftPolicy, ReconFault};
 use revbifpn_train::{
     train_classifier, train_classifier_with, train_pipeline_delayed, Fault, FaultPlan,
@@ -186,7 +187,7 @@ fn faulted_pipeline_run_aborts_step_and_recovers() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// One synchronous pipelined step over a random partition must be
     /// bitwise equal to the shard engine on the same batch.

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::{SynthScale, SynthScaleConfig};
+use revbifpn_nn::Module;
 use revbifpn_rev::ReconFault;
 use revbifpn_tensor::{par, Tensor};
 use revbifpn_train::{
@@ -149,7 +150,7 @@ fn engine_step(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(3))]
 
     #[test]
     fn sharded_step_grads_and_loss_match_single_shard(

@@ -9,7 +9,7 @@
 use revbifpn::{RevBiFPN, RevBiFPNConfig};
 use revbifpn_data::{SynthDet, SynthDetConfig};
 use revbifpn_detect::{evaluate_box_ap, AreaRanges, DetHeadConfig, Detector, RevBackbone};
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_train::{clip_grad_norm, LrSchedule, Sgd};
 
 fn main() {

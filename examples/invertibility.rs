@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPN, RevBiFPNConfig};
 use revbifpn_nn::layers::{MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer};
+use revbifpn_nn::{CacheMode, Layer, Module};
 use revbifpn_rev::RevSilo;
 use revbifpn_tensor::{Shape, Tensor};
 

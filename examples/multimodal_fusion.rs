@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{MBConv, MBConvCfg};
-use revbifpn_nn::{meter, CacheMode, Layer};
+use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_rev::{RevSilo, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{Shape, Tensor};
 

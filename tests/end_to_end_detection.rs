@@ -6,7 +6,7 @@ use revbifpn_data::{SynthDet, SynthDetConfig};
 use revbifpn_detect::{
     evaluate_box_ap, evaluate_mask_ap, AreaRanges, DetHeadConfig, Detector, MaskDetector, RevBackbone,
 };
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, Module};
 use revbifpn_train::{clip_grad_norm, LrSchedule, Sgd};
 
 fn train_detector(reversible: bool, steps: usize) -> (Detector, SynthDet, usize) {

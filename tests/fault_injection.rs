@@ -17,9 +17,14 @@ use revbifpn_train::{
 use std::path::PathBuf;
 
 fn setup() -> (RevBiFPNClassifier, SynthScale) {
+    setup_stochastic(0.0, 0.0)
+}
+
+/// `setup()` with dropout and drop-path probabilities.
+fn setup_stochastic(dropout: f32, drop_path: f32) -> (RevBiFPNClassifier, SynthScale) {
     let data = SynthScale::new(SynthScaleConfig::new(32), 5);
-    let model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
-    (model, data)
+    let cfg = RevBiFPNConfig { dropout, drop_path, ..RevBiFPNConfig::tiny(data.num_classes()) };
+    (RevBiFPNClassifier::new(cfg), data)
 }
 
 /// 6-step run (2 epochs x 3 steps) with a validation set large enough for
@@ -144,33 +149,41 @@ fn persistent_nan_aborts_after_bounded_retries() {
 
 #[test]
 fn kill_and_auto_resume_matches_uninterrupted_run_bit_exactly() {
+    // A real crash leaves nothing in memory, so the run resumes into a
+    // freshly built model — with and without stochastic layers, whose masks
+    // must come from (seed, step) like the data.
     let cfg = small_cfg();
-    let (mut clean, data) = setup();
-    let h_clean = train_classifier(&mut clean, &data, &cfg, RunMode::TrainReversible);
+    for (dropout, drop_path) in [(0.0, 0.0), (0.25, 0.1)] {
+        let label = format!("dropout {dropout}, drop-path {drop_path}");
+        let (mut clean, data) = setup_stochastic(dropout, drop_path);
+        let h_clean = train_classifier(&mut clean, &data, &cfg, RunMode::TrainReversible);
 
-    let mut ck = CheckpointCfg::new(tmp_dir("kill_resume"));
-    ck.every_steps = 2;
-    let (mut model, _) = setup();
-    let killed_opts = RunOptions {
-        faults: FaultPlan::none().with(Fault::Kill { step: 3 }),
-        checkpoint: Some(ck.clone()),
-        auto_resume: false,
-    };
-    let h1 = train_classifier_with(&mut model, &data, &cfg, RunMode::TrainReversible, &killed_opts);
-    assert!(h1.killed, "the Kill fault should end the run early");
+        let mut ck = CheckpointCfg::new(tmp_dir("kill_resume"));
+        ck.every_steps = 2;
+        let (mut model, _) = setup_stochastic(dropout, drop_path);
+        let killed_opts = RunOptions {
+            faults: FaultPlan::none().with(Fault::Kill { step: 3 }),
+            checkpoint: Some(ck.clone()),
+            auto_resume: false,
+        };
+        let h1 = train_classifier_with(&mut model, &data, &cfg, RunMode::TrainReversible, &killed_opts);
+        assert!(h1.killed, "{label}: the Kill fault should end the run early");
 
-    let resume_opts =
-        RunOptions { faults: FaultPlan::none(), checkpoint: Some(ck.clone()), auto_resume: true };
-    let h2 = train_classifier_with(&mut model, &data, &cfg, RunMode::TrainReversible, &resume_opts);
-    assert_eq!(h2.resumed_from_step, Some(4), "kill after step 3 leaves a step-4 checkpoint");
-    assert!(!h2.killed);
+        let (mut resumed, _) = setup_stochastic(dropout, drop_path);
+        let resume_opts =
+            RunOptions { faults: FaultPlan::none(), checkpoint: Some(ck.clone()), auto_resume: true };
+        let h2 = train_classifier_with(&mut resumed, &data, &cfg, RunMode::TrainReversible, &resume_opts);
+        assert_eq!(h2.resumed_from_step, Some(4), "{label}: kill after step 3 leaves a step-4 checkpoint");
+        assert!(!h2.killed);
 
-    // Data, augmentation RNG, and LR are all pure functions of (seed, step),
-    // and the checkpoint stores raw f32s: the resumed run must land on the
-    // same weights as the never-interrupted one, bit for bit.
-    assert_eq!(params_of(&mut model), params_of(&mut clean));
-    assert_eq!(h2.final_val_acc(), h_clean.final_val_acc());
-    std::fs::remove_dir_all(&ck.dir).unwrap();
+        // Data, augmentation RNG, dropout masks and LR are all pure functions
+        // of (seed, step), and the checkpoint stores raw f32s: the resumed run
+        // must land on the same weights as the never-interrupted one, bit for
+        // bit.
+        assert!(params_of(&mut resumed) == params_of(&mut clean), "{label}: resumed weights differ");
+        assert_eq!(h2.final_val_acc(), h_clean.final_val_acc(), "{label}");
+        std::fs::remove_dir_all(&ck.dir).unwrap();
+    }
 }
 
 #[test]

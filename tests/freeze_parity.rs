@@ -15,7 +15,7 @@ use revbifpn_data::{SynthDet, SynthDetConfig, SynthScale, SynthScaleConfig};
 use revbifpn_detect::{
     evaluate_box_ap, AreaRanges, DetHeadConfig, Detector, RevBackbone,
 };
-use revbifpn_nn::meter;
+use revbifpn_nn::{meter, FrozenTree, Module};
 use revbifpn_tensor::{set_int8_force_scalar, Shape, Tensor};
 use revbifpn_train::{clip_grad_norm, train_classifier, LrSchedule, Sgd, TrainConfig};
 

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPN, RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_nn::loss::{one_hot, softmax_cross_entropy};
-use revbifpn_nn::CacheMode;
+use revbifpn_nn::{CacheMode, Module};
 use revbifpn_tensor::{Shape, Tensor};
 
 fn randomized(seed: u64) -> RevBiFPN {
