@@ -68,6 +68,9 @@ if [ "$W" != "$R" ]; then
     exit 1
 fi
 
+echo "== analytic paper tables (the results/ check below fails on any moved byte)"
+bash regen_analytic.sh
+
 echo "== one measuring stick (no criterion, no citation of a deleted bench, results/ as committed)"
 if cargo metadata --offline --format-version 1 | grep -q '"name":"criterion"'; then
     echo "criterion is back in the dependency graph" >&2

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HardSwish, Linear, MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, Shape, Tensor};
 
 /// One stage of the EfficientNet-B0 template.
@@ -180,18 +180,13 @@ impl EfficientNet {
 
     /// MACs of one forward pass at batch `n`.
     pub fn macs(&self, n: usize) -> u64 {
-        self.body.macs(self.input_shape(n))
-    }
-
-    /// MACs at an arbitrary resolution.
-    pub fn macs_at(&self, n: usize, res: usize) -> u64 {
-        self.body.macs(Shape::new(n, 3, res, res))
+        ShapeWalk::macs(self, &[self.input_shape(n)])
     }
 
     /// Analytic activation-cache bytes of a training forward at batch `n`
     /// and resolution `res` (conventional training: everything cached).
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        self.body.cache_bytes(Shape::new(n, 3, res, res), CacheMode::Full)
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
     }
 
     /// Same at the configured (training) resolution.
@@ -203,6 +198,13 @@ impl EfficientNet {
 impl Module for EfficientNet {
     fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(&mut self.body);
+    }
+}
+
+impl ShapeWalk for EfficientNet {
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        f(&self.body, xs[0]);
+        vec![self.body.out_shape(xs[0])]
     }
 }
 

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Residual, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 fn conv_bn(c_in: usize, c_out: usize, k: usize, stride: usize, rng: &mut StdRng) -> Sequential {
@@ -192,31 +192,6 @@ impl FuseModule {
         }
         dxs
     }
-
-    fn macs(&self, xs: &[Shape]) -> u64 {
-        let mut total = 0;
-        for i in 0..self.streams {
-            for j in 0..self.streams {
-                if let Some(p) = &self.paths[i][j] {
-                    total += p.macs(xs[j]);
-                }
-            }
-        }
-        total
-    }
-
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        let mut total = 0;
-        for i in 0..self.streams {
-            for j in 0..self.streams {
-                if let Some(p) = &self.paths[i][j] {
-                    total += p.cache_bytes(xs[j], mode);
-                }
-            }
-            total += self.relus[i].cache_bytes(xs[i], mode);
-        }
-        total
-    }
 }
 
 impl Module for FuseModule {
@@ -228,6 +203,24 @@ impl Module for FuseModule {
         for r in &mut self.relus {
             f(r);
         }
+    }
+}
+
+impl ShapeWalk for FuseModule {
+    /// Path `j -> i` at stream `j`'s shape, then ReLU `i` at stream `i`'s;
+    /// every stream keeps its shape.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        for row in &self.paths {
+            for (p, &x) in row.iter().zip(xs) {
+                if let Some(p) = p {
+                    f(p.as_ref(), x);
+                }
+            }
+        }
+        for (r, &x) in self.relus.iter().zip(xs) {
+            f(r, x);
+        }
+        xs.to_vec()
     }
 }
 
@@ -262,16 +255,6 @@ impl HrModule {
         let dmids = self.fuse.backward(dys);
         dmids.iter().zip(&mut self.branches).map(|(d, b)| b.backward(d)).collect()
     }
-
-    fn macs(&self, xs: &[Shape]) -> u64 {
-        let branch: u64 = xs.iter().zip(&self.branches).map(|(&s, b)| b.macs(s)).sum();
-        branch + self.fuse.macs(xs)
-    }
-
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        let branch: u64 = xs.iter().zip(&self.branches).map(|(&s, b)| b.cache_bytes(s, mode)).sum();
-        branch + self.fuse.cache_bytes(xs, mode)
-    }
 }
 
 impl Module for HrModule {
@@ -280,6 +263,17 @@ impl Module for HrModule {
             f(b);
         }
         self.fuse.visit_layers(f);
+    }
+}
+
+impl ShapeWalk for HrModule {
+    /// The first `branches.len()` streams of `xs`: one branch each (a branch
+    /// keeps its stream's shape), then the fusion.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        for (b, &x) in self.branches.iter().zip(xs) {
+            f(b, x);
+        }
+        self.fuse.visit_layers_at(&xs[..self.branches.len()], f)
     }
 }
 
@@ -381,64 +375,14 @@ impl HrNet {
         self.stem.backward(&d)
     }
 
-    /// Pyramid shapes for batch `n` at the configured resolution.
-    pub fn pyramid_shapes(&self, n: usize) -> Vec<Shape> {
-        self.pyramid_shapes_at(n, self.cfg.resolution)
-    }
-
-    /// Pyramid shapes at an arbitrary resolution.
-    pub fn pyramid_shapes_at(&self, n: usize, res: usize) -> Vec<Shape> {
-        (0..self.cfg.num_streams)
-            .map(|i| Shape::new(n, self.cfg.stream_channels(i), res / (4 << i), res / (4 << i)))
-            .collect()
-    }
-
-    fn walk<FM: FnMut(&WalkPart<'_>, &[Shape])>(&self, n: usize, res: usize, mut f: FM) {
-        let img = Shape::new(n, 3, res, res);
-        f(&WalkPart::Single(&self.stem), &[img]);
-        let s0 = self.stem.out_shape(img);
-        f(&WalkPart::Single(&self.stage1), &[s0]);
-        let mut shapes = vec![self.stage1.out_shape(s0)];
-        for (stage_idx, stage) in self.stages.iter().enumerate() {
-            let new_idx = stage_idx + 1;
-            if new_idx < self.cfg.num_streams && shapes.len() == new_idx {
-                let last = *shapes.last().expect("shape present");
-                f(&WalkPart::Single(self.transitions[new_idx - 1].as_ref()), &[last]);
-                shapes.push(self.transitions[new_idx - 1].out_shape(last));
-            }
-            for module in stage {
-                f(&WalkPart::Module(module), &shapes);
-            }
-        }
-    }
-
     /// Total MACs at batch `n`, resolution `res`.
     pub fn macs_at(&self, n: usize, res: usize) -> u64 {
-        let mut total = 0;
-        self.walk(n, res, |part, shapes| {
-            total += match part {
-                WalkPart::Single(l) => l.macs(shapes[0]),
-                WalkPart::Module(m) => m.macs(shapes),
-            };
-        });
-        total
-    }
-
-    /// Total MACs at the configured resolution.
-    pub fn macs(&self, n: usize) -> u64 {
-        self.macs_at(n, self.cfg.resolution)
+        self.macs(&[Shape::new(n, 3, res, res)])
     }
 
     /// Analytic activation-cache bytes of a training forward.
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        let mut total = 0;
-        self.walk(n, res, |part, shapes| {
-            total += match part {
-                WalkPart::Single(l) => l.cache_bytes(shapes[0], CacheMode::Full),
-                WalkPart::Module(m) => m.cache_bytes(shapes, CacheMode::Full),
-            };
-        });
-        total
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
     }
 }
 
@@ -455,14 +399,25 @@ impl Module for HrNet {
     }
 }
 
-enum WalkPart<'a> {
-    Single(&'a dyn Layer),
-    Module(&'a HrModule),
-}
-
-impl std::fmt::Debug for WalkPart<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("WalkPart")
+impl ShapeWalk for HrNet {
+    /// Stem and stage 1 at the image, transition `k` at stream `k` (modules
+    /// keep their streams' shapes, so each transition's input is its
+    /// predecessor's output), then every module over its stage's streams.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let mut at = |l: &dyn Layer, x: Shape| {
+            f(l, x);
+            l.out_shape(x)
+        };
+        let s0 = at(&self.stem, xs[0]);
+        let mut streams = vec![at(&self.stage1, s0)];
+        for t in &self.transitions {
+            let last = streams[streams.len() - 1];
+            streams.push(at(t.as_ref(), last));
+        }
+        for m in self.stages.iter().flatten() {
+            m.visit_layers_at(&streams, f);
+        }
+        streams
     }
 }
 
@@ -476,7 +431,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let x = Tensor::randn(Shape::new(2, 3, 32, 32), 1.0, &mut rng);
         let pyr = net.forward(&x, CacheMode::Full);
-        let shapes = net.pyramid_shapes(2);
+        let shapes = net.out_shapes(&[x.shape()]);
         assert_eq!(pyr.len(), 3);
         for (p, s) in pyr.iter().zip(shapes) {
             assert_eq!(p.shape(), s);

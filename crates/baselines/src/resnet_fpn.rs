@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 /// Bottleneck residual block: 1x1 reduce, 3x3, 1x1 expand (x4), projection
@@ -59,14 +59,6 @@ impl Layer for Bottleneck {
         &db + &ds
     }
 
-    fn out_shape(&self, x: Shape) -> Shape {
-        self.branch.out_shape(x)
-    }
-
-    fn macs(&self, x: Shape) -> u64 {
-        self.branch.macs(x) + self.shortcut.as_ref().map(|s| s.macs(x)).unwrap_or(0)
-    }
-
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(&mut self.branch);
         if let Some(sc) = &mut self.shortcut {
@@ -75,11 +67,15 @@ impl Layer for Bottleneck {
         f(&mut self.relu);
     }
 
-    fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        let out = self.out_shape(x);
-        self.branch.cache_bytes(x, mode)
-            + self.shortcut.as_ref().map(|s| s.cache_bytes(x, mode)).unwrap_or(0)
-            + self.relu.cache_bytes(out, mode)
+    /// Branch and shortcut at the input, the ReLU at their sum.
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        let out = self.branch.out_shape(x);
+        f(&self.branch, x);
+        if let Some(sc) = &self.shortcut {
+            f(sc, x);
+        }
+        f(&self.relu, out);
+        out
     }
 
     fn name(&self) -> &str {
@@ -190,49 +186,14 @@ impl ResNetFpn {
         ps.into_iter().map(|p| p.expect("pyramid level")).collect()
     }
 
-    /// Pyramid shapes at batch `n` and resolution `res`.
-    pub fn pyramid_shapes_at(&self, n: usize, res: usize) -> Vec<Shape> {
-        (0..4).map(|i| Shape::new(n, self.cfg.fpn_channels, res / (4 << i), res / (4 << i))).collect()
-    }
-
     /// MACs at batch `n`, resolution `res`.
-    #[allow(clippy::needless_range_loop)] // lockstep over lateral/output/c_shapes
     pub fn macs_at(&self, n: usize, res: usize) -> u64 {
-        let img = Shape::new(n, 3, res, res);
-        let mut total = self.stem.macs(img);
-        let mut s = self.stem.out_shape(img);
-        let mut c_shapes = Vec::new();
-        for st in &self.stages {
-            total += st.macs(s);
-            s = st.out_shape(s);
-            c_shapes.push(s);
-        }
-        for i in 0..4 {
-            total += self.lateral[i].macs(c_shapes[i]);
-            let p = self.lateral[i].out_shape(c_shapes[i]);
-            total += self.output[i].macs(p);
-        }
-        total
+        self.macs(&[Shape::new(n, 3, res, res)])
     }
 
     /// Analytic activation bytes of conventional training.
-    #[allow(clippy::needless_range_loop)] // lockstep over lateral/output/c_shapes
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        let img = Shape::new(n, 3, res, res);
-        let mut total = self.stem.cache_bytes(img, CacheMode::Full);
-        let mut s = self.stem.out_shape(img);
-        let mut c_shapes = Vec::new();
-        for st in &self.stages {
-            total += st.cache_bytes(s, CacheMode::Full);
-            s = st.out_shape(s);
-            c_shapes.push(s);
-        }
-        for i in 0..4 {
-            total += self.lateral[i].cache_bytes(c_shapes[i], CacheMode::Full);
-            let p = self.lateral[i].out_shape(c_shapes[i]);
-            total += self.output[i].cache_bytes(p, CacheMode::Full);
-        }
-        total
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
     }
 }
 
@@ -251,6 +212,30 @@ impl Module for ResNetFpn {
     }
 }
 
+impl ShapeWalk for ResNetFpn {
+    /// Stem and stages (C2–C5), lateral `i` at `C_i`, output `i` at lateral
+    /// `i`'s map, then `ups[i]` at the top-down sum of level `i + 1`, which
+    /// has lateral `i + 1`'s shape; returns P2–P5.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let mut at = |l: &dyn Layer, x: Shape| {
+            f(l, x);
+            l.out_shape(x)
+        };
+        let mut h = at(&self.stem, xs[0]);
+        let mut cs = Vec::with_capacity(self.stages.len());
+        for s in &self.stages {
+            h = at(s, h);
+            cs.push(h);
+        }
+        let lats: Vec<Shape> = self.lateral.iter().zip(cs).map(|(l, c)| at(l, c)).collect();
+        let ps = self.output.iter().zip(&lats).map(|(o, &p)| at(o, p)).collect();
+        for (u, &top) in self.ups.iter().zip(&lats[1..]) {
+            at(u, top);
+        }
+        ps
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +246,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let x = Tensor::randn(Shape::new(1, 3, 32, 32), 1.0, &mut rng);
         let pyr = net.forward(&x, CacheMode::None);
-        let shapes = net.pyramid_shapes_at(1, 32);
+        let shapes = net.out_shapes(&[x.shape()]);
         assert_eq!(pyr.len(), 4);
         for (p, s) in pyr.iter().zip(shapes) {
             assert_eq!(p.shape(), s);

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{MBConv, MBConvCfg, SpaceToDepth};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_rev::{BlockStage, RevBlock, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{Shape, Tensor};
 
@@ -173,7 +173,7 @@ impl RevShNet {
     /// The input's channels are replicated to `channels / stem_block^2`
     /// first, mirroring the RevBiFPN stem.
     pub fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
-        let dup = self.cfg.channels / (self.cfg.stem_block * self.cfg.stem_block);
+        let dup = self.stem_channels();
         let times = dup.div_ceil(x.shape().c);
         let xd = x.repeat_channels(times);
         let xd = if xd.shape().c > dup {
@@ -196,29 +196,28 @@ impl RevShNet {
         let _ = self.body.backward(Vec::new(), vec![dy], TrainMode::Conventional);
     }
 
-    fn stream_shape(&self, n: usize, res: usize) -> Shape {
-        Shape::new(n, self.cfg.channels, res / self.cfg.stem_block, res / self.cfg.stem_block)
+    /// Channels the image is duplicated to before the stem.
+    fn stem_channels(&self) -> usize {
+        self.cfg.channels / (self.cfg.stem_block * self.cfg.stem_block)
     }
 
     /// MACs at batch `n`, resolution `res`.
     pub fn macs_at(&self, n: usize, res: usize) -> u64 {
-        self.body.macs(&[self.stream_shape(n, res)])
+        self.macs(&[Shape::new(n, 3, res, res)])
     }
 
     /// Activation bytes of reversible training: the retained output plus the
     /// transient rematerialization of one whole hourglass block — the
     /// Appendix A.1.1 overhead.
     pub fn activation_bytes_rev(&self, n: usize, res: usize) -> u64 {
-        let s = self.stream_shape(n, res);
-        s.bytes() as u64
-            + self.body.cache_bytes(&[s], CacheMode::Stats)
-            + self.body.peak_transient_bytes(&[s])
+        let img = [Shape::new(n, 3, res, res)];
+        let out = self.out_shapes(&img)[0];
+        out.bytes() as u64 + self.cache_bytes(&img, CacheMode::Stats) + self.transient_bytes(&img)
     }
 
     /// Activation bytes of conventional training.
     pub fn activation_bytes_conv(&self, n: usize, res: usize) -> u64 {
-        let s = self.stream_shape(n, res);
-        self.body.cache_bytes(&[s], CacheMode::Full)
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
     }
 }
 
@@ -230,6 +229,15 @@ impl Module for RevShNet {
 
     fn clear_state(&mut self) {
         self.body.clear_state();
+    }
+}
+
+impl ShapeWalk for RevShNet {
+    /// The stem at the channel-duplicated image, then the hourglass stack.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let x = xs[0].with_c(self.stem_channels());
+        f(&self.stem, x);
+        self.body.visit_layers_at(&[self.stem.out_shape(x)], f)
     }
 }
 
@@ -254,7 +262,7 @@ mod tests {
         let rev = net.activation_bytes_rev(1, 32);
         let conv = net.activation_bytes_conv(1, 32);
         assert!(rev < conv, "rev {rev} conv {conv}");
-        let out_bytes = net.stream_shape(1, 32).bytes() as u64;
+        let out_bytes = net.out_shapes(&[Shape::new(1, 3, 32, 32)])[0].bytes() as u64;
         assert!(rev > 2 * out_bytes, "hourglass transient should dominate: {rev} vs {out_bytes}");
     }
 

@@ -7,7 +7,7 @@
 
 use revbifpn::{RevBiFPN, RevBiFPNConfig};
 use revbifpn_bench::{arg_usize, fmt_mb, quick_mode, Table};
-use revbifpn_nn::CacheMode;
+use revbifpn_nn::{CacheMode, ShapeWalk};
 use revbifpn_tensor::Shape;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         let seg = (stages as f64).sqrt().round().max(1.0) as usize;
         let ckpt = body.checkpoint_bytes(&[s0], seg);
         let pyramid: u64 = body.out_shapes(&[s0]).iter().map(|s| s.bytes() as u64).sum();
-        let rev = body.cache_bytes(&[s0], CacheMode::Stats) + pyramid + body.peak_transient_bytes(&[s0]);
+        let rev = body.cache_bytes(&[s0], CacheMode::Stats) + pyramid + body.transient_bytes(&[s0]);
         t.row(vec![
             format!("{d}"),
             format!("{stages}"),

@@ -8,7 +8,7 @@ use crate::stem::Stem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, MBConv, MBConvCfg, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_rev::{BlockStage, RevBlock, RevSilo, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{ResizeMode, Shape, Tensor};
 
@@ -236,35 +236,32 @@ impl RevBiFPN {
         self.stem.inverse(&xs[0])
     }
 
-    /// Output pyramid shapes for a batch of `n` images at the configured
-    /// resolution.
+    /// Shape of a batch of `n` images at the configured resolution.
+    pub(crate) fn image(&self, n: usize) -> Shape {
+        Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution)
+    }
+
+    /// Output pyramid shapes for a batch of `n` images.
     pub fn pyramid_shapes(&self, n: usize) -> Vec<Shape> {
-        let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
-        let s0 = self.stem.out_shape(img);
-        self.body.out_shapes(&[s0])
+        self.out_shapes(&[self.image(n)])
     }
 
     /// Total MACs of one forward pass for batch size `n`.
     pub fn macs(&self, n: usize) -> u64 {
-        let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
-        let s0 = self.stem.out_shape(img);
-        self.stem.macs(img) + self.body.macs(&[s0])
+        ShapeWalk::macs(self, &[self.image(n)])
     }
 
     /// Analytic activation-cache bytes of a forward pass for batch `n` in
-    /// `mode`.
+    /// `mode`, the stem in the mode [`RevBiFPN::forward`] runs it in.
     pub fn cache_bytes(&self, n: usize, mode: CacheMode) -> u64 {
-        let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
-        let s0 = self.stem.out_shape(img);
-        self.stem.cache_bytes(img, self.stem_mode(mode)) + self.body.cache_bytes(&[s0], mode)
+        let img = [self.image(n)];
+        self.stem.cache_bytes(&img, self.stem_mode(mode)) + self.body.cache_bytes(&self.stem.out_shapes(&img), mode)
     }
 
-    /// Peak transient bytes of the reversible backward (one transform
-    /// recomputed at a time).
+    /// Peak transient bytes of the reversible backward: the body's
+    /// ([`ShapeWalk::transient_bytes`]); the stem is never recomputed.
     pub fn peak_transient_bytes(&self, n: usize) -> u64 {
-        let img = Shape::new(n, 3, self.cfg.resolution, self.cfg.resolution);
-        let s0 = self.stem.out_shape(img);
-        self.body.peak_transient_bytes(&[s0])
+        self.body.transient_bytes(&self.stem.out_shapes(&[self.image(n)]))
     }
 }
 
@@ -276,6 +273,13 @@ impl Module for RevBiFPN {
 
     fn clear_state(&mut self) {
         self.body.clear_state();
+    }
+}
+
+impl ShapeWalk for RevBiFPN {
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let s0 = self.stem.visit_layers_at(xs, f);
+        self.body.visit_layers_at(&s0, f)
     }
 }
 

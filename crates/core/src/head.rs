@@ -12,7 +12,7 @@ use crate::config::RevBiFPNConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HardSwish, Linear, MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Module, Param, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Param, Sequential, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// Per-stream neck: widens pyramid channels for the task heads.
@@ -55,14 +55,14 @@ impl Neck {
         douts.iter().zip(&mut self.blocks).map(|(d, b)| b.backward(d)).collect()
     }
 
-    /// Output shapes.
+    /// Output shapes ([`ShapeWalk::out_shapes`]).
     pub fn out_shapes(&self, pyramid: &[Shape]) -> Vec<Shape> {
-        pyramid.iter().zip(&self.blocks).map(|(&s, b)| b.out_shape(s)).collect()
+        ShapeWalk::out_shapes(self, pyramid)
     }
 
-    /// MAC count.
+    /// MAC count ([`ShapeWalk::macs`]).
     pub fn macs(&self, pyramid: &[Shape]) -> u64 {
-        pyramid.iter().zip(&self.blocks).map(|(&s, b)| b.macs(s)).sum()
+        ShapeWalk::macs(self, pyramid)
     }
 
     /// Visits all parameters ([`Module::visit_params`]).
@@ -74,11 +74,6 @@ impl Neck {
     pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         Module::visit_buffers(self, f)
     }
-
-    /// Analytic cache bytes.
-    pub fn cache_bytes(&self, pyramid: &[Shape], mode: CacheMode) -> u64 {
-        pyramid.iter().zip(&self.blocks).map(|(&s, b)| b.cache_bytes(s, mode)).sum()
-    }
 }
 
 impl Module for Neck {
@@ -86,6 +81,19 @@ impl Module for Neck {
         for b in &mut self.blocks {
             f(b);
         }
+    }
+}
+
+impl ShapeWalk for Neck {
+    /// One block per stream.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        xs.iter()
+            .zip(&self.blocks)
+            .map(|(&x, b)| {
+                f(b, x);
+                b.out_shape(x)
+            })
+            .collect()
     }
 }
 
@@ -153,26 +161,9 @@ impl ClsHead {
         dneck.into_iter().map(|d| d.expect("all streams receive gradient")).collect()
     }
 
-    /// MAC count for necked pyramid shapes.
+    /// MAC count for necked pyramid shapes ([`ShapeWalk::macs`]).
     pub fn macs(&self, neck: &[Shape]) -> u64 {
-        let mut total = 0;
-        let mut h = neck[0];
-        for (i, d) in self.downs.iter().enumerate() {
-            total += d.macs(h);
-            h = neck[i + 1];
-        }
-        total + self.tail.macs(h)
-    }
-
-    /// Analytic cache bytes.
-    pub fn cache_bytes(&self, neck: &[Shape], mode: CacheMode) -> u64 {
-        let mut total = 0;
-        let mut h = neck[0];
-        for (i, d) in self.downs.iter().enumerate() {
-            total += d.cache_bytes(h, mode);
-            h = neck[i + 1];
-        }
-        total + self.tail.cache_bytes(h, mode)
+        ShapeWalk::macs(self, neck)
     }
 }
 
@@ -182,6 +173,19 @@ impl Module for ClsHead {
             f(d);
         }
         f(&mut self.tail);
+    }
+}
+
+impl ShapeWalk for ClsHead {
+    /// Down block `i` at the running sum, which has stream `i`'s shape, then
+    /// the tail at the coarsest stream's; one logits stream out.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        for (d, &h) in self.downs.iter().zip(xs) {
+            f(d, h);
+        }
+        let h = xs[self.downs.len()];
+        f(&self.tail, h);
+        vec![self.tail.out_shape(h)]
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::backbone::RevBiFPN;
 use crate::config::RevBiFPNConfig;
 use crate::head::{ClsHead, Neck};
-use revbifpn_nn::{meter, CacheMode, Cached, FrozenTree, Layer, Module, Param, Part};
+use revbifpn_nn::{meter, CacheMode, Cached, FrozenTree, Layer, Module, Param, Part, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// How to run the classifier's forward pass.
@@ -235,18 +235,16 @@ impl RevBiFPNClassifier {
 
     /// Total MACs of one forward pass at batch size `n`.
     pub fn macs(&self, n: usize) -> u64 {
-        let pyr = self.backbone.pyramid_shapes(n);
-        let neck_shapes = self.neck.out_shapes(&pyr);
-        self.backbone.macs(n) + self.neck.macs(&pyr) + self.head.macs(&neck_shapes)
+        ShapeWalk::macs(self, &[self.backbone.image(n)])
     }
 
     /// Analytic activation-memory footprint of one training iteration at
     /// batch `n` (see [`crate::stats`] for the full breakdown).
     pub fn activation_bytes(&self, n: usize, mode: RunMode) -> u64 {
         let pyr = self.backbone.pyramid_shapes(n);
-        let neck_shapes = self.neck.out_shapes(&pyr);
-        let head_neck = self.neck.cache_bytes(&pyr, mode.head_cache_mode())
-            + self.head.cache_bytes(&neck_shapes, mode.head_cache_mode());
+        let head_mode = mode.head_cache_mode();
+        let head_neck =
+            self.neck.cache_bytes(&pyr, head_mode) + self.head.cache_bytes(&self.neck.out_shapes(&pyr), head_mode);
         match mode {
             RunMode::Eval => 0,
             RunMode::TrainConventional => self.backbone.cache_bytes(n, CacheMode::Full) + head_neck,
@@ -293,6 +291,14 @@ impl Module for RevBiFPNClassifier {
         self.backbone.clear_state();
         self.saved_pyramid.clear();
         self.last_mode = None;
+    }
+}
+
+impl ShapeWalk for RevBiFPNClassifier {
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let pyramid = self.backbone.visit_layers_at(xs, f);
+        let necked = self.neck.visit_layers_at(&pyramid, f);
+        self.head.visit_layers_at(&necked, f)
     }
 }
 

@@ -2,9 +2,12 @@
 //! breakdown used to regenerate the paper's memory figures (1, 4, 8, 9, 12)
 //! and Table 2 without having to allocate paper-scale tensors.
 //!
-//! The activation terms come from each layer's `cache_bytes` (cross-checked
-//! byte-exactly against the runtime meter in tests); parameters, gradients
-//! and SGD momentum buffers are 4 bytes per scalar each.
+//! The activation terms come from the shape walk ([`revbifpn_nn::ShapeWalk`]):
+//! the listed layers' `cache_bytes`, and the largest one's `Full` cache as the
+//! reversible transient. The runtime meter checks them byte for byte, for the
+//! classifier in both regimes (the tests below) and for every runnable
+//! baseline (`crates/baselines/tests/meter_cross_check.rs`). Parameters,
+//! gradients and SGD momentum buffers are 4 bytes per scalar each.
 
 use crate::config::RevBiFPNConfig;
 use crate::model::{RevBiFPNClassifier, RunMode};

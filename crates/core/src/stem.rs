@@ -8,7 +8,7 @@ use crate::config::{RevBiFPNConfig, StemKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, HardSwish};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{depth_to_space, space_to_depth, ConvSpec, Shape, Tensor};
 
 /// Duplicates channels cyclically up to `c_target` (`c_target >= x.c`).
@@ -185,26 +185,12 @@ impl Stem {
 
     /// Output shape for an image of shape `x`.
     pub fn out_shape(&self, x: Shape) -> Shape {
-        match self {
-            Stem::SpaceToDepth { block, c0, .. } => Shape::new(x.n, *c0, x.h / *block, x.w / *block),
-            Stem::Convolutional { body, .. } => body.out_shape(x),
-        }
+        self.out_shapes(&[x])[0]
     }
 
-    /// MAC count (0 for SpaceToDepth: it is a pure data movement).
+    /// MAC count for an image of shape `x`.
     pub fn macs(&self, x: Shape) -> u64 {
-        match self {
-            Stem::SpaceToDepth { .. } => 0,
-            Stem::Convolutional { body, .. } => body.macs(x),
-        }
-    }
-
-    /// Analytic cache bytes.
-    pub fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        match self {
-            Stem::SpaceToDepth { .. } => 0,
-            Stem::Convolutional { body, .. } => body.cache_bytes(x, mode),
-        }
+        ShapeWalk::macs(self, &[x])
     }
 }
 
@@ -214,6 +200,21 @@ impl Module for Stem {
         if let Stem::Convolutional { body, .. } = self {
             f(body);
         }
+    }
+}
+
+impl ShapeWalk for Stem {
+    /// The conv stem's chain at the image shape; space-to-depth is pure data
+    /// movement and lists nothing.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let x = xs[0];
+        vec![match self {
+            Stem::SpaceToDepth { block, c0, .. } => Shape::new(x.n, *c0, x.h / *block, x.w / *block),
+            Stem::Convolutional { body, .. } => {
+                f(body, x);
+                body.out_shape(x)
+            }
+        }]
     }
 }
 

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use revbifpn_data::BoxAnnotation;
 use revbifpn_nn::layers::{Conv2d, Relu};
 use revbifpn_nn::loss::{focal_loss_with_logits, smooth_l1};
-use revbifpn_nn::{CacheMode, FrozenTree, Layer, Module, Sequential};
+use revbifpn_nn::{CacheMode, FrozenTree, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, Shape, Tensor};
 
 /// Detection-head hyperparameters.
@@ -140,18 +140,6 @@ impl DetHead {
             })
             .collect()
     }
-
-    /// MACs over pyramid shapes.
-    pub fn macs(&self, pyramid: &[Shape]) -> u64 {
-        let mut total = 0;
-        for (l, &p) in pyramid.iter().enumerate() {
-            total += self.laterals[l].macs(p);
-            let lat = self.laterals[l].out_shape(p);
-            total += self.towers[l].macs(lat);
-            total += self.cls[l].macs(lat) + self.reg[l].macs(lat);
-        }
-        total
-    }
 }
 
 impl Module for DetHead {
@@ -166,6 +154,22 @@ impl Module for DetHead {
         for c in self.cls.iter_mut().chain(&mut self.reg) {
             f(c);
         }
+    }
+}
+
+impl ShapeWalk for DetHead {
+    /// Each level's lateral at its pyramid map, its tower at the lateral's
+    /// output, and its class and box branches at the tower's; returns the
+    /// class maps, then the box maps.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let mut at = |l: &dyn Layer, x: Shape| {
+            f(l, x);
+            l.out_shape(x)
+        };
+        let lats: Vec<Shape> = self.laterals.iter().zip(xs).map(|(l, &x)| at(l, x)).collect();
+        let towers: Vec<Shape> = self.towers.iter().zip(lats).map(|(t, x)| at(t, x)).collect();
+        let branches = self.cls.iter().zip(&towers).chain(self.reg.iter().zip(&towers));
+        branches.map(|(b, &x)| at(b, x)).collect()
     }
 }
 

@@ -38,11 +38,7 @@ impl Layer for Relu {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            x.bytes() as u64
-        } else {
-            0
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {
@@ -101,11 +97,7 @@ impl Layer for HardSwish {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            x.bytes() as u64
-        } else {
-            0
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {
@@ -162,11 +154,7 @@ impl Layer for HardSigmoid {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            x.bytes() as u64
-        } else {
-            0
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {
@@ -210,11 +198,7 @@ impl Layer for Sigmoid {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            x.bytes() as u64
-        } else {
-            0
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {

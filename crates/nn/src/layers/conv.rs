@@ -110,10 +110,7 @@ impl Layer for Conv2d {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        match mode {
-            CacheMode::Full => x.bytes() as u64,
-            _ => 0,
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {

@@ -27,6 +27,17 @@ fn sample_mask(seed: u64, n: usize, keep: f32) -> Vec<f32> {
     (0..n).map(|_| if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 }).collect()
 }
 
+/// What a seed-replay layer with drop probability `p` caches: nothing when it
+/// never drops, the seed in `Stats`, the seed and the input shape in `Full`.
+fn seed_cache_bytes(p: f32, mode: CacheMode) -> u64 {
+    match mode {
+        _ if p == 0.0 => 0,
+        CacheMode::None => 0,
+        CacheMode::Stats => 8,
+        CacheMode::Full => (8 + std::mem::size_of::<Shape>()) as u64,
+    }
+}
+
 /// Element-wise (inverted) dropout.
 #[derive(Debug)]
 pub struct Dropout {
@@ -97,14 +108,7 @@ impl Layer for Dropout {
     }
 
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
-        if self.p == 0.0 {
-            return 0;
-        }
-        match mode {
-            CacheMode::None => 0,
-            CacheMode::Stats => 8,
-            CacheMode::Full => (8 + std::mem::size_of::<Shape>()) as u64,
-        }
+        seed_cache_bytes(self.p, mode)
     }
 
     fn name(&self) -> &str {
@@ -197,14 +201,7 @@ impl Layer for DropPath {
     }
 
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
-        if self.p == 0.0 {
-            return 0;
-        }
-        match mode {
-            CacheMode::None => 0,
-            CacheMode::Stats => 8,
-            CacheMode::Full => (8 + std::mem::size_of::<Shape>()) as u64,
-        }
+        seed_cache_bytes(self.p, mode)
     }
 
     fn name(&self) -> &str {
@@ -252,21 +249,16 @@ impl Layer for Residual {
         &dx_branch + dy
     }
 
-    fn out_shape(&self, x: Shape) -> Shape {
-        x
-    }
-
-    fn macs(&self, x: Shape) -> u64 {
-        self.branch.macs(x)
-    }
-
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self.branch.as_mut());
         f(&mut self.drop_path);
     }
 
-    fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        self.branch.cache_bytes(x, mode) + self.drop_path.cache_bytes(x, mode)
+    /// The branch preserves the shape (checked in `forward`).
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        f(self.branch.as_ref(), x);
+        f(&self.drop_path, x);
+        x
     }
 
     fn name(&self) -> &str {

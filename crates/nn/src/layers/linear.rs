@@ -112,11 +112,7 @@ impl Layer for Linear {
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            x.bytes() as u64
-        } else {
-            0
-        }
+        mode.full_only(x.bytes())
     }
 
     fn name(&self) -> &str {

@@ -215,20 +215,13 @@ impl Layer for MBConv {
         self.inner.backward(dy)
     }
 
-    fn out_shape(&self, x: Shape) -> Shape {
-        self.inner.out_shape(x)
-    }
-
-    fn macs(&self, x: Shape) -> u64 {
-        self.inner.macs(x)
-    }
-
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self.inner.as_mut());
     }
 
-    fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        self.inner.cache_bytes(x, mode)
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        f(self.inner.as_ref(), x);
+        self.inner.out_shape(x)
     }
 
     fn name(&self) -> &str {

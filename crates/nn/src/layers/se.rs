@@ -99,10 +99,11 @@ impl Layer for SqueezeExcite {
         dx
     }
 
+    /// The gate's MACs plus the `x * g` product.
     fn macs(&self, x: Shape) -> u64 {
-        let sv = Shape::new(x.n, self.c, 1, 1);
-        let c_r = self.reduced_channels();
-        self.reduce.macs(sv) + self.expand.macs(Shape::new(x.n, c_r, 1, 1)) + x.numel() as u64
+        let mut total = x.numel() as u64;
+        self.visit_children_at(x, &mut |l, s| total += l.macs(s));
+        total
     }
 
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
@@ -112,24 +113,27 @@ impl Layer for SqueezeExcite {
         f(&mut self.hsig);
     }
 
+    /// The gate runs on `[n, c, 1, 1]` pooled vectors, `[n, c_r, 1, 1]`
+    /// between its two convs.
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        let (sv, rv) = (Shape::new(x.n, self.c, 1, 1), Shape::new(x.n, self.reduced_channels(), 1, 1));
+        f(&self.reduce, sv);
+        f(&self.expand, rv);
+        f(&self.relu, rv);
+        f(&self.hsig, sv);
+        x
+    }
+
     fn clear_cache(&mut self) {
         self.visit_children(&mut |l| l.clear_cache());
         self.cache.clear();
     }
 
+    /// The gate's caches plus the `(x, g)` pair.
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        if mode != CacheMode::Full {
-            return 0;
-        }
-        let sv = Shape::new(x.n, self.c, 1, 1);
-        let c_r = self.reduced_channels();
-        let rv = Shape::new(x.n, c_r, 1, 1);
-        // (x, gate) cache + sublayer caches on the tiny vectors.
-        (x.bytes() + sv.bytes()) as u64
-            + self.reduce.cache_bytes(sv, mode)
-            + self.relu.cache_bytes(rv, mode)
-            + self.expand.cache_bytes(rv, mode)
-            + self.hsig.cache_bytes(sv, mode)
+        let mut total = mode.full_only(x.bytes() + Shape::new(x.n, self.c, 1, 1).bytes());
+        self.visit_children_at(x, &mut |l, s| total += l.cache_bytes(s, mode));
+        total
     }
 
     fn name(&self) -> &str {

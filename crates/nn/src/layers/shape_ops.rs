@@ -45,11 +45,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            std::mem::size_of::<Shape>() as u64
-        } else {
-            0
-        }
+        mode.full_only(std::mem::size_of::<Shape>())
     }
 
     fn name(&self) -> &str {
@@ -108,11 +104,7 @@ impl Layer for Upsample {
     }
 
     fn cache_bytes(&self, _x: Shape, mode: CacheMode) -> u64 {
-        if mode == CacheMode::Full {
-            std::mem::size_of::<Shape>() as u64
-        } else {
-            0
-        }
+        mode.full_only(std::mem::size_of::<Shape>())
     }
 
     fn name(&self) -> &str {

@@ -27,6 +27,15 @@ impl CacheMode {
     pub fn is_training(self) -> bool {
         !matches!(self, CacheMode::None)
     }
+
+    /// `bytes` in [`CacheMode::Full`], else 0: the analytic cache of a layer
+    /// that keeps only what its backward reads (an input, an output, a shape).
+    pub(crate) fn full_only(self, bytes: usize) -> u64 {
+        match self {
+            CacheMode::Full => bytes as u64,
+            _ => 0,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -36,13 +36,14 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// Output shape for an input of shape `x`.
     fn out_shape(&self, x: Shape) -> Shape {
-        x
+        self.visit_children_at(x, &mut |_, _| {})
     }
 
     /// Multiply-accumulate count of one forward pass on input shape `x`.
     fn macs(&self, x: Shape) -> u64 {
-        let _ = x;
-        0
+        let mut total = 0;
+        self.visit_children_at(x, &mut |l, s| total += l.macs(s));
+        total
     }
 
     /// Visits each direct child layer once, in walk order (DESIGN.md
@@ -51,6 +52,15 @@ pub trait Layer: std::fmt::Debug + Send {
     /// children and overrides the walks over the state it owns.
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         let _ = f;
+    }
+
+    /// The shape view of [`Layer::visit_children`]: the same children in the
+    /// same order, each with the input shape it receives; returns the output
+    /// shape for input `x`. `out_shape`, `macs` and `cache_bytes` derive from
+    /// it, so a composite implements only this and a leaf overrides those.
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        let _ = f;
+        x
     }
 
     /// Visits every parameter (used by optimizers, EMA, counting).
@@ -90,8 +100,9 @@ pub trait Layer: std::fmt::Debug + Send {
     /// pass in `mode` on input shape `x`. Cross-checked against the meter in
     /// tests; used to extrapolate paper-scale memory without allocating.
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        let _ = (x, mode);
-        0
+        let mut total = 0;
+        self.visit_children_at(x, &mut |l, s| total += l.cache_bytes(s, mode));
+        total
     }
 
     /// Short human-readable identifier.
@@ -161,6 +172,46 @@ pub trait Module {
         let mut total = 0u64;
         self.visit_params(&mut |p| total += p.numel() as u64);
         total
+    }
+}
+
+/// The shape view of a [`Module`]: the same layers as
+/// [`Module::visit_layers`], in the same order, each with the input shape it
+/// receives. Every analytic quantity (output shapes, MACs, cache bytes, the
+/// reversible transient) is derived from this one list.
+pub trait ShapeWalk {
+    /// Visits each layer of the tree once, in walk order, with its input
+    /// shape, and returns the output stream shapes for input streams `xs`.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape>;
+
+    /// Output stream shapes for input streams `xs`.
+    fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape> {
+        self.visit_layers_at(xs, &mut |_, _| {})
+    }
+
+    /// MAC count of one forward pass.
+    fn macs(&self, xs: &[Shape]) -> u64 {
+        let mut total = 0;
+        self.visit_layers_at(xs, &mut |l, x| total += l.macs(x));
+        total
+    }
+
+    /// Analytic cache bytes of a forward pass in `mode` (see
+    /// [`Layer::cache_bytes`]).
+    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
+        let mut total = 0;
+        self.visit_layers_at(xs, &mut |l, x| total += l.cache_bytes(x, mode));
+        total
+    }
+
+    /// The largest listed layer's `Full` cache. The listed layers are the
+    /// recompute units — a RevBlock's F or G, one silo edge — and the
+    /// reversible backward re-runs and transposes one at a time, so this is
+    /// its transient peak.
+    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
+        let mut peak = 0;
+        self.visit_layers_at(xs, &mut |l, x| peak = peak.max(l.cache_bytes(x, CacheMode::Full)));
+        peak
     }
 }
 
@@ -284,34 +335,17 @@ impl Layer for Sequential {
         }
     }
 
-    fn out_shape(&self, x: Shape) -> Shape {
-        self.layers.iter().fold(x, |s, l| l.out_shape(s))
-    }
-
-    fn macs(&self, x: Shape) -> u64 {
-        let mut s = x;
-        let mut total = 0;
-        for l in &self.layers {
-            total += l.macs(s);
-            s = l.out_shape(s);
-        }
-        total
-    }
-
     fn visit_children(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         for l in &mut self.layers {
             f(l.as_mut());
         }
     }
 
-    fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        let mut s = x;
-        let mut total = 0;
-        for l in &self.layers {
-            total += l.cache_bytes(s, mode);
-            s = l.out_shape(s);
-        }
-        total
+    fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
+        self.layers.iter().fold(x, |s, l| {
+            f(l.as_ref(), s);
+            l.out_shape(s)
+        })
     }
 
     fn name(&self) -> &str {

@@ -14,7 +14,7 @@
 //! activation survives the forward pass. RevBiFPN uses these blocks for all
 //! same-resolution transformations (paper Section 3), with MBConv bodies.
 
-use revbifpn_nn::{meter, CacheMode, Layer, Module};
+use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// A reversible residual block with additive coupling.
@@ -134,34 +134,23 @@ impl RevBlock {
         Tensor::concat_channels(&[&dz1, &dx2])
     }
 
-    /// MAC count for input shape `x`.
-    pub fn macs(&self, x: Shape) -> u64 {
-        let s2 = x.with_c(x.c - self.c_split);
-        let s1 = x.with_c(self.c_split);
-        self.f.macs(s2) + self.g.macs(s1)
-    }
-
-    /// Analytic cache bytes for input shape `x` in `mode`.
-    pub fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        let s2 = x.with_c(x.c - self.c_split);
-        let s1 = x.with_c(self.c_split);
-        self.f.cache_bytes(s2, mode) + self.g.cache_bytes(s1, mode)
-    }
-
-    /// Analytic transient bytes of [`RevBlock::backward_rev`] for input
-    /// shape `x`: one transform's `Full` cache at a time, so the larger of
-    /// F's and G's.
-    pub fn transient_bytes(&self, x: Shape) -> u64 {
-        let s2 = x.with_c(x.c - self.c_split);
-        let s1 = x.with_c(self.c_split);
-        self.f.cache_bytes(s2, CacheMode::Full).max(self.g.cache_bytes(s1, CacheMode::Full))
-    }
 }
 
 impl Module for RevBlock {
     fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self.f.as_mut());
         f(self.g.as_mut());
+    }
+}
+
+impl ShapeWalk for RevBlock {
+    /// F on the second channel half, then G on the first; one stream, its
+    /// shape kept.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let x = xs[0];
+        f(self.f.as_ref(), x.with_c(x.c - self.c_split));
+        f(self.g.as_ref(), x.with_c(self.c_split));
+        vec![x]
     }
 }
 
@@ -328,9 +317,9 @@ mod tests {
         let x = Tensor::randn(Shape::new(2, 8, 8, 8), 1.0, &mut rng);
         let _ = b.forward(&x, CacheMode::Stats);
         let stats_bytes = revbifpn_nn::meter::current();
-        assert_eq!(stats_bytes as u64, b.cache_bytes(x.shape(), CacheMode::Stats));
+        assert_eq!(stats_bytes as u64, b.cache_bytes(&[x.shape()], CacheMode::Stats));
         // Stats cache is tiny compared to a Full cache.
-        assert!((stats_bytes as u64) < b.cache_bytes(x.shape(), CacheMode::Full) / 10);
+        assert!((stats_bytes as u64) < b.cache_bytes(&[x.shape()], CacheMode::Full) / 10);
         b.clear_cache();
         assert_eq!(revbifpn_nn::meter::current(), 0);
     }
@@ -340,6 +329,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let b = make_block(8, &mut rng);
         let x = Shape::new(1, 8, 16, 16);
-        assert!(b.macs(x) > 0);
+        assert!(b.macs(&[x]) > 0);
     }
 }

@@ -22,7 +22,7 @@
 // correspondence with the math.
 #![allow(clippy::needless_range_loop)]
 
-use revbifpn_nn::{meter, CacheMode, Layer, Module};
+use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{par, Shape, Tensor};
 
 /// Factory signature for the silo's fusion transforms: `(from_stream,
@@ -307,69 +307,6 @@ impl RevSilo {
         }
         dxs
     }
-
-    /// Output shapes for input shapes `xs` (length `n_in`).
-    pub fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape> {
-        assert_eq!(xs.len(), self.n_in);
-        let mut shapes: Vec<Shape> = xs.to_vec();
-        for i in self.n_in..self.n_out {
-            shapes.push(self.down[i][0].out_shape(xs[0]));
-        }
-        shapes
-    }
-
-    /// Total MAC count for input shapes `xs`.
-    pub fn macs(&self, xs: &[Shape]) -> u64 {
-        let mids = self.out_shapes(xs);
-        let mut total = 0;
-        for i in 1..self.n_out {
-            for j in 0..i.min(self.n_in) {
-                total += self.down[i][j].macs(xs[j]);
-            }
-        }
-        for i in 0..self.n_out {
-            for j in i + 1..self.n_out {
-                total += self.up[i][j - i - 1].macs(mids[j]);
-            }
-        }
-        total
-    }
-
-    /// Analytic cache bytes for input shapes `xs` in `mode`.
-    pub fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        let mids = self.out_shapes(xs);
-        let mut total = 0;
-        for i in 1..self.n_out {
-            for j in 0..i.min(self.n_in) {
-                total += self.down[i][j].cache_bytes(xs[j], mode);
-            }
-        }
-        for i in 0..self.n_out {
-            for j in i + 1..self.n_out {
-                total += self.up[i][j - i - 1].cache_bytes(mids[j], mode);
-            }
-        }
-        total
-    }
-
-    /// Analytic transient bytes of [`RevSilo::backward_rev`]: each edge task
-    /// recomputes and transposes one edge, so the largest edge's `Full`
-    /// cache (edge meters are absorbed one at a time, in edge order).
-    pub fn transient_bytes(&self, xs: &[Shape]) -> u64 {
-        let mids = self.out_shapes(xs);
-        let mut peak = 0;
-        for i in 1..self.n_out {
-            for j in 0..i.min(self.n_in) {
-                peak = peak.max(self.down[i][j].cache_bytes(xs[j], CacheMode::Full));
-            }
-        }
-        for i in 0..self.n_out {
-            for j in i + 1..self.n_out {
-                peak = peak.max(self.up[i][j - i - 1].cache_bytes(mids[j], CacheMode::Full));
-            }
-        }
-        peak
-    }
 }
 
 impl Module for RevSilo {
@@ -378,6 +315,30 @@ impl Module for RevSilo {
         for l in self.down.iter_mut().chain(&mut self.up).flatten() {
             f(l.as_mut());
         }
+    }
+}
+
+impl ShapeWalk for RevSilo {
+    /// Each down edge `D_ij` at input `x_j`, then each up edge `U_ij` at mid
+    /// `m_j`. Mids, and so outputs, keep the input shapes; a virtual stream
+    /// takes its first down edge's output shape. Each edge is one recompute
+    /// unit of [`RevSilo::backward_rev`] (edge meters are absorbed one at a
+    /// time, in edge order).
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        assert_eq!(xs.len(), self.n_in);
+        let mut mids = xs.to_vec();
+        mids.extend((self.n_in..self.n_out).map(|i| self.down[i][0].out_shape(xs[0])));
+        for row in &self.down {
+            for (j, d) in row.iter().enumerate() {
+                f(d.as_ref(), xs[j]);
+            }
+        }
+        for (i, row) in self.up.iter().enumerate() {
+            for (k, u) in row.iter().enumerate() {
+                f(u.as_ref(), mids[i + 1 + k]);
+            }
+        }
+        mids
     }
 }
 

@@ -9,17 +9,18 @@
 
 use crate::revblock::RevBlock;
 use crate::silo::RevSilo;
-use revbifpn_nn::{meter, CacheMode, Cached, Layer, Module, Part};
+use revbifpn_nn::{meter, CacheMode, Cached, Layer, Module, Part, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 
 /// A reversible transformation over a vector of feature streams.
 ///
-/// Its walks come from [`Module`]: a stage lists its layers once. `Send`
-/// mirrors the bound on [`revbifpn_nn::Layer`]: stages run inside
-/// worker-pool tasks (sharded training) and schedule their own sub-layer
-/// work on the pool.
-pub trait RevStage: Module + std::fmt::Debug + Send {
+/// Its walks come from [`Module`] and its analytic numbers from
+/// [`ShapeWalk`]: a stage lists its layers once, and once more with their
+/// shapes. `Send` mirrors the bound on [`revbifpn_nn::Layer`]: stages run
+/// inside worker-pool tasks (sharded training) and schedule their own
+/// sub-layer work on the pool.
+pub trait RevStage: Module + ShapeWalk + std::fmt::Debug + Send {
     /// Forward pass: `n_in` streams in, `n_out` streams out.
     fn forward(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor>;
 
@@ -40,21 +41,6 @@ pub trait RevStage: Module + std::fmt::Debug + Send {
 
     /// Number of output streams.
     fn out_streams(&self) -> usize;
-
-    /// Output shapes for given input shapes.
-    fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape>;
-
-    /// MAC count of one forward pass.
-    fn macs(&self, xs: &[Shape]) -> u64;
-
-    /// Analytic cache bytes for the given input shapes and mode.
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64;
-
-    /// Analytic transient bytes of [`RevStage::backward_rev`]: the largest
-    /// single transform's `Full` cache, since the backward recomputes and
-    /// transposes one transform at a time (in the meter's stream and edge
-    /// order).
-    fn transient_bytes(&self, xs: &[Shape]) -> u64;
 
     /// Short identifier for diagnostics.
     fn name(&self) -> &str {
@@ -92,22 +78,6 @@ impl RevStage for RevSilo {
 
     fn out_streams(&self) -> usize {
         self.n_out()
-    }
-
-    fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape> {
-        RevSilo::out_shapes(self, xs)
-    }
-
-    fn macs(&self, xs: &[Shape]) -> u64 {
-        RevSilo::macs(self, xs)
-    }
-
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        RevSilo::cache_bytes(self, xs, mode)
-    }
-
-    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
-        RevSilo::transient_bytes(self, xs)
     }
 
     fn name(&self) -> &str {
@@ -223,29 +193,6 @@ impl RevStage for BlockStage {
         self.blocks.len()
     }
 
-    fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape> {
-        xs.to_vec()
-    }
-
-    fn macs(&self, xs: &[Shape]) -> u64 {
-        xs.iter().zip(&self.blocks).map(|(x, chain)| chain.iter().map(|b| b.macs(*x)).sum::<u64>()).sum()
-    }
-
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        xs.iter()
-            .zip(&self.blocks)
-            .map(|(x, chain)| chain.iter().map(|b| b.cache_bytes(*x, mode)).sum::<u64>())
-            .sum()
-    }
-
-    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
-        xs.iter()
-            .zip(&self.blocks)
-            .flat_map(|(x, chain)| chain.iter().map(|b| b.transient_bytes(*x)))
-            .max()
-            .unwrap_or(0)
-    }
-
     fn name(&self) -> &str {
         "block_stage"
     }
@@ -266,6 +213,18 @@ impl Module for BlockStage {
         for b in self.blocks.iter_mut().flatten() {
             b.visit_layers(f);
         }
+    }
+}
+
+impl ShapeWalk for BlockStage {
+    /// Every block keeps its stream's shape.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        for (x, chain) in xs.iter().zip(&self.blocks) {
+            for b in chain {
+                b.visit_layers_at(std::slice::from_ref(x), f);
+            }
+        }
+        xs.to_vec()
     }
 }
 
@@ -528,8 +487,8 @@ impl ReversibleSequence {
             .stages
             .iter()
             .map(|s| {
-                let m = s.macs(&cur);
-                cur = s.out_shapes(&cur);
+                let mut m = 0;
+                cur = s.visit_layers_at(&cur, &mut |l, x| m += l.macs(x));
                 m
             })
             .collect();
@@ -681,26 +640,6 @@ impl ReversibleSequence {
         }
     }
 
-    /// Output shapes for given input shapes.
-    pub fn out_shapes(&self, xs: &[Shape]) -> Vec<Shape> {
-        let mut cur = xs.to_vec();
-        for s in &self.stages {
-            cur = s.out_shapes(&cur);
-        }
-        cur
-    }
-
-    /// Total MAC count.
-    pub fn macs(&self, xs: &[Shape]) -> u64 {
-        let mut cur = xs.to_vec();
-        let mut total = 0;
-        for s in &self.stages {
-            total += s.macs(&cur);
-            cur = s.out_shapes(&cur);
-        }
-        total
-    }
-
     /// Stages `lo..hi` as a [`Module`]: pipeline-stage parameter sync and
     /// gradient merge walk a partitioned copy with the one walk.
     pub fn stage_range(&mut self, lo: usize, hi: usize) -> impl Module + '_ {
@@ -709,31 +648,6 @@ impl ReversibleSequence {
                 s.visit_layers(f);
             }
         })
-    }
-
-    /// Analytic cache bytes of a forward pass in `mode`, summed over stages.
-    pub fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
-        let mut cur = xs.to_vec();
-        let mut total = 0;
-        for s in &self.stages {
-            total += s.cache_bytes(&cur, mode);
-            cur = s.out_shapes(&cur);
-        }
-        total
-    }
-
-    /// Analytic *peak transient* cache bytes of the reversible backward: the
-    /// largest single transform's `Full` cache — a RevBlock's F or G, or one
-    /// silo edge — because each is recomputed, transposed and freed before
-    /// the next ([`RevStage::transient_bytes`]).
-    pub fn peak_transient_bytes(&self, xs: &[Shape]) -> u64 {
-        let mut cur = xs.to_vec();
-        let mut peak = 0;
-        for s in &self.stages {
-            peak = peak.max(s.transient_bytes(&cur));
-            cur = s.out_shapes(&cur);
-        }
-        peak
     }
 
     /// Analytic activation bytes of classic gradient checkpointing (Chen et
@@ -759,10 +673,20 @@ impl ReversibleSequence {
                 max_seg = max_seg.max(seg_cache);
                 seg_cache = 0;
             }
-            seg_cache += s.cache_bytes(&cur, CacheMode::Full);
-            cur = s.out_shapes(&cur);
+            cur = s.visit_layers_at(&cur, &mut |l, x| seg_cache += l.cache_bytes(x, CacheMode::Full));
         }
         stored + max_seg.max(seg_cache)
+    }
+}
+
+impl ShapeWalk for ReversibleSequence {
+    /// The stages in forward order, each at its predecessor's output shapes.
+    fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
+        let mut cur = xs.to_vec();
+        for s in &self.stages {
+            cur = s.visit_layers_at(&cur, f);
+        }
+        cur
     }
 }
 
@@ -977,8 +901,8 @@ mod tests {
         assert!(stats_deep < full_shallow / 10);
         // Peak transient of the reversible backward is one silo edge's Full
         // cache: it does not grow with depth, and is below a stage's total.
-        assert_eq!(deep.peak_transient_bytes(&shapes), shallow.peak_transient_bytes(&shapes));
-        assert!(shallow.peak_transient_bytes(&shapes) < full_shallow / 2);
+        assert_eq!(deep.transient_bytes(&shapes), shallow.transient_bytes(&shapes));
+        assert!(shallow.transient_bytes(&shapes) < full_shallow / 2);
     }
 
     #[test]
@@ -1024,7 +948,7 @@ mod tests {
         assert!(ckpt_all >= conventional / 6);
         let sqrt_ckpt = seq.checkpoint_bytes(&shapes, 3); // ~sqrt(6)
         let one_ckpt = seq.checkpoint_bytes(&shapes, 6);
-        let reversible = seq.cache_bytes(&shapes, CacheMode::Stats) + seq.peak_transient_bytes(&shapes);
+        let reversible = seq.cache_bytes(&shapes, CacheMode::Stats) + seq.transient_bytes(&shapes);
         // Ordering: conventional > sqrt-checkpointing > reversible.
         assert!(sqrt_ckpt < conventional, "{sqrt_ckpt} vs {conventional}");
         assert!(reversible < sqrt_ckpt, "{reversible} vs {sqrt_ckpt}");

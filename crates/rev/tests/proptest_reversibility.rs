@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Module};
+use revbifpn_nn::{CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_rev::{RevBlock, RevSilo};
 use revbifpn_tensor::{Shape, Tensor};
 

@@ -7,14 +7,23 @@
 //! from the walks as they stood before the traversals were derived from one
 //! child list per module; a change to any of them is a format break.
 //!
-//! The second half pins the cache contract: after a conventional (`Full`)
+//! The second part pins the cache contract: after a conventional (`Full`)
 //! or reversible (`Stats`) training forward, `clear_cache` leaves nothing
 //! registered with the activation meter.
+//!
+//! The third pins the analytic model — shapes, MACs, cache bytes, the
+//! reversible transient, checkpointing and activation bytes — as digests
+//! recorded before those numbers were derived from the shape walk, and
+//! checks that the shape walk lists the same layers as the state walk.
 
-use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
-use revbifpn_baselines::{HrNet, HrNetConfig, ResNetFpn, ResNetFpnConfig};
-use revbifpn_detect::{DetHeadConfig, Detector, HrBackbone, RevBackbone};
-use revbifpn_nn::{meter, CacheMode, Module, Param};
+use revbifpn::{
+    ClsHead, DownsampleMode, Neck, RevBiFPNClassifier, RevBiFPNConfig, RunMode, StemKind, UpsampleMode,
+};
+use revbifpn_baselines::{
+    EfficientNet, EfficientNetConfig, HrNet, HrNetConfig, ResNetFpn, ResNetFpnConfig, RevShNet, RevShNetConfig,
+};
+use revbifpn_detect::{Backbone, DetHead, DetHeadConfig, Detector, HrBackbone, RevBackbone};
+use revbifpn_nn::{meter, CacheMode, Layer, Module, Param, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// FNV-1a over a sequence, with the item count alongside.
@@ -57,6 +66,18 @@ impl Digest {
     fn channels(&mut self, c: usize) {
         self.count += 1;
         self.bytes(&(c as u64).to_le_bytes());
+    }
+
+    fn num(&mut self, v: u64) {
+        self.count += 1;
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn shapes(&mut self, ss: &[Shape]) {
+        self.count += 1;
+        for &s in ss {
+            self.shape(s);
+        }
     }
 }
 
@@ -166,4 +187,227 @@ fn clear_cache_leaves_the_meter_empty() {
         det.clear_cache();
         assert_eq!(meter::current(), 0, "{name}: clear_cache left bytes behind");
     }
+}
+
+const MODES: [CacheMode; 3] = [CacheMode::None, CacheMode::Stats, CacheMode::Full];
+
+/// The `tiny` classifier in its three stem / sampling variants and S0–S3,
+/// each at two resolutions.
+fn analytic_configs() -> Vec<(String, RevBiFPNConfig)> {
+    let mut cases = Vec::new();
+    for res in [32, 64] {
+        let tiny = RevBiFPNConfig::tiny(10).with_resolution(res);
+        let conv_stem = RevBiFPNConfig { stem: StemKind::Convolutional, ..tiny.clone() };
+        let chained = RevBiFPNConfig {
+            down_mode: DownsampleMode::Chained,
+            up_mode: UpsampleMode::NearestPointwise,
+            ..tiny.clone()
+        };
+        cases.push((format!("tiny@{res}"), tiny));
+        cases.push((format!("tiny-conv-stem@{res}"), conv_stem));
+        cases.push((format!("tiny-chained@{res}"), chained));
+    }
+    for s in 0..=3 {
+        let cfg = RevBiFPNConfig::scaled(s, 1000);
+        cases.push((format!("S{s}@{}", cfg.resolution), cfg.clone()));
+        cases.push((format!("S{s}@128"), cfg.with_resolution(128)));
+    }
+    cases
+}
+
+/// Every analytic number of a classifier at batch 1 and 4: whole model,
+/// backbone, stem, body, neck, head and each body stage.
+fn classifier_numbers(cfg: &RevBiFPNConfig) -> Digest {
+    let mut dg = Digest::new();
+    let m = RevBiFPNClassifier::new(cfg.clone());
+    let (neck, head) = (Neck::from_config(cfg), ClsHead::from_config(cfg));
+    let (b, body) = (m.backbone(), m.backbone().body());
+    for n in [1, 4] {
+        let img = Shape::new(n, 3, cfg.resolution, cfg.resolution);
+        let s0 = [b.stem().out_shape(img)];
+        let pyr = b.pyramid_shapes(n);
+        let necked = neck.out_shapes(&pyr);
+        for shapes in [&s0[..], &pyr, &body.out_shapes(&s0), &necked] {
+            dg.shapes(shapes);
+        }
+        for v in [m.macs(n), b.macs(n), b.stem().macs(img), body.macs(&s0), neck.macs(&pyr), head.macs(&necked)] {
+            dg.num(v);
+        }
+        for mode in MODES {
+            for v in [
+                b.cache_bytes(n, mode),
+                body.cache_bytes(&s0, mode),
+                neck.cache_bytes(&pyr, mode),
+                head.cache_bytes(&necked, mode),
+            ] {
+                dg.num(v);
+            }
+        }
+        dg.num(b.peak_transient_bytes(n));
+        dg.num(body.transient_bytes(&s0));
+        for seg in 1..=3 {
+            dg.num(body.checkpoint_bytes(&s0, seg));
+        }
+        for parts in 1..=3 {
+            for bound in body.partition_by_macs(&s0, parts) {
+                dg.num(bound as u64);
+            }
+        }
+        for mode in [RunMode::TrainReversible, RunMode::TrainConventional] {
+            dg.num(m.activation_bytes(n, mode));
+        }
+        let mut cur = s0.to_vec();
+        for s in body.stages() {
+            dg.num(s.macs(&cur));
+            for mode in MODES {
+                dg.num(s.cache_bytes(&cur, mode));
+            }
+            dg.num(s.transient_bytes(&cur));
+            cur = s.out_shapes(&cur);
+            dg.shapes(&cur);
+        }
+    }
+    dg
+}
+
+/// The bytes ResNet-FPN's three top-down `Upsample`s cache in `Full` mode
+/// (one `Shape` each), which its analytic activation bytes omitted before
+/// they were derived from the shape walk.
+const FPN_UPS_BYTES: u64 = 3 * std::mem::size_of::<Shape>() as u64;
+
+#[test]
+fn analytic_model_is_pinned() {
+    let want = [
+        ("tiny@32", d(148, 0x21a0_451d_9cd7_f9ec)),
+        ("tiny-conv-stem@32", d(148, 0x0821_33ce_4cf0_180d)),
+        ("tiny-chained@32", d(148, 0xb7af_8a96_9e2d_7e34)),
+        ("tiny@64", d(148, 0x067d_1f78_1899_2188)),
+        ("tiny-conv-stem@64", d(148, 0x0886_44a3_98f2_5c63)),
+        ("tiny-chained@64", d(148, 0x20d3_8752_dabd_dc21)),
+        ("S0@224", d(196, 0xdf48_80f4_a2dd_3885)),
+        ("S0@128", d(196, 0xdddc_3882_aeb8_0ea5)),
+        ("S1@256", d(196, 0xf0ab_e38d_10f1_836e)),
+        ("S1@128", d(196, 0x7139_4bbe_795d_0e34)),
+        ("S2@256", d(196, 0x808b_4362_bdd8_a4dc)),
+        ("S2@128", d(196, 0x03cb_28f6_5e4b_ec06)),
+        ("S3@288", d(220, 0x3952_76d7_dc2e_8f92)),
+        ("S3@128", d(220, 0xb4f3_922b_e370_a0e8)),
+    ];
+    let mut failed = Vec::new();
+    for ((name, cfg), (want_name, want)) in analytic_configs().iter().zip(want) {
+        assert_eq!(name, want_name);
+        let got = classifier_numbers(cfg);
+        if got != want {
+            failed.push(format!("{name}: {got:?}"));
+        }
+    }
+
+    let mut got: [Digest; 6] = std::array::from_fn(|_| Digest::new());
+    let hr = HrNet::new(HrNetConfig::micro());
+    let fpn = ResNetFpn::new(ResNetFpnConfig::micro());
+    let sh = RevShNet::new(RevShNetConfig::micro());
+    for res in [32, 64] {
+        let eff = EfficientNet::new(EfficientNetConfig::micro(10).with_resolution(res));
+        for n in [1, 4] {
+            for v in [eff.macs(n), eff.activation_bytes(n), eff.activation_bytes_at(n, res)] {
+                got[0].num(v);
+            }
+            for v in [hr.macs_at(n, res), hr.activation_bytes_at(n, res)] {
+                got[1].num(v);
+            }
+            got[2].num(fpn.macs_at(n, res));
+            got[3].num(fpn.activation_bytes_at(n, res) - FPN_UPS_BYTES);
+            for v in [sh.macs_at(n, res), sh.activation_bytes_rev(n, res), sh.activation_bytes_conv(n, res)] {
+                got[4].num(v);
+            }
+        }
+    }
+    let det = rev_detector(true);
+    let net = revbifpn::RevBiFPN::new(RevBiFPNConfig::tiny(4));
+    for n in [1, 4] {
+        got[5].num(det.head().macs(&net.pyramid_shapes(n)));
+    }
+    let want = [
+        ("efficientnet", d(12, 0x6e1d_8332_1e79_4458)),
+        ("hrnet", d(8, 0x97b2_2f42_402d_9d08)),
+        ("resnet-fpn macs", d(4, 0xfeaf_8188_9a48_347d)),
+        ("resnet-fpn activation bytes without the ups", d(4, 0x2b17_6d2a_88ab_809f)),
+        ("revshnet", d(12, 0x05d7_161f_f1d3_73ab)),
+        ("detection head macs", d(2, 0x0d8a_ed06_6f00_c8f5)),
+    ];
+    for (got, (name, want)) in got.into_iter().zip(want) {
+        if got != want {
+            failed.push(format!("{name}: {got:?}"));
+        }
+    }
+    assert!(failed.is_empty(), "analytic numbers changed:\n{}", failed.join("\n"));
+}
+
+fn addr(l: &dyn Layer) -> *const () {
+    l as *const dyn Layer as *const ()
+}
+
+/// Asserts that `l`'s shaped visitor lists the same children, by address
+/// and in order, as `visit_children`, recursively, each child at the shape
+/// the visitor gave it. Returns the number of composite layers checked.
+fn check_children(l: &mut dyn Layer, x: Shape) -> usize {
+    let mut shaped = Vec::new();
+    l.visit_children_at(x, &mut |c, s| shaped.push((addr(c), s)));
+    let name = l.name().to_string();
+    let mut i = 0;
+    let mut checked = usize::from(!shaped.is_empty());
+    l.visit_children(&mut |c| {
+        assert_eq!(Some(addr(c)), shaped.get(i).map(|&(a, _)| a), "{name}: child {i}");
+        checked += check_children(c, shaped[i].1);
+        i += 1;
+    });
+    assert_eq!(i, shaped.len(), "{name}: the shaped visitor lists more children");
+    checked
+}
+
+/// [`check_children`] for a module: `visit_layers_at` against `visit_layers`,
+/// then every listed layer. Returns the number of composites checked.
+fn check_module<M: Module + ShapeWalk + ?Sized>(m: &mut M, xs: &[Shape]) -> usize {
+    let mut shaped = Vec::new();
+    m.visit_layers_at(xs, &mut |l, s| shaped.push((addr(l), s)));
+    let mut i = 0;
+    let mut checked = 1;
+    m.visit_layers(&mut |l| {
+        assert_eq!(Some(addr(l)), shaped.get(i).map(|&(a, _)| a), "layer {i}");
+        checked += check_children(l, shaped[i].1);
+        i += 1;
+    });
+    assert_eq!(i, shaped.len(), "the shaped walk lists more layers");
+    checked
+}
+
+#[test]
+fn shape_walk_lists_the_walk_order() {
+    let mut checked = 0;
+    for (_, cfg) in &analytic_configs() {
+        let mut m = RevBiFPNClassifier::new(cfg.clone());
+        let img = [Shape::new(2, 3, cfg.resolution, cfg.resolution)];
+        let pyr = m.backbone().pyramid_shapes(2);
+        checked += check_module(&mut m, &img);
+        checked += check_module(m.backbone_mut(), &img);
+        checked += check_module(m.backbone_mut().stem_mut(), &img);
+        checked += check_module(&mut Neck::from_config(cfg), &pyr);
+        checked += check_module(&mut ClsHead::from_config(cfg), &Neck::from_config(cfg).out_shapes(&pyr));
+        let mut body = m.backbone_mut().take_body();
+        let mut cur = m.backbone().stem().out_shapes(&img);
+        checked += check_module(&mut body, &cur);
+        for mut s in body.into_stages() {
+            checked += check_module(s.as_mut(), &cur);
+            cur = s.out_shapes(&cur);
+        }
+    }
+    let (img32, img64) = ([Shape::new(2, 3, 32, 32)], [Shape::new(2, 3, 64, 64)]);
+    checked += check_module(&mut EfficientNet::new(EfficientNetConfig::micro(10)), &img32);
+    checked += check_module(&mut HrNet::new(HrNetConfig::micro()), &img64);
+    checked += check_module(&mut ResNetFpn::new(ResNetFpnConfig::micro()), &img64);
+    checked += check_module(&mut RevShNet::new(RevShNetConfig::micro()), &img32);
+    let backbone = RevBackbone::new(revbifpn::RevBiFPN::new(RevBiFPNConfig::tiny(4)), true);
+    let mut head = DetHead::new(DetHeadConfig::new(3), &backbone.channels(), &backbone.strides(), 0);
+    checked += check_module(&mut head, &backbone.net().pyramid_shapes(2));
+    assert!(checked > 1000, "only {checked} composites checked");
 }
