@@ -5,12 +5,17 @@ use crate::shape::{Shape, ShapeMismatchError};
 use rand::{Rng, RngExt};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::Arc;
 
 /// A dense, contiguous, row-major `f32` tensor in NCHW layout.
 ///
 /// All arithmetic is eager and CPU-based. Binary operations require exactly
 /// matching shapes (there is no broadcasting; per-channel operations are
 /// provided explicitly, e.g. [`Tensor::add_channel_bias`]).
+///
+/// A tensor owns its buffer until [`Tensor::share`] hands out a second
+/// handle to it. Handles keep value semantics: a write through a handle that
+/// is not the buffer's only one copies the buffer first.
 ///
 /// ```
 /// use revbifpn_tensor::{Shape, Tensor};
@@ -19,10 +24,18 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// let c = &a + &b;
 /// assert_eq!(c.data()[0], 2.5);
 /// ```
-#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    storage: Storage,
+}
+
+/// Where a tensor's elements live. Every tensor starts `Owned`; only
+/// [`Tensor::share`] makes one `Shared`, and the first write through a
+/// handle makes it `Owned` again (taking the buffer back if the handle is
+/// the last one, copying it otherwise).
+enum Storage {
+    Owned(Vec<f32>),
+    Shared(Arc<Vec<f32>>),
 }
 
 /// Minimum element count before the element-wise kernels (`map`, `zip`,
@@ -33,9 +46,14 @@ pub struct Tensor {
 const PAR_ELEMWISE_MIN: usize = 1 << 15;
 
 impl Tensor {
+    /// An owned tensor over `data`, whose length the caller has checked.
+    fn owned(shape: Shape, data: Vec<f32>) -> Self {
+        Self { shape, storage: Storage::Owned(data) }
+    }
+
     /// A tensor of zeros.
     pub fn zeros(shape: Shape) -> Self {
-        Self { shape, data: vec![0.0; shape.numel()] }
+        Self::owned(shape, vec![0.0; shape.numel()])
     }
 
     /// A tensor of ones.
@@ -45,7 +63,7 @@ impl Tensor {
 
     /// A tensor filled with `value`.
     pub fn full(shape: Shape, value: f32) -> Self {
-        Self { shape, data: vec![value; shape.numel()] }
+        Self::owned(shape, vec![value; shape.numel()])
     }
 
     /// Builds a tensor from raw data.
@@ -60,7 +78,7 @@ impl Tensor {
                 got: Shape::new(1, 1, 1, data.len()),
             });
         }
-        Ok(Self { shape, data })
+        Ok(Self::owned(shape, data))
     }
 
     /// Builds a tensor from raw data, panicking on length mismatch.
@@ -70,7 +88,7 @@ impl Tensor {
     /// Panics if `data.len() != shape.numel()`.
     pub fn from_vec_unchecked(shape: Shape, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), shape.numel(), "tensor data length must match shape {shape}");
-        Self { shape, data }
+        Self::owned(shape, data)
     }
 
     /// Samples each element i.i.d. from `N(0, std^2)` (Box–Muller).
@@ -88,13 +106,13 @@ impl Tensor {
                 data.push(r * t.sin() * std);
             }
         }
-        Self { shape, data }
+        Self::owned(shape, data)
     }
 
     /// Samples each element i.i.d. from `U(lo, hi)`.
     pub fn uniform<R: Rng + ?Sized>(shape: Shape, lo: f32, hi: f32, rng: &mut R) -> Self {
         let data = (0..shape.numel()).map(|_| rng.random::<f32>() * (hi - lo) + lo).collect();
-        Self { shape, data }
+        Self::owned(shape, data)
     }
 
     /// The tensor's shape.
@@ -103,18 +121,78 @@ impl Tensor {
     }
 
     /// Immutable view of the underlying row-major buffer.
+    #[inline]
     pub fn data(&self) -> &[f32] {
-        &self.data
+        match &self.storage {
+            Storage::Owned(v) => v,
+            Storage::Shared(a) => a,
+        }
     }
 
-    /// Mutable view of the underlying row-major buffer.
+    /// Mutable view of the underlying row-major buffer. On a shared handle
+    /// it first takes the buffer back, or copies it if another handle is
+    /// alive (see [`Tensor::share`]).
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        if let Storage::Shared(_) = self.storage {
+            self.unshare();
+        }
+        match &mut self.storage {
+            Storage::Owned(v) => v,
+            Storage::Shared(_) => unreachable!("unshare leaves the storage owned"),
+        }
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
+    #[cold]
+    fn unshare(&mut self) {
+        if let Storage::Shared(a) = std::mem::replace(&mut self.storage, Storage::Owned(Vec::new())) {
+            self.storage = Storage::Owned(Arc::unwrap_or_clone(a));
+        }
+    }
+
+    /// Returns a second handle to this tensor's buffer. No element moves:
+    /// the buffer keeps its address, and from here on both handles read it
+    /// in place. A write through either handle while the other is alive
+    /// copies the buffer into the writer first, so neither ever sees the
+    /// other's writes; a write through the last handle alive takes the
+    /// buffer back in place.
+    ///
+    /// ```
+    /// use revbifpn_tensor::{Shape, Tensor};
+    /// let mut a = Tensor::full(Shape::vector(4), 1.0);
+    /// let at = a.data().as_ptr();
+    /// let mut b = a.share();
+    /// assert_eq!(b.data().as_ptr(), at);
+    /// b.data_mut()[0] = 2.0; // copies: `a` is alive
+    /// assert_eq!(a.data()[0], 1.0);
+    /// drop(b);
+    /// a.data_mut()[0] = 3.0; // the last handle writes in place
+    /// assert_eq!(a.data().as_ptr(), at);
+    /// ```
+    pub fn share(&mut self) -> Tensor {
+        let buffer = match &mut self.storage {
+            Storage::Shared(a) => Arc::clone(a),
+            Storage::Owned(v) => {
+                let a = Arc::new(std::mem::take(v));
+                self.storage = Storage::Shared(Arc::clone(&a));
+                a
+            }
+        };
+        Self { shape: self.shape, storage: Storage::Shared(buffer) }
+    }
+
+    /// `true` while another handle to this tensor's buffer is alive.
+    pub fn is_shared(&self) -> bool {
+        matches!(&self.storage, Storage::Shared(a) if Arc::strong_count(a) > 1)
+    }
+
+    /// Consumes the tensor and returns the underlying buffer (a copy if
+    /// another handle to it is alive).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        match self.storage {
+            Storage::Owned(v) => v,
+            Storage::Shared(a) => Arc::unwrap_or_clone(a),
+        }
     }
 
     /// Size of the buffer in bytes.
@@ -129,14 +207,14 @@ impl Tensor {
     /// Debug builds panic if a coordinate is out of range.
     #[inline]
     pub fn at(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.data[self.shape.offset(n, c, h, w)]
+        self.data()[self.shape.offset(n, c, h, w)]
     }
 
     /// Element mutator; see [`Tensor::at`] for panics.
     #[inline]
     pub fn set(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
         let off = self.shape.offset(n, c, h, w);
-        self.data[off] = v;
+        self.data_mut()[off] = v;
     }
 
     /// Reinterprets the buffer under a new shape with the same element count.
@@ -162,13 +240,13 @@ impl Tensor {
     /// element's value depends only on its own input, so results are bitwise
     /// identical for any thread count or chunking.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
-        let n = self.data.len();
+        let n = self.data().len();
         if n < PAR_ELEMWISE_MIN {
-            return Self { shape: self.shape, data: self.data.iter().map(|&x| f(x)).collect() };
+            return Self::owned(self.shape, self.data().iter().map(|&x| f(x)).collect());
         }
         let mut data: Vec<f32> = Vec::with_capacity(n);
         let ptr = SyncPtr::new(data.as_mut_ptr());
-        let src = &self.data;
+        let src = self.data();
         parallel_chunks(n, |lo, hi| {
             let base = ptr.get();
             for (i, &x) in src[lo..hi].iter().enumerate() {
@@ -179,20 +257,21 @@ impl Tensor {
         });
         // SAFETY: every element of 0..n was initialized by exactly one chunk.
         unsafe { data.set_len(n) };
-        Self { shape: self.shape, data }
+        Self::owned(self.shape, data)
     }
 
     /// Applies `f` element-wise in place (pool-parallel for large tensors,
     /// see [`Tensor::map`]).
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        if self.data.len() < PAR_ELEMWISE_MIN {
-            for v in &mut self.data {
+        let data = self.data_mut();
+        if data.len() < PAR_ELEMWISE_MIN {
+            for v in data {
                 *v = f(*v);
             }
             return;
         }
-        let ptr = SyncPtr::new(self.data.as_mut_ptr());
-        parallel_chunks(self.data.len(), |lo, hi| {
+        let ptr = SyncPtr::new(data.as_mut_ptr());
+        parallel_chunks(data.len(), |lo, hi| {
             // SAFETY: chunks are disjoint sub-slices of the buffer.
             let s = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
             for v in s {
@@ -209,14 +288,14 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32 + Sync) -> Self {
         assert_eq!(self.shape, other.shape, "zip requires equal shapes");
-        let n = self.data.len();
+        let n = self.data().len();
         if n < PAR_ELEMWISE_MIN {
-            let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
-            return Self { shape: self.shape, data };
+            let data = self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b)).collect();
+            return Self::owned(self.shape, data);
         }
         let mut data: Vec<f32> = Vec::with_capacity(n);
         let ptr = SyncPtr::new(data.as_mut_ptr());
-        let (xa, xb) = (&self.data, &other.data);
+        let (xa, xb) = (self.data(), other.data());
         parallel_chunks(n, |lo, hi| {
             let base = ptr.get();
             for (i, (&a, &b)) in xa[lo..hi].iter().zip(&xb[lo..hi]).enumerate() {
@@ -226,7 +305,7 @@ impl Tensor {
         });
         // SAFETY: every element of 0..n was initialized by exactly one chunk.
         unsafe { data.set_len(n) };
-        Self { shape: self.shape, data }
+        Self::owned(self.shape, data)
     }
 
     /// In-place `self += alpha * x` (pool-parallel for large tensors).
@@ -236,7 +315,7 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn axpy(&mut self, alpha: f32, x: &Self) {
         assert_eq!(self.shape, x.shape, "axpy requires equal shapes");
-        axpy_slices(&mut self.data, alpha, &x.data);
+        axpy_slices(self.data_mut(), alpha, x.data());
     }
 
     /// In-place `self += x[:, c_off..c_off + self.c]`: adds a channel window
@@ -249,9 +328,9 @@ impl Tensor {
         let (s, xs) = (self.shape, x.shape);
         assert_eq!((s.n, s.h, s.w), (xs.n, xs.h, xs.w), "add_channels_of requires matching batch and spatial dims");
         assert!(c_off + s.c <= xs.c, "channel window must lie inside the source");
-        for (n, dst) in self.data.chunks_exact_mut(s.chw()).enumerate() {
+        for (n, dst) in self.data_mut().chunks_exact_mut(s.chw()).enumerate() {
             let at = (n * xs.c + c_off) * s.hw();
-            axpy_slices(dst, 1.0, &x.data[at..at + s.chw()]);
+            axpy_slices(dst, 1.0, &x.data()[at..at + s.chw()]);
         }
     }
 
@@ -277,26 +356,26 @@ impl Tensor {
 
     /// Sets every element to zero (reusing the allocation).
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
+        self.data_mut().iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f64 {
-        self.data.iter().map(|&x| x as f64).sum()
+        self.data().iter().map(|&x| x as f64).sum()
     }
 
     /// Mean of all elements.
     pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
+        if self.data().is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f64
+            self.sum() / self.data().len() as f64
         }
     }
 
     /// Sum of squares of all elements.
     pub fn sq_sum(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum()
+        self.data().iter().map(|&x| (x as f64) * (x as f64)).sum()
     }
 
     /// L2 norm.
@@ -306,7 +385,7 @@ impl Tensor {
 
     /// Largest absolute element (0 for an empty tensor).
     pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
+        self.data().iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
     }
 
     /// Largest absolute difference from `other`.
@@ -316,20 +395,20 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         assert_eq!(self.shape, other.shape, "max_abs_diff requires equal shapes");
-        self.data
+        self.data()
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .fold(0.0_f32, |m, (&a, &b)| m.max((a - b).abs()))
     }
 
     /// `true` if every element is finite.
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data().iter().all(|x| x.is_finite())
     }
 
     /// Number of non-finite (NaN or infinite) elements.
     pub fn count_nonfinite(&self) -> usize {
-        self.data.iter().filter(|x| !x.is_finite()).count()
+        self.data().iter().filter(|x| !x.is_finite()).count()
     }
 
     /// Asserts that every element is finite.
@@ -344,7 +423,7 @@ impl Tensor {
         assert!(
             bad == 0,
             "{tag}: {bad} non-finite element(s) out of {} (shape {})",
-            self.data.len(),
+            self.data().len(),
             self.shape
         );
     }
@@ -358,8 +437,8 @@ impl Tensor {
         assert_eq!(bias.shape, Shape::vector(self.shape.c), "bias must be a [1,c,1,1] vector");
         let hw = self.shape.hw();
         let c = self.shape.c;
-        let bd = &bias.data;
-        let ptr = SyncPtr::new(self.data.as_mut_ptr());
+        let bd = bias.data();
+        let ptr = SyncPtr::new(self.data_mut().as_mut_ptr());
         parallel_tiles(self.shape.n * c, |p| {
             let b = bd[p % c];
             // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)`.
@@ -379,8 +458,8 @@ impl Tensor {
         assert_eq!(scale.shape, Shape::vector(self.shape.c), "scale must be a [1,c,1,1] vector");
         let hw = self.shape.hw();
         let c = self.shape.c;
-        let sd = &scale.data;
-        let ptr = SyncPtr::new(self.data.as_mut_ptr());
+        let sd = scale.data();
+        let ptr = SyncPtr::new(self.data_mut().as_mut_ptr());
         parallel_tiles(self.shape.n * c, |p| {
             let s = sd[p % c];
             // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)`.
@@ -401,7 +480,7 @@ impl Tensor {
     pub fn mul_planes(&self, gate: &Self) -> Self {
         assert_eq!(gate.shape, Shape::new(self.shape.n, self.shape.c, 1, 1), "gate must hold one factor per plane");
         let [y] = Self::map_planes([self], |p| {
-            let g = gate.data[p];
+            let g = gate.data()[p];
             move |[x]: [f32; 1]| [x * g]
         });
         y
@@ -447,7 +526,7 @@ impl Tensor {
         parallel_plane_groups(planes, hw, |group| {
             for p in group {
                 let f = per_plane(p);
-                let src: [&[f32]; I] = std::array::from_fn(|i| &inputs[i].data[p * hw..(p + 1) * hw]);
+                let src: [&[f32]; I] = std::array::from_fn(|i| &inputs[i].data()[p * hw..(p + 1) * hw]);
                 // SAFETY: plane `p` belongs to exactly one tile, which owns
                 // `[p*hw, (p+1)*hw)` of every output's `planes*hw`-float
                 // spare capacity (`MaybeUninit`, so the slices may cover
@@ -468,7 +547,7 @@ impl Tensor {
             // one tile, element by element.
             unsafe { v.set_len(planes * hw) };
         }
-        outs.map(|data| Self { shape, data })
+        outs.map(|data| Self::owned(shape, data))
     }
 
     /// Per-channel sum over batch and spatial dims; returns `[1, c, 1, 1]`.
@@ -476,8 +555,8 @@ impl Tensor {
         let mut out = Tensor::zeros(Shape::vector(self.shape.c));
         let hw = self.shape.hw();
         let (n, c) = (self.shape.n, self.shape.c);
-        let xd = &self.data;
-        let optr = SyncPtr::new(out.data.as_mut_ptr());
+        let xd = self.data();
+        let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
         // One tile per channel; the batch loop stays sequential inside the
         // tile so the accumulation order (and the f32 result) is independent
         // of the thread count.
@@ -516,9 +595,9 @@ impl Tensor {
         for n in 0..first.n {
             let mut c_off = 0;
             for p in parts {
-                let src = &p.data[n * p.shape.chw()..(n + 1) * p.shape.chw()];
+                let src = &p.data()[n * p.shape.chw()..(n + 1) * p.shape.chw()];
                 let dst_base = (n * c_total + c_off) * hw;
-                out.data[dst_base..dst_base + p.shape.c * hw].copy_from_slice(src);
+                out.data_mut()[dst_base..dst_base + p.shape.c * hw].copy_from_slice(src);
                 c_off += p.shape.c;
             }
         }
@@ -544,7 +623,7 @@ impl Tensor {
         assert!(c0 < c1 && c1 <= self.shape.c, "channel range must be non-empty and inside 0..c");
         let hw = self.shape.hw();
         let mut out = Tensor::zeros(self.shape.with_c(c1 - c0));
-        for (src, dst) in self.data.chunks_exact(self.shape.chw()).zip(out.data.chunks_exact_mut((c1 - c0) * hw)) {
+        for (src, dst) in self.data().chunks_exact(self.shape.chw()).zip(out.data_mut().chunks_exact_mut((c1 - c0) * hw)) {
             dst.copy_from_slice(&src[c0 * hw..c1 * hw]);
         }
         out
@@ -579,7 +658,7 @@ fn axpy_slices(dst: &mut [f32], alpha: f32, src: &[f32]) {
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let preview: Vec<f32> = self.data.iter().take(8).copied().collect();
+        let preview: Vec<f32> = self.data().iter().take(8).copied().collect();
         write!(
             f,
             "Tensor {{ shape: {:?}, mean: {:.4}, absmax: {:.4}, head: {:?}{} }}",
@@ -587,8 +666,22 @@ impl fmt::Debug for Tensor {
             self.mean(),
             self.abs_max(),
             preview,
-            if self.data.len() > 8 { ", .." } else { "" }
+            if self.data().len() > 8 { ", .." } else { "" }
         )
+    }
+}
+
+/// A clone is an owned copy, also of a shared handle: only
+/// [`Tensor::share`] hands out handles.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self::owned(self.shape, self.data().to_vec())
+    }
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
@@ -795,6 +888,96 @@ mod tests {
         assert_eq!(i1, i8);
         assert_eq!(s1, s8);
         assert_eq!(m1, i1, "map and map_inplace must agree");
+    }
+
+    #[test]
+    fn share_hands_out_the_same_buffer() {
+        let mut a = t(&[1.0, 2.0, 3.0]);
+        let at = a.data().as_ptr();
+        assert!(!a.is_shared());
+        let b = a.share();
+        assert_eq!(a.data().as_ptr(), at, "sharing moved the owner's buffer");
+        assert_eq!(b.data().as_ptr(), at, "the handle reads another buffer");
+        assert!(a.is_shared() && b.is_shared());
+        drop(b);
+        assert!(!a.is_shared());
+        // The last handle writes in place.
+        a.data_mut()[0] = 5.0;
+        assert_eq!(a.data().as_ptr(), at);
+        assert_eq!(a.data(), &[5.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_write_through_a_shared_handle_never_shows_through_the_other() {
+        let mut a = t(&[1.0, 2.0, 3.0]);
+        let at = a.data().as_ptr();
+        // Through the new handle: it copies, the owner keeps its buffer.
+        let mut b = a.share();
+        b.data_mut()[0] = 9.0;
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(b.data(), &[9.0, 2.0, 3.0]);
+        assert_eq!(a.data().as_ptr(), at);
+        assert!(!a.is_shared() && !b.is_shared());
+        // Through the owner: it copies, the handle keeps the old buffer.
+        let mut c = a.share();
+        a.scale(2.0);
+        assert_eq!(a.data(), &[2.0, 4.0, 6.0]);
+        assert_eq!(c.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(c.data().as_ptr(), at);
+        // Handles of a handle: every write stays with its writer.
+        let d = c.share();
+        c.fill_zero();
+        assert_eq!(c.data(), &[0.0, 0.0, 0.0]);
+        assert_eq!(d.data(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn clone_eq_reshape_and_into_vec_work_on_a_shared_handle() {
+        let mut a = t(&[1.0, 2.0, 3.0, 4.0]);
+        let b = a.share();
+        let copy = b.clone();
+        assert!(!copy.is_shared(), "a clone is an owned copy");
+        assert_ne!(copy.data().as_ptr(), b.data().as_ptr());
+        assert_eq!(copy, b);
+        assert_eq!(a, b);
+        assert_ne!(b, t(&[1.0, 2.0, 3.0, 5.0]));
+        let r = b.reshape(Shape::new(1, 2, 1, 2));
+        assert_eq!(r.shape(), Shape::new(1, 2, 1, 2));
+        assert_eq!(r.data().as_ptr(), a.data().as_ptr());
+        assert_ne!(r, a, "a reshaped handle differs in shape");
+        // Another handle is alive: `into_vec` copies.
+        assert_eq!(r.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        // The last handle: `into_vec` takes the buffer.
+        let at = a.data().as_ptr();
+        let c = a.share();
+        drop(a);
+        let v = c.into_vec();
+        assert_eq!(v.as_ptr(), at);
+    }
+
+    #[test]
+    fn two_pool_tasks_read_one_buffer_concurrently() {
+        let _g = crate::par::tests_budget_lock();
+        crate::par::set_max_threads(2);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut a = Tensor::randn(Shape::new(1, 4, 64, 64), 1.0, &mut rng);
+        let want = a.sum();
+        let b = a.share();
+        // (sum, buffer address) as each task saw it.
+        let mut seen = [(0.0, 0usize); 2];
+        {
+            let (s0, s1) = seen.split_at_mut(1);
+            let read = |x: &Tensor| (x.sum(), x.data().as_ptr() as usize);
+            let (a, b) = (&a, &b);
+            crate::par::parallel_join(vec![
+                Box::new(move || s0[0] = read(a)),
+                Box::new(move || s1[0] = read(b)),
+            ]);
+        }
+        crate::par::set_max_threads(0);
+        assert_eq!(seen[0], (want, a.data().as_ptr() as usize));
+        assert_eq!(seen[1], seen[0], "the tasks read different buffers or values");
+        assert!(a.is_shared() && b.is_shared(), "a read gave up a handle");
     }
 
     #[test]

@@ -70,12 +70,14 @@ impl Sgd {
             }
             let buf = &mut buffers[idx];
             assert_eq!(buf.shape(), p.value.shape(), "parameter order changed between steps");
+            assert_eq!(p.grad.shape(), p.value.shape(), "gradient shape");
             let decay = if p.weight_decay { wd } else { 0.0 };
-            for i in 0..p.value.shape().numel() {
-                let g = p.grad.data()[i] + decay * p.value.data()[i];
-                let v = momentum * buf.data()[i] + g;
-                buf.data_mut()[i] = v;
-                p.value.data_mut()[i] -= lr * v;
+            let value = p.value.data_mut();
+            for ((w, &grad), m) in value.iter_mut().zip(p.grad.data()).zip(buf.data_mut()) {
+                let g = grad + decay * *w;
+                let v = momentum * *m + g;
+                *m = v;
+                *w -= lr * v;
             }
             idx += 1;
         });

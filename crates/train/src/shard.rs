@@ -80,20 +80,16 @@ struct ShardResult {
 /// Persistent data-parallel step engine.
 ///
 /// Shard 0 runs on the primary model the caller owns; the engine holds one
-/// replica for each of shards `1..S` and the reusable holders the broadcast
-/// and the merge move tensors through, so a step copies values once per
-/// replica and stages nothing. The primary remains the source of truth:
-/// replicas are re-synced from it at the start of every step, and only the
-/// primary receives merged gradients, BN statistics, optimizer updates, and
-/// checkpoints.
+/// replica for each of shards `1..S`, which owns gradients and caches but
+/// no parameter values or BN buffers: during a step it reads the primary's
+/// through handles ([`Tensor::share`]), so nothing is copied or staged. Only
+/// the primary receives merged gradients, BN statistics, optimizer updates
+/// and checkpoints, and once a step returns it owns every value alone.
 #[derive(Debug)]
 pub struct ShardEngine {
     replicas: Vec<RevBiFPNClassifier>,
     /// The replicas' drift-sentinel config; the primary must carry the same.
     drift: DriftConfig,
-    /// The primary's parameter values and buffers while they are broadcast.
-    values: Vec<Tensor>,
-    buffers: Vec<Tensor>,
     /// Each shard model's `grad` tensors while the tree merges them.
     grad_slabs: Vec<Vec<Tensor>>,
     /// Per-BN `(mean, var)` computed by the last step, awaiting
@@ -101,9 +97,17 @@ pub struct ShardEngine {
     pending_stats: Vec<(Tensor, Tensor)>,
 }
 
-/// What a slot holds while its tensor is moved out (owns no allocation).
+/// What a slot holds while it owns no tensor: a replica's value or buffer
+/// between steps, a `grad` while the tree merges it (no allocation).
 fn hole() -> Tensor {
     Tensor::zeros(Shape::vector(0))
+}
+
+/// Visits what a replica reads from the primary during a step: every
+/// parameter value, then every persistent buffer, in walk order.
+fn visit_read_state(model: &mut RevBiFPNClassifier, f: &mut dyn FnMut(&mut Tensor)) {
+    model.visit_params(&mut |p| f(&mut p.value));
+    model.visit_buffers(f);
 }
 
 /// The models of shards `0..=replicas.len()`, in shard order.
@@ -136,17 +140,11 @@ impl ShardEngine {
                 let mut r = RevBiFPNClassifier::new(cfg.clone());
                 r.backbone_mut().body_mut().set_drift_config(drift);
                 r.visit_bn(&mut |bn| bn.set_decoupled(true));
+                visit_read_state(&mut r, &mut |t| *t = hole());
                 r
             })
             .collect();
-        Self {
-            replicas,
-            drift,
-            values: Vec::new(),
-            buffers: Vec::new(),
-            grad_slabs: vec![Vec::new(); shards],
-            pending_stats: Vec::new(),
-        }
+        Self { replicas, drift, grad_slabs: vec![Vec::new(); shards], pending_stats: Vec::new() }
     }
 
     /// The configured shard count.
@@ -156,14 +154,15 @@ impl ShardEngine {
 
     /// Runs one sharded training step against the primary model.
     ///
-    /// Broadcasts the primary's parameters and buffers to the replicas in
-    /// use, switches the primary's BatchNorms to decoupled mode, runs
-    /// forward + loss + backward on each micro-batch shard as one pool task
-    /// (shard 0 on the primary), then tree-merges the shard gradients into
-    /// the primary's `grad` slots (overwriting them, like `zero_grads` +
-    /// `backward`) and switches its BatchNorms back. BN statistics are
-    /// merged but **not** applied — call [`ShardEngine::apply_bn_stats`]
-    /// once the step passes the caller's tripwires.
+    /// Hands the replicas in use handles to the primary's parameter values
+    /// and buffers, switches the primary's BatchNorms to decoupled mode,
+    /// runs forward + loss + backward on each micro-batch shard as one pool
+    /// task (shard 0 on the primary), and takes the handles back. Then it
+    /// tree-merges the shard gradients into the primary's `grad` slots
+    /// (overwriting them, like `zero_grads` + `backward`) and switches its
+    /// BatchNorms back. BN statistics are merged but **not** applied — call
+    /// [`ShardEngine::apply_bn_stats`] once the step passes the caller's
+    /// tripwires.
     pub fn step(
         &mut self,
         primary: &mut RevBiFPNClassifier,
@@ -180,7 +179,13 @@ impl ShardEngine {
         let m = n / s_eff;
         self.pending_stats.clear();
 
-        self.broadcast(primary, s_eff - 1);
+        let replicas = &mut self.replicas[..s_eff - 1];
+        for r in replicas.iter_mut() {
+            let mut handles = Vec::new();
+            visit_read_state(primary, &mut |t| handles.push(t.share()));
+            let mut handles = handles.into_iter();
+            visit_read_state(r, &mut |t| *t = handles.next().expect("replica and primary trees differ"));
+        }
         primary.visit_bn(&mut |bn| bn.set_decoupled(true));
 
         // Slice the batch into contiguous per-shard tensors (sample-major,
@@ -196,7 +201,7 @@ impl ShardEngine {
             (0..s_eff).map(|_| None).collect();
         {
             let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(s_eff);
-            let models = shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]);
+            let models = shard_models(&mut *primary, &mut *replicas);
             for (k, ((model, slot), (img, tgt))) in
                 models.zip(slots.iter_mut()).zip(shard_inputs.drain(..)).enumerate()
             {
@@ -228,6 +233,14 @@ impl ShardEngine {
                 }));
             }
             par::parallel_join(tasks);
+        }
+        // Every path below writes the primary's values or buffers only
+        // after this, so each write finds its buffer unshared and in place.
+        for r in replicas.iter_mut() {
+            visit_read_state(r, &mut |t| {
+                debug_assert!(t.is_shared(), "a shard wrote a parameter value or buffer during its task");
+                *t = hole();
+            });
         }
 
         // Absorb meter deltas in shard order: the dispatcher's byte/event
@@ -300,22 +313,6 @@ impl ShardEngine {
         self.pending_stats.clear();
     }
 
-    /// Copies the primary's parameter values and persistent buffers into
-    /// the first `used` replicas: they are moved out of the primary into
-    /// the engine's holders, copied from there, and moved back.
-    fn broadcast(&mut self, primary: &mut RevBiFPNClassifier, used: usize) {
-        primary.visit_params(&mut |p| self.values.push(std::mem::replace(&mut p.value, hole())));
-        primary.visit_buffers(&mut |t| self.buffers.push(std::mem::replace(t, hole())));
-        for r in &mut self.replicas[..used] {
-            let (mut vals, mut bufs) = (self.values.iter(), self.buffers.iter());
-            r.visit_params(&mut |p| p.value.data_mut().copy_from_slice(vals.next().expect("params").data()));
-            r.visit_buffers(&mut |t| t.data_mut().copy_from_slice(bufs.next().expect("buffers").data()));
-        }
-        let (mut values, mut buffers) = (self.values.drain(..), self.buffers.drain(..));
-        primary.visit_params(&mut |p| p.value = values.next().expect("params"));
-        primary.visit_buffers(&mut |t| *t = buffers.next().expect("buffers"));
-    }
-
     /// Merges the shard gradients in place with the pairwise stride tree:
     /// each shard model's `grad` tensors are moved into its slab, the root
     /// lands in slab 0 (the primary's), and the slabs are moved back. Shard
@@ -363,14 +360,17 @@ mod tests {
     use revbifpn_data::{SynthScale, SynthScaleConfig};
     use revbifpn_nn::loss::{label_smooth, one_hot};
 
-    /// The address of every `value` and `grad` buffer, and the value bits.
-    fn primary_state(m: &mut RevBiFPNClassifier) -> (Vec<*const f32>, Vec<u32>) {
-        let (mut ptrs, mut bits) = (Vec::new(), Vec::new());
-        m.visit_params(&mut |p| {
-            ptrs.extend([p.value.data().as_ptr(), p.grad.data().as_ptr()]);
-            bits.extend(p.value.data().iter().map(|v| v.to_bits()));
+    /// The address of every `value`, `grad` and buffer, the value and
+    /// buffer bits, and how many values and buffers are still shared.
+    fn primary_state(m: &mut RevBiFPNClassifier) -> (Vec<*const f32>, Vec<u32>, usize) {
+        let (mut ptrs, mut bits, mut shared) = (Vec::new(), Vec::new(), 0);
+        m.visit_params(&mut |p| ptrs.push(p.grad.data().as_ptr()));
+        visit_read_state(m, &mut |t| {
+            ptrs.push(t.data().as_ptr());
+            bits.extend(t.data().iter().map(|v| v.to_bits()));
+            shared += usize::from(t.is_shared());
         });
-        (ptrs, bits)
+        (ptrs, bits, shared)
     }
 
     #[test]
@@ -383,23 +383,33 @@ mod tests {
         // backward) at S = 2.
         let mut poisoned = images.clone();
         *poisoned.data_mut().last_mut().expect("non-empty batch") = f32::NAN;
+        let bit_flip = ReconFault { stage: 1, stream: 0, index: 3, bit: 30 };
+        let steps = [
+            ("clean", &images, ShardStepFaults::default(), true),
+            ("non-finite", &poisoned, ShardStepFaults::default(), false),
+            ("nan_grad", &images, ShardStepFaults { nan_grad: true, bit_flip: None }, true),
+            ("bit_flip", &images, ShardStepFaults { nan_grad: false, bit_flip: Some(bit_flip) }, true),
+        ];
         for shards in [1, 2] {
             let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
             let mut engine = ShardEngine::new(model.cfg(), shards, DriftConfig::default());
             let before = primary_state(&mut model);
-            for (x, clean) in [(&images, true), (&poisoned, false)] {
-                let label = format!("S={shards} clean={clean}");
-                let faults = ShardStepFaults::default();
-                let out = engine.step(&mut model, x, &targets, RunMode::TrainReversible, &faults);
-                assert_eq!(out.backward_ran, clean, "{label}");
+            for (what, x, faults, backward_ran) in &steps {
+                let label = format!("S={shards} {what}");
+                let out = engine.step(&mut model, x, &targets, RunMode::TrainReversible, faults);
+                assert_eq!(out.backward_ran, *backward_ran, "{label}");
                 model.visit_bn(&mut |bn| {
                     assert!(!bn.decoupled(), "{label}: a primary BN was left decoupled");
                     assert!(bn.take_moments().is_none(), "{label}: a primary BN kept its moments");
                 });
-                let (ptrs, bits) = primary_state(&mut model);
-                assert!(ptrs == before.0, "{label}: a value or grad buffer was reallocated");
-                assert!(bits == before.1, "{label}: the step changed a parameter value");
+                let (ptrs, bits, shared) = primary_state(&mut model);
+                assert!(ptrs == before.0, "{label}: a value, grad or buffer was reallocated");
+                assert!(bits == before.1, "{label}: the step changed a parameter value or buffer");
+                assert_eq!(shared, 0, "{label}: a primary value or buffer is still shared");
                 assert_eq!(engine.replicas.len(), shards - 1, "{label}");
+                for r in &mut engine.replicas {
+                    visit_read_state(r, &mut |t| assert!(t.data().is_empty(), "{label}: a replica holds values"));
+                }
             }
         }
     }

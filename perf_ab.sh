@@ -17,8 +17,11 @@
 # <scratch-dir>/runs/{parent,change}/s<seed>/, where `compare` reads them;
 # <out-dir> receives compare_parent_change.txt, parent.jsonl and change.jsonl
 # (one result object per line, seed then workload; EXPERIMENTS.md
-# "Performance" has the loop that unpacks them again) and traced/, one traced
-# run of <traced-workload> per side.
+# "Performance" has the loop that unpacks them again), traced/, one traced
+# run of <traced-workload> per side, and sides.txt, the two revisions
+# measured. A result's own git_rev stamp cannot tell an uncommitted change
+# from its parent, so sides.txt names the change side as HEAD plus, when the
+# tracked tree differs from it, "-dirty" and a hash of `git diff HEAD`.
 set -euo pipefail
 
 PARENT_REV=$1
@@ -38,6 +41,11 @@ if [ ! -d "$SCRATCH/parent" ]; then
     git clone --quiet --no-hardlinks "$REPO" "$SCRATCH/parent"
     git -C "$SCRATCH/parent" checkout --quiet --detach "$PARENT_REV"
 fi
+CHANGE_REV=$(git -C "$REPO" rev-parse HEAD)
+if ! git -C "$REPO" diff HEAD --quiet; then
+    CHANGE_REV="$CHANGE_REV-dirty diff:$(git -C "$REPO" diff HEAD | sha256sum | cut -c1-16)"
+fi
+printf 'parent %s\nchange %s\n' "$(git -C "$SCRATCH/parent" rev-parse HEAD)" "$CHANGE_REV" > "$OUT/sides.txt"
 (cd "$SCRATCH/parent" && CARGO_TARGET_DIR="$SCRATCH/parent-target" cargo build --release --quiet -p revbifpn-perf)
 (cd "$REPO" && CARGO_TARGET_DIR="$SCRATCH/change-target" cargo build --release --quiet -p revbifpn-perf)
 

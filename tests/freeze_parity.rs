@@ -15,7 +15,7 @@ use revbifpn_data::{SynthDet, SynthDetConfig, SynthScale, SynthScaleConfig};
 use revbifpn_detect::{
     evaluate_box_ap, AreaRanges, DetHeadConfig, Detector, RevBackbone,
 };
-use revbifpn_nn::{meter, FrozenTree, Module};
+use revbifpn_nn::{meter, CacheMode, FrozenTree, Module};
 use revbifpn_tensor::{set_int8_force_scalar, Shape, Tensor};
 use revbifpn_train::{clip_grad_norm, train_classifier, LrSchedule, Sgd, TrainConfig};
 
@@ -27,7 +27,7 @@ fn family_config(s: usize, resolution: usize) -> RevBiFPNConfig {
 
 /// Moves the BN affine parameters off their (1, 0) init so folding them
 /// into the convs is non-trivial.
-fn randomize_bn(model: &mut RevBiFPNClassifier, seed: u64) {
+fn randomize_bn(model: &mut impl Module, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     model.visit_params(&mut |p| {
         if p.name == "bn.gamma" {
@@ -123,6 +123,48 @@ proptest! {
         for (lvl, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_close(&g.cls, &w.cls, &format!("S{s} level {lvl} cls"));
             assert_close(&g.reg, &w.reg, &format!("S{s} level {lvl} reg"));
+        }
+    }
+}
+
+/// Full S0 depth at 224², with BN affine parameters drawn as above. The
+/// activations grow about 3x per stage, to 1e4 at the last one, and the
+/// whole-model bound relative to the logits does not hold at this depth
+/// (`crates/perf/README.md` "Findings": up to 1.6x the tolerance).
+/// Nor does a bound relative to one stage's output on those activations:
+/// a squeeze-excite gate's pre-activation is then a difference of terms in
+/// the thousands that lands in the hard-sigmoid's linear range, and its
+/// rounding, times activations in the thousands, reaches 7e-4 of the
+/// stage's output (without squeeze-excite every stage stays below 1e-6 at
+/// any scale). So each frozen stage is compared with its unfused
+/// `None`-mode stage on the unfused output of the stage before, scaled to a
+/// largest magnitude of 1, against that stage's own output scale.
+#[test]
+fn frozen_stages_match_eval_stages_at_full_s0_depth() {
+    let cfg = RevBiFPNConfig::s0(10);
+    assert_eq!(cfg.depth, 2, "S0's own depth");
+    let mut backbone = revbifpn::RevBiFPN::new(cfg.clone());
+    randomize_bn(&mut backbone, 31);
+    let mut rng = StdRng::seed_from_u64(32);
+    let x = Tensor::randn(Shape::new(1, 3, cfg.resolution, cfg.resolution), 1.0, &mut rng);
+
+    let mut stem = backbone.stem().freeze().expect("the stem must freeze");
+    stem.compile();
+    let s0 = backbone.stem_forward(&x, CacheMode::None);
+    assert_close(&stem.forward(&x), &s0, "S0 stem");
+
+    let mut stages = backbone.take_body().into_stages();
+    assert_eq!(stages.len(), 2 * (cfg.num_streams() - 1 + cfg.depth));
+    let mut cur = vec![s0];
+    for (i, stage) in stages.iter_mut().enumerate() {
+        let mut frozen = stage.freeze().expect("every stage must freeze");
+        frozen.compile();
+        let xs: Vec<Tensor> = cur.iter().map(|t| t.scaled(1.0 / t.abs_max())).collect();
+        let got = frozen.forward(&xs);
+        cur = stage.forward(&xs, CacheMode::None);
+        assert_eq!(got.len(), cur.len(), "stage {i}: stream count");
+        for (j, (g, w)) in got.iter().zip(&cur).enumerate() {
+            assert_close(g, w, &format!("S0 stage {i} ({}) stream {j}", stage.name()));
         }
     }
 }

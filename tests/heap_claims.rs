@@ -11,10 +11,11 @@
 //! - Figure 4 holds in real bytes on the tiny model: from depth 1 to 5 the
 //!   reversible rise stays flat (< 5 %) while the conventional rise grows
 //!   more than 1.8x.
-//! - A `ShardEngine` over the same S0 model keeps at most one value and one
-//!   gradient per parameter for each of its `S - 1` replicas (plus 1 MiB)
-//!   resident after two warm steps: shard 0 runs on the primary itself, and
-//!   nothing is staged.
+//! - A `ShardEngine` over the same S0 model keeps at most one gradient per
+//!   parameter for each of its `S - 1` replicas (plus 1 MiB) resident after
+//!   two warm steps: shard 0 runs on the primary itself, a replica reads the
+//!   primary's parameter values and BN buffers through shared handles
+//!   instead of holding its own, and nothing is staged.
 //!
 //! The allocator sees every thread, so this file holds exactly one test, and
 //! the test pins the worker pool to one thread so no other thread's arena
@@ -116,7 +117,7 @@ fn train_step_heap_follows_the_meter_and_figure4() {
     let x = Tensor::randn(Shape::new(4, 3, 96, 96), 1.0, &mut rng);
     let (rise, meter_peak) = step(&mut s0, &x, RunMode::TrainReversible);
     let targets = one_hot(&[0, 1, 2, 3], 10);
-    let param_bytes = 8 * s0.param_count() as usize;
+    let grad_bytes = 4 * s0.param_count() as usize;
     let resident1 = engine_resident(&mut s0, &x, &targets, 1);
     let resident2 = engine_resident(&mut s0, &x, &targets, 2);
     drop(s0);
@@ -134,10 +135,10 @@ fn train_step_heap_follows_the_meter_and_figure4() {
     let mb = |b: f64| b / 1e6;
     println!(
         "S0@96 b4 ShardEngine resident after two steps: S=1 {:.2} MB, S=2 {:.2} MB \
-         (value + grad per parameter: {:.2} MB)",
+         (one grad per parameter: {:.2} MB)",
         mb(resident1 as f64),
         mb(resident2 as f64),
-        mb(param_bytes as f64)
+        mb(grad_bytes as f64)
     );
     println!(
         "S0@96 b4 rev: heap rise {:.2} MB, meter peak {:.2} MB; \
@@ -163,10 +164,10 @@ fn train_step_heap_follows_the_meter_and_figure4() {
         mb(resident1 as f64)
     );
     assert!(
-        resident2 <= param_bytes + MIB,
-        "S=2 engine holds {:.2} MB, over one replica's value + grad ({:.2} MB) + 1 MiB",
+        resident2 <= grad_bytes + MIB,
+        "S=2 engine holds {:.2} MB, over one replica's gradients ({:.2} MB) + 1 MiB",
         mb(resident2 as f64),
-        mb(param_bytes as f64)
+        mb(grad_bytes as f64)
     );
     assert!(
         rev5 < 1.05 * rev1,
