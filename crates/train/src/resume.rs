@@ -20,6 +20,7 @@
 use crate::ema::Ema;
 use crate::sgd::Sgd;
 use revbifpn::RevBiFPNClassifier;
+use revbifpn_nn::artifact::{prune_quarantine, quarantine_path, rename_with_retries};
 use revbifpn_nn::checkpoint::{load_blobs, save_blobs};
 use revbifpn_nn::{meter, Module};
 use revbifpn_tensor::{Shape, Tensor};
@@ -257,8 +258,9 @@ pub fn load_train_state(
 /// Stale `*.tmp` files (interrupted atomic writes) are deleted. A
 /// checkpoint that fails validation — torn write, bit rot, wrong
 /// architecture — is quarantined by renaming it to `<name>.corrupt`
-/// (counted under the `train.ckpt_quarantined` meter event) and the scan
-/// moves on to the next-newest. Returns `Ok(None)` when nothing loadable
+/// (transient errors retried, counted under the `train.ckpt_quarantined`
+/// meter event, and the quarantined files pruned to the newest `cfg.keep`)
+/// and the scan moves on to the next-newest. Returns `Ok(None)` when nothing loadable
 /// exists (including when `cfg.dir` does not exist yet).
 pub fn auto_resume(
     cfg: &CheckpointCfg,
@@ -279,10 +281,9 @@ pub fn auto_resume(
         match load_train_state(&path, model, opt, ema.as_deref_mut()) {
             Ok(meta) => return Ok(Some(meta)),
             Err(_) => {
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                std::fs::rename(&path, &quarantined)?;
+                rename_with_retries(&path, &quarantine_path(&path))?;
                 meter::count("train.ckpt_quarantined");
+                prune_quarantine(&cfg.dir, cfg.keep)?;
             }
         }
     }
@@ -393,6 +394,31 @@ mod tests {
         // A second scan ignores the quarantined file entirely.
         let again = auto_resume(&cfg, &mut m, &mut opt, None).unwrap().unwrap();
         assert_eq!(again, m4);
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn auto_resume_keeps_at_most_keep_quarantined_files() {
+        // A crash-looping run whose newest checkpoints are all torn must not
+        // collect `.corrupt` files without bound.
+        let mut cfg = CheckpointCfg::new(tmp_dir("quarantine_bound"));
+        cfg.keep = 8;
+        let mut m = tiny_model();
+        let mut opt = Sgd::new(0.9, 0.0);
+        let keep = 2;
+        let oldest = ResumeMeta { step: 1, lr_scale: 1.0, skips: 0 };
+        save_train_state(&cfg, &mut m, &opt, None, oldest).unwrap();
+        for step in 2..=keep + 3 {
+            let path = save_train_state(&cfg, &mut m, &opt, None, ResumeMeta { step, ..oldest }).unwrap();
+            tear_file(&path, 64).unwrap();
+        }
+        cfg.keep = keep;
+        assert_eq!(auto_resume(&cfg, &mut m, &mut opt, None).unwrap(), Some(oldest));
+        let corrupt = std::fs::read_dir(&cfg.dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".corrupt"))
+            .count();
+        assert!((1..=keep).contains(&corrupt), "{corrupt} quarantined files for keep {keep}");
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 

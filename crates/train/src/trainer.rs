@@ -42,6 +42,11 @@ use revbifpn_nn::{meter, Module};
 use revbifpn_rev::DriftConfig;
 use revbifpn_tensor::Tensor;
 
+/// Multiplier applied to the LR scale when a step trips. The scale recovers
+/// by 1.25x per clean step, capped at 1, so clean runs are bit-identical to
+/// a trainer without the resilience layer.
+const LR_BACKOFF: f32 = 0.5;
+
 /// Resilience knobs of a training run (tripwires + drift sentinel).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResilienceConfig {
@@ -51,10 +56,6 @@ pub struct ResilienceConfig {
     pub tripwires: bool,
     /// Consecutive tripped steps tolerated before the run aborts.
     pub max_retries: u32,
-    /// Multiplier applied to the LR scale when a step trips. The scale
-    /// recovers by 1.25x per clean step, capped at 1, so clean runs are
-    /// bit-identical to a trainer without the resilience layer.
-    pub lr_backoff: f32,
     /// Drift-sentinel configuration applied to the reversible body at the
     /// start of the run.
     pub drift: DriftConfig,
@@ -62,7 +63,7 @@ pub struct ResilienceConfig {
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        Self { tripwires: true, max_retries: 3, lr_backoff: 0.5, drift: DriftConfig::default() }
+        Self { tripwires: true, max_retries: 3, drift: DriftConfig::default() }
     }
 }
 
@@ -454,7 +455,7 @@ pub fn train_classifier_with(
                     pe.after_trip();
                 }
                 model.clear_cache();
-                lr_scale *= res.lr_backoff;
+                lr_scale *= LR_BACKOFF;
             } else {
                 consecutive_trips = 0;
                 if let Some(eng) = &mut engine {

@@ -11,8 +11,8 @@ use revbifpn_nn::Module;
 use revbifpn_rev::ReconFault;
 use revbifpn_tensor::{par, Tensor};
 use revbifpn_train::{
-    train_classifier_with, Fault, FaultPlan, RunOptions, ShardEngine, ShardStepFaults,
-    TrainConfig,
+    train_classifier, train_classifier_with, Fault, FaultPlan, RunOptions, ShardEngine,
+    ShardStepFaults, TrainConfig,
 };
 use std::sync::Mutex;
 
@@ -112,6 +112,57 @@ fn faulted_training_run_is_shard_invariant() {
     for &(shards, threads) in &[(2usize, 1usize), (2, 4), (4, 1), (4, 4)] {
         let run = run_training(cfg_for(shards), threads, plan.clone());
         assert_bitwise_equal_runs(&baseline, &run, &format!("faulted S={shards} T={threads}"));
+    }
+}
+
+/// FNV-1a 64 over the bits of every parameter value, then every buffer, in
+/// walk order.
+fn state_digest(model: &mut RevBiFPNClassifier) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |t: &Tensor| {
+        for b in t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    model.visit_params(&mut |p| eat(&p.value));
+    model.visit_buffers(&mut |t| eat(t));
+    hash
+}
+
+#[test]
+fn serial_training_reproduces_pinned_weights() {
+    // The serial step (`shards: 0`, coupled BatchNorm) carries the Fig. 14
+    // claim. These digests were recorded from the serial step as the
+    // trainer runs it inline; whatever executes it (e.g. a single coupled
+    // `ShardEngine` shard) must reproduce them: every parameter and BN
+    // buffer after two epochs (the second batch of each is ragged) bit for
+    // bit, in both regimes, with and without stochastic layers, for any
+    // thread count.
+    let _g = lock_threads();
+    let data = SynthScale::new(SynthScaleConfig::new(32), 5);
+    let cfg = TrainConfig { epochs: 2, train_size: 24, val_size: 16, batch_size: 16, shards: 0, ..TrainConfig::small() };
+    let pinned: [(RunMode, f32, f32, usize, u64); 8] = [
+        (RunMode::TrainReversible, 0.0, 0.0, 1, 0xdc2e_fa8d_7f2d_3731),
+        (RunMode::TrainReversible, 0.0, 0.0, 4, 0xdc2e_fa8d_7f2d_3731),
+        (RunMode::TrainReversible, 0.25, 0.1, 1, 0x992e_1218_2397_ebbf),
+        (RunMode::TrainReversible, 0.25, 0.1, 4, 0x992e_1218_2397_ebbf),
+        (RunMode::TrainConventional, 0.0, 0.0, 1, 0xa32b_5d63_d2b9_45c1),
+        (RunMode::TrainConventional, 0.0, 0.0, 4, 0xa32b_5d63_d2b9_45c1),
+        (RunMode::TrainConventional, 0.25, 0.1, 1, 0x6a06_d83e_b43e_b654),
+        (RunMode::TrainConventional, 0.25, 0.1, 4, 0x6a06_d83e_b43e_b654),
+    ];
+    let mut got = Vec::new();
+    for (mode, dropout, drop_path, threads, _) in pinned {
+        par::set_max_threads(threads);
+        let cfg_model = RevBiFPNConfig { dropout, drop_path, ..RevBiFPNConfig::tiny(data.num_classes()) };
+        let mut model = RevBiFPNClassifier::new(cfg_model);
+        let h = train_classifier(&mut model, &data, &cfg, mode);
+        par::set_max_threads(0);
+        assert_eq!((h.epochs.len(), h.nonfinite_skips), (2, 0));
+        got.push((mode, dropout, drop_path, threads, state_digest(&mut model)));
+    }
+    for (g, want) in got.iter().zip(&pinned) {
+        assert_eq!(g.4, want.4, "{:?} dropout {} drop-path {} T={}: weights moved (all: {got:#x?})", g.0, g.1, g.2, g.3);
     }
 }
 
