@@ -16,6 +16,9 @@ cargo build --release --workspace
 echo "== cargo test (default thread budget)"
 cargo test -q --workspace
 
+echo "== real-heap bounds in the profile the benchmark measures (release)"
+cargo test -q --release --test heap_claims
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -254,9 +254,11 @@ impl RevBiFPNClassifier {
                 // Two candidate peaks that never coexist: (a) end of forward,
                 // with the neck/head caches resident; (b) mid-backward, with
                 // the largest single transform's transient recompute cache
-                // resident — one RevBlock F or G, or one silo edge, is
-                // recomputed and transposed at a time (the head caches are
-                // already consumed by then).
+                // resident — on one thread one RevBlock F or G, or one silo
+                // edge, is recomputed and transposed at a time (the head
+                // caches are already consumed by then). On more threads a
+                // stage's streams or edges overlap in real heap
+                // (`ShapeWalk::transient_bytes`).
                 stats + pyramid_bytes + head_neck.max(self.backbone.peak_transient_bytes(n))
             }
         }

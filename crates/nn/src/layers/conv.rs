@@ -7,7 +7,7 @@ use crate::module::Layer;
 use crate::param::Param;
 use crate::init::kaiming_conv;
 use rand::Rng;
-use revbifpn_tensor::{conv2d, conv2d_backward, ConvSpec, Shape, Tensor};
+use revbifpn_tensor::{conv2d, conv2d_backward_accumulate, ConvSpec, Shape, Tensor};
 
 /// A 2-D convolution layer (pointwise/depthwise/general dispatch happens in
 /// the kernel; see [`ConvSpec`]).
@@ -80,14 +80,14 @@ impl Layer for Conv2d {
         y
     }
 
+    /// Adds the weight (and bias) gradient into the parameters'
+    /// accumulators in place: no parameter-sized gradient is allocated.
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self.cache_x.take().expect("Conv2d::backward without Full forward");
-        let grads = conv2d_backward(&x, &self.weight.value, dy, &self.spec, self.need_dx);
-        self.weight.accumulate(&grads.dw);
-        if let Some(b) = &mut self.bias {
-            b.accumulate(&grads.db);
-        }
-        grads.dx.unwrap_or_else(|| Tensor::zeros(x.shape()))
+        let db = self.bias.as_mut().map(|b| &mut b.grad);
+        let (w, spec) = (&self.weight.value, &self.spec);
+        let dx = conv2d_backward_accumulate(&x, w, dy, spec, self.need_dx, &mut self.weight.grad, db);
+        dx.unwrap_or_else(|| Tensor::zeros(x.shape()))
     }
 
     fn out_shape(&self, x: Shape) -> Shape {

@@ -10,7 +10,7 @@ use crate::meter::Cached;
 use crate::mode::CacheMode;
 use crate::module::Layer;
 use rand::Rng;
-use revbifpn_tensor::{global_avg_pool, global_avg_pool_backward, EpilogueAct, Shape, Tensor};
+use revbifpn_tensor::{global_avg_pool, EpilogueAct, Shape, Tensor};
 
 /// `y = x * gate(x)` where `gate = hsigmoid(W2 relu(W1 gap(x)))`.
 #[derive(Debug)]
@@ -81,9 +81,7 @@ impl Layer for SqueezeExcite {
         let (x, g) = self.cache.take().expect("SqueezeExcite::backward without Full forward");
         let xs = x.shape();
         let hw = xs.hw();
-        // Direct path: dx = dy * g (broadcast over hw); gate gradient:
-        // dg = Σ_hw dy * x, one plane at a time.
-        let mut dx = dy.mul_planes(&g);
+        // Gate gradient dg = Σ_hw dy * x, one plane at a time.
         let (dyd, xd) = (dy.data(), x.data());
         let dg = par_collect(xs.n * self.c, |p| {
             plane_sums([&dyd[p * hw..(p + 1) * hw], &xd[p * hw..(p + 1) * hw]], |[d, v]| [d * v])[0] as f32
@@ -94,8 +92,15 @@ impl Layer for SqueezeExcite {
         let dr = self.expand.backward(&de);
         let dr = self.relu.backward(&dr);
         let ds = self.reduce.backward(&dr);
-        let dx_gate = global_avg_pool_backward(&ds, xs);
-        dx.add_assign(&dx_gate);
+        // dx = dy * g + gap_backward(ds) in one pass: through the product
+        // and through the pooling, whose gradient spreads evenly over each
+        // plane — per element the sum the two separate terms would make,
+        // without a full-size tensor for the second.
+        let inv = 1.0 / hw as f32;
+        let [dx] = Tensor::map_planes([dy], |p| {
+            let (k, b) = (g.data()[p], ds.data()[p] * inv);
+            move |[d]: [f32; 1]| [d * k + b]
+        });
         dx
     }
 
@@ -176,6 +181,37 @@ mod tests {
         let mut se = SqueezeExcite::new(6, 0.5, &mut rng);
         let x = Tensor::randn(Shape::new(2, 6, 3, 3), 1.0, &mut rng);
         check_layer(&mut se, &x, 3e-2);
+    }
+
+    #[test]
+    fn one_pass_input_grad_matches_the_two_term_sum_bitwise() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut se = SqueezeExcite::new(6, 0.5, &mut rng);
+        let x = Tensor::randn(Shape::new(3, 6, 5, 7), 1.0, &mut rng);
+        let dy = Tensor::randn(x.shape(), 1.0, &mut rng);
+        let g = se.gate(&x, CacheMode::None);
+        let _ = se.forward(&x, CacheMode::Full);
+        let dx = se.backward(&dy);
+        // The same gate path again, for `ds`: the weight gradients it adds
+        // are not compared.
+        let _ = se.forward(&x, CacheMode::Full);
+        let (xs, hw) = (x.shape(), x.shape().hw());
+        let dg: Vec<f32> = (0..xs.n * xs.c)
+            .map(|p| {
+                let at = p * hw..(p + 1) * hw;
+                plane_sums([&dy.data()[at.clone()], &x.data()[at]], |[d, v]| [d * v])[0] as f32
+            })
+            .collect();
+        let _ = se.cache.take();
+        let de = se.hsig.backward(&Tensor::from_vec_unchecked(g.shape(), dg));
+        let dr = se.expand.backward(&de);
+        let dr = se.relu.backward(&dr);
+        let ds = se.reduce.backward(&dr);
+        let mut want = dy.mul_planes(&g);
+        want.add_assign(&revbifpn_tensor::global_avg_pool_backward(&ds, xs));
+        for (i, (a, b)) in dx.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "idx {i}");
+        }
     }
 
     #[test]

@@ -205,9 +205,12 @@ pub trait ShapeWalk {
     }
 
     /// The largest listed layer's `Full` cache. The listed layers are the
-    /// recompute units — a RevBlock's F or G, one silo edge — and the
-    /// reversible backward re-runs and transposes one at a time, so this is
-    /// its transient peak.
+    /// recompute units — a RevBlock's F or G, one silo edge — and on one
+    /// thread the reversible backward re-runs and transposes them one at a
+    /// time, so this is its transient peak. The meter counts that serial
+    /// trace at any thread count; in real heap, a `BlockStage`'s streams
+    /// and a `RevSilo`'s edges recompute concurrently on the pool, so with
+    /// `T` threads up to `T` units' caches are live at once.
     fn transient_bytes(&self, xs: &[Shape]) -> u64 {
         let mut peak = 0;
         self.visit_layers_at(xs, &mut |l, x| peak = peak.max(l.cache_bytes(x, CacheMode::Full)));

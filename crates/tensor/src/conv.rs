@@ -235,19 +235,50 @@ pub fn try_conv2d(
 ///
 /// Panics on shape mismatches.
 pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_dx: bool) -> ConvGrads {
+    let mut dw = Tensor::zeros(w.shape());
+    let mut db = Tensor::zeros(Shape::vector(w.shape().n));
+    let dx = conv2d_backward_accumulate(x, w, dy, spec, need_dx, &mut dw, Some(&mut db));
+    ConvGrads { dx, dw, db }
+}
+
+/// [`conv2d_backward`] that adds the weight gradient into `dw` and the bias
+/// gradient into `db` where they lie — a layer's gradient accumulators —
+/// instead of returning fresh tensors. Each element receives the reduced
+/// per-sample sum `s` with one IEEE add, `a + s`: into zeros that is
+/// [`conv2d_backward`]'s result, and into an accumulator it is the value of
+/// `a += conv2d_backward(..).dw`, `a + (0 + s)`, bit for bit unless `a` and
+/// `s` are both `-0.0` (an accumulator zeroed to `+0.0` never reads `-0.0`).
+/// A bias-free layer passes `db = None` and skips the bias reduction, a
+/// full read pass over `dy`. Returns `dx` unless `need_dx` is false.
+///
+/// # Panics
+///
+/// Panics on shape mismatches, or if `dw` / `db` do not have the weight's /
+/// `[c_out]` shape.
+pub fn conv2d_backward_accumulate(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    spec: &ConvSpec,
+    need_dx: bool,
+    dw: &mut Tensor,
+    db: Option<&mut Tensor>,
+) -> Option<Tensor> {
     check_conv_args(x, w, spec).unwrap_or_else(|e| panic!("{e}"));
     let c_out = w.shape().n;
     assert_eq!(dy.shape(), spec.out_shape(x.shape(), c_out), "dy shape mismatch");
-    let db = bias_grad(dy);
+    assert_eq!(dw.shape(), w.shape(), "dw must have the weight's shape");
+    if let Some(db) = db {
+        assert_eq!(db.shape(), Shape::vector(c_out), "db must be a [c_out] vector");
+        bias_grad(dy, db.data_mut());
+    }
+    let dw = dw.data_mut();
     if spec.is_pointwise() {
-        let (dx, dw) = pointwise_backward(x, w, dy, need_dx);
-        ConvGrads { dx, dw, db }
+        pointwise_backward(x, w, dy, need_dx, dw)
     } else if spec.groups == x.shape().c && c_out == x.shape().c {
-        let (dx, dw) = depthwise_backward(x, w, dy, spec, need_dx);
-        ConvGrads { dx, dw, db }
+        depthwise_backward(x, w, dy, spec, need_dx, dw)
     } else {
-        let (dx, dw) = general_backward(x, w, dy, spec, need_dx);
-        ConvGrads { dx, dw, db }
+        general_backward(x, w, dy, spec, need_dx, dw)
     }
 }
 
@@ -843,19 +874,18 @@ where
 /// gradients, so `db` is bitwise invariant to both thread count and
 /// micro-batch shard boundaries (see [`crate::par::tree_reduce_serial`]'s
 /// shard-alignment docs). A straight `for n in 0..n` fold would tie the
-/// f32 association to the batch extent and break shard invariance.
-fn bias_grad(dy: &Tensor) -> Tensor {
+/// f32 association to the batch extent and break shard invariance. The
+/// root is added into `db`.
+fn bias_grad(dy: &Tensor, db: &mut [f32]) {
     let os = dy.shape();
     let hw = os.hw();
     let dydata = dy.data();
-    let mut db = Tensor::zeros(Shape::vector(os.c));
-    reduce_sample_grads(os.n, 1, os.c, db.data_mut(), |n, _, slab| {
+    reduce_sample_grads(os.n, 1, os.c, db, |n, _, slab| {
         for (c, s) in slab.iter_mut().enumerate() {
             let base = (n * os.c + c) * hw;
             *s = dydata[base..base + hw].iter().sum::<f32>();
         }
     });
-    db
 }
 
 // ---------------------------------------------------------------- pointwise
@@ -875,7 +905,7 @@ fn pointwise_forward(x: &Tensor, w: &Tensor, out: &mut Tensor) {
     });
 }
 
-fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Option<Tensor>, Tensor) {
+fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: &mut [f32]) -> Option<Tensor> {
     let xs = x.shape();
     let c_out = w.shape().n;
     let hw = xs.hw();
@@ -885,10 +915,9 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Op
     let wdata = w.data();
     let dydata = dy.data();
 
-    // dw [c_out, c_in] = sum_n dy_n [c_out, hw] @ x_n^T [hw, c_in], one
+    // dw [c_out, c_in] += sum_n dy_n [c_out, hw] @ x_n^T [hw, c_in], one
     // block of output channels at a time.
-    let mut dw = Tensor::zeros(w.shape());
-    reduce_sample_grads(xs.n, c_out, xs.c, dw.data_mut(), |n, rows, slab| {
+    reduce_sample_grads(xs.n, c_out, xs.c, dw, |n, rows, slab| {
         let dyn_ = &dydata[n * chw_out + rows.start * hw..n * chw_out + rows.end * hw];
         let xn = &xdata[n * chw_in..(n + 1) * chw_in];
         sgemm_a_bt(rows.len(), hw, xs.c, 1.0, dyn_, xn, 1.0, slab);
@@ -905,7 +934,7 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool) -> (Op
     } else {
         None
     };
-    (dx, dw)
+    dx
 }
 
 // ---------------------------------------------------------------- depthwise
@@ -1187,7 +1216,8 @@ fn depthwise_backward(
     dy: &Tensor,
     spec: &ConvSpec,
     need_dx: bool,
-) -> (Option<Tensor>, Tensor) {
+    dw: &mut [f32],
+) -> Option<Tensor> {
     let xs = x.shape();
     let os = dy.shape();
     let (hw, ohw) = (xs.hw(), os.hw());
@@ -1196,10 +1226,9 @@ fn depthwise_backward(
     let avx2 = cpu_has_avx2();
     let floats = DwBackwardGeometry::new(xs, spec, need_dx).floats();
 
-    let mut dw = Tensor::zeros(w.shape());
     let mut dx = need_dx.then(|| Tensor::zeros(xs));
     let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
-    reduce_sample_grads(xs.n, xs.c, ksz, dw.data_mut(), |n, rows, slab| {
+    reduce_sample_grads(xs.n, xs.c, ksz, dw, |n, rows, slab| {
         // Channels within a sample are independent; tile over them so a
         // single-sample backward still fills the pool.
         let slab_ptr = SyncPtr::new(slab.as_mut_ptr());
@@ -1232,7 +1261,7 @@ fn depthwise_backward(
             }
         });
     });
-    (dx, dw)
+    dx
 }
 
 // ------------------------------------------------------------------ general
@@ -1416,7 +1445,14 @@ fn general_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
     });
 }
 
-fn general_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_dx: bool) -> (Option<Tensor>, Tensor) {
+fn general_backward(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    spec: &ConvSpec,
+    need_dx: bool,
+    dw: &mut [f32],
+) -> Option<Tensor> {
     let xs = x.shape();
     let os = dy.shape();
     let (oh, ow) = (os.h, os.w);
@@ -1430,7 +1466,6 @@ fn general_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_d
     let chw_in = xs.chw();
     let chw_out = os.chw();
 
-    let mut dw = Tensor::zeros(w.shape());
     let mut dx = if need_dx { Some(Tensor::zeros(xs)) } else { None };
     let dw_len = w.shape().numel();
 
@@ -1439,7 +1474,7 @@ fn general_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_d
     // sharing a single im2col per (sample, group). The slab is passed as a
     // single row, which is never split: `dx` must be written once.
     let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
-    reduce_sample_grads(xs.n, 1, dw_len, dw.data_mut(), |n, _, slab| {
+    reduce_sample_grads(xs.n, 1, dw_len, dw, |n, _, slab| {
         let xn = &xdata[n * chw_in..(n + 1) * chw_in];
         let dyn_ = &dydata[n * chw_out..(n + 1) * chw_out];
         let mut col = scratch::take(k * ohw);
@@ -1458,7 +1493,7 @@ fn general_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_d
             }
         }
     });
-    (dx, dw)
+    dx
 }
 
 #[cfg(test)]
@@ -2037,14 +2072,14 @@ mod tests {
         let _budget = crate::par::tests_budget_lock();
         let run = || {
             let y = conv2d(&x, &w, None, &spec);
-            let (dx, dw) = depthwise_backward(&x, &w, &dy, &spec, true);
-            (y, dx.expect("need_dx"), dw)
+            let g = conv2d_backward(&x, &w, &dy, &spec, true);
+            (y, g.dx.expect("need_dx"), g.dw)
         };
         crate::par::set_max_threads(1);
         let (y, dx, dw) = run();
         crate::par::set_max_threads(4);
         let (y4, dx4, dw4) = run();
-        let (no_dx, dw_only) = depthwise_backward(&x, &w, &dy, &spec, false);
+        let ConvGrads { dx: no_dx, dw: dw_only, .. } = conv2d_backward(&x, &w, &dy, &spec, false);
         crate::par::set_max_threads(0);
         assert_same_bits(y.data(), y4.data(), &format!("{what}: y at 1 vs 4 threads"));
         assert_same_bits(dx.data(), dx4.data(), &format!("{what}: dx at 1 vs 4 threads"));
@@ -2205,5 +2240,33 @@ mod tests {
         let g1 = conv2d_backward(&x, &w, &dy, &spec, true);
         let g2 = conv2d_backward(&x, &w, &dy, &spec, false);
         assert!(g1.dw.max_abs_diff(&g2.dw) < 1e-4);
+    }
+
+    #[test]
+    fn accumulating_backward_adds_the_returned_gradients_bitwise() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for (xs, ws, spec) in [
+            (Shape::new(3, 5, 6, 6), Shape::new(7, 5, 1, 1), ConvSpec::pointwise()),
+            (Shape::new(3, 4, 9, 8), Shape::new(4, 1, 5, 5), ConvSpec::depthwise(5, 2, 4)),
+            (Shape::new(3, 4, 7, 7), Shape::new(6, 4, 3, 3), ConvSpec::kxk(3, 1)),
+        ] {
+            let x = Tensor::randn(xs, 1.0, &mut rng);
+            let w = Tensor::randn(ws, 0.5, &mut rng);
+            let dy = Tensor::randn(spec.out_shape(xs, ws.n), 1.0, &mut rng);
+            let g = conv2d_backward(&x, &w, &dy, &spec, true);
+            let (dw0, db0) = (Tensor::randn(ws, 1.0, &mut rng), Tensor::randn(Shape::vector(ws.n), 1.0, &mut rng));
+            let (mut dw, mut db) = (dw0.clone(), db0.clone());
+            let dx = conv2d_backward_accumulate(&x, &w, &dy, &spec, true, &mut dw, Some(&mut db));
+            let (mut dw_want, mut db_want) = (dw0.clone(), db0);
+            dw_want.add_assign(&g.dw);
+            db_want.add_assign(&g.db);
+            assert_same_bits(dx.expect("need_dx").data(), g.dx.expect("need_dx").data(), "dx");
+            assert_same_bits(dw.data(), dw_want.data(), "dw");
+            assert_same_bits(db.data(), db_want.data(), "db");
+            // A bias-free layer skips the bias reduction and gets the same dw.
+            let mut dw_nb = dw0;
+            assert!(conv2d_backward_accumulate(&x, &w, &dy, &spec, false, &mut dw_nb, None).is_none());
+            assert_same_bits(dw_nb.data(), dw_want.data(), "dw without db");
+        }
     }
 }

@@ -38,7 +38,7 @@ mod tensor;
 
 pub use blob::SharedBytes;
 pub use conv::{
-    conv2d, conv2d_backward, try_conv2d, ConvGrads, ConvPlan, ConvSpec, PlanKind, QuantConvPlan,
+    conv2d, conv2d_backward, conv2d_backward_accumulate, try_conv2d, ConvGrads, ConvPlan, ConvSpec, PlanKind, QuantConvPlan,
     QuantPlanKind,
 };
 pub use matmul::{
