@@ -89,6 +89,10 @@ if git grep -nIE 'dw_stencil|dw_s2_stencil5|window_dot' \
     echo "the lines above bring back a depthwise path beside the one plane kernel (dw_plane in conv.rs)" >&2
     exit 1
 fi
+if git grep -nIE 'struct Snapshot|Snapshot::(new|capture|restore)|legacy serial' -- crates/train DESIGN.md README.md; then
+    echo "the lines above bring back a second train-step executor or its rollback snapshot beside ShardEngine" >&2
+    exit 1
+fi
 DIRTY="$(git status --porcelain -- results/)"
 if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2

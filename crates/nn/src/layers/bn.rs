@@ -17,8 +17,8 @@ use crate::module::Layer;
 use crate::param::Param;
 use revbifpn_tensor::{par, Shape, Tensor};
 
-/// Per-sample channel moments recorded by a decoupled-mode training forward
-/// pass (see [`BatchNorm2d::set_decoupled`]).
+/// Per-sample channel moments recorded by a [`BnStats::Decoupled`] training
+/// forward pass.
 ///
 /// `sum[n * c + ci]` / `sqsum[n * c + ci]` hold sample `n`'s f64 sum and
 /// sum of squares of channel `ci` over the `hw` spatial positions. Each
@@ -38,6 +38,28 @@ pub struct BnMoments {
     pub sqsum: Vec<f64>,
 }
 
+/// What a training forward does with the statistics of its batch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BnStats {
+    /// Normalize with the batch statistics and fold them into the running
+    /// statistics at once.
+    #[default]
+    Immediate,
+    /// Normalize with the batch statistics, as `Immediate` does, and hold
+    /// them — the very tensors the `Stats` pass's frozen cache holds, not a
+    /// copy — for [`BatchNorm2d::take_held`]: the running statistics move
+    /// only when the step's owner applies them with
+    /// [`BatchNorm2d::apply_global_stats`], so a step it abandons writes
+    /// none. One hold per step.
+    Held,
+    /// Normalize with the pre-step running statistics — so each sample's
+    /// activations are independent of which other samples share its
+    /// micro-batch — and record per-sample moments for
+    /// [`BatchNorm2d::take_moments`]; the running statistics move when the
+    /// owner applies the merged batch statistics.
+    Decoupled,
+}
+
 /// Per-channel batch normalization over `(n, h, w)`.
 #[derive(Debug)]
 pub struct BatchNorm2d {
@@ -53,14 +75,12 @@ pub struct BatchNorm2d {
     frozen: Cached<(Tensor, Tensor)>,
     /// Backward cache: (xhat, inv_std).
     saved: Cached<(Tensor, Tensor)>,
-    /// Decoupled-statistics training mode (sharded data parallelism):
-    /// normalize with the pre-step running statistics instead of batch
-    /// statistics, record per-sample moments for the trainer to merge, and
-    /// leave the running statistics untouched until the trainer applies the
-    /// merged batch statistics after the step.
-    decoupled: bool,
-    /// Moments recorded by the last decoupled-mode training forward.
+    /// What a training forward does with its batch statistics.
+    stats: BnStats,
+    /// Moments recorded by the last `Decoupled` training forward.
     pending: Option<BnMoments>,
+    /// `(mean, var)` held by the step's `Held` training forward.
+    held: Option<(Tensor, Tensor)>,
 }
 
 impl BatchNorm2d {
@@ -77,38 +97,41 @@ impl BatchNorm2d {
             c,
             frozen: Cached::empty(),
             saved: Cached::empty(),
-            decoupled: false,
+            stats: BnStats::Immediate,
             pending: None,
+            held: None,
         }
     }
 
-    /// Switches decoupled-statistics mode on or off (clearing any recorded
-    /// moments). In decoupled mode a training forward normalizes with the
-    /// *running* statistics — so each sample's activations are independent
-    /// of which other samples share its micro-batch — records per-sample
-    /// moments, and defers the running-statistics update to
-    /// [`Self::apply_global_stats`].
-    pub fn set_decoupled(&mut self, on: bool) {
-        self.decoupled = on;
+    /// Sets what a training forward does with its batch statistics,
+    /// dropping any moments or statistics recorded under the old mode.
+    pub fn set_stats_mode(&mut self, stats: BnStats) {
+        self.stats = stats;
         self.pending = None;
+        self.held = None;
     }
 
-    /// `true` when decoupled-statistics mode is active.
-    pub fn decoupled(&self) -> bool {
-        self.decoupled
+    /// What a training forward does with its batch statistics.
+    pub fn stats_mode(&self) -> BnStats {
+        self.stats
     }
 
-    /// Takes the per-sample moments recorded by the last decoupled-mode
+    /// Takes the per-sample moments recorded by the last `Decoupled`
     /// training forward, if any.
     pub fn take_moments(&mut self) -> Option<BnMoments> {
         self.pending.take()
     }
 
-    /// Applies externally merged batch statistics to the running statistics
-    /// (momentum update). The sharded trainer calls this once per step on
-    /// the primary replica after tree-merging per-sample moments from all
-    /// shards, reproducing what a coupled `Stats` pass over the full batch
-    /// would have contributed.
+    /// Takes the `(mean, var)` held by the step's `Held` training forward,
+    /// if any.
+    pub fn take_held(&mut self) -> Option<(Tensor, Tensor)> {
+        self.held.take()
+    }
+
+    /// Applies a step's batch statistics to the running statistics (the
+    /// momentum update an `Immediate` forward makes). The step engines call
+    /// it once per clean step on the primary model with the held statistics
+    /// or the tree-merged per-sample moments of all shards.
     pub fn apply_global_stats(&mut self, mean: &Tensor, var: &Tensor) {
         assert_eq!(mean.shape(), Shape::vector(self.c), "mean shape");
         assert_eq!(var.shape(), Shape::vector(self.c), "var shape");
@@ -219,15 +242,20 @@ impl Layer for BatchNorm2d {
         let frozen = if mode == CacheMode::Full { self.frozen.take() } else { None };
         let (mean, var) = match frozen {
             Some(stats) => stats,
-            None if mode == CacheMode::None || self.decoupled => {
+            None if mode == CacheMode::None || self.stats == BnStats::Decoupled => {
                 if mode != CacheMode::None {
                     self.record_moments(x);
                 }
                 (self.running_mean.clone(), self.running_var.clone())
             }
             None => {
-                let (mean, var) = self.batch_stats(x);
-                self.update_running(&mean, &var);
+                let (mut mean, mut var) = self.batch_stats(x);
+                if self.stats == BnStats::Held {
+                    debug_assert!(self.held.is_none(), "BatchNorm2d: a second statistics hold in one step");
+                    self.held = Some((mean.share(), var.share()));
+                } else {
+                    self.update_running(&mean, &var);
+                }
                 (mean, var)
             }
         };
@@ -238,7 +266,7 @@ impl Layer for BatchNorm2d {
                 let bytes = xhat.bytes() + inv_std.bytes();
                 self.saved.put((xhat, inv_std), bytes);
             }
-            // Freeze the statistics this pass normalized with (in decoupled
+            // Freeze the statistics this pass normalized with (in `Decoupled`
             // mode a copy of the pre-step running statistics), so the
             // Full-mode recomputation reproduces it exactly.
             (CacheMode::Stats, _) => {
@@ -263,7 +291,7 @@ impl Layer for BatchNorm2d {
         let (gamma, is) = (self.gamma.value.data(), inv_std.data());
         let mut dgamma = Tensor::zeros(Shape::vector(c));
         let mut dbeta = Tensor::zeros(Shape::vector(c));
-        let dx = if self.decoupled {
+        let dx = if self.stats == BnStats::Decoupled {
             // dgamma/dbeta: per-sample channel partials (f64 sums over hw,
             // cast to f32 per sample) merged with the pairwise sample tree,
             // so shard-local trees compose into the global batch tree bit
@@ -327,6 +355,7 @@ impl Layer for BatchNorm2d {
         self.frozen.clear();
         self.saved.clear();
         self.pending = None;
+        self.held = None;
     }
 
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
@@ -455,7 +484,7 @@ mod tests {
     fn decoupled_gradients_pass_finite_diff() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut bn = BatchNorm2d::new(2);
-        bn.set_decoupled(true);
+        bn.set_stats_mode(BnStats::Decoupled);
         bn.gamma.value = Tensor::from_vec(Shape::vector(2), vec![1.3, 0.7]).unwrap();
         bn.beta.value = Tensor::from_vec(Shape::vector(2), vec![0.2, -0.4]).unwrap();
         // Non-trivial running stats so the normalization is not the identity.
@@ -469,7 +498,7 @@ mod tests {
     fn decoupled_stats_pass_defers_running_update_and_records_moments() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut bn = BatchNorm2d::new(3);
-        bn.set_decoupled(true);
+        bn.set_stats_mode(BnStats::Decoupled);
         let x = Tensor::randn(Shape::new(4, 3, 5, 5), 2.0, &mut rng).map(|v| v + 1.0);
         let rm0 = bn.running_mean().clone();
         let rv0 = bn.running_var().clone();
@@ -508,7 +537,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let (n, c, h) = (8usize, 3usize, 4usize);
         let mut bn = BatchNorm2d::new(c);
-        bn.set_decoupled(true);
+        bn.set_stats_mode(BnStats::Decoupled);
         bn.gamma.value = Tensor::uniform(Shape::vector(c), 0.5, 1.5, &mut rng);
         bn.running_mean = Tensor::uniform(Shape::vector(c), -0.5, 0.5, &mut rng);
         bn.running_var = Tensor::uniform(Shape::vector(c), 0.5, 1.5, &mut rng);
@@ -561,6 +590,74 @@ mod tests {
             }
         }
         bn.clear_cache();
+    }
+
+    /// A BatchNorm over `c` channels with non-trivial affine parameters and
+    /// running statistics, the same for every call with one `seed`.
+    fn seeded_bn(c: usize, seed: u64) -> BatchNorm2d {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bn = BatchNorm2d::new(c);
+        bn.gamma.value = Tensor::uniform(Shape::vector(c), 0.5, 1.5, &mut rng);
+        bn.beta.value = Tensor::uniform(Shape::vector(c), -0.5, 0.5, &mut rng);
+        bn.running_mean = Tensor::uniform(Shape::vector(c), -0.5, 0.5, &mut rng);
+        bn.running_var = Tensor::uniform(Shape::vector(c), 0.5, 1.5, &mut rng);
+        bn
+    }
+
+    /// One training step: the forward `passes` over `x`, then a backward of
+    /// `dy`. Returns every pass's `y`, then `dx`, `dgamma` and `dbeta`.
+    fn train_step(bn: &mut BatchNorm2d, passes: &[CacheMode], x: &Tensor, dy: &Tensor) -> Vec<Tensor> {
+        bn.gamma.zero_grad();
+        bn.beta.zero_grad();
+        let mut out: Vec<Tensor> = passes.iter().map(|&mode| bn.forward(x, mode)).collect();
+        out.push(bn.backward(dy));
+        out.extend([bn.gamma.grad.clone(), bn.beta.grad.clone()]);
+        out
+    }
+
+    #[test]
+    fn held_step_then_apply_equals_an_immediate_step_bitwise() {
+        use CacheMode::{Full, Stats};
+        let (c, xs) = (3usize, Shape::new(4, 3, 5, 5));
+        let regimes: [(&str, &[&[CacheMode]]); 3] = [
+            ("Full", &[&[Full]]),
+            ("Stats then Full", &[&[Stats, Full]]),
+            ("conventional Full, two steps", &[&[Full], &[Full]]),
+        ];
+        let mut rng = StdRng::seed_from_u64(13);
+        for (regime, steps) in regimes {
+            let (mut immediate, mut held) = (seeded_bn(c, 14), seeded_bn(c, 14));
+            held.set_stats_mode(BnStats::Held);
+            for (k, passes) in steps.iter().enumerate() {
+                let x = Tensor::randn(xs, 2.0, &mut rng).map(|v| v + 0.4);
+                let dy = Tensor::randn(xs, 1.0, &mut rng);
+                let want = train_step(&mut immediate, passes, &x, &dy);
+                let got = train_step(&mut held, passes, &x, &dy);
+                let (mean, var) = held.take_held().expect("a Held step holds its statistics");
+                assert!(held.take_held().is_none(), "{regime}: held twice");
+                held.apply_global_stats(&mean, &var);
+                let names = passes.iter().map(|_| "y").chain(["dx", "dgamma", "dbeta"]);
+                let pairs = want.iter().zip(&got).zip(names).chain([
+                    ((&immediate.running_mean, &held.running_mean), "running_mean"),
+                    ((&immediate.running_var, &held.running_var), "running_var"),
+                ]);
+                for ((a, b), name) in pairs {
+                    assert!(a.data().iter().map(|v| v.to_bits()).eq(b.data().iter().map(|v| v.to_bits())), "{regime} step {k}: {name}");
+                }
+            }
+            assert_eq!(held.stats_mode(), BnStats::Held);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a second statistics hold in one step")]
+    fn a_second_hold_in_one_step_panics() {
+        let mut bn = BatchNorm2d::new(2);
+        bn.set_stats_mode(BnStats::Held);
+        let x = Tensor::randn(Shape::new(2, 2, 3, 3), 1.0, &mut StdRng::seed_from_u64(15));
+        let _ = bn.forward(&x, CacheMode::Stats);
+        let _ = bn.forward(&x, CacheMode::Stats);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod layers {
     mod shape_ops;
 
     pub use act::{HardSigmoid, HardSwish, Relu, Sigmoid};
-    pub use bn::{BatchNorm2d, BnMoments};
+    pub use bn::{BatchNorm2d, BnMoments, BnStats};
     pub use conv::Conv2d;
     pub use dropout::{DropPath, Dropout, Residual};
     pub use linear::Linear;

@@ -2,7 +2,7 @@
 //! smoothing, mixup and CutMix targets), binary cross-entropy on logits, and
 //! smooth-L1 regression (detection heads).
 
-use revbifpn_tensor::{Shape, Tensor};
+use revbifpn_tensor::{par, Shape, Tensor};
 
 /// Numerically stable per-row softmax of `[n, k, 1, 1]` logits.
 pub fn softmax(logits: &Tensor) -> Tensor {
@@ -27,6 +27,10 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 /// Softmax cross-entropy against soft targets.
 ///
 /// Returns `(mean_loss, dlogits)` where `dlogits = (softmax - target) / n`.
+/// This is [`softmax_cross_entropy_per_sample`] over the whole batch, its
+/// per-sample terms summed with the pairwise sample tree
+/// (`par::tree_reduce_serial`) and divided by `n`: the same arithmetic as
+/// the step engines' loss, bit for bit.
 ///
 /// # Panics
 ///
@@ -35,38 +39,17 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 /// carried non-finite values, so a poisoned batch is diagnosed at the loss
 /// instead of propagating NaN silently through the backward pass.
 pub fn softmax_cross_entropy(logits: &Tensor, targets: &Tensor) -> (f64, Tensor) {
-    let s = logits.shape();
-    assert_eq!(s, targets.shape(), "logits/targets shape mismatch");
-    let p = softmax(logits);
-    let mut loss = 0.0f64;
-    for n in 0..s.n {
-        for k in 0..s.c {
-            let t = targets.data()[n * s.c + k] as f64;
-            if t != 0.0 {
-                let q = (p.data()[n * s.c + k] as f64).max(1e-12);
-                loss -= t * q.ln();
-            }
-        }
-    }
-    loss /= s.n as f64;
-    // NaN probabilities are clamped away by `q.max(1e-12)` above (f64::max
-    // ignores NaN), so check the softmax output as well as the loss.
-    if !loss.is_finite() || !p.is_finite() {
-        logits.assert_finite("softmax_cross_entropy: non-finite loss; logits");
-        targets.assert_finite("softmax_cross_entropy: non-finite loss; targets");
-        panic!("softmax_cross_entropy: non-finite loss {loss} with finite inputs");
-    }
-    let mut d = &p - targets;
-    d.scale(1.0 / s.n as f32);
-    (loss, d)
+    let n = logits.shape().n;
+    let (mut losses, d) = softmax_cross_entropy_per_sample(logits, targets, n);
+    par::tree_reduce_serial(n, |dst, src| losses[dst] += losses[src]);
+    (losses[0] / n as f64, d)
 }
 
 /// Per-sample softmax cross-entropy for the sharded training step.
 ///
 /// Returns `(losses, dlogits)` where `losses[i]` is sample `i`'s (unscaled)
-/// cross-entropy in f64 — summed over classes in ascending order, exactly
-/// the inner term sequence of [`softmax_cross_entropy`] — and `dlogits` is
-/// `(softmax - target) / batch_total` per element.
+/// cross-entropy in f64, summed over classes in ascending order, and
+/// `dlogits` is `(softmax - target) / batch_total` per element.
 ///
 /// Contract with the sharded trainer: per-sample losses and per-element
 /// gradients depend only on that sample's row, never on the batch extent,
@@ -103,9 +86,9 @@ pub fn softmax_cross_entropy_per_sample(
         losses.push(loss);
     }
     if losses.iter().any(|l| !l.is_finite()) || !p.is_finite() {
-        logits.assert_finite("softmax_cross_entropy_per_sample: non-finite loss; logits");
-        targets.assert_finite("softmax_cross_entropy_per_sample: non-finite loss; targets");
-        panic!("softmax_cross_entropy_per_sample: non-finite loss with finite inputs");
+        logits.assert_finite("softmax_cross_entropy: non-finite loss; logits");
+        targets.assert_finite("softmax_cross_entropy: non-finite loss; targets");
+        panic!("softmax_cross_entropy: non-finite loss with finite inputs");
     }
     let mut d = &p - targets;
     d.scale(1.0 / batch_total as f32);
@@ -250,10 +233,9 @@ mod tests {
         let targets = one_hot(&labels, k);
         let (losses_full, d_full) = softmax_cross_entropy_per_sample(&logits, &targets, n);
         assert_eq!(losses_full.len(), n);
-        // dlogits with batch_total == n must be bitwise identical to the
-        // legacy full-batch function's (p - t) / n.
-        let (_, d_legacy) = softmax_cross_entropy(&logits, &targets);
-        for (a, b) in d_full.data().iter().zip(d_legacy.data()) {
+        // dlogits with batch_total == n is the full-batch function's.
+        let (_, d_batch) = softmax_cross_entropy(&logits, &targets);
+        for (a, b) in d_full.data().iter().zip(d_batch.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Splitting the batch into shards must reproduce the same per-sample

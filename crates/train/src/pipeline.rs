@@ -47,7 +47,7 @@ use crate::schedule::LrSchedule;
 use crate::sgd::Sgd;
 use revbifpn::{RevBiFPN, RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::SynthScale;
-use revbifpn_nn::layers::BnMoments;
+use revbifpn_nn::layers::{BnMoments, BnStats};
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
 use revbifpn_nn::{meter, CacheMode, Layer, Module};
 use revbifpn_rev::{CellTrip, DriftConfig, DriftStageReport, StageCell, StageControl, StageMsg};
@@ -864,7 +864,7 @@ impl PipelineEngine {
         }
         for row in &mut per_shard {
             for c in row.iter_mut() {
-                c.visit_bn(&mut |bn| bn.set_decoupled(true));
+                c.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Decoupled));
             }
         }
         let mut columns: Vec<Vec<StageCell>> = (0..p).map(|_| Vec::with_capacity(shards)).collect();
@@ -877,7 +877,7 @@ impl PipelineEngine {
         // Edge replica: stem + neck/head only (body hollowed out).
         let mut edge = RevBiFPNClassifier::new(cfg.clone());
         let _ = edge.backbone_mut().take_body();
-        edge.visit_bn(&mut |bn| bn.set_decoupled(true));
+        edge.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Decoupled));
 
         // Channels: bounded worker mailboxes sized so steady-state sends
         // never block, unbounded driver mailbox as the terminal sink.

@@ -1,8 +1,14 @@
-//! Data-parallel sharded training step: micro-batch shards run forward +
-//! reversible backward (shard 0 on the primary model, the others on
-//! persistent replicas), and the per-shard gradients are merged with a
-//! pairwise tree so the result is **bitwise invariant to the shard count
-//! and the thread count**.
+//! The training step: forward, loss and backward of one batch, with its
+//! BatchNorm statistics held back until the caller knows the step is clean.
+//!
+//! Built with `shards = 0` the engine is the serial step: one coupled shard
+//! on the primary model, its BatchNorms in [`BnStats::Held`] mode —
+//! normalizing with the batch statistics and holding them — so a tripped
+//! step writes no model state. Built with `shards >= 1` it is the
+//! data-parallel step: micro-batch shards run forward + reversible backward
+//! (shard 0 on the primary model, the others on persistent replicas), and
+//! the per-shard gradients are merged with a pairwise tree so the result is
+//! **bitwise invariant to the shard count and the thread count**.
 //!
 //! # Determinism contract
 //!
@@ -20,38 +26,40 @@
 //! * the loss: per-sample `f64` cross-entropy terms are tree-summed over
 //!   the full batch in sample order (sample order is shard-independent);
 //! * BatchNorm statistics: every shard's model (the primary included, for
-//!   the duration of the step) runs in *decoupled* mode — it normalizes
+//!   the duration of the step) runs in [`BnStats::Decoupled`] mode — it normalizes
 //!   with the pre-step running statistics (making every sample's
 //!   activations independent of its batch neighbours) and records
 //!   per-sample `f64` moments, which the engine tree-merges globally and
 //!   applies to the primary model once the step is known to be clean.
 //!
-//! The engine requires `dropout == 0` and `drop_path == 0`: stochastic
-//! layers draw from a batch-order-dependent RNG stream, which would break
-//! the per-sample-independence property everything above rests on.
+//! The sharded engine requires `dropout == 0` and `drop_path == 0`:
+//! stochastic layers draw from a batch-order-dependent RNG stream, which
+//! would break the per-sample-independence property everything above rests
+//! on. The coupled engine draws the whole batch's masks on the primary, as
+//! a hand-written loop would.
 
 use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch, tree_merge_slabs};
 use revbifpn::{RevBiFPNClassifier, RunMode};
-use revbifpn_nn::layers::BnMoments;
+use revbifpn_nn::layers::{BnMoments, BnStats};
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
 use revbifpn_nn::{meter, Module};
 use revbifpn_rev::{DriftConfig, ReconFault};
 use revbifpn_tensor::{par, Shape, Tensor};
+use std::borrow::Cow;
 
-/// Faults to inject into one sharded step, both on shard 0 — the primary
-/// model (mirrors the serial trainer's fault points; see [`crate::FaultPlan`]).
+/// Faults to inject into one step, both on shard 0 — the primary model (see
+/// [`crate::FaultPlan`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStepFaults {
     /// Poison the first logit gradient of shard 0 (sample 0, class 0) with
-    /// a NaN after the loss is formed — the sharded analogue of the serial
-    /// trainer's `Fault::NanGrad`.
+    /// a NaN after the loss is formed (`Fault::NanGrad`).
     pub nan_grad: bool,
-    /// Flip a bit in a reconstructed activation of shard 0's backward (the
-    /// sharded analogue of `Fault::BitFlip`).
+    /// Flip a bit in a reconstructed activation of shard 0's backward
+    /// (`Fault::BitFlip`).
     pub bit_flip: Option<ReconFault>,
 }
 
-/// What one sharded step produced.
+/// What one step produced.
 #[derive(Debug)]
 pub struct ShardStepOutput {
     /// Full-batch logits, assembled in sample order.
@@ -63,7 +71,7 @@ pub struct ShardStepOutput {
     /// `false` when a shard saw non-finite logits: the loss was not formed
     /// and no gradients were merged, so the primary's `grad` slots hold
     /// whatever shard 0 left in them. The caller's tripwire should skip
-    /// the step (or reproduce the serial panic).
+    /// the step (or form the loss, which panics on non-finite logits).
     pub backward_ran: bool,
     /// Number of shards the batch was actually split into (collapses to 1
     /// when the batch size is incompatible with the configured count).
@@ -77,7 +85,7 @@ struct ShardResult {
     finite: bool,
 }
 
-/// Persistent data-parallel step engine.
+/// Persistent training-step engine.
 ///
 /// Shard 0 runs on the primary model the caller owns; the engine holds one
 /// replica for each of shards `1..S`, which owns gradients and caches but
@@ -88,9 +96,13 @@ struct ShardResult {
 #[derive(Debug)]
 pub struct ShardEngine {
     replicas: Vec<RevBiFPNClassifier>,
+    /// The mode the primary's BatchNorms run a step in: `Held` for the
+    /// coupled engine (`shards = 0`), `Decoupled` for the sharded one.
+    stats: BnStats,
     /// The replicas' drift-sentinel config; the primary must carry the same.
     drift: DriftConfig,
-    /// Each shard model's `grad` tensors while the tree merges them.
+    /// Each shard model's `grad` tensors while the tree merges them (a
+    /// single shard's are the primary's already).
     grad_slabs: Vec<Vec<Tensor>>,
     /// Per-BN `(mean, var)` computed by the last step, awaiting
     /// [`ShardEngine::apply_bn_stats`].
@@ -110,6 +122,16 @@ fn visit_read_state(model: &mut RevBiFPNClassifier, f: &mut dyn FnMut(&mut Tenso
     model.visit_buffers(f);
 }
 
+/// Shard `k`'s samples `[k*m, (k+1)*m)` of a batch tensor (sample-major):
+/// the tensor itself, not a copy, when it is the only shard.
+fn shard_of(t: &Tensor, k: usize, m: usize) -> Cow<'_, Tensor> {
+    if m == t.shape().n {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(slice_batch(t, k * m, m))
+    }
+}
+
 /// The models of shards `0..=replicas.len()`, in shard order.
 fn shard_models<'a>(
     primary: &'a mut RevBiFPNClassifier,
@@ -119,19 +141,23 @@ fn shard_models<'a>(
 }
 
 impl ShardEngine {
-    /// Builds an engine for `shards` shards of the model described by
-    /// `cfg`: `shards - 1` replicas configured for deterministic sharding
-    /// (decoupled BN, drift sentinel `drift`). The primary keeps the drift
-    /// config its owner set, which must equal `drift`.
+    /// Builds an engine for the model described by `cfg`. `shards = 0`
+    /// builds the coupled engine: no replica, the whole batch on the
+    /// primary with coupled BatchNorm. A power of two `shards >= 1` builds
+    /// the sharded engine: `shards - 1` replicas configured for
+    /// deterministic sharding (decoupled BN, drift sentinel `drift`). The
+    /// primary keeps the drift config its owner set, which must equal
+    /// `drift`.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or not a power of two, or if the config
-    /// enables stochastic regularization (see module docs).
+    /// Panics if `shards` is neither zero nor a power of two, or if a
+    /// sharded engine's config enables stochastic regularization (see
+    /// module docs).
     pub fn new(cfg: &revbifpn::RevBiFPNConfig, shards: usize, drift: DriftConfig) -> Self {
-        assert!(shards >= 1 && shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
+        assert!(shards == 0 || shards.is_power_of_two(), "shard count must be 0 or a power of two, got {shards}");
         assert!(
-            cfg.dropout == 0.0 && cfg.drop_path == 0.0,
+            shards == 0 || (cfg.dropout == 0.0 && cfg.drop_path == 0.0),
             "sharded training requires dropout == 0 and drop_path == 0 \
              (stochastic layers depend on batch order)"
         );
@@ -139,30 +165,33 @@ impl ShardEngine {
             .map(|_| {
                 let mut r = RevBiFPNClassifier::new(cfg.clone());
                 r.backbone_mut().body_mut().set_drift_config(drift);
-                r.visit_bn(&mut |bn| bn.set_decoupled(true));
+                r.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Decoupled));
                 visit_read_state(&mut r, &mut |t| *t = hole());
                 r
             })
             .collect();
-        Self { replicas, drift, grad_slabs: vec![Vec::new(); shards], pending_stats: Vec::new() }
+        let stats = if shards == 0 { BnStats::Held } else { BnStats::Decoupled };
+        Self { replicas, stats, drift, grad_slabs: vec![Vec::new(); shards], pending_stats: Vec::new() }
     }
 
-    /// The configured shard count.
+    /// The most shards a step splits its batch into (1 for the coupled
+    /// engine).
     pub fn shards(&self) -> usize {
         self.replicas.len() + 1
     }
 
-    /// Runs one sharded training step against the primary model.
+    /// Runs one training step against the primary model.
     ///
     /// Hands the replicas in use handles to the primary's parameter values
-    /// and buffers, switches the primary's BatchNorms to decoupled mode,
-    /// runs forward + loss + backward on each micro-batch shard as one pool
-    /// task (shard 0 on the primary), and takes the handles back. Then it
+    /// and buffers, switches the primary's BatchNorms to the engine's
+    /// statistics mode, runs forward + loss + backward on each micro-batch
+    /// shard as one pool task (shard 0 on the primary; a single shard reads
+    /// the caller's batch in place), and takes the handles back. Then it
     /// tree-merges the shard gradients into the primary's `grad` slots
     /// (overwriting them, like `zero_grads` + `backward`) and switches its
-    /// BatchNorms back. BN statistics are merged but **not** applied — call
-    /// [`ShardEngine::apply_bn_stats`] once the step passes the caller's
-    /// tripwires.
+    /// BatchNorms back to [`BnStats::Immediate`]. BN statistics are
+    /// collected but **not** applied — call [`ShardEngine::apply_bn_stats`]
+    /// once the step passes the caller's tripwires.
     pub fn step(
         &mut self,
         primary: &mut RevBiFPNClassifier,
@@ -171,7 +200,7 @@ impl ShardEngine {
         mode: RunMode,
         faults: &ShardStepFaults,
     ) -> ShardStepOutput {
-        assert!(mode != RunMode::Eval, "sharded step requires a training mode");
+        assert!(mode != RunMode::Eval, "a training step requires a training mode");
         debug_assert_eq!(primary.backbone().body().drift_config(), self.drift, "primary drift config");
         let n = images.shape().n;
         assert_eq!(targets.shape().n, n, "images/targets batch mismatch");
@@ -186,13 +215,11 @@ impl ShardEngine {
             let mut handles = handles.into_iter();
             visit_read_state(r, &mut |t| *t = handles.next().expect("replica and primary trees differ"));
         }
-        primary.visit_bn(&mut |bn| bn.set_decoupled(true));
+        let stats = self.stats;
+        primary.visit_bn(&mut |bn| bn.set_stats_mode(stats));
 
-        // Slice the batch into contiguous per-shard tensors (sample-major,
-        // so shard k owns samples [k*m, (k+1)*m)).
-        let mut shard_inputs: Vec<(Tensor, Tensor)> = (0..s_eff)
-            .map(|k| (slice_batch(images, k * m, m), slice_batch(targets, k * m, m)))
-            .collect();
+        let mut shard_inputs: Vec<(Cow<'_, Tensor>, Cow<'_, Tensor>)> =
+            (0..s_eff).map(|k| (shard_of(images, k, m), shard_of(targets, k, m))).collect();
 
         // One round of shard tasks: forward, per-sample loss, reversible
         // backward — all inside the task so every model's caches live and
@@ -246,7 +273,7 @@ impl ShardEngine {
         // Absorb meter deltas in shard order: the dispatcher's byte/event
         // trace (peak, drift-fallback counts, ...) is then identical to a
         // sequential run of the shards, independent of thread count.
-        let results: Vec<ShardResult> = slots
+        let mut results: Vec<ShardResult> = slots
             .into_iter()
             .map(|s| {
                 let (r, tm) = s.expect("shard task did not run");
@@ -255,42 +282,48 @@ impl ShardEngine {
             })
             .collect();
 
-        // Reassemble full-batch logits in sample order.
-        let classes = targets.shape().c;
-        let mut logits = Tensor::zeros(Shape { n, ..results[0].logits.shape() });
-        for (k, r) in results.iter().enumerate() {
-            logits.data_mut()[k * m * classes..(k + 1) * m * classes]
-                .copy_from_slice(r.logits.data());
-        }
+        let finite = results.iter().all(|r| r.finite);
+        let mut sample_losses: Vec<f64> = results.iter().flat_map(|r| r.losses.iter().copied()).collect();
+        // Full-batch logits in sample order: a single shard's as they are.
+        let logits = if s_eff == 1 {
+            results.pop().expect("one shard").logits
+        } else {
+            let classes = targets.shape().c;
+            let mut logits = Tensor::zeros(Shape { n, ..results[0].logits.shape() });
+            for (k, r) in results.iter().enumerate() {
+                logits.data_mut()[k * m * classes..(k + 1) * m * classes].copy_from_slice(r.logits.data());
+            }
+            logits
+        };
 
-        if results.iter().any(|r| !r.finite) {
+        if !finite {
             // A shard tripped before backward: merge nothing, and hand the
-            // primary back with its BatchNorms coupled and no moments.
+            // primary back with its BatchNorms immediate and nothing
+            // recorded or held.
             shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]).for_each(|m| m.clear_cache());
-            primary.visit_bn(&mut |bn| bn.set_decoupled(false));
+            primary.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Immediate));
             return ShardStepOutput { logits, loss: 0.0, backward_ran: false, shards_used: s_eff };
         }
 
         // Mean loss: pairwise tree over the per-sample f64 terms in sample
         // order — the term values and the tree depend only on n, so the
-        // result is bitwise invariant to the shard split.
-        let mut sample_losses: Vec<f64> = Vec::with_capacity(n);
-        for r in &results {
-            sample_losses.extend_from_slice(&r.losses);
-        }
+        // result is bitwise invariant to the shard split (and equal to
+        // `softmax_cross_entropy`'s over the whole batch).
         par::tree_reduce_serial(n, |d, s| sample_losses[d] += sample_losses[s]);
         let loss = sample_losses.first().copied().unwrap_or(0.0) / n as f64;
 
         meter::time_phase(meter::Phase::Reduce, || {
-            self.merge_grads(primary, s_eff);
+            if s_eff > 1 {
+                self.merge_grads(primary, s_eff);
+            }
             self.merge_bn_stats(primary, n, s_eff);
         });
-        primary.visit_bn(&mut |bn| bn.set_decoupled(false));
+        primary.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Immediate));
 
         ShardStepOutput { logits, loss, backward_ran: true, shards_used: s_eff }
     }
 
-    /// Applies the BN statistics merged by the last [`ShardEngine::step`]
+    /// Applies the BN statistics collected by the last [`ShardEngine::step`]
     /// to the primary model's running buffers. Call exactly once per clean
     /// step, after tripwires pass; skipping it on a tripped step leaves
     /// the primary's buffers untouched (no rollback needed).
@@ -304,8 +337,8 @@ impl ShardEngine {
         assert!(it.next().is_none(), "BN count changed between step and apply");
     }
 
-    /// Drops all replica caches (pending BN moments included). Used by the
-    /// trainer's tripwire path alongside the primary's `clear_cache`.
+    /// Drops all replica caches and the step's pending BN statistics. Used
+    /// by the trainer's tripwire path alongside the primary's `clear_cache`.
     pub fn clear_replica_caches(&mut self) {
         for r in &mut self.replicas {
             r.clear_cache();
@@ -332,10 +365,16 @@ impl ShardEngine {
         }
     }
 
-    /// Collects the per-sample BN moments recorded by every shard model and
-    /// merges them into per-BN global `(mean, var)` pairs with a pairwise
-    /// `f64` tree over the full batch, in sample order.
+    /// Collects per-BN global `(mean, var)` pairs: the statistics the
+    /// primary held (coupled engine), or the per-sample BN moments recorded
+    /// by every shard model merged with a pairwise `f64` tree over the full
+    /// batch, in sample order.
     fn merge_bn_stats(&mut self, primary: &mut RevBiFPNClassifier, n: usize, s_eff: usize) {
+        if self.stats == BnStats::Held {
+            let pending = &mut self.pending_stats;
+            primary.visit_bn(&mut |bn| pending.push(bn.take_held().expect("held BN holds no statistics")));
+            return;
+        }
         let mut per_shard: Vec<Vec<BnMoments>> = Vec::with_capacity(s_eff);
         for model in shard_models(primary, &mut self.replicas[..s_eff - 1]) {
             let mut list = Vec::new();
@@ -379,8 +418,8 @@ mod tests {
         let (images, labels) = data.batch(0, 8);
         let targets = label_smooth(&one_hot(&labels, data.num_classes()), 0.1);
         // A NaN in the last sample makes the last shard's logits non-finite:
-        // the primary's own at S = 1, a replica's (after the primary ran its
-        // backward) at S = 2.
+        // the primary's own at S = 0 and S = 1, a replica's (after the
+        // primary ran its backward) at S = 2.
         let mut poisoned = images.clone();
         *poisoned.data_mut().last_mut().expect("non-empty batch") = f32::NAN;
         let bit_flip = ReconFault { stage: 1, stream: 0, index: 3, bit: 30 };
@@ -390,7 +429,7 @@ mod tests {
             ("nan_grad", &images, ShardStepFaults { nan_grad: true, bit_flip: None }, true),
             ("bit_flip", &images, ShardStepFaults { nan_grad: false, bit_flip: Some(bit_flip) }, true),
         ];
-        for shards in [1, 2] {
+        for shards in [0, 1, 2] {
             let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
             let mut engine = ShardEngine::new(model.cfg(), shards, DriftConfig::default());
             let before = primary_state(&mut model);
@@ -399,17 +438,35 @@ mod tests {
                 let out = engine.step(&mut model, x, &targets, RunMode::TrainReversible, faults);
                 assert_eq!(out.backward_ran, *backward_ran, "{label}");
                 model.visit_bn(&mut |bn| {
-                    assert!(!bn.decoupled(), "{label}: a primary BN was left decoupled");
+                    assert_eq!(bn.stats_mode(), BnStats::Immediate, "{label}: a primary BN kept the step's mode");
                     assert!(bn.take_moments().is_none(), "{label}: a primary BN kept its moments");
+                    assert!(bn.take_held().is_none(), "{label}: a primary BN kept its statistics");
                 });
+                assert_eq!(engine.pending_stats.is_empty(), !backward_ran, "{label}: statistics pending");
                 let (ptrs, bits, shared) = primary_state(&mut model);
                 assert!(ptrs == before.0, "{label}: a value, grad or buffer was reallocated");
                 assert!(bits == before.1, "{label}: the step changed a parameter value or buffer");
                 assert_eq!(shared, 0, "{label}: a primary value or buffer is still shared");
-                assert_eq!(engine.replicas.len(), shards - 1, "{label}");
+                assert_eq!(engine.replicas.len(), shards.saturating_sub(1), "{label}");
                 for r in &mut engine.replicas {
                     visit_read_state(r, &mut |t| assert!(t.data().is_empty(), "{label}: a replica holds values"));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn step_loss_is_softmax_cross_entropy_bitwise() {
+        let data = SynthScale::new(SynthScaleConfig::new(32), 5);
+        let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
+        for shards in [0, 2] {
+            let mut engine = ShardEngine::new(model.cfg(), shards, DriftConfig::default());
+            for n in [1, 3, 4, 16] {
+                let (images, labels) = data.batch(0, n);
+                let targets = label_smooth(&one_hot(&labels, data.num_classes()), 0.1);
+                let out = engine.step(&mut model, &images, &targets, RunMode::TrainReversible, &ShardStepFaults::default());
+                let (loss, _) = revbifpn_nn::loss::softmax_cross_entropy(&out.logits, &targets);
+                assert_eq!(out.loss.to_bits(), loss.to_bits(), "S={shards} n={n}: {} vs {loss}", out.loss);
             }
         }
     }

@@ -7,10 +7,11 @@
 //! On top of the recipe sits a resilience layer:
 //!
 //! * **Non-finite tripwires** — every step scans logits and gradient norms;
-//!   a poisoned step is skipped, the persistent buffers it touched are
-//!   restored from a rolling in-memory snapshot, and the learning rate
-//!   backs off (recovering over subsequent clean steps). Bounded by
-//!   `max_retries` consecutive trips, after which the run aborts.
+//!   a poisoned step is skipped and the learning rate backs off (recovering
+//!   over subsequent clean steps). A skipped step writes no model or
+//!   optimizer state: the step engines hold its BatchNorm statistics back,
+//!   and they, the optimizer and the EMA are applied on clean steps only.
+//!   Bounded by `max_retries` consecutive trips, after which the run aborts.
 //! * **Drift-sentinel integration** — the reversible body's sentinel (see
 //!   `revbifpn_rev::DriftConfig`) is configured per run; a
 //!   `FallbackToCached` event also trips the step, since gradients computed
@@ -51,8 +52,7 @@ const LR_BACKOFF: f32 = 0.5;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResilienceConfig {
     /// Enables the per-step non-finite tripwires (logit scan, gradient-norm
-    /// scan, drift-fallback detection) and the rolling snapshot they
-    /// restore from.
+    /// scan, drift-fallback detection).
     pub tripwires: bool,
     /// Consecutive tripped steps tolerated before the run aborts.
     pub max_retries: u32,
@@ -94,10 +94,11 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Resilience-layer settings.
     pub resilience: ResilienceConfig,
-    /// Micro-batch shard count for the data-parallel step engine
-    /// ([`crate::ShardEngine`]). `0` keeps the legacy serial step; any
-    /// power of two `>= 1` routes steps through the engine, whose merged
-    /// gradients are bitwise invariant to the shard count.
+    /// Micro-batch shard count of the step engine ([`crate::ShardEngine`]).
+    /// `0` runs the whole batch as one shard with coupled BatchNorm (batch
+    /// statistics); any power of two `>= 1` splits it into shards with
+    /// decoupled BatchNorm, whose merged gradients are bitwise invariant to
+    /// the shard count.
     pub shards: usize,
     /// Stage-pipelined step engine ([`crate::PipelineEngine`]).
     /// `stages == 0` keeps the serial/sharded path; `stages >= 1` with
@@ -190,41 +191,6 @@ impl TrainHistory {
     }
 }
 
-/// Rolling in-memory snapshot of what a skipped step must roll back: the
-/// persistent buffers (the serial step's coupled-BN forward updates the
-/// running statistics in place). Nothing else a tripped step runs writes
-/// model or optimizer state — `opt.step` and `ema.update` run on the clean
-/// branch only, and the shard and pipeline engines write the primary's
-/// `grad` slots and hold their BN statistics back for `apply_bn_stats` —
-/// which `tests/fault_injection.rs` pins for all three executors.
-struct Snapshot {
-    buffers: Vec<Tensor>,
-}
-
-impl Snapshot {
-    fn new(model: &mut RevBiFPNClassifier) -> Self {
-        let mut buffers = Vec::new();
-        model.visit_buffers(&mut |t| buffers.push(t.clone()));
-        Self { buffers }
-    }
-
-    fn capture(&mut self, model: &mut RevBiFPNClassifier) {
-        let mut j = 0;
-        model.visit_buffers(&mut |t| {
-            self.buffers[j].data_mut().copy_from_slice(t.data());
-            j += 1;
-        });
-    }
-
-    fn restore(&self, model: &mut RevBiFPNClassifier) {
-        let mut j = 0;
-        model.visit_buffers(&mut |t| {
-            t.data_mut().copy_from_slice(self.buffers[j].data());
-            j += 1;
-        });
-    }
-}
-
 /// The RNG stream `salt` of global step `step`, a pure function of
 /// `(cfg.seed, step)`.
 fn step_rng(cfg: &TrainConfig, salt: u64, step: usize) -> StdRng {
@@ -267,8 +233,8 @@ pub fn evaluate(model: &mut RevBiFPNClassifier, data: &SynthScale, val_size: usi
     let mut i = 0;
     while i < val_size {
         let n = batch.min(val_size - i);
-        let (images, labels) = data.batch(u32::MAX as u64 + i as u64, n);
-        let logits = model.forward(&images, RunMode::Eval);
+        let (val_images, labels) = data.batch(u32::MAX as u64 + i as u64, n);
+        let logits = model.forward(&val_images, RunMode::Eval);
         acc.update(top1_accuracy(&logits, &labels), n as u64);
         i += n;
     }
@@ -314,7 +280,7 @@ pub fn train_classifier_with(
     let mut ema = (cfg.ema_decay > 0.0).then(|| Ema::new(cfg.ema_decay));
     let res = cfg.resilience;
     model.backbone_mut().body_mut().set_drift_config(res.drift);
-    let mut engine = (cfg.shards > 0).then(|| ShardEngine::new(model.cfg(), cfg.shards, res.drift));
+    let mut engine = ShardEngine::new(model.cfg(), cfg.shards, res.drift);
     let mut pipe = (cfg.pipeline.stages > 0).then(|| {
         assert_eq!(cfg.shards, 0, "within-stage sharding is set via pipeline.shards, not cfg.shards");
         assert_eq!(
@@ -324,7 +290,6 @@ pub fn train_classifier_with(
         assert_eq!(mode, RunMode::TrainReversible, "pipelined training is reversible-only");
         PipelineEngine::new(model.cfg(), &cfg.pipeline, res.drift)
     });
-    let mut snapshot = res.tripwires.then(|| Snapshot::new(model));
     let phases_start = meter::phase_times();
 
     let mut history = TrainHistory::default();
@@ -361,96 +326,48 @@ pub fn train_classifier_with(
             let n = labels.len();
             reseed_masks(model, cfg, step);
 
-            if let Some(s) = &mut snapshot {
-                s.capture(model);
-            }
             let fallback_before = meter::event_count("rev.drift_fallback");
             meter::reset();
 
-            let mut tripped = false;
-            let mut loss = 0.0f64;
-            let mut acc_val = 0.0f64;
-            let mut backward_ran = false;
             let sf = ShardStepFaults {
                 nan_grad: opts.faults.nan_grad_at(step),
                 bit_flip: opts.faults.bit_flip_at(step),
             };
-            let engine_out = match (&mut pipe, &mut engine) {
-                (Some(pe), _) => {
+            let (logits, loss, backward_ran) = match &mut pipe {
+                Some(pe) => {
                     let out = pe.step(model, &images, &targets, mode, &sf);
-                    Some((out.logits, out.loss, out.backward_ran))
+                    (out.logits, out.loss, out.backward_ran)
                 }
-                (None, Some(eng)) => {
-                    let out = eng.step(model, &images, &targets, mode, &sf);
-                    Some((out.logits, out.loss, out.backward_ran))
+                None => {
+                    let out = engine.step(model, &images, &targets, mode, &sf);
+                    (out.logits, out.loss, out.backward_ran)
                 }
-                (None, None) => None,
             };
-            let logits = if let Some((logits, engine_loss, ran)) = engine_out {
-                if ran {
-                    loss = engine_loss;
-                    backward_ran = true;
-                } else if res.tripwires {
-                    tripped = true;
-                } else {
-                    // Tripwires off: reproduce the serial path's panic
-                    // semantics by forming the loss on non-finite logits.
-                    let _ = softmax_cross_entropy(&logits, &targets);
-                }
-                logits
-            } else {
-                let logits =
-                    meter::time_phase(meter::Phase::Forward, || model.forward(&images, mode));
-                if res.tripwires && !logits.is_finite() {
-                    // Don't even form the loss: softmax_cross_entropy asserts
-                    // finite inputs by design.
-                    tripped = true;
-                } else {
-                    let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets);
-                    loss = l;
-                    if sf.nan_grad {
-                        dlogits.data_mut()[0] = f32::NAN;
-                    }
-                    if let Some(f) = sf.bit_flip {
-                        model.backbone_mut().body_mut().inject_recon_fault(f);
-                    }
-                    model.zero_grads();
-                    model.backward(&dlogits);
-                    backward_ran = true;
-                }
-                logits
-            };
-            if backward_ran {
+            let tripped = if backward_ran {
                 peak = peak.max(meter::peak());
-                if res.tripwires {
+                // A drift-fallback event means the sentinel caught
+                // reconstruction drift this step: gradients downstream of
+                // the drifted stage are suspect. The stage now runs cached,
+                // so the retry is clean.
+                res.tripwires && {
                     let mut sq = 0.0f64;
                     model.visit_params(&mut |p| sq += p.grad.sq_sum());
-                    if !sq.is_finite() {
-                        tripped = true;
-                    }
-                    if meter::event_count("rev.drift_fallback") > fallback_before {
-                        // The sentinel caught reconstruction drift this
-                        // step; gradients downstream of the drifted stage
-                        // are suspect. The stage now runs cached, so the
-                        // retry is clean.
-                        tripped = true;
-                    }
+                    !sq.is_finite() || meter::event_count("rev.drift_fallback") > fallback_before
                 }
-                if !tripped {
-                    acc_val = top1_accuracy(&logits, &labels);
+            } else {
+                if !res.tripwires {
+                    // Form the loss on the non-finite logits, which panics
+                    // and names them.
+                    let _ = softmax_cross_entropy(&logits, &targets);
                 }
-            }
+                true
+            };
 
             if tripped {
                 skips += 1;
                 consecutive_trips += 1;
                 meter::count("train.nonfinite_step");
-                if let Some(s) = &snapshot {
-                    s.restore(model);
-                }
-                if let Some(eng) = &mut engine {
-                    eng.clear_replica_caches();
-                }
+                engine.clear_replica_caches();
                 if let Some(pe) = &mut pipe {
                     pe.after_trip();
                 }
@@ -458,11 +375,9 @@ pub fn train_classifier_with(
                 lr_scale *= LR_BACKOFF;
             } else {
                 consecutive_trips = 0;
-                if let Some(eng) = &mut engine {
-                    eng.apply_bn_stats(model);
-                }
-                if let Some(pe) = &mut pipe {
-                    pe.apply_bn_stats(model);
+                match &mut pipe {
+                    Some(pe) => pe.apply_bn_stats(model),
+                    None => engine.apply_bn_stats(model),
                 }
                 meter::time_phase(meter::Phase::Optimizer, || {
                     opt.step(schedule.lr(step) * lr_scale, |f| model.visit_params(f));
@@ -472,7 +387,7 @@ pub fn train_classifier_with(
                 });
                 lr_scale = (lr_scale * 1.25).min(1.0);
                 loss_meter.update(loss, n as u64);
-                acc_meter.update(acc_val, n as u64);
+                acc_meter.update(top1_accuracy(&logits, &labels), n as u64);
             }
 
             if let Some(ck) = &opts.checkpoint {

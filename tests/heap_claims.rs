@@ -93,14 +93,14 @@ fn step(m: &mut RevBiFPNClassifier, x: &Tensor, mode: RunMode) -> (usize, usize)
     (rise, meter_peak)
 }
 
-/// Live heap a `ShardEngine` with `shards` shards holds over `m` after two
+/// Live heap a `ShardEngine` built with `shards` holds over `m` after two
 /// warm steps on `x`, in bytes.
 fn engine_resident(m: &mut RevBiFPNClassifier, x: &Tensor, targets: &Tensor, shards: usize) -> usize {
     let start = LIVE.load(Ordering::Relaxed);
     let mut engine = ShardEngine::new(m.cfg(), shards, DriftConfig::default());
     for _ in 0..2 {
         let out = engine.step(m, x, targets, RunMode::TrainReversible, &ShardStepFaults::default());
-        assert!(out.backward_ran, "clean sharded step must complete");
+        assert!(out.backward_ran, "clean step must complete");
         engine.apply_bn_stats(m);
     }
     let resident = LIVE.load(Ordering::Relaxed).saturating_sub(start);
@@ -123,6 +123,7 @@ fn train_step_heap_follows_the_meter_and_figure4() {
     let (rise, meter_peak) = step(&mut s0, &x, RunMode::TrainReversible);
     let targets = one_hot(&[0, 1, 2, 3], 10);
     let grad_bytes = 4 * s0.param_count() as usize;
+    let resident0 = engine_resident(&mut s0, &x, &targets, 0);
     let resident1 = engine_resident(&mut s0, &x, &targets, 1);
     let resident2 = engine_resident(&mut s0, &x, &targets, 2);
     drop(s0);
@@ -139,8 +140,9 @@ fn train_step_heap_follows_the_meter_and_figure4() {
 
     let mb = |b: f64| b / 1e6;
     println!(
-        "S0@96 b4 ShardEngine resident after two steps: S=1 {:.2} MB, S=2 {:.2} MB \
+        "S0@96 b4 ShardEngine resident after two steps: coupled {:.2} MB, S=1 {:.2} MB, S=2 {:.2} MB \
          (one grad per parameter: {:.2} MB)",
+        mb(resident0 as f64),
         mb(resident1 as f64),
         mb(resident2 as f64),
         mb(grad_bytes as f64)
@@ -170,6 +172,11 @@ fn train_step_heap_follows_the_meter_and_figure4() {
         "S0@96 b4 reversible step: heap rise {:.3} MB over the {:.3} MB bound",
         mb(rise as f64),
         mb(RISE_BOUND as f64)
+    );
+    assert!(
+        resident0 <= MIB,
+        "coupled engine holds {:.2} MB: the single shard must run on the primary",
+        mb(resident0 as f64)
     );
     assert!(
         resident1 <= MIB,
