@@ -93,6 +93,10 @@ if git grep -nIE 'struct Snapshot|Snapshot::(new|capture|restore)|legacy serial'
     echo "the lines above bring back a second train-step executor or its rollback snapshot beside ShardEngine" >&2
     exit 1
 fi
+if git grep -nE 'add_assign|sub_assign|add_channels_of' -- crates/rev/src/freeze.rs crates/rev/src/revblock.rs; then
+    echo "the lines above couple a stream outside silo::couple, the one place a transform's output enters or leaves one" >&2
+    exit 1
+fi
 DIRTY="$(git status --porcelain -- results/)"
 if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2

@@ -16,7 +16,7 @@
 //! `"freeze.weights_packed"`) and released when the frozen model drops.
 
 use crate::config::RevBiFPNConfig;
-use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
+use revbifpn_nn::{FrozenLayer, FrozenTree};
 use revbifpn_rev::FrozenSequence;
 use revbifpn_tensor::{space_to_depth, Shape, Tensor};
 
@@ -182,6 +182,3 @@ impl FrozenTree for FrozenClassifier {
         self.head.visit_frozen_mut(f);
     }
 }
-
-/// Convenience result alias for model freezing.
-pub type FreezeResult<T> = Result<T, FreezeError>;

@@ -35,7 +35,7 @@ mod stem;
 
 pub use backbone::RevBiFPN;
 pub use config::{ConfigError, DownsampleMode, RevBiFPNConfig, SePlacement, StemKind, UpsampleMode};
-pub use freeze::{FreezeResult, FrozenBackbone, FrozenClassifier, FrozenClsHead, FrozenStem};
+pub use freeze::{FrozenBackbone, FrozenClassifier, FrozenClsHead, FrozenStem};
 pub use head::{ClsHead, Neck};
 pub use model::{RevBiFPNClassifier, RunMode};
 pub use stem::Stem;

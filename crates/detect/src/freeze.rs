@@ -9,7 +9,7 @@
 use crate::head::{decode_detections, DetHeadConfig, LevelOutput};
 use crate::nms::Detection;
 use revbifpn::FrozenBackbone;
-use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
+use revbifpn_nn::{FrozenLayer, FrozenTree};
 use revbifpn_tensor::Tensor;
 
 /// Frozen form of the dense [`crate::DetHead`].
@@ -105,6 +105,3 @@ impl FrozenTree for FrozenDetector {
         self.head.visit_frozen_mut(f);
     }
 }
-
-/// Convenience result alias for detector freezing.
-pub type FreezeResult<T> = Result<T, FreezeError>;

@@ -77,8 +77,8 @@ pub fn encode_sequence(w: &mut ArtifactWriter, seq: &FrozenSequence) -> io::Resu
                     w.put_u32(chain.len() as u32);
                     for b in chain {
                         w.put_u32(b.c_split as u32);
-                        encode_layer(w, &b.f)?;
-                        encode_layer(w, &b.g)?;
+                        encode_layer(w, &b.silo.down[1][0])?;
+                        encode_layer(w, &b.silo.up[0][0])?;
                     }
                 }
             }
@@ -102,8 +102,16 @@ pub fn decode_sequence(r: &mut TreeReader<'_>) -> io::Result<FrozenSequence> {
                 let n_out = r.get_u32()? as usize;
                 let down = get_rows(r)?;
                 let up = get_rows(r)?;
-                if down.len() != n_out || up.len() != n_out {
-                    return Err(inv("silo row counts disagree with stream counts"));
+                // Down row `i` holds `D_ij` for `j < min(i, n_in)`, up row
+                // `i` holds `U_ij` for `j > i`: any other width is a term
+                // the forward would drop or an edge it has no stream for.
+                let fits = (1..=n_out).contains(&n_in)
+                    && n_out >= 2
+                    && (down.len(), up.len()) == (n_out, n_out)
+                    && down.iter().enumerate().all(|(i, row)| row.len() == i.min(n_in))
+                    && up.iter().enumerate().all(|(i, row)| row.len() == n_out - 1 - i);
+                if !fits {
+                    return Err(inv("silo rows disagree with its stream counts"));
                 }
                 FrozenStage::Silo(FrozenSilo { n_in, n_out, down, up })
             }
@@ -121,9 +129,12 @@ pub fn decode_sequence(r: &mut TreeReader<'_>) -> io::Result<FrozenSequence> {
                     let mut chain = Vec::with_capacity(n_blocks);
                     for _ in 0..n_blocks {
                         let c_split = r.get_u32()? as usize;
+                        if c_split == 0 {
+                            return Err(inv("block split at channel 0"));
+                        }
                         let f = decode_layer(r)?;
                         let g = decode_layer(r)?;
-                        chain.push(FrozenRevBlock { f, g, c_split });
+                        chain.push(FrozenRevBlock::new(c_split, f, g));
                     }
                     streams.push(chain);
                 }
@@ -194,6 +205,40 @@ mod tests {
         assert_eq!(got.len(), want.len());
         for (g, w_) in got.iter().zip(&want) {
             assert_eq!(g, w_, "decoded sequence forward must be bitwise equal");
+        }
+    }
+
+    fn roundtrip(stage: FrozenStage) -> io::Result<FrozenSequence> {
+        let mut w = ArtifactWriter::new(0);
+        encode_sequence(&mut w, &FrozenSequence::new(vec![stage])).unwrap();
+        let r = ArtifactReader::from_bytes(SharedBytes::from_vec(w.finish()), false).unwrap();
+        decode_sequence(&mut r.cursor())
+    }
+
+    #[test]
+    fn decode_rejects_silo_geometry_the_forward_cannot_run() {
+        let row = |n: usize| (0..n).map(|_| FrozenLayer::Identity).collect::<Vec<_>>();
+        let rows = |widths: &[usize]| widths.iter().map(|&n| row(n)).collect::<Vec<_>>();
+        let silo = |n_in, n_out, down: &[usize], up: &[usize]| {
+            FrozenStage::Silo(FrozenSilo { n_in, n_out, down: rows(down), up: rows(up) })
+        };
+        assert!(roundtrip(silo(2, 3, &[0, 1, 2], &[2, 1, 0])).is_ok());
+        let bad = [
+            ("no input stream", silo(0, 2, &[0, 0], &[1, 0])),
+            ("more inputs than outputs", silo(3, 2, &[0, 1], &[1, 0])),
+            ("one stream", silo(1, 1, &[0], &[0])),
+            ("a down row one layer short", silo(2, 3, &[0, 1, 1], &[2, 1, 0])),
+            ("a down row too wide", silo(1, 2, &[0, 2], &[1, 0])),
+            ("an up row one layer short", silo(2, 3, &[0, 1, 2], &[1, 1, 0])),
+            ("an up row too wide", silo(2, 2, &[0, 1], &[1, 1])),
+            ("a block split at 0", {
+                let block = FrozenRevBlock::new(0, FrozenLayer::Identity, FrozenLayer::Identity);
+                FrozenStage::Blocks(vec![vec![block]])
+            }),
+        ];
+        for (what, stage) in bad {
+            let err = roundtrip(stage).err().unwrap_or_else(|| panic!("{what}: decoded"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
 }

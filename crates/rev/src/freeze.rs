@@ -1,48 +1,45 @@
 //! Frozen (inference-only) execution of the reversible backbone stages.
 //!
-//! The frozen forms replicate the eval-mode (`CacheMode::None`) stage math
-//! exactly — same stream indexing, same accumulation order — but every
-//! transform is a fused [`FrozenLayer`]: BN folded into the convs,
+//! The frozen forms run the eval-mode (`CacheMode::None`) stage math of
+//! the training forms exactly — the same silo sweep, the same sum order —
+//! but every transform is a fused [`FrozenLayer`]: BN folded into the convs,
 //! activations in the GEMM epilogues, weight panels packed once. Frozen
 //! stages are forward-only; reversibility is a training-time property and
 //! the whole point of freezing is that inference does not pay for it.
 
-use revbifpn_nn::{FreezeError, FrozenLayer, FrozenTree};
+use crate::silo::{halves, streams, sweep, tensors, Stream, FED};
+use revbifpn_nn::{FrozenLayer, FrozenTree};
 use revbifpn_tensor::Tensor;
 
-/// Frozen form of a [`crate::RevBlock`]:
-/// `y1 = x1 + F(x2); y2 = x2 + G(y1)`.
+/// Frozen form of a [`crate::RevBlock`]: the two-stream frozen silo over
+/// `(x2, x1)`, `y1 = x1 + F(x2); y2 = x2 + G(y1)`.
 #[derive(Debug)]
 pub struct FrozenRevBlock {
-    pub(crate) f: FrozenLayer,
-    pub(crate) g: FrozenLayer,
+    /// `down[1][0]` is F, `up[0][0]` is G.
+    pub(crate) silo: FrozenSilo,
     pub(crate) c_split: usize,
 }
 
 impl FrozenRevBlock {
+    pub(crate) fn new(c_split: usize, f: FrozenLayer, g: FrozenLayer) -> Self {
+        let silo = FrozenSilo { n_in: 2, n_out: 2, down: vec![vec![], vec![f]], up: vec![vec![g], vec![]] };
+        Self { silo, c_split }
+    }
+
     /// Fused forward pass (additive coupling, eval semantics).
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        // Only `x2` is copied out (F takes a tensor); `x1` is read where it
-        // lies and both sums land in the transforms' own outputs. f32
-        // addition commutes, so the bits match `x1 + F(x2)` / `x2 + G(y1)`.
-        let x2 = x.channel_slice(self.c_split, x.shape().c);
-        let mut y1 = self.f.forward(&x2);
-        y1.add_channels_of(x, 0);
-        let mut y2 = self.g.forward(&y1);
-        y2.add_assign(&x2);
-        Tensor::concat_channels(&[&y1, &y2])
+        crate::revblock::coupled(x, self.c_split, |s| self.silo.forward_streams(s))
     }
 }
 
 impl FrozenTree for FrozenRevBlock {
+    /// F, then G.
     fn visit_frozen(&self, f: &mut dyn FnMut(&FrozenLayer)) {
-        f(&self.f);
-        f(&self.g);
+        self.silo.visit_frozen(f);
     }
 
     fn visit_frozen_mut(&mut self, f: &mut dyn FnMut(&mut FrozenLayer)) {
-        f(&mut self.f);
-        f(&mut self.g);
+        self.silo.visit_frozen_mut(f);
     }
 }
 
@@ -70,47 +67,24 @@ impl FrozenSilo {
     }
 
     /// Fused forward pass over `xs` (length `n_in`), producing `n_out`
-    /// streams. Mirrors [`crate::RevSilo::forward`] in eval mode.
+    /// streams: the sweep of [`crate::RevSilo::forward`] in eval mode.
     ///
     /// # Panics
     ///
     /// Panics if `xs.len() != n_in`.
     pub fn forward(&self, xs: &[Tensor]) -> Vec<Tensor> {
         assert_eq!(xs.len(), self.n_in, "FrozenSilo expects {} input streams", self.n_in);
-        const FED: &str = "stream must receive at least one contribution";
-        // No input or intermediate is copied: every sum starts from its
-        // first transform's output and adds the identity term into it (f32
-        // addition commutes, so the bits match `x_i + D_i0(x_0) + ..`).
-        //
-        // Down half: m_0 = x_0 (borrowed), m_i = x_i + sum_{j<i} D_ij(x_j).
-        let mut mids: Vec<Tensor> = Vec::with_capacity(self.n_out - 1);
-        for i in 1..self.n_out {
-            let mut terms = self.down[i].iter().zip(xs).take(i).map(|(d, x)| d.forward(x));
-            let mut acc = terms.next().expect(FED);
-            if i < self.n_in {
-                acc.add_assign(&xs[i]);
+        self.forward_streams(streams(xs, self.n_out))
+    }
+
+    fn forward_streams(&self, mut s: Vec<Stream<'_>>) -> Vec<Tensor> {
+        let (down, up) = halves(self.n_in, self.down.iter(), self.up.iter());
+        sweep(&mut s, down.rev().chain(up), 1.0, |_, _, edges: &Vec<FrozenLayer>, xs, fold| {
+            for (e, x) in edges.iter().zip(xs) {
+                fold(e.forward(x.as_deref().expect(FED)));
             }
-            for t in terms {
-                acc.add_assign(&t);
-            }
-            mids.push(acc);
-        }
-        let mid = |i: usize| if i == 0 { &xs[0] } else { &mids[i - 1] };
-        // Up half, last stream first: o_i = m_i + sum_{j>i} U_ij(m_j).
-        let mut outs: Vec<Tensor> = Vec::with_capacity(self.n_out);
-        for i in (0..self.n_out - 1).rev() {
-            let mut terms = self.up[i].iter().enumerate().map(|(k, u)| u.forward(mid(i + 1 + k)));
-            let mut acc = terms.next().expect(FED);
-            acc.add_assign(mid(i));
-            for t in terms {
-                acc.add_assign(&t);
-            }
-            outs.push(acc);
-        }
-        outs.reverse();
-        // o_{N-1} = m_{N-1}, moved (a one-stream silo hands back its input).
-        outs.push(mids.pop().unwrap_or_else(|| xs[0].clone()));
-        outs
+        });
+        tensors(s)
     }
 }
 
@@ -146,9 +120,7 @@ impl FrozenStage {
                     .zip(blocks)
                     .map(|(x, chain)| match chain.split_first() {
                         None => x.clone(),
-                        Some((first, rest)) => {
-                            rest.iter().fold(first.forward(x), |cur, b| b.forward(&cur))
-                        }
+                        Some((first, rest)) => rest.iter().fold(first.forward(x), |cur, b| b.forward(&cur)),
                     })
                     .collect()
             }
@@ -225,17 +197,15 @@ impl FrozenTree for FrozenSequence {
     }
 }
 
-/// Convenience error type alias used by the freeze hooks in this crate.
-pub type FreezeResult<T> = Result<T, FreezeError>;
-
 #[cfg(test)]
 mod tests {
+    use crate::stage::tests_support::on_layer;
     use crate::stage::RevStage;
     use crate::{BlockStage, RevBlock, RevSilo, ReversibleSequence};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
-    use revbifpn_nn::{CacheMode, FrozenTree, Layer, Module};
+    use revbifpn_nn::{CacheMode, FrozenLayer, FrozenTree, Layer, Module};
     use revbifpn_tensor::{Shape, Tensor};
 
     const C: [usize; 3] = [8, 12, 16];
@@ -267,9 +237,9 @@ mod tests {
         BlockStage::new(blocks)
     }
 
-    fn randomize_bn(seq: &mut ReversibleSequence, seed: u64) {
+    fn randomize_bn(m: &mut impl Module, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        seq.visit_params(&mut |p| {
+        m.visit_params(&mut |p| {
             if p.name == "bn.gamma" {
                 p.value = Tensor::uniform(p.value.shape(), 0.5, 1.5, &mut rng);
             }
@@ -338,33 +308,90 @@ mod tests {
         }
     }
 
+    /// Runs `f` on layer `n` of a frozen walk (silo: down rows, then up
+    /// rows; block: F, then G).
+    fn on_frozen<R>(t: &impl FrozenTree, n: usize, f: impl FnOnce(&FrozenLayer) -> R) -> R {
+        let (mut k, mut f, mut out) = (0, Some(f), None);
+        t.visit_frozen(&mut |l| {
+            if k == n {
+                out = f.take().map(|f| f(l));
+            }
+            k += 1;
+        });
+        out.expect("the walk has no such layer")
+    }
+
     #[test]
     fn frozen_stages_match_the_allocating_formulas_bit_for_bit() {
-        // The forwards build every sum inside a transform's output instead
-        // of cloning inputs; the values must be those of the plain formulas.
+        // Every forward and inverse builds its sums in place; the values
+        // must be those of the plain formulas, one fresh tensor per sum. A
+        // (2, 3) silo's walk is D10, D20, D21, U01, U02, U12; a block's is
+        // F, G, over the halves `x = (x1, x2)` split at `C[0] / 2`.
         let mut rng = StdRng::seed_from_u64(60);
+        let x = Tensor::randn(Shape::new(2, C[0], 8, 8), 1.0, &mut rng);
+        let xs = [x.clone(), Tensor::randn(Shape::new(2, C[1], 4, 4), 1.0, &mut rng)];
+        let (x1, x2) = x.split_channels(C[0] / 2);
+
         let mut fb = RevStage::freeze(&make_blocks(1, 61)).unwrap();
         fb.compile();
-        let x = Tensor::randn(Shape::new(2, C[0], 8, 8), 1.0, &mut rng);
-        let crate::FrozenStage::Blocks(chains) = &fb else { panic!("block stage") };
-        let b = &chains[0][0];
-        let (x1, x2) = x.split_channels(b.c_split);
-        let y1 = &x1 + &b.f.forward(&x2);
-        let y2 = &x2 + &b.g.forward(&y1);
+        let y1 = &x1 + &on_frozen(&fb, 0, |f| f.forward(&x2));
+        let y2 = &x2 + &on_frozen(&fb, 1, |g| g.forward(&y1));
         assert_eq!(fb.forward(std::slice::from_ref(&x))[0], Tensor::concat_channels(&[&y1, &y2]));
 
         let mut silo = make_silo(2, 3, 62).freeze().unwrap();
         silo.compile();
-        let xs = [
-            Tensor::randn(Shape::new(2, C[0], 8, 8), 1.0, &mut rng),
-            Tensor::randn(Shape::new(2, C[1], 4, 4), 1.0, &mut rng),
-        ];
-        let m0 = xs[0].clone();
-        let m1 = &xs[1] + &silo.down[1][0].forward(&xs[0]);
-        let m2 = &silo.down[2][0].forward(&xs[0]) + &silo.down[2][1].forward(&xs[1]);
-        let o1 = &m1 + &silo.up[1][0].forward(&m2);
-        let o0 = &(&m0 + &silo.up[0][0].forward(&m1)) + &silo.up[0][1].forward(&m2);
+        let e = |n: usize, x: &Tensor| on_frozen(&silo, n, |l| l.forward(x));
+        let m1 = &xs[1] + &e(0, &xs[0]);
+        let m2 = &e(1, &xs[0]) + &e(2, &xs[1]);
+        let o1 = &m1 + &e(5, &m2);
+        let o0 = &(&xs[0] + &e(3, &m1)) + &e(4, &m2);
         assert_eq!(silo.forward(&xs), vec![o0, o1, m2]);
+
+        // The training forms, in both forward modes, against a twin whose
+        // edges run the formulas; then the inverse of the `None` forward.
+        let twin = || {
+            let mut s = make_silo(2, 3, 63);
+            randomize_bn(&mut s, 64);
+            s
+        };
+        let (mut silo, mut edges) = (twin(), twin());
+        for mode in [CacheMode::None, CacheMode::Stats] {
+            let mut e = |n: usize, x: &Tensor| on_layer(&mut edges, n, |l| l.forward(x, mode));
+            let m1 = &xs[1] + &e(0, &xs[0]);
+            let m2 = &e(1, &xs[0]) + &e(2, &xs[1]);
+            let o1 = &m1 + &e(5, &m2);
+            let o0 = &(&xs[0] + &e(3, &m1)) + &e(4, &m2);
+            assert_eq!(silo.forward(&xs, mode), vec![o0, o1, m2], "silo forward in {mode:?}");
+            silo.clear_cache();
+            edges.clear_cache();
+        }
+        let ys = silo.forward(&xs, CacheMode::None);
+        let mut e = |n: usize, x: &Tensor| on_layer(&mut edges, n, |l| l.forward(x, CacheMode::None));
+        let m1 = &ys[1] - &e(5, &ys[2]);
+        let m0 = &(&ys[0] - &e(3, &m1)) - &e(4, &ys[2]);
+        let x1_rec = &m1 - &e(0, &m0);
+        assert_eq!(silo.inverse(&ys), vec![m0, x1_rec], "silo inverse");
+
+        let twin = || {
+            let mut rng = StdRng::seed_from_u64(65);
+            let body = |rng: &mut StdRng| Box::new(MBConv::new(MBConvCfg::same(C[0] / 2, 3, 1.5).plain(), rng));
+            let mut b = RevBlock::new(C[0], body(&mut rng), body(&mut rng));
+            randomize_bn(&mut b, 66);
+            b
+        };
+        let (mut block, mut fg) = (twin(), twin());
+        for mode in [CacheMode::None, CacheMode::Stats] {
+            let y1 = &x1 + &on_layer(&mut fg, 0, |f| f.forward(&x2, mode));
+            let y2 = &x2 + &on_layer(&mut fg, 1, |g| g.forward(&y1, mode));
+            assert_eq!(block.forward(&x, mode), Tensor::concat_channels(&[&y1, &y2]), "block forward in {mode:?}");
+            block.clear_cache();
+            fg.clear_cache();
+        }
+        let y = block.forward(&x, CacheMode::None);
+        let (y1, y2) = y.split_channels(C[0] / 2);
+        let x2_rec = &y2 - &on_layer(&mut fg, 1, |g| g.forward(&y1, CacheMode::None));
+        let x1_rec = &y1 - &on_layer(&mut fg, 0, |f| f.forward(&x2_rec, CacheMode::None));
+        assert_eq!(block.inverse(&y), Tensor::concat_channels(&[&x1_rec, &x2_rec]), "block inverse");
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod silo;
 mod stage;
 
 pub use cell::{CellTrip, StageCell, StageControl, StageMsg};
-pub use freeze::{FreezeResult, FrozenRevBlock, FrozenSequence, FrozenSilo, FrozenStage};
+pub use freeze::{FrozenRevBlock, FrozenSequence, FrozenSilo, FrozenStage};
 pub use revblock::RevBlock;
 pub use silo::{RevSilo, TransformFactory};
 pub use stage::{

@@ -8,22 +8,40 @@
 //! y2 = x2 + G(y1)
 //! ```
 //!
-//! and is inverted by `x2 = y2 - G(y1)`, `x1 = y1 - F(x2)`. During the
-//! reversible backward pass the inputs are reconstructed from the outputs
-//! and `F`/`G` are re-run with full caching *transiently*, so no hidden
-//! activation survives the forward pass. RevBiFPN uses these blocks for all
-//! same-resolution transformations (paper Section 3), with MBConv bodies.
+//! and is inverted by `x2 = y2 - G(y1)`, `x1 = y1 - F(x2)`. That is the
+//! two-stream [`RevSilo`] over the streams `(x2, x1)`, with `D_10 = F` and
+//! `U_01 = G`, and the block runs as one: it keeps no arithmetic of its own.
+//! During the reversible backward pass the inputs are reconstructed from
+//! the outputs and `F`/`G` are re-run with full caching *transiently*, so
+//! no hidden activation survives the forward pass. RevBiFPN uses these
+//! blocks for all same-resolution transformations (paper Section 3), with
+//! MBConv bodies.
 
-use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
+use crate::silo::{RevSilo, Stream};
+use revbifpn_nn::{CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
+use std::borrow::Cow;
 
 /// A reversible residual block with additive coupling.
 #[derive(Debug)]
 pub struct RevBlock {
-    f: Box<dyn Layer>,
-    g: Box<dyn Layer>,
+    /// The streams `(x2, x1)`: `down[1][0]` is F, `up[0][0]` is G.
+    silo: RevSilo,
     c_split: usize,
     channels: usize,
+}
+
+/// `x = (x1, x2)` from the block's streams `(x2, x1)`.
+fn join(s: &[Tensor]) -> Tensor {
+    Tensor::concat_channels(&[&s[1], &s[0]])
+}
+
+/// A block forward, training or frozen: `silo` runs on the streams
+/// `(x2, x1)` of `x`. Only `x2` is copied out (a transform takes a tensor);
+/// `x1` is read where it lies, as the leading channels of `x`.
+pub(crate) fn coupled(x: &Tensor, c_split: usize, silo: impl FnOnce(Vec<Stream<'_>>) -> Vec<Tensor>) -> Tensor {
+    let x2 = x.channel_slice(c_split, x.shape().c);
+    join(&silo(vec![Some(Cow::Borrowed(&x2)), Some(Cow::Borrowed(x))]))
 }
 
 impl RevBlock {
@@ -37,7 +55,9 @@ impl RevBlock {
     /// Panics if `channels < 2`.
     pub fn new(channels: usize, f: Box<dyn Layer>, g: Box<dyn Layer>) -> Self {
         assert!(channels >= 2, "RevBlock needs at least 2 channels to split");
-        Self { f, g, c_split: channels / 2, channels }
+        let (mut f, mut g) = (Some(f), Some(g));
+        let silo = RevSilo::new(2, 2, &mut |_, _| f.take().expect("F"), &mut |_, _| g.take().expect("G"));
+        Self { silo, c_split: channels / 2, channels }
     }
 
     /// Total channel count the block operates on.
@@ -49,11 +69,13 @@ impl RevBlock {
     /// [`Layer::freeze`] (BN folded, activations fused). The result is
     /// *uncompiled*; see [`crate::FrozenRevBlock`].
     pub fn freeze(&self) -> Result<crate::FrozenRevBlock, revbifpn_nn::FreezeError> {
-        Ok(crate::FrozenRevBlock {
-            f: self.f.freeze()?,
-            g: self.g.freeze()?,
-            c_split: self.c_split,
-        })
+        Ok(crate::FrozenRevBlock { silo: self.silo.freeze()?, c_split: self.c_split })
+    }
+
+    /// The streams `(x2, x1)` of `x = (x1, x2)`, both copied out.
+    fn streams(&self, x: &Tensor) -> Vec<Tensor> {
+        let (x1, x2) = x.split_channels(self.c_split);
+        vec![x2, x1]
     }
 
     /// Forward pass in the given cache mode.
@@ -63,24 +85,15 @@ impl RevBlock {
     /// Panics if the input channel count disagrees with the constructor.
     pub fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         assert_eq!(x.shape().c, self.channels, "RevBlock channel mismatch");
-        let (x1, x2) = x.split_channels(self.c_split);
-        let f_out = self.f.forward(&x2, mode);
-        let y1 = &x1 + &f_out;
-        let g_out = self.g.forward(&y1, mode);
-        let y2 = &x2 + &g_out;
-        Tensor::concat_channels(&[&y1, &y2])
+        coupled(x, self.c_split, |s| self.silo.forward_streams(s, mode))
     }
 
     /// Exact inverse of the forward pass (evaluation semantics: BatchNorms
     /// inside `F`/`G` use running statistics, matching a `CacheMode::None`
     /// forward).
     pub fn inverse(&mut self, y: &Tensor) -> Tensor {
-        let (y1, y2) = y.split_channels(self.c_split);
-        let g_out = self.g.forward(&y1, CacheMode::None);
-        let x2 = &y2 - &g_out;
-        let f_out = self.f.forward(&x2, CacheMode::None);
-        let x1 = &y1 - &f_out;
-        Tensor::concat_channels(&[&x1, &x2])
+        let ys = self.streams(y);
+        join(&self.silo.inverse_streams(ys))
     }
 
     /// Reversible backward: consumes the output `y` and its gradient `dy`,
@@ -90,56 +103,33 @@ impl RevBlock {
     /// Requires that the forward pass ran with [`CacheMode::Stats`] so
     /// BatchNorm statistics and stochastic seeds can be replayed.
     ///
-    /// One transform's recompute is live at a time: G is re-run with `Full`
-    /// caching and transposed (its cache dies in `backward`) before F is
-    /// re-run. That order is free because G's transpose reads only `dy2`,
-    /// and F and G own disjoint parameters. The halves of `y` and `dy` turn
-    /// into those of `x` and `dx` in place — `y2 -= G(y1)` is `x2`,
-    /// `dy1 += G^T dy2` is `dz1`, `y1 -= F(x2)` is `x1`, `dy2 += F^T dz1` is
-    /// `dx2` — each the same IEEE operation as a fresh `a - b` or `a + b`.
+    /// One transform's recompute is live at a time: the silo's up row runs
+    /// first, so G is re-run with `Full` caching, `G(y1)` leaves `y2` and is
+    /// dropped, and G is transposed (its cache dies in `backward`) before F
+    /// is re-run. The halves of `y` and `dy` turn into those of `x` and `dx`
+    /// in place.
     pub fn backward_rev(&mut self, y: Tensor, dy: Tensor) -> (Tensor, Tensor) {
-        let (mut y1, mut y2) = y.split_channels(self.c_split);
+        let ys = self.streams(&y);
         drop(y);
-        let (mut dy1, mut dy2) = dy.split_channels(self.c_split);
+        let dys = self.streams(&dy);
         drop(dy);
-        // G first: reconstruct x2, then transpose G into dz1.
-        let g_out = meter::time_phase(meter::Phase::Reconstruct, || self.g.forward(&y1, CacheMode::Full));
-        y2.sub_assign(&g_out);
-        drop(g_out);
-        let dg_in = meter::time_phase(meter::Phase::Backward, || self.g.backward(&dy2));
-        dy1.add_assign(&dg_in);
-        drop(dg_in);
-        // Then F: reconstruct x1 from x2, transpose F into dx2. F and G
-        // couple through dz1, so unlike silo edges they cannot run
-        // concurrently.
-        let f_out = meter::time_phase(meter::Phase::Reconstruct, || self.f.forward(&y2, CacheMode::Full));
-        y1.sub_assign(&f_out);
-        drop(f_out);
-        let df_in = meter::time_phase(meter::Phase::Backward, || self.f.backward(&dy1));
-        dy2.add_assign(&df_in);
-        drop(df_in);
-        let x = Tensor::concat_channels(&[&y1, &y2]);
-        drop((y1, y2));
-        let dx = Tensor::concat_channels(&[&dy1, &dy2]);
-        (x, dx)
+        let (xs, dxs) = self.silo.backward_rev(ys, dys);
+        let x = join(&xs);
+        drop(xs);
+        (x, join(&dxs))
     }
 
     /// Conventional backward using the caches of a `Full`-mode forward.
     pub fn backward_cached(&mut self, dy: &Tensor) -> Tensor {
-        let (dy1, dy2) = dy.split_channels(self.c_split);
-        let dg_in = self.g.backward(&dy2);
-        let dz1 = &dy1 + &dg_in;
-        let df_in = self.f.backward(&dz1);
-        let dx2 = &dy2 + &df_in;
-        Tensor::concat_channels(&[&dz1, &dx2])
+        let dys = self.streams(dy);
+        join(&self.silo.backward_cached(&dys))
     }
-
 }
 
 impl Module for RevBlock {
+    /// F, then G.
     fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
-        f(self.f.as_mut());
-        f(self.g.as_mut());
+        self.silo.visit_layers(f);
     }
 }
 
@@ -148,8 +138,7 @@ impl ShapeWalk for RevBlock {
     /// shape kept.
     fn visit_layers_at(&self, xs: &[Shape], f: &mut dyn FnMut(&dyn Layer, Shape)) -> Vec<Shape> {
         let x = xs[0];
-        f(self.f.as_ref(), x.with_c(x.c - self.c_split));
-        f(self.g.as_ref(), x.with_c(self.c_split));
+        self.silo.visit_layers_at(&[x.with_c(x.c - self.c_split), x.with_c(self.c_split)], f);
         vec![x]
     }
 }
@@ -198,59 +187,6 @@ mod tests {
         let dy = Tensor::randn(y.shape(), 1.0, &mut rng);
         let (x_rec, _dx) = b.backward_rev(y, dy);
         assert!(x_rec.max_abs_diff(&x) < 1e-4, "diff {}", x_rec.max_abs_diff(&x));
-    }
-
-    /// Reference order for `backward_rev`: both reconstructions first, then
-    /// both transposes, every coupling a fresh tensor. `backward_rev` must
-    /// equal it bit for bit.
-    fn backward_rev_oracle(b: &mut RevBlock, y: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
-        let (y1, y2) = y.split_channels(b.c_split);
-        let (dy1, dy2) = dy.split_channels(b.c_split);
-        let g_out = b.g.forward(&y1, CacheMode::Full);
-        let x2 = &y2 - &g_out;
-        let f_out = b.f.forward(&x2, CacheMode::Full);
-        let x1 = &y1 - &f_out;
-        let dg_in = b.g.backward(&dy2);
-        let dz1 = &dy1 + &dg_in;
-        let df_in = b.f.backward(&dz1);
-        let dx2 = &dy2 + &df_in;
-        (Tensor::concat_channels(&[&x1, &x2]), Tensor::concat_channels(&[&dz1, &dx2]))
-    }
-
-    #[test]
-    fn backward_rev_equals_the_two_reconstructions_first_oracle_bitwise() {
-        // Plain MBConv bodies, and residual bodies with drop-path whose
-        // seeds the Full recompute must replay in either order.
-        let plain = |rng: &mut StdRng| make_block(8, rng);
-        let drop_path = |rng: &mut StdRng| {
-            let cfg = MBConvCfg::same(6, 3, 2.0).with_drop_path(0.3);
-            RevBlock::new(12, Box::new(MBConv::new(cfg, rng)), Box::new(MBConv::new(cfg, rng)))
-        };
-        let makers: [&dyn Fn(&mut StdRng) -> RevBlock; 2] = [&plain, &drop_path];
-        for (k, make) in makers.iter().enumerate() {
-            let build = || {
-                let mut b = make(&mut StdRng::seed_from_u64(20 + k as u64));
-                randomize_bn(&mut b, &mut StdRng::seed_from_u64(30));
-                b
-            };
-            let (mut got_b, mut want_b) = (build(), build());
-            let mut rng = StdRng::seed_from_u64(40);
-            let x = Tensor::randn(Shape::new(3, got_b.channels(), 7, 7), 1.0, &mut rng);
-            let dy = Tensor::randn(x.shape(), 1.0, &mut rng);
-            let y = got_b.forward(&x, CacheMode::Stats);
-            assert_eq!(y, want_b.forward(&x, CacheMode::Stats));
-            zero_grads_block(&mut got_b);
-            zero_grads_block(&mut want_b);
-            let (want_x, want_dx) = backward_rev_oracle(&mut want_b, &y, &dy);
-            let (got_x, got_dx) = got_b.backward_rev(y, dy);
-            assert_eq!(got_x, want_x, "block {k}: reconstructed input");
-            assert_eq!(got_dx, want_dx, "block {k}: input gradient");
-            let mut want = Vec::new();
-            want_b.visit_params(&mut |p| want.push(p.grad.clone()));
-            let mut got = Vec::new();
-            got_b.visit_params(&mut |p| got.push(p.grad.clone()));
-            assert_eq!(got, want, "block {k}: parameter gradients");
-        }
     }
 
     #[test]

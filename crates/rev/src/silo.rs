@@ -15,19 +15,127 @@
 //! exactly invertible (Equations 9–16), and supports *expansion*: with only
 //! `K < N` input streams the missing inputs are treated as absent (the paper
 //! sets them to 0), growing a K-stream pyramid to N streams.
-
-// The `(i, j)` range loops below deliberately mirror the paper's stream
-// indices in Equations 1–16 and index several collections (`xs`, `mids`,
-// `self.down[i][j]`, ...) in lockstep; iterator chains would obscure the
-// correspondence with the math.
-#![allow(clippy::needless_range_loop)]
+//!
+//! Both halves, both directions, are one [`sweep`] over rows of edges, and
+//! [`couple`] is the only place a transform's output enters or leaves a
+//! stream. The training forward, the inverse, the reconstruction inside
+//! [`RevSilo::backward_rev`], [`crate::FrozenSilo`] and both RevBlock forms
+//! (the two-stream silo) run it.
 
 use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{par, Shape, Tensor};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Factory signature for the silo's fusion transforms: `(from_stream,
 /// to_stream) -> Layer` mapping stream `from`'s shape to stream `to`'s.
 pub type TransformFactory<'a> = dyn FnMut(usize, usize) -> Box<dyn Layer> + 'a;
+
+/// A residual stream during a [`sweep`]: absent (an expansion stream before
+/// its first term, or one the backward has retired), borrowed where it
+/// lies (the leading channels of that tensor, as many as the term folded
+/// into it has; all of them when an edge reads it), or owned by the sweep,
+/// which folds terms into it in place.
+pub(crate) type Stream<'a> = Option<Cow<'a, Tensor>>;
+
+pub(crate) const FED: &str = "stream must receive at least one contribution";
+
+/// `n` streams over the borrowed inputs `xs`, the missing ones absent.
+pub(crate) fn streams(xs: &[Tensor], n: usize) -> Vec<Stream<'_>> {
+    xs.iter().map(|x| Some(Cow::Borrowed(x))).chain(std::iter::repeat(None)).take(n).collect()
+}
+
+/// The streams' tensors, each fed by the sweep.
+pub(crate) fn tensors(s: Vec<Stream<'_>>) -> Vec<Tensor> {
+    s.into_iter().map(|x| x.expect(FED).into_owned()).collect()
+}
+
+/// The one place a transform's output `term` enters (`sign = 1`) or leaves
+/// (`sign = -1`) a residual stream. An absent stream takes its first term
+/// as it is and loses a leaving one; a borrowed stream is added into the
+/// term, so it is never copied. f32 addition commutes, so every case has
+/// the bits of `x ± t`.
+pub(crate) fn couple(stream: &mut Stream<'_>, mut term: Tensor, sign: f32) {
+    *stream = Some(Cow::Owned(match stream.take() {
+        None if sign < 0.0 => return,
+        None => term,
+        Some(Cow::Borrowed(x)) => {
+            assert!(sign > 0.0, "a borrowed stream only gains terms");
+            term.add_channels_of(x, 0);
+            term
+        }
+        Some(Cow::Owned(mut x)) => {
+            x.axpy(sign, &term);
+            x
+        }
+    }));
+}
+
+/// Couples one term into the target stream of a [`sweep`]'s row.
+pub(crate) type Fold<'f> = dyn FnMut(Tensor) + Send + 'f;
+
+/// `(&mut s[i], &mut s[sources])`, for a range of sources without `i`.
+fn split<T>(s: &mut [T], i: usize, sources: Range<usize>) -> (&mut T, &mut [T]) {
+    if sources.start > i {
+        let (lo, hi) = s.split_at_mut(sources.start);
+        (&mut lo[i], &mut hi[..sources.len()])
+    } else {
+        let (lo, hi) = s.split_at_mut(i);
+        (&mut hi[0], &mut lo[sources])
+    }
+}
+
+/// A row of a [`sweep`]: `(i, sources, edges)`, where `edges[k]` maps
+/// stream `sources.start + k` to stream `i`.
+pub(crate) type Row<R> = (usize, Range<usize>, R);
+
+/// A silo's down and up halves as rows: down row `i` holds `D_ij` for
+/// `j < min(i, n_in)` (Eqs. 1–4), up row `i` holds `U_ij` for `j > i`
+/// (Eqs. 5–8).
+pub(crate) fn halves<R, I: DoubleEndedIterator<Item = R> + ExactSizeIterator>(
+    n_in: usize,
+    down: I,
+    up: I,
+) -> (impl DoubleEndedIterator<Item = Row<R>>, impl DoubleEndedIterator<Item = Row<R>>) {
+    let n_out = up.len();
+    (
+        down.enumerate().map(move |(i, r)| (i, 0..i.min(n_in), r)),
+        up.enumerate().map(move |(i, r)| (i, i + 1..n_out, r)),
+    )
+}
+
+/// The one silo sweep: for each row `(i, sources, edges)` in order, `row`
+/// runs the edges on their source streams and hands each term to the fold,
+/// which [`couple`]s it into stream `i` with `sign`, as it is produced.
+///
+/// Rows run in place, so the order is what makes a sweep a forward or an
+/// inverse. The forward walks the down half coarsest row first, then the up
+/// half finest row first: each row reads only streams no row has written
+/// yet (Eqs. 1–8). The inverse walks the same rows backwards: each row reads
+/// only streams already restored (Eqs. 9–16).
+pub(crate) fn sweep<'a, R>(
+    s: &mut [Stream<'a>],
+    rows: impl Iterator<Item = Row<R>>,
+    sign: f32,
+    mut row: impl FnMut(usize, Range<usize>, R, &[Stream<'a>], &mut Fold<'_>),
+) {
+    for (i, sources, edges) in rows {
+        let (target, xs) = split(s, i, sources.clone());
+        row(i, sources, edges, xs, &mut move |t| couple(target, t, sign));
+    }
+}
+
+/// The edges of one training silo row.
+type Edges<'e> = &'e mut Vec<Box<dyn Layer>>;
+
+/// A row run edge by edge in `mode`, on the calling thread.
+fn serial<'a>(mode: CacheMode) -> impl FnMut(usize, Range<usize>, Edges<'_>, &[Stream<'a>], &mut Fold<'_>) {
+    move |_, _, edges, xs, fold| {
+        for (e, x) in edges.iter_mut().zip(xs) {
+            fold(e.forward(x.as_deref().expect(FED), mode));
+        }
+    }
+}
 
 /// A reversible bidirectional multi-scale fusion module over `n_out` streams
 /// fed by `n_in <= n_out` input streams.
@@ -53,22 +161,8 @@ impl RevSilo {
     pub fn new(n_in: usize, n_out: usize, make_down: &mut TransformFactory<'_>, make_up: &mut TransformFactory<'_>) -> Self {
         assert!(n_in >= 1 && n_in <= n_out, "need 1 <= n_in <= n_out");
         assert!(n_out >= 2, "a silo needs at least two streams");
-        let mut down = Vec::with_capacity(n_out);
-        for i in 0..n_out {
-            let mut row = Vec::new();
-            for j in 0..i.min(n_in) {
-                row.push(make_down(j, i));
-            }
-            down.push(row);
-        }
-        let mut up = Vec::with_capacity(n_out);
-        for i in 0..n_out {
-            let mut row = Vec::new();
-            for j in i + 1..n_out {
-                row.push(make_up(j, i));
-            }
-            up.push(row);
-        }
+        let down = (0..n_out).map(|i| (0..i.min(n_in)).map(|j| make_down(j, i)).collect()).collect();
+        let up = (0..n_out).map(|i| (i + 1..n_out).map(|j| make_up(j, i)).collect()).collect();
         Self { n_in, n_out, down, up }
     }
 
@@ -82,43 +176,13 @@ impl RevSilo {
         self.n_out
     }
 
-    fn up_mut(&mut self, i: usize, j: usize) -> &mut Box<dyn Layer> {
-        &mut self.up[i][j - i - 1]
-    }
-
     /// Inference-only frozen form: every `D_ij`/`U_ij` transform is frozen
     /// via [`Layer::freeze`] (BN folded, activations fused). The result is
     /// *uncompiled*; see [`crate::FrozenSilo`].
     pub fn freeze(&self) -> Result<crate::FrozenSilo, revbifpn_nn::FreezeError> {
-        let freeze_rows = |rows: &[Vec<Box<dyn Layer>>]| {
-            rows.iter()
-                .map(|row| row.iter().map(|l| l.freeze()).collect::<Result<Vec<_>, _>>())
-                .collect::<Result<Vec<_>, _>>()
-        };
-        Ok(crate::FrozenSilo {
-            n_in: self.n_in,
-            n_out: self.n_out,
-            down: freeze_rows(&self.down)?,
-            up: freeze_rows(&self.up)?,
-        })
-    }
-
-    /// Down-half: mid-stream tensors from inputs.
-    fn mids(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor> {
-        let mut mids: Vec<Tensor> = Vec::with_capacity(self.n_out);
-        mids.push(xs[0].clone());
-        for i in 1..self.n_out {
-            let mut acc: Option<Tensor> = if i < self.n_in { Some(xs[i].clone()) } else { None };
-            for j in 0..i.min(self.n_in) {
-                let t = self.down[i][j].forward(&xs[j], mode);
-                match &mut acc {
-                    Some(a) => a.add_assign(&t),
-                    None => acc = Some(t),
-                }
-            }
-            mids.push(acc.expect("stream must receive at least one contribution"));
-        }
-        mids
+        let freeze_row = |r: &Vec<Box<dyn Layer>>| r.iter().map(|l| l.freeze()).collect::<Result<Vec<_>, _>>();
+        let rows = |rows: &[Vec<Box<dyn Layer>>]| rows.iter().map(freeze_row).collect::<Result<Vec<_>, _>>();
+        Ok(crate::FrozenSilo { n_in: self.n_in, n_out: self.n_out, down: rows(&self.down)?, up: rows(&self.up)? })
     }
 
     /// Forward pass over `xs` (length `n_in`), producing `n_out` streams.
@@ -128,18 +192,15 @@ impl RevSilo {
     /// Panics if `xs.len() != n_in`.
     pub fn forward(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor> {
         assert_eq!(xs.len(), self.n_in, "RevSilo expects {} input streams", self.n_in);
-        let mids = self.mids(xs, mode);
-        let mut outs = vec![Tensor::zeros(Shape::new(1, 1, 1, 1)); self.n_out];
-        outs[self.n_out - 1] = mids[self.n_out - 1].clone();
-        for i in (0..self.n_out - 1).rev() {
-            let mut acc = mids[i].clone();
-            for j in i + 1..self.n_out {
-                let t = self.up_mut(i, j).forward(&mids[j], mode);
-                acc.add_assign(&t);
-            }
-            outs[i] = acc;
-        }
-        outs
+        self.forward_streams(streams(xs, self.n_out), mode)
+    }
+
+    /// [`RevSilo::forward`] over streams that may lie elsewhere. No input is
+    /// copied: each sum lands in its first transform's output.
+    pub(crate) fn forward_streams(&mut self, mut s: Vec<Stream<'_>>, mode: CacheMode) -> Vec<Tensor> {
+        let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
+        sweep(&mut s, down.rev().chain(up), 1.0, serial(mode));
+        tensors(s)
     }
 
     /// Exact inverse (evaluation semantics; see Equations 9–16). Returns the
@@ -147,165 +208,105 @@ impl RevSilo {
     /// are dropped.
     pub fn inverse(&mut self, ys: &[Tensor]) -> Vec<Tensor> {
         assert_eq!(ys.len(), self.n_out, "RevSilo inverse expects {} streams", self.n_out);
-        // Invert the up half, top (coarsest) stream first. Reconstructed
-        // mids are borrowed, not cloned, by the U_ij forwards; the only
-        // allocations are the per-stream accumulators.
-        let mut mids: Vec<Option<Tensor>> = vec![None; self.n_out];
-        mids[self.n_out - 1] = Some(ys[self.n_out - 1].clone());
-        for i in (0..self.n_out - 1).rev() {
-            let mut acc = ys[i].clone();
-            for j in i + 1..self.n_out {
-                let t = {
-                    let mj = mids[j].as_ref().expect("mid already reconstructed");
-                    self.up[i][j - i - 1].forward(mj, CacheMode::None)
-                };
-                acc.sub_assign(&t);
-            }
-            mids[i] = Some(acc);
-        }
-        // Invert the down half, finest stream first. Each mid is consumed
-        // exactly once, so move it into the accumulator instead of cloning.
-        let mut xs: Vec<Tensor> = Vec::with_capacity(self.n_in);
-        xs.push(mids[0].take().expect("mid 0"));
-        for i in 1..self.n_in {
-            let mut acc = mids[i].take().expect("mid");
-            for j in 0..i.min(self.n_in) {
-                let t = self.down[i][j].forward(&xs[j], CacheMode::None);
-                acc.sub_assign(&t);
-            }
-            xs.push(acc);
-        }
-        xs
+        self.inverse_streams(ys.to_vec())
+    }
+
+    /// [`RevSilo::inverse`] turning the outputs into the inputs in place.
+    pub(crate) fn inverse_streams(&mut self, ys: Vec<Tensor>) -> Vec<Tensor> {
+        let mut s: Vec<Stream<'_>> = ys.into_iter().map(|y| Some(Cow::Owned(y))).collect();
+        let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
+        sweep(&mut s, up.rev(), -1.0, serial(CacheMode::None));
+        s.truncate(self.n_in);
+        sweep(&mut s, down.take(self.n_in), -1.0, serial(CacheMode::None));
+        tensors(s)
     }
 
     /// Reversible backward: consumes the outputs and their gradients,
     /// reconstructs the inputs while accumulating parameter gradients.
-    /// Returns `(xs, dxs)`.
+    /// Returns `(xs, dxs)`. Requires a [`CacheMode::Stats`] forward.
     ///
-    /// Requires the forward pass to have run with [`CacheMode::Stats`].
+    /// No stream is copied. The inverse [`sweep`] turns each output into its
+    /// input in place (virtual streams are retired after the up half), and
+    /// the gradients turn over in place beside it: `dm_j = do_j + Σ_{i<j}
+    /// U_ij^T do_i`, then `dx_j = dm_j + Σ_{i>j} D_ij^T dm_i`, each row
+    /// reading its own gradient before any later row adds into it.
     ///
-    /// # Ownership
-    ///
-    /// No stream is copied. Output `o_i` becomes mid `m_i` in place once its
-    /// up row is subtracted, and `m_i` becomes input `x_i` once its down row
-    /// is. The gradients `do_j` accumulate the up transposes into `dm_j` in
-    /// place — row `i` reads `do_i` before any row adds into it — and `dm_j`
-    /// in turn becomes `dx_j` once row `j`, the last reader of `dm_j`, is
-    /// done. Virtual streams' mids are dropped after the up half.
-    ///
-    /// # Parallelism and determinism
-    ///
-    /// Within a row (fixed target stream `i`), the edges `U_ij` / `D_ij` are
-    /// independent: each task runs one edge's `Full` reconstruction forward
-    /// *and* its transpose backward (so its transient cache lives and dies
-    /// inside the task), producing `(t_ij, g_ij)`. Rows are processed
-    /// sequentially (reconstruction is triangular); after each row joins,
-    /// the accumulators are updated on the dispatching thread in fixed `j`
-    /// order — the same edge order as the serial loops — so results are
-    /// bitwise independent of the thread count. Edge tasks run under
-    /// [`meter::isolated`] and their byte/event traces are absorbed in edge
-    /// order, reproducing the serial activation-meter trace exactly.
+    /// Within a row the edges are independent tasks. Each runs its edge's
+    /// `Full` recompute *and* transpose (the cache lives and dies inside the
+    /// task) and adds the transpose into its own source's gradient. The
+    /// first edge folds its term before its transpose runs (a RevBlock's
+    /// `G(y1)` never outlives G's cache); the others fold after the join, in
+    /// edge order. Results and the meter trace (edge meters are absorbed in
+    /// edge order) are bitwise independent of the thread count.
     pub fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
         assert_eq!(ys.len(), self.n_out);
         assert_eq!(dys.len(), self.n_out);
-        type EdgeSlot = Option<((Tensor, Tensor), meter::TaskMeter)>;
-        // ---- Invert + differentiate the up half, coarsest row first.
-        // o_i = m_i + Σ_{j>i} U_ij(m_j)  =>  dm_j = do_j + Σ_{i<j} U_ij^T do_i.
-        // `mids[i]` holds o_i until row i turns it into m_i; `dmids[i]`
-        // holds do_i until the rows below add into it.
-        let mut mids = ys;
-        let mut dmids = dys;
-        for i in (0..self.n_out - 1).rev() {
-            let row = &mut self.up[i]; // row[k] transforms stream i+1+k -> i.
-            let dyi = &dmids[i];
-            let mids_ref = &mids;
-            let mut slots: Vec<EdgeSlot> = (0..row.len()).map(|_| None).collect();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = row
+        type Slot = Option<(Option<Tensor>, meter::TaskMeter)>;
+        let mut s: Vec<Stream<'_>> = ys.into_iter().map(|y| Some(Cow::Owned(y))).collect();
+        let mut ds = dys;
+        let mut row = |i, sources, edges: Edges<'_>, xs: &[Stream<'_>], fold: &mut Fold<'_>| {
+            let (dy, dxs) = split(&mut ds, i, sources);
+            let dy = &*dy;
+            let mut slots: Vec<Slot> = (0..edges.len()).map(|_| None).collect();
+            let mut first = Some(&mut *fold);
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = edges
                 .iter_mut()
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(k, (u, slot))| {
-                    Box::new(move || {
-                        let mj = &mids_ref[i + 1 + k];
-                        *slot = Some(meter::isolated(|| {
-                            let t = meter::time_phase(meter::Phase::Reconstruct, || u.forward(mj, CacheMode::Full));
-                            let g = meter::time_phase(meter::Phase::Backward, || u.backward(dyi));
-                            (t, g)
-                        }));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            par::parallel_join(tasks);
-            for (k, slot) in slots.into_iter().enumerate() {
-                let ((t, g), tm) = slot.expect("edge task did not run");
-                meter::absorb(&tm);
-                mids[i].sub_assign(&t);
-                dmids[i + 1 + k].add_assign(&g);
-            }
-        }
-
-        // ---- Invert + differentiate the down half, finest row first.
-        // m_i = x_i + Σ_{j<i} D_ij(x_j)  =>  dx_j = dm_j + Σ_{i>j} D_ij^T dm_i.
-        // Virtual streams (i >= n_in) have no input to reconstruct but their
-        // D transforms still contribute gradients, so their edges run too.
-        // `xs[i]` holds m_i until row i turns it into x_i; `dmids[j]` is
-        // read as dm_j by row j and then accumulates into dx_j.
-        let mut xs = mids;
-        xs.truncate(self.n_in);
-        for i in 1..self.n_out {
-            let row = &mut self.down[i]; // row[j] transforms stream j -> i.
-            let dmi = &dmids[i];
-            let xs_ref = &xs;
-            let mut slots: Vec<EdgeSlot> = (0..row.len()).map(|_| None).collect();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = row
-                .iter_mut()
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(j, (d, slot))| {
+                .zip(xs)
+                .zip(dxs)
+                .zip(&mut slots)
+                .map(|(((e, x), dx), slot)| {
+                    let fold = first.take();
                     Box::new(move || {
                         *slot = Some(meter::isolated(|| {
                             let t = meter::time_phase(meter::Phase::Reconstruct, || {
-                                d.forward(&xs_ref[j], CacheMode::Full)
+                                e.forward(x.as_deref().expect(FED), CacheMode::Full)
                             });
-                            let g = meter::time_phase(meter::Phase::Backward, || d.backward(dmi));
-                            (t, g)
+                            let t = if let Some(fold) = fold { fold(t); None } else { Some(t) };
+                            let g = meter::time_phase(meter::Phase::Backward, || e.backward(dy));
+                            dx.add_assign(&g);
+                            t
                         }));
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
             par::parallel_join(tasks);
-            for (j, slot) in slots.into_iter().enumerate() {
-                let ((t, g), tm) = slot.expect("edge task did not run");
+            for slot in slots {
+                let (t, tm) = slot.expect("edge task did not run");
                 meter::absorb(&tm);
-                if i < self.n_in {
-                    xs[i].sub_assign(&t);
+                if let Some(t) = t {
+                    fold(t);
                 }
-                dmids[j].add_assign(&g);
             }
-        }
-        let mut dxs = dmids;
-        dxs.truncate(self.n_in);
-        (xs, dxs)
+        };
+        let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
+        sweep(&mut s, up.rev(), -1.0, &mut row);
+        s[self.n_in..].iter_mut().for_each(|x| *x = None);
+        sweep(&mut s, down, -1.0, &mut row);
+        s.truncate(self.n_in);
+        ds.truncate(self.n_in);
+        (tensors(s), ds)
     }
 
-    /// Conventional backward using caches of a `Full`-mode forward.
+    /// Conventional backward using caches of a `Full`-mode forward: the
+    /// transposed rows in row order, `dm_j = do_j + Σ_{i<j} U_ij^T do_i`,
+    /// then in place `dx_j = dm_j + Σ_{i>j} D_ij^T dm_i` (down row `i` reads
+    /// `dm_i` before any later row adds into it).
     pub fn backward_cached(&mut self, dys: &[Tensor]) -> Vec<Tensor> {
         assert_eq!(dys.len(), self.n_out);
-        let mut dmids: Vec<Tensor> = dys.to_vec();
-        for i in 0..self.n_out - 1 {
-            for j in i + 1..self.n_out {
-                let g = self.up_mut(i, j).backward(&dys[i]);
-                dmids[j].add_assign(&g);
+        let mut ds = dys.to_vec();
+        for (i, row) in self.up.iter_mut().enumerate() {
+            for (u, dm) in row.iter_mut().zip(&mut ds[i + 1..]) {
+                dm.add_assign(&u.backward(&dys[i]));
             }
         }
-        let mut dxs: Vec<Tensor> = (0..self.n_in).map(|j| dmids[j].clone()).collect();
-        for i in 1..self.n_out {
-            for j in 0..i.min(self.n_in) {
-                let g = self.down[i][j].backward(&dmids[i]);
-                dxs[j].add_assign(&g);
+        for (i, row) in self.down.iter_mut().enumerate() {
+            let (dxs, dm) = ds.split_at_mut(i);
+            for (d, dx) in row.iter_mut().zip(dxs) {
+                dx.add_assign(&d.backward(&dm[0]));
             }
         }
-        dxs
+        ds.truncate(self.n_in);
+        ds
     }
 }
 
@@ -345,6 +346,8 @@ impl ShapeWalk for RevSilo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::tests_support::on_layer;
+    use crate::RevBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
@@ -365,7 +368,7 @@ mod tests {
         RevSilo::new(n_in, n_out, &mut make_down, &mut make_up)
     }
 
-    fn randomize_bn(s: &mut RevSilo, seed: u64) {
+    fn randomize_bn(s: &mut impl Module, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         s.visit_params(&mut |p| {
             if p.name == "bn.gamma" {
@@ -569,6 +572,110 @@ mod tests {
         }
         for (a, b) in g1.iter().zip(&g4) {
             assert_eq!(a, b, "parameter gradients differ across thread counts");
+        }
+    }
+
+    /// Walk index of edge `(i, j)` of an `n_in -> n_out` silo: every down
+    /// row, then every up row (a RevBlock's walk is `D_10 = F`, `U_01 = G`).
+    fn walk_index(n_in: usize, n_out: usize, i: usize, j: usize) -> usize {
+        let down_before = |i: usize| (0..i).map(|r| r.min(n_in)).sum::<usize>();
+        match j < i {
+            true => down_before(i) + j,
+            false => down_before(n_out) + (0..i).map(|r| n_out - 1 - r).sum::<usize>() + j - i - 1,
+        }
+    }
+
+    /// Serial per-edge reference for `backward_rev` on an `n_in -> n_out`
+    /// silo's streams: every reconstruction first, then every transpose,
+    /// both in the backward's edge order (up rows coarsest first, then down
+    /// rows finest first), every coupling a fresh tensor.
+    fn backward_rev_reference(
+        m: &mut impl Module,
+        (n_in, n_out): (usize, usize),
+        ys: &[Tensor],
+        dys: &[Tensor],
+    ) -> (Vec<Tensor>, Vec<Tensor>) {
+        let edges: Vec<(usize, usize)> = (0..n_out - 1)
+            .rev()
+            .flat_map(|i| (i + 1..n_out).map(move |j| (i, j)))
+            .chain((1..n_out).flat_map(|i| (0..i.min(n_in)).map(move |j| (i, j))))
+            .collect();
+        let mut s = ys.to_vec();
+        for &(i, j) in &edges {
+            let t = on_layer(m, walk_index(n_in, n_out, i, j), |l| l.forward(&s[j], CacheMode::Full));
+            if i < n_in || j > i {
+                s[i] = &s[i] - &t;
+            }
+        }
+        let mut ds = dys.to_vec();
+        for &(i, j) in &edges {
+            let g = on_layer(m, walk_index(n_in, n_out, i, j), |l| l.backward(&ds[i]));
+            ds[j] = &ds[j] + &g;
+        }
+        s.truncate(n_in);
+        ds.truncate(n_in);
+        (s, ds)
+    }
+
+    fn grads(m: &mut impl Module) -> Vec<Tensor> {
+        let mut g = Vec::new();
+        m.visit_params(&mut |p| g.push(p.grad.clone()));
+        g
+    }
+
+    #[test]
+    fn backward_rev_equals_the_two_reconstructions_first_oracle_bitwise() {
+        // Expansion, virtual-stream and full silos.
+        for (n_in, n_out) in [(1usize, 2usize), (3, 4), (4, 4)] {
+            let build = || {
+                let mut s = make_silo(n_in, n_out, 50);
+                randomize_bn(&mut s, 500);
+                s
+            };
+            let (mut got, mut want) = (build(), build());
+            let xs = make_inputs(n_in, 16, 51);
+            let ys = got.forward(&xs, CacheMode::Stats);
+            assert_eq!(ys, want.forward(&xs, CacheMode::Stats));
+            let mut rng = StdRng::seed_from_u64(52);
+            let dys: Vec<Tensor> = ys.iter().map(|y| Tensor::randn(y.shape(), 1.0, &mut rng)).collect();
+            got.visit_params(&mut |p| p.zero_grad());
+            want.visit_params(&mut |p| p.zero_grad());
+            let want_out = backward_rev_reference(&mut want, (n_in, n_out), &ys, &dys);
+            assert_eq!(got.backward_rev(ys, dys), want_out, "{n_in}->{n_out}: inputs and input gradients");
+            assert_eq!(grads(&mut got), grads(&mut want), "{n_in}->{n_out}: parameter gradients");
+        }
+        // The RevBlock is the (2, 2) silo over (x2, x1): plain MBConv bodies,
+        // and residual bodies with drop-path whose seeds the Full recompute
+        // must replay in either order.
+        let plain = |rng: &mut StdRng| {
+            let body = |rng: &mut StdRng| Box::new(MBConv::new(MBConvCfg::same(4, 3, 2.0).plain(), rng)) as Box<dyn Layer>;
+            RevBlock::new(8, body(rng), body(rng))
+        };
+        let drop_path = |rng: &mut StdRng| {
+            let cfg = MBConvCfg::same(6, 3, 2.0).with_drop_path(0.3);
+            RevBlock::new(12, Box::new(MBConv::new(cfg, rng)), Box::new(MBConv::new(cfg, rng)))
+        };
+        let makers: [&dyn Fn(&mut StdRng) -> RevBlock; 2] = [&plain, &drop_path];
+        for (k, make) in makers.iter().enumerate() {
+            let build = || {
+                let mut b = make(&mut StdRng::seed_from_u64(20 + k as u64));
+                randomize_bn(&mut b, 30);
+                b
+            };
+            let (mut got, mut want) = (build(), build());
+            let mut rng = StdRng::seed_from_u64(40);
+            let x = Tensor::randn(Shape::new(3, got.channels(), 7, 7), 1.0, &mut rng);
+            let dy = Tensor::randn(x.shape(), 1.0, &mut rng);
+            let y = got.forward(&x, CacheMode::Stats);
+            assert_eq!(y, want.forward(&x, CacheMode::Stats));
+            got.visit_params(&mut |p| p.zero_grad());
+            want.visit_params(&mut |p| p.zero_grad());
+            let c = got.channels() / 2;
+            let ((y1, y2), (dy1, dy2)) = (y.split_channels(c), dy.split_channels(c));
+            let (xs, dxs) = backward_rev_reference(&mut want, (2, 2), &[y2, y1], &[dy2, dy1]);
+            let want_out = (Tensor::concat_channels(&[&xs[1], &xs[0]]), Tensor::concat_channels(&[&dxs[1], &dxs[0]]));
+            assert_eq!(got.backward_rev(y, dy), want_out, "block {k}: input and input gradient");
+            assert_eq!(grads(&mut got), grads(&mut want), "block {k}: parameter gradients");
         }
     }
 

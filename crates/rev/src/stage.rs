@@ -717,6 +717,19 @@ pub(crate) mod tests_support {
 
     const C: [usize; 3] = [8, 12, 16];
 
+    /// Runs `f` on layer `n` of `m`'s walk: a test's handle on one silo edge
+    /// (all down rows, then all up rows) or one block transform (F, then G).
+    pub(crate) fn on_layer<R>(m: &mut impl Module, n: usize, f: impl FnOnce(&mut dyn Layer) -> R) -> R {
+        let (mut k, mut f, mut out) = (0, Some(f), None);
+        m.visit_layers(&mut |l| {
+            if k == n {
+                out = f.take().map(|f| f(l));
+            }
+            k += 1;
+        });
+        out.expect("the walk has no such layer")
+    }
+
     fn make_silo(n_in: usize, n_out: usize, seed: u64) -> RevSilo {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut down = |j: usize, i: usize| -> Box<dyn Layer> {

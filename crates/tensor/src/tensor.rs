@@ -328,6 +328,10 @@ impl Tensor {
         let (s, xs) = (self.shape, x.shape);
         assert_eq!((s.n, s.h, s.w), (xs.n, xs.h, xs.w), "add_channels_of requires matching batch and spatial dims");
         assert!(c_off + s.c <= xs.c, "channel window must lie inside the source");
+        if s.c == xs.c {
+            // The window is all of `x`: one pass, split as `add_assign` splits it.
+            return axpy_slices(self.data_mut(), 1.0, x.data());
+        }
         for (n, dst) in self.data_mut().chunks_exact_mut(s.chw()).enumerate() {
             let at = (n * xs.c + c_off) * s.hw();
             axpy_slices(dst, 1.0, &x.data()[at..at + s.chw()]);
@@ -840,6 +844,9 @@ mod tests {
             got.add_channels_of(&x, c_off);
             assert_eq!(got, &base + &x.channel_slice(c_off, c_off + 2), "c_off {c_off}");
         }
+        let mut whole = base.clone();
+        whole.add_channels_of(&base, 0);
+        assert_eq!(whole, &base + &base);
     }
 
     #[test]
