@@ -4,9 +4,10 @@
 # REVBIFPN_MAX_THREADS — tests that explicitly call set_max_threads still
 # exercise the multi-threaded paths (programmatic overrides win), while
 # everything else runs single-threaded, catching accidental dependence on
-# worker-pool concurrency — and the kernel crate once more oversubscribed
-# (four threads on whatever cores CI got), where pool workers lose their
-# cores mid-poll and the fork-join's park fallback does the work.
+# worker-pool concurrency — and the kernel and layer crates once more
+# oversubscribed (four threads on whatever cores CI got), where pool workers
+# lose their cores mid-poll and the fork-join's park fallback does the work,
+# under the layers' plane-parallel BatchNorm and activation passes too.
 set -eu
 cd "$(dirname "$0")"
 
@@ -25,8 +26,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (REVBIFPN_MAX_THREADS=1)"
 REVBIFPN_MAX_THREADS=1 cargo test -q --workspace
 
-echo "== cargo test, kernel crate oversubscribed (REVBIFPN_MAX_THREADS=4)"
+echo "== cargo test, kernel and layer crates oversubscribed (REVBIFPN_MAX_THREADS=4)"
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-tensor
+REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-nn
 
 echo "== fault-injection suite (resilience layer, end to end)"
 cargo test -q --test fault_injection

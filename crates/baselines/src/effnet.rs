@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HardSwish, Linear, MBConv, MBConvCfg};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, Shape, Tensor};
 
 /// One stage of the EfficientNet-B0 template.
@@ -184,14 +184,15 @@ impl EfficientNet {
     }
 
     /// Analytic activation-cache bytes of a training forward at batch `n`
-    /// and resolution `res` (conventional training: everything cached).
-    pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
+    /// and resolution `res` under `acct` (conventional training: everything
+    /// cached).
+    pub fn activation_bytes_at(&self, n: usize, res: usize, acct: Accounting) -> u64 {
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full, acct)
     }
 
     /// Same at the configured (training) resolution.
-    pub fn activation_bytes(&self, n: usize) -> u64 {
-        self.activation_bytes_at(n, self.cfg.resolution)
+    pub fn activation_bytes(&self, n: usize, acct: Accounting) -> u64 {
+        self.activation_bytes_at(n, self.cfg.resolution, acct)
     }
 }
 
@@ -253,7 +254,9 @@ mod tests {
     #[test]
     fn activation_bytes_grow_with_resolution() {
         let net = EfficientNet::new(EfficientNetConfig::micro(4));
-        assert!(net.activation_bytes_at(1, 64) > 3 * net.activation_bytes_at(1, 32));
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            assert!(net.activation_bytes_at(1, 64, acct) > 3 * net.activation_bytes_at(1, 32, acct), "{acct:?}");
+        }
     }
 
     #[test]
@@ -263,7 +266,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let x = Tensor::randn(net.input_shape(1), 1.0, &mut rng);
         let _ = net.forward(&x, CacheMode::Full);
-        assert_eq!(revbifpn_nn::meter::current() as u64, net.activation_bytes(1));
+        assert_eq!(revbifpn_nn::meter::current() as u64, net.activation_bytes(1, Accounting::Layout));
         net.clear_cache();
     }
 }

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Residual, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 fn conv_bn(c_in: usize, c_out: usize, k: usize, stride: usize, rng: &mut StdRng) -> Sequential {
@@ -380,9 +380,11 @@ impl HrNet {
         self.macs(&[Shape::new(n, 3, res, res)])
     }
 
-    /// Analytic activation-cache bytes of a training forward.
+    /// Analytic activation-cache bytes of a training forward. No layer of
+    /// HRNet stores less than per-op autograd would, so both accountings
+    /// agree.
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full, Accounting::Layout)
     }
 }
 

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, Relu, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{ConvSpec, ResizeMode, Shape, Tensor};
 
 /// Bottleneck residual block: 1x1 reduce, 3x3, 1x1 expand (x4), projection
@@ -191,9 +191,10 @@ impl ResNetFpn {
         self.macs(&[Shape::new(n, 3, res, res)])
     }
 
-    /// Analytic activation bytes of conventional training.
+    /// Analytic activation bytes of conventional training. No layer of it
+    /// stores less than per-op autograd would, so both accountings agree.
     pub fn activation_bytes_at(&self, n: usize, res: usize) -> u64 {
-        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full, Accounting::Layout)
     }
 }
 

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{MBConv, MBConvCfg, SpaceToDepth};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_rev::{BlockStage, RevBlock, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{Shape, Tensor};
 
@@ -206,18 +206,18 @@ impl RevShNet {
         self.macs(&[Shape::new(n, 3, res, res)])
     }
 
-    /// Activation bytes of reversible training: the retained output plus the
-    /// transient rematerialization of one whole hourglass block — the
-    /// Appendix A.1.1 overhead.
-    pub fn activation_bytes_rev(&self, n: usize, res: usize) -> u64 {
+    /// Activation bytes of reversible training under `acct`: the retained
+    /// output plus the transient rematerialization of one whole hourglass
+    /// block — the Appendix A.1.1 overhead.
+    pub fn activation_bytes_rev(&self, n: usize, res: usize, acct: Accounting) -> u64 {
         let img = [Shape::new(n, 3, res, res)];
         let out = self.out_shapes(&img)[0];
-        out.bytes() as u64 + self.cache_bytes(&img, CacheMode::Stats) + self.transient_bytes(&img)
+        out.bytes() as u64 + self.cache_bytes(&img, CacheMode::Stats, acct) + self.transient_bytes(&img, acct)
     }
 
-    /// Activation bytes of conventional training.
-    pub fn activation_bytes_conv(&self, n: usize, res: usize) -> u64 {
-        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full)
+    /// Activation bytes of conventional training under `acct`.
+    pub fn activation_bytes_conv(&self, n: usize, res: usize, acct: Accounting) -> u64 {
+        self.cache_bytes(&[Shape::new(n, 3, res, res)], CacheMode::Full, acct)
     }
 }
 
@@ -259,22 +259,31 @@ mod tests {
         // The transient term (a whole hourglass) keeps RevSHNet's reversible
         // footprint well above its own retained output.
         let net = RevShNet::new(RevShNetConfig::micro().with_depth(4));
-        let rev = net.activation_bytes_rev(1, 32);
-        let conv = net.activation_bytes_conv(1, 32);
-        assert!(rev < conv, "rev {rev} conv {conv}");
         let out_bytes = net.out_shapes(&[Shape::new(1, 3, 32, 32)])[0].bytes() as u64;
-        assert!(rev > 2 * out_bytes, "hourglass transient should dominate: {rev} vs {out_bytes}");
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            let rev = net.activation_bytes_rev(1, 32, acct);
+            let conv = net.activation_bytes_conv(1, 32, acct);
+            assert!(rev < conv, "{acct:?}: rev {rev} conv {conv}");
+            assert!(rev > 2 * out_bytes, "{acct:?}: hourglass transient should dominate: {rev} vs {out_bytes}");
+        }
     }
 
     #[test]
     fn reversible_memory_constant_in_depth() {
         let d2 = RevShNet::new(RevShNetConfig::micro().with_depth(2));
         let d6 = RevShNet::new(RevShNetConfig::micro().with_depth(6));
-        let r2 = d2.activation_bytes_rev(1, 32);
-        let r6 = d6.activation_bytes_rev(1, 32);
+        // The paper's magnitude: per-op autograd's saved tensors.
+        let rev = |net: &RevShNet, acct| net.activation_bytes_rev(1, 32, acct);
+        let (r2, r6) = (rev(&d2, Accounting::Autograd), rev(&d6, Accounting::Autograd));
         assert!((r6 as f64) < 1.1 * r2 as f64, "{r2} -> {r6}");
+        // Depth adds only `Stats` bytes, which the accountings share: the
+        // growth is the same under this repo's layout.
+        let (l2, l6) = (rev(&d2, Accounting::Layout), rev(&d6, Accounting::Layout));
+        assert_eq!(r6 - r2, l6 - l2, "layout {l2} -> {l6}");
         // Conventional grows ~linearly.
-        assert!(d6.activation_bytes_conv(1, 32) > 2 * d2.activation_bytes_conv(1, 32));
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            assert!(d6.activation_bytes_conv(1, 32, acct) > 2 * d2.activation_bytes_conv(1, 32, acct), "{acct:?}");
+        }
     }
 
     #[test]

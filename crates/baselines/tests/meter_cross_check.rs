@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use revbifpn_baselines::{
     EfficientNet, EfficientNetConfig, HrNet, HrNetConfig, ResNetFpn, ResNetFpnConfig, RevShNet, RevShNetConfig,
 };
-use revbifpn_nn::{meter, CacheMode, Module};
+use revbifpn_nn::{meter, Accounting, CacheMode, Module};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// The bytes `forward` leaves registered with the meter; `clear_cache`
@@ -40,10 +40,10 @@ fn full_forward_caches_exactly_the_analytic_bytes() {
             cached_by(&mut sh, |m| drop(m.forward(&x, full))),
         ];
         let analytic = [
-            eff.activation_bytes_at(n, res),
+            eff.activation_bytes_at(n, res, Accounting::Layout),
             hr.activation_bytes_at(n, res),
             fpn.activation_bytes_at(n, res),
-            sh.activation_bytes_conv(n, res),
+            sh.activation_bytes_conv(n, res, Accounting::Layout),
         ];
         let names = ["efficientnet", "hrnet", "resnet-fpn", "revshnet"];
         for ((name, measured), analytic) in names.into_iter().zip(measured).zip(analytic) {

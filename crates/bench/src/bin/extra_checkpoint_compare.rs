@@ -3,11 +3,11 @@
 //! checkpointing O(sqrt(D)) (Chen et al. 2016), and reversible
 //! recomputation O(1) — computed analytically over the RevBiFPN-S0 body as
 //! depth is scaled, from the same per-stage cache model validated against
-//! the runtime meter.
+//! the runtime meter, in the paper's per-op autograd accounting.
 
 use revbifpn::{RevBiFPN, RevBiFPNConfig};
 use revbifpn_bench::{arg_usize, fmt_mb, quick_mode, Table};
-use revbifpn_nn::{CacheMode, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, ShapeWalk};
 use revbifpn_tensor::Shape;
 
 fn main() {
@@ -29,11 +29,12 @@ fn main() {
         let s0 = b.stem().out_shape(img);
         let body = b.body();
         let stages = body.len();
-        let conv = body.cache_bytes(&[s0], CacheMode::Full);
+        let acct = Accounting::Autograd;
+        let conv = body.cache_bytes(&[s0], CacheMode::Full, acct);
         let seg = (stages as f64).sqrt().round().max(1.0) as usize;
-        let ckpt = body.checkpoint_bytes(&[s0], seg);
+        let ckpt = body.checkpoint_bytes(&[s0], seg, acct);
         let pyramid: u64 = body.out_shapes(&[s0]).iter().map(|s| s.bytes() as u64).sum();
-        let rev = body.cache_bytes(&[s0], CacheMode::Stats) + pyramid + body.transient_bytes(&[s0]);
+        let rev = body.cache_bytes(&[s0], CacheMode::Stats, acct) + pyramid + body.transient_bytes(&[s0], acct);
         t.row(vec![
             format!("{d}"),
             format!("{stages}"),

@@ -1,16 +1,19 @@
 //! **Figure 12 + Appendix C.4 (memory vs input resolution)**: with or
 //! without reversibility memory is quadratic in resolution, but the
 //! reversible offset lets ~4x larger inputs fit in the same budget — the
-//! paper's 2Kx2K -> 8Kx8K claim on a 16 GB device.
+//! paper's 2Kx2K -> 8Kx8K claim on a 16 GB device. Bytes are per-op
+//! autograd's, as the paper's PyTorch counts them; one column gives this
+//! repo's own layout.
 
 use revbifpn::stats::memory_breakdown;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_bench::{arg_usize, fmt_gb, quick_mode, Table};
+use revbifpn_nn::Accounting;
 
-fn breakdown_at(res: usize, batch: usize, mode: RunMode) -> u64 {
+fn breakdown_at(res: usize, batch: usize, mode: RunMode, acct: Accounting) -> u64 {
     let cfg = RevBiFPNConfig::s0(1000).with_resolution(res);
     let mut m = RevBiFPNClassifier::new(cfg);
-    let b = memory_breakdown(&mut m, batch, mode);
+    let b = memory_breakdown(&mut m, batch, mode, acct);
     b.activations + b.transient
 }
 
@@ -18,15 +21,26 @@ fn main() {
     let batch = arg_usize("--batch", 16);
     println!("# Figure 12 — activation memory vs input resolution (S0 width, batch {batch})\n");
     let resolutions: &[usize] = if quick_mode() { &[96, 160, 224, 320] } else { &[96, 160, 224, 320, 448, 640, 896] };
-    let mut t = Table::new(vec!["resolution", "reversible", "conventional", "ratio"]);
+    let mut t = Table::new(vec![
+        "resolution",
+        "reversible",
+        "conventional",
+        "ratio",
+        "this repo's layout: reversible / conventional",
+    ]);
     for &res in resolutions {
-        let rev = breakdown_at(res, batch, RunMode::TrainReversible);
-        let conv = breakdown_at(res, batch, RunMode::TrainConventional);
+        let bytes = |acct| {
+            let rev = breakdown_at(res, batch, RunMode::TrainReversible, acct);
+            (rev, breakdown_at(res, batch, RunMode::TrainConventional, acct))
+        };
+        let (rev, conv) = bytes(Accounting::Autograd);
+        let (rev_l, conv_l) = bytes(Accounting::Layout);
         t.row(vec![
             format!("{res}"),
             fmt_gb(rev),
             fmt_gb(conv),
             format!("{:.1}x", conv as f64 / rev as f64),
+            format!("{} / {}", fmt_gb(rev_l), fmt_gb(conv_l)),
         ]);
     }
     t.print();
@@ -41,7 +55,7 @@ fn main() {
         let mut best = 0usize;
         let mut res = 224;
         while res <= 8960 {
-            if breakdown_at(res, 1, mode) <= budget {
+            if breakdown_at(res, 1, mode, Accounting::Autograd) <= budget {
                 best = res;
             } else {
                 break;

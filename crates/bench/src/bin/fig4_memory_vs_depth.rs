@@ -3,14 +3,17 @@
 //! Reversible memory is ~constant in depth; conventional is linear.
 //!
 //! Two sections: (a) the paper-scale S0 configuration via the analytic
-//! memory model (batch 64 like the paper), and (b) a scaled-down variant
-//! actually executed with the byte-exact meter, cross-validating the model.
+//! memory model (batch 64 like the paper) in per-op autograd bytes, as the
+//! paper's PyTorch counts them, with this repo's own layout beside them, and
+//! (b) a scaled-down variant actually executed with the byte-exact meter,
+//! cross-validating the model.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::stats::memory_breakdown;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_bench::{arg_usize, fmt_gb, quick_mode, Table};
+use revbifpn_nn::Accounting;
 use revbifpn_tensor::{Shape, Tensor};
 
 fn main() {
@@ -18,19 +21,29 @@ fn main() {
 
     println!("# Figure 4 — memory vs depth (with / without reversible recomputation)\n");
     println!("## (a) S0-width at 224, batch 64, analytic model\n");
-    let mut t = Table::new(vec!["d (extra silos)", "reversible", "conventional", "ratio"]);
+    let mut t = Table::new(vec![
+        "d (extra silos)",
+        "reversible",
+        "conventional",
+        "ratio",
+        "this repo's layout: reversible / conventional",
+    ]);
     for d in 1..=max_depth {
         let cfg = RevBiFPNConfig::s0(1000).with_depth(d);
         let mut m = RevBiFPNClassifier::new(cfg);
-        let rev = memory_breakdown(&mut m, 64, RunMode::TrainReversible);
-        let conv = memory_breakdown(&mut m, 64, RunMode::TrainConventional);
-        let rev_b = rev.activations + rev.transient;
-        let conv_b = conv.activations;
+        let mut bytes = |acct| {
+            let rev = memory_breakdown(&mut m, 64, RunMode::TrainReversible, acct);
+            let conv = memory_breakdown(&mut m, 64, RunMode::TrainConventional, acct);
+            (rev.activations + rev.transient, conv.activations)
+        };
+        let (rev_b, conv_b) = bytes(Accounting::Autograd);
+        let (rev_l, conv_l) = bytes(Accounting::Layout);
         t.row(vec![
             format!("{d}"),
             fmt_gb(rev_b),
             fmt_gb(conv_b),
             format!("{:.1}x", conv_b as f64 / rev_b as f64),
+            format!("{} / {}", fmt_gb(rev_l), fmt_gb(conv_l)),
         ]);
     }
     t.print();

@@ -11,6 +11,7 @@ use revbifpn::stats::memory_breakdown;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_baselines::{RevShNet, RevShNetConfig};
 use revbifpn_bench::{arg_usize, fmt_gb, quick_mode, Table};
+use revbifpn_nn::Accounting;
 
 fn main() {
     let res = arg_usize("--res", if quick_mode() { 96 } else { 224 });
@@ -29,14 +30,14 @@ fn main() {
     for d in 1..=max_depth {
         let cfg = RevBiFPNConfig::s0(1000).with_depth(d).with_resolution(res);
         let mut m = RevBiFPNClassifier::new(cfg);
-        let rev = memory_breakdown(&mut m, 1, RunMode::TrainReversible);
-        let conv = memory_breakdown(&mut m, 1, RunMode::TrainConventional);
+        let rev = memory_breakdown(&mut m, 1, RunMode::TrainReversible, Accounting::Autograd);
+        let conv = memory_breakdown(&mut m, 1, RunMode::TrainConventional, Accounting::Autograd);
         let bifpn_rev = rev.activations + rev.transient;
         let bifpn_conv = conv.activations;
 
         let sh = RevShNet::new(RevShNetConfig::s0_like().with_depth(d).with_resolution(res));
-        let sh_rev = sh.activation_bytes_rev(1, res);
-        let sh_conv = sh.activation_bytes_conv(1, res);
+        let sh_rev = sh.activation_bytes_rev(1, res, Accounting::Autograd);
+        let sh_conv = sh.activation_bytes_conv(1, res, Accounting::Autograd);
         last_ratio = sh_rev as f64 / bifpn_rev as f64;
         t.row(vec![
             format!("{d}"),

@@ -14,7 +14,7 @@ use revbifpn::RevBiFPNConfig;
 use revbifpn_baselines::published::{EFFICIENTNET_IMAGENET, HRNET_IMAGENET, REVBIFPN_IMAGENET};
 use revbifpn_baselines::{EfficientNet, EfficientNetConfig};
 use revbifpn_bench::{fmt_b, fmt_gb, fmt_m, quick_mode, Table};
-use revbifpn_nn::Module;
+use revbifpn_nn::{Accounting, Module};
 
 fn main() {
     println!("# Table 1 / Table 11 — ImageNet model comparison\n");
@@ -54,7 +54,7 @@ fn main() {
         let mut net = EfficientNet::new(EfficientNetConfig::bx(b, 1000));
         let params = net.param_count();
         let macs = net.macs(1);
-        let mem = net.activation_bytes(1);
+        let mem = net.activation_bytes(1, Accounting::Autograd);
         t.row(vec![
             net.cfg().name.clone(),
             fmt_m(params),

@@ -21,7 +21,7 @@ use revbifpn_data::{SynthDet, SynthDetConfig};
 use revbifpn_detect::{
     evaluate_box_ap, AreaRanges, Backbone, DetHeadConfig, Detector, HrBackbone, RevBackbone,
 };
-use revbifpn_nn::{meter, Module};
+use revbifpn_nn::{meter, Accounting, Module};
 use revbifpn_train::{LrSchedule, Sgd};
 
 fn analytic_section() {
@@ -44,7 +44,7 @@ fn analytic_section() {
     for (s, paper) in TABLE9.iter().enumerate().take(max_s + 1) {
         let cfg = RevBiFPNConfig::scaled(s, 1000).with_resolution(res);
         let mut m = RevBiFPNClassifier::new(cfg.clone());
-        let b = memory_breakdown(&mut m, 1, RunMode::TrainReversible);
+        let b = memory_breakdown(&mut m, 1, RunMode::TrainReversible, Accounting::Autograd);
         let mut bb = RevBiFPN::new(cfg);
         t.row(vec![
             format!("RevBiFPN-S{s} (rev)"),

@@ -8,7 +8,7 @@ use crate::stem::Stem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, MBConv, MBConvCfg, Upsample};
-use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_rev::{BlockStage, RevBlock, RevSilo, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{ResizeMode, Shape, Tensor};
 
@@ -252,16 +252,18 @@ impl RevBiFPN {
     }
 
     /// Analytic activation-cache bytes of a forward pass for batch `n` in
-    /// `mode`, the stem in the mode [`RevBiFPN::forward`] runs it in.
-    pub fn cache_bytes(&self, n: usize, mode: CacheMode) -> u64 {
+    /// `mode` under `acct`, the stem in the mode [`RevBiFPN::forward`] runs
+    /// it in.
+    pub fn cache_bytes(&self, n: usize, mode: CacheMode, acct: Accounting) -> u64 {
         let img = [self.image(n)];
-        self.stem.cache_bytes(&img, self.stem_mode(mode)) + self.body.cache_bytes(&self.stem.out_shapes(&img), mode)
+        self.stem.cache_bytes(&img, self.stem_mode(mode), acct)
+            + self.body.cache_bytes(&self.stem.out_shapes(&img), mode, acct)
     }
 
-    /// Peak transient bytes of the reversible backward: the body's
-    /// ([`ShapeWalk::transient_bytes`]); the stem is never recomputed.
-    pub fn peak_transient_bytes(&self, n: usize) -> u64 {
-        self.body.transient_bytes(&self.stem.out_shapes(&[self.image(n)]))
+    /// Peak transient bytes of the reversible backward under `acct`: the
+    /// body's ([`ShapeWalk::transient_bytes`]); the stem is never recomputed.
+    pub fn peak_transient_bytes(&self, n: usize, acct: Accounting) -> u64 {
+        self.body.transient_bytes(&self.stem.out_shapes(&[self.image(n)]), acct)
     }
 }
 
@@ -392,14 +394,15 @@ mod tests {
     fn reversible_cache_constant_vs_conventional_linear_in_depth() {
         let b1 = RevBiFPN::new(RevBiFPNConfig::tiny(10).with_depth(1));
         let b4 = RevBiFPN::new(RevBiFPNConfig::tiny(10).with_depth(4));
-        // Stats (reversible) cache barely grows with depth...
-        let _s1 = b1.cache_bytes(8, CacheMode::Stats);
-        let s4 = b4.cache_bytes(8, CacheMode::Stats);
-        // ...while Full (conventional) cache grows substantially.
-        let f1 = b1.cache_bytes(8, CacheMode::Full);
-        let f4 = b4.cache_bytes(8, CacheMode::Full);
-        assert!(f4 as f64 / f1 as f64 > 1.8, "full: {f1} -> {f4}");
-        assert!((s4 as f64) < 0.02 * f4 as f64, "stats {s4} vs full {f4}");
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            // Stats (reversible) cache barely grows with depth...
+            let s4 = b4.cache_bytes(8, CacheMode::Stats, acct);
+            // ...while Full (conventional) cache grows substantially.
+            let f1 = b1.cache_bytes(8, CacheMode::Full, acct);
+            let f4 = b4.cache_bytes(8, CacheMode::Full, acct);
+            assert!(f4 as f64 / f1 as f64 > 1.8, "{acct:?} full: {f1} -> {f4}");
+            assert!((s4 as f64) < 0.02 * f4 as f64, "{acct:?} stats {s4} vs full {f4}");
+        }
     }
 
     #[test]

@@ -193,6 +193,7 @@ impl ShapeWalk for ClsHead {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use revbifpn_nn::Accounting;
     use rand::SeedableRng;
 
     fn tiny_pyramid(n: usize, seed: u64) -> (RevBiFPNConfig, Vec<Tensor>) {
@@ -256,12 +257,13 @@ mod tests {
 
         revbifpn_nn::meter::reset();
         let outs = neck.forward(&pyr, CacheMode::Full);
-        assert_eq!(revbifpn_nn::meter::current() as u64, neck.cache_bytes(&shapes, CacheMode::Full));
+        assert_eq!(revbifpn_nn::meter::current() as u64, neck.cache_bytes(&shapes, CacheMode::Full, Accounting::Layout));
         let mut head = head;
         let _ = head.forward(&outs, CacheMode::Full);
         assert_eq!(
             revbifpn_nn::meter::current() as u64,
-            neck.cache_bytes(&shapes, CacheMode::Full) + head.cache_bytes(&n_shapes, CacheMode::Full)
+            neck.cache_bytes(&shapes, CacheMode::Full, Accounting::Layout)
+                + head.cache_bytes(&n_shapes, CacheMode::Full, Accounting::Layout)
         );
         neck.clear_cache();
         head.clear_cache();

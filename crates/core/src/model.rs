@@ -4,7 +4,7 @@
 use crate::backbone::RevBiFPN;
 use crate::config::RevBiFPNConfig;
 use crate::head::{ClsHead, Neck};
-use revbifpn_nn::{meter, CacheMode, Cached, FrozenTree, Layer, Module, Param, Part, ShapeWalk};
+use revbifpn_nn::{meter, Accounting, CacheMode, Cached, FrozenTree, Layer, Module, Param, Part, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// How to run the classifier's forward pass.
@@ -239,18 +239,19 @@ impl RevBiFPNClassifier {
     }
 
     /// Analytic activation-memory footprint of one training iteration at
-    /// batch `n` (see [`crate::stats`] for the full breakdown).
-    pub fn activation_bytes(&self, n: usize, mode: RunMode) -> u64 {
+    /// batch `n` under `acct` (see [`crate::stats`] for the full breakdown).
+    /// Under [`Accounting::Layout`] it is the meter's peak.
+    pub fn activation_bytes(&self, n: usize, mode: RunMode, acct: Accounting) -> u64 {
         let pyr = self.backbone.pyramid_shapes(n);
         let head_mode = mode.head_cache_mode();
-        let head_neck =
-            self.neck.cache_bytes(&pyr, head_mode) + self.head.cache_bytes(&self.neck.out_shapes(&pyr), head_mode);
+        let head_neck = self.neck.cache_bytes(&pyr, head_mode, acct)
+            + self.head.cache_bytes(&self.neck.out_shapes(&pyr), head_mode, acct);
         match mode {
             RunMode::Eval => 0,
-            RunMode::TrainConventional => self.backbone.cache_bytes(n, CacheMode::Full) + head_neck,
+            RunMode::TrainConventional => self.backbone.cache_bytes(n, CacheMode::Full, acct) + head_neck,
             RunMode::TrainReversible => {
                 let pyramid_bytes: u64 = pyr.iter().map(|s| s.bytes() as u64).sum();
-                let stats = self.backbone.cache_bytes(n, CacheMode::Stats);
+                let stats = self.backbone.cache_bytes(n, CacheMode::Stats, acct);
                 // Two candidate peaks that never coexist: (a) end of forward,
                 // with the neck/head caches resident; (b) mid-backward, with
                 // the largest single transform's transient recompute cache
@@ -259,7 +260,7 @@ impl RevBiFPNClassifier {
                 // caches are already consumed by then). On more threads a
                 // stage's streams or edges overlap in real heap
                 // (`ShapeWalk::transient_bytes`).
-                stats + pyramid_bytes + head_neck.max(self.backbone.peak_transient_bytes(n))
+                stats + pyramid_bytes + head_neck.max(self.backbone.peak_transient_bytes(n, acct))
             }
         }
     }
@@ -494,12 +495,14 @@ mod tests {
         // Analytic model: conventional grows with depth, reversible stays flat.
         let m1 = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(10).with_depth(1));
         let m5 = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(10).with_depth(5));
-        let conv1 = m1.activation_bytes(8, RunMode::TrainConventional);
-        let conv5 = m5.activation_bytes(8, RunMode::TrainConventional);
-        let rev1 = m1.activation_bytes(8, RunMode::TrainReversible);
-        let rev5 = m5.activation_bytes(8, RunMode::TrainReversible);
-        assert!(conv5 as f64 > 2.0 * conv1 as f64, "{conv1} -> {conv5}");
-        assert!((rev5 as f64) < 1.15 * rev1 as f64, "{rev1} -> {rev5}");
-        assert!(rev5 < conv5 / 2);
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            let conv1 = m1.activation_bytes(8, RunMode::TrainConventional, acct);
+            let conv5 = m5.activation_bytes(8, RunMode::TrainConventional, acct);
+            let rev1 = m1.activation_bytes(8, RunMode::TrainReversible, acct);
+            let rev5 = m5.activation_bytes(8, RunMode::TrainReversible, acct);
+            assert!(conv5 as f64 > 2.0 * conv1 as f64, "{acct:?} {conv1} -> {conv5}");
+            assert!((rev5 as f64) < 1.15 * rev1 as f64, "{acct:?} {rev1} -> {rev5}");
+            assert!(rev5 < conv5 / 2, "{acct:?}");
+        }
     }
 }

@@ -3,14 +3,25 @@
 //! and Table 2 without having to allocate paper-scale tensors.
 //!
 //! The activation terms come from the shape walk ([`revbifpn_nn::ShapeWalk`]):
-//! the listed layers' `cache_bytes`, and the largest one's `Full` cache as the
-//! reversible transient. The runtime meter checks them byte for byte, for the
-//! classifier in both regimes (the tests below) and for every runnable
-//! baseline (`crates/baselines/tests/meter_cross_check.rs`). Parameters,
-//! gradients and SGD momentum buffers are 4 bytes per scalar each.
+//! the listed layers' cache bytes, and the largest one's `Full` cache as the
+//! reversible transient, in one of two accountings ([`Accounting`]):
+//!
+//! - `Autograd` counts what per-op autograd would save — every op keeps the
+//!   tensors its own backward reads. The paper measured PyTorch, so the
+//!   paper-magnitude columns and comparisons read it.
+//! - `Layout` counts what this repo's layers store. A `Full` MBConv keeps its
+//!   input, each BatchNorm's input and the SE gate, and rebuilds the rest in
+//!   its backward, so `Layout` is the smaller one. The runtime meter checks
+//!   it byte for byte, for the classifier in both regimes (the tests below)
+//!   and for every runnable baseline
+//!   (`crates/baselines/tests/meter_cross_check.rs`).
+//!
+//! Parameters, gradients and SGD momentum buffers are 4 bytes per scalar
+//! each.
 
 use crate::config::RevBiFPNConfig;
 use crate::model::{RevBiFPNClassifier, RunMode};
+use revbifpn_nn::Accounting;
 
 /// Byte breakdown of one training step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,18 +57,19 @@ impl MemoryBreakdown {
     }
 }
 
-/// Computes the memory breakdown for a classifier at batch size `n`.
-pub fn memory_breakdown(model: &mut RevBiFPNClassifier, n: usize, mode: RunMode) -> MemoryBreakdown {
+/// Computes the memory breakdown for a classifier at batch size `n`, the
+/// activation terms under `acct`.
+pub fn memory_breakdown(model: &mut RevBiFPNClassifier, n: usize, mode: RunMode, acct: Accounting) -> MemoryBreakdown {
     let params = model.param_count() * 4;
     let (grads, optimizer) = match mode {
         RunMode::Eval => (0, 0),
         _ => (params, params),
     };
     let transient = match mode {
-        RunMode::TrainReversible => model.backbone().peak_transient_bytes(n),
+        RunMode::TrainReversible => model.backbone().peak_transient_bytes(n, acct),
         _ => 0,
     };
-    let activations = model.activation_bytes(n, mode).saturating_sub(transient);
+    let activations = model.activation_bytes(n, mode, acct).saturating_sub(transient);
     MemoryBreakdown { params, grads, optimizer, activations, transient }
 }
 
@@ -73,10 +85,15 @@ pub struct ModelSummary {
     pub macs: u64,
     /// Input resolution.
     pub resolution: usize,
-    /// Per-sample training memory (GB) with reversible recomputation.
+    /// Per-sample training memory (GB) with reversible recomputation, in
+    /// the paper's accounting ([`Accounting::Autograd`]).
     pub mem_rev_gb: f64,
-    /// Per-sample training memory (GB) with conventional caching.
+    /// Per-sample training memory (GB) with conventional caching, in the
+    /// paper's accounting.
     pub mem_conv_gb: f64,
+    /// [`ModelSummary::mem_rev_gb`] in this repo's layout
+    /// ([`Accounting::Layout`]).
+    pub mem_rev_layout_gb: f64,
 }
 
 /// Summarizes a configuration (builds the model once).
@@ -84,8 +101,9 @@ pub fn summarize(cfg: &RevBiFPNConfig) -> ModelSummary {
     let mut model = RevBiFPNClassifier::new(cfg.clone());
     let params = model.param_count();
     let macs = model.macs(1);
-    let rev = memory_breakdown(&mut model, 1, RunMode::TrainReversible);
-    let conv = memory_breakdown(&mut model, 1, RunMode::TrainConventional);
+    let rev = memory_breakdown(&mut model, 1, RunMode::TrainReversible, Accounting::Autograd);
+    let conv = memory_breakdown(&mut model, 1, RunMode::TrainConventional, Accounting::Autograd);
+    let rev_layout = memory_breakdown(&mut model, 1, RunMode::TrainReversible, Accounting::Layout);
     ModelSummary {
         name: cfg.name.clone(),
         params,
@@ -93,6 +111,7 @@ pub fn summarize(cfg: &RevBiFPNConfig) -> ModelSummary {
         resolution: cfg.resolution,
         mem_rev_gb: rev.activation_gb_per_sample(1),
         mem_conv_gb: conv.activation_gb_per_sample(1),
+        mem_rev_layout_gb: rev_layout.activation_gb_per_sample(1),
     }
 }
 
@@ -122,7 +141,7 @@ mod tests {
         meter::reset();
         let _ = m.forward(&x, RunMode::TrainConventional);
         let measured = meter::current() as u64;
-        let analytic = m.activation_bytes(2, RunMode::TrainConventional);
+        let analytic = m.activation_bytes(2, RunMode::TrainConventional, Accounting::Layout);
         assert_eq!(measured, analytic);
         m.clear_cache();
     }
@@ -136,7 +155,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let x = Tensor::randn(Shape::new(2, 3, 32, 32), 1.0, &mut rng);
         let (peak, _) = m.measure_step(&x, RunMode::TrainReversible);
-        let analytic = m.activation_bytes(2, RunMode::TrainReversible);
+        let analytic = m.activation_bytes(2, RunMode::TrainReversible, Accounting::Layout);
         assert!(peak as u64 <= analytic, "measured {peak} > analytic {analytic}");
         assert!(peak as u64 > analytic / 2, "analytic {analytic} far above measured {peak}");
     }
@@ -144,10 +163,12 @@ mod tests {
     #[test]
     fn reversible_breakdown_smaller_activations() {
         let mut m = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(10).with_depth(3));
-        let rev = memory_breakdown(&mut m, 4, RunMode::TrainReversible);
-        let conv = memory_breakdown(&mut m, 4, RunMode::TrainConventional);
-        assert!(rev.activations + rev.transient < conv.activations);
-        assert_eq!(rev.params, conv.params);
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            let rev = memory_breakdown(&mut m, 4, RunMode::TrainReversible, acct);
+            let conv = memory_breakdown(&mut m, 4, RunMode::TrainConventional, acct);
+            assert!(rev.activations + rev.transient < conv.activations, "{acct:?}");
+            assert_eq!(rev.params, conv.params);
+        }
     }
 
     #[test]
@@ -164,5 +185,6 @@ mod tests {
         assert!(s.params > 0);
         assert!(s.macs > 0);
         assert!(s.mem_rev_gb < s.mem_conv_gb);
+        assert!(s.mem_rev_layout_gb < s.mem_rev_gb);
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPN, RevBiFPNConfig, RevBiFPNClassifier, RunMode};
-use revbifpn_nn::{meter, CacheMode, Module};
+use revbifpn_nn::{meter, Accounting, CacheMode, Module};
 use revbifpn_tensor::{Shape, Tensor};
 
 fn random_tiny_config(seed: u64, streams: usize, depth: usize, blocks: usize) -> RevBiFPNConfig {
@@ -89,7 +89,7 @@ proptest! {
         let x = Tensor::randn(Shape::new(2, 3, 32, 32), 1.0, &mut rng);
         meter::reset();
         let _ = m.forward(&x, RunMode::TrainConventional);
-        prop_assert_eq!(meter::current() as u64, m.activation_bytes(2, RunMode::TrainConventional));
+        prop_assert_eq!(meter::current() as u64, m.activation_bytes(2, RunMode::TrainConventional, Accounting::Layout));
         m.clear_cache();
         prop_assert_eq!(meter::current(), 0);
     }
@@ -101,11 +101,13 @@ proptest! {
         let shallow = RevBiFPNClassifier::new(random_tiny_config(seed, 3, 0, 1));
         let deep = RevBiFPNClassifier::new(random_tiny_config(seed, 3, 3, 1));
         prop_assert!(deep.macs(1) > shallow.macs(1));
-        let cs = shallow.activation_bytes(4, RunMode::TrainConventional);
-        let cd = deep.activation_bytes(4, RunMode::TrainConventional);
-        prop_assert!(cd > cs);
-        let rs = shallow.activation_bytes(4, RunMode::TrainReversible);
-        let rd = deep.activation_bytes(4, RunMode::TrainReversible);
-        prop_assert!((rd as f64) < 1.25 * rs as f64, "reversible grew {rs} -> {rd}");
+        for acct in [Accounting::Autograd, Accounting::Layout] {
+            let cs = shallow.activation_bytes(4, RunMode::TrainConventional, acct);
+            let cd = deep.activation_bytes(4, RunMode::TrainConventional, acct);
+            prop_assert!(cd > cs, "{:?}", acct);
+            let rs = shallow.activation_bytes(4, RunMode::TrainReversible, acct);
+            let rd = deep.activation_bytes(4, RunMode::TrainReversible, acct);
+            prop_assert!((rd as f64) < 1.25 * rs as f64, "{:?}: reversible grew {} -> {}", acct, rs, rd);
+        }
     }
 }

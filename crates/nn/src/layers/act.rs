@@ -51,12 +51,12 @@ impl Layer for Relu {
 }
 
 #[inline]
-fn hswish(v: f32) -> f32 {
+pub(crate) fn hswish(v: f32) -> f32 {
     v * (v + 3.0).clamp(0.0, 6.0) / 6.0
 }
 
 #[inline]
-fn hswish_grad(v: f32) -> f32 {
+pub(crate) fn hswish_grad(v: f32) -> f32 {
     if v <= -3.0 {
         0.0
     } else if v >= 3.0 {

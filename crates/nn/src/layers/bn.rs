@@ -38,6 +38,28 @@ pub struct BnMoments {
     pub sqsum: Vec<f64>,
 }
 
+/// A BatchNorm input kept by a fused `Full` pass (see
+/// [`crate::layers::MBConv`]) with the statistics it was normalized with:
+/// enough to rebuild `xhat` and the output element for element
+/// ([`BatchNorm2d::map_normalized`]).
+#[derive(Debug)]
+pub(crate) struct BnInput {
+    pub(crate) z: Tensor,
+    mean: Tensor,
+    inv_std: Tensor,
+}
+
+impl BnInput {
+    pub(crate) fn bytes(&self) -> usize {
+        self.z.bytes() + self.mean.bytes() + self.inv_std.bytes()
+    }
+
+    /// `(mean, inv_std)`, as [`BatchNorm2d::map_normalized`] takes them.
+    pub(crate) fn stats(&self) -> (&Tensor, &Tensor) {
+        (&self.mean, &self.inv_std)
+    }
+}
+
 /// What a training forward does with the statistics of its batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BnStats {
@@ -197,31 +219,28 @@ impl BatchNorm2d {
         var.map(|v| 1.0 / (v + self.eps).sqrt())
     }
 
-    /// `y = ((x - mean) * inv_std) * gamma + beta` in one plane-parallel
-    /// pass into fresh memory. `xhat` — the inner parenthesis — is written
-    /// out too only for a caller that keeps it for the backward pass.
-    fn normalize(&self, x: &Tensor, mean: &Tensor, inv_std: &Tensor, keep_xhat: bool) -> (Tensor, Option<Tensor>) {
-        let c = self.c;
-        let coeffs = |p: usize| {
+    /// One plane-parallel pass into fresh memory over `inputs`, the first
+    /// of which is this layer's input `x`: each element's
+    /// `xhat = (x - mean) * inv_std` and `y = xhat * gamma + beta`, with the
+    /// inputs' values there, map to the `O` outputs. The forward and every
+    /// rebuild in a fused backward run this one expression, so a rebuilt
+    /// `xhat` or output is the forward's bit for bit.
+    pub(crate) fn map_normalized<const I: usize, const O: usize>(
+        &self,
+        inputs: [&Tensor; I],
+        (mean, inv_std): (&Tensor, &Tensor),
+        f: impl Fn(f32, f32, [f32; I]) -> [f32; O] + Sync,
+    ) -> [Tensor; O] {
+        let (c, gamma, beta) = (self.c, self.gamma.value.data(), self.beta.value.data());
+        let f = &f;
+        Tensor::map_planes(inputs, |p| {
             let ci = p % c;
-            (mean.data()[ci], inv_std.data()[ci], self.gamma.value.data()[ci], self.beta.value.data()[ci])
-        };
-        if keep_xhat {
-            let [y, xhat] = Tensor::map_planes([x], |p| {
-                let (mu, is, g, b) = coeffs(p);
-                move |[v]: [f32; 1]| {
-                    let xh = (v - mu) * is;
-                    [xh * g + b, xh]
-                }
-            });
-            (y, Some(xhat))
-        } else {
-            let [y] = Tensor::map_planes([x], |p| {
-                let (mu, is, g, b) = coeffs(p);
-                move |[v]: [f32; 1]| [(v - mu) * is * g + b]
-            });
-            (y, None)
-        }
+            let (mu, is, g, b) = (mean.data()[ci], inv_std.data()[ci], gamma[ci], beta[ci]);
+            move |v: [f32; I]| {
+                let xh = (v[0] - mu) * is;
+                f(xh, xh * g + b, v)
+            }
+        })
     }
 
     fn update_running(&mut self, mean: &Tensor, var: &Tensor) {
@@ -231,16 +250,16 @@ impl BatchNorm2d {
             self.running_var.data_mut()[c] = mom * self.running_var.data()[c] + (1.0 - mom) * var.data()[c];
         }
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
+    /// The `(mean, var)` a pass in `mode` over `x` normalizes with, after
+    /// the pass's bookkeeping: a `Full` pass after a `Stats` pass is the
+    /// reversible recomputation, which reuses the frozen statistics and
+    /// neither updates the running statistics nor records moments a second
+    /// time.
+    fn pass_stats(&mut self, x: &Tensor, mode: CacheMode) -> (Tensor, Tensor) {
         assert_eq!(x.shape().c, self.c, "BatchNorm channel mismatch");
-        // A Full pass after a Stats pass is the reversible recomputation:
-        // it reuses the frozen statistics and neither updates the running
-        // statistics nor records moments a second time.
         let frozen = if mode == CacheMode::Full { self.frozen.take() } else { None };
-        let (mean, var) = match frozen {
+        match frozen {
             Some(stats) => stats,
             None if mode == CacheMode::None || self.stats == BnStats::Decoupled => {
                 if mode != CacheMode::None {
@@ -258,35 +277,49 @@ impl Layer for BatchNorm2d {
                 }
                 (mean, var)
             }
-        };
-        let inv_std = self.inv_std(&var);
-        let (y, xhat) = self.normalize(x, &mean, &inv_std, mode == CacheMode::Full);
-        match (mode, xhat) {
-            (CacheMode::Full, Some(xhat)) => {
-                let bytes = xhat.bytes() + inv_std.bytes();
-                self.saved.put((xhat, inv_std), bytes);
-            }
-            // Freeze the statistics this pass normalized with (in `Decoupled`
-            // mode a copy of the pre-step running statistics), so the
-            // Full-mode recomputation reproduces it exactly.
-            (CacheMode::Stats, _) => {
-                let bytes = mean.bytes() + var.bytes();
-                self.frozen.put((mean, var), bytes);
-            }
-            _ => {}
         }
-        y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (xhat, inv_std) = self.saved.take().expect("BatchNorm2d::backward without Full forward");
+    /// The statistics bookkeeping of a `Full` training pass over `z` that
+    /// stores nothing itself: returns `z` with the `(mean, inv_std)` it
+    /// normalizes with, for a fused caller that keeps them, maps them to the
+    /// output ([`BatchNorm2d::map_normalized`]) and later runs
+    /// [`BatchNorm2d::backward_kept`].
+    pub(crate) fn keep_input(&mut self, z: Tensor) -> BnInput {
+        let (mean, var) = self.pass_stats(&z, CacheMode::Full);
+        let inv_std = self.inv_std(&var);
+        BnInput { z, mean, inv_std }
+    }
+
+    /// What [`BatchNorm2d::keep_input`] keeps on input shape `x`.
+    pub(crate) fn kept_bytes(&self, x: Shape) -> u64 {
+        (x.bytes() + 2 * Shape::vector(self.c).bytes()) as u64
+    }
+
+    /// The backward of a `Full` pass whose input was kept: reads `xhat` off
+    /// the input `z` as it goes, never as a tensor.
+    pub(crate) fn backward_kept(&mut self, dy: &Tensor, kept: &BnInput) -> Tensor {
+        self.backward_from(dy, &kept.z, Some(&kept.mean), &kept.inv_std)
+    }
+
+    /// The backward of a `Full` pass that normalized with `inv_std`:
+    /// accumulates the parameter gradients, returns `dx`. Channel `ci`'s
+    /// `xhat` is `(src - mean[ci]) * inv_std[ci]` — the forward's expression
+    /// on its input — or, without `mean`, `src` itself (`(v - 0) * 1` is
+    /// `v` exactly).
+    fn backward_from(&mut self, dy: &Tensor, src: &Tensor, mean: Option<&Tensor>, inv_std: &Tensor) -> Tensor {
         let xs = dy.shape();
         let (c, hw) = (self.c, xs.hw());
-        let (dyd, xhd) = (dy.data(), xhat.data());
+        let (dyd, srcd) = (dy.data(), src.data());
+        let to_xhat = |ci: usize| mean.map_or((0.0, 1.0), |m| (m.data()[ci], inv_std.data()[ci]));
         // (Σ dy·xhat, Σ dy) of one plane.
         let plane_grads = |n: usize, ci: usize| {
             let at = (n * c + ci) * hw;
-            plane_sums([&dyd[at..at + hw], &xhd[at..at + hw]], |[d, xh]| [d * xh, d])
+            let (mu, sc) = to_xhat(ci);
+            plane_sums([&dyd[at..at + hw], &srcd[at..at + hw]], |[d, v]| {
+                let xh = ((v as f32 - mu) * sc) as f64;
+                [d * xh, d]
+            })
         };
         let (gamma, is) = (self.gamma.value.data(), inv_std.data());
         let mut dgamma = Tensor::zeros(Shape::vector(c));
@@ -324,17 +357,50 @@ impl Layer for BatchNorm2d {
             }
             // dx = gamma * inv_std / m * (m*dy - sum(dy) - xhat * sum(dy*xhat))
             let m = (xs.n * hw) as f32;
-            let [dx] = Tensor::map_planes([dy, &xhat], |p| {
+            let [dx] = Tensor::map_planes([dy, src], |p| {
                 let ci = p % c;
                 let k = gamma[ci] * is[ci] / m;
                 let (s1, s2) = (sums[ci][1] as f32, sums[ci][0] as f32);
-                move |[d, xh]: [f32; 2]| [k * (m * d - s1 - xh * s2)]
+                let (mu, sc) = to_xhat(ci);
+                move |[d, v]: [f32; 2]| [k * (m * d - s1 - (v - mu) * sc * s2)]
             });
             dx
         };
         self.gamma.accumulate(&dgamma);
         self.beta.accumulate(&dbeta);
         dx
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
+        let (mean, var) = self.pass_stats(x, mode);
+        let inv_std = self.inv_std(&var);
+        match mode {
+            CacheMode::Full => {
+                let [y, xhat] = self.map_normalized([x], (&mean, &inv_std), |xh, y, _| [y, xh]);
+                let bytes = xhat.bytes() + inv_std.bytes();
+                self.saved.put((xhat, inv_std), bytes);
+                y
+            }
+            _ => {
+                let [y] = self.map_normalized([x], (&mean, &inv_std), |_, y, _| [y]);
+                // Freeze the statistics this pass normalized with (in
+                // `Decoupled` mode a copy of the pre-step running
+                // statistics), so the Full-mode recomputation reproduces it
+                // exactly.
+                if mode == CacheMode::Stats {
+                    let bytes = mean.bytes() + var.bytes();
+                    self.frozen.put((mean, var), bytes);
+                }
+                y
+            }
+        }
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let (xhat, inv_std) = self.saved.take().expect("BatchNorm2d::backward without Full forward");
+        self.backward_from(dy, &xhat, None, &inv_std)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

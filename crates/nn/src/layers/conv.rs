@@ -69,6 +69,16 @@ impl Conv2d {
     pub fn fused(&self) -> FusedConv {
         FusedConv::new(self.weight.value.clone(), self.bias.as_ref().map(|b| &b.value), self.spec)
     }
+
+    /// The backward of a forward on input `x`: adds the weight (and bias)
+    /// gradient into the parameters' accumulators in place — no
+    /// parameter-sized gradient is allocated — and returns `dx`.
+    pub(crate) fn backward_from(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        let db = self.bias.as_mut().map(|b| &mut b.grad);
+        let (w, spec) = (&self.weight.value, &self.spec);
+        let dx = conv2d_backward_accumulate(x, w, dy, spec, self.need_dx, &mut self.weight.grad, db);
+        dx.unwrap_or_else(|| Tensor::zeros(x.shape()))
+    }
 }
 
 impl Layer for Conv2d {
@@ -80,14 +90,10 @@ impl Layer for Conv2d {
         y
     }
 
-    /// Adds the weight (and bias) gradient into the parameters'
-    /// accumulators in place: no parameter-sized gradient is allocated.
+    /// See [`Conv2d::backward_from`].
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self.cache_x.take().expect("Conv2d::backward without Full forward");
-        let db = self.bias.as_mut().map(|b| &mut b.grad);
-        let (w, spec) = (&self.weight.value, &self.spec);
-        let dx = conv2d_backward_accumulate(&x, w, dy, spec, self.need_dx, &mut self.weight.grad, db);
-        dx.unwrap_or_else(|| Tensor::zeros(x.shape()))
+        self.backward_from(&x, dy)
     }
 
     fn out_shape(&self, x: Shape) -> Shape {

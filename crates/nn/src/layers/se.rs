@@ -56,29 +56,28 @@ impl SqueezeExcite {
         self.reduce.out_shape(Shape::new(1, self.c, 1, 1)).c
     }
 
-    fn gate(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
+    /// `hsigmoid(W2 relu(W1 gap(x)))`, one factor per plane; the gate path
+    /// caches in `mode`.
+    pub(crate) fn gate(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         let s = global_avg_pool(x);
         let r = self.reduce.forward(&s, mode);
         let r = self.relu.forward(&r, mode);
         let e = self.expand.forward(&r, mode);
         self.hsig.forward(&e, mode)
     }
-}
 
-impl Layer for SqueezeExcite {
-    fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
-        assert_eq!(x.shape().c, self.c, "SqueezeExcite channel mismatch");
-        let g = self.gate(x, mode);
-        let y = x.mul_planes(&g);
-        if mode == CacheMode::Full {
-            let bytes = x.bytes() + g.bytes();
-            self.cache.put((x.clone(), g), bytes);
-        }
-        y
+    /// The gate `g` and the gate path's caches in `mode`: what a `Full`
+    /// caller that keeps the gate and rebuilds `x` holds of this layer.
+    pub(crate) fn gate_cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
+        let mut total = mode.full_only(Shape::new(x.n, self.c, 1, 1).bytes());
+        self.visit_children_at(x, &mut |l, s| total += l.cache_bytes(s, mode));
+        total
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, g) = self.cache.take().expect("SqueezeExcite::backward without Full forward");
+    /// The backward of a `Full` forward on `x` that gated with `g`:
+    /// accumulates the gate path's parameter gradients, returns `dx`. The
+    /// gate path's own caches must be in place.
+    pub(crate) fn backward_from(&mut self, x: &Tensor, g: &Tensor, dy: &Tensor) -> Tensor {
         let xs = x.shape();
         let hw = xs.hw();
         // Gate gradient dg = Σ_hw dy * x, one plane at a time.
@@ -102,6 +101,24 @@ impl Layer for SqueezeExcite {
             move |[d]: [f32; 1]| [d * k + b]
         });
         dx
+    }
+}
+
+impl Layer for SqueezeExcite {
+    fn forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
+        assert_eq!(x.shape().c, self.c, "SqueezeExcite channel mismatch");
+        let g = self.gate(x, mode);
+        let y = x.mul_planes(&g);
+        if mode == CacheMode::Full {
+            let bytes = x.bytes() + g.bytes();
+            self.cache.put((x.clone(), g), bytes);
+        }
+        y
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let (x, g) = self.cache.take().expect("SqueezeExcite::backward without Full forward");
+        self.backward_from(&x, &g, dy)
     }
 
     /// The gate's MACs plus the `x * g` product.
@@ -136,9 +153,7 @@ impl Layer for SqueezeExcite {
 
     /// The gate's caches plus the `(x, g)` pair.
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
-        let mut total = mode.full_only(x.bytes() + Shape::new(x.n, self.c, 1, 1).bytes());
-        self.visit_children_at(x, &mut |l, s| total += l.cache_bytes(s, mode));
-        total
+        mode.full_only(x.bytes()) + self.gate_cache_bytes(x, mode)
     }
 
     fn name(&self) -> &str {

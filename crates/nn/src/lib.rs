@@ -37,7 +37,7 @@ mod param;
 
 pub use freeze::{freeze_layer, freeze_layer_int8, ActKind, FreezeError, FrozenLayer, FrozenTree, FusedConv};
 pub use meter::Cached;
-pub use mode::CacheMode;
+pub use mode::{Accounting, CacheMode};
 pub use module::{grad_sq_norm, param_count, zero_grads, Identity, Layer, Module, Part, Sequential, ShapeWalk};
 pub use param::{count_scalars, Param};
 

@@ -18,7 +18,10 @@ pub enum CacheMode {
     /// uses (and stores) batch statistics and updates running statistics.
     Stats,
     /// Conventional training forward (or the transient recomputation inside
-    /// a reversible backward): cache everything backward needs.
+    /// a reversible backward): cache what backward cannot recompute. A leaf
+    /// keeps the tensors its backward reads, as per-op autograd would; a
+    /// fused composite keeps less and rebuilds the rest (a `Full` MBConv
+    /// keeps its input, each BatchNorm's input and the SE gate).
     Full,
 }
 
@@ -34,6 +37,29 @@ impl CacheMode {
         match self {
             CacheMode::Full => bytes as u64,
             _ => 0,
+        }
+    }
+}
+
+/// Which bytes an analytic cache figure counts. Both accountings are
+/// derived from the one shape walk ([`crate::ShapeWalk`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Accounting {
+    /// What this repo's layers store ([`crate::Layer::cache_bytes`]): the
+    /// activation meter checks it byte for byte.
+    Layout,
+    /// What per-op autograd would save ([`crate::Layer::autograd_bytes`]):
+    /// every op keeps the tensors its own backward reads. The paper measures
+    /// PyTorch, so its memory figures are in this accounting.
+    Autograd,
+}
+
+impl Accounting {
+    /// `layer`'s cache bytes on input `x` in `mode` under this accounting.
+    pub fn of(self, layer: &dyn crate::Layer, x: revbifpn_tensor::Shape, mode: CacheMode) -> u64 {
+        match self {
+            Accounting::Layout => layer.cache_bytes(x, mode),
+            Accounting::Autograd => layer.autograd_bytes(x, mode),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The single-input [`Layer`] trait and generic helpers over it.
 
 use crate::freeze::{FreezeError, FrozenLayer};
-use crate::mode::CacheMode;
+use crate::mode::{Accounting, CacheMode};
 use crate::param::Param;
 use revbifpn_tensor::{Shape, Tensor};
 
@@ -13,7 +13,10 @@ use revbifpn_tensor::{Shape, Tensor};
 /// * `None` — inference; `backward` must not be called afterwards.
 /// * `Stats` — cache only O(c) statistics/seeds so that a later `Full`
 ///   forward on the *same input values* reproduces this pass exactly.
-/// * `Full` — cache what `backward` needs.
+/// * `Full` — cache what `backward` needs. A leaf keeps the tensors its own
+///   backward reads, as per-op autograd would; a composite may keep less
+///   and rebuild the rest in its backward (a `Full` MBConv keeps its input
+///   and each BatchNorm's input, see [`crate::layers::MBConv`]).
 ///
 /// `backward` consumes the `Full` cache, accumulates parameter gradients,
 /// and returns the gradient w.r.t. the input.
@@ -56,8 +59,9 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// The shape view of [`Layer::visit_children`]: the same children in the
     /// same order, each with the input shape it receives; returns the output
-    /// shape for input `x`. `out_shape`, `macs` and `cache_bytes` derive from
-    /// it, so a composite implements only this and a leaf overrides those.
+    /// shape for input `x`. `out_shape`, `macs`, `cache_bytes` and
+    /// `autograd_bytes` derive from it, so a composite implements only this
+    /// and a leaf overrides the first three.
     fn visit_children_at(&self, x: Shape, f: &mut dyn FnMut(&dyn Layer, Shape)) -> Shape {
         let _ = f;
         x
@@ -96,13 +100,30 @@ pub trait Layer: std::fmt::Debug + Send {
         self.visit_children(&mut |l| l.reseed(draw));
     }
 
-    /// Analytic prediction of the bytes this layer caches during a forward
-    /// pass in `mode` on input shape `x`. Cross-checked against the meter in
-    /// tests; used to extrapolate paper-scale memory without allocating.
+    /// Analytic prediction of the bytes this layer stores during a forward
+    /// pass in `mode` on input shape `x` ([`crate::Accounting::Layout`]). The
+    /// meter checks it byte for byte; a composite that stores less than its
+    /// children would overrides it.
     fn cache_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
         let mut total = 0;
         self.visit_children_at(x, &mut |l, s| total += l.cache_bytes(s, mode));
         total
+    }
+
+    /// The bytes per-op autograd would save for the same pass
+    /// ([`crate::Accounting::Autograd`]): the quantity the paper's memory
+    /// figures measure. Derived, never overridden: a leaf's is its
+    /// `cache_bytes`, a composite's is its children's plus what it stores
+    /// beside them (squeeze-excite's product operands). A composite that
+    /// stores less than its children would — a fused cache that rebuilds
+    /// their tensors in its backward — counts its children's.
+    fn autograd_bytes(&self, x: Shape, mode: CacheMode) -> u64 {
+        let (mut autograd, mut stored) = (0, 0);
+        self.visit_children_at(x, &mut |l, s| {
+            autograd += l.autograd_bytes(s, mode);
+            stored += l.cache_bytes(s, mode);
+        });
+        autograd + self.cache_bytes(x, mode).saturating_sub(stored)
     }
 
     /// Short human-readable identifier.
@@ -196,24 +217,24 @@ pub trait ShapeWalk {
         total
     }
 
-    /// Analytic cache bytes of a forward pass in `mode` (see
-    /// [`Layer::cache_bytes`]).
-    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode) -> u64 {
+    /// Analytic cache bytes of a forward pass in `mode` under `acct` (see
+    /// [`Layer::cache_bytes`] and [`Layer::autograd_bytes`]).
+    fn cache_bytes(&self, xs: &[Shape], mode: CacheMode, acct: Accounting) -> u64 {
         let mut total = 0;
-        self.visit_layers_at(xs, &mut |l, x| total += l.cache_bytes(x, mode));
+        self.visit_layers_at(xs, &mut |l, x| total += acct.of(l, x, mode));
         total
     }
 
-    /// The largest listed layer's `Full` cache. The listed layers are the
+    /// The largest listed layer's `Full` cache under `acct`. The listed layers are the
     /// recompute units — a RevBlock's F or G, one silo edge — and on one
     /// thread the reversible backward re-runs and transposes them one at a
     /// time, so this is its transient peak. The meter counts that serial
     /// trace at any thread count; in real heap, a `BlockStage`'s streams
     /// and a `RevSilo`'s edges recompute concurrently on the pool, so with
     /// `T` threads up to `T` units' caches are live at once.
-    fn transient_bytes(&self, xs: &[Shape]) -> u64 {
+    fn transient_bytes(&self, xs: &[Shape], acct: Accounting) -> u64 {
         let mut peak = 0;
-        self.visit_layers_at(xs, &mut |l, x| peak = peak.max(l.cache_bytes(x, CacheMode::Full)));
+        self.visit_layers_at(xs, &mut |l, x| peak = peak.max(acct.of(l, x, CacheMode::Full)));
         peak
     }
 }

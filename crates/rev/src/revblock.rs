@@ -149,6 +149,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
+    use revbifpn_nn::Accounting::Layout;
 
     fn make_block(c: usize, rng: &mut StdRng) -> RevBlock {
         let half = c / 2;
@@ -253,9 +254,9 @@ mod tests {
         let x = Tensor::randn(Shape::new(2, 8, 8, 8), 1.0, &mut rng);
         let _ = b.forward(&x, CacheMode::Stats);
         let stats_bytes = revbifpn_nn::meter::current();
-        assert_eq!(stats_bytes as u64, b.cache_bytes(&[x.shape()], CacheMode::Stats));
+        assert_eq!(stats_bytes as u64, b.cache_bytes(&[x.shape()], CacheMode::Stats, Layout));
         // Stats cache is tiny compared to a Full cache.
-        assert!((stats_bytes as u64) < b.cache_bytes(&[x.shape()], CacheMode::Full) / 10);
+        assert!((stats_bytes as u64) < b.cache_bytes(&[x.shape()], CacheMode::Full, Layout) / 10);
         b.clear_cache();
         assert_eq!(revbifpn_nn::meter::current(), 0);
     }

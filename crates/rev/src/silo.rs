@@ -347,6 +347,7 @@ impl ShapeWalk for RevSilo {
 mod tests {
     use super::*;
     use crate::stage::tests_support::on_layer;
+    use revbifpn_nn::Accounting::Layout;
     use crate::RevBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -686,8 +687,8 @@ mod tests {
         let xs = make_inputs(4, 16, 15);
         let shapes: Vec<Shape> = xs.iter().map(|x| x.shape()).collect();
         let _ = s.forward(&xs, CacheMode::Stats);
-        assert_eq!(revbifpn_nn::meter::current() as u64, s.cache_bytes(&shapes, CacheMode::Stats));
-        assert!(s.cache_bytes(&shapes, CacheMode::Stats) < s.cache_bytes(&shapes, CacheMode::Full) / 10);
+        assert_eq!(revbifpn_nn::meter::current() as u64, s.cache_bytes(&shapes, CacheMode::Stats, Layout));
+        assert!(s.cache_bytes(&shapes, CacheMode::Stats, Layout) < s.cache_bytes(&shapes, CacheMode::Full, Layout) / 10);
         s.clear_cache();
         assert_eq!(revbifpn_nn::meter::current(), 0);
     }

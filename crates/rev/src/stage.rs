@@ -9,7 +9,7 @@
 
 use crate::revblock::RevBlock;
 use crate::silo::RevSilo;
-use revbifpn_nn::{meter, CacheMode, Cached, Layer, Module, Part, ShapeWalk};
+use revbifpn_nn::{meter, Accounting, CacheMode, Cached, Layer, Module, Part, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 
@@ -654,14 +654,15 @@ impl ReversibleSequence {
     /// al. 2016) over this sequence: the inputs of every `segment`-th stage
     /// are stored, and the largest segment is rematerialized with `Full`
     /// caches during backward. `segment = 1` degenerates to conventional
-    /// training; `segment = len()` stores only the sequence input.
+    /// training; `segment = len()` stores only the sequence input. The
+    /// rematerialized caches are counted under `acct`.
     /// With `segment ~ sqrt(len())` this is the O(sqrt(D)) regime the paper
     /// contrasts reversibility against (Appendix A).
     ///
     /// # Panics
     ///
     /// Panics if `segment == 0`.
-    pub fn checkpoint_bytes(&self, xs: &[Shape], segment: usize) -> u64 {
+    pub fn checkpoint_bytes(&self, xs: &[Shape], segment: usize, acct: Accounting) -> u64 {
         assert!(segment > 0, "segment length must be positive");
         let mut cur = xs.to_vec();
         let mut stored = 0u64;
@@ -673,7 +674,7 @@ impl ReversibleSequence {
                 max_seg = max_seg.max(seg_cache);
                 seg_cache = 0;
             }
-            cur = s.visit_layers_at(&cur, &mut |l, x| seg_cache += l.cache_bytes(x, CacheMode::Full));
+            cur = s.visit_layers_at(&cur, &mut |l, x| seg_cache += acct.of(l, x, CacheMode::Full));
         }
         stored + max_seg.max(seg_cache)
     }
@@ -773,6 +774,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use revbifpn_nn::layers::{MBConv, MBConvCfg};
+    use revbifpn_nn::Accounting::Layout;
     use revbifpn_nn::Layer;
     use revbifpn_tensor::Tensor;
 
@@ -905,17 +907,17 @@ mod tests {
             Shape::new(4, C[1], 8, 8),
             Shape::new(4, C[2], 4, 4),
         ];
-        let _stats_shallow = shallow.cache_bytes(&shapes, CacheMode::Stats);
-        let stats_deep = deep.cache_bytes(&shapes, CacheMode::Stats);
-        let full_shallow = shallow.cache_bytes(&shapes, CacheMode::Full);
-        let full_deep = deep.cache_bytes(&shapes, CacheMode::Full);
+        let _stats_shallow = shallow.cache_bytes(&shapes, CacheMode::Stats, Layout);
+        let stats_deep = deep.cache_bytes(&shapes, CacheMode::Stats, Layout);
+        let full_shallow = shallow.cache_bytes(&shapes, CacheMode::Full, Layout);
+        let full_deep = deep.cache_bytes(&shapes, CacheMode::Full, Layout);
         // Full caches grow ~linearly with stage count; stats stay tiny.
         assert!(full_deep > 3 * full_shallow);
         assert!(stats_deep < full_shallow / 10);
         // Peak transient of the reversible backward is one silo edge's Full
         // cache: it does not grow with depth, and is below a stage's total.
-        assert_eq!(deep.transient_bytes(&shapes), shallow.transient_bytes(&shapes));
-        assert!(shallow.transient_bytes(&shapes) < full_shallow / 2);
+        assert_eq!(deep.transient_bytes(&shapes, Layout), shallow.transient_bytes(&shapes, Layout));
+        assert!(shallow.transient_bytes(&shapes, Layout) < full_shallow / 2);
     }
 
     #[test]
@@ -933,12 +935,12 @@ mod tests {
         }
         let _ = deep.forward(xs.clone(), CacheMode::Stats);
         let measured = revbifpn_nn::meter::current() as u64;
-        assert_eq!(measured, deep.cache_bytes(&shapes, CacheMode::Stats));
+        assert_eq!(measured, deep.cache_bytes(&shapes, CacheMode::Stats, Layout));
         deep.clear_cache();
 
         let _ = deep.forward(xs, CacheMode::Full);
         let measured_full = revbifpn_nn::meter::current() as u64;
-        assert_eq!(measured_full, deep.cache_bytes(&shapes, CacheMode::Full));
+        assert_eq!(measured_full, deep.cache_bytes(&shapes, CacheMode::Full, Layout));
         deep.clear_cache();
         assert_eq!(revbifpn_nn::meter::current(), 0);
     }
@@ -954,14 +956,14 @@ mod tests {
             Shape::new(2, C[1], 8, 8),
             Shape::new(2, C[2], 4, 4),
         ];
-        let conventional = seq.cache_bytes(&shapes, CacheMode::Full);
-        let ckpt_all = seq.checkpoint_bytes(&shapes, 1);
+        let conventional = seq.cache_bytes(&shapes, CacheMode::Full, Layout);
+        let ckpt_all = seq.checkpoint_bytes(&shapes, 1, Layout);
         // segment=1 stores every stage input on top of full caches' max
         // segment (one stage), so it is within the conventional ballpark.
         assert!(ckpt_all >= conventional / 6);
-        let sqrt_ckpt = seq.checkpoint_bytes(&shapes, 3); // ~sqrt(6)
-        let one_ckpt = seq.checkpoint_bytes(&shapes, 6);
-        let reversible = seq.cache_bytes(&shapes, CacheMode::Stats) + seq.transient_bytes(&shapes);
+        let sqrt_ckpt = seq.checkpoint_bytes(&shapes, 3, Layout); // ~sqrt(6)
+        let one_ckpt = seq.checkpoint_bytes(&shapes, 6, Layout);
+        let reversible = seq.cache_bytes(&shapes, CacheMode::Stats, Layout) + seq.transient_bytes(&shapes, Layout);
         // Ordering: conventional > sqrt-checkpointing > reversible.
         assert!(sqrt_ckpt < conventional, "{sqrt_ckpt} vs {conventional}");
         assert!(reversible < sqrt_ckpt, "{reversible} vs {sqrt_ckpt}");

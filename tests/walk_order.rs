@@ -12,9 +12,13 @@
 //! registered with the activation meter.
 //!
 //! The third pins the analytic model — shapes, MACs, cache bytes, the
-//! reversible transient, checkpointing and activation bytes — as digests
-//! recorded before those numbers were derived from the shape walk, and
-//! checks that the shape walk lists the same layers as the state walk.
+//! reversible transient, checkpointing and activation bytes — in both
+//! accountings, and checks that the shape walk lists the same layers as the
+//! state walk. The per-op autograd digests were recorded before those
+//! numbers were derived from the shape walk, and before any layer stored
+//! less than per-op autograd would; the layout digests were recorded when a
+//! `Full` MBConv began to keep only its input, its BatchNorms' inputs and
+//! the SE gate.
 
 use revbifpn::{
     ClsHead, DownsampleMode, Neck, RevBiFPNClassifier, RevBiFPNConfig, RunMode, StemKind, UpsampleMode,
@@ -23,7 +27,7 @@ use revbifpn_baselines::{
     EfficientNet, EfficientNetConfig, HrNet, HrNetConfig, ResNetFpn, ResNetFpnConfig, RevShNet, RevShNetConfig,
 };
 use revbifpn_detect::{Backbone, DetHead, DetHeadConfig, Detector, HrBackbone, RevBackbone};
-use revbifpn_nn::{meter, CacheMode, Layer, Module, Param, ShapeWalk};
+use revbifpn_nn::{meter, Accounting, CacheMode, Layer, Module, Param, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 
 /// FNV-1a over a sequence, with the item count alongside.
@@ -215,9 +219,10 @@ fn analytic_configs() -> Vec<(String, RevBiFPNConfig)> {
     cases
 }
 
-/// Every analytic number of a classifier at batch 1 and 4: whole model,
-/// backbone, stem, body, neck, head and each body stage.
-fn classifier_numbers(cfg: &RevBiFPNConfig) -> Digest {
+/// Every analytic number of a classifier at batch 1 and 4, the cache bytes
+/// under `acct`: whole model, backbone, stem, body, neck, head and each body
+/// stage.
+fn classifier_numbers(cfg: &RevBiFPNConfig, acct: Accounting) -> Digest {
     let mut dg = Digest::new();
     let m = RevBiFPNClassifier::new(cfg.clone());
     let (neck, head) = (Neck::from_config(cfg), ClsHead::from_config(cfg));
@@ -235,18 +240,18 @@ fn classifier_numbers(cfg: &RevBiFPNConfig) -> Digest {
         }
         for mode in MODES {
             for v in [
-                b.cache_bytes(n, mode),
-                body.cache_bytes(&s0, mode),
-                neck.cache_bytes(&pyr, mode),
-                head.cache_bytes(&necked, mode),
+                b.cache_bytes(n, mode, acct),
+                body.cache_bytes(&s0, mode, acct),
+                neck.cache_bytes(&pyr, mode, acct),
+                head.cache_bytes(&necked, mode, acct),
             ] {
                 dg.num(v);
             }
         }
-        dg.num(b.peak_transient_bytes(n));
-        dg.num(body.transient_bytes(&s0));
+        dg.num(b.peak_transient_bytes(n, acct));
+        dg.num(body.transient_bytes(&s0, acct));
         for seg in 1..=3 {
-            dg.num(body.checkpoint_bytes(&s0, seg));
+            dg.num(body.checkpoint_bytes(&s0, seg, acct));
         }
         for parts in 1..=3 {
             for bound in body.partition_by_macs(&s0, parts) {
@@ -254,15 +259,15 @@ fn classifier_numbers(cfg: &RevBiFPNConfig) -> Digest {
             }
         }
         for mode in [RunMode::TrainReversible, RunMode::TrainConventional] {
-            dg.num(m.activation_bytes(n, mode));
+            dg.num(m.activation_bytes(n, mode, acct));
         }
         let mut cur = s0.to_vec();
         for s in body.stages() {
             dg.num(s.macs(&cur));
             for mode in MODES {
-                dg.num(s.cache_bytes(&cur, mode));
+                dg.num(s.cache_bytes(&cur, mode, acct));
             }
-            dg.num(s.transient_bytes(&cur));
+            dg.num(s.transient_bytes(&cur, acct));
             cur = s.out_shapes(&cur);
             dg.shapes(&cur);
         }
@@ -275,6 +280,65 @@ fn classifier_numbers(cfg: &RevBiFPNConfig) -> Digest {
 /// they were derived from the shape walk.
 const FPN_UPS_BYTES: u64 = 3 * std::mem::size_of::<Shape>() as u64;
 
+/// Every pinned analytic number under `acct`, one digest per classifier
+/// configuration and per baseline group, by name.
+fn analytic_digests(acct: Accounting) -> Vec<(String, Digest)> {
+    let mut out: Vec<(String, Digest)> =
+        analytic_configs().iter().map(|(name, cfg)| (name.clone(), classifier_numbers(cfg, acct))).collect();
+
+    let mut got: [Digest; 6] = std::array::from_fn(|_| Digest::new());
+    let hr = HrNet::new(HrNetConfig::micro());
+    let fpn = ResNetFpn::new(ResNetFpnConfig::micro());
+    let sh = RevShNet::new(RevShNetConfig::micro());
+    for res in [32, 64] {
+        let eff = EfficientNet::new(EfficientNetConfig::micro(10).with_resolution(res));
+        for n in [1, 4] {
+            for v in [eff.macs(n), eff.activation_bytes(n, acct), eff.activation_bytes_at(n, res, acct)] {
+                got[0].num(v);
+            }
+            for v in [hr.macs_at(n, res), hr.activation_bytes_at(n, res)] {
+                got[1].num(v);
+            }
+            got[2].num(fpn.macs_at(n, res));
+            got[3].num(fpn.activation_bytes_at(n, res) - FPN_UPS_BYTES);
+            for v in [sh.macs_at(n, res), sh.activation_bytes_rev(n, res, acct), sh.activation_bytes_conv(n, res, acct)] {
+                got[4].num(v);
+            }
+        }
+    }
+    let det = rev_detector(true);
+    let net = revbifpn::RevBiFPN::new(RevBiFPNConfig::tiny(4));
+    for n in [1, 4] {
+        got[5].num(det.head().macs(&net.pyramid_shapes(n)));
+    }
+    let names = [
+        "efficientnet",
+        "hrnet",
+        "resnet-fpn macs",
+        "resnet-fpn activation bytes without the ups",
+        "revshnet",
+        "detection head macs",
+    ];
+    out.extend(names.into_iter().map(String::from).zip(got));
+    out
+}
+
+/// Checks [`analytic_digests`] under `acct` against `want`, in order.
+fn check_analytic<'a>(acct: Accounting, want: impl IntoIterator<Item = &'a (&'a str, Digest)>) {
+    let got = analytic_digests(acct);
+    let want: Vec<_> = want.into_iter().collect();
+    assert_eq!(got.len(), want.len());
+    let mut failed = Vec::new();
+    for ((name, got), (want_name, want)) in got.iter().zip(want) {
+        assert_eq!(name, want_name);
+        if got != want {
+            failed.push(format!("{name}: {got:?}"));
+        }
+    }
+    assert!(failed.is_empty(), "{acct:?}: analytic numbers changed:\n{}", failed.join("\n"));
+}
+
+/// The per-op autograd accounting: the paper's magnitudes.
 #[test]
 fn analytic_model_is_pinned() {
     let want = [
@@ -293,41 +357,7 @@ fn analytic_model_is_pinned() {
         ("S3@288", d(220, 0x3952_76d7_dc2e_8f92)),
         ("S3@128", d(220, 0xb4f3_922b_e370_a0e8)),
     ];
-    let mut failed = Vec::new();
-    for ((name, cfg), (want_name, want)) in analytic_configs().iter().zip(want) {
-        assert_eq!(name, want_name);
-        let got = classifier_numbers(cfg);
-        if got != want {
-            failed.push(format!("{name}: {got:?}"));
-        }
-    }
-
-    let mut got: [Digest; 6] = std::array::from_fn(|_| Digest::new());
-    let hr = HrNet::new(HrNetConfig::micro());
-    let fpn = ResNetFpn::new(ResNetFpnConfig::micro());
-    let sh = RevShNet::new(RevShNetConfig::micro());
-    for res in [32, 64] {
-        let eff = EfficientNet::new(EfficientNetConfig::micro(10).with_resolution(res));
-        for n in [1, 4] {
-            for v in [eff.macs(n), eff.activation_bytes(n), eff.activation_bytes_at(n, res)] {
-                got[0].num(v);
-            }
-            for v in [hr.macs_at(n, res), hr.activation_bytes_at(n, res)] {
-                got[1].num(v);
-            }
-            got[2].num(fpn.macs_at(n, res));
-            got[3].num(fpn.activation_bytes_at(n, res) - FPN_UPS_BYTES);
-            for v in [sh.macs_at(n, res), sh.activation_bytes_rev(n, res), sh.activation_bytes_conv(n, res)] {
-                got[4].num(v);
-            }
-        }
-    }
-    let det = rev_detector(true);
-    let net = revbifpn::RevBiFPN::new(RevBiFPNConfig::tiny(4));
-    for n in [1, 4] {
-        got[5].num(det.head().macs(&net.pyramid_shapes(n)));
-    }
-    let want = [
+    let baselines = [
         ("efficientnet", d(12, 0x6e1d_8332_1e79_4458)),
         ("hrnet", d(8, 0x97b2_2f42_402d_9d08)),
         ("resnet-fpn macs", d(4, 0xfeaf_8188_9a48_347d)),
@@ -335,12 +365,37 @@ fn analytic_model_is_pinned() {
         ("revshnet", d(12, 0x05d7_161f_f1d3_73ab)),
         ("detection head macs", d(2, 0x0d8a_ed06_6f00_c8f5)),
     ];
-    for (got, (name, want)) in got.into_iter().zip(want) {
-        if got != want {
-            failed.push(format!("{name}: {got:?}"));
-        }
-    }
-    assert!(failed.is_empty(), "analytic numbers changed:\n{}", failed.join("\n"));
+    check_analytic(Accounting::Autograd, want.iter().chain(&baselines));
+}
+
+/// This repo's cache layout, which the meter checks.
+#[test]
+fn analytic_layout_is_pinned() {
+    let want = [
+        ("tiny@32", d(148, 0xc864_641c_f6db_d96c)),
+        ("tiny-conv-stem@32", d(148, 0x8a14_472f_9acc_e390)),
+        ("tiny-chained@32", d(148, 0x76cd_df11_95c5_fc53)),
+        ("tiny@64", d(148, 0x5c0b_4147_96fb_48dd)),
+        ("tiny-conv-stem@64", d(148, 0xc0e1_cfdd_09b6_87a5)),
+        ("tiny-chained@64", d(148, 0x326d_eaea_cb2b_fc53)),
+        ("S0@224", d(196, 0xcfcd_3834_f974_e65d)),
+        ("S0@128", d(196, 0x0b92_e8d9_d5f6_df59)),
+        ("S1@256", d(196, 0xf941_4812_d18b_58a6)),
+        ("S1@128", d(196, 0x6e4a_89bb_f748_b86b)),
+        ("S2@256", d(196, 0x26da_849b_b6c6_b145)),
+        ("S2@128", d(196, 0x4ed9_2ba9_10e3_1f44)),
+        ("S3@288", d(220, 0x9c64_f61a_c5a1_8815)),
+        ("S3@128", d(220, 0x4823_9571_ba52_76c3)),
+    ];
+    let baselines = [
+        ("efficientnet", d(12, 0xee51_bab6_f3d9_00e8)),
+        ("hrnet", d(8, 0x97b2_2f42_402d_9d08)),
+        ("resnet-fpn macs", d(4, 0xfeaf_8188_9a48_347d)),
+        ("resnet-fpn activation bytes without the ups", d(4, 0x2b17_6d2a_88ab_809f)),
+        ("revshnet", d(12, 0x6ec2_8b91_61ea_9134)),
+        ("detection head macs", d(2, 0x0d8a_ed06_6f00_c8f5)),
+    ];
+    check_analytic(Accounting::Layout, want.iter().chain(&baselines));
 }
 
 fn addr(l: &dyn Layer) -> *const () {
