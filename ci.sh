@@ -95,6 +95,10 @@ if git grep -nIE 'struct Snapshot|Snapshot::(new|capture|restore)|legacy serial'
     echo "the lines above bring back a second train-step executor or its rollback snapshot beside ShardEngine" >&2
     exit 1
 fi
+if git grep -nE 'grad_slabs|fn merge_grads' -- crates/train/src/shard.rs DESIGN.md README.md; then
+    echo "the lines above bring back a replica's own gradients and their end-of-step merge: a replica adds into its pair's accumulator at the write" >&2
+    exit 1
+fi
 if git grep -nE 'add_assign|sub_assign|add_channels_of' -- crates/rev/src/freeze.rs crates/rev/src/revblock.rs; then
     echo "the lines above couple a stream outside silo::couple, the one place a transform's output enters or leaves one" >&2
     exit 1

@@ -15,7 +15,8 @@ use crate::meter::Cached;
 use crate::mode::CacheMode;
 use crate::module::Layer;
 use crate::param::Param;
-use revbifpn_tensor::{par, Shape, Tensor};
+use revbifpn_tensor::par::{self, GradSink};
+use revbifpn_tensor::{Shape, Tensor};
 
 /// Per-sample channel moments recorded by a [`BnStats::Decoupled`] training
 /// forward pass.
@@ -330,7 +331,7 @@ impl BatchNorm2d {
             // so shard-local trees compose into the global batch tree bit
             // for bit (each partial depends only on its own sample).
             let mut partial = vec![0.0f32; 2 * c];
-            par::tree_reduce_with_slabs(xs.n, 1, 2 * c, &mut partial, |n, _, slab| {
+            par::tree_reduce_with_slabs(xs.n, 1, 2 * c, GradSink::Owned(&mut partial), |n, _, slab| {
                 for (ci, [sg, sb]) in par_collect(c, |ci| plane_grads(n, ci)).into_iter().enumerate() {
                     slab[ci] = sg as f32;
                     slab[c + ci] = sb as f32;

@@ -74,9 +74,9 @@ impl Conv2d {
     /// gradient into the parameters' accumulators in place — no
     /// parameter-sized gradient is allocated — and returns `dx`.
     pub(crate) fn backward_from(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
-        let db = self.bias.as_mut().map(|b| &mut b.grad);
-        let (w, spec) = (&self.weight.value, &self.spec);
-        let dx = conv2d_backward_accumulate(x, w, dy, spec, self.need_dx, &mut self.weight.grad, db);
+        let db = self.bias.as_mut().map(|b| b.value_and_sink().1);
+        let (w, dw) = self.weight.value_and_sink();
+        let dx = conv2d_backward_accumulate(x, w, dy, &self.spec, self.need_dx, dw, db);
         dx.unwrap_or_else(|| Tensor::zeros(x.shape()))
     }
 }

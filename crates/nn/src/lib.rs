@@ -39,7 +39,7 @@ pub use freeze::{freeze_layer, freeze_layer_int8, ActKind, FreezeError, FrozenLa
 pub use meter::Cached;
 pub use mode::{Accounting, CacheMode};
 pub use module::{grad_sq_norm, param_count, zero_grads, Identity, Layer, Module, Part, Sequential, ShapeWalk};
-pub use param::{count_scalars, Param};
+pub use param::{count_scalars, without_grads, Param, SharedGrads};
 
 /// Concrete layer implementations.
 pub mod layers {

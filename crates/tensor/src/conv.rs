@@ -49,7 +49,7 @@
 
 use crate::dw_plane::{depthwise_padded_plane, pad_plane, DwCall, PlaneImage};
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
-use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, SyncPtr};
+use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, GradSink, SyncPtr};
 use crate::qmatmul::{
     cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
     quantize_weights_per_row, PackedGemmAI8, INT8_ACT_ZERO_POINT,
@@ -237,14 +237,16 @@ pub fn try_conv2d(
 pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, need_dx: bool) -> ConvGrads {
     let mut dw = Tensor::zeros(w.shape());
     let mut db = Tensor::zeros(Shape::vector(w.shape().n));
-    let dx = conv2d_backward_accumulate(x, w, dy, spec, need_dx, &mut dw, Some(&mut db));
+    let sinks = (GradSink::Owned(dw.data_mut()), Some(GradSink::Owned(db.data_mut())));
+    let dx = conv2d_backward_accumulate(x, w, dy, spec, need_dx, sinks.0, sinks.1);
     ConvGrads { dx, dw, db }
 }
 
 /// [`conv2d_backward`] that adds the weight gradient into `dw` and the bias
-/// gradient into `db` where they lie — a layer's gradient accumulators —
-/// instead of returning fresh tensors. Each element receives the reduced
-/// per-sample sum `s` with one IEEE add, `a + s`: into zeros that is
+/// gradient into `db` where they lie — a layer's gradient accumulators, its
+/// own or the ones it shares with a partner shard — instead of returning
+/// fresh tensors. Each element receives the reduced per-sample sum `s`
+/// with one IEEE add, `a + s`: into zeros that is
 /// [`conv2d_backward`]'s result, and into an accumulator it is the value of
 /// `a += conv2d_backward(..).dw`, `a + (0 + s)`, bit for bit unless `a` and
 /// `s` are both `-0.0` (an accumulator zeroed to `+0.0` never reads `-0.0`).
@@ -253,26 +255,25 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, dy: &Tensor, spec: &ConvSpec, nee
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches, or if `dw` / `db` do not have the weight's /
-/// `[c_out]` shape.
+/// Panics on shape mismatches, or if `dw` / `db` do not hold the weight's /
+/// `c_out` elements.
 pub fn conv2d_backward_accumulate(
     x: &Tensor,
     w: &Tensor,
     dy: &Tensor,
     spec: &ConvSpec,
     need_dx: bool,
-    dw: &mut Tensor,
-    db: Option<&mut Tensor>,
+    dw: GradSink<'_>,
+    db: Option<GradSink<'_>>,
 ) -> Option<Tensor> {
     check_conv_args(x, w, spec).unwrap_or_else(|e| panic!("{e}"));
     let c_out = w.shape().n;
     assert_eq!(dy.shape(), spec.out_shape(x.shape(), c_out), "dy shape mismatch");
-    assert_eq!(dw.shape(), w.shape(), "dw must have the weight's shape");
+    assert_eq!(dw.len(), w.shape().numel(), "dw must hold the weight's elements");
     if let Some(db) = db {
-        assert_eq!(db.shape(), Shape::vector(c_out), "db must be a [c_out] vector");
-        bias_grad(dy, db.data_mut());
+        assert_eq!(db.len(), c_out, "db must hold c_out elements");
+        bias_grad(dy, db);
     }
-    let dw = dw.data_mut();
     if spec.is_pointwise() {
         pointwise_backward(x, w, dy, need_dx, dw)
     } else if spec.groups == x.shape().c && c_out == x.shape().c {
@@ -862,7 +863,7 @@ where
 /// crate-wide pairwise sample tree — see
 /// [`crate::par::tree_reduce_with_slabs`] for the determinism and
 /// shard-alignment contract and the row blocks `fill` is called with.
-fn reduce_sample_grads<F>(n: usize, rows: usize, cols: usize, dw: &mut [f32], fill: F)
+fn reduce_sample_grads<F>(n: usize, rows: usize, cols: usize, dw: GradSink<'_>, fill: F)
 where
     F: Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync,
 {
@@ -876,7 +877,7 @@ where
 /// shard-alignment docs). A straight `for n in 0..n` fold would tie the
 /// f32 association to the batch extent and break shard invariance. The
 /// root is added into `db`.
-fn bias_grad(dy: &Tensor, db: &mut [f32]) {
+fn bias_grad(dy: &Tensor, db: GradSink<'_>) {
     let os = dy.shape();
     let hw = os.hw();
     let dydata = dy.data();
@@ -905,7 +906,7 @@ fn pointwise_forward(x: &Tensor, w: &Tensor, out: &mut Tensor) {
     });
 }
 
-fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: &mut [f32]) -> Option<Tensor> {
+fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: GradSink<'_>) -> Option<Tensor> {
     let xs = x.shape();
     let c_out = w.shape().n;
     let hw = xs.hw();
@@ -1216,7 +1217,7 @@ fn depthwise_backward(
     dy: &Tensor,
     spec: &ConvSpec,
     need_dx: bool,
-    dw: &mut [f32],
+    dw: GradSink<'_>,
 ) -> Option<Tensor> {
     let xs = x.shape();
     let os = dy.shape();
@@ -1451,7 +1452,7 @@ fn general_backward(
     dy: &Tensor,
     spec: &ConvSpec,
     need_dx: bool,
-    dw: &mut [f32],
+    dw: GradSink<'_>,
 ) -> Option<Tensor> {
     let xs = x.shape();
     let os = dy.shape();
@@ -2256,7 +2257,8 @@ mod tests {
             let g = conv2d_backward(&x, &w, &dy, &spec, true);
             let (dw0, db0) = (Tensor::randn(ws, 1.0, &mut rng), Tensor::randn(Shape::vector(ws.n), 1.0, &mut rng));
             let (mut dw, mut db) = (dw0.clone(), db0.clone());
-            let dx = conv2d_backward_accumulate(&x, &w, &dy, &spec, true, &mut dw, Some(&mut db));
+            let sinks = (GradSink::Owned(dw.data_mut()), Some(GradSink::Owned(db.data_mut())));
+            let dx = conv2d_backward_accumulate(&x, &w, &dy, &spec, true, sinks.0, sinks.1);
             let (mut dw_want, mut db_want) = (dw0.clone(), db0);
             dw_want.add_assign(&g.dw);
             db_want.add_assign(&g.db);
@@ -2265,7 +2267,7 @@ mod tests {
             assert_same_bits(db.data(), db_want.data(), "db");
             // A bias-free layer skips the bias reduction and gets the same dw.
             let mut dw_nb = dw0;
-            assert!(conv2d_backward_accumulate(&x, &w, &dy, &spec, false, &mut dw_nb, None).is_none());
+            assert!(conv2d_backward_accumulate(&x, &w, &dy, &spec, false, GradSink::Owned(dw_nb.data_mut()), None).is_none());
             assert_same_bits(dw_nb.data(), dw_want.data(), "dw without db");
         }
     }

@@ -640,6 +640,64 @@ fn slab_row_blocks(rows: usize, cols: usize) -> Vec<std::ops::Range<usize>> {
     blocks
 }
 
+/// Where a gradient is added: the one write every parameter gradient of a
+/// training step goes through (the root of [`tree_reduce_with_slabs`], and
+/// the layers' whole-tensor accumulates).
+///
+/// A sharded training step pairs its shards `(2j, 2j + 1)` and lets both
+/// add into one accumulator, so the first level of the shard tree happens
+/// at the write: the accumulator starts at `+0`, and `(+0 + a) + b` equals
+/// the tree's `(+0 + a) + (+0 + b)` bit for bit in either arrival order
+/// (`+` commutes, and `+0 + x` is `-0` for no `x`; NaN payloads aside, which
+/// only reach a step that its tripwire discards).
+#[derive(Debug)]
+pub enum GradSink<'a> {
+    /// An accumulator the writer owns: a plain add.
+    Owned(&'a mut [f32]),
+    /// An accumulator shared with the partner shard, locked for each add
+    /// and for nothing else.
+    Shared(&'a Mutex<crate::Tensor>),
+}
+
+impl GradSink<'_> {
+    /// Elements in the accumulator.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Owned(dst) => dst.len(),
+            Self::Shared(acc) => lock_grad(acc).data().len(),
+        }
+    }
+
+    /// Whether the accumulator holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Adds `src` into elements `[at, at + src.len())`, one IEEE add each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range leaves the accumulator.
+    pub fn add_at(&mut self, at: usize, src: &[f32]) {
+        let add = |dst: &mut [f32]| {
+            for (d, s) in dst[at..at + src.len()].iter_mut().zip(src) {
+                *d += s;
+            }
+        };
+        match self {
+            Self::Owned(dst) => add(dst),
+            Self::Shared(acc) => add(lock_grad(acc).data_mut()),
+        }
+    }
+}
+
+/// Locks a shared gradient accumulator. A partner that panicked mid-add is
+/// re-raised on its own thread, so the data behind a poisoned lock is never
+/// read as a result.
+pub fn lock_grad(acc: &Mutex<crate::Tensor>) -> std::sync::MutexGuard<'_, crate::Tensor> {
+    acc.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Accumulates `n` per-leaf gradient slabs of `rows x cols` floats into
 /// `dst` via the pairwise tree of [`tree_reduce_serial`], one row block at a
 /// time.
@@ -647,7 +705,8 @@ fn slab_row_blocks(rows: usize, cols: usize) -> Vec<std::ops::Range<usize>> {
 /// `fill(leaf, rows, slab)` writes leaf `leaf`'s contribution to the row
 /// range `rows` into a zeroed `rows.len() * cols`-float scratch slab (leaves
 /// are typically batch samples). Slabs are merged with the stride-doubling
-/// tree and the root added into the block's rows of `dst`. Every element
+/// tree and the root added into the block's rows of `dst` (the only step that
+/// locks a [`GradSink::Shared`] accumulator). Every element
 /// keeps its place in the tree, and the blocks of [`slab_row_blocks`] keep
 /// every GEMM element in its micro-tile and k-order, so the result is the
 /// one-block result bit for bit while the scratch holds `n` slabs of one
@@ -657,7 +716,7 @@ fn slab_row_blocks(rows: usize, cols: usize) -> Vec<std::ops::Range<usize>> {
 /// and the merge order is the fixed tree, the reduction is bitwise
 /// invariant to thread count *and* — per the shard-alignment theorem — to
 /// power-of-two micro-batch shard boundaries.
-pub fn tree_reduce_with_slabs<F>(n: usize, rows: usize, cols: usize, dst: &mut [f32], fill: F)
+pub fn tree_reduce_with_slabs<F>(n: usize, rows: usize, cols: usize, mut dst: GradSink<'_>, fill: F)
 where
     F: Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync,
 {
@@ -700,9 +759,7 @@ where
                 *a += *b;
             }
         });
-        for (d, s) in dst[block.start * cols..block.end * cols].iter_mut().zip(&slabs[..len]) {
-            *d += s;
-        }
+        dst.add_at(block.start * cols, &slabs[..len]);
     }
 }
 
@@ -1124,7 +1181,7 @@ mod tests {
                 };
                 let want = one_block_reduce(n, c_out, c_in, &fill);
                 let mut got = vec![0.0f32; c_out * c_in];
-                tree_reduce_with_slabs(n, c_out, c_in, &mut got, fill);
+                tree_reduce_with_slabs(n, c_out, c_in, GradSink::Owned(&mut got), fill);
                 assert_eq!(first_diff(&got, &want), None, "pointwise dW hw={hw} c_out={c_out} n={n}");
             }
         }
@@ -1147,7 +1204,7 @@ mod tests {
                 };
                 let want = one_block_reduce(n, of, inf, &fill);
                 let mut got = vec![0.0f32; of * inf];
-                tree_reduce_with_slabs(n, of, inf, &mut got, fill);
+                tree_reduce_with_slabs(n, of, inf, GradSink::Owned(&mut got), fill);
                 assert_eq!(first_diff(&got, &want), None, "Linear dW out={of} n={n}");
             }
         }

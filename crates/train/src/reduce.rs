@@ -3,8 +3,10 @@
 //! merge the leaves' partial results with the same pairwise stride-doubling
 //! tree (`shard.rs` states the alignment theorem); their gradients and
 //! BatchNorm statistics agree bit for bit only while they run the same
-//! additions in the same order, so the split rule, the slicing and both
-//! trees live here and nowhere else.
+//! additions in the same order, so the split rule, the slicing and the
+//! moment tree live here and nowhere else. The sharded step merges its
+//! gradients as it writes them (`revbifpn_nn::SharedGrads`), on the same
+//! tree; [`tree_merge_slabs`] is the pipeline's merge of whole slabs.
 
 use revbifpn_nn::layers::BnMoments;
 use revbifpn_tensor::{par, Shape, Tensor};

@@ -21,8 +21,10 @@
 //! additions in the same order* as a single-shard run:
 //!
 //! * parameter gradients: per-sample slabs are tree-reduced inside each
-//!   layer (conv, linear, decoupled BN), and [`ShardEngine::step`] merges
-//!   the shard gradients with the stride tree;
+//!   layer (conv, linear, decoupled BN); shards `2j` and `2j + 1` add their
+//!   roots into shard `2j`'s gradient, zeroed to `+0`, under a per-parameter
+//!   lock (`revbifpn_tensor::par::GradSink` shows either order gives the
+//!   tree's bits), and [`ShardEngine::step`] merges the pairs with the tree;
 //! * the loss: per-sample `f64` cross-entropy terms are tree-summed over
 //!   the full batch in sample order (sample order is shard-independent);
 //! * BatchNorm statistics: every shard's model (the primary included, for
@@ -38,11 +40,11 @@
 //! on. The coupled engine draws the whole batch's masks on the primary, as
 //! a hand-written loop would.
 
-use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch, tree_merge_slabs};
+use crate::reduce::{concat_moments, effective_split, reduce_moments, slice_batch};
 use revbifpn::{RevBiFPNClassifier, RunMode};
 use revbifpn_nn::layers::{BnMoments, BnStats};
 use revbifpn_nn::loss::softmax_cross_entropy_per_sample;
-use revbifpn_nn::{meter, Module};
+use revbifpn_nn::{meter, without_grads, Module, SharedGrads};
 use revbifpn_rev::{DriftConfig, ReconFault};
 use revbifpn_tensor::{par, Shape, Tensor};
 use std::borrow::Cow;
@@ -68,10 +70,10 @@ pub struct ShardStepOutput {
     /// sample order, divided by the batch size). Zero when `backward_ran`
     /// is false.
     pub loss: f64,
-    /// `false` when a shard saw non-finite logits: the loss was not formed
-    /// and no gradients were merged, so the primary's `grad` slots hold
-    /// whatever shard 0 left in them. The caller's tripwire should skip
-    /// the step (or form the loss, which panics on non-finite logits).
+    /// `false` when a shard saw non-finite logits: the loss was not formed,
+    /// and the primary's `grad` slots hold the merge of what the shards that
+    /// reached their backward added. The caller's tripwire should skip the
+    /// step (or form the loss, which panics on non-finite logits).
     pub backward_ran: bool,
     /// Number of shards the batch was actually split into (collapses to 1
     /// when the batch size is incompatible with the configured count).
@@ -88,11 +90,12 @@ struct ShardResult {
 /// Persistent training-step engine.
 ///
 /// Shard 0 runs on the primary model the caller owns; the engine holds one
-/// replica for each of shards `1..S`, which owns gradients and caches but
-/// no parameter values or BN buffers: during a step it reads the primary's
-/// through handles ([`Tensor::share`]), so nothing is copied or staged. Only
-/// the primary receives merged gradients, BN statistics, optimizer updates
-/// and checkpoints, and once a step returns it owns every value alone.
+/// replica for each of shards `1..S`, which owns caches but no parameter
+/// values or BN buffers: it reads the primary's through handles
+/// ([`Tensor::share`]), and an odd shard's adds into its even partner's
+/// gradients, so nothing is copied or staged. Only the primary receives
+/// merged gradients, BN statistics, optimizer updates and checkpoints, and
+/// once a step returns it owns every value alone.
 #[derive(Debug)]
 pub struct ShardEngine {
     replicas: Vec<RevBiFPNClassifier>,
@@ -101,16 +104,16 @@ pub struct ShardEngine {
     stats: BnStats,
     /// The replicas' drift-sentinel config; the primary must carry the same.
     drift: DriftConfig,
-    /// Each shard model's `grad` tensors while the tree merges them (a
-    /// single shard's are the primary's already).
-    grad_slabs: Vec<Vec<Tensor>>,
+    /// The accumulators of each shard pair `(2j, 2j + 1)`: shard `2j`'s
+    /// gradients while a step runs, shard `2j + 1`'s model linked for good.
+    pairs: Vec<SharedGrads>,
     /// Per-BN `(mean, var)` computed by the last step, awaiting
     /// [`ShardEngine::apply_bn_stats`].
     pending_stats: Vec<(Tensor, Tensor)>,
 }
 
 /// What a slot holds while it owns no tensor: a replica's value or buffer
-/// between steps, a `grad` while the tree merges it (no allocation).
+/// between steps (no allocation).
 fn hole() -> Tensor {
     Tensor::zeros(Shape::vector(0))
 }
@@ -161,17 +164,22 @@ impl ShardEngine {
             "sharded training requires dropout == 0 and drop_path == 0 \
              (stochastic layers depend on batch order)"
         );
+        let mut pairs = Vec::new();
         let replicas = (1..shards)
-            .map(|_| {
-                let mut r = RevBiFPNClassifier::new(cfg.clone());
+            .map(|k| {
+                let build = || RevBiFPNClassifier::new(cfg.clone());
+                let mut r = if k % 2 == 1 { without_grads(build) } else { build() };
                 r.backbone_mut().body_mut().set_drift_config(drift);
                 r.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Decoupled));
                 visit_read_state(&mut r, &mut |t| *t = hole());
+                if k % 2 == 1 {
+                    pairs.push(SharedGrads::link(|f| r.visit_params(f)));
+                }
                 r
             })
             .collect();
         let stats = if shards == 0 { BnStats::Held } else { BnStats::Decoupled };
-        Self { replicas, stats, drift, grad_slabs: vec![Vec::new(); shards], pending_stats: Vec::new() }
+        Self { replicas, stats, drift, pairs, pending_stats: Vec::new() }
     }
 
     /// The most shards a step splits its batch into (1 for the coupled
@@ -184,14 +192,15 @@ impl ShardEngine {
     ///
     /// Hands the replicas in use handles to the primary's parameter values
     /// and buffers, switches the primary's BatchNorms to the engine's
-    /// statistics mode, runs forward + loss + backward on each micro-batch
-    /// shard as one pool task (shard 0 on the primary; a single shard reads
-    /// the caller's batch in place), and takes the handles back. Then it
-    /// tree-merges the shard gradients into the primary's `grad` slots
-    /// (overwriting them, like `zero_grads` + `backward`) and switches its
-    /// BatchNorms back to [`BnStats::Immediate`]. BN statistics are
-    /// collected but **not** applied — call [`ShardEngine::apply_bn_stats`]
-    /// once the step passes the caller's tripwires.
+    /// statistics mode, zeroes the even shards' gradients and lends them to
+    /// their pairs, runs forward + loss + backward on each micro-batch shard
+    /// as one pool task (shard 0 on the primary; a single shard reads the
+    /// caller's batch in place), and takes the handles and the gradients
+    /// back. The primary's `grad` slots then hold the merged gradient
+    /// (overwritten, like `zero_grads` + `backward`), and its BatchNorms are
+    /// back in [`BnStats::Immediate`]. BN statistics are collected but
+    /// **not** applied — call [`ShardEngine::apply_bn_stats`] once the step
+    /// passes the caller's tripwires.
     pub fn step(
         &mut self,
         primary: &mut RevBiFPNClassifier,
@@ -217,6 +226,15 @@ impl ShardEngine {
         }
         let stats = self.stats;
         primary.visit_bn(&mut |bn| bn.set_stats_mode(stats));
+        // Zeroed here, once, and not in the tasks: a task that zeroed a
+        // shared accumulator would erase what its partner had added.
+        let pairs = &self.pairs[..s_eff / 2];
+        for (j, model) in shard_models(&mut *primary, &mut *replicas).step_by(2).enumerate() {
+            model.zero_grads();
+            if let Some(accs) = pairs.get(j) {
+                accs.swap(|f| model.visit_params(f), true);
+            }
+        }
 
         let mut shard_inputs: Vec<(Cow<'_, Tensor>, Cow<'_, Tensor>)> =
             (0..s_eff).map(|k| (shard_of(images, k, m), shard_of(targets, k, m))).collect();
@@ -253,7 +271,6 @@ impl ShardEngine {
                         if let Some(f) = flip {
                             model.backbone_mut().body_mut().inject_recon_fault(f);
                         }
-                        model.zero_grads();
                         model.backward(&dlogits);
                         ShardResult { logits, losses, finite: true }
                     }));
@@ -268,6 +285,12 @@ impl ShardEngine {
                 debug_assert!(t.is_shared(), "a shard wrote a parameter value or buffer during its task");
                 *t = hole();
             });
+        }
+        // The tree's levels above the pairs (S >= 4), then the even shards
+        // take their gradients back, on the tripped path too.
+        meter::time_phase(meter::Phase::Reduce, || par::tree_reduce_serial(pairs.len(), |d, s| pairs[d].add(&pairs[s])));
+        for (model, accs) in shard_models(&mut *primary, &mut *replicas).step_by(2).zip(pairs) {
+            accs.swap(|f| model.visit_params(f), false);
         }
 
         // Absorb meter deltas in shard order: the dispatcher's byte/event
@@ -312,12 +335,7 @@ impl ShardEngine {
         par::tree_reduce_serial(n, |d, s| sample_losses[d] += sample_losses[s]);
         let loss = sample_losses.first().copied().unwrap_or(0.0) / n as f64;
 
-        meter::time_phase(meter::Phase::Reduce, || {
-            if s_eff > 1 {
-                self.merge_grads(primary, s_eff);
-            }
-            self.merge_bn_stats(primary, n, s_eff);
-        });
+        meter::time_phase(meter::Phase::Reduce, || self.merge_bn_stats(primary, n, s_eff));
         primary.visit_bn(&mut |bn| bn.set_stats_mode(BnStats::Immediate));
 
         ShardStepOutput { logits, loss, backward_ran: true, shards_used: s_eff }
@@ -344,25 +362,6 @@ impl ShardEngine {
             r.clear_cache();
         }
         self.pending_stats.clear();
-    }
-
-    /// Merges the shard gradients in place with the pairwise stride tree:
-    /// each shard model's `grad` tensors are moved into its slab, the root
-    /// lands in slab 0 (the primary's), and the slabs are moved back. Shard
-    /// gradients being aligned subtrees of the global per-sample tree, the
-    /// result is bitwise identical to a single-shard run.
-    fn merge_grads(&mut self, primary: &mut RevBiFPNClassifier, s_eff: usize) {
-        let slabs = &mut self.grad_slabs[..s_eff];
-        let models = shard_models(&mut *primary, &mut self.replicas[..s_eff - 1]);
-        for (model, slab) in models.zip(slabs.iter_mut()) {
-            model.visit_params(&mut |p| slab.push(std::mem::replace(&mut p.grad, hole())));
-        }
-        tree_merge_slabs(slabs);
-        let models = shard_models(primary, &mut self.replicas[..s_eff - 1]);
-        for (model, slab) in models.zip(slabs.iter_mut()) {
-            let mut grads = slab.drain(..);
-            model.visit_params(&mut |p| p.grad = grads.next().expect("params"));
-        }
     }
 
     /// Collects per-BN global `(mean, var)` pairs: the statistics the
@@ -450,7 +449,65 @@ mod tests {
                 assert_eq!(engine.replicas.len(), shards.saturating_sub(1), "{label}");
                 for r in &mut engine.replicas {
                     visit_read_state(r, &mut |t| assert!(t.data().is_empty(), "{label}: a replica holds values"));
+                    r.visit_params(&mut |p| assert!(p.grad.data().is_empty(), "{label}: a replica holds gradients"));
                 }
+            }
+        }
+    }
+
+    /// Two parameters linked to one accumulator, in both arrival orders and
+    /// through both writes (a whole-tensor `accumulate`, the slab tree's
+    /// root add), against `tree_merge_slabs` over two owned gradients: the
+    /// same bits for random values, subnormals, every signed-zero pair,
+    /// exact cancellations and overflow. NaN payloads are exempt: a NaN
+    /// reaches only a tripped step, which the trainer discards.
+    #[test]
+    fn a_pair_sharing_one_accumulator_adds_like_the_tree() {
+        use crate::reduce::tree_merge_slabs;
+        use rand::{rngs::StdRng, SeedableRng};
+        use revbifpn_nn::Param;
+        let mut rng = StdRng::seed_from_u64(11);
+        let [mut a, mut b] = [0, 1].map(|_| Tensor::randn(Shape::vector(256), 3.0, &mut rng).data().to_vec());
+        let sub = [f32::from_bits(1), f32::from_bits(0x007f_ffff), -f32::from_bits(0x0040_0000), f32::MIN_POSITIVE];
+        for (x, y) in sub.iter().flat_map(|&x| sub.iter().map(move |&y| (x, y))) {
+            a.push(x);
+            b.push(y);
+        }
+        for (x, y) in [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.5, -1.5), (-0.0, 2.0), (f32::MAX, f32::MAX)] {
+            a.push(x);
+            b.push(y);
+        }
+        let len = a.len();
+        let shape = Shape::vector(len);
+        let g = [a, b].map(|v| Tensor::from_vec(shape, v).expect("shape"));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut owned = [0, 1].map(|k| {
+            let mut p = Param::zeros(shape, false, "w");
+            p.accumulate(&g[k]);
+            vec![p.grad]
+        });
+        tree_merge_slabs(&mut owned);
+        let want = bits(&owned[0][0]);
+
+        for order in [[0, 1], [1, 0]] {
+            for through_slabs in [false, true] {
+                // As a step pairs them: the even model lends its zeroed
+                // gradient, the odd one owns none and is linked.
+                let mut ps = [Param::zeros(shape, false, "w"), without_grads(|| Param::zeros(shape, false, "w"))];
+                let accs = SharedGrads::link(|f| f(&mut ps[1]));
+                accs.swap(|f| f(&mut ps[0]), true);
+                for k in order {
+                    if through_slabs {
+                        let (_, sink) = ps[k].value_and_sink();
+                        par::tree_reduce_with_slabs(1, 1, len, sink, |_, _, slab| slab.copy_from_slice(g[k].data()));
+                    } else {
+                        ps[k].accumulate(&g[k]);
+                    }
+                }
+                assert!(ps.iter().all(|p| p.grad.data().is_empty()), "a linked parameter wrote its own grad");
+                accs.swap(|f| f(&mut ps[0]), false);
+                assert!(bits(&ps[0].grad) == want, "order {order:?}, through slabs {through_slabs}");
             }
         }
     }

@@ -1,10 +1,11 @@
 //! Steady-state allocation accounting for the sharded training step.
 //!
 //! After warm-up, a sharded `ShardEngine::step` must run entirely out of
-//! the primary's parameter tensors (which the replicas read through shared
-//! handles), the replicas' own gradients (the merge moves them through
-//! reused holders) and the warmed thread-local scratch arenas: the scratch
-//! `heap_growths` counter must stay flat across later steps.
+//! the primary's parameter values (which the replicas read through shared
+//! handles), the primary's gradients (which the replica adds into through
+//! the engine's per-parameter locks) and the warmed thread-local scratch
+//! arenas: the scratch `heap_growths` counter must stay flat across later
+//! steps.
 //!
 //! This file holds a single test on purpose: the scratch counters are
 //! process-global, so it must not share its process slot with other tests
