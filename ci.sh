@@ -7,7 +7,9 @@
 # worker-pool concurrency — and the kernel and layer crates once more
 # oversubscribed (four threads on whatever cores CI got), where pool workers
 # lose their cores mid-poll and the fork-join's park fallback does the work,
-# under the layers' plane-parallel BatchNorm and activation passes too.
+# under the layers' plane-parallel BatchNorm and activation passes too, and
+# under the frozen forward's stream tasks, where a worker that loses its core
+# stalls a whole stream rather than one tile.
 set -eu
 cd "$(dirname "$0")"
 
@@ -26,9 +28,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (REVBIFPN_MAX_THREADS=1)"
 REVBIFPN_MAX_THREADS=1 cargo test -q --workspace
 
-echo "== cargo test, kernel and layer crates oversubscribed (REVBIFPN_MAX_THREADS=4)"
+echo "== cargo test, kernel, layer and stage crates and the frozen path oversubscribed (REVBIFPN_MAX_THREADS=4)"
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-tensor
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-nn
+REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-rev
+REVBIFPN_MAX_THREADS=4 cargo test -q --test freeze_parity
 
 echo "== fault-injection suite (resilience layer, end to end)"
 cargo test -q --test fault_injection

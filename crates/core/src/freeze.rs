@@ -18,7 +18,8 @@
 use crate::config::RevBiFPNConfig;
 use revbifpn_nn::{FrozenLayer, FrozenTree};
 use revbifpn_rev::FrozenSequence;
-use revbifpn_tensor::{space_to_depth, Shape, Tensor};
+use revbifpn_tensor::{par, space_to_depth, Shape, Tensor};
+use std::borrow::Cow;
 
 /// Frozen form of the [`crate::Stem`].
 #[derive(Debug)]
@@ -86,10 +87,11 @@ impl FrozenClsHead {
     /// Necked pyramid to class logits `[n, classes, 1, 1]`.
     pub fn forward(&self, neck: &[Tensor]) -> Tensor {
         assert_eq!(neck.len(), self.num_streams, "frozen head stream mismatch");
-        let mut h = neck[0].clone();
-        for (i, d) in self.downs.iter().enumerate() {
-            let down = d.forward(&h);
-            h = &down + &neck[i + 1];
+        let mut h = Cow::Borrowed(&neck[0]);
+        for (d, n) in self.downs.iter().zip(&neck[1..]) {
+            let mut down = d.forward(&h);
+            down.add_assign(n);
+            h = Cow::Owned(down);
         }
         self.tail.forward(&h)
     }
@@ -155,11 +157,10 @@ impl FrozenClassifier {
     }
 
     /// Images `[n, 3, r, r]` to logits `[n, classes, 1, 1]` using only fused
-    /// kernels.
+    /// kernels. Each stream's neck layer is one pool task.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let pyramid = self.backbone.forward(x);
-        let neck: Vec<Tensor> =
-            pyramid.iter().zip(&self.neck).map(|(t, b)| b.forward(t)).collect();
+        let neck = par::join_map(pyramid.iter().zip(&self.neck), |(t, b)| b.forward(t));
         self.head.forward(&neck)
     }
 

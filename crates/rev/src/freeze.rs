@@ -7,9 +7,10 @@
 //! stages are forward-only; reversibility is a training-time property and
 //! the whole point of freezing is that inference does not pay for it.
 
-use crate::silo::{halves, streams, sweep, tensors, Stream, FED};
+use crate::silo::{halves, streams, sweep, tensors, Row, Stream, FED};
 use revbifpn_nn::{FrozenLayer, FrozenTree};
-use revbifpn_tensor::Tensor;
+use revbifpn_tensor::{par, Tensor};
+use std::borrow::Cow;
 
 /// Frozen form of a [`crate::RevBlock`]: the two-stream frozen silo over
 /// `(x2, x1)`, `y1 = x1 + F(x2); y2 = x2 + G(y1)`.
@@ -79,13 +80,24 @@ impl FrozenSilo {
 
     fn forward_streams(&self, mut s: Vec<Stream<'_>>) -> Vec<Tensor> {
         let (down, up) = halves(self.n_in, self.down.iter(), self.up.iter());
-        sweep(&mut s, down.rev().chain(up), 1.0, |_, _, edges: &Vec<FrozenLayer>, xs, fold| {
-            for (e, x) in edges.iter().zip(xs) {
-                fold(e.forward(x.as_deref().expect(FED)));
-            }
-        });
+        half(&mut s, down.rev());
+        half(&mut s, up);
         tensors(s)
     }
+}
+
+/// One half of a frozen silo forward as one join. The in-place sweep order
+/// is what makes this legal: every edge of a half reads only streams the
+/// half never writes, so each edge is a task that leaves its term in its own
+/// slot. The sweep then folds the slots row by row in edge order, the sums
+/// of the serial sweep bit for bit.
+fn half<'e>(s: &mut [Stream<'_>], rows: impl Iterator<Item = Row<&'e Vec<FrozenLayer>>>) {
+    let rows: Vec<_> = rows.collect();
+    let edges = rows.iter().flat_map(|(_, sources, edges)| edges.iter().zip(&s[sources.clone()]));
+    let mut terms = par::join_map(edges, |(e, x)| e.forward(x.as_deref().expect(FED))).into_iter();
+    sweep(s, rows.into_iter(), 1.0, |_, _, edges, _, fold| {
+        edges.iter().for_each(|_| fold(terms.next().expect("one term per edge")));
+    });
 }
 
 impl FrozenTree for FrozenSilo {
@@ -110,19 +122,16 @@ pub enum FrozenStage {
 }
 
 impl FrozenStage {
-    /// Fused forward pass over the stream vector.
+    /// Fused forward pass over the stream vector. A `Blocks` stage runs each
+    /// stream's chain as one pool task.
     pub fn forward(&self, xs: &[Tensor]) -> Vec<Tensor> {
         match self {
             FrozenStage::Silo(s) => s.forward(xs),
             FrozenStage::Blocks(blocks) => {
                 assert_eq!(xs.len(), blocks.len(), "FrozenStage stream count mismatch");
-                xs.iter()
-                    .zip(blocks)
-                    .map(|(x, chain)| match chain.split_first() {
-                        None => x.clone(),
-                        Some((first, rest)) => rest.iter().fold(first.forward(x), |cur, b| b.forward(&cur)),
-                    })
-                    .collect()
+                par::join_map(xs.iter().zip(blocks), |(x, chain)| {
+                    chain.iter().fold(Cow::Borrowed(x), |cur, b| Cow::Owned(b.forward(&cur))).into_owned()
+                })
             }
         }
     }

@@ -25,10 +25,11 @@
 //!
 //! # The fork-join handoff: spin, then park
 //!
-//! A frozen batch-1 forward makes a few hundred fork-joins of tens of
-//! microseconds each, so the handoff itself is on the latency path. It is
-//! built to cost two cache-line transfers when the pool is warm and to cost
-//! no CPU when it is idle:
+//! A frozen batch-1 forward makes about fifty fork-joins (the joins of its
+//! stream tasks and the kernel fork-joins between them) of tens of
+//! microseconds to milliseconds each, so the handoff itself is on the
+//! latency path. It is built to cost two cache-line transfers when the pool
+//! is warm and to cost no CPU when it is idle:
 //!
 //! - Each worker owns one mailbox: an atomic pointer to the dispatching
 //!   caller's `Job`, which lives **on the caller's stack**. A dispatch
@@ -508,9 +509,11 @@ where
 /// pool, returning when all of them have finished ("join").
 ///
 /// This is the task-group primitive used by the reversible backward pass
-/// (independent `U_ij`/`D_ij` transform calls) and the sharded train step
-/// (per-shard forward+backward). Unlike [`parallel_tiles`], each task is a
-/// distinct `FnOnce` closure, so tasks may capture different `&mut` state.
+/// (independent `U_ij`/`D_ij` transform calls), the frozen forward (silo
+/// edges, block streams and neck streams, through [`join_map`]) and the
+/// sharded train step (per-shard forward+backward). Unlike
+/// [`parallel_tiles`], each task is a distinct `FnOnce` closure, so tasks may
+/// capture different `&mut` state.
 ///
 /// Scheduling rules:
 /// - With a single-thread budget, inside an already-parallel section, or
@@ -531,8 +534,7 @@ pub fn parallel_join<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     if n == 0 {
         return;
     }
-    let threads = num_threads_for(n);
-    if threads == 1 || n == 1 || IN_PARALLEL.with(|flag| flag.get()) {
+    if joins_inline(n) {
         for t in tasks {
             t();
         }
@@ -548,6 +550,33 @@ pub fn parallel_join<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
             task();
         }
     });
+}
+
+/// Whether a [`parallel_join`] of `n` tasks runs them in order on the
+/// calling thread.
+fn joins_inline(n: usize) -> bool {
+    n < 2 || num_threads_for(n) == 1 || IN_PARALLEL.with(|flag| flag.get())
+}
+
+/// `f` over every item as one [`parallel_join`], one task per item; the
+/// results come back in item order. Under the join's rules a lone item runs
+/// inline with its kernels fanning out, and two or more run as tasks whose
+/// kernels run inline on the thread that took them. Task `k` borrows its
+/// scratch from the caller's task arena `k` (see [`crate::scratch`]).
+pub fn join_map<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let items: Vec<I> = items.into_iter().collect();
+    if joins_inline(items.len()) {
+        return items.into_iter().map(f).collect();
+    }
+    let mut out: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    let f = &f;
+    crate::scratch::with_task_arenas(items.len(), |arenas| {
+        let tasks = items.into_iter().zip(&mut out).zip(arenas);
+        parallel_join(
+            tasks.map(|((i, o), a)| Box::new(move || *o = Some(a.run(|| f(i)))) as Box<dyn FnOnce() + Send + '_>).collect(),
+        );
+    });
+    out.into_iter().map(|o| o.expect("every task ran")).collect()
 }
 
 /// Calls `pair(dst, src)` for every reduction edge of the stride-doubling

@@ -7,7 +7,10 @@
 //! live for the whole process) keeps a free list of reusable buffers:
 //! [`take`] hands out a zeroed buffer, dropping the [`ScratchGuard`] returns
 //! it. After a warm-up call per shape, steady state performs **zero** heap
-//! allocations per kernel invocation.
+//! allocations per kernel invocation. The tasks of a
+//! [`crate::par::join_map`] borrow from arenas that belong to the calling
+//! thread and travel with the task, one per task index, so their sizes do
+//! not depend on which thread took which task.
 //!
 //! That claim is enforceable, not aspirational: global counters record every
 //! borrow and every heap growth, and [`stats`] exposes them (they are also
@@ -37,6 +40,44 @@ static RESIDENT_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// The arenas this thread's joins lend their tasks, by task index.
+    static TASK_ARENAS: RefCell<Vec<Arena>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A free list of scratch buffers that travels with a pool task.
+#[derive(Default)]
+pub(crate) struct Arena(Vec<Vec<f32>>);
+
+impl Arena {
+    /// Runs `f` with this arena in place of the current thread's: every
+    /// [`take`] inside `f` borrows from it.
+    pub(crate) fn run<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        struct Swap<'a>(&'a mut Vec<Vec<f32>>);
+        impl Drop for Swap<'_> {
+            fn drop(&mut self) {
+                ARENA.with(|a| std::mem::swap(&mut *a.borrow_mut(), self.0));
+            }
+        }
+        let swap = Swap(&mut self.0);
+        ARENA.with(|a| std::mem::swap(&mut *a.borrow_mut(), swap.0));
+        f()
+    }
+}
+
+/// Runs `f` on this thread's task arenas `0..n`, one for each task of one
+/// join. Which thread takes which task is a race, so a task that borrowed
+/// from the thread it landed on could meet a size that thread's arena has
+/// never held, however long the pool had been warm. Task `k` of every join
+/// this thread makes runs on arena `k` instead: an arena meets the same
+/// sizes on every pass and stops growing after the first.
+pub(crate) fn with_task_arenas<R>(n: usize, f: impl FnOnce(&mut [Arena]) -> R) -> R {
+    let mut arenas = TASK_ARENAS.take();
+    if arenas.len() < n {
+        arenas.resize_with(n, Arena::default);
+    }
+    let r = f(&mut arenas[..n]);
+    TASK_ARENAS.set(arenas);
+    r
 }
 
 /// Snapshot of the arena counters. All values are process-wide and

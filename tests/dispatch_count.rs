@@ -5,10 +5,23 @@
 //! that splits kernels or adds element-wise passes multiplies them; this
 //! number makes that visible as a count instead of as a slowdown somebody
 //! has to profile. The count depends on the model and on the budget being
-//! at least two threads, not on the machine. The 276 are 230 kernel
-//! fork-joins plus one per squeeze-excite gate (46), which scales its planes
-//! in parallel; a gate has no pooling pass of its own, it reads the plane
-//! sums the depthwise conv in front of it finished in registers.
+//! at least two threads, not on the machine.
+//!
+//! The frozen forward hands the pool its independent units of work as the
+//! tasks of one join each, and a task's kernels run inline on the thread
+//! that took it. The 54 are:
+//!
+//! - 14 joins: one per silo half with two or more edges (the later four
+//!   silos, 8), one per block stage (5) and one for the neck;
+//! - 7 kernel fork-joins of the first silo, a (1, 2) silo whose two halves
+//!   are one edge each: a lone task runs on the caller, its kernels split;
+//! - 23 couplings into the two finest streams (56² x 48 and 28² x 64, large
+//!   enough for an element-wise pass to split), which the sweep folds on
+//!   the caller after each join;
+//! - 10 of the head and tail: three downsampling blocks, one add and the
+//!   classifier's 1280-wide tail.
+//!
+//! The stem is data movement and makes none.
 //!
 //! The blocked GEMM reads a B panel in place when B's rows are contiguous
 //! and the panel is a full 16 columns, and packs it otherwise. Per forward
@@ -38,7 +51,7 @@ fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
     par::set_max_threads(0);
     assert_eq!(first, second, "repeat forwards must agree bit for bit");
     assert_eq!(
-        per_forward, 276,
+        per_forward, 54,
         "fork-joins per frozen S0@224 batch-1 forward changed; if intended, update this pin \
          and say why in CHANGES.md"
     );
