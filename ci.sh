@@ -8,8 +8,9 @@
 # oversubscribed (four threads on whatever cores CI got), where pool workers
 # lose their cores mid-poll and the fork-join's park fallback does the work,
 # under the layers' plane-parallel BatchNorm and activation passes too, and
-# under the frozen forward's stream tasks, where a worker that loses its core
-# stalls a whole stream rather than one tile.
+# under the frozen and training forwards' stream tasks, where a worker that
+# loses its core stalls a whole stream rather than one tile (the kernel
+# crate's gathered pointwise GEMM and the shard step, bit for bit).
 set -eu
 cd "$(dirname "$0")"
 
@@ -28,11 +29,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (REVBIFPN_MAX_THREADS=1)"
 REVBIFPN_MAX_THREADS=1 cargo test -q --workspace
 
-echo "== cargo test, kernel, layer and stage crates and the frozen path oversubscribed (REVBIFPN_MAX_THREADS=4)"
+echo "== cargo test, kernel, layer and stage crates, the frozen path and the shard step oversubscribed (REVBIFPN_MAX_THREADS=4)"
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-tensor
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-nn
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-rev
 REVBIFPN_MAX_THREADS=4 cargo test -q --test freeze_parity
+REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-train --test shard_invariance
 
 echo "== fault-injection suite (resilience layer, end to end)"
 cargo test -q --test fault_injection

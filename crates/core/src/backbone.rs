@@ -8,7 +8,7 @@ use crate::stem::Stem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, MBConv, MBConvCfg, Upsample};
-use revbifpn_nn::{Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
+use revbifpn_nn::{meter, Accounting, CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_rev::{BlockStage, RevBlock, RevSilo, ReversibleSequence, TrainMode};
 use revbifpn_tensor::{ResizeMode, Shape, Tensor};
 
@@ -177,9 +177,11 @@ impl RevBiFPN {
         self.stem.forward(x, mode)
     }
 
-    /// Backward through only the stem, consuming its caches.
+    /// Backward through only the stem, consuming its caches. Timed as
+    /// [`meter::Phase::Backward`]: the body's stages time their own phases,
+    /// the stem runs none.
     pub fn stem_backward(&mut self, ds0: &Tensor) -> Tensor {
-        self.stem.backward(ds0)
+        meter::time_phase(meter::Phase::Backward, || self.stem.backward(ds0))
     }
 
     /// Inference-only frozen form of the backbone: fused stem + fused body
@@ -216,13 +218,13 @@ impl RevBiFPN {
     /// The forward pass must have used [`CacheMode::Stats`].
     pub fn backward_rev(&mut self, pyramid: Vec<Tensor>, dpyramid: Vec<Tensor>) -> Tensor {
         let (_, dxs) = self.body.backward(pyramid, dpyramid, TrainMode::Reversible);
-        self.stem.backward(&dxs[0])
+        self.stem_backward(&dxs[0])
     }
 
     /// Conventional backward using `Full` caches.
     pub fn backward_cached(&mut self, dpyramid: Vec<Tensor>) -> Tensor {
         let (_, dxs) = self.body.backward(Vec::new(), dpyramid, TrainMode::Conventional);
-        self.stem.backward(&dxs[0])
+        self.stem_backward(&dxs[0])
     }
 
     /// Reconstructs the input image from the output pyramid (evaluation

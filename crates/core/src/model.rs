@@ -139,8 +139,7 @@ impl RevBiFPNClassifier {
     /// Panics if the last forward was not a training mode.
     pub fn backward(&mut self, dlogits: &Tensor) {
         let mode = self.last_mode.expect("backward without forward");
-        let dneck = self.head.backward(dlogits);
-        let dpyramid = self.neck.backward(&dneck);
+        let dpyramid = self.neck_head_backward(dlogits);
         match mode {
             RunMode::TrainReversible => {
                 let pyramid = self.saved_pyramid.take().expect("reversible backward needs the saved pyramid");
@@ -162,10 +161,13 @@ impl RevBiFPNClassifier {
     }
 
     /// Backward through only the head + neck, consuming their caches;
-    /// returns the gradient w.r.t. the pyramid.
+    /// returns the gradient w.r.t. the pyramid. Timed as
+    /// [`meter::Phase::Backward`] (neither runs a timer of its own).
     pub fn neck_head_backward(&mut self, dlogits: &Tensor) -> Vec<Tensor> {
-        let dneck = self.head.backward(dlogits);
-        self.neck.backward(&dneck)
+        meter::time_phase(meter::Phase::Backward, || {
+            let dneck = self.head.backward(dlogits);
+            self.neck.backward(&dneck)
+        })
     }
 
     /// The neck and the head, which follow the backbone in the walk.

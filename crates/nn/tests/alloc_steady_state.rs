@@ -48,5 +48,31 @@ fn conv_layer_makes_zero_heap_allocations_at_steady_state() {
         report.scratch
     );
 
+    // The batched pointwise GEMM: gathered columns and scattered outputs on
+    // 3x3 maps (with the weight wider than a row block and deeper than a
+    // depth slice) and on the squeeze-excite's 1x1 map, each from scratch.
+    for (c_in, c_out, side) in [(80, 480, 3), (320, 1280, 3), (160, 40, 1)] {
+        let mut conv = Conv2d::pointwise(c_in, c_out, false, &mut rng);
+        let x = Tensor::randn(Shape::new(4, c_in, side, side), 1.0, &mut rng);
+        let dy = Tensor::randn(Shape::new(4, c_out, side, side), 1.0, &mut rng);
+        let mut step = || {
+            conv.forward(&x, CacheMode::Full);
+            conv.backward(&dy)
+        };
+        for _ in 0..2 {
+            step();
+        }
+        meter::reset_scratch_stats();
+        for _ in 0..5 {
+            step();
+        }
+        let scratch = meter::report().scratch;
+        assert!(scratch.borrows > 0, "{c_in}->{c_out} at {side}x{side} should borrow scratch");
+        assert_eq!(
+            scratch.heap_growths, 0,
+            "steady-state pointwise {c_in}->{c_out} at 4x{side}x{side} must not allocate: {scratch:?}"
+        );
+    }
+
     par::set_max_threads(0);
 }

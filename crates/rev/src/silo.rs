@@ -20,7 +20,8 @@
 //! [`couple`] is the only place a transform's output enters or leaves a
 //! stream. The training forward, the inverse, the reconstruction inside
 //! [`RevSilo::backward_rev`], [`crate::FrozenSilo`] and both RevBlock forms
-//! (the two-stream silo) run it.
+//! (the two-stream silo) run it. Both forwards run a half's edges as the
+//! tasks of one join before its sweep folds their terms.
 
 use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{par, Shape, Tensor};
@@ -128,13 +129,35 @@ pub(crate) fn sweep<'a, R>(
 /// The edges of one training silo row.
 type Edges<'e> = &'e mut Vec<Box<dyn Layer>>;
 
-/// A row run edge by edge in `mode`, on the calling thread.
-fn serial<'a>(mode: CacheMode) -> impl FnMut(usize, Range<usize>, Edges<'_>, &[Stream<'a>], &mut Fold<'_>) {
-    move |_, _, edges, xs, fold| {
+/// A row of the inverse, run edge by edge in eval mode on the calling thread.
+fn serial<'a>() -> impl FnMut(usize, Range<usize>, Edges<'_>, &[Stream<'a>], &mut Fold<'_>) {
+    |_, _, edges, xs, fold| {
         for (e, x) in edges.iter_mut().zip(xs) {
-            fold(e.forward(x.as_deref().expect(FED), mode));
+            fold(e.forward(x.as_deref().expect(FED), CacheMode::None));
         }
     }
+}
+
+/// One half of a training forward as one join, as [`crate::FrozenSilo`]'s
+/// half: every edge of a half reads only streams the half never writes, so
+/// each edge is a task that leaves its term in its own slot. The sweep then
+/// folds the slots row by row in edge order, the sums of the serial sweep
+/// bit for bit. Each edge owns its BatchNorms, and its meter effects are
+/// fenced off in its task and absorbed in edge order, so the meter trace is
+/// the serial one at any thread count. Unlike the frozen half's, the tasks
+/// borrow scratch on the thread that runs them ([`par::join_map_unpinned`]).
+fn half<'e>(s: &mut [Stream<'_>], rows: impl Iterator<Item = Row<Edges<'e>>>, mode: CacheMode) {
+    let mut rows: Vec<_> = rows.collect();
+    let edges = rows.iter_mut().flat_map(|(_, sources, edges)| edges.iter_mut().zip(&s[sources.clone()]));
+    let mut terms =
+        par::join_map_unpinned(edges, |(e, x)| meter::isolated(|| e.forward(x.as_deref().expect(FED), mode))).into_iter();
+    sweep(s, rows.into_iter(), 1.0, |_, _, edges, _, fold| {
+        for _ in edges.iter() {
+            let (t, tm) = terms.next().expect("one term per edge");
+            meter::absorb(&tm);
+            fold(t);
+        }
+    });
 }
 
 /// A reversible bidirectional multi-scale fusion module over `n_out` streams
@@ -197,9 +220,12 @@ impl RevSilo {
 
     /// [`RevSilo::forward`] over streams that may lie elsewhere. No input is
     /// copied: each sum lands in its first transform's output.
+    ///
+    /// Each half is one join of its edges (see [`half`]).
     pub(crate) fn forward_streams(&mut self, mut s: Vec<Stream<'_>>, mode: CacheMode) -> Vec<Tensor> {
         let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
-        sweep(&mut s, down.rev().chain(up), 1.0, serial(mode));
+        half(&mut s, down.rev(), mode);
+        half(&mut s, up, mode);
         tensors(s)
     }
 
@@ -215,9 +241,9 @@ impl RevSilo {
     pub(crate) fn inverse_streams(&mut self, ys: Vec<Tensor>) -> Vec<Tensor> {
         let mut s: Vec<Stream<'_>> = ys.into_iter().map(|y| Some(Cow::Owned(y))).collect();
         let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
-        sweep(&mut s, up.rev(), -1.0, serial(CacheMode::None));
+        sweep(&mut s, up.rev(), -1.0, serial());
         s.truncate(self.n_in);
-        sweep(&mut s, down.take(self.n_in), -1.0, serial(CacheMode::None));
+        sweep(&mut s, down.take(self.n_in), -1.0, serial());
         tensors(s)
     }
 

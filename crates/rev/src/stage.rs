@@ -111,16 +111,22 @@ impl BlockStage {
 }
 
 impl RevStage for BlockStage {
+    /// Each stream's chain is one task of one join. The chain owns its
+    /// BatchNorms, and its meter effects are fenced off in the task and
+    /// absorbed in stream order, so results and the meter trace are the
+    /// serial ones at any thread count.
     fn forward(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor> {
         assert_eq!(xs.len(), self.blocks.len(), "BlockStage stream count mismatch");
-        xs.iter()
-            .zip(&mut self.blocks)
-            .map(|(x, chain)| {
-                let mut cur = x.clone();
-                for b in chain {
-                    cur = b.forward(&cur, mode);
-                }
-                cur
+        let streams = revbifpn_tensor::par::join_map_unpinned(xs.iter().zip(&mut self.blocks), |(x, chain)| {
+            meter::isolated(|| {
+                chain.iter_mut().fold(Cow::Borrowed(x), |cur, b| Cow::Owned(b.forward(&cur, mode))).into_owned()
+            })
+        });
+        streams
+            .into_iter()
+            .map(|(y, tm)| {
+                meter::absorb(&tm);
+                y
             })
             .collect()
     }

@@ -48,7 +48,7 @@
 //! several to a parallel tile so one scratch borrow serves them all.
 
 use crate::dw_plane::{depthwise_padded_plane, pad_plane, DwCall, PlaneImage};
-use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
+use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_gathered, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
 use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, GradSink, SyncPtr};
 use crate::qmatmul::{
     cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
@@ -891,6 +891,11 @@ fn bias_grad(dy: &Tensor, db: GradSink<'_>) {
 
 // ---------------------------------------------------------------- pointwise
 
+// Forward and input gradient run per sample, except where a per-sample GEMM
+// would leave a ragged panel or go to the reference kernel: there the
+// samples are the columns of one GEMM (`sgemm_gathered`), with the bits of
+// the per-sample calls.
+
 fn pointwise_forward(x: &Tensor, w: &Tensor, out: &mut Tensor) {
     let xs = x.shape();
     let c_out = w.shape().n;
@@ -899,11 +904,13 @@ fn pointwise_forward(x: &Tensor, w: &Tensor, out: &mut Tensor) {
     let chw_out = out.shape().chw();
     let xdata = x.data();
     let wdata = w.data();
-    for_each_sample(out.data_mut(), chw_out, |n, yslice| {
-        let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-        // y [c_out, hw] = w [c_out, c_in] @ x [c_in, hw]
-        sgemm(c_out, xs.c, hw, 1.0, wdata, xn, 0.0, yslice);
-    });
+    if !sgemm_gathered(c_out, xs.c, hw, wdata, false, xdata, out.data_mut()) {
+        for_each_sample(out.data_mut(), chw_out, |n, yslice| {
+            let xn = &xdata[n * chw_in..(n + 1) * chw_in];
+            // y [c_out, hw] = w [c_out, c_in] @ x [c_in, hw]
+            sgemm(c_out, xs.c, hw, 1.0, wdata, xn, 0.0, yslice);
+        });
+    }
 }
 
 fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: GradSink<'_>) -> Option<Tensor> {
@@ -926,11 +933,13 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: Gr
 
     let dx = if need_dx {
         let mut dx = Tensor::zeros(xs);
-        for_each_sample(dx.data_mut(), chw_in, |n, dxslice| {
-            let dyn_ = &dydata[n * chw_out..(n + 1) * chw_out];
-            // dx [c_in, hw] = w^T [c_in, c_out] @ dy [c_out, hw]
-            sgemm_at_b(xs.c, c_out, hw, 1.0, wdata, dyn_, 0.0, dxslice);
-        });
+        if !sgemm_gathered(xs.c, c_out, hw, wdata, true, dydata, dx.data_mut()) {
+            for_each_sample(dx.data_mut(), chw_in, |n, dxslice| {
+                let dyn_ = &dydata[n * chw_out..(n + 1) * chw_out];
+                // dx [c_in, hw] = w^T [c_in, c_out] @ dy [c_out, hw]
+                sgemm_at_b(xs.c, c_out, hw, 1.0, wdata, dyn_, 0.0, dxslice);
+            });
+        }
         Some(dx)
     } else {
         None

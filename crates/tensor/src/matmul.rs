@@ -806,6 +806,62 @@ pub fn sgemm_a_bt(m: usize, k: usize, n: usize, alpha: f32, a: &[f32], b: &[f32]
     );
 }
 
+/// The per-sample GEMMs `c_s = op(a) @ b_s` of a batch that shares its left
+/// operand, run as one GEMM over the samples' columns gathered in scratch,
+/// when a per-sample call would leave a ragged last micro-tile panel
+/// (`n % NR != 0`: the 3² and 6² maps, the squeeze-excite's 1²) or go to the
+/// [`reference`] kernel. `b` holds the samples' row-major `[k, n]` operands
+/// back to back, `c` their `[m, n]` outputs. `op(a)` is a row-major
+/// `[m, k]` `a`, or with `a_t` the transpose of a row-major `[k, m]` `a`
+/// (the input gradient's `w^T`). Returns `false`, touching nothing, when
+/// every sample's columns fill whole panels of the blocked engine: per-sample
+/// calls already run at its rate there.
+///
+/// Every element gets the bits that a per-sample [`sgemm`] (or, with `a_t`,
+/// [`sgemm_at_b`]) at `alpha = 1`, `beta = 0` gives it. The blocked-vs-
+/// reference choice is still made per sample, from `(m, k, n)`, and either
+/// kernel gives a column the same adds in the same order wherever the column
+/// sits in B: the reference kernels loop over columns innermost, and the
+/// engine keeps its `KC` slicing and micro-kernel. Only the packing changes:
+/// A is packed once per (row block, depth slice) for the whole batch.
+///
+/// # Panics
+///
+/// Panics if `b` and `c` do not hold the same whole number of samples.
+pub(crate) fn sgemm_gathered(m: usize, k: usize, n: usize, a: &[f32], a_t: bool, b: &[f32], c: &mut [f32]) -> bool {
+    assert_eq!(a.len(), m * k, "a must hold m*k");
+    let count = c.len().checked_div(m * n).unwrap_or(0);
+    assert_eq!(c.len(), count * m * n, "c must hold whole m*n samples");
+    assert_eq!(b.len(), count * k * n, "b must hold one k*n operand per sample");
+    let small = is_small(m, k, n);
+    if count == 0 || k == 0 || (!small && n.is_multiple_of(NR)) {
+        return false;
+    }
+    let cols = count * n;
+    let mut bg = scratch::take(k * cols);
+    for (s, bs) in b.chunks_exact(k * n).enumerate() {
+        for (dst, src) in bg.chunks_exact_mut(cols).zip(bs.chunks_exact(n)) {
+            dst[s * n..(s + 1) * n].copy_from_slice(src);
+        }
+    }
+    let mut cg = scratch::take(m * cols);
+    match (small, a_t) {
+        (true, false) => reference::sgemm(m, k, cols, 1.0, a, &bg, 0.0, &mut cg),
+        (true, true) => reference::sgemm_at_b(m, k, cols, 1.0, a, &bg, 0.0, &mut cg),
+        (false, _) => {
+            let view = if a_t { MatRef { data: a, rs: 1, cs: m } } else { MatRef { data: a, rs: k, cs: 1 } };
+            let rows = MatRef { data: &bg, rs: cols, cs: 1 };
+            gemm_blocked(m, k, cols, 1.0, 0.0, ASrc::Mat(view), rows, &mut cg, None);
+        }
+    }
+    for (s, cs) in c.chunks_exact_mut(m * n).enumerate() {
+        for (dst, src) in cs.chunks_exact_mut(n).zip(cg.chunks_exact(cols)) {
+            dst.copy_from_slice(&src[s * n..(s + 1) * n]);
+        }
+    }
+    true
+}
+
 /// The pre-optimization scalar kernels: register-light, loop-order-tuned,
 /// single-threaded. Retained verbatim as (a) the correctness oracle for the
 /// packed engine's tests, (b) the dispatch target for tiny problems, and

@@ -509,9 +509,10 @@ where
 /// pool, returning when all of them have finished ("join").
 ///
 /// This is the task-group primitive used by the reversible backward pass
-/// (independent `U_ij`/`D_ij` transform calls), the frozen forward (silo
-/// edges, block streams and neck streams, through [`join_map`]) and the
-/// sharded train step (per-shard forward+backward). Unlike
+/// (independent `U_ij`/`D_ij` transform calls), the frozen and training
+/// forwards (silo edges, block streams and neck streams, through
+/// [`join_map`] and [`join_map_unpinned`]) and the sharded train step
+/// (per-shard forward+backward). Unlike
 /// [`parallel_tiles`], each task is a distinct `FnOnce` closure, so tasks may
 /// capture different `&mut` state.
 ///
@@ -564,18 +565,50 @@ fn joins_inline(n: usize) -> bool {
 /// kernels run inline on the thread that took them. Task `k` borrows its
 /// scratch from the caller's task arena `k` (see [`crate::scratch`]).
 pub fn join_map<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    join_slots(items, f, true)
+}
+
+/// [`join_map`] whose tasks borrow scratch from the thread that takes them,
+/// as the tasks of a plain [`parallel_join`] do. The caller then keeps no
+/// arena per task index, each grown to its task's sizes: a join of many
+/// tasks, such as the training forward's silo edges, costs the arenas of the
+/// threads that ran it and no more. The price is the one the training
+/// backward's joins already pay: a thread may meet a task's sizes for the
+/// first time after warm-up.
+pub fn join_map_unpinned<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    join_slots(items, f, false)
+}
+
+/// [`join_map`], with task `k` on the caller's task arena `k` when `pinned`.
+fn join_slots<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync, pinned: bool) -> Vec<T> {
     let items: Vec<I> = items.into_iter().collect();
     if joins_inline(items.len()) {
         return items.into_iter().map(f).collect();
     }
+    let n = items.len();
     let mut out: Vec<Option<T>> = items.iter().map(|_| None).collect();
     let f = &f;
-    crate::scratch::with_task_arenas(items.len(), |arenas| {
+    let join = |arenas: &mut [crate::scratch::Arena]| {
+        let arenas = arenas.iter_mut().map(Some).chain(std::iter::repeat_with(|| None));
         let tasks = items.into_iter().zip(&mut out).zip(arenas);
         parallel_join(
-            tasks.map(|((i, o), a)| Box::new(move || *o = Some(a.run(|| f(i)))) as Box<dyn FnOnce() + Send + '_>).collect(),
+            tasks
+                .map(|((i, o), a)| {
+                    Box::new(move || {
+                        *o = Some(match a {
+                            Some(a) => a.run(|| f(i)),
+                            None => f(i),
+                        })
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
         );
-    });
+    };
+    if pinned {
+        crate::scratch::with_task_arenas(n, join);
+    } else {
+        join(&mut []);
+    }
     out.into_iter().map(|o| o.expect("every task ran")).collect()
 }
 

@@ -10,6 +10,11 @@
 //!   S0@96 batch-4 step calls, with the calls per step (a step runs each
 //!   forward twice: the Stats pass and the reconstruction) and the weighted
 //!   per-step totals, then BatchNorm forward / backward at the two extremes;
+//! * the training pointwise forward and backward (input and weight gradient)
+//!   at every shape a reversible S0@96 batch-4 step calls, read off the
+//!   model's shape walk with the calls per step and weighted per-step totals;
+//! * one reversible training forward (`RunMode::TrainReversible`) of S0@96
+//!   at batch 4, at the current thread budget;
 //! * the frozen depthwise (`ConvPlan`, hard-swish epilogue) at every shape a
 //!   frozen S0@224 batch-1 forward calls, with the calls per forward and the
 //!   weighted total: "depthwise per forward" as one number.
@@ -19,12 +24,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use revbifpn_repro::core::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_repro::nn::layers::BatchNorm2d;
-use revbifpn_repro::nn::{CacheMode, Layer};
+use revbifpn_repro::nn::{CacheMode, Layer, ShapeWalk};
+use revbifpn_repro::tensor::par::GradSink;
 use revbifpn_repro::tensor::{
-    conv2d, conv2d_backward, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue, EpilogueAct,
-    PackedGemmA, Shape, Tensor,
+    conv2d, conv2d_backward, conv2d_backward_accumulate, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue,
+    EpilogueAct, PackedGemmA, Shape, Tensor,
 };
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -126,6 +134,72 @@ fn train_rows(rng: &mut StdRng) {
     }
 }
 
+/// Calls `f(c_in, c_out, side)` for every pointwise conv under `l` at input
+/// shape `x` (a 1x1 conv keeps the map and makes `c_out` MACs per input
+/// element).
+fn pointwise_under(l: &dyn Layer, x: Shape, f: &mut dyn FnMut(usize, usize, usize)) {
+    let y = l.out_shape(x);
+    if l.name() == "conv2d" && (y.h, y.w) == (x.h, x.w) && l.macs(x) == (x.numel() * y.c) as u64 {
+        f(x.c, y.c, x.h);
+    } else {
+        l.visit_children_at(x, &mut |c, s| pointwise_under(c, s, f));
+    }
+}
+
+/// The S0@96 model of the train workload, and its batch-4 image shape.
+fn s0_at_96() -> (RevBiFPNClassifier, Shape) {
+    let mut cfg = RevBiFPNConfig::s0(10).with_resolution(96);
+    cfg.dropout = 0.0;
+    cfg.drop_path = 0.0;
+    (RevBiFPNClassifier::new(cfg), Shape::new(4, 3, 96, 96))
+}
+
+fn train_pointwise_rows(rng: &mut StdRng) {
+    // (c_in, c_out, side) -> (forward calls, backward calls) per step: every
+    // layer runs one forward and one backward, and the body's layers one
+    // more forward, the reconstruction.
+    let (model, img) = s0_at_96();
+    let mut calls: BTreeMap<(usize, usize, usize), (usize, usize)> = BTreeMap::new();
+    model.visit_layers_at(&[img], &mut |l, x| {
+        pointwise_under(l, x, &mut |ci, co, side| {
+            let e = calls.entry((ci, co, side)).or_default();
+            e.0 += 1;
+            e.1 += 1;
+        })
+    });
+    let body_in = model.backbone().stem().out_shapes(&[img]);
+    model.backbone().body().visit_layers_at(&body_in, &mut |l, x| {
+        pointwise_under(l, x, &mut |ci, co, side| calls.get_mut(&(ci, co, side)).expect("walked above").0 += 1)
+    });
+    let spec = ConvSpec::pointwise();
+    let (mut fwd_ms, mut bwd_ms) = (0.0, 0.0);
+    for (&(c_in, c_out, side), &(f_calls, b_calls)) in &calls {
+        let x = Tensor::randn(Shape::new(4, c_in, side, side), 1.0, rng);
+        let w = Tensor::randn(Shape::new(c_out, c_in, 1, 1), 0.1, rng);
+        let dy = Tensor::randn(Shape::new(4, c_out, side, side), 1.0, rng);
+        let mut dw = vec![0.0f32; c_out * c_in];
+        let macs = 4 * c_in * c_out * side * side;
+        let what = format!("4x{c_in}x{side}x{side} -> {c_out}");
+        let f = time(&format!("pw fwd {what} x{f_calls}"), macs, || {
+            black_box(conv2d(black_box(&x), &w, None, &spec));
+        });
+        let b = time(&format!("pw dx+dw {what} x{b_calls}"), 2 * macs, || {
+            black_box(conv2d_backward_accumulate(&x, &w, black_box(&dy), &spec, true, GradSink::Owned(&mut dw), None));
+        });
+        fwd_ms += f * f_calls as f64 / 1e3;
+        bwd_ms += b * b_calls as f64 / 1e3;
+    }
+    println!("pointwise per train step: forward {fwd_ms:.1} ms, dx+dw {bwd_ms:.1} ms (medians x calls)");
+
+    let (mut model, img) = s0_at_96();
+    let x = Tensor::randn(img, 1.0, rng);
+    let threads = revbifpn_repro::tensor::par::num_threads_for(usize::MAX);
+    time(&format!("train fwd S0@96 4x3x96x96 t{threads}"), 0, || {
+        black_box(model.forward(black_box(&x), RunMode::TrainReversible));
+        model.clear_cache();
+    });
+}
+
 fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
     Tensor::randn(Shape::new(1, 1, 1, len), 1.0, rng).into_vec()
 }
@@ -178,5 +252,6 @@ fn main() {
     }
 
     train_rows(&mut rng);
+    train_pointwise_rows(&mut rng);
     frozen_rows(&mut rng);
 }
