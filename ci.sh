@@ -109,6 +109,10 @@ if git grep -nE 'add_assign|sub_assign|add_channels_of' -- crates/rev/src/freeze
     echo "the lines above couple a stream outside silo::couple, the one place a transform's output enters or leaves one" >&2
     exit 1
 fi
+if git grep -nE 'dyn FnOnce\(\) \+ Send|parallel_join' -- 'crates/*/src/*' ':!crates/tensor/src/par.rs'; then
+    echo "the lines above bring back a hand-rolled task fan-out beside \`meter::join\`" >&2
+    exit 1
+fi
 DIRTY="$(git status --porcelain -- results/)"
 if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2

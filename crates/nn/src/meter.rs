@@ -253,6 +253,22 @@ pub fn absorb(m: &TaskMeter) {
     }
 }
 
+/// `f` over every item as the tasks of one join
+/// ([`revbifpn_tensor::par::join_map_unpinned`]), each under [`isolated`];
+/// the task meters are [`absorb`]ed in item order and the results come back
+/// in item order. This is the one task fan-out of the training step: its
+/// meter trace, peak and events are a serial run's at any thread count. A
+/// panicking task propagates to the caller, whose meter then absorbs nothing.
+pub fn join<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let done = revbifpn_tensor::par::join_map_unpinned(items, |i| isolated(|| f(i)));
+    done.into_iter()
+        .map(|(r, m)| {
+            absorb(&m);
+            r
+        })
+        .collect()
+}
+
 /// Training-step phases timed by [`time_phase`]. The wall-clock spent in
 /// each phase accumulates into process-wide counters (sharded steps run
 /// phases on pool workers, so thread-local storage would lose them).
@@ -600,22 +616,60 @@ mod tests {
 
     #[test]
     fn absorb_in_order_matches_sequential_trace() {
+        let task = |i: usize| {
+            add(100 * (i + 1));
+            sub(50 * (i + 1));
+            count("test.join");
+            i
+        };
+        // Sequential run: current climbs 50, 100, 150, 200 → 500 total;
+        // peak reached inside task 4: 50+100+150 resident + 400 excursion.
+        let sequential = || {
+            assert_eq!(current(), 500);
+            assert_eq!(peak(), 700);
+            sub(500);
+        };
         reset();
-        let deltas: Vec<TaskMeter> = (0..4)
-            .map(|i| isolated(|| {
-                add(100 * (i + 1));
-                sub(50 * (i + 1));
-            }))
-            .map(|(_, m)| m)
-            .collect();
+        let deltas: Vec<TaskMeter> = (0..4).map(|i| isolated(|| task(i)).1).collect();
         for m in &deltas {
             absorb(m);
         }
-        // Sequential run: current climbs 50, 100, 150, 200 → 500 total;
-        // peak reached inside task 4: 50+100+150 resident + 400 excursion.
-        assert_eq!(current(), 500);
-        assert_eq!(peak(), 700);
-        sub(500);
+        sequential();
+
+        // The same tasks through `join`: four one-item joins (each runs
+        // inline), then one join of four items (dispatched to the pool).
+        reset();
+        reset_events();
+        let inline: Vec<usize> = (0..4).flat_map(|i| join([i], task)).collect();
+        assert_eq!(inline, [0, 1, 2, 3]);
+        sequential();
+        revbifpn_tensor::par::set_max_threads(4);
+        let dispatches = par_stats().dispatches;
+        reset();
+        let joined = join(0..4, task);
+        let dispatched = par_stats().dispatches > dispatches;
+        revbifpn_tensor::par::set_max_threads(0);
+        assert!(dispatched, "a join of four items at four threads runs on the pool");
+        assert_eq!(joined, [0, 1, 2, 3]);
+        sequential();
+        assert_eq!(event_count("test.join"), 8);
+
+        // A panicking task reaches the caller, and no task meter is absorbed.
+        reset();
+        add(10);
+        let before = events();
+        let caught = std::panic::catch_unwind(|| {
+            join(0..4, |i| {
+                add(1000);
+                count("test.join");
+                assert!(i != 2, "task 2 fails");
+            })
+        });
+        assert!(caught.is_err(), "the task's panic propagates");
+        assert_eq!((current(), peak()), (10, 10));
+        assert_eq!(events(), before);
+        sub(10);
+        reset_events();
     }
 
     #[test]

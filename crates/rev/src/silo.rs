@@ -24,7 +24,7 @@
 //! tasks of one join before its sweep folds their terms.
 
 use revbifpn_nn::{meter, CacheMode, Layer, Module, ShapeWalk};
-use revbifpn_tensor::{par, Shape, Tensor};
+use revbifpn_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -142,20 +142,16 @@ fn serial<'a>() -> impl FnMut(usize, Range<usize>, Edges<'_>, &[Stream<'a>], &mu
 /// half: every edge of a half reads only streams the half never writes, so
 /// each edge is a task that leaves its term in its own slot. The sweep then
 /// folds the slots row by row in edge order, the sums of the serial sweep
-/// bit for bit. Each edge owns its BatchNorms, and its meter effects are
-/// fenced off in its task and absorbed in edge order, so the meter trace is
-/// the serial one at any thread count. Unlike the frozen half's, the tasks
-/// borrow scratch on the thread that runs them ([`par::join_map_unpinned`]).
+/// bit for bit. Each edge owns its BatchNorms, and the join is
+/// [`meter::join`]. Unlike the frozen half's, the tasks borrow scratch on
+/// the thread that runs them.
 fn half<'e>(s: &mut [Stream<'_>], rows: impl Iterator<Item = Row<Edges<'e>>>, mode: CacheMode) {
     let mut rows: Vec<_> = rows.collect();
     let edges = rows.iter_mut().flat_map(|(_, sources, edges)| edges.iter_mut().zip(&s[sources.clone()]));
-    let mut terms =
-        par::join_map_unpinned(edges, |(e, x)| meter::isolated(|| e.forward(x.as_deref().expect(FED), mode))).into_iter();
+    let mut terms = meter::join(edges, |(e, x)| e.forward(x.as_deref().expect(FED), mode)).into_iter();
     sweep(s, rows.into_iter(), 1.0, |_, _, edges, _, fold| {
         for _ in edges.iter() {
-            let (t, tm) = terms.next().expect("one term per edge");
-            meter::absorb(&tm);
-            fold(t);
+            fold(terms.next().expect("one term per edge"));
         }
     });
 }
@@ -261,48 +257,27 @@ impl RevSilo {
     /// `Full` recompute *and* transpose (the cache lives and dies inside the
     /// task) and adds the transpose into its own source's gradient. The
     /// first edge folds its term before its transpose runs (a RevBlock's
-    /// `G(y1)` never outlives G's cache); the others fold after the join, in
-    /// edge order. Results and the meter trace (edge meters are absorbed in
-    /// edge order) are bitwise independent of the thread count.
+    /// `G(y1)` never outlives G's cache); the others fold after the row's
+    /// [`meter::join`], in edge order.
     pub fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
         assert_eq!(ys.len(), self.n_out);
         assert_eq!(dys.len(), self.n_out);
-        type Slot = Option<(Option<Tensor>, meter::TaskMeter)>;
         let mut s: Vec<Stream<'_>> = ys.into_iter().map(|y| Some(Cow::Owned(y))).collect();
         let mut ds = dys;
         let mut row = |i, sources, edges: Edges<'_>, xs: &[Stream<'_>], fold: &mut Fold<'_>| {
             let (dy, dxs) = split(&mut ds, i, sources);
             let dy = &*dy;
-            let mut slots: Vec<Slot> = (0..edges.len()).map(|_| None).collect();
-            let mut first = Some(&mut *fold);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = edges
-                .iter_mut()
-                .zip(xs)
-                .zip(dxs)
-                .zip(&mut slots)
-                .map(|(((e, x), dx), slot)| {
-                    let fold = first.take();
-                    Box::new(move || {
-                        *slot = Some(meter::isolated(|| {
-                            let t = meter::time_phase(meter::Phase::Reconstruct, || {
-                                e.forward(x.as_deref().expect(FED), CacheMode::Full)
-                            });
-                            let t = if let Some(fold) = fold { fold(t); None } else { Some(t) };
-                            let g = meter::time_phase(meter::Phase::Backward, || e.backward(dy));
-                            dx.add_assign(&g);
-                            t
-                        }));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            par::parallel_join(tasks);
-            for slot in slots {
-                let (t, tm) = slot.expect("edge task did not run");
-                meter::absorb(&tm);
-                if let Some(t) = t {
-                    fold(t);
-                }
-            }
+            let first = std::iter::once(Some(&mut *fold)).chain(std::iter::repeat_with(|| None));
+            let terms = meter::join(edges.iter_mut().zip(xs).zip(dxs).zip(first), |(((e, x), dx), first)| {
+                let t = meter::time_phase(meter::Phase::Reconstruct, || {
+                    e.forward(x.as_deref().expect(FED), CacheMode::Full)
+                });
+                let t = if let Some(fold) = first { fold(t); None } else { Some(t) };
+                let g = meter::time_phase(meter::Phase::Backward, || e.backward(dy));
+                dx.add_assign(&g);
+                t
+            });
+            terms.into_iter().flatten().for_each(fold);
         };
         let (down, up) = halves(self.n_in, self.down.iter_mut(), self.up.iter_mut());
         sweep(&mut s, up.rev(), -1.0, &mut row);

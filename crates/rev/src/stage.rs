@@ -111,24 +111,13 @@ impl BlockStage {
 }
 
 impl RevStage for BlockStage {
-    /// Each stream's chain is one task of one join. The chain owns its
-    /// BatchNorms, and its meter effects are fenced off in the task and
-    /// absorbed in stream order, so results and the meter trace are the
-    /// serial ones at any thread count.
+    /// Each stream's chain, which owns its BatchNorms, is one task of one
+    /// [`meter::join`].
     fn forward(&mut self, xs: &[Tensor], mode: CacheMode) -> Vec<Tensor> {
         assert_eq!(xs.len(), self.blocks.len(), "BlockStage stream count mismatch");
-        let streams = revbifpn_tensor::par::join_map_unpinned(xs.iter().zip(&mut self.blocks), |(x, chain)| {
-            meter::isolated(|| {
-                chain.iter_mut().fold(Cow::Borrowed(x), |cur, b| Cow::Owned(b.forward(&cur, mode))).into_owned()
-            })
-        });
-        streams
-            .into_iter()
-            .map(|(y, tm)| {
-                meter::absorb(&tm);
-                y
-            })
-            .collect()
+        meter::join(xs.iter().zip(&mut self.blocks), |(x, chain)| {
+            chain.iter_mut().fold(Cow::Borrowed(x), |cur, b| Cow::Owned(b.forward(&cur, mode))).into_owned()
+        })
     }
 
     fn inverse(&mut self, ys: &[Tensor]) -> Vec<Tensor> {
@@ -144,38 +133,16 @@ impl RevStage for BlockStage {
             .collect()
     }
 
+    /// Streams never interact, so each stream's whole reconstruct+backward
+    /// chain, which owns its stream's `y` and `dy`, is one task of one
+    /// [`meter::join`].
     fn backward_rev(&mut self, ys: Vec<Tensor>, dys: Vec<Tensor>) -> (Vec<Tensor>, Vec<Tensor>) {
-        // Streams never interact, so each stream's whole reconstruct+backward
-        // chain is one independent task, which owns its stream's `y` and
-        // `dy`. Tasks run under `meter::isolated` and are absorbed in stream
-        // order, so the activation-meter trace and all results are bitwise
-        // independent of the thread count.
         assert_eq!(ys.len(), self.blocks.len(), "BlockStage stream count mismatch");
-        let mut slots: Vec<Option<((Tensor, Tensor), meter::TaskMeter)>> =
-            (0..self.blocks.len()).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .blocks
-            .iter_mut()
-            .zip(slots.iter_mut())
-            .zip(ys.into_iter().zip(dys))
-            .map(|((chain, slot), (y, dy))| {
-                Box::new(move || {
-                    *slot = Some(meter::isolated(|| {
-                        chain.iter_mut().rev().fold((y, dy), |(cur, dcur), b| b.backward_rev(cur, dcur))
-                    }));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        revbifpn_tensor::par::parallel_join(tasks);
-        let mut xs = Vec::with_capacity(slots.len());
-        let mut dxs = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let ((x, dx), tm) = slot.expect("stream task did not run");
-            meter::absorb(&tm);
-            xs.push(x);
-            dxs.push(dx);
-        }
-        (xs, dxs)
+        meter::join(self.blocks.iter_mut().zip(ys.into_iter().zip(dys)), |(chain, (y, dy))| {
+            chain.iter_mut().rev().fold((y, dy), |(cur, dcur), b| b.backward_rev(cur, dcur))
+        })
+        .into_iter()
+        .unzip()
     }
 
     fn backward_cached(&mut self, dys: &[Tensor]) -> Vec<Tensor> {
@@ -583,67 +550,59 @@ impl ReversibleSequence {
         dys: Vec<Tensor>,
         mode: TrainMode,
     ) -> (Vec<Tensor>, Vec<Tensor>) {
-        match mode {
-            TrainMode::Reversible => {
-                let mut cur_y: Vec<Tensor> = ys.into().into_owned();
-                let mut cur_dy = dys;
-                let cfg = self.drift;
-                let fault = self.recon_fault.take();
-                let iter = self.stages.iter_mut().zip(self.sentinels.iter_mut());
-                for (i, (s, sent)) in iter.enumerate().rev() {
-                    if sent.fallback {
-                        // Hybrid-reversible: consume the Full caches and the
-                        // stored input instead of reconstructing.
-                        let dxs = s.backward_cached(&cur_dy);
-                        cur_y = sent
-                            .fallback_inputs
-                            .take()
-                            .expect("fallback stage has no stored input (Stats forward missing)");
-                        cur_dy = dxs;
-                        continue;
-                    }
-                    if let Some(f) = fault {
-                        if f.stage == i {
-                            let stream = f.stream % cur_y.len();
-                            flip_bit(&mut cur_y[stream], f.index, f.bit);
-                        }
-                    }
-                    let (xs, dxs) = s.backward_rev(cur_y, cur_dy);
-                    if cfg.enabled {
-                        if let Some(fp) = sent.fingerprint.take() {
-                            let drift = fingerprint_drift(&fp, &xs);
-                            sent.checks += 1;
-                            sent.max_drift = sent.max_drift.max(drift);
-                            if drift > cfg.tolerance {
-                                match cfg.policy {
-                                    DriftPolicy::Warn => meter::count("rev.drift_warn"),
-                                    DriftPolicy::FallbackToCached => {
-                                        sent.fallback = true;
-                                        meter::count("rev.drift_fallback");
-                                    }
-                                    DriftPolicy::Abort => panic!(
-                                        "reversible drift {drift:.3e} exceeds tolerance {:.3e} \
-                                         at stage {i} ({})",
-                                        cfg.tolerance,
-                                        s.name()
-                                    ),
-                                }
+        let reversible = mode == TrainMode::Reversible;
+        let mut cur_y: Vec<Tensor> = if reversible { ys.into().into_owned() } else { Vec::new() };
+        let mut cur_dy = dys;
+        let cfg = self.drift;
+        let fault = if reversible { self.recon_fault.take() } else { None };
+        let iter = self.stages.iter_mut().zip(self.sentinels.iter_mut());
+        for (i, (s, sent)) in iter.enumerate().rev() {
+            if !reversible || sent.fallback {
+                // A stage whose forward ran `Full` (conventional training, or
+                // hybrid-reversible fallback) consumes its caches, and a
+                // fallback stage its stored input, instead of reconstructing.
+                cur_dy = s.backward_cached(&cur_dy);
+                if reversible {
+                    cur_y = sent
+                        .fallback_inputs
+                        .take()
+                        .expect("fallback stage has no stored input (Stats forward missing)");
+                }
+                continue;
+            }
+            if let Some(f) = fault {
+                if f.stage == i {
+                    let stream = f.stream % cur_y.len();
+                    flip_bit(&mut cur_y[stream], f.index, f.bit);
+                }
+            }
+            let (xs, dxs) = s.backward_rev(cur_y, cur_dy);
+            if cfg.enabled {
+                if let Some(fp) = sent.fingerprint.take() {
+                    let drift = fingerprint_drift(&fp, &xs);
+                    sent.checks += 1;
+                    sent.max_drift = sent.max_drift.max(drift);
+                    if drift > cfg.tolerance {
+                        match cfg.policy {
+                            DriftPolicy::Warn => meter::count("rev.drift_warn"),
+                            DriftPolicy::FallbackToCached => {
+                                sent.fallback = true;
+                                meter::count("rev.drift_fallback");
                             }
+                            DriftPolicy::Abort => panic!(
+                                "reversible drift {drift:.3e} exceeds tolerance {:.3e} \
+                                 at stage {i} ({})",
+                                cfg.tolerance,
+                                s.name()
+                            ),
                         }
                     }
-                    cur_y = xs;
-                    cur_dy = dxs;
                 }
-                (cur_y, cur_dy)
             }
-            TrainMode::Conventional => {
-                let mut cur_dy = dys;
-                for s in self.stages.iter_mut().rev() {
-                    cur_dy = s.backward_cached(&cur_dy);
-                }
-                (Vec::new(), cur_dy)
-            }
+            cur_y = xs;
+            cur_dy = dxs;
         }
+        (cur_y, cur_dy)
     }
 
     /// Stages `lo..hi` as a [`Module`]: pipeline-stage parameter sync and

@@ -505,16 +505,9 @@ where
     });
 }
 
-/// Runs a set of heterogeneous one-shot tasks concurrently on the worker
-/// pool, returning when all of them have finished ("join").
-///
-/// This is the task-group primitive used by the reversible backward pass
-/// (independent `U_ij`/`D_ij` transform calls), the frozen and training
-/// forwards (silo edges, block streams and neck streams, through
-/// [`join_map`] and [`join_map_unpinned`]) and the sharded train step
-/// (per-shard forward+backward). Unlike
-/// [`parallel_tiles`], each task is a distinct `FnOnce` closure, so tasks may
-/// capture different `&mut` state.
+/// Runs a set of one-shot tasks concurrently on the worker pool, returning
+/// when all of them have finished ("join"): the body of [`join_map`] and
+/// [`join_map_unpinned`], the task joins of the frozen and training passes.
 ///
 /// Scheduling rules:
 /// - With a single-thread budget, inside an already-parallel section, or
@@ -530,7 +523,7 @@ where
 /// disjoint slots), and each task's result must not depend on which thread
 /// runs it or on execution order. Under that contract the combined result
 /// is byte-identical for any thread count.
-pub fn parallel_join<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
+fn parallel_join<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     let n = tasks.len();
     if n == 0 {
         return;
@@ -568,13 +561,12 @@ pub fn join_map<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn
     join_slots(items, f, true)
 }
 
-/// [`join_map`] whose tasks borrow scratch from the thread that takes them,
-/// as the tasks of a plain [`parallel_join`] do. The caller then keeps no
-/// arena per task index, each grown to its task's sizes: a join of many
-/// tasks, such as the training forward's silo edges, costs the arenas of the
-/// threads that ran it and no more. The price is the one the training
-/// backward's joins already pay: a thread may meet a task's sizes for the
-/// first time after warm-up.
+/// [`join_map`] whose tasks borrow scratch from the thread that takes them.
+/// The caller then keeps no arena per task index, each grown to its task's
+/// sizes: a join of many tasks, such as the training forward's silo edges,
+/// costs the arenas of the threads that ran it and no more. The price: a
+/// thread may meet a task's sizes for the first time after warm-up. The
+/// training step's joins all run through this one (`nn::meter::join`).
 pub fn join_map_unpinned<I: Send, T: Send>(items: impl IntoIterator<Item = I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
     join_slots(items, f, false)
 }

@@ -971,16 +971,7 @@ mod tests {
         let want = a.sum();
         let b = a.share();
         // (sum, buffer address) as each task saw it.
-        let mut seen = [(0.0, 0usize); 2];
-        {
-            let (s0, s1) = seen.split_at_mut(1);
-            let read = |x: &Tensor| (x.sum(), x.data().as_ptr() as usize);
-            let (a, b) = (&a, &b);
-            crate::par::parallel_join(vec![
-                Box::new(move || s0[0] = read(a)),
-                Box::new(move || s1[0] = read(b)),
-            ]);
-        }
+        let seen = crate::par::join_map_unpinned([&a, &b], |x| (x.sum(), x.data().as_ptr() as usize));
         crate::par::set_max_threads(0);
         assert_eq!(seen[0], (want, a.data().as_ptr() as usize));
         assert_eq!(seen[1], seen[0], "the tasks read different buffers or values");

@@ -234,43 +234,20 @@ fn forward_op(
             } else {
                 let mb = streams[0].shape().n;
                 let sb = mb / s_eff;
-                let mut inputs: Vec<Vec<Tensor>> = (0..s_eff)
-                    .map(|k| streams.iter().map(|t| slice_batch(t, k * sb, sb)).collect())
-                    .collect();
-                let mut slots: Vec<Option<(ShardForwardOut, meter::TaskMeter)>> =
-                    (0..s_eff).map(|_| None).collect();
-                {
-                    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(s_eff);
-                    for ((cell, out_slot), input) in
-                        cells[..s_eff].iter_mut().zip(slots.iter_mut()).zip(inputs.drain(..))
-                    {
-                        tasks.push(Box::new(move || {
-                            *out_slot = Some(meter::isolated(|| {
-                                let out = cell.forward_micro(slot, &input);
-                                let moms = take_cell_moments(cell);
-                                (out, moms)
-                            }));
-                        }));
-                    }
-                    par::parallel_join(tasks);
-                }
-                let mut outs = Vec::with_capacity(s_eff);
-                let mut moms = Vec::with_capacity(s_eff);
-                for s in slots {
-                    let ((o, m), tm) = s.expect("shard task did not run");
-                    meter::absorb(&tm);
-                    outs.push(o);
-                    moms.push(m);
-                }
+                let inputs = (0..s_eff)
+                    .map(|k| streams.iter().map(|t| slice_batch(t, k * sb, sb)).collect::<Vec<_>>());
+                let shards = cells[..s_eff].iter_mut().zip(inputs);
+                let (outs, moms): (Vec<_>, Vec<_>) = meter::join(shards, |(cell, input)| {
+                    let out = cell.forward_micro(slot, &input);
+                    (out, take_cell_moments(cell))
+                })
+                .into_iter()
+                .unzip();
                 (concat_streams(&outs), moms)
             }
         })
     })
 }
-
-/// One shard cell's forward output: per-stream activations plus the
-/// per-BN moment tables recorded by decoupled batch norm.
-type ShardForwardOut = (Vec<Tensor>, Vec<BnMoments>);
 
 /// One shard cell's backward output: reconstructed inputs, input
 /// adjoints, and the parameter-gradient slab.
@@ -317,7 +294,7 @@ fn backward_op(
         } else {
             let mb = ys[0].shape().n;
             let sb = mb / s_eff;
-            let mut inputs: Vec<(Vec<Tensor>, Vec<Tensor>)> = (0..s_eff)
+            let inputs: Vec<(Vec<Tensor>, Vec<Tensor>)> = (0..s_eff)
                 .map(|k| {
                     (
                         ys.iter().map(|t| slice_batch(t, k * sb, sb)).collect(),
@@ -326,43 +303,18 @@ fn backward_op(
                 })
                 .collect();
             drop((ys, dys));
-            type Slot = Option<(
-                Result<(Vec<Tensor>, Vec<Tensor>, Vec<Tensor>), CellTrip>,
-                meter::TaskMeter,
-            )>;
-            let mut slots: Vec<Slot> = (0..s_eff).map(|_| None).collect();
-            {
-                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(s_eff);
-                for ((cell, out_slot), (ys_k, dys_k)) in
-                    cells[..s_eff].iter_mut().zip(slots.iter_mut()).zip(inputs.drain(..))
-                {
-                    tasks.push(Box::new(move || {
-                        *out_slot =
-                            Some(meter::isolated(|| backward_one(cell, slot, ys_k, dys_k)));
-                    }));
-                }
-                par::parallel_join(tasks);
-            }
+            let shards = cells[..s_eff].iter_mut().zip(inputs);
+            let parts =
+                meter::join(shards, |(cell, (ys_k, dys_k))| backward_one(cell, slot, ys_k, dys_k));
             let mut xs_parts = Vec::with_capacity(s_eff);
             let mut dxs_parts = Vec::with_capacity(s_eff);
             let mut slabs = Vec::with_capacity(s_eff);
-            let mut trip = None;
-            for s in slots {
-                let (r, tm) = s.expect("shard task did not run");
-                meter::absorb(&tm);
-                match r {
-                    Ok((xs, dxs, slab)) => {
-                        xs_parts.push(xs);
-                        dxs_parts.push(dxs);
-                        slabs.push(slab);
-                    }
-                    Err(t) => trip = trip.or(Some(t)),
-                }
+            for (xs, dxs, slab) in parts.into_iter().collect::<Result<Vec<_>, _>>()? {
+                xs_parts.push(xs);
+                dxs_parts.push(dxs);
+                slabs.push(slab);
             }
-            match trip {
-                Some(t) => Err(t),
-                None => Ok((concat_streams(&xs_parts), concat_streams(&dxs_parts), slabs)),
-            }
+            Ok((concat_streams(&xs_parts), concat_streams(&dxs_parts), slabs))
         }
     })
 }

@@ -80,7 +80,7 @@ pub struct ShardStepOutput {
     pub shards_used: usize,
 }
 
-/// Per-shard task result, produced under [`meter::isolated`].
+/// What one shard task returns.
 struct ShardResult {
     logits: Tensor,
     losses: Vec<f64>,
@@ -236,48 +236,32 @@ impl ShardEngine {
             }
         }
 
-        let mut shard_inputs: Vec<(Cow<'_, Tensor>, Cow<'_, Tensor>)> =
-            (0..s_eff).map(|k| (shard_of(images, k, m), shard_of(targets, k, m))).collect();
+        let shard_inputs = (0..s_eff).map(|k| (k, shard_of(images, k, m), shard_of(targets, k, m)));
 
         // One round of shard tasks: forward, per-sample loss, reversible
-        // backward — all inside the task so every model's caches live and
-        // die on one worker, with meter effects fenced by `isolated`.
-        let mut slots: Vec<Option<(ShardResult, meter::TaskMeter)>> =
-            (0..s_eff).map(|_| None).collect();
-        {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(s_eff);
-            let models = shard_models(&mut *primary, &mut *replicas);
-            for (k, ((model, slot), (img, tgt))) in
-                models.zip(slots.iter_mut()).zip(shard_inputs.drain(..)).enumerate()
-            {
-                let poison = faults.nan_grad && k == 0;
-                let flip = faults.bit_flip.filter(|_| k == 0);
-                tasks.push(Box::new(move || {
-                    *slot = Some(meter::isolated(|| {
-                        let logits = meter::time_phase(meter::Phase::Forward, || {
-                            model.forward(&img, mode)
-                        });
-                        if !logits.is_finite() {
-                            // Don't form the loss (it asserts finiteness);
-                            // drop the caches so the model is reusable.
-                            model.clear_cache();
-                            return ShardResult { logits, losses: Vec::new(), finite: false };
-                        }
-                        let (losses, mut dlogits) =
-                            softmax_cross_entropy_per_sample(&logits, &tgt, n);
-                        if poison {
-                            dlogits.data_mut()[0] = f32::NAN;
-                        }
-                        if let Some(f) = flip {
-                            model.backbone_mut().body_mut().inject_recon_fault(f);
-                        }
-                        model.backward(&dlogits);
-                        ShardResult { logits, losses, finite: true }
-                    }));
-                }));
+        // backward, all inside the task so every model's caches live and
+        // die on one worker. The round is one `meter::join`, so the step's
+        // meter trace (peak, drift-fallback counts, ...) is a sequential
+        // run's at any thread count.
+        let models = shard_models(&mut *primary, &mut *replicas);
+        let mut results = meter::join(models.zip(shard_inputs), |(model, (k, img, tgt))| {
+            let logits = meter::time_phase(meter::Phase::Forward, || model.forward(&img, mode));
+            if !logits.is_finite() {
+                // Don't form the loss (it asserts finiteness); drop the
+                // caches so the model is reusable.
+                model.clear_cache();
+                return ShardResult { logits, losses: Vec::new(), finite: false };
             }
-            par::parallel_join(tasks);
-        }
+            let (losses, mut dlogits) = softmax_cross_entropy_per_sample(&logits, &tgt, n);
+            if faults.nan_grad && k == 0 {
+                dlogits.data_mut()[0] = f32::NAN;
+            }
+            if let Some(f) = faults.bit_flip.filter(|_| k == 0) {
+                model.backbone_mut().body_mut().inject_recon_fault(f);
+            }
+            model.backward(&dlogits);
+            ShardResult { logits, losses, finite: true }
+        });
         // Every path below writes the primary's values or buffers only
         // after this, so each write finds its buffer unshared and in place.
         for r in replicas.iter_mut() {
@@ -292,18 +276,6 @@ impl ShardEngine {
         for (model, accs) in shard_models(&mut *primary, &mut *replicas).step_by(2).zip(pairs) {
             accs.swap(|f| model.visit_params(f), false);
         }
-
-        // Absorb meter deltas in shard order: the dispatcher's byte/event
-        // trace (peak, drift-fallback counts, ...) is then identical to a
-        // sequential run of the shards, independent of thread count.
-        let mut results: Vec<ShardResult> = slots
-            .into_iter()
-            .map(|s| {
-                let (r, tm) = s.expect("shard task did not run");
-                meter::absorb(&tm);
-                r
-            })
-            .collect();
 
         let finite = results.iter().all(|r| r.finite);
         let mut sample_losses: Vec<f64> = results.iter().flat_map(|r| r.losses.iter().copied()).collect();
