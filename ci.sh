@@ -113,6 +113,14 @@ if git grep -nE 'dyn FnOnce\(\) \+ Send|parallel_join' -- 'crates/*/src/*' ':!cr
     echo "the lines above bring back a hand-rolled task fan-out beside \`meter::join\`" >&2
     exit 1
 fi
+UNSAFE_BLOCKS="$(git grep -n 'unsafe {' -- 'crates/*/src/*' ':!crates/perf' | wc -l)"
+if git grep -n 'SyncPtr' -- 'crates/*/src/*' ':!crates/tensor/src/par.rs' ':!crates/tensor/src/matmul.rs' \
+        ':!crates/tensor/src/qmatmul.rs' ':!crates/tensor/src/conv.rs' \
+    || git grep -nE 'parallel_over_slices|parallel_map_reduce|parallel_chunks' -- crates tests examples ':!crates/perf' \
+    || [ "$UNSAFE_BLOCKS" -gt 35 ]; then
+    echo "$UNSAFE_BLOCKS \`unsafe {\` blocks under crates/*/src (at most 35): the lines above, or a new block, add a raw-pointer tile write beside \`par\`'s splitter" >&2
+    exit 1
+fi
 DIRTY="$(git status --porcelain -- results/)"
 if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2

@@ -45,11 +45,6 @@ impl MemoryBreakdown {
         self.params + self.grads + self.optimizer + self.activations + self.transient
     }
 
-    /// Total in GiB.
-    pub fn total_gib(&self) -> f64 {
-        self.total() as f64 / (1u64 << 30) as f64
-    }
-
     /// Activation + transient bytes per sample, in GB (the paper's Table 2
     /// metric is per-sample training memory).
     pub fn activation_gb_per_sample(&self, batch: u64) -> f64 {

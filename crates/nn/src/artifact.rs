@@ -323,18 +323,14 @@ impl ArtifactWriter {
     /// Appends an `i8` array: inline below [`SECTION_MIN_BYTES`] bytes, as
     /// a section reference at or above it.
     pub fn put_i8s(&mut self, v: &[i8]) {
-        let bytes = unsafe {
-            // i8 -> u8 reinterpretation is always valid.
-            std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len())
-        };
-        if bytes.len() < SECTION_MIN_BYTES {
+        if v.len() < SECTION_MIN_BYTES {
             self.put_u8(0);
             self.put_u32(v.len() as u32);
-            self.structure.extend_from_slice(bytes);
+            self.structure.extend(i8s_to_bytes(v));
         } else {
             self.put_u8(1);
             self.put_u32(v.len() as u32);
-            let id = self.put_section(bytes.to_vec());
+            let id = self.put_section(i8s_to_bytes(v).collect());
             self.put_u32(id);
         }
     }
@@ -371,8 +367,7 @@ impl ArtifactWriter {
     /// Appends an int8 panel image as an aligned section (always), writing
     /// the reference into the structure stream.
     pub fn put_panel_i8(&mut self, image: &[i8]) {
-        let bytes = unsafe { std::slice::from_raw_parts(image.as_ptr().cast::<u8>(), image.len()) };
-        let id = self.put_section(bytes.to_vec());
+        let id = self.put_section(i8s_to_bytes(image).collect());
         self.put_u32(id);
         self.put_u32(image.len() as u32);
     }
@@ -441,6 +436,11 @@ impl ArtifactWriter {
     pub fn save(&self, path: &Path) -> io::Result<()> {
         write_atomic(path, &self.finish())
     }
+}
+
+/// The two's-complement bytes of `v`, as stored.
+fn i8s_to_bytes(v: &[i8]) -> impl Iterator<Item = u8> + '_ {
+    v.iter().map(|&b| b as u8)
 }
 
 fn f32s_to_le_bytes(v: &[f32]) -> Vec<u8> {
@@ -586,16 +586,6 @@ impl ArtifactReader {
     /// Whether the underlying buffer is an mmap (vs. a heap copy).
     pub fn is_mapped(&self) -> bool {
         self.mapped
-    }
-
-    /// Total bytes of the backing buffer (mapped or copied).
-    pub fn total_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Number of payload sections.
-    pub fn section_count(&self) -> usize {
-        self.toc.len()
     }
 
     /// Verifies every section payload against its TOC CRC — the full-file

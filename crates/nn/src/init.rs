@@ -1,6 +1,6 @@
 //! Weight initialization (He/Kaiming, as used by the paper).
 
-use rand::{Rng, RngExt};
+use rand::Rng;
 use revbifpn_tensor::{Shape, Tensor};
 
 /// Kaiming-normal initialization for a conv weight `[c_out, c_in/g, kh, kw]`:
@@ -16,12 +16,6 @@ pub fn kaiming_conv<R: Rng + ?Sized>(shape: Shape, rng: &mut R) -> Tensor {
 pub fn kaiming_linear<R: Rng + ?Sized>(out_features: usize, in_features: usize, rng: &mut R) -> Tensor {
     let bound = (6.0 / in_features.max(1) as f32).sqrt();
     Tensor::uniform(Shape::new(out_features, in_features, 1, 1), -bound, bound, rng)
-}
-
-/// Deterministic seed derivation so that sub-modules constructed in sequence
-/// get decorrelated but reproducible streams.
-pub fn derive_seed<R: Rng + ?Sized>(rng: &mut R) -> u64 {
-    rng.random()
 }
 
 #[cfg(test)]

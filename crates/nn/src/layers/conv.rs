@@ -60,11 +60,6 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable access to the weight parameter (tests, custom init).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
     /// This convolution's frozen (fusable, uncompiled) form.
     pub fn fused(&self) -> FusedConv {
         FusedConv::new(self.weight.value.clone(), self.bias.as_ref().map(|b| &b.value), self.spec)

@@ -105,12 +105,6 @@ impl MBConvCfg {
         self
     }
 
-    /// Sets the interpolation mode for upsampling blocks.
-    pub fn with_up_mode(mut self, mode: ResizeMode) -> Self {
-        self.up_mode = mode;
-        self
-    }
-
     /// Suppresses the block's own skip connection (see [`MBConvCfg::plain`]).
     pub fn plain(mut self) -> Self {
         self.plain = true;

@@ -39,14 +39,13 @@ pub(super) fn plane_sums<const I: usize, const M: usize>(
 /// `f(i)` for every `i` in `0..items`, computed over the worker pool in
 /// contiguous chunks and returned in index order. Each value depends only on
 /// its index, so the result is the same for any thread count.
-pub(super) fn par_collect<T: Send>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut out = Vec::with_capacity(items);
-    par::parallel_map_reduce(
-        items,
-        |lo, hi| (lo..hi).map(&f).collect::<Vec<T>>(),
-        &mut out,
-        |out, part| out.extend(part),
-    );
+pub(super) fn par_collect<T: Send + Default + Clone>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out = vec![T::default(); items];
+    par::chunks_mut(&mut out, |at, chunk| {
+        for (i, v) in chunk.iter_mut().enumerate() {
+            *v = f(at + i);
+        }
+    });
     out
 }
 
@@ -80,7 +79,7 @@ mod tests {
 
     #[test]
     fn par_collect_is_in_index_order() {
-        // Thread-count invariance is `parallel_map_reduce`'s, tested in
+        // Thread-count invariance is `par::chunks_mut`'s, tested in
         // `revbifpn_tensor::par` under its budget lock.
         let want: Vec<usize> = (0..37).map(|i| i * i).collect();
         assert_eq!(par_collect(37, |i| i * i), want);

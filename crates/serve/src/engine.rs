@@ -878,12 +878,6 @@ impl ServeEngine {
         self.shared.sticky_crash_flags[slot].store(true, Ordering::Relaxed);
     }
 
-    /// Test hook: clear a sticky crash flag so the slot can recover on its
-    /// next (post-backoff) restart.
-    pub fn clear_sticky_crash(&self, slot: usize) {
-        self.shared.sticky_crash_flags[slot].store(false, Ordering::Relaxed);
-    }
-
     /// Stops admission, delivers [`ServeError::ShuttingDown`] to every
     /// queued request, and joins all threads. Idempotent.
     pub fn shutdown(&self) {
@@ -1529,6 +1523,12 @@ fn worker_loop(shared: Arc<Shared>, slot: usize, generation: u64) {
         }
         let now = Instant::now();
         shared.batcher.offer(bkey, popped.batch, now);
+        if shared.degrade.level() != level {
+            // The pop waited across a ladder step: start the pass again at
+            // the level in force, which closes this bucket as stale and
+            // serves it there instead of at the level the wait began at.
+            continue;
+        }
         let Some(closed) = shared.batcher.try_close(
             &bkey,
             target,

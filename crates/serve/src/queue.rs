@@ -285,11 +285,6 @@ impl BoundedQueue {
         self.not_empty.notify_all();
     }
 
-    /// `true` once closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Removes and returns every queued ticket (used at shutdown to deliver
     /// `ShuttingDown` rather than dropping responders silently).
     pub fn drain(&self) -> Vec<Ticket> {

@@ -49,7 +49,7 @@
 
 use crate::dw_plane::{depthwise_padded_plane, pad_plane, DwCall, PlaneImage};
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_gathered, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
-use crate::par::{num_threads_for, parallel_over_slices, parallel_plane_groups, parallel_tiles, GradSink, SyncPtr};
+use crate::par::{for_each_sample, plane_groups_mut, tiles_mut, GradSink, Runs, SyncPtr};
 use crate::qmatmul::{
     cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
     quantize_weights_per_row, PackedGemmAI8, INT8_ACT_ZERO_POINT,
@@ -841,24 +841,6 @@ impl QuantConvPlan {
 
 // -------------------------------------------------------------- scheduling
 
-/// Runs `f(sample, out_slice)` for each per-sample chunk of `out`:
-/// batch-parallel when the batch covers the thread budget, otherwise
-/// sequential so each sample's inner kernels can fan out over the pool.
-fn for_each_sample<F>(out: &mut [f32], chw: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let slices: Vec<&mut [f32]> = out.chunks_mut(chw).collect();
-    let n = slices.len();
-    if n >= num_threads_for(usize::MAX) {
-        parallel_over_slices(slices, f);
-    } else {
-        for (i, s) in slices.into_iter().enumerate() {
-            f(i, s);
-        }
-    }
-}
-
 /// Accumulates per-**sample** weight-gradient slabs into `dw` with the
 /// crate-wide pairwise sample tree — see
 /// [`crate::par::tree_reduce_with_slabs`] for the determinism and
@@ -975,26 +957,22 @@ fn depthwise_planes(
     // Non-negative f32 max over u32 bit patterns is monotone: fetch_max on
     // the bits merges the planes' maxima deterministically.
     let omax = AtomicU32::new(0);
-    let (yptr, sptr) = (SyncPtr::new(out.data_mut().as_mut_ptr()), SyncPtr::new(sums.data_mut().as_mut_ptr()));
-    parallel_plane_groups(xs.n * xs.c, floats, |group| {
+    let runs = (Runs::new(out.data_mut(), ohw), Runs::new(sums.data_mut(), 1));
+    plane_groups_mut(xs.n * xs.c, floats, runs, |group, (yplanes, plane_sums)| {
         // One copy into a zero-padded image buys a plane kernel with every
         // window in-bounds. Small planes go several to a tile and share its
         // image: each overwrites the interior, the zero border stays.
         let mut buf = scratch::take(ksz + floats);
         let (kern, img) = buf.split_at_mut(ksz);
         let mut group_max = 0.0f32;
-        for p in group {
+        for (k, p) in group.enumerate() {
             let c = p % xs.c;
             taps(c, kern);
             pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, lay, img, quant);
-            // SAFETY: plane `p` belongs to exactly one tile, which owns its
-            // output plane and its slot of `sums`.
-            let (yplane, sum) =
-                unsafe { (std::slice::from_raw_parts_mut(yptr.get().add(p * ohw), ohw), &mut *sptr.get().add(p)) };
             let (scale, bias, act) = epilogue(c);
             let call = DwCall { lay, oh: os.h, ow: os.w, scale, bias, act };
-            let (m, s) = depthwise_padded_plane(img, kern, spec, &call, avx2, yplane);
-            *sum = s;
+            let (m, s) = depthwise_padded_plane(img, kern, spec, &call, avx2, &mut yplanes[k * ohw..(k + 1) * ohw]);
+            plane_sums[k] = s;
             group_max = group_max.max(m);
         }
         omax.fetch_max(group_max.to_bits(), std::sync::atomic::Ordering::Relaxed);
@@ -1239,26 +1217,26 @@ fn depthwise_backward(
     let mut dx = need_dx.then(|| Tensor::zeros(xs));
     let dxptr = dx.as_mut().map(|t| SyncPtr::new(t.data_mut().as_mut_ptr()));
     reduce_sample_grads(xs.n, xs.c, ksz, dw, |n, rows, slab| {
+        let dxs: &mut [f32] = match &dxptr {
+            // SAFETY: sample `n`'s fill of this row block is the only writer
+            // of its input-gradient planes `rows`.
+            Some(d) => unsafe {
+                std::slice::from_raw_parts_mut(d.get().add((n * xs.c + rows.start) * hw), rows.len() * hw)
+            },
+            None => &mut [],
+        };
         // Channels within a sample are independent; tile over them so a
         // single-sample backward still fills the pool.
-        let slab_ptr = SyncPtr::new(slab.as_mut_ptr());
-        parallel_plane_groups(rows.len(), floats, |group| {
+        plane_groups_mut(rows.len(), floats, (Runs::new(slab, ksz), Runs::new(dxs, hw)), |group, (dkerns, dxplanes)| {
             let mut work = scratch::take(floats);
-            for i in group {
+            for (k, i) in group.enumerate() {
                 let c = rows.start + i;
                 let p = n * xs.c + c;
                 let xplane = &xdata[p * hw..(p + 1) * hw];
                 let dyplane = &dydata[p * ohw..(p + 1) * ohw];
                 let kern = &wdata[c * ksz..(c + 1) * ksz];
-                // SAFETY: channel `c` of sample `n` belongs to exactly one
-                // block and one tile, which owns its `ksz` stretch of the
-                // block's slab and its input-gradient plane.
-                let (dkern, dxplane) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(slab_ptr.get().add(i * ksz), ksz),
-                        dxptr.as_ref().map(|d| std::slice::from_raw_parts_mut(d.get().add(p * hw), hw)),
-                    )
-                };
+                let dkern = &mut dkerns[k * ksz..(k + 1) * ksz];
+                let dxplane = if need_dx { Some(&mut dxplanes[k * hw..(k + 1) * hw]) } else { None };
                 #[cfg(target_arch = "x86_64")]
                 if avx2 {
                     // SAFETY: `avx2` is the CPU feature check.
@@ -1326,12 +1304,9 @@ fn im2col(xn: &[f32], xs: Shape, spec: &ConvSpec, c0: usize, c1: usize, oh: usiz
     let ohw = oh * ow;
     let ksz = spec.kh * spec.kw;
     let rows = (c1 - c0) * ksz;
-    let colptr = SyncPtr::new(col.as_mut_ptr());
-    parallel_tiles(rows, |row| {
+    tiles_mut(rows, Runs::new(col, ohw), |row, dst| {
         let c = c0 + row / ksz;
         let (ky, kx) = ((row % ksz) / spec.kw, row % spec.kw);
-        // SAFETY: each tile owns exactly one `ohw` row of the matrix.
-        let dst = unsafe { std::slice::from_raw_parts_mut(colptr.get().add(row * ohw), ohw) };
         im2col_row(xn, xs, spec, c, ky, kx, oh, ow, dst);
     });
 }
@@ -1386,12 +1361,9 @@ fn im2col_u8(xn: &[u8], xs: Shape, spec: &ConvSpec, c0: usize, c1: usize, oh: us
     let ohw = oh * ow;
     let ksz = spec.kh * spec.kw;
     let rows = (c1 - c0) * ksz;
-    let colptr = SyncPtr::new(col.as_mut_ptr());
-    parallel_tiles(rows, |row| {
+    tiles_mut(rows, Runs::new(col, ohw), |row, dst| {
         let c = c0 + row / ksz;
         let (ky, kx) = ((row % ksz) / spec.kw, row % spec.kw);
-        // SAFETY: each tile owns exactly one `ohw` row of the matrix.
-        let dst = unsafe { std::slice::from_raw_parts_mut(colptr.get().add(row * ohw), ohw) };
         im2col_row_u8(xn, xs, spec, c, ky, kx, oh, ow, dst);
     });
 }
@@ -1403,11 +1375,7 @@ fn col2im(col: &[f32], xs: Shape, spec: &ConvSpec, c0: usize, c1: usize, oh: usi
     let ohw = oh * ow;
     let ksz = spec.kh * spec.kw;
     let hw = xs.hw();
-    let dxptr = SyncPtr::new(dxn.as_mut_ptr());
-    parallel_tiles(c1 - c0, |ci| {
-        let c = c0 + ci;
-        // SAFETY: each tile owns input-gradient plane `c` exclusively.
-        let dxplane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(c * hw), hw) };
+    tiles_mut(c1 - c0, Runs::new(&mut dxn[c0 * hw..c1 * hw], hw), |ci, dxplane| {
         for ky in 0..spec.kh {
             for kx in 0..spec.kw {
                 let row = ci * ksz + ky * spec.kw + kx;

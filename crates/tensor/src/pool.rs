@@ -2,13 +2,13 @@
 //! squeeze-excite) and windowed average/max pooling (baselines).
 //!
 //! All forward/backward kernels are parallelised over `(n, c)` planes with
-//! [`crate::par::parallel_tiles`]. Each tile owns one output plane, so the
+//! [`crate::par::tiles_mut`]. Each tile owns one output plane, so the
 //! writes are disjoint and the results are bitwise identical for any thread
 //! count. [`max_pool_backward`] is the one exception: it scatters through a
 //! caller-supplied argmax table, so it stays sequential rather than trust
 //! that the table's indices are plane-disjoint.
 
-use crate::par::{parallel_tiles, SyncPtr};
+use crate::par::{tiles_mut, Runs};
 use crate::shape::{Shape, ShapeError};
 use crate::tensor::Tensor;
 
@@ -19,11 +19,9 @@ pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let hw = xs.hw();
     let inv = 1.0 / hw as f32;
     let xd = x.data();
-    let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
-    parallel_tiles(xs.n * xs.c, |p| {
+    tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), 1), |p, o| {
         let s: f32 = xd[p * hw..(p + 1) * hw].iter().sum();
-        // SAFETY: tile `p` writes only element `p` of the [n*c] output.
-        unsafe { *optr.get().add(p) = s * inv };
+        o[0] = s * inv;
     });
     out
 }
@@ -35,11 +33,8 @@ pub fn global_avg_pool_backward(dy: &Tensor, in_shape: Shape) -> Tensor {
     let hw = in_shape.hw();
     let inv = 1.0 / hw as f32;
     let dyd = dy.data();
-    let dxptr = SyncPtr::new(dx.data_mut().as_mut_ptr());
-    parallel_tiles(in_shape.n * in_shape.c, |p| {
+    tiles_mut(in_shape.n * in_shape.c, Runs::new(dx.data_mut(), hw), |p, plane| {
         let g = dyd[p] * inv;
-        // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)`.
-        let plane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(p * hw), hw) };
         for v in plane {
             *v = g;
         }
@@ -76,17 +71,8 @@ pub fn try_max_pool(x: &Tensor, k: usize) -> Result<(Tensor, Vec<usize>), ShapeE
     let mut arg = vec![0usize; os.numel()];
     let ohw = oh * ow;
     let xd = x.data();
-    let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
-    let aptr = SyncPtr::new(arg.as_mut_ptr());
-    parallel_tiles(xs.n * xs.c, |p| {
+    tiles_mut(xs.n * xs.c, (Runs::new(out.data_mut(), ohw), Runs::new(&mut arg, ohw)), |p, (oplane, aplane)| {
         let xbase = p * xs.hw();
-        // SAFETY: tile `p` owns the disjoint output/argmax plane `p`.
-        let (oplane, aplane) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(optr.get().add(p * ohw), ohw),
-                std::slice::from_raw_parts_mut(aptr.get().add(p * ohw), ohw),
-            )
-        };
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut best = f32::NEG_INFINITY;
@@ -142,11 +128,8 @@ pub fn try_avg_pool(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
     let inv = 1.0 / (k * k) as f32;
     let ohw = oh * ow;
     let xd = x.data();
-    let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
-    parallel_tiles(xs.n * xs.c, |p| {
+    tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), ohw), |p, oplane| {
         let xbase = p * xs.hw();
-        // SAFETY: tile `p` owns the disjoint output plane `p`.
-        let oplane = unsafe { std::slice::from_raw_parts_mut(optr.get().add(p * ohw), ohw) };
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut s = 0.0;
@@ -170,10 +153,7 @@ pub fn avg_pool_backward(dy: &Tensor, k: usize, in_shape: Shape) -> Tensor {
     let ihw = in_shape.hw();
     let ohw = os.hw();
     let dyd = dy.data();
-    let dxptr = SyncPtr::new(dx.data_mut().as_mut_ptr());
-    parallel_tiles(os.n * os.c, |p| {
-        // SAFETY: tile `p` owns the disjoint input-gradient plane `p`.
-        let dxplane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(p * ihw), ihw) };
+    tiles_mut(os.n * os.c, Runs::new(dx.data_mut(), ihw), |p, dxplane| {
         for oy in 0..os.h {
             for ox in 0..os.w {
                 let g = dyd[p * ohw + oy * os.w + ox] * inv;

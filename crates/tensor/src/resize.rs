@@ -3,11 +3,11 @@
 //! ("lu" = bilinear; the HRNet-style "su" ablation uses nearest mode).
 //!
 //! Per-axis interpolation weights are precomputed once, then the work is
-//! parallelised over `(n, c)` planes with [`crate::par::parallel_tiles`].
+//! parallelised over `(n, c)` planes with [`crate::par::tiles_mut`].
 //! Each tile reads one input plane and writes one disjoint output plane, so
 //! results are bitwise identical for any thread count.
 
-use crate::par::{parallel_tiles, SyncPtr};
+use crate::par::{tiles_mut, Runs};
 use crate::scratch;
 use crate::shape::{Shape, ShapeError};
 use crate::tensor::Tensor;
@@ -75,15 +75,12 @@ pub fn try_resize(x: &Tensor, oh: usize, ow: usize, mode: ResizeMode) -> Result<
     let ihw = xs.hw();
     let ohw = oh * ow;
     let xd = x.data();
-    let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
     match mode {
         ResizeMode::Nearest => {
             let iy = nearest_axis(oh, sy, xs.h);
             let ix = nearest_axis(ow, sx, xs.w);
-            parallel_tiles(xs.n * xs.c, |p| {
+            tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), ohw), |p, oplane| {
                 let xplane = &xd[p * ihw..(p + 1) * ihw];
-                // SAFETY: tile `p` owns the disjoint output plane `p`.
-                let oplane = unsafe { std::slice::from_raw_parts_mut(optr.get().add(p * ohw), ohw) };
                 for oy in 0..oh {
                     let row = iy[oy] * xs.w;
                     for ox in 0..ow {
@@ -95,10 +92,8 @@ pub fn try_resize(x: &Tensor, oh: usize, ow: usize, mode: ResizeMode) -> Result<
         ResizeMode::Bilinear => {
             let wy = bilinear_axis(oh, sy, xs.h);
             let wx = bilinear_axis(ow, sx, xs.w);
-            parallel_tiles(xs.n * xs.c, |p| {
+            tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), ohw), |p, oplane| {
                 let xplane = &xd[p * ihw..(p + 1) * ihw];
-                // SAFETY: tile `p` owns the disjoint output plane `p`.
-                let oplane = unsafe { std::slice::from_raw_parts_mut(optr.get().add(p * ohw), ohw) };
                 // Horizontal pass: each source row is interpolated to `ow`
                 // columns once, however many output rows blend it.
                 let mut rows = scratch::take(xs.h * ow);
@@ -156,15 +151,12 @@ pub fn try_resize_backward(dy: &Tensor, in_shape: Shape, mode: ResizeMode) -> Re
     let ihw = in_shape.hw();
     let ohw = os.hw();
     let dyd = dy.data();
-    let dxptr = SyncPtr::new(dx.data_mut().as_mut_ptr());
     match mode {
         ResizeMode::Nearest => {
             let iy = nearest_axis(os.h, sy, in_shape.h);
             let ix = nearest_axis(os.w, sx, in_shape.w);
-            parallel_tiles(os.n * os.c, |p| {
+            tiles_mut(os.n * os.c, Runs::new(dx.data_mut(), ihw), |p, dxplane| {
                 let dyplane = &dyd[p * ohw..(p + 1) * ohw];
-                // SAFETY: tile `p` owns the disjoint input-gradient plane `p`.
-                let dxplane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(p * ihw), ihw) };
                 for oy in 0..os.h {
                     let row = iy[oy] * in_shape.w;
                     for ox in 0..os.w {
@@ -176,10 +168,8 @@ pub fn try_resize_backward(dy: &Tensor, in_shape: Shape, mode: ResizeMode) -> Re
         ResizeMode::Bilinear => {
             let wy = bilinear_axis(os.h, sy, in_shape.h);
             let wx = bilinear_axis(os.w, sx, in_shape.w);
-            parallel_tiles(os.n * os.c, |p| {
+            tiles_mut(os.n * os.c, Runs::new(dx.data_mut(), ihw), |p, dxplane| {
                 let dyplane = &dyd[p * ohw..(p + 1) * ohw];
-                // SAFETY: tile `p` owns the disjoint input-gradient plane `p`.
-                let dxplane = unsafe { std::slice::from_raw_parts_mut(dxptr.get().add(p * ihw), ihw) };
                 for (oy, &(y0, y1, ty)) in wy.iter().enumerate() {
                     let (r0, r1) = (y0 * in_shape.w, y1 * in_shape.w);
                     for (ox, &(x0, x1, tx)) in wx.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! The dense `f32` NCHW tensor and its element-wise operations.
 
-use crate::par::{parallel_chunks, parallel_plane_groups, parallel_tiles, SyncPtr};
+use crate::par::{chunks_mut, plane_groups_mut, tiles_mut, Runs};
 use crate::shape::{Shape, ShapeMismatchError};
 use rand::{Rng, RngExt};
 use std::fmt;
@@ -245,17 +245,13 @@ impl Tensor {
             return Self::owned(self.shape, self.data().iter().map(|&x| f(x)).collect());
         }
         let mut data: Vec<f32> = Vec::with_capacity(n);
-        let ptr = SyncPtr::new(data.as_mut_ptr());
         let src = self.data();
-        parallel_chunks(n, |lo, hi| {
-            let base = ptr.get();
-            for (i, &x) in src[lo..hi].iter().enumerate() {
-                // SAFETY: chunks are disjoint and cover 0..n exactly once;
-                // `write` never reads the uninitialized destination.
-                unsafe { base.add(lo + i).write(f(x)) };
+        chunks_mut(&mut data.spare_capacity_mut()[..n], |at, out| {
+            for (o, &x) in out.iter_mut().zip(&src[at..]) {
+                o.write(f(x));
             }
         });
-        // SAFETY: every element of 0..n was initialized by exactly one chunk.
+        // SAFETY: the chunks cover 0..n, and every element was written.
         unsafe { data.set_len(n) };
         Self::owned(self.shape, data)
     }
@@ -270,11 +266,8 @@ impl Tensor {
             }
             return;
         }
-        let ptr = SyncPtr::new(data.as_mut_ptr());
-        parallel_chunks(data.len(), |lo, hi| {
-            // SAFETY: chunks are disjoint sub-slices of the buffer.
-            let s = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-            for v in s {
+        chunks_mut(data, |_, chunk| {
+            for v in chunk {
                 *v = f(*v);
             }
         });
@@ -294,16 +287,13 @@ impl Tensor {
             return Self::owned(self.shape, data);
         }
         let mut data: Vec<f32> = Vec::with_capacity(n);
-        let ptr = SyncPtr::new(data.as_mut_ptr());
         let (xa, xb) = (self.data(), other.data());
-        parallel_chunks(n, |lo, hi| {
-            let base = ptr.get();
-            for (i, (&a, &b)) in xa[lo..hi].iter().zip(&xb[lo..hi]).enumerate() {
-                // SAFETY: chunks are disjoint and cover 0..n exactly once.
-                unsafe { base.add(lo + i).write(f(a, b)) };
+        chunks_mut(&mut data.spare_capacity_mut()[..n], |at, out| {
+            for (o, (&a, &b)) in out.iter_mut().zip(xa[at..].iter().zip(&xb[at..])) {
+                o.write(f(a, b));
             }
         });
-        // SAFETY: every element of 0..n was initialized by exactly one chunk.
+        // SAFETY: the chunks cover 0..n, and every element was written.
         unsafe { data.set_len(n) };
         Self::owned(self.shape, data)
     }
@@ -341,11 +331,6 @@ impl Tensor {
     /// In-place `self += x`.
     pub fn add_assign(&mut self, x: &Self) {
         self.axpy(1.0, x);
-    }
-
-    /// In-place `self -= x`.
-    pub fn sub_assign(&mut self, x: &Self) {
-        self.axpy(-1.0, x);
     }
 
     /// In-place multiplication by a scalar (pool-parallel for large tensors).
@@ -442,11 +427,8 @@ impl Tensor {
         let hw = self.shape.hw();
         let c = self.shape.c;
         let bd = bias.data();
-        let ptr = SyncPtr::new(self.data_mut().as_mut_ptr());
-        parallel_tiles(self.shape.n * c, |p| {
+        tiles_mut(self.shape.n * c, Runs::new(self.data_mut(), hw), |p, plane| {
             let b = bd[p % c];
-            // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)`.
-            let plane = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(p * hw), hw) };
             for v in plane {
                 *v += b;
             }
@@ -463,11 +445,8 @@ impl Tensor {
         let hw = self.shape.hw();
         let c = self.shape.c;
         let sd = scale.data();
-        let ptr = SyncPtr::new(self.data_mut().as_mut_ptr());
-        parallel_tiles(self.shape.n * c, |p| {
+        tiles_mut(self.shape.n * c, Runs::new(self.data_mut(), hw), |p, plane| {
             let s = sd[p % c];
-            // SAFETY: tile `p` owns the disjoint plane `[p*hw, (p+1)*hw)`.
-            let plane = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(p * hw), hw) };
             for v in plane {
                 *v *= s;
             }
@@ -523,21 +502,14 @@ impl Tensor {
         assert!(inputs.iter().all(|t| t.shape == shape), "map_planes requires equal shapes");
         let (planes, hw) = (shape.n * shape.c, shape.hw());
         let mut outs: [Vec<f32>; O] = std::array::from_fn(|_| Vec::with_capacity(planes * hw));
-        let ptrs: [SyncPtr<std::mem::MaybeUninit<f32>>; O] =
-            std::array::from_fn(|o| SyncPtr::new(outs[o].spare_capacity_mut().as_mut_ptr()));
+        let runs = outs.each_mut().map(|v| Runs::new(&mut v.spare_capacity_mut()[..planes * hw], hw));
         // Small planes go several to a tile, so a 3x3 map does not pay one
         // tile hand-out per nine floats.
-        parallel_plane_groups(planes, hw, |group| {
-            for p in group {
+        plane_groups_mut(planes, hw, runs, |group, mut runs| {
+            for (k, p) in group.enumerate() {
                 let f = per_plane(p);
                 let src: [&[f32]; I] = std::array::from_fn(|i| &inputs[i].data()[p * hw..(p + 1) * hw]);
-                // SAFETY: plane `p` belongs to exactly one tile, which owns
-                // `[p*hw, (p+1)*hw)` of every output's `planes*hw`-float
-                // spare capacity (`MaybeUninit`, so the slices may cover
-                // uninitialized memory).
-                let mut dst: [&mut [std::mem::MaybeUninit<f32>]; O] = std::array::from_fn(|o| unsafe {
-                    std::slice::from_raw_parts_mut(ptrs[o].get().add(p * hw), hw)
-                });
+                let mut dst = runs.each_mut().map(|r| &mut r[k * hw..(k + 1) * hw]);
                 for j in 0..hw {
                     let y = f(std::array::from_fn(|i| src[i][j]));
                     for (d, v) in dst.iter_mut().zip(y) {
@@ -547,8 +519,8 @@ impl Tensor {
             }
         });
         for v in &mut outs {
-            // SAFETY: every plane of `0..planes` was initialized by exactly
-            // one tile, element by element.
+            // SAFETY: the plane groups cover 0..planes, and every element of
+            // every plane was written.
             unsafe { v.set_len(planes * hw) };
         }
         outs.map(|data| Self::owned(shape, data))
@@ -560,19 +532,17 @@ impl Tensor {
         let hw = self.shape.hw();
         let (n, c) = (self.shape.n, self.shape.c);
         let xd = self.data();
-        let optr = SyncPtr::new(out.data_mut().as_mut_ptr());
         // One tile per channel; the batch loop stays sequential inside the
         // tile so the accumulation order (and the f32 result) is independent
         // of the thread count.
-        parallel_tiles(c, |ch| {
+        tiles_mut(c, Runs::new(out.data_mut(), 1), |ch, sum| {
             let mut acc = 0.0_f32;
             for ni in 0..n {
                 let base = (ni * c + ch) * hw;
                 let s: f32 = xd[base..base + hw].iter().sum();
                 acc += s;
             }
-            // SAFETY: tile `ch` writes only element `ch`.
-            unsafe { *optr.get().add(ch) = acc };
+            sum[0] = acc;
         });
         out
     }
@@ -650,11 +620,8 @@ fn axpy_slices(dst: &mut [f32], alpha: f32, src: &[f32]) {
         }
         return;
     }
-    let ptr = SyncPtr::new(dst.as_mut_ptr());
-    parallel_chunks(dst.len(), |lo, hi| {
-        // SAFETY: chunks are disjoint sub-slices of the buffer.
-        let s = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-        for (a, &b) in s.iter_mut().zip(&src[lo..hi]) {
+    chunks_mut(dst, |at, chunk| {
+        for (a, &b) in chunk.iter_mut().zip(&src[at..]) {
             *a += alpha * b;
         }
     });

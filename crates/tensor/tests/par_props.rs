@@ -1,17 +1,14 @@
-//! Property-based tests for the `par` module's helpers: chunk splitting must
-//! partition the index space for any (items, threads) combination, tiny
-//! workloads (items < threads) must still visit everything exactly once, and
-//! `parallel_map_reduce` must reduce partials in chunk order regardless of
-//! scheduling.
+//! Property-based tests for the `par` module's helpers: the splitters
+//! (`tiles_mut`, `plane_groups_mut`, `chunks_mut`) must hand every element of
+//! every output buffer to exactly the tile that owns it, for any (items,
+//! threads) combination, and tiny workloads (items < threads) must still
+//! visit everything exactly once.
 //!
 //! `set_max_threads` is a process-global budget, so every property that sets
 //! it holds a shared lock and restores the default (0 = auto) afterwards.
 
 use proptest::prelude::*;
-use revbifpn_tensor::par::{
-    num_threads_for, parallel_chunks, parallel_map_reduce, parallel_over_slices, parallel_tiles,
-    set_max_threads,
-};
+use revbifpn_tensor::par::{chunks_mut, parallel_tiles, plane_groups_mut, set_max_threads, tiles_mut, Runs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -39,35 +36,76 @@ impl Drop for Budget {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every index in `0..items` is visited by exactly one chunk, chunks are
-    /// disjoint, and their union is the full range — for any thread budget,
-    /// including uneven splits and items < threads.
+    /// `chunks_mut` hands every element of the buffer to one chunk, with the
+    /// index of the chunk's first element, in at most one chunk per thread —
+    /// for any thread budget, including uneven splits and items < threads.
     #[test]
-    fn chunks_partition_the_index_space(items in 0usize..500, threads in 1usize..17) {
+    fn chunks_partition_the_buffer(items in 0usize..500, threads in 1usize..17) {
         let _g = budget_lock();
         let _b = Budget::new(threads);
-        let visits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-        let calls = AtomicUsize::new(0);
-        let bad_chunks = AtomicUsize::new(0);
-        parallel_chunks(items, |a, b| {
-            if a >= b || b > items {
-                // Empty or out-of-range chunk: flag it (asserted below —
-                // panicking inside the pool would also fail, less clearly).
-                bad_chunks.fetch_add(1, Ordering::Relaxed);
-                return;
+        let mut buf = vec![usize::MAX; items];
+        let chunks = AtomicUsize::new(0);
+        chunks_mut(&mut buf, |at, chunk| {
+            if !chunk.is_empty() {
+                chunks.fetch_add(1, Ordering::Relaxed);
             }
-            calls.fetch_add(1, Ordering::Relaxed);
-            for v in &visits[a..b] {
-                v.fetch_add(1, Ordering::Relaxed);
+            for (i, v) in chunk.iter_mut().enumerate() {
+                // A second visit would find its own index, not `MAX`.
+                *v = if *v == usize::MAX { at + i } else { usize::MAX - 1 };
             }
         });
-        prop_assert_eq!(bad_chunks.load(Ordering::Relaxed), 0, "empty/out-of-range chunks dispatched");
-        for (i, v) in visits.iter().enumerate() {
-            prop_assert_eq!(v.load(Ordering::Relaxed), 1, "index {} visited wrong number of times", i);
+        for (i, &v) in buf.iter().enumerate() {
+            prop_assert_eq!(v, i, "element {} visited wrongly", i);
         }
-        // Never more chunks than the budget (or than items, whichever is
-        // smaller), so tiny workloads don't produce empty dispatches.
-        prop_assert!(calls.load(Ordering::Relaxed) <= threads.min(items.max(1)));
+        prop_assert!(chunks.load(Ordering::Relaxed) <= threads.min(items.max(1)));
+    }
+
+    /// `tiles_mut` gives tile `t` elements `[t·per, (t+1)·per)` of each
+    /// buffer, clipped to its end, for buffers of different element types
+    /// and run lengths; elements past the last tile's run stay untouched.
+    #[test]
+    fn tiles_get_their_runs(tiles in 0usize..40, per_a in 0usize..5, per_b in 1usize..4, len_a in 0usize..120, threads in 1usize..17) {
+        let _g = budget_lock();
+        let _b = Budget::new(threads);
+        let mut a = vec![0.0f32; len_a];
+        let mut b = vec![usize::MAX; tiles * per_b];
+        tiles_mut(tiles, (Runs::new(&mut a, per_a), Runs::new(&mut b, per_b)), |t, (ra, rb)| {
+            for v in ra.iter_mut() {
+                *v += (t + 1) as f32;
+            }
+            rb.fill(t);
+        });
+        for (i, &v) in a.iter().enumerate() {
+            let owner = i.checked_div(per_a).unwrap_or(tiles);
+            let want = if owner < tiles { (owner + 1) as f32 } else { 0.0 };
+            prop_assert_eq!(v, want, "float element {} of {} runs of {}", i, tiles, per_a);
+        }
+        for (i, &v) in b.iter().enumerate() {
+            prop_assert_eq!(v, i / per_b, "index element {}", i);
+        }
+    }
+
+    /// `plane_groups_mut` covers `0..planes` with disjoint consecutive plane
+    /// ranges, and each range's runs are exactly its planes in every buffer.
+    #[test]
+    fn plane_groups_get_their_planes(planes in 0usize..60, plane_len in 1usize..40, threads in 1usize..17) {
+        let _g = budget_lock();
+        let _b = Budget::new(threads);
+        let mut ys = vec![usize::MAX; planes * plane_len];
+        let mut sums = vec![usize::MAX; planes];
+        plane_groups_mut(planes, plane_len, (Runs::new(&mut ys, plane_len), Runs::new(&mut sums, 1)), |group, (yr, sr)| {
+            assert_eq!((yr.len(), sr.len()), (group.len() * plane_len, group.len()), "runs cover the group");
+            for (k, p) in group.enumerate() {
+                yr[k * plane_len..(k + 1) * plane_len].fill(p);
+                sr[k] = p;
+            }
+        });
+        for (i, &v) in ys.iter().enumerate() {
+            prop_assert_eq!(v, i / plane_len, "plane element {}", i);
+        }
+        for (p, &v) in sums.iter().enumerate() {
+            prop_assert_eq!(v, p, "plane slot {}", p);
+        }
     }
 
     /// `parallel_tiles` visits each tile exactly once even when tiles are
@@ -82,79 +120,6 @@ proptest! {
         });
         for (t, v) in visits.iter().enumerate() {
             prop_assert_eq!(v.load(Ordering::Relaxed), 1, "tile {} visited wrong number of times", t);
-        }
-    }
-
-    /// The reduction sees exactly one partial per non-empty chunk, in chunk
-    /// order: reducing chunk start indices must yield a sorted sequence, and
-    /// a non-commutative reduction must give the same result as a sequential
-    /// left fold over the chunks.
-    #[test]
-    fn map_reduce_is_ordered_and_complete(items in 1usize..300, threads in 1usize..17) {
-        let _g = budget_lock();
-        let _b = Budget::new(threads);
-
-        // Partials arrive in chunk order.
-        let mut starts: Vec<usize> = Vec::new();
-        parallel_map_reduce(items, |a, _b| a, &mut starts, |acc, s| acc.push(s));
-        let mut sorted = starts.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(&starts, &sorted, "partials must reduce in chunk order");
-
-        // A non-commutative fold (string concatenation of per-chunk sums)
-        // matches the single-threaded fold exactly.
-        let fold = |acc: &mut String, part: u64| {
-            acc.push_str(&part.to_string());
-            acc.push(';');
-        };
-        let chunk_sum = |a: usize, b: usize| (a..b).map(|i| i as u64).sum::<u64>();
-        let mut parallel_result = String::new();
-        parallel_map_reduce(items, chunk_sum, &mut parallel_result, fold);
-
-        let n = num_threads_for(items);
-        let mut sequential_result = String::new();
-        let chunk = items.div_ceil(n);
-        let mut a = 0;
-        while a < items {
-            let b = (a + chunk).min(items);
-            fold(&mut sequential_result, chunk_sum(a, b));
-            a = b;
-        }
-        prop_assert_eq!(parallel_result, sequential_result);
-    }
-
-    /// `parallel_over_slices` hands every slice to exactly one call, with the
-    /// right index, and writes through disjoint slices land where they should.
-    #[test]
-    fn over_slices_visits_each_slice_once(count in 0usize..12, seed in any::<u64>(), threads in 1usize..17) {
-        let _g = budget_lock();
-        let _b = Budget::new(threads);
-        // Derive pseudo-random slice lengths (0..=8) from the seed.
-        let lens: Vec<usize> = (0..count)
-            .map(|i| (seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64) >> 33) as usize % 9)
-            .collect();
-        let total: usize = lens.iter().sum();
-        let mut buf = vec![0.0f32; total];
-        {
-            let mut rest: &mut [f32] = &mut buf;
-            let mut slices: Vec<&mut [f32]> = Vec::new();
-            for &len in &lens {
-                let (head, tail) = rest.split_at_mut(len);
-                slices.push(head);
-                rest = tail;
-            }
-            parallel_over_slices(slices, |i, s| {
-                for v in s.iter_mut() {
-                    *v += (i + 1) as f32;
-                }
-            });
-        }
-        let mut off = 0;
-        for (i, &len) in lens.iter().enumerate() {
-            for k in 0..len {
-                prop_assert_eq!(buf[off + k], (i + 1) as f32, "slice {} written incorrectly", i);
-            }
-            off += len;
         }
     }
 

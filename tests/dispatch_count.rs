@@ -29,14 +29,33 @@
 //! `[1000, 1280]` weight is the transposed operand: 63 panels x 5 depth
 //! slices) and 247 ragged last panels (14x14 and 7x7 maps are 196 and 49
 //! columns, squeeze-excite GEMMs one). A larger count means some shape fell
-//! off the in-place path. The counters are process-wide, so this file holds
-//! exactly one test.
+//! off the in-place path.
+//!
+//! One S0@96 batch-4 `TrainReversible` forward + backward at two threads is
+//! pinned too, at `TRAIN_STEP_DISPATCHES`: the training step's task joins
+//! (silo halves, block streams, the backward's silo rows) and the kernel
+//! fork-joins of every op that runs outside a task. A kernel whose tile
+//! count changes moves it. The counters are process-wide, so this file
+//! holds exactly one test.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig};
+use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_nn::meter;
 use revbifpn_tensor::{par, Shape, Tensor};
+
+/// Fork-joins of one reversible S0@96 b4 training forward + backward at two
+/// threads.
+const TRAIN_STEP_DISPATCHES: u64 = 543;
+
+/// Fork-joins of one `TrainReversible` forward + backward of `model` on `x`.
+fn train_step_dispatches(model: &mut RevBiFPNClassifier, x: &Tensor) -> u64 {
+    let before = meter::par_stats().dispatches;
+    let logits = model.forward(x, RunMode::TrainReversible);
+    model.backward(&Tensor::randn(logits.shape(), 1.0, &mut StdRng::seed_from_u64(2)));
+    model.clear_cache();
+    meter::par_stats().dispatches - before
+}
 
 #[test]
 fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
@@ -48,6 +67,9 @@ fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
     let second = frozen.forward(&x);
     let per_forward = meter::par_stats().dispatches - before;
     let gemm = meter::gemm_stats();
+    let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::s0(10).with_resolution(96));
+    let x96 = Tensor::randn(Shape::new(4, 3, 96, 96), 1.0, &mut StdRng::seed_from_u64(3));
+    let train_steps = [train_step_dispatches(&mut model, &x96), train_step_dispatches(&mut model, &x96)];
     par::set_max_threads(0);
     assert_eq!(first, second, "repeat forwards must agree bit for bit");
     assert_eq!(
@@ -63,5 +85,11 @@ fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
         (6527, 562),
         "GEMM B panels (read in place, packed first) per forward changed; packing is for ragged \
          last panels and transposed operands only"
+    );
+    assert_eq!(
+        train_steps,
+        [TRAIN_STEP_DISPATCHES; 2],
+        "fork-joins per reversible S0@96 batch-4 training forward + backward changed; if intended, \
+         update this pin and say why in CHANGES.md"
     );
 }
