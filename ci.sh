@@ -34,6 +34,7 @@ REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-tensor
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-nn
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-rev
 REVBIFPN_MAX_THREADS=4 cargo test -q --test freeze_parity
+REVBIFPN_MAX_THREADS=4 cargo test -q --test batch_independence
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-train --test shard_invariance
 
 echo "== fault-injection suite (resilience layer, end to end)"

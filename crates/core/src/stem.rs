@@ -10,39 +10,37 @@ use rand::SeedableRng;
 use revbifpn_nn::layers::{BatchNorm2d, Conv2d, HardSwish};
 use revbifpn_nn::{CacheMode, Layer, Module, Sequential, ShapeWalk};
 use revbifpn_tensor::{depth_to_space, space_to_depth, ConvSpec, Shape, Tensor};
+use std::borrow::Cow;
 
-/// Duplicates channels cyclically up to `c_target` (`c_target >= x.c`).
-pub(crate) fn duplicate_channels(x: &Tensor, c_target: usize) -> Tensor {
+/// Duplicates channels cyclically up to `c_target` (`c_target >= x.c`);
+/// borrows `x` when it already has them.
+pub(crate) fn duplicate_channels(x: &Tensor, c_target: usize) -> Cow<'_, Tensor> {
     let xs = x.shape();
     assert!(c_target >= xs.c, "cannot duplicate down");
-    let mut out = Tensor::zeros(xs.with_c(c_target));
-    let hw = xs.hw();
-    for n in 0..xs.n {
-        for c in 0..c_target {
-            let src = c % xs.c;
-            let sbase = (n * xs.c + src) * hw;
-            let dbase = (n * c_target + c) * hw;
-            let (src_slice, dst_range) = (x.data()[sbase..sbase + hw].to_vec(), dbase..dbase + hw);
-            out.data_mut()[dst_range].copy_from_slice(&src_slice);
-        }
+    if c_target == xs.c {
+        return Cow::Borrowed(x);
     }
-    out
+    let mut out = Tensor::zeros(xs.with_c(c_target));
+    for (i, dst) in out.data_mut().chunks_exact_mut(xs.hw()).enumerate() {
+        let src = (i / c_target * xs.c + i % c_target % xs.c) * xs.hw();
+        dst.copy_from_slice(&x.data()[src..src + xs.hw()]);
+    }
+    Cow::Owned(out)
 }
 
-/// Folds gradients of duplicated channels back onto the originals.
-fn fold_duplicate_grads(dy: &Tensor, c_in: usize) -> Tensor {
+/// Folds gradients of duplicated channels back onto the originals, each
+/// sum started at +0 (in place when nothing was duplicated).
+fn fold_duplicate_grads(mut dy: Tensor, c_in: usize) -> Tensor {
     let ys = dy.shape();
+    if ys.c == c_in {
+        dy.data_mut().iter_mut().for_each(|g| *g += 0.0);
+        return dy;
+    }
     let mut out = Tensor::zeros(ys.with_c(c_in));
     let hw = ys.hw();
-    for n in 0..ys.n {
-        for c in 0..ys.c {
-            let src = c % c_in;
-            let sbase = (n * ys.c + c) * hw;
-            let dbase = (n * c_in + src) * hw;
-            for i in 0..hw {
-                out.data_mut()[dbase + i] += dy.data()[sbase + i];
-            }
-        }
+    for (i, src) in dy.data().chunks_exact(hw).enumerate() {
+        let at = (i / ys.c * c_in + i % ys.c % c_in) * hw;
+        out.data_mut()[at..at + hw].iter_mut().zip(src).for_each(|(o, g)| *o += g);
     }
     out
 }
@@ -149,8 +147,7 @@ impl Stem {
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         match self {
             Stem::SpaceToDepth { block, image_channels, .. } => {
-                let dd = depth_to_space(dy, *block);
-                fold_duplicate_grads(&dd, *image_channels)
+                fold_duplicate_grads(depth_to_space(dy, *block), *image_channels)
             }
             Stem::Convolutional { body, .. } => body.backward(dy),
         }
@@ -167,17 +164,9 @@ impl Stem {
                 let xd = depth_to_space(y, *block);
                 // The first `image_channels` channels are the original image.
                 let xs = xd.shape();
-                let mut out = Tensor::zeros(xs.with_c(*image_channels));
-                let hw = xs.hw();
-                for n in 0..xs.n {
-                    for c in 0..*image_channels {
-                        let sbase = (n * xs.c + c) * hw;
-                        let dbase = (n * *image_channels + c) * hw;
-                        let src = xd.data()[sbase..sbase + hw].to_vec();
-                        out.data_mut()[dbase..dbase + hw].copy_from_slice(&src);
-                    }
-                }
-                Ok(out)
+                let per = *image_channels * xs.hw();
+                let data = xd.data().chunks_exact(xs.chw()).flat_map(|sample| &sample[..per]).copied().collect();
+                Ok(Tensor::from_vec_unchecked(xs.with_c(*image_channels), data))
             }
             Stem::Convolutional { .. } => Err("convolutional stem is not invertible"),
         }

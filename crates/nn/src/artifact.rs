@@ -46,7 +46,7 @@
 //! whole checkpoint/artifact lifecycle through them.
 
 use crate::checkpoint::crc32;
-use crate::freeze::{ActKind, FrozenLayer, FusedConv};
+use crate::freeze::{ActKind, FrozenLayer, FusedConv, PackedLinear};
 use revbifpn_tensor::{
     gemm_layout_fingerprint, ConvPlan, ConvSpec, EpilogueAct, PackedGemmA, PackedGemmAI8,
     PlanKind, QuantConvPlan, QuantPlanKind, ResizeMode, Shape, SharedBytes, Tensor,
@@ -1000,6 +1000,13 @@ pub fn encode_layer(w: &mut ArtifactWriter, layer: &FrozenLayer) -> io::Result<(
             w.put_tensor(weight);
             w.put_tensor(bias);
         }
+        FrozenLayer::PackedLinear(p) => {
+            w.put_u8(11);
+            w.put_u32(p.weight.m() as u32);
+            w.put_u32(p.weight.k() as u32);
+            w.put_f32s(&p.bias);
+            w.put_panel_f32(p.weight.image());
+        }
         FrozenLayer::Upsample { factor, mode } => {
             w.put_u8(5);
             w.put_u32(*factor as u32);
@@ -1045,10 +1052,23 @@ pub fn decode_layer(r: &mut TreeReader<'_>) -> io::Result<FrozenLayer> {
             FrozenLayer::Affine { scale, bias }
         }
         3 => FrozenLayer::Act(kind_from(r.get_u8()?)?),
+        // An artifact that holds the raw weight packs it at load.
         4 => {
             let weight = r.get_tensor()?;
             let bias = r.get_tensor()?;
-            FrozenLayer::Linear { weight, bias }
+            match PackedLinear::pack(&weight, &bias, false) {
+                Some(p) => FrozenLayer::PackedLinear(Box::new(p)),
+                None => FrozenLayer::Linear { weight, bias },
+            }
+        }
+        11 => {
+            let (m, k) = (r.get_u32()? as usize, r.get_u32()? as usize);
+            let bias = r.get_f32s()?;
+            if bias.len() != m {
+                return Err(inv("packed linear bias length disagrees with its weight"));
+            }
+            let weight = r.get_panel_f32(m, k)?;
+            FrozenLayer::PackedLinear(Box::new(PackedLinear { weight, bias, _resident: None }))
         }
         5 => {
             let factor = r.get_u32()? as usize;
@@ -1137,6 +1157,25 @@ mod tests {
             assert_eq!(mapped, prefer_map && SharedBytes::mmap_supported());
             let got = decoded.forward(&x);
             assert_eq!(got, want, "artifact forward must be bitwise equal");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn packed_linear_roundtrips_and_a_raw_one_packs_at_load() {
+        // Tag 11 holds the packed panel image; tag 4 (the raw weight, as
+        // written before the classifier was packed) still decodes, packed
+        // at load. Both forward with the in-memory layer's bits.
+        let dir = tmp_dir("linear");
+        let mut rng = StdRng::seed_from_u64(13);
+        let raw = crate::layers::Linear::new(1280, 1000, &mut rng).freeze().unwrap();
+        let mut packed = crate::layers::Linear::new(1280, 1000, &mut rng).freeze().unwrap();
+        packed.compile();
+        let x = Tensor::randn(Shape::new(3, 1280, 1, 1), 1.0, &mut rng);
+        for (i, frozen) in [&packed, &raw].into_iter().enumerate() {
+            let (decoded, _) = roundtrip(&dir.join(format!("linear_{i}.frz")), frozen, true);
+            assert!(matches!(decoded, FrozenLayer::PackedLinear(_)), "a loaded classifier is packed");
+            assert_eq!(decoded.forward(&x), frozen.forward(&x), "artifact forward must be bitwise equal");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

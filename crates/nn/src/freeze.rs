@@ -34,8 +34,8 @@
 use crate::meter;
 use crate::module::Layer;
 use revbifpn_tensor::{
-    global_avg_pool, sgemm_a_bt, space_to_depth, upsample, ConvPlan, ConvSpec, EpilogueAct,
-    QuantConvPlan, ResizeMode, Shape, Tensor,
+    global_avg_pool, runs_blocked, sgemm_a_bt, sgemm_prepacked, space_to_depth, upsample, ConvPlan,
+    ConvSpec, Epilogue, EpilogueAct, PackedGemmA, QuantConvPlan, ResizeMode, Shape, Tensor,
 };
 
 /// Error returned when a layer (or one of its children) has no frozen form.
@@ -73,7 +73,7 @@ impl std::error::Error for FreezeError {}
 
 /// RAII registration of packed-weight bytes with the thread-local meter.
 #[derive(Debug)]
-struct PackedBytes {
+pub(crate) struct PackedBytes {
     bytes: usize,
 }
 
@@ -329,6 +329,52 @@ pub(crate) struct Carry {
     plane_sums: Option<Tensor>,
 }
 
+/// A dense layer whose `[out, in]` weight is packed once as the GEMM's left
+/// operand: the logits of a batch are `W x^T + b` over the batch's columns,
+/// bit for bit what [`sgemm_a_bt`] plus a bias pass gives wherever that GEMM
+/// runs on the blocked engine — which is where [`FrozenLayer::compile`]
+/// packs one.
+#[derive(Debug)]
+pub struct PackedLinear {
+    pub(crate) weight: PackedGemmA,
+    pub(crate) bias: Vec<f32>,
+    /// The meter registration (none for a layer loaded from an artifact,
+    /// see [`FusedConv::from_plan`]).
+    pub(crate) _resident: Option<PackedBytes>,
+}
+
+impl PackedLinear {
+    /// Packs `weight` (`[out, in]`) when its GEMM runs on the blocked engine
+    /// at every batch size, registering the panels on the packed gauge
+    /// when `register`; `None` for a layer small enough for the reference
+    /// kernel, which keeps its raw weight.
+    pub fn pack(weight: &Tensor, bias: &Tensor, register: bool) -> Option<Self> {
+        let (out_f, in_f) = (weight.shape().n, weight.shape().c);
+        if !runs_blocked(1, in_f, out_f) {
+            return None;
+        }
+        let weight = PackedGemmA::pack(out_f, in_f, weight.data());
+        let resident = register.then(|| {
+            meter::count("freeze.weights_packed");
+            PackedBytes::new(weight.bytes())
+        });
+        Some(Self { weight, bias: bias.data().to_vec(), _resident: resident })
+    }
+
+    fn forward(&self, x: &Tensor) -> Tensor {
+        let xs = x.shape();
+        let (out_f, in_f) = (self.weight.m(), self.weight.k());
+        assert_eq!((xs.c, xs.h, xs.w), (in_f, 1, 1), "frozen linear expects [n, {in_f}, 1, 1], got {xs}");
+        let transposed = |a: &[f32], rows: usize, cols: usize| -> Vec<f32> {
+            (0..rows * cols).map(|i| a[i % rows * cols + i / rows]).collect()
+        };
+        let mut yt = vec![0.0f32; out_f * xs.n];
+        let epi = Epilogue::new(Some(&self.bias), EpilogueAct::None);
+        sgemm_prepacked(&self.weight, xs.n, &transposed(x.data(), xs.n, in_f), &mut yt, &epi);
+        Tensor::from_vec_unchecked(Shape::new(xs.n, out_f, 1, 1), transposed(&yt, out_f, xs.n))
+    }
+}
+
 /// Standalone activation kinds, for positions where the activation cannot
 /// ride a GEMM epilogue (e.g. not preceded by a convolution).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -389,6 +435,8 @@ pub enum FrozenLayer {
         /// Bias vector `[out]`.
         bias: Tensor,
     },
+    /// A dense layer after [`FrozenLayer::compile`] packed its weight.
+    PackedLinear(Box<PackedLinear>),
     /// Integer-factor upsampling.
     Upsample {
         /// Scale factor.
@@ -464,10 +512,16 @@ impl FrozenLayer {
         }
     }
 
-    /// Packs every conv's weight panels (idempotent, recursive).
+    /// Packs every conv's weight panels, and a dense layer's weight where
+    /// its GEMM runs on the blocked engine (idempotent, recursive).
     pub fn compile(&mut self) {
         match self {
             FrozenLayer::Conv(fc) => fc.compile(),
+            FrozenLayer::Linear { weight, bias } => {
+                if let Some(p) = PackedLinear::pack(weight, bias, true) {
+                    *self = FrozenLayer::PackedLinear(Box::new(p));
+                }
+            }
             FrozenLayer::SqueezeExcite { reduce, expand } => {
                 reduce.compile();
                 expand.compile();
@@ -505,6 +559,7 @@ impl FrozenLayer {
     pub fn packed_bytes(&self) -> usize {
         match self {
             FrozenLayer::Conv(fc) => fc.packed_bytes(),
+            FrozenLayer::PackedLinear(p) => p.weight.bytes(),
             FrozenLayer::SqueezeExcite { reduce, expand } => {
                 reduce.packed_bytes() + expand.packed_bytes()
             }
@@ -615,6 +670,7 @@ impl FrozenLayer {
                 }
                 y
             }
+            FrozenLayer::PackedLinear(p) => p.forward(x),
             FrozenLayer::Upsample { factor, mode } => upsample(x, *factor, *mode),
             FrozenLayer::GlobalAvgPool => global_avg_pool(x),
         }
@@ -832,6 +888,40 @@ mod tests {
         frozen.compile();
         frozen.compile();
         assert_eq!(meter::event_count("freeze.weights_packed"), before + 1);
+    }
+
+    #[test]
+    fn compiled_linear_is_packed_once_and_keeps_the_bits() {
+        // The classifier's shape: compile packs the weight once, registers
+        // it on the packed gauge and drops the raw clone; every batch's
+        // logits are the `sgemm_a_bt` + bias pass's bits. A layer whose GEMM
+        // runs on the reference kernel keeps its raw weight.
+        let mut rng = StdRng::seed_from_u64(12);
+        let linear = crate::layers::Linear::new(1280, 1000, &mut rng);
+        let base = meter::packed_current();
+        let mut frozen = linear.freeze().unwrap();
+        assert_eq!(frozen.packed_bytes(), 0, "freeze alone must not pack");
+        let FrozenLayer::Linear { weight, bias } = &frozen else { panic!("a raw linear before compile") };
+        let (weight, bias) = (weight.clone(), bias.clone());
+        frozen.quantize();
+        frozen.compile();
+        frozen.compile();
+        assert!(matches!(frozen, FrozenLayer::PackedLinear(_)), "compile packs the weight, int8 or not");
+        assert_eq!(frozen.packed_bytes(), PackedGemmA::image_len(1000, 1280) * 4);
+        assert_eq!(meter::packed_current(), base + frozen.packed_bytes());
+        for n in [1, 3, 8] {
+            let x = Tensor::randn(Shape::new(n, 1280, 1, 1), 1.0, &mut rng);
+            let mut want = vec![0.0f32; n * 1000];
+            sgemm_a_bt(n, 1280, 1000, 1.0, x.data(), weight.data(), 0.0, &mut want);
+            want.iter_mut().enumerate().for_each(|(i, v)| *v += bias.data()[i % 1000]);
+            let got = frozen.forward(&x);
+            assert!(got.data().iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()), "batch {n}");
+        }
+        drop(frozen);
+        assert_eq!(meter::packed_current(), base, "dropping the layer releases its panels");
+        let mut small = crate::layers::Linear::new(128, 10, &mut rng).freeze().unwrap();
+        small.compile();
+        assert!(matches!(small, FrozenLayer::Linear { .. }) && small.packed_bytes() == 0);
     }
 
     #[test]

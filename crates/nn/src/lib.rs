@@ -35,7 +35,9 @@ mod mode;
 mod module;
 mod param;
 
-pub use freeze::{freeze_layer, freeze_layer_int8, ActKind, FreezeError, FrozenLayer, FrozenTree, FusedConv};
+pub use freeze::{
+    freeze_layer, freeze_layer_int8, ActKind, FreezeError, FrozenLayer, FrozenTree, FusedConv, PackedLinear,
+};
 pub use meter::Cached;
 pub use mode::{Accounting, CacheMode};
 pub use module::{grad_sq_norm, param_count, zero_grads, Identity, Layer, Module, Part, Sequential, ShapeWalk};

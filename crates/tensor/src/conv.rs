@@ -40,14 +40,16 @@
 //!   `x` images (`lane_dot`: eight lanes by position, four accumulators,
 //!   reduced in one order fixed by the source);
 //! - the strided silo kernels (5/s2, 9/s4, 17/s8) and any other geometry
-//!   walk pixel by pixel over a padded `x` and a padded `dx` accumulator
-//!   (`dw_grad_walk`), in the reference walk's order.
+//!   gather (`GradPlane`): each tap sums its pixels in raster order, the
+//!   taps held as register lanes, and each `dx` element sums its terms in a
+//!   register in the reference walk's order, zero-`dy` terms masked.
 //!
-//! The backward's plane body is compiled twice, baseline and AVX2 (never
-//! `fma`), and gives the same bits either way; small planes (6², 3²) go
-//! several to a parallel tile so one scratch borrow serves them all.
+//! Every kernel of the backward runs on the lane twins (`run_lanes`: AVX2,
+//! never `fma`, or `[f32; 8]`) with the same bits either way; small planes
+//! (6², 3²) go several to a parallel tile so one scratch borrow serves them
+//! all.
 
-use crate::dw_plane::{depthwise_padded_plane, pad_plane, DwCall, PlaneImage};
+use crate::dw_plane::{depthwise_padded_plane, pad_plane, run_lanes, DwCall, GatherRows, GradPlane, LaneKernel, Lanes, PlaneImage};
 use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_gathered, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
 use crate::par::{for_each_sample, plane_groups_mut, tiles_mut, GradSink, Runs, SyncPtr};
 use crate::qmatmul::{
@@ -1006,7 +1008,9 @@ fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) 
 /// stride so that every tap gradient is one contiguous dot product of the
 /// two images (eight floats of zero slack round its length up); the
 /// workspace holds the flipped taps and eight lanes per tap. Every other
-/// geometry walks pixel by pixel and accumulates `dx` in a padded image.
+/// geometry gathers both gradients from the `x` image (eight floats of
+/// slack behind it) and, for `dx`, from `dy`'s rows laid out by
+/// [`GatherRows`] ([`GradPlane`]).
 struct DwBackwardGeometry {
     stencil: bool,
     stride: usize,
@@ -1025,8 +1029,9 @@ impl DwBackwardGeometry {
             Self { stencil, stride, x_len, aux_len, taps_len: 9 * ksz }
         } else {
             let stride = xs.w + 2 * spec.pw;
-            let x_len = (xs.h + 2 * spec.ph) * stride;
-            Self { stencil, stride, x_len, aux_len: if need_dx { x_len } else { 0 }, taps_len: 0 }
+            let (oh, ow) = spec.out_hw(xs.h, xs.w);
+            let aux_len = if need_dx { GatherRows::new(xs.w, ow, spec).floats(oh, spec) } else { 0 };
+            Self { stencil, stride, x_len: (xs.h + 2 * spec.ph) * stride + 8, aux_len, taps_len: 0 }
         }
     }
 
@@ -1038,26 +1043,52 @@ impl DwBackwardGeometry {
 /// Products of two equally long slices (a multiple of eight floats) summed
 /// into eight lanes: element `i` lands in lane `i % 8`, through one of four
 /// independent accumulators (`i / 8 % 4`) that are then added lane by lane
-/// as `(a0 + a1) + (a2 + a3)`. Element-wise only, so the baseline and the
-/// AVX2 compilation give the same bits.
+/// as `(a0 + a1) + (a2 + a3)`. Element-wise only, so the two lane twins give
+/// the same bits.
+///
+/// # Safety
+///
+/// [`Lanes`]' CPU contract (every load is of a slice sliced to it).
 #[inline(always)]
-fn lane_dot(a: &[f32], b: &[f32]) -> [f32; 8] {
-    let mut acc = [[0.0f32; 8]; 4];
+unsafe fn lane_dot<V: Lanes>(a: &[f32], b: &[f32]) -> [f32; 8] {
+    let mut acc = [V::splat(0.0); 4];
     let (a32, b32) = (a.chunks_exact(32), b.chunks_exact(32));
     let (a_rest, b_rest) = (a32.remainder(), b32.remainder());
     for (x, y) in a32.zip(b32) {
-        for (q, lanes) in acc.iter_mut().enumerate() {
-            for l in 0..8 {
-                lanes[l] += x[8 * q + l] * y[8 * q + l];
-            }
+        for (q, acc) in acc.iter_mut().enumerate() {
+            let (x, y) = (&x[8 * q..8 * q + 8], &y[8 * q..8 * q + 8]);
+            *acc = acc.add(V::load(x.as_ptr()).mul(V::load(y.as_ptr())));
         }
     }
-    for ((x, y), lanes) in a_rest.chunks_exact(8).zip(b_rest.chunks_exact(8)).zip(acc.iter_mut()) {
-        for l in 0..8 {
-            lanes[l] += x[l] * y[l];
+    for ((x, y), acc) in a_rest.chunks_exact(8).zip(b_rest.chunks_exact(8)).zip(acc.iter_mut()) {
+        *acc = acc.add(V::load(x.as_ptr()).mul(V::load(y.as_ptr())));
+    }
+    acc[0].add(acc[1]).add(acc[2].add(acc[3])).to_array()
+}
+
+/// Every tap's [`lane_dot`] of the padded `dy` and `x` images, for
+/// [`run_lanes`]: tap `(ky, kx)` reads `x` from `ky * stride + kx` on, and
+/// its eight lanes go to `lanes[8 tap..]`.
+struct TapDots<'a> {
+    dy_img: &'a [f32],
+    xpad: &'a [f32],
+    stride: usize,
+    kw: usize,
+    lanes: &'a mut [f32],
+}
+
+// SAFETY: `lane_dot` loads only from slices sliced to its loads.
+unsafe impl LaneKernel for TapDots<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let len = self.dy_img.len();
+        for (tap, lanes) in self.lanes.chunks_exact_mut(8).enumerate() {
+            let at = tap / self.kw * self.stride + tap % self.kw;
+            lanes.copy_from_slice(&lane_dot::<V>(self.dy_img, &self.xpad[at..at + len]));
         }
     }
-    std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]))
 }
 
 /// Reduces each tap's eight lanes in one fixed order. Out of line on
@@ -1070,49 +1101,10 @@ fn sum_tap_lanes(lanes: &[f32], dkern: &mut [f32]) {
     }
 }
 
-/// Per-pixel walk of one plane's gradients over zero-padded images, for the
-/// strided silo kernels and any geometry the stride-1 path does not cover:
-/// each `(pixel, ky)` is one contiguous `kw`-wide axpy into the tap
-/// gradients and, given `dx = (taps, padded dx image)`, one into the padded
-/// input gradient. Every window is in-bounds; what lands on the padding is
-/// dropped when the interior is copied out. Pixels go in row-major order
-/// with the reference walk's `g == 0` skip, so each element sees its adds in
-/// the reference's order.
-#[inline(always)]
-fn dw_grad_walk(
-    xpad: &[f32],
-    stride: usize,
-    dyplane: &[f32],
-    spec: &ConvSpec,
-    ow: usize,
-    dkern: &mut [f32],
-    mut dx: Option<(&[f32], &mut [f32])>,
-) {
-    let kw = spec.kw;
-    for (oy, dyrow) in dyplane.chunks_exact(ow).enumerate() {
-        for (ox, &g) in dyrow.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            for ky in 0..spec.kh {
-                let at = (oy * spec.sh + ky) * stride + ox * spec.sw;
-                for (d, xv) in dkern[ky * kw..(ky + 1) * kw].iter_mut().zip(&xpad[at..at + kw]) {
-                    *d += g * xv;
-                }
-                if let Some((kern, dxpad)) = dx.as_mut() {
-                    for (d, kv) in dxpad[at..at + kw].iter_mut().zip(&kern[ky * kw..(ky + 1) * kw]) {
-                        *d += g * kv;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Both gradients of one `(sample, channel)` plane. `work` is the tile's
 /// scratch, laid out by [`DwBackwardGeometry`]; the padding of its images
-/// must be zero on entry and is zero again on return. `avx2` says which
-/// twin of the forward kernel computes `dx`.
+/// must be zero on entry and is zero again on return. `avx2` allows the
+/// AVX2 twin of its lane kernels.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn depthwise_backward_plane_body(
@@ -1144,10 +1136,7 @@ fn depthwise_backward_plane_body(
         // (the gaps between `dy`'s rows are zero).
         let len = ((os.h - 1) * stride + os.w).next_multiple_of(8);
         let dy_img = &aux[qh * stride + qw..qh * stride + qw + len];
-        for (tap, lanes) in lanes.chunks_exact_mut(8).enumerate() {
-            let at = tap / spec.kw * stride + tap % spec.kw;
-            lanes.copy_from_slice(&lane_dot(dy_img, &xpad[at..at + len]));
-        }
+        run_lanes(avx2, TapDots { dy_img, xpad, stride, kw: spec.kw, lanes: &mut *lanes });
         sum_tap_lanes(lanes, dkern);
         if let Some(dxplane) = dxplane {
             // dx = dy ⋆ flip(w): per element the taps add in the reference
@@ -1157,46 +1146,17 @@ fn depthwise_backward_plane_body(
             depthwise_padded_plane(aux, kflip, spec, &call, avx2, dxplane);
         }
     } else {
-        let dx = dxplane.is_some().then_some((kern, &mut *aux));
-        dw_grad_walk(xpad, stride, dyplane, spec, os.w, dkern, dx);
-        if let Some(dxplane) = dxplane {
-            for (iy, dst) in dxplane.chunks_exact_mut(xs.w).enumerate() {
-                let at = (iy + spec.ph) * stride + spec.pw;
-                dst.copy_from_slice(&aux[at..at + xs.w]);
-            }
-            aux.fill(0.0);
-        }
+        let dx = dxplane.map(|d| (kern, &mut *aux, d));
+        let (w, oh, ow) = (xs.w, os.h, os.w);
+        run_lanes(avx2, GradPlane { xpad, stride, dyplane, spec, w, oh, ow, dkern, dx });
     }
-}
-
-/// [`depthwise_backward_plane_body`] recompiled with AVX2 enabled, without
-/// `fma`, like the forward kernel's AVX2 twin: the same bits, wider loops.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn depthwise_backward_plane_avx2(
-    xplane: &[f32],
-    dyplane: &[f32],
-    kern: &[f32],
-    spec: &ConvSpec,
-    xs: Shape,
-    os: Shape,
-    work: &mut [f32],
-    dkern: &mut [f32],
-    dxplane: Option<&mut [f32]>,
-) {
-    depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, work, dkern, dxplane, true);
 }
 
 /// The depthwise backward on the forward's padded planes, one pass per
 /// `(sample, channel)` plane for both gradients (see
 /// [`DwBackwardGeometry`]): at stride 1 `dx` **is** the forward kernel, run
 /// over zero-padded `dy` with the taps flipped, and `dw` is one
-/// [`lane_dot`] per tap; other geometries run [`dw_grad_walk`]. Per-sample
+/// [`lane_dot`] per tap; other geometries gather ([`GradPlane`]). Per-sample
 /// tap gradients merge through the pairwise sample tree.
 fn depthwise_backward(
     x: &Tensor,
@@ -1211,7 +1171,6 @@ fn depthwise_backward(
     let (hw, ohw) = (xs.hw(), os.hw());
     let ksz = spec.kh * spec.kw;
     let (xdata, wdata, dydata) = (x.data(), w.data(), dy.data());
-    let avx2 = cpu_has_avx2();
     let floats = DwBackwardGeometry::new(xs, spec, need_dx).floats();
 
     let mut dx = need_dx.then(|| Tensor::zeros(xs));
@@ -1237,15 +1196,7 @@ fn depthwise_backward(
                 let kern = &wdata[c * ksz..(c + 1) * ksz];
                 let dkern = &mut dkerns[k * ksz..(k + 1) * ksz];
                 let dxplane = if need_dx { Some(&mut dxplanes[k * hw..(k + 1) * hw]) } else { None };
-                #[cfg(target_arch = "x86_64")]
-                if avx2 {
-                    // SAFETY: `avx2` is the CPU feature check.
-                    unsafe {
-                        depthwise_backward_plane_avx2(xplane, dyplane, kern, spec, xs, os, &mut work, dkern, dxplane)
-                    };
-                    continue;
-                }
-                depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, &mut work, dkern, dxplane, false);
+                depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, &mut work, dkern, dxplane, true);
             }
         });
     });
@@ -2031,6 +1982,29 @@ mod tests {
         }
     }
 
+    /// [`depthwise_backward_plane_body`] compiled with AVX2 enabled, without
+    /// `fma`: the same bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn depthwise_backward_plane_avx2(
+        xplane: &[f32],
+        dyplane: &[f32],
+        kern: &[f32],
+        spec: &ConvSpec,
+        xs: Shape,
+        os: Shape,
+        work: &mut [f32],
+        dkern: &mut [f32],
+        dxplane: Option<&mut [f32]>,
+    ) {
+        depthwise_backward_plane_body(xplane, dyplane, kern, spec, xs, os, work, dkern, dxplane, true);
+    }
+
     /// Differential check of the training depthwise — forward, `dx`, `dw` —
     /// against the bounds-checked oracles at 1e-5 relative, with exact zeros
     /// sprinkled into `dy`; stride-1 `dx` must equal the reference walk's
@@ -2205,6 +2179,55 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "db shards={shards} idx {i}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn gathered_depthwise_backward_is_bitwise_the_reference_walk() {
+        // The gathered gradients (strided kernels, padding beyond the
+        // kernel) against the naive walk, bit for bit: `dx` elements sum in
+        // the walk's order with zero-`dy` terms masked, and each tap sums
+        // its pixels in raster order. Exact zeros in `dy`; the S0 silo
+        // shapes, odd extents and every phase count up to 8, at 1 and 4
+        // threads and on both lane twins.
+        let cases = [
+            (Shape::new(2, 48, 24, 24), ConvSpec::depthwise(5, 2, 48)),
+            (Shape::new(2, 48, 24, 24), ConvSpec::depthwise(9, 4, 48)),
+            (Shape::new(2, 48, 24, 24), ConvSpec::depthwise(17, 8, 48)),
+            (Shape::new(1, 5, 7, 13), ConvSpec::depthwise(5, 2, 5)),
+            (Shape::new(3, 3, 11, 9), ConvSpec::depthwise(9, 4, 3)),
+            (Shape::new(1, 2, 3, 3), ConvSpec::depthwise(17, 8, 2)),
+            (Shape::new(1, 4, 9, 8), ConvSpec::depthwise(3, 1, 4).with_padding(3, 4)),
+            (Shape::new(1, 4, 10, 17), ConvSpec { kh: 3, kw: 5, sh: 2, sw: 3, ..ConvSpec::depthwise(3, 1, 4) }),
+            (Shape::new(1, 4, 6, 40), ConvSpec { kh: 1, kw: 11, sh: 1, sw: 10, ..ConvSpec::depthwise(1, 1, 4) }),
+        ];
+        let _budget = crate::par::tests_budget_lock();
+        for (i, (xs, spec)) in cases.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(70 + i as u64);
+            let x = Tensor::randn(xs, 1.0, &mut rng);
+            let w = Tensor::randn(Shape::new(xs.c, 1, spec.kh, spec.kw), 0.5, &mut rng);
+            let mut dy = Tensor::randn(spec.out_shape(xs, xs.c), 1.0, &mut rng);
+            dy.map_inplace(|v| if v.abs() < 0.4 { 0.0 } else { v });
+            let (dx_want, dw_want) = depthwise_backward_ref(&x, &w, &dy, &spec);
+            let what = format!("{xs} k{}x{} s{}x{} p{},{}", spec.kh, spec.kw, spec.sh, spec.sw, spec.ph, spec.pw);
+            for threads in [1, 4] {
+                crate::par::set_max_threads(threads);
+                let g = conv2d_backward(&x, &w, &dy, &spec, true);
+                assert_same_bits(g.dx.expect("need_dx").data(), dx_want.data(), &format!("{what} dx, {threads} threads"));
+                assert_same_bits(g.dw.data(), dw_want.data(), &format!("{what} dw, {threads} threads"));
+            }
+            crate::par::set_max_threads(0);
+            let (os, ksz) = (dy.shape(), spec.kh * spec.kw);
+            let plane = |avx2: bool| {
+                let mut work = vec![0.0f32; DwBackwardGeometry::new(xs, &spec, true).floats()];
+                let (mut dk, mut dxp) = (vec![0.0f32; ksz], vec![0.0f32; xs.hw()]);
+                let (xp, dyp, kern) = (&x.data()[..xs.hw()], &dy.data()[..os.hw()], &w.data()[..ksz]);
+                depthwise_backward_plane_body(xp, dyp, kern, &spec, xs, os, &mut work, &mut dk, Some(&mut dxp), avx2);
+                (dk, dxp)
+            };
+            let ((dk_twin, dx_twin), (dk_wide, dx_wide)) = (plane(false), plane(true));
+            assert_same_bits(&dk_twin, &dk_wide, &format!("{what}: dw [f32; 8] twin vs avx2"));
+            assert_same_bits(&dx_twin, &dx_wide, &format!("{what}: dx [f32; 8] twin vs avx2"));
         }
     }
 

@@ -2,27 +2,29 @@
 //! depthwise convolution over a zero-padded copy of its input plane. Frozen
 //! f32 plans, frozen int8 plans, the training forward and the stride-1 input
 //! gradient all run it through [`depthwise_padded_plane`]; `conv.rs` holds
-//! the drivers.
+//! the drivers. The strided backward's gathers ([`GradPlane`]) live here too.
 //!
 //! - **Image.** [`pad_plane`] copies (or quantizes) the plane into a scratch
 //!   image whose border is zero, so every window is in-bounds and nothing
 //!   splits interior from border. For a horizontal stride `sw > 1` the same
-//!   pass deals the columns out to `sw` **phases** ([`PlaneImage`]), after
-//!   which eight neighbouring outputs read eight neighbouring floats for any
-//!   tap: 5/s2, 9/s4 and 17/s8 are the same contiguous-load kernel as 3x3.
+//!   pass deals the columns out to `sw` **phases** ([`PlaneImage`], [`Deal`]:
+//!   vector unzips), after which eight neighbouring outputs read eight
+//!   neighbouring floats for any tap: 5/s2, 9/s4 and 17/s8 are the same
+//!   contiguous-load kernel as 3x3.
 //! - **Tile.** `R` output rows by eight output columns in registers
-//!   ([`dw_tile`]); input rows stream top to bottom, each loaded once per
-//!   tap column and consumed by every accumulator whose window covers it.
-//!   Row tails reuse the last full vector, or mask the store on planes
-//!   narrower than eight ([`dw_rows`]).
+//!   ([`dw_tile`]): a 3x3 kernel streams its input rows, each loaded once per
+//!   tap column; a larger one takes its taps in order, each fetched once for
+//!   all `R` rows. Row tails reuse the last full vector, or mask the store
+//!   on planes narrower than eight ([`dw_rows`]).
 //! - **Epilogue.** `act(acc * scale + bias)` and the plane's abs-max and sum
 //!   finish in registers before the one store of each output: int8 plans
 //!   take their output scale and squeeze-excite its pooled input from them.
 //! - **Bits.** Every output is its taps added to zero, one `mul` and one
 //!   `add` at a time, `ky` outer, `kx` inner — the naive reference's value
 //!   exactly, so int8 plans (integer-valued operands far below 2^24) stay
-//!   exact. The kernel is written once over [`Lanes`]: `__m256` runs it with
-//!   AVX2 (never `fma`), `[f32; 8]` is the scalar twin, same bits.
+//!   exact. Every kernel here is written once over [`Lanes`] and run by
+//!   [`run_lanes`]: `__m256` with AVX2 (never `fma`), `[f32; 8]` the scalar
+//!   twin, same bits.
 
 use crate::conv::ConvSpec;
 use crate::matmul::EpilogueAct;
@@ -40,6 +42,9 @@ pub(crate) struct PlaneImage {
     phases: usize,
     stride: usize,
     phase_len: usize,
+    /// Padded columns ahead of the plane's first in its group of `phases`
+    /// (`pw % sw`): where a row starts in the staging row of the deal.
+    lead: usize,
 }
 
 /// Floats past an image's last phase that the kernel's vector loads may run
@@ -47,17 +52,26 @@ pub(crate) struct PlaneImage {
 const IMAGE_SLACK: usize = 8;
 
 impl PlaneImage {
-    /// The forward image of an `h x w` plane under `spec`, rows packed tight.
+    /// The forward image of an `h x w` plane under `spec`, rows packed tight
+    /// — with more than one phase, rows as wide as the vector deal's whole
+    /// blocks reach, so the deal stores whole vectors only.
     pub(crate) fn new(h: usize, w: usize, spec: &ConvSpec) -> Self {
-        let stride = (w + 2 * spec.pw).div_ceil(spec.sw);
-        Self { phases: spec.sw, stride, phase_len: (h + 2 * spec.ph) * stride }
+        let (sw, lead) = (spec.sw, spec.pw % spec.sw);
+        let mut stride = (w + 2 * spec.pw).div_ceil(sw);
+        if matches!(sw, 2 | 4 | 8) {
+            stride = stride.max(spec.pw / sw + (lead + w).next_multiple_of(8 * sw) / sw);
+        }
+        // Eight floats apart keep phases off a common 4 KiB stride (9/s4 at
+        // 56² has 1024-float phases), where stores and loads alias.
+        let phase_len = (h + 2 * spec.ph) * stride + if sw > 1 { 8 } else { 0 };
+        Self { phases: sw, stride, phase_len, lead }
     }
 
     /// A one-phase image whose rows are `stride` floats apart (the training
     /// backward lays its two images out at one shared stride, and sizes
     /// them itself).
     pub(crate) fn single_phase(stride: usize) -> Self {
-        Self { phases: 1, stride, phase_len: 0 }
+        Self { phases: 1, stride, phase_len: 0, lead: 0 }
     }
 
     /// Floats of the phases and the slack behind them.
@@ -66,19 +80,16 @@ impl PlaneImage {
     }
 
     /// Scratch floats of the image of a plane `w` wide: [`Self::len`] and,
-    /// with more than one phase, a row for int8 plans to quantize into
-    /// before it is dealt out.
+    /// with more than one phase, a staging row for the deal: `lead` zeros,
+    /// the row, zeros up to whole blocks of eight column groups.
     pub(crate) fn floats(&self, w: usize) -> usize {
-        self.len() + if self.phases > 1 { w } else { 0 }
+        self.len() + if self.phases > 1 { (self.lead + w).next_multiple_of(8 * self.phases) } else { 0 }
     }
 }
 
 /// Deals one padded row out to the `sw` column phases: `src` holds the plane
 /// columns, the first at padded column `pw`, and padded column `x` goes to
-/// `img[(x % sw) * phase_len + x / sw]`. Whole groups of `sw` columns go one
-/// to each phase. Callers pass the silo strides as literals: the group loop
-/// then unrolls and runs four times faster than a strided gather per phase.
-#[inline(always)]
+/// `img[(x % sw) * phase_len + x / sw]` (strides without a vector deal).
 fn deal_row(src: &[f32], pw: usize, sw: usize, phase_len: usize, img: &mut [f32]) {
     let head = ((sw - pw % sw) % sw).min(src.len());
     for (x, v) in (pw..).zip(&src[..head]) {
@@ -96,11 +107,77 @@ fn deal_row(src: &[f32], pw: usize, sw: usize, phase_len: usize, img: &mut [f32]
     }
 }
 
+/// Deals the row `src` out to `sw` phases `phase_len` apart: float `x` to
+/// `img[(x % sw) * phase_len + x / sw]`, at `sw` = 2, 4 and 8 eight column
+/// groups at a time as `sw` vectors ([`unzip_rounds`]). The stem's
+/// space-to-depth and every strided depthwise image deal their rows so.
+pub(crate) struct Deal<'a> {
+    pub(crate) src: &'a [f32],
+    pub(crate) sw: usize,
+    pub(crate) phase_len: usize,
+    pub(crate) img: &'a mut [f32],
+}
+
+// SAFETY: every access of the deal is bounds-checked.
+unsafe impl LaneKernel for Deal<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        #[inline(always)]
+        unsafe fn blocks<V: Lanes>(src: &[f32], sw: usize, phase_len: usize, img: &mut [f32]) -> usize {
+            for (b, block) in src.chunks_exact(8 * sw).enumerate() {
+                let mut v = [V::splat(0.0); 8];
+                for (i, v) in v.iter_mut().take(sw).enumerate() {
+                    *v = V::load(block[8 * i..8 * i + 8].as_ptr());
+                }
+                unzip_rounds(&mut v, sw);
+                for (p, v) in v.into_iter().take(sw).enumerate() {
+                    v.store(img[p * phase_len + 8 * b..][..8].as_mut_ptr());
+                }
+            }
+            src.len() / (8 * sw) * 8 * sw
+        }
+        let Deal { src, sw, phase_len, img } = self;
+        let whole = match sw {
+            2 => blocks::<V>(src, 2, phase_len, img),
+            4 => blocks::<V>(src, 4, phase_len, img),
+            8 => blocks::<V>(src, 8, phase_len, img),
+            _ => 0,
+        };
+        deal_row(&src[whole..], whole, sw, phase_len, img);
+    }
+}
+
+/// Deals `8 n` consecutive floats in `n` vectors (`n` = 2, 4 or 8) out to
+/// phases: afterwards `v[p]` holds floats `p, p + n, p + 2n, ...` (each round
+/// unzips pairs, evens to the first half, odds to the second).
+#[inline(always)]
+unsafe fn unzip_rounds<V: Lanes>(v: &mut [V; 8], n: usize) {
+    for _ in 0..n.trailing_zeros() {
+        let old = *v;
+        for i in 0..n / 2 {
+            (v[i], v[n / 2 + i]) = old[2 * i].unzip(old[2 * i + 1]);
+        }
+    }
+}
+
+/// The inverse of [`unzip_rounds`].
+#[inline(always)]
+unsafe fn zip_rounds<V: Lanes>(v: &mut [V; 8], n: usize) {
+    for _ in 0..n.trailing_zeros() {
+        let old = *v;
+        for i in 0..n / 2 {
+            (v[2 * i], v[2 * i + 1]) = old[i].zip(old[n / 2 + i]);
+        }
+    }
+}
+
 /// Writes one plane of row width `w` into the image `img` (zero outside the
 /// plane, `lay.floats(w)` long), its first element at padded row `ph`,
 /// column `pw` — copied as it is, or with `quant = Some(1 / scale)` through
 /// the int8 plans' quantizer. With more than one phase the same pass deals
-/// each row out to the phases.
+/// each row out to the phases, with AVX2 where the CPU has it.
 pub(crate) fn pad_plane(
     plane: &[f32],
     w: usize,
@@ -110,34 +187,94 @@ pub(crate) fn pad_plane(
     img: &mut [f32],
     quant: Option<f32>,
 ) {
-    let sw = lay.phases;
-    if sw == 1 {
-        for (iy, src) in plane.chunks_exact(w).enumerate() {
-            let at = (iy + ph) * lay.stride + pw;
+    run_lanes(true, Pad { plane, w, ph, pw, lay, img, quant });
+}
+
+/// [`pad_plane`]'s work: pure data movement, the same image on either twin.
+struct Pad<'a> {
+    plane: &'a [f32],
+    w: usize,
+    ph: usize,
+    pw: usize,
+    lay: PlaneImage,
+    img: &'a mut [f32],
+    quant: Option<f32>,
+}
+
+// SAFETY: every access of the copy and the deal is bounds-checked.
+unsafe impl LaneKernel for Pad<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let Pad { plane, w, ph, pw, lay, img, quant } = self;
+        let sw = lay.phases;
+        if sw == 1 {
+            for (iy, src) in plane.chunks_exact(w).enumerate() {
+                let at = (iy + ph) * lay.stride + pw;
+                match quant {
+                    Some(inv) => quantize_centered_f32(src, inv, &mut img[at..at + w]),
+                    None => img[at..at + w].copy_from_slice(src),
+                }
+            }
+            return;
+        }
+        // Each row goes through the staging row, zero outside it.
+        let (img, staged) = img.split_at_mut(lay.len());
+        let (src, phase_len) = (lay.lead..lay.lead + w, lay.phase_len);
+        for (iy, row) in plane.chunks_exact(w).enumerate() {
+            let img = &mut img[(iy + ph) * lay.stride..];
             match quant {
-                Some(inv) => quantize_centered_f32(src, inv, &mut img[at..at + w]),
-                None => img[at..at + w].copy_from_slice(src),
+                Some(inv) => quantize_centered_f32(row, inv, &mut staged[src.clone()]),
+                None => staged[src.clone()].copy_from_slice(row),
+            }
+            match sw {
+                // Whole blocks from padded column `pw - lead` on.
+                2 | 4 | 8 => Deal { src: staged, sw, phase_len, img: &mut img[pw / sw..] }.run::<V>(),
+                _ => deal_row(&staged[src.clone()], pw, sw, phase_len, img),
             }
         }
-        return;
     }
-    let (img, staged) = img.split_at_mut(lay.len());
-    for (iy, src) in plane.chunks_exact(w).enumerate() {
-        let src = match quant {
-            Some(inv) => {
-                quantize_centered_f32(src, inv, staged);
-                &*staged
-            }
-            None => src,
-        };
-        let row = &mut img[(iy + ph) * lay.stride..];
-        match sw {
-            2 => deal_row(src, pw, 2, lay.phase_len, row),
-            4 => deal_row(src, pw, 4, lay.phase_len, row),
-            8 => deal_row(src, pw, 8, lay.phase_len, row),
-            _ => deal_row(src, pw, sw, lay.phase_len, row),
-        }
+}
+
+/// Work written once over [`Lanes`], which [`run_lanes`] runs with AVX2 or
+/// on the scalar twin: the one place the lane kernels enter `unsafe`.
+///
+/// # Safety
+///
+/// `run::<V>` must be sound wherever `V`'s instructions are: an implementor
+/// checks every bound its raw loads and stores rely on.
+pub(crate) unsafe trait LaneKernel {
+    type Out;
+
+    /// # Safety
+    ///
+    /// [`Lanes`]' CPU contract for `V`.
+    unsafe fn run<V: Lanes>(self) -> Self::Out;
+}
+
+/// Runs `k` with AVX2 (never `fma`) when `avx2` allows it and the CPU has
+/// it, else on the `[f32; 8]` twin; the two give the same bits.
+pub(crate) fn run_lanes<K: LaneKernel>(avx2: bool, k: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && crate::qmatmul::cpu_has_avx2() {
+        // SAFETY: AVX2 checked on this line; `K`'s contract covers the rest.
+        return unsafe { run_avx2(k) };
     }
+    // SAFETY: the scalar twin needs no CPU feature; as above otherwise.
+    unsafe { k.run::<[f32; 8]>() }
+}
+
+/// The AVX2 instance of every lane kernel (`fma` is deliberately not
+/// enabled: the two twins must round alike).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<K: LaneKernel>(k: K) -> K::Out {
+    k.run::<std::arch::x86_64::__m256>()
 }
 
 /// Eight `f32` lanes, the vector type the depthwise plane kernel is written
@@ -151,7 +288,7 @@ pub(crate) fn pad_plane(
 /// Callers of any method must be running on a CPU with the implementing
 /// type's instructions (AVX2 for `__m256`); `load` and the stores access
 /// eight floats at `p`, `store_masked` only the lanes set in `mask`.
-trait Lanes: Copy {
+pub(crate) trait Lanes: Copy {
     unsafe fn load(p: *const f32) -> Self;
     unsafe fn store(self, p: *mut f32);
     unsafe fn store_masked(self, p: *mut f32, mask: Self);
@@ -160,9 +297,19 @@ trait Lanes: Copy {
     unsafe fn mask(lanes: std::ops::Range<usize>) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
+    unsafe fn sub(self, o: Self) -> Self;
     unsafe fn and(self, o: Self) -> Self;
     unsafe fn max(self, o: Self) -> Self;
     unsafe fn act(self, act: EpilogueAct) -> Self;
+    /// All bits set in the lanes that are not ±0 (NaN lanes included).
+    unsafe fn nonzero(self) -> Self;
+    /// The even and the odd floats of the sixteen `self ‖ o`.
+    unsafe fn unzip(self, o: Self) -> (Self, Self);
+    /// `self` and `o` interleaved: `[s0 o0 s1 o1 s2 o2 s3 o3]` and
+    /// `[s4 o4 .. s7 o7]` (the inverse of [`Lanes::unzip`]).
+    unsafe fn zip(self, o: Self) -> (Self, Self);
+    /// Lane `l` is `self[idx[l] & 7]`, `idx` holding `u32` bit patterns.
+    unsafe fn permute(self, idx: Self) -> Self;
     unsafe fn to_array(self) -> [f32; 8];
 }
 
@@ -204,6 +351,10 @@ mod lanes_avx2 {
             _mm256_add_ps(self, o)
         }
         #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm256_sub_ps(self, o)
+        }
+        #[inline(always)]
         unsafe fn and(self, o: Self) -> Self {
             _mm256_and_ps(self, o)
         }
@@ -214,6 +365,30 @@ mod lanes_avx2 {
         #[inline(always)]
         unsafe fn act(self, act: EpilogueAct) -> Self {
             crate::matmul::act_avx2(act, self)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> Self {
+            _mm256_cmp_ps::<_CMP_NEQ_UQ>(self, _mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn unzip(self, o: Self) -> (Self, Self) {
+            // Within each 128-bit half: [s0 s2 o0 o2 | s4 s6 o4 o6]; then
+            // the 64-bit quarters go in order 0, 2, 1, 3.
+            let even = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(self, o));
+            let odd = _mm256_castps_pd(_mm256_shuffle_ps::<0b11_01_11_01>(self, o));
+            (
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(even)),
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(odd)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn zip(self, o: Self) -> (Self, Self) {
+            let (lo, hi) = (_mm256_unpacklo_ps(self, o), _mm256_unpackhi_ps(self, o));
+            (_mm256_permute2f128_ps::<0x20>(lo, hi), _mm256_permute2f128_ps::<0x31>(lo, hi))
+        }
+        #[inline(always)]
+        unsafe fn permute(self, idx: Self) -> Self {
+            _mm256_permutevar8x32_ps(self, _mm256_castps_si256(idx))
         }
         #[inline(always)]
         unsafe fn to_array(self) -> [f32; 8] {
@@ -256,6 +431,10 @@ impl Lanes for [f32; 8] {
         std::array::from_fn(|l| self[l] + o[l])
     }
     #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] - o[l])
+    }
+    #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
         std::array::from_fn(|l| f32::from_bits(self[l].to_bits() & o[l].to_bits()))
     }
@@ -266,6 +445,24 @@ impl Lanes for [f32; 8] {
     #[inline(always)]
     unsafe fn act(self, act: EpilogueAct) -> Self {
         self.map(|v| act.apply(v))
+    }
+    #[inline(always)]
+    unsafe fn nonzero(self) -> Self {
+        self.map(|v| f32::from_bits(if v != 0.0 { u32::MAX } else { 0 }))
+    }
+    #[inline(always)]
+    unsafe fn unzip(self, o: Self) -> (Self, Self) {
+        let at = |i: usize| if i < 8 { self[i] } else { o[i - 8] };
+        (std::array::from_fn(|l| at(2 * l)), std::array::from_fn(|l| at(2 * l + 1)))
+    }
+    #[inline(always)]
+    unsafe fn zip(self, o: Self) -> (Self, Self) {
+        let at = |i: usize| if i.is_multiple_of(2) { self[i / 2] } else { o[i / 2] };
+        (std::array::from_fn(at), std::array::from_fn(|l| at(l + 8)))
+    }
+    #[inline(always)]
+    unsafe fn permute(self, idx: Self) -> Self {
+        idx.map(|i| self[i.to_bits() as usize & 7])
     }
     #[inline(always)]
     unsafe fn to_array(self) -> [f32; 8] {
@@ -287,12 +484,36 @@ pub(crate) struct DwCall {
     pub(crate) act: EpilogueAct,
 }
 
+/// A kernel's taps: splat once per plane when there are at most 25 of them,
+/// broadcast from `kern` at each use otherwise. (Not a closure: a closure
+/// would be compiled without the caller's AVX2.)
+#[derive(Clone, Copy)]
+struct Taps<'a, V> {
+    held: &'a [V; 25],
+    kern: *const f32,
+    once: bool,
+}
+
+impl<V: Lanes> Taps<'_, V> {
+    #[inline(always)]
+    unsafe fn get(&self, i: usize) -> V {
+        if self.once {
+            self.held[i]
+        } else {
+            V::splat(*self.kern.add(i))
+        }
+    }
+}
+
 /// The register tile of the depthwise kernel: `R` output rows by eight
-/// output columns, accumulated from zero. `x` points at the tile's first
-/// input row and first output column in phase 0. Input rows stream top to
-/// bottom; each is loaded once per tap column and consumed by every
-/// accumulator whose window covers it, so every output adds its taps in the
-/// naive `ky`-outer, `kx`-inner order.
+/// output columns, accumulated from zero, every output adding its taps in
+/// the naive `ky`-outer, `kx`-inner order. `x` points at the tile's first
+/// input row and first output column in phase 0. A 3x3 kernel streams its
+/// input rows top to bottom, each loaded once per tap column and consumed by
+/// every accumulator whose window covers it; a larger one takes its taps in
+/// order, each fetched once and consumed by all `R` accumulators (their
+/// windows' rows are `sh` apart): its rows × columns loop would not unroll
+/// and would test every accumulator's window at run time.
 ///
 /// # Safety
 ///
@@ -301,24 +522,31 @@ pub(crate) struct DwCall {
 #[inline(always)]
 unsafe fn dw_tile<V: Lanes, const R: usize>(
     x: *const f32,
-    tap: impl Fn(usize) -> V,
+    taps: Taps<'_, V>,
     [kh, kw, sh, sw]: [usize; 4],
     lay: PlaneImage,
 ) -> [V; R] {
     let mut acc = [V::splat(0.0); R];
-    for r in 0..(R - 1) * sh + kh {
-        // Tap column `kx = q * sw + p` lives in phase `p` at column `q`.
-        let (mut p, mut q) = (0, 0);
-        for kx in 0..kw {
-            let xv = V::load(x.add(r * lay.stride + p * lay.phase_len + q));
-            for (a, acc) in acc.iter_mut().enumerate() {
-                if r >= a * sh && r < a * sh + kh {
-                    *acc = acc.add(xv.mul(tap((r - a * sh) * kw + kx)));
+    // Tap column `kx = q * sw + p` lives in phase `p` at column `q`.
+    let col = |kx: usize| (kx % sw) * lay.phase_len + kx / sw;
+    if kh * kw > 9 {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let (t, at) = (taps.get(ky * kw + kx), x.add(ky * lay.stride + col(kx)));
+                for (a, acc) in acc.iter_mut().enumerate() {
+                    *acc = acc.add(V::load(at.add(a * sh * lay.stride)).mul(t));
                 }
             }
-            p += 1;
-            if p == sw {
-                (p, q) = (0, q + 1);
+        }
+        return acc;
+    }
+    for r in 0..(R - 1) * sh + kh {
+        for kx in 0..kw {
+            let xv = V::load(x.add(r * lay.stride + col(kx)));
+            for (a, acc) in acc.iter_mut().enumerate() {
+                if r >= a * sh && r < a * sh + kh {
+                    *acc = acc.add(xv.mul(taps.get((r - a * sh) * kw + kx)));
+                }
             }
         }
     }
@@ -330,7 +558,8 @@ unsafe fn dw_tile<V: Lanes, const R: usize>(
 /// (its leading lanes rewrite what the previous tile stored; `stats` counts
 /// only the new ones) and is a masked store otherwise. The epilogue and the
 /// running `stats = (max |y|, Σ y)` lanes finish in registers before the one
-/// store of each output.
+/// store of each output; the first `skip` rows, already stored and counted,
+/// are rewritten with their own values and not counted again.
 ///
 /// # Safety
 ///
@@ -339,11 +568,12 @@ unsafe fn dw_tile<V: Lanes, const R: usize>(
 #[inline(always)]
 unsafe fn dw_rows<V: Lanes, const R: usize>(
     x: *const f32,
-    tap: impl Fn(usize) -> V + Copy,
+    taps: Taps<'_, V>,
     k: [usize; 4],
     call: &DwCall,
     y: *mut f32,
     stats: &mut (V, V),
+    skip: usize,
 ) {
     let ow = call.ow;
     let (scale, bias, abs) = (V::splat(call.scale), V::splat(call.bias), V::splat(f32::from_bits(0x7fff_ffff)));
@@ -353,7 +583,7 @@ unsafe fn dw_rows<V: Lanes, const R: usize>(
             (true, true) => (0, Some(V::mask(0..ow))),
             (true, false) => (ow - 8, Some(V::mask(8 - ow % 8..8))),
         };
-        let acc = dw_tile::<V, R>(x.add(j), tap, k, call.lay);
+        let acc = dw_tile::<V, R>(x.add(j), taps, k, call.lay);
         for (a, acc) in acc.into_iter().enumerate() {
             let mut v = acc.mul(scale).add(bias).act(call.act);
             match keep {
@@ -363,17 +593,19 @@ unsafe fn dw_rows<V: Lanes, const R: usize>(
             if let Some(lanes) = keep {
                 v = v.and(lanes);
             }
-            *stats = (v.and(abs).max(stats.0), stats.1.add(v));
+            if a >= skip {
+                *stats = (v.and(abs).max(stats.0), stats.1.add(v));
+            }
         }
     }
 }
 
 /// One output plane of the depthwise kernel over the image `img` (see
 /// [`PlaneImage`]); returns the plane's `(max |y|, Σ y)`. Bands of four
-/// output rows, then single rows; taps are splat once per plane when the
-/// kernel has at most 25 of them and broadcast from `kern` at each use
-/// otherwise. Callers pass the kernel's shape `k = [kh, kw, sh, sw]` as
-/// literals where it is known, so this body is compiled per shape.
+/// output rows, then a band on the last four rows or single rows ([`Taps`]
+/// says how taps are held). Callers pass the kernel's shape
+/// `k = [kh, kw, sh, sw]` as literals where it is known, so this body is
+/// compiled per shape.
 ///
 /// # Safety
 ///
@@ -393,15 +625,24 @@ unsafe fn dw_plane<V: Lanes>(img: &[f32], kern: &[f32], k: [usize; 4], call: &Dw
             *h = V::splat(*kern.add(i));
         }
     }
-    let tap = |i: usize| if splat_once { held[i] } else { V::splat(*kern.add(i)) };
+    let taps = Taps { held: &held, kern, once: splat_once };
     let mut stats = (V::splat(0.0), V::splat(0.0));
     let mut oy = 0;
     while oy + 4 <= call.oh {
-        dw_rows::<V, 4>(img.add(oy * sh * call.lay.stride), tap, k, call, y.add(oy * call.ow), &mut stats);
+        dw_rows::<V, 4>(img.add(oy * sh * call.lay.stride), taps, k, call, y.add(oy * call.ow), &mut stats, 0);
         oy += 4;
     }
+    // A plane one vector wide ends with a band on its last four rows, not
+    // with single rows, each one long chain of adds: the rows it shares with
+    // the band before are rewritten, and the sum adds the rest in row order,
+    // as single rows would.
+    if oy < call.oh && call.oh >= 4 && call.ow <= 8 {
+        let top = call.oh - 4;
+        dw_rows::<V, 4>(img.add(top * sh * call.lay.stride), taps, k, call, y.add(top * call.ow), &mut stats, oy - top);
+        oy = call.oh;
+    }
     while oy < call.oh {
-        dw_rows::<V, 1>(img.add(oy * sh * call.lay.stride), tap, k, call, y.add(oy * call.ow), &mut stats);
+        dw_rows::<V, 1>(img.add(oy * sh * call.lay.stride), taps, k, call, y.add(oy * call.ow), &mut stats, 0);
         oy += 1;
     }
     let (m, s) = (stats.0.to_array(), stats.1.to_array());
@@ -433,16 +674,25 @@ unsafe fn dw_plane_by_shape<V: Lanes>(
     }
 }
 
-/// The AVX2 instance of the kernel (`fma` is deliberately not enabled: the
-/// two twins must round alike).
-///
-/// # Safety
-///
-/// The CPU must support AVX2; otherwise as [`dw_plane`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dw_plane_avx2(img: &[f32], kern: &[f32], spec: &ConvSpec, call: &DwCall, y: &mut [f32]) -> (f32, f32) {
-    dw_plane_by_shape::<std::arch::x86_64::__m256>(img, kern, spec, call, y)
+/// One output plane for [`run_lanes`]; built only by
+/// [`depthwise_padded_plane`], after its bounds asserts.
+struct PlaneKernel<'a> {
+    img: &'a [f32],
+    kern: &'a [f32],
+    spec: &'a ConvSpec,
+    call: &'a DwCall,
+    y: &'a mut [f32],
+}
+
+// SAFETY: `depthwise_padded_plane` asserts `dw_plane`'s bounds contract
+// before it builds one.
+unsafe impl LaneKernel for PlaneKernel<'_> {
+    type Out = (f32, f32);
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) -> (f32, f32) {
+        dw_plane_by_shape::<V>(self.img, self.kern, self.spec, self.call, self.y)
+    }
 }
 
 /// One depthwise output plane over a zero-padded, phase-split input image
@@ -456,7 +706,6 @@ unsafe fn dw_plane_avx2(img: &[f32], kern: &[f32], spec: &ConvSpec, call: &DwCal
 /// `avx2` allows the vector twin on a CPU that has it; int8 plans pass
 /// [`crate::qmatmul::int8_use_avx2`], which honours the forced-scalar
 /// switch. The choice never changes a bit.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn depthwise_padded_plane(
     img: &[f32],
     kern: &[f32],
@@ -481,13 +730,246 @@ pub(crate) fn depthwise_padded_plane(
         kern.len(),
         y.len()
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2 && crate::qmatmul::cpu_has_avx2() {
-        // SAFETY: AVX2 checked on this line; the asserts above are the
-        // kernel's bounds contract.
-        return unsafe { dw_plane_avx2(img, kern, spec, call, y) };
-    }
-    // SAFETY: the scalar twin needs no CPU feature; bounds asserted above.
-    unsafe { dw_plane_by_shape::<[f32; 8]>(img, kern, spec, call, y) }
+    run_lanes(avx2, PlaneKernel { img, kern, spec, call, y })
 }
 
+
+/// Scratch of a gathered `dx` ([`GradPlane`]): `dy`'s rows, `row` floats
+/// apart with `m = (kw - 1) / sw` zeros ahead and zeros behind, then a
+/// staging row of padded columns `0 .. q_end * sw`; the interior lies in
+/// phase columns `q_lo .. q_end`, eight at a time.
+pub(crate) struct GatherRows {
+    m: usize,
+    q_lo: usize,
+    q_end: usize,
+    row: usize,
+}
+
+impl GatherRows {
+    pub(crate) fn new(w: usize, ow: usize, spec: &ConvSpec) -> Self {
+        let m = (spec.kw - 1) / spec.sw;
+        let (q_lo, q_hi) = (spec.pw / spec.sw, (spec.pw + w.max(1) - 1) / spec.sw);
+        let q_end = q_lo + (q_hi + 1 - q_lo).next_multiple_of(8);
+        Self { m, q_lo, q_end, row: q_end.max(ow) + m }
+    }
+
+    /// Scratch floats for `oh` rows of `dy` and the staging row.
+    pub(crate) fn floats(&self, oh: usize, spec: &ConvSpec) -> usize {
+        oh * self.row + self.q_end * spec.sw
+    }
+}
+
+/// Both gradients of one depthwise plane wherever the stride-1 stencil does
+/// not reach (the silo's 5/s2, 9/s4, 17/s8 above all), with the reference
+/// walk's bits (pixels in raster order, a zero-`dy` pixel skipped):
+///
+/// - `dW`: each tap sums its pixels in raster order, the taps held as
+///   register lanes (kernel row `ky` as `ceil(kw / 8)` vectors of the padded
+///   `x` image), twelve vectors per walk over the pixels;
+/// - `dx` is gathered: each interior element sums its terms in a register in
+///   the walk's order (output rows, then columns, ascending) and is written
+///   once. Eight columns of one phase share a vector: column `q sw + p`
+///   takes `dy[oy][q - m] * k[ky][p + m sw]`, so one load of `dy` serves
+///   every phase, and the phases are zipped back into columns. A zero-`dy`
+///   term is masked to +0, which leaves a sum begun at +0 unchanged (it
+///   never becomes −0): the kept terms arrive in the reference's order.
+///
+/// `xpad`: the padded `x` image, rows `stride` apart, eight floats of slack
+/// behind; `dx`: the taps, scratch laid out by [`GatherRows`] (zero outside
+/// `dy` on entry and on return) and the `dx` plane.
+pub(crate) struct GradPlane<'a> {
+    pub(crate) xpad: &'a [f32],
+    pub(crate) stride: usize,
+    pub(crate) dyplane: &'a [f32],
+    pub(crate) spec: &'a ConvSpec,
+    pub(crate) w: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    pub(crate) dkern: &'a mut [f32],
+    pub(crate) dx: Option<(&'a [f32], &'a mut [f32], &'a mut [f32])>,
+}
+
+// SAFETY: `grad_plane` asserts the reach of every raw load before it runs.
+unsafe impl LaneKernel for GradPlane<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let s = self.spec;
+        match [s.kh, s.kw, s.sh, s.sw] {
+            [5, 5, 2, 2] => grad_plane::<V>(self, [5, 5, 2, 2]),
+            [9, 9, 4, 4] => grad_plane::<V>(self, [9, 9, 4, 4]),
+            [17, 17, 8, 8] => grad_plane::<V>(self, [17, 17, 8, 8]),
+            k => grad_plane::<V>(self, k),
+        }
+    }
+}
+
+/// [`GradPlane`]'s body, compiled per kernel shape `[kh, kw, sh, sw]`.
+///
+/// # Safety
+///
+/// [`Lanes`]' CPU contract (the loads' reach is asserted here).
+#[inline(always)]
+unsafe fn grad_plane<V: Lanes>(g: GradPlane<'_>, [kh, kw, sh, sw]: [usize; 4]) {
+    let GradPlane { xpad, stride, dyplane, spec, w, oh, ow, dkern, dx } = g;
+    assert!(oh * ow > 0 && dyplane.len() == oh * ow && dkern.len() >= kh * kw, "depthwise gradient plane");
+    // Tap vector `t` is row `t / vw` of the kernel, columns `8 (t % vw)..`.
+    let vw = kw.div_ceil(8);
+    let reach = ((oh - 1) * sh + kh - 1) * stride + (ow - 1) * sw + 8 * vw;
+    assert!(reach <= xpad.len(), "depthwise gradient image {} of {reach}", xpad.len());
+    let x = xpad.as_ptr();
+    for t0 in (0..kh * vw).step_by(12) {
+        let n = 12.min(kh * vw - t0);
+        let off: [usize; 12] = std::array::from_fn(|i| (t0 + i) / vw * stride + (t0 + i) % vw * 8);
+        let mut acc = [V::splat(0.0); 12];
+        for (oy, dyrow) in dyplane.chunks_exact(ow).enumerate() {
+            for (ox, &gv) in dyrow.iter().enumerate() {
+                if gv == 0.0 {
+                    continue;
+                }
+                let (gv, at) = (V::splat(gv), oy * sh * stride + ox * sw);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    if i < n {
+                        *acc = acc.add(gv.mul(V::load(x.add(at + off[i]))));
+                    }
+                }
+            }
+        }
+        for (i, acc) in acc.into_iter().enumerate().take(n) {
+            let (ky, c) = ((t0 + i) / vw, (t0 + i) % vw * 8);
+            let lanes = (kw - c).min(8);
+            dkern[ky * kw + c..][..lanes].copy_from_slice(&acc.to_array()[..lanes]);
+        }
+    }
+
+    let Some((kern, work, dxplane)) = dx else { return };
+    let rows = GatherRows::new(w, ow, spec);
+    assert!(
+        work.len() >= rows.floats(oh, spec) && kern.len() >= kh * kw && dxplane.len() % w == 0,
+        "depthwise gradient gather scratch"
+    );
+    let (dypad, stage) = work.split_at_mut(oh * rows.row);
+    for (dst, src) in dypad.chunks_exact_mut(rows.row).zip(dyplane.chunks_exact(ow)) {
+        dst[rows.m..rows.m + ow].copy_from_slice(src);
+    }
+    // The last column step, from the literal shape.
+    let mmax = (kw - 1) / sw;
+    for (iy, dxrow) in dxplane.chunks_exact_mut(w).enumerate() {
+        // Padded row `py` takes tap row `a + sh j` from output row `r - j`;
+        // `j` descends, so output rows ascend.
+        let py = iy + spec.ph;
+        let (a, r) = (py % sh, py / sh);
+        let js = (r + 1).saturating_sub(oh)..if a < kh { ((kh - 1 - a) / sh).min(r) + 1 } else { 0 };
+        for q0 in (rows.q_lo..rows.q_end).step_by(8) {
+            for p0 in (0..sw).step_by(8) {
+                let np = (sw - p0).min(8);
+                let mut acc = [V::splat(0.0); 8];
+                for j in js.clone().rev() {
+                    let (row, ky) = (&dypad[(r - j) * rows.row..][..rows.row], a + sh * j);
+                    // Output column `q - m` of each lane's `q`, `m` descending.
+                    for m in (0..=mmax).rev() {
+                        let v = V::load(row[q0 + mmax - m..][..8].as_ptr());
+                        let nz = v.nonzero();
+                        for (p, acc) in acc.iter_mut().enumerate() {
+                            let kx = p0 + p + sw * m;
+                            if p < np && kx < kw {
+                                *acc = acc.add(v.mul(V::splat(kern[ky * kw + kx])).and(nz));
+                            }
+                        }
+                    }
+                }
+                if matches!(sw, 1 | 2 | 4 | 8) {
+                    zip_rounds(&mut acc, sw);
+                    for (i, v) in acc.into_iter().take(sw).enumerate() {
+                        v.store(stage[q0 * sw + 8 * i..][..8].as_mut_ptr());
+                    }
+                } else {
+                    for (p, v) in acc.into_iter().take(np).enumerate() {
+                        for (l, v) in v.to_array().into_iter().enumerate() {
+                            stage[(q0 + l) * sw + p0 + p] = v;
+                        }
+                    }
+                }
+            }
+        }
+        dxrow.copy_from_slice(&stage[spec.pw..spec.pw + w]);
+    }
+}
+
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every lane operation the deal, the gather and the upsample add, on
+    /// one twin: unzip, zip, permute and the nonzero mask of `a` and `b`.
+    struct Ops([f32; 8], [f32; 8]);
+
+    // SAFETY: loads and stores of eight-float arrays only.
+    unsafe impl LaneKernel for Ops {
+        type Out = Vec<u32>;
+
+        unsafe fn run<V: Lanes>(self) -> Vec<u32> {
+            let (a, b) = (V::load(self.0.as_ptr()), V::load(self.1.as_ptr()));
+            let idx = V::load([5u32, 0, 7, 7, 2, 1, 3, 6].as_ptr().cast());
+            let ((e, o), (lo, hi)) = (a.unzip(b), a.zip(b));
+            [e, o, lo, hi, a.permute(idx), a.nonzero(), b.sub(a)].iter().flat_map(|v| v.to_array().map(f32::to_bits)).collect()
+        }
+    }
+
+    #[test]
+    fn lane_twins_agree_on_the_shuffles() {
+        let a = [1.5, -0.0, 0.0, f32::NAN, -2.0, 3.25, 1e-40, -7.0];
+        let b: [f32; 8] = std::array::from_fn(|l| 10.0 + l as f32);
+        let scalar = run_lanes(false, Ops(a, b));
+        assert_eq!(scalar, run_lanes(true, Ops(a, b)), "[f32; 8] twin vs avx2");
+        let lane = |v: usize, l: usize| f32::from_bits(scalar[8 * v + l]);
+        assert_eq!((lane(0, 6), lane(1, 0), lane(2, 1), lane(3, 7)), (10.0 + 4.0, -0.0, 10.0, 17.0));
+        assert_eq!((lane(5, 1).to_bits(), lane(5, 3).to_bits()), (0, u32::MAX), "-0 is zero, NaN is not");
+    }
+
+    #[test]
+    fn deal_twins_agree_and_follow_the_phase_layout() {
+        // Both twins of the image prep against its definition: padded
+        // column `x` of row `y` in phase `x % sw` at column `x / sw`, zero
+        // outside the plane — at the vector strides and one without a
+        // vector deal, with and without a lead, on odd widths and under the
+        // int8 quantizer.
+        let mut rng = StdRng::seed_from_u64(21);
+        for (k, sw) in [(5, 2), (9, 4), (17, 8), (3, 3), (3, 2)] {
+            for (w, h) in [(1, 1), (7, 3), (16, 2), (17, 5), (56, 4), (61, 2)] {
+                for pw in [k / 2, 1, 0] {
+                    let spec = ConvSpec::depthwise(k, sw, 1).with_padding(1, pw);
+                    let plane = crate::Tensor::randn(crate::Shape::new(1, 1, h, w), 1.5, &mut rng).into_vec();
+                    let lay = PlaneImage::new(h, w, &spec);
+                    for quant in [None, Some(20.0)] {
+                        let image = |avx2: bool| {
+                            let mut img = vec![0.0f32; lay.floats(w)];
+                            run_lanes(avx2, Pad { plane: &plane, w, ph: 1, pw, lay, img: &mut img, quant });
+                            img.truncate(lay.len());
+                            img
+                        };
+                        let (twin, wide) = (image(false), image(true));
+                        let what = format!("k{k} s{sw} {h}x{w} pw {pw} quant {quant:?}");
+                        assert_eq!(twin.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), wide.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), "{what}: twins");
+                        let mut want = vec![0.0f32; lay.len()];
+                        for (y, row) in plane.chunks_exact(w).enumerate() {
+                            let mut q = row.to_vec();
+                            if let Some(inv) = quant {
+                                quantize_centered_f32(row, inv, &mut q);
+                            }
+                            for (c, v) in q.into_iter().enumerate() {
+                                let x = c + pw;
+                                want[x % sw * lay.phase_len + (y + 1) * lay.stride + x / sw] = v;
+                            }
+                        }
+                        assert!(twin == want, "{what}: layout");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -42,7 +42,7 @@ pub use conv::{
     QuantPlanKind,
 };
 pub use matmul::{
-    gemm_layout_fingerprint, gemm_stats, reference, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
+    gemm_layout_fingerprint, gemm_stats, reference, runs_blocked, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
     sgemm_prepacked, Epilogue, EpilogueAct, GemmStats, PackedGemmA,
 };
 pub use qmatmul::{

@@ -640,6 +640,12 @@ fn is_small(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) <= SMALL_FLOP_CUTOFF
 }
 
+/// Whether an `(m, k, n)` product runs on the blocked engine rather than the
+/// reference kernels (which [`sgemm_prepacked`] never uses).
+pub fn runs_blocked(m: usize, k: usize, n: usize) -> bool {
+    !is_small(m, k, n)
+}
+
 /// `c = alpha * a @ b + beta * c` with row-major `a: [m, k]`, `b: [k, n]`,
 /// `c: [m, n]`.
 ///

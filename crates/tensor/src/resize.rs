@@ -7,8 +7,10 @@
 //! Each tile reads one input plane and writes one disjoint output plane, so
 //! results are bitwise identical for any thread count.
 
+use crate::dw_plane::{run_lanes, LaneKernel, Lanes};
 use crate::par::{tiles_mut, Runs};
 use crate::scratch;
+use std::mem::MaybeUninit;
 use crate::shape::{Shape, ShapeError};
 use crate::tensor::Tensor;
 
@@ -69,22 +71,24 @@ pub fn try_resize(x: &Tensor, oh: usize, ow: usize, mode: ResizeMode) -> Result<
         return Ok(x.clone());
     }
     let os = xs.with_hw(oh, ow);
-    let mut out = Tensor::zeros(os);
     let sy = xs.h as f64 / oh as f64;
     let sx = xs.w as f64 / ow as f64;
     let ihw = xs.hw();
     let ohw = oh * ow;
     let xd = x.data();
+    // Every output element is written exactly once below, so the output
+    // skips the zero fill.
+    let mut out: Vec<f32> = Vec::with_capacity(os.numel());
+    let runs = Runs::new(&mut out.spare_capacity_mut()[..os.numel()], ohw);
     match mode {
         ResizeMode::Nearest => {
             let iy = nearest_axis(oh, sy, xs.h);
             let ix = nearest_axis(ow, sx, xs.w);
-            tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), ohw), |p, oplane| {
+            tiles_mut(xs.n * xs.c, runs, |p, oplane| {
                 let xplane = &xd[p * ihw..(p + 1) * ihw];
-                for oy in 0..oh {
-                    let row = iy[oy] * xs.w;
-                    for ox in 0..ow {
-                        oplane[oy * ow + ox] = xplane[row + ix[ox]];
+                for (orow, &y) in oplane.chunks_exact_mut(ow).zip(&iy) {
+                    for (o, &x) in orow.iter_mut().zip(&ix) {
+                        o.write(xplane[y * xs.w + x]);
                     }
                 }
             });
@@ -92,27 +96,122 @@ pub fn try_resize(x: &Tensor, oh: usize, ow: usize, mode: ResizeMode) -> Result<
         ResizeMode::Bilinear => {
             let wy = bilinear_axis(oh, sy, xs.h);
             let wx = bilinear_axis(ow, sx, xs.w);
-            tiles_mut(xs.n * xs.c, Runs::new(out.data_mut(), ohw), |p, oplane| {
+            let chunks = column_chunks(&wx);
+            tiles_mut(xs.n * xs.c, runs, |p, out| {
                 let xplane = &xd[p * ihw..(p + 1) * ihw];
-                // Horizontal pass: each source row is interpolated to `ow`
-                // columns once, however many output rows blend it.
-                let mut rows = scratch::take(xs.h * ow);
-                for (xrow, hrow) in xplane.chunks_exact(xs.w).zip(rows.chunks_exact_mut(ow)) {
-                    for (h, &(x0, x1, tx)) in hrow.iter_mut().zip(&wx) {
-                        *h = xrow[x0] + tx * (xrow[x1] - xrow[x0]);
-                    }
-                }
-                // Vertical pass: blend two interpolated rows, contiguously.
-                for (orow, &(y0, y1, ty)) in oplane.chunks_exact_mut(ow).zip(&wy) {
-                    let (top, bot) = (&rows[y0 * ow..(y0 + 1) * ow], &rows[y1 * ow..(y1 + 1) * ow]);
-                    for ((o, &t), &b) in orow.iter_mut().zip(top).zip(bot) {
-                        *o = t + ty * (b - t);
-                    }
-                }
+                let mut rows = scratch::take(xs.h * ow + xs.w + 8);
+                let (wx, wy, chunks, rows) = (&wx, &wy, &chunks[..], &mut rows[..]);
+                run_lanes(true, BilinearPlane { xplane, w: xs.w, wx, wy, chunks, rows, out });
             });
         }
     }
-    Ok(out)
+    // SAFETY: the tiles cover every plane, and both arms write every
+    // element of the planes they are given.
+    unsafe { out.set_len(os.numel()) };
+    Ok(Tensor::from_vec(os, out).expect("resize output has its shape's length"))
+}
+
+/// Eight neighbouring output columns of the horizontal pass, `ox .. ox + 8`,
+/// whose sources lie in the eight input columns `base ..`: lane `l` blends
+/// columns `base + x0[l]` and `base + x1[l]` by `tx[l]`. An upsample by
+/// `f >= 2` covers every row this way (the last chunk may overlap the one
+/// before it); a row with a wider reach keeps the scalar pass.
+struct Chunk {
+    ox: usize,
+    base: usize,
+    x0: [u32; 8],
+    x1: [u32; 8],
+    tx: [f32; 8],
+}
+
+/// The chunks of one output row, or none when a row is narrower than eight
+/// outputs or some chunk reaches past eight input columns.
+fn column_chunks(wx: &[(usize, usize, f32)]) -> Vec<Chunk> {
+    let ow = wx.len();
+    if ow < 8 {
+        return Vec::new();
+    }
+    let starts = (0..ow / 8).map(|c| 8 * c).chain((!ow.is_multiple_of(8)).then_some(ow - 8));
+    let chunks: Option<Vec<Chunk>> = starts
+        .map(|ox| {
+            let base = wx[ox].0;
+            let cols = &wx[ox..ox + 8];
+            cols.iter().all(|&(x0, x1, _)| x0 >= base && x1 < base + 8).then(|| Chunk {
+                ox,
+                base,
+                x0: std::array::from_fn(|l| (cols[l].0 - base) as u32),
+                x1: std::array::from_fn(|l| (cols[l].1 - base) as u32),
+                tx: std::array::from_fn(|l| cols[l].2),
+            })
+        })
+        .collect();
+    chunks.unwrap_or_default()
+}
+
+/// One plane of the bilinear resize for [`run_lanes`]: the horizontal pass
+/// into `rows` (`h x ow`, then a staging row of `w + 8` floats whose tail
+/// stays zero), then each output row blends two of them,
+/// `top + ty * (bot - top)`. Both passes evaluate the four-tap formula's
+/// expressions, eight lanes at a time.
+struct BilinearPlane<'a> {
+    xplane: &'a [f32],
+    w: usize,
+    wx: &'a [(usize, usize, f32)],
+    wy: &'a [(usize, usize, f32)],
+    chunks: &'a [Chunk],
+    rows: &'a mut [f32],
+    out: &'a mut [MaybeUninit<f32>],
+}
+
+// SAFETY: every raw load and store below is of eight floats inside a slice
+// sliced to them, or at `at <= ow - 8` of a row `ow` long.
+unsafe impl LaneKernel for BilinearPlane<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let BilinearPlane { xplane, w, wx, wy, chunks, rows, out } = self;
+        let ow = wx.len();
+        let (rows, stage) = rows.split_at_mut(xplane.len() / w * ow);
+        for (xrow, hrow) in xplane.chunks_exact(w).zip(rows.chunks_exact_mut(ow)) {
+            if chunks.is_empty() {
+                for (h, &(x0, x1, tx)) in hrow.iter_mut().zip(wx) {
+                    *h = xrow[x0] + tx * (xrow[x1] - xrow[x0]);
+                }
+                continue;
+            }
+            // Chunks that reach past the row read a zero-tailed copy of it.
+            if chunks.last().is_some_and(|c| c.base + 8 > w) {
+                stage.iter_mut().zip(xrow).for_each(|(s, x)| *s = *x);
+            }
+            for c in chunks {
+                let src = if c.base + 8 <= w { &xrow[c.base..c.base + 8] } else { &stage[c.base..c.base + 8] };
+                let src = V::load(src.as_ptr());
+                let a = src.permute(V::load(c.x0.as_ptr().cast()));
+                let b = src.permute(V::load(c.x1.as_ptr().cast()));
+                let h = a.add(V::load(c.tx.as_ptr()).mul(b.sub(a)));
+                h.store(hrow[c.ox..c.ox + 8].as_mut_ptr());
+            }
+        }
+        for (orow, &(y0, y1, ty)) in out.chunks_exact_mut(ow).zip(wy) {
+            let (top, bot) = (&rows[y0 * ow..(y0 + 1) * ow], &rows[y1 * ow..(y1 + 1) * ow]);
+            if ow < 8 {
+                for ((o, &t), &b) in orow.iter_mut().zip(top).zip(bot) {
+                    o.write(t + ty * (b - t));
+                }
+                continue;
+            }
+            let (tyv, t, b, o) = (V::splat(ty), top.as_ptr(), bot.as_ptr(), orow.as_mut_ptr().cast::<f32>());
+            // Eight columns at a time; a ragged end redoes the last eight.
+            let mut j = 0;
+            while j < ow {
+                let at = j.min(ow - 8);
+                let (t, b) = (V::load(t.add(at)), V::load(b.add(at)));
+                t.add(tyv.mul(b.sub(t))).store(o.add(at));
+                j += 8;
+            }
+        }
+    }
 }
 
 /// Adjoint of [`resize`]: scatters output gradients back to input positions.
@@ -234,6 +333,9 @@ mod tests {
         // expressions, per value, as gathering four taps per output pixel.
         let mut rng = StdRng::seed_from_u64(4);
         let cases = [(4, 4, 8, 8), (7, 5, 14, 10), (5, 9, 15, 27), (3, 3, 12, 12), (6, 7, 6, 21), (8, 8, 4, 4), (9, 5, 4, 3), (1, 6, 8, 48)];
+        // The silo up edges: factors 2, 4 and 8 at plane widths 7, 14, 28.
+        let factors = [(7, 7, 14, 14), (5, 7, 20, 28), (3, 7, 24, 56), (14, 14, 28, 28), (6, 14, 24, 56), (4, 14, 32, 112), (28, 28, 56, 56), (9, 28, 36, 112), (2, 28, 16, 224)];
+        let cases = cases.into_iter().chain(factors);
         for (h, w, oh, ow) in cases {
             let x = Tensor::randn(Shape::new(2, 3, h, w), 1.0, &mut rng);
             let y = resize(&x, oh, ow, ResizeMode::Bilinear);
@@ -251,6 +353,31 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn bilinear_horizontal_pass_twins_agree() {
+        // The [f32; 8] twin against AVX2 on the horizontal pass, the vector
+        // one (factors 2, 4, 8; widths 7 to 28, ragged output widths) and
+        // the scalar one (a downsample, whose chunks reach too far).
+        if !crate::qmatmul::cpu_has_avx2() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(6);
+        for (h, w, ow) in [(7, 7, 56), (14, 14, 28), (5, 28, 56), (3, 7, 14), (3, 20, 10), (2, 9, 18)] {
+            let x = Tensor::randn(Shape::new(1, 1, h, w), 1.0, &mut rng);
+            let wx = bilinear_axis(ow, w as f64 / ow as f64, w);
+            let chunks = column_chunks(&wx);
+            assert_eq!(chunks.is_empty(), ow < w, "{w} -> {ow}: vector horizontal pass");
+            let plane = |avx2: bool| {
+                let mut rows = vec![0.0f32; h * ow + w + 8];
+                let (wx, chunks, xplane) = (&wx[..], &chunks[..], x.data());
+                run_lanes(avx2, BilinearPlane { xplane, w, wx, wy: &[], chunks, rows: &mut rows, out: &mut [] });
+                rows.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(plane(false), plane(true), "{h}x{w} -> {ow} columns: [f32; 8] twin vs avx2");
         }
     }
 

@@ -6,6 +6,7 @@
 //! phase of the input. The transform is a bijection, so its inverse
 //! (`depth_to_space`) is also its gradient adjoint.
 
+use crate::dw_plane::{run_lanes, Deal};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -26,7 +27,10 @@ pub fn space_to_depth_shape(x: Shape, b: usize) -> Shape {
 /// Rearranges spatial blocks into channels.
 ///
 /// Channel ordering: output channel `c_out = (c_in * b + dy) * b + dx`, i.e.
-/// all phases of input channel 0 first, then channel 1, etc.
+/// all phases of input channel 0 first, then channel 1, etc. One serial
+/// pass: input row `oy * b + dy` of channel `c` is dealt out to the `b`
+/// output planes `(c * b + dy) * b + dx` at row `oy`, with the depthwise
+/// image's vector deal where the row is whole blocks of `8 b` floats.
 ///
 /// # Panics
 ///
@@ -35,25 +39,20 @@ pub fn space_to_depth(x: &Tensor, b: usize) -> Tensor {
     let xs = x.shape();
     let os = space_to_depth_shape(xs, b);
     let mut out = Tensor::zeros(os);
-    for n in 0..xs.n {
-        for c in 0..xs.c {
-            for dy in 0..b {
-                for dx in 0..b {
-                    let co = (c * b + dy) * b + dx;
-                    for oy in 0..os.h {
-                        for ox in 0..os.w {
-                            out.set(n, co, oy, ox, x.at(n, c, oy * b + dy, ox * b + dx));
-                        }
-                    }
-                }
-            }
-        }
+    let (ohw, ow) = (os.hw(), os.w);
+    let dst = out.data_mut();
+    for (r, row) in x.data().chunks_exact(xs.w).enumerate() {
+        // Row `r` is row `oy * b + dy` of plane `p` (sample and channel).
+        let (p, y) = (r / xs.h, r % xs.h);
+        let at = ((p * b + y % b) * b * os.h + y / b) * ow;
+        run_lanes(true, Deal { src: row, sw: b, phase_len: ohw, img: &mut dst[at..] });
     }
     out
 }
 
 /// Inverse of [`space_to_depth`] (also its gradient adjoint, since the map
-/// is an orthonormal permutation).
+/// is an orthonormal permutation): output row `oy * b + dy` of channel `c`
+/// interleaves row `oy` of planes `(c * b + dy) * b + dx`.
 ///
 /// # Panics
 ///
@@ -64,17 +63,13 @@ pub fn depth_to_space(y: &Tensor, b: usize) -> Tensor {
     assert_eq!(ys.c % (b * b), 0, "channels must be divisible by block^2");
     let xs = Shape::new(ys.n, ys.c / (b * b), ys.h * b, ys.w * b);
     let mut out = Tensor::zeros(xs);
-    for n in 0..xs.n {
-        for c in 0..xs.c {
-            for dy in 0..b {
-                for dx in 0..b {
-                    let co = (c * b + dy) * b + dx;
-                    for oy in 0..ys.h {
-                        for ox in 0..ys.w {
-                            out.set(n, c, oy * b + dy, ox * b + dx, y.at(n, co, oy, ox));
-                        }
-                    }
-                }
+    let (yd, yhw) = (y.data(), ys.hw());
+    for (r, row) in out.data_mut().chunks_exact_mut(xs.w).enumerate() {
+        let (p, oy) = (r / xs.h, r % xs.h);
+        let at = ((p * b + oy % b) * b * ys.h + oy / b) * ys.w;
+        for (dx, dst) in (0..b).map(|dx| (dx, at + dx * yhw)) {
+            for (o, v) in row[dx..].iter_mut().step_by(b).zip(&yd[dst..dst + ys.w]) {
+                *o = *v;
             }
         }
     }
@@ -111,6 +106,23 @@ mod tests {
             let y = space_to_depth(&x, b);
             let back = depth_to_space(&y, b);
             assert_eq!(back, x, "b={b}");
+        }
+    }
+
+    #[test]
+    fn space_to_depth_is_the_index_formula() {
+        // Rows of whole `8 b`-float blocks take the vector deal (the 224²
+        // stem at b = 4), the others the scalar one; the inverse undoes both.
+        let mut rng = StdRng::seed_from_u64(2);
+        for (b, h, w) in [(4, 8, 224), (2, 4, 32), (8, 8, 64), (4, 8, 40), (3, 6, 48)] {
+            let x = Tensor::randn(Shape::new(2, 3, h, w), 1.0, &mut rng);
+            let y = space_to_depth(&x, b);
+            for (n, c, dy, dx) in (0..2).flat_map(|n| (0..3).flat_map(move |c| (0..b * b).map(move |p| (n, c, p / b, p % b)))) {
+                for (oy, ox) in (0..h / b).flat_map(|oy| (0..w / b).map(move |ox| (oy, ox))) {
+                    assert_eq!(y.at(n, (c * b + dy) * b + dx, oy, ox), x.at(n, c, oy * b + dy, ox * b + dx), "b={b} {h}x{w}");
+                }
+            }
+            assert_eq!(depth_to_space(&y, b), x, "b={b} {h}x{w}");
         }
     }
 

@@ -17,7 +17,11 @@
 //!   at batch 4, at the current thread budget;
 //! * the frozen depthwise (`ConvPlan`, hard-swish epilogue) at every shape a
 //!   frozen S0@224 batch-1 forward calls, with the calls per forward and the
-//!   weighted total: "depthwise per forward" as one number.
+//!   weighted total: "depthwise per forward" as one number, its strided
+//!   share beside it;
+//! * the bilinear upsample at every shape that forward calls (its calls and
+//!   total), the frozen stem and the packed classifier `Linear`, and "silo
+//!   edges per frozen S0@224 forward": strided depthwise plus upsample.
 //!
 //! Run the same file from a checkout of another commit to compare kernels
 //! (`revbifpn-perf run --trace 1` reports a subset of these as metrics).
@@ -25,12 +29,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn_repro::core::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
-use revbifpn_repro::nn::layers::BatchNorm2d;
+use revbifpn_repro::nn::layers::{BatchNorm2d, Linear};
 use revbifpn_repro::nn::{CacheMode, Layer, ShapeWalk};
 use revbifpn_repro::tensor::par::GradSink;
 use revbifpn_repro::tensor::{
-    conv2d, conv2d_backward, conv2d_backward_accumulate, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue,
-    EpilogueAct, PackedGemmA, Shape, Tensor,
+    conv2d, conv2d_backward, conv2d_backward_accumulate, resize, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue,
+    EpilogueAct, PackedGemmA, ResizeMode, Shape, Tensor,
 };
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -77,8 +81,10 @@ const S0_DEPTHWISE: [(usize, usize, usize, usize, usize); 14] = [
     (480, 3, 5, 1, 6),
 ];
 
-fn frozen_rows(rng: &mut StdRng) {
-    let mut ms = 0.0;
+/// Times the frozen depthwise at every S0@224 shape; returns the strided
+/// (silo down-edge) share of its per-forward total in ms.
+fn frozen_rows(rng: &mut StdRng) -> f64 {
+    let (mut ms, mut strided) = (0.0, 0.0);
     for (c, side, k, s, calls) in S0_DEPTHWISE {
         let side = side * 7 / 3;
         let spec = ConvSpec::depthwise(k, s, c);
@@ -90,8 +96,57 @@ fn frozen_rows(rng: &mut StdRng) {
             black_box(plan.forward(black_box(&x)));
         });
         ms += us * calls as f64 / 1e3;
+        if s > 1 {
+            strided += us * calls as f64 / 1e3;
+        }
     }
-    println!("depthwise per frozen S0@224 forward: {ms:.2} ms (medians x calls)");
+    println!("depthwise per frozen S0@224 forward: {ms:.2} ms (medians x calls), strided {strided:.2} ms");
+    strided
+}
+
+/// Calls `f(c, side, factor)` for every upsample under `l` at input shape
+/// `x` (the silo up edges).
+fn upsample_under(l: &dyn Layer, x: Shape, f: &mut dyn FnMut(usize, usize, usize)) {
+    if l.name() == "upsample" {
+        f(x.c, x.h, l.out_shape(x).h / x.h);
+    } else {
+        l.visit_children_at(x, &mut |c, s| upsample_under(c, s, f));
+    }
+}
+
+/// The frozen S0@224 forward's other edges and serial ends: the bilinear
+/// upsample at every shape it calls (read off the model's shape walk, with
+/// the calls per forward), the space-to-depth stem and the classifier's
+/// packed `Linear`; then the silo edges' total beside the strided
+/// depthwise's.
+fn frozen_edge_rows(rng: &mut StdRng, strided_ms: f64) {
+    let model = RevBiFPNClassifier::new(RevBiFPNConfig::s0(1000));
+    let img = Shape::new(1, 3, 224, 224);
+    let mut calls: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();
+    model.visit_layers_at(&[img], &mut |l, x| {
+        upsample_under(l, x, &mut |c, side, f| *calls.entry((c, side, f)).or_default() += 1)
+    });
+    let mut up_ms = 0.0;
+    for (&(c, side, f), &n) in &calls {
+        let x = Tensor::randn(Shape::new(1, c, side, side), 1.0, rng);
+        let us = time(&format!("upsample 1x{c}x{side}x{side} x{f} x{n}"), 0, || {
+            black_box(resize(black_box(&x), side * f, side * f, ResizeMode::Bilinear));
+        });
+        up_ms += us * n as f64 / 1e3;
+    }
+    println!("upsample per frozen S0@224 forward: {up_ms:.2} ms (medians x calls)");
+    let stem = model.backbone().stem().freeze().expect("stem freezes");
+    let x = Tensor::randn(img, 1.0, rng);
+    time("stem frozen 1x3x224x224", 0, || {
+        black_box(stem.forward(black_box(&x)));
+    });
+    let mut head = Linear::new(1280, 1000, rng).freeze().expect("linear freezes");
+    head.compile();
+    let x = Tensor::randn(Shape::new(1, 1280, 1, 1), 1.0, rng);
+    time("linear frozen 1x1280 -> 1000", 1280 * 1000, || {
+        black_box(head.forward(black_box(&x)));
+    });
+    println!("silo edges per frozen S0@224 forward: {:.2} ms (strided depthwise + upsample)", strided_ms + up_ms);
 }
 
 fn train_rows(rng: &mut StdRng) {
@@ -253,5 +308,6 @@ fn main() {
 
     train_rows(&mut rng);
     train_pointwise_rows(&mut rng);
-    frozen_rows(&mut rng);
+    let strided = frozen_rows(&mut rng);
+    frozen_edge_rows(&mut rng, strided);
 }

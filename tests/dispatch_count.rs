@@ -25,11 +25,12 @@
 //!
 //! The blocked GEMM reads a B panel in place when B's rows are contiguous
 //! and the panel is a full 16 columns, and packs it otherwise. Per forward
-//! that is 562 packed panels: 315 for the classifier's `sgemm_a_bt` (its
-//! `[1000, 1280]` weight is the transposed operand: 63 panels x 5 depth
-//! slices) and 247 ragged last panels (14x14 and 7x7 maps are 196 and 49
-//! columns, squeeze-excite GEMMs one). A larger count means some shape fell
-//! off the in-place path.
+//! that is 302 packed panels, all ragged last panels: 247 of the body, neck
+//! and head (14x14 and 7x7 maps are 196 and 49 columns, squeeze-excite
+//! GEMMs one) and 55 of the classifier, whose `[1000, 1280]` weight is
+//! packed once as A and whose one-column B is packed per row block (11 x 5
+//! depth slices). A larger count means some shape fell off the in-place
+//! path.
 //!
 //! One S0@96 batch-4 `TrainReversible` forward + backward at two threads is
 //! pinned too, at `TRAIN_STEP_DISPATCHES`: the training step's task joins
@@ -82,7 +83,7 @@ fn frozen_s0_forward_makes_a_pinned_number_of_dispatches() {
             gemm.b_panels_in_place - gemm_before.b_panels_in_place,
             gemm.b_panels_packed - gemm_before.b_panels_packed
         ),
-        (6527, 562),
+        (6527, 302),
         "GEMM B panels (read in place, packed first) per forward changed; packing is for ragged \
          last panels and transposed operands only"
     );
