@@ -36,6 +36,7 @@ REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-rev
 REVBIFPN_MAX_THREADS=4 cargo test -q --test freeze_parity
 REVBIFPN_MAX_THREADS=4 cargo test -q --test batch_independence
 REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-train --test shard_invariance
+REVBIFPN_MAX_THREADS=4 cargo test -q -p revbifpn-train --test delayed_digests
 
 echo "== fault-injection suite (resilience layer, end to end)"
 cargo test -q --test fault_injection
@@ -61,7 +62,7 @@ REVBIFPN_TENANT_SOAK_MS=1500 cargo test -q --release --test tenant_soak
 echo "== batcher soak (same tenant chaos with continuous batching at cap 8, smoke)"
 REVBIFPN_TENANT_SOAK_MS=1500 REVBIFPN_TENANT_SOAK_BATCH=8 cargo test -q --release --test tenant_soak
 
-echo "== stage-pipelined delayed-gradient parity (within 0.5 pt of serial top-1, release)"
+echo "== delayed-gradient schedule parity (within 0.5 pt of serial top-1, release)"
 cargo test -q --release -p revbifpn-train --test pipeline_invariance -- --ignored
 
 echo "== benchmark smoke (every workload for 2 s with its output checks on, harness self-tests)"
@@ -100,6 +101,11 @@ if git grep -nIE 'dw_stencil|dw_s2_stencil5|window_dot' \
 fi
 if git grep -nIE 'struct Snapshot|Snapshot::(new|capture|restore)|legacy serial' -- crates/train DESIGN.md README.md; then
     echo "the lines above bring back a second train-step executor or its rollback snapshot beside ShardEngine" >&2
+    exit 1
+fi
+if git grep -nE 'mpsc|thread::spawn|StageCell|StageMsg|StageControl|tree_merge_slabs|Phase::Stall' \
+    -- crates/train/src crates/rev/src crates/core/src crates/nn/src DESIGN.md README.md; then
+    echo "the lines above bring back a second train-step executor beside ShardEngine" >&2
     exit 1
 fi
 if git grep -nE 'grad_slabs|fn merge_grads' -- crates/train/src/shard.rs DESIGN.md README.md; then

@@ -156,23 +156,19 @@ impl RevBiFPN {
         &self.stem
     }
 
-    /// Mutable access to the stem (the pipelined trainer drives the stem
-    /// directly on the edge replica).
+    /// Mutable access to the stem.
     pub fn stem_mut(&mut self) -> &mut Stem {
         &mut self.stem
     }
 
     /// Removes and returns the reversible body, leaving an empty sequence
-    /// behind. The pipelined trainer splits the body into
-    /// [`revbifpn_rev::StageCell`]s owned by worker tasks; the hollowed-out
-    /// backbone keeps serving as the stem-side edge replica.
+    /// behind.
     pub fn take_body(&mut self) -> ReversibleSequence {
         std::mem::take(&mut self.body)
     }
 
     /// Runs only the stem forward, in an explicit cache mode (bypasses
-    /// [`stem_mode`](Self::forward) promotion — the pipelined trainer runs
-    /// a cache-free first pass and a `Full` recompute at adjoint time).
+    /// [`stem_mode`](Self::forward) promotion).
     pub fn stem_forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         self.stem.forward(x, mode)
     }
@@ -180,7 +176,7 @@ impl RevBiFPN {
     /// Backward through only the stem, consuming its caches. Timed as
     /// [`meter::Phase::Backward`]: the body's stages time their own phases,
     /// the stem runs none.
-    pub fn stem_backward(&mut self, ds0: &Tensor) -> Tensor {
+    fn stem_backward(&mut self, ds0: &Tensor) -> Tensor {
         meter::time_phase(meter::Phase::Backward, || self.stem.backward(ds0))
     }
 

@@ -152,18 +152,10 @@ impl RevBiFPNClassifier {
         }
     }
 
-    /// Runs only the neck + head forward over an externally produced
-    /// pyramid (the pipelined trainer owns the backbone body as worker
-    /// cells and drives the edges through this entry point).
-    pub fn neck_head_forward(&mut self, pyramid: &[Tensor], mode: CacheMode) -> Tensor {
-        let neck_out = self.neck.forward(pyramid, mode);
-        self.head.forward(&neck_out, mode)
-    }
-
     /// Backward through only the head + neck, consuming their caches;
     /// returns the gradient w.r.t. the pyramid. Timed as
     /// [`meter::Phase::Backward`] (neither runs a timer of its own).
-    pub fn neck_head_backward(&mut self, dlogits: &Tensor) -> Vec<Tensor> {
+    fn neck_head_backward(&mut self, dlogits: &Tensor) -> Vec<Tensor> {
         meter::time_phase(meter::Phase::Backward, || {
             let dneck = self.head.backward(dlogits);
             self.neck.backward(&dneck)
@@ -178,22 +170,6 @@ impl RevBiFPNClassifier {
         })
     }
 
-    /// Visits the stem's parameters only (edge-replica sync and gradient
-    /// slab capture in the pipelined trainer).
-    pub fn visit_stem_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.stem_mut().visit_params(f);
-    }
-
-    /// Visits the stem's persistent buffers only.
-    pub fn visit_stem_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.backbone.stem_mut().visit_buffers(f);
-    }
-
-    /// Visits the stem's BatchNorm layers only.
-    pub fn visit_stem_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.backbone.stem_mut().visit_bn(f);
-    }
-
     /// Visits the neck's and head's parameters only.
     pub fn visit_neck_head_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.neck_head().visit_params(f);
@@ -202,16 +178,6 @@ impl RevBiFPNClassifier {
     /// Visits the neck's and head's persistent buffers only.
     pub fn visit_neck_head_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.neck_head().visit_buffers(f);
-    }
-
-    /// Visits the neck's and head's BatchNorm layers only.
-    pub fn visit_neck_head_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.neck_head().visit_bn(f);
-    }
-
-    /// Clears only the neck and head caches (between pipelined edge ops).
-    pub fn clear_neck_head_cache(&mut self) {
-        self.neck_head().clear_cache();
     }
 
     /// Visits all parameters ([`Module::visit_params`]).

@@ -284,15 +284,10 @@ pub enum Phase {
     Reduce,
     /// Optimizer update (SGD step, EMA, clipping).
     Optimizer,
-    /// Pipeline bubble: a stage worker (or the pipeline driver) blocked
-    /// waiting for a message. Aggregate blocked thread-time, the direct
-    /// measure of fill/drain bubbles in stage-pipelined training.
-    Stall,
 }
 
-const PHASE_COUNT: usize = 6;
+const PHASE_COUNT: usize = 5;
 static PHASE_NANOS: [AtomicU64; PHASE_COUNT] = [
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -315,8 +310,6 @@ pub struct PhaseTimes {
     pub reduce_nanos: u64,
     /// Time in [`Phase::Optimizer`].
     pub optimizer_nanos: u64,
-    /// Time in [`Phase::Stall`] (pipeline bubbles).
-    pub stall_nanos: u64,
 }
 
 impl PhaseTimes {
@@ -329,7 +322,6 @@ impl PhaseTimes {
             backward_nanos: self.backward_nanos.saturating_sub(earlier.backward_nanos),
             reduce_nanos: self.reduce_nanos.saturating_sub(earlier.reduce_nanos),
             optimizer_nanos: self.optimizer_nanos.saturating_sub(earlier.optimizer_nanos),
-            stall_nanos: self.stall_nanos.saturating_sub(earlier.stall_nanos),
         }
     }
 
@@ -340,7 +332,6 @@ impl PhaseTimes {
             + self.backward_nanos
             + self.reduce_nanos
             + self.optimizer_nanos
-            + self.stall_nanos
     }
 }
 
@@ -376,7 +367,6 @@ pub fn phase_times() -> PhaseTimes {
         backward_nanos: phase_nanos(Phase::Backward),
         reduce_nanos: phase_nanos(Phase::Reduce),
         optimizer_nanos: phase_nanos(Phase::Optimizer),
-        stall_nanos: phase_nanos(Phase::Stall),
     }
 }
 

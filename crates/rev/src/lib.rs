@@ -42,13 +42,11 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-mod cell;
 mod freeze;
 mod revblock;
 mod silo;
 mod stage;
 
-pub use cell::{CellTrip, StageCell, StageControl, StageMsg};
 pub use freeze::{FrozenRevBlock, FrozenSequence, FrozenSilo, FrozenStage};
 pub use revblock::RevBlock;
 pub use silo::{RevSilo, TransformFactory};

@@ -9,7 +9,7 @@
 
 use crate::revblock::RevBlock;
 use crate::silo::RevSilo;
-use revbifpn_nn::{meter, Accounting, CacheMode, Cached, Layer, Module, Part, ShapeWalk};
+use revbifpn_nn::{meter, Accounting, CacheMode, Cached, Layer, Module, ShapeWalk};
 use revbifpn_tensor::{Shape, Tensor};
 use std::borrow::Cow;
 
@@ -305,7 +305,7 @@ pub struct ReconFault {
 /// activation meter (it is O(1) diagnostic state, not an activation cache).
 pub const FP_SAMPLES: usize = 64;
 
-pub(crate) fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
+fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
     xs.iter()
         .map(|x| {
             let d = x.data();
@@ -315,13 +315,13 @@ pub(crate) fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
         .collect()
 }
 
-pub(crate) fn flip_bit(t: &mut Tensor, index: usize, bit: u32) {
+fn flip_bit(t: &mut Tensor, index: usize, bit: u32) {
     let d = t.data_mut();
     let i = index % d.len();
     d[i] = f32::from_bits(d[i].to_bits() ^ (1u32 << (bit % 32)));
 }
 
-pub(crate) fn fingerprint_drift(fp: &[Vec<f32>], xs: &[Tensor]) -> f32 {
+fn fingerprint_drift(fp: &[Vec<f32>], xs: &[Tensor]) -> f32 {
     let mut worst = 0.0f32;
     for (samples, x) in fp.iter().zip(xs) {
         let d = x.data();
@@ -437,9 +437,7 @@ impl ReversibleSequence {
     }
 
     /// Consumes the sequence and returns its stages in forward order,
-    /// discarding sentinel state. This is the hand-off point to the
-    /// pipelined engine: the stages are re-homed into [`crate::StageCell`]s
-    /// which carry their own per-micro-batch sentinels.
+    /// discarding sentinel state.
     pub fn into_stages(self) -> Vec<Box<dyn RevStage>> {
         self.stages
     }
@@ -605,16 +603,6 @@ impl ReversibleSequence {
         (cur_y, cur_dy)
     }
 
-    /// Stages `lo..hi` as a [`Module`]: pipeline-stage parameter sync and
-    /// gradient merge walk a partitioned copy with the one walk.
-    pub fn stage_range(&mut self, lo: usize, hi: usize) -> impl Module + '_ {
-        Part::new(move |f| {
-            for s in &mut self.stages[lo..hi] {
-                s.visit_layers(f);
-            }
-        })
-    }
-
     /// Analytic activation bytes of classic gradient checkpointing (Chen et
     /// al. 2016) over this sequence: the inputs of every `segment`-th stage
     /// are stored, and the largest segment is rematerialized with `Full`
@@ -658,7 +646,9 @@ impl ShapeWalk for ReversibleSequence {
 
 impl Module for ReversibleSequence {
     fn visit_layers(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
-        self.stage_range(0, self.stages.len()).visit_layers(f);
+        for s in &mut self.stages {
+            s.visit_layers(f);
+        }
     }
 
     /// Drops pending fingerprints and stored fallback inputs. Fallback
@@ -676,12 +666,7 @@ impl Module for ReversibleSequence {
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use revbifpn_nn::layers::{MBConv, MBConvCfg};
     use revbifpn_nn::Layer;
-
-    const C: [usize; 3] = [8, 12, 16];
 
     /// Runs `f` on layer `n` of `m`'s walk: a test's handle on one silo edge
     /// (all down rows, then all up rows) or one block transform (F, then G).
@@ -694,42 +679,6 @@ pub(crate) mod tests_support {
             k += 1;
         });
         out.expect("the walk has no such layer")
-    }
-
-    fn make_silo(n_in: usize, n_out: usize, seed: u64) -> RevSilo {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut down = |j: usize, i: usize| -> Box<dyn Layer> {
-            Box::new(MBConv::new(MBConvCfg::down(C[j], C[i], (i - j) as u32, 1.5), &mut rng)) as Box<dyn Layer>
-        };
-        let mut rng2 = StdRng::seed_from_u64(seed + 1);
-        let mut up = |j: usize, i: usize| -> Box<dyn Layer> {
-            Box::new(MBConv::new(MBConvCfg::up(C[j], C[i], (j - i) as u32, 1.5), &mut rng2)) as Box<dyn Layer>
-        };
-        RevSilo::new(n_in, n_out, &mut down, &mut up)
-    }
-
-    fn make_blocks(streams: usize, seed: u64) -> BlockStage {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let blocks = (0..streams)
-            .map(|i| {
-                let half = C[i] / 2;
-                let f = MBConv::new(MBConvCfg::same(half, 3, 1.5).plain(), &mut rng);
-                let g = MBConv::new(MBConvCfg::same(half, 3, 1.5).plain(), &mut rng);
-                vec![RevBlock::new(C[i], Box::new(f), Box::new(g))]
-            })
-            .collect();
-        BlockStage::new(blocks)
-    }
-
-    /// A 5-stage single-input sequence for `StageCell` tests.
-    pub(crate) fn make_seq_for_cells(seed: u64) -> ReversibleSequence {
-        let mut seq = ReversibleSequence::new();
-        seq.add(Box::new(make_silo(1, 2, seed)));
-        seq.add(Box::new(make_blocks(2, seed + 10)));
-        seq.add(Box::new(make_silo(2, 3, seed + 20)));
-        seq.add(Box::new(make_blocks(3, seed + 30)));
-        seq.add(Box::new(make_silo(3, 3, seed + 40)));
-        seq
     }
 }
 
@@ -787,6 +736,18 @@ mod tests {
                 p.value = Tensor::uniform(p.value.shape(), 0.5, 1.5, &mut rng);
             }
         });
+    }
+
+    #[test]
+    fn partition_bounds_are_valid() {
+        let seq = make_seq(7);
+        let shapes = [Shape::new(2, 8, 8, 8)];
+        for parts in 1..=seq.len() {
+            let b = seq.partition_by_macs(&shapes, parts);
+            assert_eq!(b.len(), parts + 1);
+            assert_eq!((b[0], b[parts]), (0, seq.len()));
+            assert!(b.windows(2).all(|w| w[0] < w[1]), "empty part in {b:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,7 @@ mod trainer;
 pub use ema::Ema;
 pub use faults::{tear_file, Fault, FaultPlan, ServeFault, ServeFaultPlan};
 pub use metrics::{top1_accuracy, topk_accuracy, AverageMeter, PhaseBreakdown};
-pub use pipeline::{
-    train_pipeline_delayed, PipelineConfig, PipelineEngine, PipelineStepOutput,
-};
+pub use pipeline::{train_pipeline_delayed, PipelineConfig, PipelineEngine};
 pub use shard::{ShardEngine, ShardStepFaults, ShardStepOutput};
 pub use resume::{auto_resume, load_train_state, save_train_state, CheckpointCfg, ResumeMeta};
 pub use schedule::LrSchedule;

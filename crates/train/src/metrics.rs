@@ -58,23 +58,19 @@ pub struct PhaseBreakdown {
     pub reduce_ms: f64,
     /// Optimizer updates (SGD step, EMA).
     pub optimizer_ms: f64,
-    /// Aggregate thread-time pipeline workers (and the pipeline driver)
-    /// spent blocked waiting on stage messages — the fill/drain bubble
-    /// cost of stage-pipelined steps. Zero for serial and sharded runs.
-    pub stall_ms: f64,
-    /// Mean per-pipeline-stage occupancy over the run's steps: fraction of
-    /// the step wall-clock each stage worker spent computing (index =
-    /// pipeline position). Empty for serial and sharded runs.
+    /// Per-pipeline-stage occupancy of a delayed-gradient run: the busy
+    /// share of each stage's slots in the schedule it walked (index =
+    /// pipeline position). Empty for every other run.
     pub stage_occupancy: Vec<f64>,
-    /// Mean pipeline bubble fraction over the run's steps:
-    /// `1 - mean(stage_occupancy)`. Zero for serial and sharded runs.
+    /// Idle share of the stages' slots in that schedule. Zero for every
+    /// other run.
     pub bubble_fraction: f64,
 }
 
 impl PhaseBreakdown {
     /// Converts a [`PhaseTimes`] snapshot (or snapshot difference) into
-    /// milliseconds. Pipeline occupancy fields are not derivable from
-    /// phase counters; the pipelined trainer fills them in separately.
+    /// milliseconds. The slot shares are not derivable from phase
+    /// counters; the delayed-gradient schedule fills them in.
     pub fn from_times(t: PhaseTimes) -> Self {
         const MS: f64 = 1e-6;
         Self {
@@ -83,20 +79,18 @@ impl PhaseBreakdown {
             backward_ms: t.backward_nanos as f64 * MS,
             reduce_ms: t.reduce_nanos as f64 * MS,
             optimizer_ms: t.optimizer_nanos as f64 * MS,
-            stall_ms: t.stall_nanos as f64 * MS,
             stage_occupancy: Vec::new(),
             bubble_fraction: 0.0,
         }
     }
 
-    /// Sum over all compute phases plus stall time, in milliseconds.
+    /// Sum over all phases, in milliseconds.
     pub fn total_ms(&self) -> f64 {
         self.forward_ms
             + self.reconstruct_ms
             + self.backward_ms
             + self.reduce_ms
             + self.optimizer_ms
-            + self.stall_ms
     }
 }
 

@@ -1,12 +1,8 @@
-//! The helpers the sharded and the stage-pipelined step share, one copy
-//! each. Both engines cut a batch into contiguous power-of-two leaves and
-//! merge the leaves' partial results with the same pairwise stride-doubling
-//! tree (`shard.rs` states the alignment theorem); their gradients and
-//! BatchNorm statistics agree bit for bit only while they run the same
-//! additions in the same order, so the split rule, the slicing and the
-//! moment tree live here and nowhere else. The sharded step merges its
-//! gradients as it writes them (`revbifpn_nn::SharedGrads`), on the same
-//! tree; [`tree_merge_slabs`] is the pipeline's merge of whole slabs.
+//! The split rule, the batch slicing and the BatchNorm moment tree of the
+//! sharded step. A batch is cut into contiguous power-of-two leaves whose
+//! partial results merge on the pairwise stride-doubling tree (`shard.rs`
+//! states the alignment theorem); the step merges its gradients as it
+//! writes them (`revbifpn_nn::SharedGrads`), on the same tree.
 
 use revbifpn_nn::layers::BnMoments;
 use revbifpn_tensor::{par, Shape, Tensor};
@@ -29,20 +25,6 @@ pub(crate) fn effective_split(n: usize, want: usize) -> usize {
 pub(crate) fn slice_batch(t: &Tensor, lo: usize, n: usize) -> Tensor {
     let chw = t.shape().chw();
     Tensor::from_vec_unchecked(Shape { n, ..t.shape() }, t.data()[lo * chw..(lo + n) * chw].to_vec())
-}
-
-/// [`par::tree_reduce_serial`] over leaf gradient slabs, in place: the root
-/// lands in `slabs[0]`, the other slabs are left as tree scratch.
-/// `slabs.len()` must be a power of two for subtree alignment.
-pub(crate) fn tree_merge_slabs(slabs: &mut [Vec<Tensor>]) {
-    par::tree_reduce_serial(slabs.len(), |d, s| {
-        let (left, right) = slabs.split_at_mut(s);
-        for (a, b) in left[d].iter_mut().zip(&right[0]) {
-            for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-                *x += *y;
-            }
-        }
-    });
 }
 
 /// Concatenates per-leaf BatchNorm moment tables (leaf order = sample

@@ -28,11 +28,11 @@
 use crate::ema::Ema;
 use crate::faults::FaultPlan;
 use crate::metrics::{top1_accuracy, AverageMeter, PhaseBreakdown};
-use crate::pipeline::{PipelineConfig, PipelineEngine};
+use crate::pipeline::{executor_drift, PipelineConfig};
 use crate::resume::{auto_resume, save_train_state, CheckpointCfg, ResumeMeta};
 use crate::schedule::LrSchedule;
 use crate::sgd::Sgd;
-use crate::shard::{ShardEngine, ShardStepFaults};
+use crate::shard::{ShardEngine, ShardStepFaults, ShardStepOutput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPNClassifier, RunMode};
@@ -100,12 +100,11 @@ pub struct TrainConfig {
     /// decoupled BatchNorm, whose merged gradients are bitwise invariant to
     /// the shard count.
     pub shards: usize,
-    /// Stage-pipelined step engine ([`crate::PipelineEngine`]).
-    /// `stages == 0` keeps the serial/sharded path; `stages >= 1` with
-    /// `staleness == 0` routes steps through the synchronous fill/drain
-    /// pipeline, whose merged gradients are bitwise identical to the
-    /// shard engine's. (`staleness >= 1` is the delayed-gradient mode —
-    /// use [`crate::train_pipeline_delayed`], which owns its own loop.)
+    /// Stage-pipelined schedule ([`crate::PipelineConfig`]). `stages >= 1`
+    /// with `staleness == 0` only picks the step engine's shard count,
+    /// `micros × shards` (`shards` must then be 0). (`staleness >= 1` is
+    /// the delayed-gradient mode — use [`crate::train_pipeline_delayed`],
+    /// which owns its own loop.)
     pub pipeline: PipelineConfig,
 }
 
@@ -226,6 +225,38 @@ fn reseed_masks(model: &mut RevBiFPNClassifier, cfg: &TrainConfig, step: usize) 
     model.reseed(&mut || rng.random());
 }
 
+/// The run's step executor, `cfg.shards` shards or a pipelined run's
+/// `micros × shards`, with the model's sentinel configured to match.
+pub(crate) fn executor(model: &mut RevBiFPNClassifier, cfg: &TrainConfig) -> ShardEngine {
+    let (shards, drift) = match cfg.pipeline.stages {
+        0 => (cfg.shards, cfg.resilience.drift),
+        _ => {
+            assert_eq!(cfg.shards, 0, "within-stage sharding is set via pipeline.shards, not cfg.shards");
+            (cfg.pipeline.executor_shards(), executor_drift(cfg.resilience.drift))
+        }
+    };
+    model.backbone_mut().body_mut().set_drift_config(drift);
+    ShardEngine::new(model.cfg(), shards, drift)
+}
+
+/// A step's tripwires past its forward: a non-finite gradient, or a
+/// sentinel fallback since [`Tripwire::arm`] (gradients downstream of a
+/// stage whose reconstruction strayed are suspect; the stage now runs
+/// cached, so a retry is clean).
+pub(crate) struct Tripwire(u64);
+
+impl Tripwire {
+    pub(crate) fn arm() -> Self {
+        Self(meter::event_count("rev.drift_fallback"))
+    }
+
+    pub(crate) fn tripped(&self, model: &mut RevBiFPNClassifier) -> bool {
+        let mut sq = 0.0f64;
+        model.visit_params(&mut |p| sq += p.grad.sq_sum());
+        !sq.is_finite() || meter::event_count("rev.drift_fallback") > self.0
+    }
+}
+
 /// Evaluates top-1 accuracy on `val_size` deterministic validation samples
 /// (indices above `u32::MAX` so they never collide with training indices).
 pub fn evaluate(model: &mut RevBiFPNClassifier, data: &SynthScale, val_size: usize, batch: usize) -> f64 {
@@ -279,17 +310,14 @@ pub fn train_classifier_with(
     let mut opt = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut ema = (cfg.ema_decay > 0.0).then(|| Ema::new(cfg.ema_decay));
     let res = cfg.resilience;
-    model.backbone_mut().body_mut().set_drift_config(res.drift);
-    let mut engine = ShardEngine::new(model.cfg(), cfg.shards, res.drift);
-    let mut pipe = (cfg.pipeline.stages > 0).then(|| {
-        assert_eq!(cfg.shards, 0, "within-stage sharding is set via pipeline.shards, not cfg.shards");
+    if cfg.pipeline.stages > 0 {
         assert_eq!(
             cfg.pipeline.staleness, 0,
             "delayed-gradient mode has its own loop: use train_pipeline_delayed"
         );
         assert_eq!(mode, RunMode::TrainReversible, "pipelined training is reversible-only");
-        PipelineEngine::new(model.cfg(), &cfg.pipeline, res.drift)
-    });
+    }
+    let mut engine = executor(model, cfg);
     let phases_start = meter::phase_times();
 
     let mut history = TrainHistory::default();
@@ -326,34 +354,18 @@ pub fn train_classifier_with(
             let n = labels.len();
             reseed_masks(model, cfg, step);
 
-            let fallback_before = meter::event_count("rev.drift_fallback");
+            let wire = Tripwire::arm();
             meter::reset();
 
             let sf = ShardStepFaults {
                 nan_grad: opts.faults.nan_grad_at(step),
                 bit_flip: opts.faults.bit_flip_at(step),
             };
-            let (logits, loss, backward_ran) = match &mut pipe {
-                Some(pe) => {
-                    let out = pe.step(model, &images, &targets, mode, &sf);
-                    (out.logits, out.loss, out.backward_ran)
-                }
-                None => {
-                    let out = engine.step(model, &images, &targets, mode, &sf);
-                    (out.logits, out.loss, out.backward_ran)
-                }
-            };
+            let ShardStepOutput { logits, loss, backward_ran, .. } =
+                engine.step(model, &images, &targets, mode, &sf);
             let tripped = if backward_ran {
                 peak = peak.max(meter::peak());
-                // A drift-fallback event means the sentinel caught
-                // reconstruction drift this step: gradients downstream of
-                // the drifted stage are suspect. The stage now runs cached,
-                // so the retry is clean.
-                res.tripwires && {
-                    let mut sq = 0.0f64;
-                    model.visit_params(&mut |p| sq += p.grad.sq_sum());
-                    !sq.is_finite() || meter::event_count("rev.drift_fallback") > fallback_before
-                }
+                res.tripwires && wire.tripped(model)
             } else {
                 if !res.tripwires {
                     // Form the loss on the non-finite logits, which panics
@@ -368,17 +380,11 @@ pub fn train_classifier_with(
                 consecutive_trips += 1;
                 meter::count("train.nonfinite_step");
                 engine.clear_replica_caches();
-                if let Some(pe) = &mut pipe {
-                    pe.after_trip();
-                }
                 model.clear_cache();
                 lr_scale *= LR_BACKOFF;
             } else {
                 consecutive_trips = 0;
-                match &mut pipe {
-                    Some(pe) => pe.apply_bn_stats(model),
-                    None => engine.apply_bn_stats(model),
-                }
+                engine.apply_bn_stats(model);
                 meter::time_phase(meter::Phase::Optimizer, || {
                     opt.step(schedule.lr(step) * lr_scale, |f| model.visit_params(f));
                     if let Some(e) = &mut ema {
@@ -425,10 +431,6 @@ pub fn train_classifier_with(
     }
     history.nonfinite_skips = skips;
     history.phases = PhaseBreakdown::from_times(meter::phase_times().since(&phases_start));
-    if let Some(pe) = &pipe {
-        history.phases.stage_occupancy = pe.mean_occupancy();
-        history.phases.bubble_fraction = pe.mean_bubble_fraction();
-    }
     history
 }
 
