@@ -48,8 +48,7 @@ cargo test -q -p revbifpn-serve
 echo "== frozen inference fast path (parity + steady-state guarantees)"
 cargo test -q --test freeze_parity
 
-echo "== quantized fast path, forced-scalar kernels (bitwise vs vector)"
-REVBIFPN_INT8_FORCE_SCALAR=1 cargo test -q --test freeze_parity
+echo "== int8 GEMM kernels (qmatmul.rs, no model path), forced-scalar (bitwise vs vector)"
 REVBIFPN_INT8_FORCE_SCALAR=1 cargo test -q -p revbifpn-tensor qgemm
 REVBIFPN_INT8_FORCE_SCALAR=1 cargo test -q -p revbifpn-tensor quant
 
@@ -114,6 +113,12 @@ if git grep -nE 'grad_slabs|fn merge_grads' -- crates/train/src/shard.rs DESIGN.
 fi
 if git grep -nE 'add_assign|sub_assign|add_channels_of' -- crates/rev/src/freeze.rs crates/rev/src/revblock.rs; then
     echo "the lines above couple a stream outside silo::couple, the one place a transform's output enters or leaves one" >&2
+    exit 1
+fi
+if git grep -nE 'forward_quant|im2col_u8|quantize_activations|int8_use_avx2' \
+    -- crates/nn/src crates/core/src crates/rev/src crates/detect/src crates/serve/src \
+    crates/tensor/src/conv.rs crates/tensor/src/dw_plane.rs; then
+    echo "the lines above quantize activations on the model path: int8 is a weight format, run by the f32 kernels" >&2
     exit 1
 fi
 if git grep -nE 'dyn FnOnce\(\) \+ Send|parallel_join' -- 'crates/*/src/*' ':!crates/tensor/src/par.rs'; then

@@ -95,9 +95,9 @@ impl RevBiFPNClassifier {
     }
 
     /// Like [`RevBiFPNClassifier::freeze`], but additionally lowers every
-    /// fused conv to per-output-channel int8 weights before compiling, so
-    /// the frozen forward runs the int8 GEMM/depthwise kernels with dynamic
-    /// per-tensor activation quantization. Squeeze-excite gates stay f32.
+    /// fused conv to per-output-channel int8 weights before compiling; the
+    /// frozen forward runs the f32 kernels on them, activations unquantized.
+    /// Squeeze-excite gates stay f32.
     ///
     /// # Errors
     ///

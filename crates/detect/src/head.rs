@@ -353,8 +353,9 @@ impl Detector {
     }
 
     /// Like [`Detector::freeze`], but lowers every fused conv to
-    /// per-output-channel int8 weights before compiling, so inference runs
-    /// the int8 GEMM/depthwise kernels. Decoding and NMS are unchanged.
+    /// per-output-channel int8 weights before compiling; inference runs the
+    /// f32 kernels on them (activations stay f32). Decoding and NMS are
+    /// unchanged.
     ///
     /// # Errors
     ///

@@ -15,7 +15,8 @@
 //! ```text
 //! header   48 bytes:
 //!   magic       8   b"RBFNFRZ1"
-//!   version     4   u32 LE = 1
+//!   version     4   u32 LE = 2 (2: an int8 conv stores its int8 weight
+//!                   rows and scales, not int8 GEMM panels)
 //!   layout      4   u32 LE, gemm_layout_fingerprint() of the writing build
 //!   flags       4   u32 LE, caller-defined (model kind / precision tier)
 //!   n_sections  4   u32 LE
@@ -48,8 +49,8 @@
 use crate::checkpoint::crc32;
 use crate::freeze::{ActKind, FrozenLayer, FusedConv, PackedLinear};
 use revbifpn_tensor::{
-    gemm_layout_fingerprint, ConvPlan, ConvSpec, EpilogueAct, PackedGemmA, PackedGemmAI8,
-    PlanKind, QuantConvPlan, QuantPlanKind, ResizeMode, Shape, SharedBytes, Tensor,
+    gemm_layout_fingerprint, ConvPlan, ConvSpec, EpilogueAct, PackedGemmA, PlanKind, ResizeMode,
+    Shape, SharedBytes, Tensor,
 };
 use std::cell::Cell;
 use std::fs::{self, File};
@@ -57,15 +58,15 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"RBFNFRZ1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER_LEN: usize = 48;
 const TOC_ENTRY_LEN: usize = 24;
 const SECTION_ALIGN: usize = 64;
 /// f32 arrays at or above this many elements go to a section instead of the
 /// structure stream.
 const SECTION_MIN_F32S: usize = 256;
-/// i8/i32 arrays at or above this many *bytes* go to a section instead of
-/// the structure stream: the structure stream is CRC'd eagerly at every
+/// i8 arrays at or above this many *bytes* go to a section instead of the
+/// structure stream: the structure stream is CRC'd eagerly at every
 /// open (the serving cold path), sections only on demand.
 const SECTION_MIN_BYTES: usize = 1024;
 
@@ -335,39 +336,10 @@ impl ArtifactWriter {
         }
     }
 
-    /// Appends an `i32` array: inline below [`SECTION_MIN_BYTES`] bytes, as
-    /// a section reference at or above it.
-    pub fn put_i32s(&mut self, v: &[i32]) {
-        if v.len() * 4 < SECTION_MIN_BYTES {
-            self.put_u8(0);
-            self.put_u32(v.len() as u32);
-            for x in v {
-                self.structure.extend_from_slice(&x.to_le_bytes());
-            }
-        } else {
-            self.put_u8(1);
-            self.put_u32(v.len() as u32);
-            let mut bytes = Vec::with_capacity(v.len() * 4);
-            for x in v {
-                bytes.extend_from_slice(&x.to_le_bytes());
-            }
-            let id = self.put_section(bytes);
-            self.put_u32(id);
-        }
-    }
-
     /// Appends an f32 panel image as an aligned section (always), writing
     /// the reference into the structure stream.
     pub fn put_panel_f32(&mut self, image: &[f32]) {
         let id = self.put_section(f32s_to_le_bytes(image));
-        self.put_u32(id);
-        self.put_u32(image.len() as u32);
-    }
-
-    /// Appends an int8 panel image as an aligned section (always), writing
-    /// the reference into the structure stream.
-    pub fn put_panel_i8(&mut self, image: &[i8]) {
-        let id = self.put_section(i8s_to_bytes(image).collect());
         self.put_u32(id);
         self.put_u32(image.len() as u32);
     }
@@ -712,25 +684,6 @@ impl<'a> TreeReader<'a> {
         Ok(v)
     }
 
-    /// Reads an `i32` array written by [`ArtifactWriter::put_i32s`].
-    pub fn get_i32s(&mut self) -> io::Result<Vec<i32>> {
-        let tag = self.get_u8()?;
-        let len = self.get_u32()? as usize;
-        let raw = match tag {
-            0 => self.take(len.checked_mul(4).ok_or_else(|| inv("i32 array overflow"))?)?,
-            1 => {
-                let id = self.get_u32()?;
-                let s = self.r.section(id)?;
-                if s.len != len * 4 {
-                    return Err(inv("i32 section length mismatch"));
-                }
-                &self.r.bytes.as_slice()[s.off..s.off + s.len]
-            }
-            _ => return Err(inv("bad i32 array tag")),
-        };
-        Ok(raw.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
     /// Resolves an f32 panel reference into a [`PackedGemmA`]. On
     /// little-endian targets the panel image *borrows* the artifact buffer
     /// (zero-copy); elsewhere it is decoded into an owned buffer.
@@ -752,26 +705,6 @@ impl<'a> TreeReader<'a> {
                 raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
             PackedGemmA::from_owned_image(m, k, image).map_err(inv)
         }
-    }
-
-    /// Resolves an int8 panel reference into a [`PackedGemmAI8`] image view
-    /// (always zero-copy; single bytes have no endianness). Scales and
-    /// weight sums are passed through from the caller's decode.
-    pub fn get_panel_i8(
-        &mut self,
-        m: usize,
-        k: usize,
-        scales: Vec<f32>,
-        wsums: Vec<i32>,
-    ) -> io::Result<PackedGemmAI8> {
-        let id = self.get_u32()?;
-        let len = self.get_u32()? as usize;
-        let s = self.r.section(id)?;
-        if len != PackedGemmAI8::image_len(m, k) || s.len != len {
-            return Err(inv("int8 panel image length disagrees with its plan"));
-        }
-        PackedGemmAI8::from_shared_image(m, k, self.r.bytes.clone(), s.off, scales, wsums)
-            .map_err(inv)
     }
 
     /// Reads a dense tensor written by [`ArtifactWriter::put_tensor`].
@@ -847,67 +780,38 @@ fn get_spec(r: &mut TreeReader<'_>) -> io::Result<ConvSpec> {
 }
 
 fn encode_conv(w: &mut ArtifactWriter, fc: &FusedConv) -> io::Result<()> {
-    if let Some(q) = fc.qplan() {
-        w.put_u8(1);
-        put_spec(w, q.spec());
-        w.put_u32(q.c_in() as u32);
-        w.put_u32(q.c_out() as u32);
-        w.put_u8(act_tag(q.act()));
-        w.put_f32s(q.bias());
-        match q.kind() {
-            QuantPlanKind::Pointwise(pa) => {
-                w.put_u8(0);
-                w.put_f32s(pa.scales());
-                w.put_i32s(pa.wsums());
-                w.put_panel_i8(pa.image());
-            }
-            QuantPlanKind::Depthwise { qweight, scales } => {
-                w.put_u8(1);
-                w.put_i8s(qweight);
-                w.put_f32s(scales);
-            }
-            QuantPlanKind::General { groups } => {
-                w.put_u8(2);
-                w.put_u32(groups.len() as u32);
-                for pa in groups {
-                    w.put_f32s(pa.scales());
-                    w.put_i32s(pa.wsums());
-                    w.put_panel_i8(pa.image());
-                }
-            }
+    let p = fc.plan().ok_or_else(|| inv("cannot serialize an uncompiled fused conv"))?;
+    put_spec(w, p.spec());
+    w.put_u32(p.c_in() as u32);
+    w.put_u32(p.c_out() as u32);
+    w.put_u8(act_tag(p.act()));
+    w.put_f32s(p.bias());
+    match p.kind() {
+        PlanKind::Pointwise(pa) => {
+            w.put_u8(0);
+            w.put_panel_f32(pa.image());
         }
-    } else if let Some(p) = fc.plan() {
-        w.put_u8(0);
-        put_spec(w, p.spec());
-        w.put_u32(p.c_in() as u32);
-        w.put_u32(p.c_out() as u32);
-        w.put_u8(act_tag(p.act()));
-        w.put_f32s(p.bias());
-        match p.kind() {
-            PlanKind::Pointwise(pa) => {
-                w.put_u8(0);
+        PlanKind::Depthwise { weight } => {
+            w.put_u8(1);
+            w.put_f32s(weight);
+        }
+        PlanKind::General { groups } => {
+            w.put_u8(2);
+            w.put_u32(groups.len() as u32);
+            for pa in groups {
                 w.put_panel_f32(pa.image());
             }
-            PlanKind::Depthwise { weight } => {
-                w.put_u8(1);
-                w.put_f32s(weight);
-            }
-            PlanKind::General { groups } => {
-                w.put_u8(2);
-                w.put_u32(groups.len() as u32);
-                for pa in groups {
-                    w.put_panel_f32(pa.image());
-                }
-            }
         }
-    } else {
-        return Err(inv("cannot serialize an uncompiled fused conv"));
+        PlanKind::Int8 { qweight, scales } => {
+            w.put_u8(3);
+            w.put_f32s(scales);
+            w.put_i8s(qweight);
+        }
     }
     Ok(())
 }
 
 fn decode_conv(r: &mut TreeReader<'_>) -> io::Result<FusedConv> {
-    let tier = r.get_u8()?;
     let spec = get_spec(r)?;
     let c_in = r.get_u32()? as usize;
     let c_out = r.get_u32()? as usize;
@@ -916,61 +820,30 @@ fn decode_conv(r: &mut TreeReader<'_>) -> io::Result<FusedConv> {
     if c_in == 0 || c_out == 0 || spec.groups == 0 {
         return Err(inv("degenerate conv header"));
     }
-    match tier {
-        1 => {
-            let kind = match r.get_u8()? {
-                0 => {
-                    let scales = r.get_f32s()?;
-                    let wsums = r.get_i32s()?;
-                    QuantPlanKind::Pointwise(r.get_panel_i8(c_out, c_in, scales, wsums)?)
-                }
-                1 => QuantPlanKind::Depthwise { qweight: r.get_i8s()?, scales: r.get_f32s()? },
-                2 => {
-                    let n = r.get_u32()? as usize;
-                    if n != spec.groups {
-                        return Err(inv("group count disagrees with spec"));
-                    }
-                    let cout_g =
-                        c_out.checked_div(n).filter(|_| n > 0).ok_or_else(|| inv("bad groups"))?;
-                    let k = (c_in / n) * spec.kh * spec.kw;
-                    let mut groups = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let scales = r.get_f32s()?;
-                        let wsums = r.get_i32s()?;
-                        groups.push(r.get_panel_i8(cout_g, k, scales, wsums)?);
-                    }
-                    QuantPlanKind::General { groups }
-                }
-                _ => return Err(inv("bad quant plan kind tag")),
-            };
-            let plan = QuantConvPlan::from_parts(spec, c_in, c_out, bias, act, kind).map_err(inv)?;
-            Ok(FusedConv::from_qplan(plan))
+    let kind = match r.get_u8()? {
+        0 => PlanKind::Pointwise(r.get_panel_f32(c_out, c_in)?),
+        1 => PlanKind::Depthwise { weight: r.get_f32s()? },
+        2 => {
+            let n = r.get_u32()? as usize;
+            if n != spec.groups {
+                return Err(inv("group count disagrees with spec"));
+            }
+            let cout_g = c_out.checked_div(n).filter(|_| n > 0).ok_or_else(|| inv("bad groups"))?;
+            let k = (c_in / n) * spec.kh * spec.kw;
+            let mut groups = Vec::with_capacity(n);
+            for _ in 0..n {
+                groups.push(r.get_panel_f32(cout_g, k)?);
+            }
+            PlanKind::General { groups }
         }
-        0 => {
-            let kind = match r.get_u8()? {
-                0 => PlanKind::Pointwise(r.get_panel_f32(c_out, c_in)?),
-                1 => PlanKind::Depthwise { weight: r.get_f32s()? },
-                2 => {
-                    let n = r.get_u32()? as usize;
-                    if n != spec.groups {
-                        return Err(inv("group count disagrees with spec"));
-                    }
-                    let cout_g =
-                        c_out.checked_div(n).filter(|_| n > 0).ok_or_else(|| inv("bad groups"))?;
-                    let k = (c_in / n) * spec.kh * spec.kw;
-                    let mut groups = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        groups.push(r.get_panel_f32(cout_g, k)?);
-                    }
-                    PlanKind::General { groups }
-                }
-                _ => return Err(inv("bad plan kind tag")),
-            };
-            let plan = ConvPlan::from_parts(spec, c_in, c_out, bias, act, kind).map_err(inv)?;
-            Ok(FusedConv::from_plan(plan))
+        3 => {
+            let scales = r.get_f32s()?;
+            PlanKind::Int8 { qweight: r.get_i8s()?, scales }
         }
-        _ => Err(inv("bad conv tier tag")),
-    }
+        _ => return Err(inv("bad plan kind tag")),
+    };
+    let plan = ConvPlan::from_parts(spec, c_in, c_out, bias, act, kind).map_err(inv)?;
+    Ok(FusedConv::from_plan(plan))
 }
 
 /// Serializes a compiled [`FrozenLayer`] tree into the writer's structure

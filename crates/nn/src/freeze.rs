@@ -20,12 +20,13 @@
 //! (cheap, fusion happens structurally via [`FrozenLayer::sequence`]), and
 //! [`FrozenLayer::compile`] packs the weights. [`freeze_layer`] does both.
 //!
-//! A third, optional lowering sits on top: [`FrozenLayer::quantize`]
-//! re-packs every fused conv's folded weights as per-output-channel
-//! symmetric int8 (scale `max|w| / 127`) and serves it through the int8
-//! GEMM/depthwise kernels with dynamically quantized activations
-//! ([`freeze_layer_int8`] chains freeze → quantize → compile). Quantized
-//! bytes ride the separate [`meter::quant_packed_current`] gauge and the
+//! A third, optional lowering sits on top: [`FrozenLayer::quantize`] keeps
+//! every fused conv's folded weights as per-output-channel symmetric int8
+//! (scale `max|w| / 127`) and runs the f32 kernels on them, dequantizing
+//! where a kernel reads a weight; activations stay f32
+//! ([`revbifpn_tensor::PlanKind::Int8`]; [`freeze_layer_int8`] chains
+//! freeze → quantize → compile). Quantized bytes ride the separate
+//! [`meter::quant_packed_current`] gauge and the
 //! `"freeze.weights_quantized"` event counter.
 //!
 //! The packed-bytes accounting uses the thread-local meter, so a frozen
@@ -35,7 +36,7 @@ use crate::meter;
 use crate::module::Layer;
 use revbifpn_tensor::{
     global_avg_pool, runs_blocked, sgemm_a_bt, sgemm_prepacked, space_to_depth, upsample, ConvPlan,
-    ConvSpec, Epilogue, EpilogueAct, PackedGemmA, QuantConvPlan, ResizeMode, Shape, Tensor,
+    ConvSpec, Epilogue, EpilogueAct, PackedGemmA, ResizeMode, Shape, Tensor,
 };
 
 /// Error returned when a layer (or one of its children) has no frozen form.
@@ -71,47 +72,39 @@ impl std::fmt::Display for FreezeError {
 
 impl std::error::Error for FreezeError {}
 
-/// RAII registration of packed-weight bytes with the thread-local meter.
+/// RAII registration of packed-weight bytes with the thread-local meter:
+/// f32 panels on the packed gauge, int8 weights on the quantized one
+/// ([`meter::quant_packed_current`]).
 #[derive(Debug)]
 pub(crate) struct PackedBytes {
     bytes: usize,
+    int8: bool,
 }
 
 impl PackedBytes {
-    fn new(bytes: usize) -> Self {
-        meter::add_packed(bytes);
-        Self { bytes }
+    fn new(bytes: usize, int8: bool) -> Self {
+        if int8 {
+            meter::add_quant_packed(bytes);
+        } else {
+            meter::add_packed(bytes);
+        }
+        Self { bytes, int8 }
     }
 }
 
 impl Drop for PackedBytes {
     fn drop(&mut self) {
-        meter::sub_packed(self.bytes);
-    }
-}
-
-/// RAII registration of quantized packed-weight bytes with the thread-local
-/// meter's int8 gauge ([`meter::quant_packed_current`]).
-#[derive(Debug)]
-struct QuantPackedBytes {
-    bytes: usize,
-}
-
-impl QuantPackedBytes {
-    fn new(bytes: usize) -> Self {
-        meter::add_quant_packed(bytes);
-        Self { bytes }
-    }
-}
-
-impl Drop for QuantPackedBytes {
-    fn drop(&mut self) {
-        meter::sub_quant_packed(self.bytes);
+        if self.int8 {
+            meter::sub_quant_packed(self.bytes);
+        } else {
+            meter::sub_packed(self.bytes);
+        }
     }
 }
 
 /// A convolution with folded per-channel scale/bias and an optional fused
-/// epilogue activation, executed from persistently packed GEMM weight panels.
+/// epilogue activation, executed from persistently packed GEMM weight panels
+/// (or, once quantized, from int8 weights).
 #[derive(Debug)]
 pub struct FusedConv {
     /// The folded f32 weights; `None` for a conv rebuilt from a serialized
@@ -123,8 +116,6 @@ pub struct FusedConv {
     act: EpilogueAct,
     plan: Option<ConvPlan>,
     resident: Option<PackedBytes>,
-    qplan: Option<QuantConvPlan>,
-    qresident: Option<QuantPackedBytes>,
 }
 
 impl FusedConv {
@@ -142,18 +133,16 @@ impl FusedConv {
             act: EpilogueAct::None,
             plan: None,
             resident: None,
-            qplan: None,
-            qresident: None,
         }
     }
 
     /// Rebuilds a *plan-only* fused conv from a deserialized [`ConvPlan`]
-    /// (the zero-copy artifact path). The original weights are gone: the
-    /// conv serves forwards from the plan but cannot be re-folded or
-    /// quantized. Its panel bytes are deliberately **not** registered on the
-    /// thread-local packed gauge — loaded models may be shared across
-    /// worker threads behind an `Arc` and would unbalance per-thread
-    /// accounting; the artifact layer reports their residency instead.
+    /// (the zero-copy artifact path), f32 or int8. The original weights are
+    /// gone: the conv serves forwards from the plan but cannot be re-folded
+    /// or quantized. Its weight bytes are deliberately **not** registered on
+    /// the thread-local gauges — loaded models may be shared across worker
+    /// threads behind an `Arc` and would unbalance per-thread accounting;
+    /// the artifact layer reports their residency instead.
     pub fn from_plan(plan: ConvPlan) -> Self {
         Self {
             weight: None,
@@ -163,35 +152,12 @@ impl FusedConv {
             act: plan.act(),
             plan: Some(plan),
             resident: None,
-            qplan: None,
-            qresident: None,
         }
     }
 
-    /// Rebuilds a plan-only *quantized* fused conv from a deserialized
-    /// [`QuantConvPlan`]; see [`FusedConv::from_plan`].
-    pub fn from_qplan(qplan: QuantConvPlan) -> Self {
-        Self {
-            weight: None,
-            c_out: qplan.c_out(),
-            bias: qplan.bias().to_vec(),
-            spec: *qplan.spec(),
-            act: qplan.act(),
-            plan: None,
-            resident: None,
-            qplan: Some(qplan),
-            qresident: None,
-        }
-    }
-
-    /// The compiled f32 plan, if present (serialization support).
+    /// The compiled plan, if present (serialization support).
     pub fn plan(&self) -> Option<&ConvPlan> {
         self.plan.as_ref()
-    }
-
-    /// The compiled int8 plan, if present (serialization support).
-    pub fn qplan(&self) -> Option<&QuantConvPlan> {
-        self.qplan.as_ref()
     }
 
     /// Output channel count.
@@ -202,7 +168,7 @@ impl FusedConv {
     /// Folds a following per-channel affine `y = scale * x + shift` into the
     /// weights and bias: `w' = scale * w`, `b' = scale * b + shift`.
     pub(crate) fn fold_affine(&mut self, scale: &[f32], shift: &[f32]) {
-        assert!(self.plan.is_none() && self.qplan.is_none(), "cannot fold into a compiled conv");
+        assert!(self.plan.is_none(), "cannot fold into a compiled conv");
         let c_out = self.c_out();
         assert_eq!(scale.len(), c_out, "affine scale length mismatch");
         assert_eq!(shift.len(), c_out, "affine shift length mismatch");
@@ -220,11 +186,7 @@ impl FusedConv {
     /// Returns `false` (leaving the conv unchanged) when an activation is
     /// already fused or the conv is compiled.
     pub(crate) fn try_set_act(&mut self, act: EpilogueAct) -> bool {
-        if self.act == EpilogueAct::None
-            && act != EpilogueAct::None
-            && self.plan.is_none()
-            && self.qplan.is_none()
-        {
+        if self.act == EpilogueAct::None && act != EpilogueAct::None && self.plan.is_none() {
             self.act = act;
             true
         } else {
@@ -234,51 +196,49 @@ impl FusedConv {
 
     /// Packs the weight panels (idempotent). Counts one
     /// `"freeze.weights_packed"` event and registers the resident bytes.
-    /// A no-op on a conv that was already [`FusedConv::quantize`]d — the
-    /// int8 image supersedes the f32 panels.
+    /// A no-op on a conv that was already [`FusedConv::quantize`]d — its
+    /// int8 weights supersede the f32 panels.
     pub fn compile(&mut self) {
-        if self.plan.is_none() && self.qplan.is_none() {
+        if self.plan.is_none() {
             let weight = self.weight.as_ref().expect("plan-only convs are always compiled");
             let plan = ConvPlan::new(weight, self.bias.clone(), self.spec, self.act);
             meter::count("freeze.weights_packed");
-            self.resident = Some(PackedBytes::new(plan.packed_bytes()));
+            self.resident = Some(PackedBytes::new(plan.packed_bytes(), false));
             self.plan = Some(plan);
         }
     }
 
     /// Lowers this conv to int8 (idempotent): quantizes the folded weights
-    /// per output channel, packs the int8 panels, counts one
-    /// `"freeze.weights_quantized"` event and registers the resident bytes
-    /// on the quantized gauge. Any existing f32 packed panels are released
-    /// — a quantized conv serves int8 only.
+    /// per output channel, counts one `"freeze.weights_quantized"` event and
+    /// registers the resident bytes on the quantized gauge. Any existing f32
+    /// packed panels are released — a quantized conv keeps int8 weights
+    /// only.
     pub fn quantize(&mut self) {
-        if self.qplan.is_none() {
+        if !self.is_quantized() {
             // A plan-only conv has no raw weights left to re-quantize; it
             // keeps serving its existing f32 plan.
             let Some(weight) = self.weight.as_ref() else { return };
-            let qplan = QuantConvPlan::new(weight, self.bias.clone(), self.spec, self.act);
+            let plan = ConvPlan::new_int8(weight, self.bias.clone(), self.spec, self.act);
             meter::count("freeze.weights_quantized");
-            self.qresident = Some(QuantPackedBytes::new(qplan.packed_bytes()));
-            self.qplan = Some(qplan);
-            self.plan = None;
-            self.resident = None;
+            self.resident = Some(PackedBytes::new(plan.packed_bytes(), true));
+            self.plan = Some(plan);
         }
     }
 
     /// `true` once [`FusedConv::quantize`] has lowered this conv to int8.
     pub fn is_quantized(&self) -> bool {
-        self.qplan.is_some()
+        self.plan.as_ref().is_some_and(ConvPlan::is_int8)
     }
 
     /// Bytes of packed f32 panels (0 before [`FusedConv::compile`] and
     /// after [`FusedConv::quantize`]).
     pub fn packed_bytes(&self) -> usize {
-        self.plan.as_ref().map(|p| p.packed_bytes()).unwrap_or(0)
+        self.plan.as_ref().filter(|p| !p.is_int8()).map_or(0, ConvPlan::packed_bytes)
     }
 
-    /// Bytes of quantized packed panels (0 unless quantized).
+    /// Bytes of int8 weights and their scales (0 unless quantized).
     pub fn quant_packed_bytes(&self) -> usize {
-        self.qplan.as_ref().map(|p| p.packed_bytes()).unwrap_or(0)
+        self.plan.as_ref().filter(|p| p.is_int8()).map_or(0, ConvPlan::packed_bytes)
     }
 
     /// Output shape for input shape `x`.
@@ -292,41 +252,19 @@ impl FusedConv {
     ///
     /// Panics if the conv was not compiled.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_carry(x, Carry::default()).0
+        self.forward_sums(x).0
     }
 
-    /// Fused forward with the producer → consumer [`Carry`]: the int8 path
-    /// reads `x`'s absmax from it instead of scanning and hands on its
-    /// output's (the f32 path ignores and yields none); a depthwise conv of
-    /// either precision hands on its output's plane sums.
+    /// Fused forward that also hands back a depthwise conv's output plane
+    /// sums (see [`ConvPlan::try_forward_sums`]).
     ///
     /// # Panics
     ///
     /// Panics if the conv was not compiled.
-    pub(crate) fn forward_carry(&self, x: &Tensor, carry: Carry) -> (Tensor, Carry) {
-        if let Some(q) = &self.qplan {
-            let (y, m, plane_sums) = q.forward_quant(x, carry.absmax);
-            (y, Carry { absmax: Some(m), plane_sums })
-        } else {
-            let plan = self.plan.as_ref().expect("FusedConv::forward before compile()");
-            let (y, plane_sums) = plan.try_forward_sums(x).unwrap_or_else(|e| panic!("{e}"));
-            (y, Carry { absmax: None, plane_sums })
-        }
+    fn forward_sums(&self, x: &Tensor) -> (Tensor, Option<Tensor>) {
+        let plan = self.plan.as_ref().expect("FusedConv::forward before compile()");
+        plan.try_forward_sums(x).unwrap_or_else(|e| panic!("{e}"))
     }
-}
-
-/// What a fused kernel learned about its output while writing it, handed to
-/// the layer that consumes that output so it need not pass over it again.
-/// Layers that change values drop what no longer holds.
-#[derive(Debug, Default)]
-pub(crate) struct Carry {
-    /// The tensor's exact absolute maximum (int8 convs fold the scan into
-    /// their write-back; the next quantized conv takes its activation scale
-    /// from it).
-    absmax: Option<f32>,
-    /// Every plane's sum as `[n, c, 1, 1]` (depthwise convs finish it in
-    /// the kernel's registers; a squeeze-excite gate pools from it).
-    plane_sums: Option<Tensor>,
 }
 
 /// A dense layer whose `[out, in]` weight is packed once as the GEMM's left
@@ -356,7 +294,7 @@ impl PackedLinear {
         let weight = PackedGemmA::pack(out_f, in_f, weight.data());
         let resident = register.then(|| {
             meter::count("freeze.weights_packed");
-            PackedBytes::new(weight.bytes())
+            PackedBytes::new(weight.bytes(), false)
         });
         Some(Self { weight, bias: bias.data().to_vec(), _resident: resident })
     }
@@ -588,41 +526,32 @@ impl FrozenLayer {
     ///
     /// Panics if the tree contains an uncompiled conv.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_carry(x, Carry::default()).0
+        self.forward_sums(x, None).0
     }
 
-    /// Fused forward threading the producer → consumer [`Carry`]: quantized
-    /// convs fold their output's absmax scan into the kernel write-back and
-    /// hand it to the next quantized consumer through value-preserving
-    /// layers, so chained int8 layers never re-scan their inputs; a
-    /// depthwise conv hands its plane sums to a squeeze-excite gate that
-    /// directly follows it, which then skips its pooling pass. Layers that
-    /// change values drop the carry.
+    /// Fused forward threading the plane sums `sums` of `x`, `[n, c, 1, 1]`,
+    /// when its producer had them: a depthwise conv finishes its output's
+    /// in the kernel's registers and hands them to a squeeze-excite gate
+    /// that directly follows it, which then skips its pooling pass. Layers
+    /// that change values drop them.
     ///
     /// # Panics
     ///
     /// Panics if the tree contains an uncompiled conv.
-    pub(crate) fn forward_carry(&self, x: &Tensor, carry: Carry) -> (Tensor, Carry) {
+    pub(crate) fn forward_sums(&self, x: &Tensor, sums: Option<Tensor>) -> (Tensor, Option<Tensor>) {
         match self {
-            // Exact value-preserving rearrangements keep what still holds.
-            FrozenLayer::Identity => (x.clone(), carry),
-            FrozenLayer::SpaceToDepth { block } => {
-                (space_to_depth(x, *block), Carry { plane_sums: None, ..carry })
-            }
-            FrozenLayer::Conv(fc) => fc.forward_carry(x, carry),
+            FrozenLayer::Identity => (x.clone(), sums),
+            FrozenLayer::Conv(fc) => fc.forward_sums(x),
             FrozenLayer::Seq(children) => match children.split_first() {
-                None => (x.clone(), carry),
+                None => (x.clone(), sums),
                 Some((first, rest)) => rest
                     .iter()
-                    .fold(first.forward_carry(x, carry), |(cur, carry), c| c.forward_carry(&cur, carry)),
+                    .fold(first.forward_sums(x, sums), |(cur, sums), c| c.forward_sums(&cur, sums)),
             },
-            FrozenLayer::Residual(inner) => {
-                let (b, _) = inner.forward_carry(x, carry);
-                (&b + x, Carry::default())
-            }
+            FrozenLayer::Residual(inner) => (&inner.forward_sums(x, sums).0 + x, None),
             FrozenLayer::SqueezeExcite { reduce, expand } => {
                 let xs = x.shape();
-                let pooled = match carry.plane_sums {
+                let pooled = match sums {
                     Some(mut sums) => {
                         debug_assert_eq!(sums.shape(), Shape::new(xs.n, xs.c, 1, 1));
                         let hw = xs.hw() as f32;
@@ -631,21 +560,21 @@ impl FrozenLayer {
                     }
                     None => global_avg_pool(x),
                 };
-                (x.mul_planes(&expand.forward(&reduce.forward(&pooled))), Carry::default())
+                (x.mul_planes(&expand.forward(&reduce.forward(&pooled))), None)
             }
-            other => (other.forward_uncarried(x), Carry::default()),
+            other => (other.forward_unsummed(x), None),
         }
     }
 
-    /// Forward arms that neither consume nor produce an absmax carry.
-    fn forward_uncarried(&self, x: &Tensor) -> Tensor {
+    /// Forward arms that neither consume nor produce plane sums.
+    fn forward_unsummed(&self, x: &Tensor) -> Tensor {
         match self {
             FrozenLayer::Identity
             | FrozenLayer::Conv(_)
             | FrozenLayer::Seq(_)
             | FrozenLayer::Residual(_)
-            | FrozenLayer::SqueezeExcite { .. }
-            | FrozenLayer::SpaceToDepth { .. } => unreachable!("handled by forward_carry"),
+            | FrozenLayer::SqueezeExcite { .. } => unreachable!("handled by forward_sums"),
+            FrozenLayer::SpaceToDepth { block } => space_to_depth(x, *block),
             FrozenLayer::Affine { scale, bias } => {
                 let mut y = x.clone();
                 y.mul_channel(scale);
@@ -715,7 +644,7 @@ pub trait FrozenTree {
         total
     }
 
-    /// `true` when at least one conv runs the int8 path.
+    /// `true` when at least one conv holds int8 weights.
     fn is_quantized(&self) -> bool {
         self.quant_packed_bytes() > 0
     }
@@ -798,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn squeeze_excite_pools_from_the_depthwise_carry() {
+    fn squeeze_excite_pools_from_the_depthwise_plane_sums() {
         // Depthwise -> SE, f32 and int8: the gate must take the conv's plane
         // sums (no pooling pass) and land where the pooled fallback does.
         let mut rng = StdRng::seed_from_u64(11);
@@ -809,8 +738,8 @@ mod tests {
         let x = Tensor::randn(Shape::new(2, 8, 9, 7), 1.0, &mut rng);
         for frozen in [freeze_layer(&seq).unwrap(), freeze_layer_int8(&seq).unwrap()] {
             let FrozenLayer::Seq(children) = &frozen else { panic!("conv + gate stay two layers") };
-            let (mid, carry) = children[0].forward_carry(&x, Carry::default());
-            let sums = carry.plane_sums.expect("a depthwise conv carries its plane sums");
+            let (mid, sums) = children[0].forward_sums(&x, None);
+            let sums = sums.expect("a depthwise conv hands on its plane sums");
             let (pooled, hw) = (global_avg_pool(&mid), mid.shape().hw() as f32);
             for (s, p) in sums.data().iter().zip(pooled.data()) {
                 assert!((s / hw - p).abs() <= 1e-5 * (1.0 + p.abs()), "sum {s} vs mean {p}");
@@ -952,13 +881,6 @@ mod tests {
         // random model stay within a few percent of the f32 frozen output.
         let tol = 0.05 * (1.0 + want.abs_max());
         assert!(got.max_abs_diff(&want) < tol, "diff {}", got.max_abs_diff(&want));
-
-        // The carry path (scan folded into the producer's write-back) must
-        // be bit-identical to forwards that re-scan at every layer.
-        let (carried, carry) =
-            int8.forward_carry(&x, Carry { absmax: Some(x.abs_max()), plane_sums: None });
-        assert_eq!(carried, got);
-        assert_eq!(carry.absmax.expect("quantized chain ends in a conv"), got.abs_max());
     }
 
     #[test]

@@ -303,9 +303,9 @@ mod tests {
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.shape(), w.shape(), "stream {i}");
-            // Quantization error compounds at roughly 3% of dynamic range
-            // per MBConv (7-bit activations); the silo + block chain routes
-            // stream 1 through three of them plus additive couplings.
+            // Weight quantization error compounds through every MBConv; the
+            // silo + block chain routes stream 1 through three of them plus
+            // additive couplings.
             let tol = 0.12 * (1.0 + w.abs_max());
             assert!(
                 g.max_abs_diff(w) < tol,

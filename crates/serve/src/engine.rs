@@ -43,8 +43,9 @@ pub enum Precision {
     /// f32 fused kernels (the PR-4 frozen fast path).
     #[default]
     F32,
-    /// Per-channel int8 weights with dynamic activation quantization; falls
-    /// back to [`Precision::F32`] when the accuracy gate trips.
+    /// Per-output-channel int8 weights, run by the f32 kernels with f32
+    /// activations, so an answer does not depend on its batch neighbours;
+    /// falls back to [`Precision::F32`] when the accuracy gate trips.
     Int8,
 }
 
@@ -954,7 +955,7 @@ const RESERVE_PATIENCE: Duration = Duration::from_millis(250);
 /// Variants configured as [`Precision::Int8`] pass through the quantization
 /// accuracy gate at build time: the int8 model must agree with its f32 twin
 /// on seeded calibration inputs, else the worker serves f32 and counts
-/// `serve.quant_gate_trip`. The bank publishes its resident f32/int8 panel
+/// `serve.quant_gate_trip`. The bank publishes its resident f32/int8 weight
 /// bytes to the engine [`Counters`] (delta-adjusted, so totals across
 /// workers stay exact) and withdraws them on drop.
 struct ModelBank {

@@ -82,7 +82,7 @@ pub struct Counters {
     pub quant_gate_trips: AtomicU64,
     /// f32 packed weight-panel bytes currently resident across all workers.
     pub resident_f32_bytes: AtomicUsize,
-    /// int8 quantized weight-panel bytes currently resident across all
+    /// int8 weight bytes (with their scales) currently resident across all
     /// workers.
     pub resident_int8_bytes: AtomicUsize,
     /// Hot reloads that published a new model generation.
@@ -176,7 +176,7 @@ pub struct HealthSnapshot {
     pub quant_gate_trips: u64,
     /// f32 packed weight-panel bytes resident across all workers.
     pub resident_f32_bytes: usize,
-    /// int8 quantized weight-panel bytes resident across all workers.
+    /// int8 weight bytes (with their scales) resident across all workers.
     pub resident_int8_bytes: usize,
     /// Model generation currently published (0 = config-frozen baseline,
     /// bumped once per successful hot reload).

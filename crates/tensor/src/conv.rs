@@ -28,12 +28,12 @@
 //!
 //! Frozen plans and training share one depthwise kernel over **zero-padded
 //! plane images** ([`crate::dw_plane`]: register tile, column phases for
-//! strided kernels, epilogue and plane abs-max / sum in registers, AVX2 and a
-//! scalar twin with the same bits):
+//! strided kernels, epilogue and plane sum in registers, AVX2 and a scalar
+//! twin with the same bits):
 //!
 //! - the forward is `depthwise_planes` everywhere — f32 plans, int8 plans
-//!   (which quantize on the way into the image) and training, which passes
-//!   the identity epilogue (`bias 0`, no activation, `scale 1`);
+//!   (whose taps are dequantized as the driver writes them) and training,
+//!   which passes the identity epilogue (`bias 0`, no activation);
 //! - at stride 1 the input gradient **is that forward kernel**, run over
 //!   `dy` zero-padded by `k - 1 - p` with the taps flipped, and each tap's
 //!   weight gradient is one contiguous dot product of the padded `dy` and
@@ -49,17 +49,19 @@
 //! (6², 3²) go several to a parallel tile so one scratch borrow serves them
 //! all.
 
-use crate::dw_plane::{depthwise_padded_plane, pad_plane, run_lanes, DwCall, GatherRows, GradPlane, LaneKernel, Lanes, PlaneImage};
-use crate::matmul::{sgemm, sgemm_a_bt, sgemm_at_b, sgemm_gathered, sgemm_prepacked, Epilogue, EpilogueAct, PackedGemmA};
-use crate::par::{for_each_sample, plane_groups_mut, tiles_mut, GradSink, Runs, SyncPtr};
-use crate::qmatmul::{
-    cpu_has_avx2, int8_act_scale, int8_use_avx2, qgemm_prepacked, quantize_activations,
-    quantize_weights_per_row, PackedGemmAI8, INT8_ACT_ZERO_POINT,
+use crate::dw_plane::{
+    cpu_has_avx2, depthwise_padded_plane, pad_plane, run_lanes, DwCall, GatherRows, GradPlane, LaneKernel, Lanes,
+    PlaneImage,
 };
+use crate::matmul::{
+    sgemm, sgemm_a_bt, sgemm_at_b, sgemm_gathered, sgemm_int8, sgemm_prepacked, Epilogue, EpilogueAct, Int8Rows,
+    PackedGemmA,
+};
+use crate::par::{for_each_sample, plane_groups_mut, tiles_mut, GradSink, Runs, SyncPtr};
+use crate::qmatmul::quantize_weights_per_row;
 use crate::scratch;
 use crate::shape::{Shape, ShapeError};
 use crate::tensor::Tensor;
-use std::sync::atomic::AtomicU32;
 
 /// Geometry of a 2-D convolution.
 ///
@@ -287,8 +289,8 @@ pub fn conv2d_backward_accumulate(
 
 // ------------------------------------------------------------- frozen plans
 
-/// Dispatch-specific payload of a [`ConvPlan`]. Public so frozen-model
-/// artifacts can disassemble and rebuild plans without re-packing weights.
+/// Where a [`ConvPlan`]'s weights live. Public so frozen-model artifacts can
+/// disassemble and rebuild plans without re-packing or re-quantizing.
 #[derive(Clone, Debug)]
 pub enum PlanKind {
     /// `[c_out, c_in]` weights packed once as the GEMM left operand.
@@ -304,11 +306,24 @@ pub enum PlanKind {
         /// Per-group packed operands, group-major.
         groups: Vec<PackedGemmA>,
     },
+    /// Per-output-channel int8 weights, any geometry: the f32 kernels read
+    /// `q as f32 * scale` where they read a weight (the GEMM as it packs its
+    /// A panel, the depthwise driver as it writes a channel's taps), so the
+    /// plan computes what an f32 plan of those dequantized weights does, bit
+    /// for bit. Activations stay f32.
+    Int8 {
+        /// Row-major `[c_out, c_in / groups * kh * kw]`, each row
+        /// `round(w / scale)` clamped to `[-127, 127]`.
+        qweight: Vec<i8>,
+        /// Per-output-channel scales, `max|w| / 127` (1 for a zero row).
+        scales: Vec<f32>,
+    },
 }
 
 /// A convolution compiled for frozen inference: weights pre-packed into the
-/// blocked GEMM's panel layout exactly once, with the per-channel bias and
-/// activation fused into the kernel write-back.
+/// blocked GEMM's panel layout exactly once (or kept as int8 rows, see
+/// [`PlanKind::Int8`]), with the per-channel bias and activation fused into
+/// the kernel write-back.
 ///
 /// The plan is immutable after construction — repeated [`ConvPlan::forward`]
 /// calls never re-pack weights; only the per-call im2col columns and the
@@ -333,26 +348,30 @@ impl ConvPlan {
     /// Panics if `bias.len() != c_out` or the weight shape disagrees with
     /// `spec` (zero-sized kernels/groups included).
     pub fn new(w: &Tensor, bias: Vec<f32>, spec: ConvSpec, act: EpilogueAct) -> Self {
-        let ws = w.shape();
-        let c_out = ws.n;
-        let c_in = ws.c * spec.groups;
-        assert_eq!(bias.len(), c_out, "conv plan bias must have c_out entries");
-        assert!(spec.groups > 0 && spec.kh > 0 && spec.kw > 0 && spec.sh > 0 && spec.sw > 0, "degenerate conv spec");
-        assert_eq!((ws.h, ws.w), (spec.kh, spec.kw), "weight kernel dims must match spec");
-        assert!(c_out.is_multiple_of(spec.groups), "c_out must divide into groups");
+        let (c_in, c_out) = check_plan_args(w, &bias, &spec);
+        let data = w.data();
         let kind = if spec.is_pointwise() {
-            PlanKind::Pointwise(PackedGemmA::pack(c_out, c_in, w.data()))
-        } else if spec.groups > 1 && ws.c == 1 && c_out == spec.groups {
-            PlanKind::Depthwise { weight: w.data().to_vec() }
+            PlanKind::Pointwise(PackedGemmA::pack(c_out, c_in, data))
+        } else if is_depthwise(&spec, c_in, c_out) {
+            PlanKind::Depthwise { weight: data.to_vec() }
         } else {
-            let cout_g = c_out / spec.groups;
-            let k = ws.c * spec.kh * spec.kw;
-            let groups = (0..spec.groups)
-                .map(|g| PackedGemmA::pack(cout_g, k, &w.data()[g * cout_g * k..(g + 1) * cout_g * k]))
-                .collect();
+            let (cout_g, k) = (c_out / spec.groups, data.len() / c_out);
+            let groups = data.chunks_exact(cout_g * k).map(|wg| PackedGemmA::pack(cout_g, k, wg)).collect();
             PlanKind::General { groups }
         };
         Self { spec, c_in, c_out, bias, act, kind }
+    }
+
+    /// [`ConvPlan::new`] with the weights quantized per output channel to
+    /// int8 ([`PlanKind::Int8`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`ConvPlan::new`].
+    pub fn new_int8(w: &Tensor, bias: Vec<f32>, spec: ConvSpec, act: EpilogueAct) -> Self {
+        let (c_in, c_out) = check_plan_args(w, &bias, &spec);
+        let (qweight, scales) = quantize_weights_per_row(c_out, w.data().len() / c_out, w.data());
+        Self { spec, c_in, c_out, bias, act, kind: PlanKind::Int8 { qweight, scales } }
     }
 
     /// The convolution geometry this plan was compiled for.
@@ -380,13 +399,19 @@ impl ConvPlan {
         self.act
     }
 
-    /// The dispatch-specific payload (packed panels / raw taps).
+    /// The weight payload (packed panels, raw taps or int8 rows).
     pub fn kind(&self) -> &PlanKind {
         &self.kind
     }
 
+    /// Whether the weights are int8 ([`PlanKind::Int8`]).
+    pub fn is_int8(&self) -> bool {
+        matches!(self.kind, PlanKind::Int8 { .. })
+    }
+
     /// Reassembles a plan from serialized parts without re-packing —
-    /// the artifact-loading counterpart of [`ConvPlan::new`].
+    /// the artifact-loading counterpart of [`ConvPlan::new`] and
+    /// [`ConvPlan::new_int8`].
     ///
     /// # Errors
     ///
@@ -409,36 +434,30 @@ impl ConvPlan {
         if c_out == 0 || c_in == 0 || !c_out.is_multiple_of(spec.groups) || !c_in.is_multiple_of(spec.groups) {
             return Err("channel counts must divide into groups");
         }
-        match &kind {
-            PlanKind::Pointwise(pa) => {
-                if !spec.is_pointwise() || pa.m() != c_out || pa.k() != c_in {
-                    return Err("pointwise payload disagrees with the plan header");
-                }
-            }
-            PlanKind::Depthwise { weight } => {
-                if spec.groups != c_out || c_in != c_out || weight.len() != c_out * spec.kh * spec.kw {
-                    return Err("depthwise payload disagrees with the plan header");
-                }
-            }
+        let k = (c_in / spec.groups) * spec.kh * spec.kw;
+        let fits = match &kind {
+            PlanKind::Pointwise(pa) => spec.is_pointwise() && pa.m() == c_out && pa.k() == c_in,
+            PlanKind::Depthwise { weight } => is_depthwise(&spec, c_in, c_out) && weight.len() == c_out * k,
             PlanKind::General { groups } => {
-                let cout_g = c_out / spec.groups;
-                let k = (c_in / spec.groups) * spec.kh * spec.kw;
-                if groups.len() != spec.groups
-                    || groups.iter().any(|pa| pa.m() != cout_g || pa.k() != k)
-                {
-                    return Err("grouped payload disagrees with the plan header");
-                }
+                groups.len() == spec.groups && groups.iter().all(|pa| pa.m() == c_out / spec.groups && pa.k() == k)
             }
+            PlanKind::Int8 { qweight, scales } => qweight.len() == c_out * k && scales.len() == c_out,
+        };
+        if fits {
+            Ok(Self { spec, c_in, c_out, bias, act, kind })
+        } else {
+            Err("weight payload disagrees with the plan header")
         }
-        Ok(Self { spec, c_in, c_out, bias, act, kind })
     }
 
-    /// Resident bytes of the persistent packed/retained weight image.
+    /// Resident bytes of the persistent packed/retained weight image (int8
+    /// rows and their scales for an int8 plan).
     pub fn packed_bytes(&self) -> usize {
         match &self.kind {
             PlanKind::Pointwise(pa) => pa.bytes(),
             PlanKind::Depthwise { weight } => weight.len() * std::mem::size_of::<f32>(),
             PlanKind::General { groups } => groups.iter().map(PackedGemmA::bytes).sum(),
+            PlanKind::Int8 { qweight, scales } => qweight.len() + scales.len() * std::mem::size_of::<f32>(),
         }
     }
 
@@ -496,349 +515,83 @@ impl ConvPlan {
             });
         }
         let mut out = Tensor::zeros(self.out_shape(xs));
-        let mut sums = None;
-        match &self.kind {
-            PlanKind::Pointwise(pa) => {
-                let hw = xs.hw();
-                let chw_in = xs.chw();
-                let chw_out = out.shape().chw();
-                let xdata = x.data();
-                let epi = Epilogue::new(Some(&self.bias), self.act);
+        let (xdata, chw_in, chw_out) = (x.data(), xs.chw(), out.shape().chw());
+        let ksz = self.spec.kh * self.spec.kw;
+        let sums = match &self.kind {
+            PlanKind::Depthwise { weight } => Some(self.depthwise(x, &mut out, |c, kern| {
+                kern.copy_from_slice(&weight[c * ksz..(c + 1) * ksz]);
+            })),
+            PlanKind::Int8 { qweight, scales } if is_depthwise(&self.spec, self.c_in, self.c_out) => {
+                Some(self.depthwise(x, &mut out, |c, kern| {
+                    for (t, &q) in kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]) {
+                        *t = q as f32 * scales[c];
+                    }
+                }))
+            }
+            _ if self.spec.is_pointwise() => {
                 for_each_sample(out.data_mut(), chw_out, |n, yslice| {
-                    let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-                    sgemm_prepacked(pa, hw, xn, yslice, &epi);
+                    self.gemm(0, xs.hw(), &xdata[n * chw_in..(n + 1) * chw_in], yslice);
                 });
+                None
             }
-            PlanKind::Depthwise { weight } => {
-                let ksz = self.spec.kh * self.spec.kw;
-                let (plane_sums, _) = depthwise_planes(
-                    x,
-                    &self.spec,
-                    cpu_has_avx2(),
-                    &mut out,
-                    None,
-                    |c, kern| kern.copy_from_slice(&weight[c * ksz..(c + 1) * ksz]),
-                    |c| (1.0, self.bias[c], self.act),
-                );
-                sums = Some(plane_sums);
-            }
-            PlanKind::General { groups } => {
-                let os = out.shape();
-                let (oh, ow) = (os.h, os.w);
+            _ => {
+                let (oh, ow) = (out.shape().h, out.shape().w);
                 let cin_g = xs.c / self.spec.groups;
-                let cout_g = self.c_out / self.spec.groups;
-                let k = cin_g * self.spec.kh * self.spec.kw;
-                let xdata = x.data();
-                let chw_in = xs.chw();
-                let chw_out = os.chw();
-                let spec = self.spec;
-                let bias = &self.bias;
-                let act = self.act;
+                let ycols = self.c_out / self.spec.groups * oh * ow;
                 for_each_sample(out.data_mut(), chw_out, |n, yslice| {
                     let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-                    let mut col = scratch::take(k * oh * ow);
-                    for (g, pa) in groups.iter().enumerate() {
-                        im2col(xn, xs, &spec, g * cin_g, (g + 1) * cin_g, oh, ow, &mut col);
-                        let yg = &mut yslice[g * cout_g * oh * ow..(g + 1) * cout_g * oh * ow];
-                        let epi = Epilogue::new(Some(&bias[g * cout_g..(g + 1) * cout_g]), act);
-                        sgemm_prepacked(pa, oh * ow, &col, yg, &epi);
+                    let mut col = scratch::take(cin_g * ksz * oh * ow);
+                    for (g, yg) in yslice.chunks_exact_mut(ycols).enumerate() {
+                        im2col(xn, xs, &self.spec, g * cin_g, (g + 1) * cin_g, oh, ow, &mut col);
+                        self.gemm(g, oh * ow, &col, yg);
                     }
                 });
+                None
             }
-        }
+        };
         Ok((out, sums))
     }
-}
 
-// --------------------------------------------------------- quantized plans
-
-/// Dispatch-specific payload of a [`QuantConvPlan`]. Public so frozen-model
-/// artifacts can disassemble and rebuild plans without re-quantizing.
-#[derive(Clone, Debug)]
-pub enum QuantPlanKind {
-    /// `[c_out, c_in]` weights quantized per row and packed as the int8
-    /// GEMM left operand.
-    Pointwise(PackedGemmAI8),
-    /// Per-channel quantized depthwise taps (the plane kernel consumes the
-    /// integer values directly) with their dequantization scales.
-    Depthwise {
-        /// Per-channel int8 taps `[c, kh, kw]`.
-        qweight: Vec<i8>,
-        /// Per-channel dequantization scales.
-        scales: Vec<f32>,
-    },
-    /// One quantized packed left operand per group for the im2col path.
-    General {
-        /// Per-group quantized packed operands, group-major.
-        groups: Vec<PackedGemmAI8>,
-    },
-}
-
-/// A convolution lowered to int8 for frozen inference: per-output-channel
-/// symmetric int8 weights (scale `max|w| / 127`, quantized and packed once
-/// at build time) with f32 bias/scale sidecars. Inputs are quantized per
-/// tensor on the fly (7-bit symmetric, see [`crate::quantize_activations`]);
-/// the dequantize + bias + activation epilogue is fused into the kernel
-/// write-back, which also folds the *output* absmax scan so the next
-/// quantized layer gets its activation scale for free.
-#[derive(Clone, Debug)]
-pub struct QuantConvPlan {
-    spec: ConvSpec,
-    c_in: usize,
-    c_out: usize,
-    bias: Vec<f32>,
-    act: EpilogueAct,
-    kind: QuantPlanKind,
-}
-
-impl QuantConvPlan {
-    /// Quantizes and compiles a plan from folded f32 weights
-    /// `[c_out, c_in/groups, kh, kw]`, a per-channel bias and the
-    /// activation to fuse — the int8 counterpart of [`ConvPlan::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape contract as [`ConvPlan::new`].
-    pub fn new(w: &Tensor, bias: Vec<f32>, spec: ConvSpec, act: EpilogueAct) -> Self {
-        let ws = w.shape();
-        let c_out = ws.n;
-        let c_in = ws.c * spec.groups;
-        assert_eq!(bias.len(), c_out, "conv plan bias must have c_out entries");
-        assert!(spec.groups > 0 && spec.kh > 0 && spec.kw > 0 && spec.sh > 0 && spec.sw > 0, "degenerate conv spec");
-        assert_eq!((ws.h, ws.w), (spec.kh, spec.kw), "weight kernel dims must match spec");
-        assert!(c_out.is_multiple_of(spec.groups), "c_out must divide into groups");
-        let kind = if spec.is_pointwise() {
-            QuantPlanKind::Pointwise(PackedGemmAI8::pack_quantize(c_out, c_in, w.data()))
-        } else if spec.groups > 1 && ws.c == 1 && c_out == spec.groups {
-            let (qweight, scales) = quantize_weights_per_row(c_out, spec.kh * spec.kw, w.data());
-            QuantPlanKind::Depthwise { qweight, scales }
-        } else {
-            let cout_g = c_out / spec.groups;
-            let k = ws.c * spec.kh * spec.kw;
-            let groups = (0..spec.groups)
-                .map(|g| {
-                    PackedGemmAI8::pack_quantize(cout_g, k, &w.data()[g * cout_g * k..(g + 1) * cout_g * k])
-                })
-                .collect();
-            QuantPlanKind::General { groups }
-        };
-        Self { spec, c_in, c_out, bias, act, kind }
-    }
-
-    /// The convolution geometry this plan was compiled for.
-    pub fn spec(&self) -> &ConvSpec {
-        &self.spec
-    }
-
-    /// Output channels.
-    pub fn c_out(&self) -> usize {
-        self.c_out
-    }
-
-    /// Expected input channels.
-    pub fn c_in(&self) -> usize {
-        self.c_in
-    }
-
-    /// The fused per-channel bias.
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    /// The fused epilogue activation.
-    pub fn act(&self) -> EpilogueAct {
-        self.act
-    }
-
-    /// The dispatch-specific payload (quantized panels / taps).
-    pub fn kind(&self) -> &QuantPlanKind {
-        &self.kind
-    }
-
-    /// Reassembles a quantized plan from serialized parts without
-    /// re-quantizing — the artifact-loading counterpart of
-    /// [`QuantConvPlan::new`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects any inconsistency between `spec`, the channel counts, the
-    /// bias length and the payload's own dimensions.
-    pub fn from_parts(
-        spec: ConvSpec,
-        c_in: usize,
-        c_out: usize,
-        bias: Vec<f32>,
-        act: EpilogueAct,
-        kind: QuantPlanKind,
-    ) -> Result<Self, &'static str> {
-        if bias.len() != c_out {
-            return Err("conv plan bias must have c_out entries");
-        }
-        if spec.groups == 0 || spec.kh == 0 || spec.kw == 0 || spec.sh == 0 || spec.sw == 0 {
-            return Err("degenerate conv spec");
-        }
-        if c_out == 0 || c_in == 0 || !c_out.is_multiple_of(spec.groups) || !c_in.is_multiple_of(spec.groups) {
-            return Err("channel counts must divide into groups");
-        }
-        match &kind {
-            QuantPlanKind::Pointwise(pa) => {
-                if !spec.is_pointwise() || pa.m() != c_out || pa.k() != c_in {
-                    return Err("pointwise payload disagrees with the plan header");
-                }
-            }
-            QuantPlanKind::Depthwise { qweight, scales } => {
-                if spec.groups != c_out
-                    || c_in != c_out
-                    || qweight.len() != c_out * spec.kh * spec.kw
-                    || scales.len() != c_out
-                {
-                    return Err("depthwise payload disagrees with the plan header");
-                }
-            }
-            QuantPlanKind::General { groups } => {
-                let cout_g = c_out / spec.groups;
-                let k = (c_in / spec.groups) * spec.kh * spec.kw;
-                if groups.len() != spec.groups
-                    || groups.iter().any(|pa| pa.m() != cout_g || pa.k() != k)
-                {
-                    return Err("grouped payload disagrees with the plan header");
-                }
-            }
-        }
-        Ok(Self { spec, c_in, c_out, bias, act, kind })
-    }
-
-    /// Resident bytes of the quantized weight image and its sidecars.
-    pub fn packed_bytes(&self) -> usize {
+    /// `c = epilogue(w_g @ b)` for group `g`'s rows of the weights, `b`
+    /// holding `n` columns.
+    fn gemm(&self, g: usize, n: usize, b: &[f32], c: &mut [f32]) {
+        let cout_g = self.c_out / self.spec.groups;
+        let rows = g * cout_g..(g + 1) * cout_g;
+        let epi = Epilogue::new(Some(&self.bias[rows.clone()]), self.act);
         match &self.kind {
-            QuantPlanKind::Pointwise(pa) => pa.bytes(),
-            QuantPlanKind::Depthwise { qweight, scales } => qweight.len() + scales.len() * 4,
-            QuantPlanKind::General { groups } => groups.iter().map(PackedGemmAI8::bytes).sum(),
+            PlanKind::Pointwise(pa) => sgemm_prepacked(pa, n, b, c, &epi),
+            PlanKind::General { groups } => sgemm_prepacked(&groups[g], n, b, c, &epi),
+            PlanKind::Int8 { qweight, scales } => {
+                let k = qweight.len() / self.c_out;
+                let q = &qweight[rows.start * k..rows.end * k];
+                sgemm_int8(Int8Rows { q, scales: &scales[rows], k }, n, b, c, &epi);
+            }
+            PlanKind::Depthwise { .. } => unreachable!("depthwise plans run the plane kernel"),
         }
     }
 
-    /// Output shape for input shape `xs`.
-    pub fn out_shape(&self, xs: Shape) -> Shape {
-        self.spec.out_shape(xs, self.c_out)
+    /// The depthwise forward with `taps` writing a channel's f32 taps;
+    /// returns the output's plane sums.
+    fn depthwise(&self, x: &Tensor, out: &mut Tensor, taps: impl Fn(usize, &mut [f32]) + Sync) -> Tensor {
+        depthwise_planes(x, &self.spec, cpu_has_avx2(), out, taps, |c| (self.bias[c], self.act))
     }
+}
 
-    /// Quantized fused forward. `in_absmax` is the input's absolute maximum
-    /// if the producing layer already folded the scan into its write-back
-    /// (`None` scans here). Returns the output, *its* absmax and, from a
-    /// depthwise plan, its plane sums (see [`ConvPlan::try_forward_sums`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-shape violations; see
-    /// [`QuantConvPlan::try_forward_quant`].
-    pub fn forward_quant(&self, x: &Tensor, in_absmax: Option<f32>) -> (Tensor, f32, Option<Tensor>) {
-        self.try_forward_quant(x, in_absmax).unwrap_or_else(|e| panic!("{e}"))
-    }
+/// Checks a plan's weights `[c_out, c_in/groups, kh, kw]` and bias against
+/// `spec`; returns `(c_in, c_out)`.
+fn check_plan_args(w: &Tensor, bias: &[f32], spec: &ConvSpec) -> (usize, usize) {
+    let ws = w.shape();
+    assert_eq!(bias.len(), ws.n, "conv plan bias must have c_out entries");
+    assert!(spec.groups > 0 && spec.kh > 0 && spec.kw > 0 && spec.sh > 0 && spec.sw > 0, "degenerate conv spec");
+    assert_eq!((ws.h, ws.w), (spec.kh, spec.kw), "weight kernel dims must match spec");
+    assert!(ws.n.is_multiple_of(spec.groups), "c_out must divide into groups");
+    (ws.c * spec.groups, ws.n)
+}
 
-    /// Fallible quantized fused forward.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error under the same input contract as
-    /// [`ConvPlan::try_forward`].
-    pub fn try_forward_quant(
-        &self,
-        x: &Tensor,
-        in_absmax: Option<f32>,
-    ) -> Result<(Tensor, f32, Option<Tensor>), ShapeError> {
-        let xs = x.shape();
-        if xs.c != self.c_in {
-            return Err(ShapeError::DimMismatch {
-                what: "quantized conv input channels",
-                expected: Shape::new(xs.n, self.c_in, xs.h, xs.w),
-                got: xs,
-            });
-        }
-        if xs.h + 2 * self.spec.ph < self.spec.kh || xs.w + 2 * self.spec.pw < self.spec.kw {
-            return Err(ShapeError::DimMismatch {
-                what: "quantized conv input smaller than kernel",
-                expected: Shape::new(
-                    xs.n,
-                    xs.c,
-                    self.spec.kh.saturating_sub(2 * self.spec.ph),
-                    self.spec.kw.saturating_sub(2 * self.spec.pw),
-                ),
-                got: xs,
-            });
-        }
-        let a_scale =
-            int8_act_scale(in_absmax.unwrap_or_else(|| crate::qmatmul::abs_max_slice(x.data())));
-        let mut out = Tensor::zeros(self.out_shape(xs));
-        // Non-negative f32 max over u32 bit patterns is monotone: fetch_max
-        // on the bits merges per-sample/per-plane maxima deterministically.
-        let omax = AtomicU32::new(0);
-        let mut sums = None;
-        match &self.kind {
-            QuantPlanKind::Pointwise(pa) => {
-                let hw = xs.hw();
-                let chw_in = xs.chw();
-                let chw_out = out.shape().chw();
-                let xdata = x.data();
-                let epi = Epilogue::new(Some(&self.bias), self.act);
-                for_each_sample(out.data_mut(), chw_out, |n, yslice| {
-                    let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-                    let mut xq = scratch::take_u8(chw_in);
-                    quantize_activations(xn, a_scale, &mut xq);
-                    let m = qgemm_prepacked(pa, hw, &xq, a_scale, yslice, &epi);
-                    omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            QuantPlanKind::Depthwise { qweight, scales } => {
-                let ksz = self.spec.kh * self.spec.kw;
-                // Quantized taps and activations as integer-valued f32:
-                // every per-tap product (<= 63 * 127) and partial sum stays
-                // far below 2^24, so the f32 accumulation in the plane
-                // kernel is *exact* integer arithmetic — results are bitwise
-                // deterministic for any summation order or vector width,
-                // like the i32 GEMM path. Quantization copies the plane
-                // anyway, so it writes the zero-padded image directly (zero
-                // is exactly representable in the quantized domain).
-                let (plane_sums, m) = depthwise_planes(
-                    x,
-                    &self.spec,
-                    int8_use_avx2(),
-                    &mut out,
-                    Some(1.0 / a_scale),
-                    |c, kern| kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]).for_each(|(d, &q)| *d = q as f32),
-                    |c| (a_scale * scales[c], self.bias[c], self.act),
-                );
-                omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                sums = Some(plane_sums);
-            }
-            QuantPlanKind::General { groups } => {
-                let os = out.shape();
-                let (oh, ow) = (os.h, os.w);
-                let cin_g = xs.c / self.spec.groups;
-                let cout_g = self.c_out / self.spec.groups;
-                let k = cin_g * self.spec.kh * self.spec.kw;
-                let xdata = x.data();
-                let chw_in = xs.chw();
-                let chw_out = os.chw();
-                let spec = self.spec;
-                let bias = &self.bias;
-                let act = self.act;
-                for_each_sample(out.data_mut(), chw_out, |n, yslice| {
-                    let xn = &xdata[n * chw_in..(n + 1) * chw_in];
-                    let mut xq = scratch::take_u8(chw_in);
-                    quantize_activations(xn, a_scale, &mut xq);
-                    let mut col = scratch::take_u8(k * oh * ow);
-                    for (g, pa) in groups.iter().enumerate() {
-                        im2col_u8(&xq, xs, &spec, g * cin_g, (g + 1) * cin_g, oh, ow, &mut col);
-                        let yg = &mut yslice[g * cout_g * oh * ow..(g + 1) * cout_g * oh * ow];
-                        let epi = Epilogue::new(Some(&bias[g * cout_g..(g + 1) * cout_g]), act);
-                        let m = qgemm_prepacked(pa, oh * ow, &col, a_scale, yg, &epi);
-                        omax.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            }
-        }
-        Ok((out, f32::from_bits(omax.load(std::sync::atomic::Ordering::Relaxed)), sums))
-    }
+/// Whether a plan runs the depthwise plane kernel: one input and one output
+/// channel per group.
+fn is_depthwise(spec: &ConvSpec, c_in: usize, c_out: usize) -> bool {
+    spec.groups > 1 && spec.groups == c_in && c_in == c_out
 }
 
 // -------------------------------------------------------------- scheduling
@@ -934,21 +687,18 @@ fn pointwise_backward(x: &Tensor, w: &Tensor, dy: &Tensor, need_dx: bool, dw: Gr
 // ---------------------------------------------------------------- depthwise
 
 /// Runs [`depthwise_padded_plane`] over every `(sample, channel)` plane of
-/// `x` into `out` — the one driver of frozen f32 plans, int8 plans and the
-/// training forward. `quant` is [`pad_plane`]'s (int8 plans quantize on the
-/// way into the image), `taps` writes a channel's taps as f32, `epilogue`
-/// gives a channel's `(scale, bias, act)`. Returns the output's plane sums as
-/// `[n, c, 1, 1]` and its absolute maximum, both finished in the kernel's
-/// registers.
+/// `x` into `out` — the one driver of frozen f32 and int8 plans and the
+/// training forward. `taps` writes a channel's taps as f32, `epilogue` gives
+/// a channel's `(bias, act)`. Returns the output's plane sums as
+/// `[n, c, 1, 1]`, finished in the kernel's registers.
 fn depthwise_planes(
     x: &Tensor,
     spec: &ConvSpec,
     avx2: bool,
     out: &mut Tensor,
-    quant: Option<f32>,
     taps: impl Fn(usize, &mut [f32]) + Sync,
-    epilogue: impl Fn(usize) -> (f32, f32, EpilogueAct) + Sync,
-) -> (Tensor, f32) {
+    epilogue: impl Fn(usize) -> (f32, EpilogueAct) + Sync,
+) -> Tensor {
     let (xs, os) = (x.shape(), out.shape());
     let (hw, ohw) = (xs.hw(), os.hw());
     let ksz = spec.kh * spec.kw;
@@ -956,9 +706,6 @@ fn depthwise_planes(
     let lay = PlaneImage::new(xs.h, xs.w, spec);
     let floats = lay.floats(xs.w);
     let mut sums = Tensor::zeros(Shape::new(xs.n, xs.c, 1, 1));
-    // Non-negative f32 max over u32 bit patterns is monotone: fetch_max on
-    // the bits merges the planes' maxima deterministically.
-    let omax = AtomicU32::new(0);
     let runs = (Runs::new(out.data_mut(), ohw), Runs::new(sums.data_mut(), 1));
     plane_groups_mut(xs.n * xs.c, floats, runs, |group, (yplanes, plane_sums)| {
         // One copy into a zero-padded image buys a plane kernel with every
@@ -966,24 +713,20 @@ fn depthwise_planes(
         // image: each overwrites the interior, the zero border stays.
         let mut buf = scratch::take(ksz + floats);
         let (kern, img) = buf.split_at_mut(ksz);
-        let mut group_max = 0.0f32;
         for (k, p) in group.enumerate() {
             let c = p % xs.c;
             taps(c, kern);
-            pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, lay, img, quant);
-            let (scale, bias, act) = epilogue(c);
-            let call = DwCall { lay, oh: os.h, ow: os.w, scale, bias, act };
-            let (m, s) = depthwise_padded_plane(img, kern, spec, &call, avx2, &mut yplanes[k * ohw..(k + 1) * ohw]);
-            plane_sums[k] = s;
-            group_max = group_max.max(m);
+            pad_plane(&xdata[p * hw..(p + 1) * hw], xs.w, spec.ph, spec.pw, lay, img);
+            let (bias, act) = epilogue(c);
+            let call = DwCall { lay, oh: os.h, ow: os.w, bias, act };
+            plane_sums[k] = depthwise_padded_plane(img, kern, spec, &call, avx2, &mut yplanes[k * ohw..(k + 1) * ohw]);
         }
-        omax.fetch_max(group_max.to_bits(), std::sync::atomic::Ordering::Relaxed);
     });
-    (sums, f32::from_bits(omax.load(std::sync::atomic::Ordering::Relaxed)))
+    sums
 }
 
 /// The training depthwise forward: the frozen plans' kernel and driver with
-/// the identity epilogue (`scale 1`, `bias 0`, no activation).
+/// the identity epilogue (`bias 0`, no activation).
 fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) {
     let ksz = spec.kh * spec.kw;
     let wdata = w.data();
@@ -992,9 +735,8 @@ fn depthwise_forward(x: &Tensor, w: &Tensor, spec: &ConvSpec, out: &mut Tensor) 
         spec,
         cpu_has_avx2(),
         out,
-        None,
         |c, kern| kern.copy_from_slice(&wdata[c * ksz..(c + 1) * ksz]),
-        |_| (1.0, 0.0, EpilogueAct::None),
+        |_| (0.0, EpilogueAct::None),
     );
 }
 
@@ -1126,11 +868,11 @@ fn depthwise_backward_plane_body(
     // Both images are single-phase, whatever the stride: only the stride-1
     // path runs the phase-reading forward kernel.
     let lay = PlaneImage::single_phase(stride);
-    pad_plane(xplane, xs.w, spec.ph, spec.pw, lay, xpad, None);
+    pad_plane(xplane, xs.w, spec.ph, spec.pw, lay, xpad);
     if geo.stencil {
         let (kflip, lanes) = taps.split_at_mut(kern.len());
         let (qh, qw) = (spec.kh - 1 - spec.ph, spec.kw - 1 - spec.pw);
-        pad_plane(dyplane, os.w, qh, qw, lay, aux, None);
+        pad_plane(dyplane, os.w, qh, qw, lay, aux);
         // dw[ky][kx] = Σ dy[oy][ox] · xpad[oy + ky][ox + kx]: with both
         // images at one row stride that is a single dot product per tap
         // (the gaps between `dy`'s rows are zero).
@@ -1142,7 +884,7 @@ fn depthwise_backward_plane_body(
             // dx = dy ⋆ flip(w): per element the taps add in the reference
             // walk's order (the last output pixel's tap first).
             kflip.iter_mut().zip(kern.iter().rev()).for_each(|(f, &k)| *f = k);
-            let call = DwCall { lay, oh: xs.h, ow: xs.w, scale: 1.0, bias: 0.0, act: EpilogueAct::None };
+            let call = DwCall { lay, oh: xs.h, ow: xs.w, bias: 0.0, act: EpilogueAct::None };
             depthwise_padded_plane(aux, kflip, spec, &call, avx2, dxplane);
         }
     } else {
@@ -1259,63 +1001,6 @@ fn im2col(xn: &[f32], xs: Shape, spec: &ConvSpec, c0: usize, c1: usize, oh: usiz
         let c = c0 + row / ksz;
         let (ky, kx) = ((row % ksz) / spec.kw, row % spec.kw);
         im2col_row(xn, xs, spec, c, ky, kx, oh, ow, dst);
-    });
-}
-
-/// Fills one row of the **byte** im2col matrix from quantized (biased u8)
-/// activations: padding writes the zero-point byte `64` instead of `0.0`,
-/// so the GEMM's full-row `wsum` zero-point correction stays exact at the
-/// borders. Run-bound structure mirrors [`im2col_row`].
-#[allow(clippy::too_many_arguments)]
-fn im2col_row_u8(
-    xn: &[u8],
-    xs: Shape,
-    spec: &ConvSpec,
-    c: usize,
-    ky: usize,
-    kx: usize,
-    oh: usize,
-    ow: usize,
-    dst: &mut [u8],
-) {
-    const ZP: u8 = INT8_ACT_ZERO_POINT as u8;
-    let xplane = &xn[c * xs.hw()..(c + 1) * xs.hw()];
-    let (sw, pw) = (spec.sw, spec.pw);
-    let ox_lo = if pw > kx { (pw - kx).div_ceil(sw).min(ow) } else { 0 };
-    let ox_end = if xs.w + pw > kx { ((xs.w + pw - kx - 1) / sw + 1).min(ow) } else { 0 };
-    let ox_end = ox_end.max(ox_lo);
-    for oy in 0..oh {
-        let iy = (oy * spec.sh + ky) as isize - spec.ph as isize;
-        let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-        if iy < 0 || iy >= xs.h as isize {
-            dst_row.fill(ZP);
-            continue;
-        }
-        let xrow = &xplane[iy as usize * xs.w..(iy as usize + 1) * xs.w];
-        dst_row[..ox_lo].fill(ZP);
-        dst_row[ox_end..].fill(ZP);
-        let ix0 = ox_lo * sw + kx - pw;
-        if sw == 1 {
-            dst_row[ox_lo..ox_end].copy_from_slice(&xrow[ix0..ix0 + (ox_end - ox_lo)]);
-        } else {
-            for (i, d) in dst_row[ox_lo..ox_end].iter_mut().enumerate() {
-                *d = xrow[ix0 + i * sw];
-            }
-        }
-    }
-}
-
-/// Byte counterpart of [`im2col`]: builds the `[(c1-c0) * kh * kw, oh * ow]`
-/// quantized column matrix, one parallel tile per row.
-#[allow(clippy::too_many_arguments)]
-fn im2col_u8(xn: &[u8], xs: Shape, spec: &ConvSpec, c0: usize, c1: usize, oh: usize, ow: usize, col: &mut [u8]) {
-    let ohw = oh * ow;
-    let ksz = spec.kh * spec.kw;
-    let rows = (c1 - c0) * ksz;
-    tiles_mut(rows, Runs::new(col, ohw), |row, dst| {
-        let c = c0 + row / ksz;
-        let (ky, kx) = ((row % ksz) / spec.kw, row % spec.kw);
-        im2col_row_u8(xn, xs, spec, c, ky, kx, oh, ow, dst);
     });
 }
 
@@ -1582,14 +1267,17 @@ mod tests {
     }
 
     #[test]
-    fn quant_plan_matches_fused_ref_within_quantization_bound() {
+    fn int8_plan_equals_an_f32_plan_of_its_dequantized_weights() {
+        // Every geometry an int8 plan serves: pointwise, depthwise at stride
+        // 1 and 2, a strided dense conv and a grouped one. The int8 forward
+        // must be, bit for bit, the f32 plan's forward of `q * scale`, and
+        // within the weight quantization's half step of the f32 weights'.
         let mut rng = StdRng::seed_from_u64(23);
         let acts = [EpilogueAct::Relu, EpilogueAct::HardSwish, EpilogueAct::None];
-        // Same dispatch coverage as the f32 plan test: pointwise, depthwise,
-        // general, grouped.
         let cases = [
             (Shape::new(2, 12, 9, 9), Shape::new(20, 12, 1, 1), ConvSpec::pointwise()),
-            (Shape::new(2, 8, 11, 10), Shape::new(8, 1, 3, 3), ConvSpec::depthwise(3, 2, 8)),
+            (Shape::new(2, 8, 11, 10), Shape::new(8, 1, 3, 3), ConvSpec::depthwise(3, 1, 8)),
+            (Shape::new(2, 8, 11, 10), Shape::new(8, 1, 5, 5), ConvSpec::depthwise(5, 2, 8)),
             (Shape::new(2, 6, 12, 12), Shape::new(10, 6, 3, 3), ConvSpec::kxk(3, 2)),
             (Shape::new(1, 8, 10, 10), Shape::new(12, 4, 3, 3), ConvSpec { groups: 2, ..ConvSpec::kxk(3, 1) }),
         ];
@@ -1597,64 +1285,32 @@ mod tests {
             let x = Tensor::randn(xs, 1.0, &mut rng);
             let w = Tensor::randn(ws, 0.4, &mut rng);
             let bias: Vec<f32> = (0..ws.n).map(|c| 0.1 * c as f32 - 0.3).collect();
-            let absmax = x.abs_max();
-            let a_scale = int8_act_scale(absmax);
             let k = ws.c * ws.h * ws.w;
             for act in acts {
-                let plan = QuantConvPlan::new(&w, bias.clone(), spec, act);
-                assert!(plan.packed_bytes() > 0);
-                assert_eq!((plan.c_out(), plan.c_in()), (ws.n, xs.c));
-                let (got, omax, _) = plan.forward_quant(&x, None);
-                let want = fused_ref(&x, &w, &bias, &spec, act);
-                assert_eq!(got.shape(), want.shape());
-                assert_eq!(omax, got.abs_max(), "folded absmax must be the true output absmax");
-                let os = got.shape();
-                for co in 0..ws.n {
-                    // Worst-case half-step bound per output channel:
-                    // activation steps against the row's L1 mass, weight
-                    // steps against the input mass, and a 1.5x Lipschitz
-                    // allowance for hard-swish.
-                    let row = &w.data()[co * k..(co + 1) * k];
-                    let w_l1: f32 = row.iter().map(|v| v.abs()).sum();
-                    let w_max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                    let bound = 1.5 * (0.5 * a_scale * w_l1 + 0.5 * (w_max / 127.0) * absmax * k as f32) + 1e-4;
-                    for n in 0..os.n {
-                        for oy in 0..os.h {
-                            for ox in 0..os.w {
-                                let d = (got.at(n, co, oy, ox) - want.at(n, co, oy, ox)).abs();
-                                assert!(d <= bound, "case {i} act {act:?} ({n},{co},{oy},{ox}): err {d} > {bound}");
-                            }
-                        }
+                let plan = ConvPlan::new_int8(&w, bias.clone(), spec, act);
+                assert!(plan.is_int8() && plan.packed_bytes() == ws.numel() + 4 * ws.n);
+                let PlanKind::Int8 { qweight, scales } = plan.kind() else { unreachable!() };
+                let deq: Vec<f32> = qweight.iter().enumerate().map(|(j, &q)| q as f32 * scales[j / k]).collect();
+                let twin = ConvPlan::new(&Tensor::from_vec(ws, deq).unwrap(), bias.clone(), spec, act);
+                let (got, sums) = plan.try_forward_sums(&x).unwrap();
+                let (want, want_sums) = twin.try_forward_sums(&x).unwrap();
+                assert_same_bits(got.data(), want.data(), &format!("case {i} act {act:?}"));
+                assert_eq!(sums.map(|t| t.data().to_vec()), want_sums.map(|t| t.data().to_vec()), "case {i} sums");
+
+                // Against the f32 weights: each weight is off by at most half
+                // its row's step, times a 1.5x Lipschitz allowance for
+                // hard-swish.
+                let f32_out = fused_ref(&x, &w, &bias, &spec, act);
+                let hw = got.shape().hw();
+                for (p, (a, b)) in got.data().chunks_exact(hw).zip(f32_out.data().chunks_exact(hw)).enumerate() {
+                    let co = p % ws.n;
+                    let bound = 1.5 * 0.5 * scales[co] * x.abs_max() * k as f32 + 1e-4;
+                    for (a, b) in a.iter().zip(b) {
+                        assert!((a - b).abs() <= bound, "case {i} act {act:?} channel {co}: {a} vs {b}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn quant_plan_is_deterministic_and_accepts_carried_absmax() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let x = Tensor::randn(Shape::new(2, 8, 12, 12), 1.0, &mut rng);
-        let w = Tensor::randn(Shape::new(16, 8, 3, 3), 0.4, &mut rng);
-        let plan = QuantConvPlan::new(&w, vec![0.05; 16], ConvSpec::kxk(3, 1), EpilogueAct::HardSwish);
-        let (first, m0, _) = plan.forward_quant(&x, None);
-        for _ in 0..3 {
-            let (y, m, _) = plan.forward_quant(&x, None);
-            assert_eq!(y, first, "quant forwards must be bitwise stable");
-            assert_eq!(m.to_bits(), m0.to_bits());
-        }
-        // A producer-carried absmax equal to the scan's must be bit-identical.
-        let (carried, mc, _) = plan.forward_quant(&x, Some(x.abs_max()));
-        assert_eq!(carried, first);
-        assert_eq!(mc.to_bits(), m0.to_bits());
-    }
-
-    #[test]
-    fn quant_plan_rejects_wrong_channels() {
-        let w = Tensor::ones(Shape::new(4, 3, 1, 1));
-        let plan = QuantConvPlan::new(&w, vec![0.0; 4], ConvSpec::pointwise(), EpilogueAct::None);
-        let x = Tensor::ones(Shape::new(1, 5, 4, 4));
-        assert!(matches!(plan.try_forward_quant(&x, None), Err(ShapeError::DimMismatch { .. })));
     }
 
     #[test]
@@ -1821,9 +1477,7 @@ mod tests {
     /// out-of-bounds taps where the kernel adds `0 * k`; `==` treats ±0
     /// alike), and of the plan's plane sums against a plain fold. On the
     /// way, on the first plane: the AVX2 and the scalar twin agree bit for
-    /// bit — outputs, abs-max and sum — on f32 inputs and on the
-    /// integer-valued inputs, taps and scale of an int8 plan, and the
-    /// abs-max is the plain fold's.
+    /// bit, outputs and sum.
     fn check_depthwise_plan(xs: Shape, spec: ConvSpec, act: EpilogueAct, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = Tensor::randn(xs, 1.0, &mut rng);
@@ -1856,19 +1510,14 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if cpu_has_avx2() {
             let lay = PlaneImage::new(xs.h, xs.w, &spec);
-            let inv = 63.0 / x.abs_max().max(1e-6);
-            for int8 in [false, true] {
-                let mut img = vec![0.0f32; lay.floats(xs.w)];
-                pad_plane(&x.data()[..xs.hw()], xs.w, spec.ph, spec.pw, lay, &mut img, int8.then_some(inv));
-                let kern: Vec<f32> = w.data()[..ksz].iter().map(|k| if int8 { (k * 40.0).round() } else { *k }).collect();
-                let call = DwCall { lay, oh: os.h, ow: os.w, scale: if int8 { 0.0137 } else { 1.0 }, bias: bias[0], act };
-                let (mut scalar, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
-                let stats_scalar = depthwise_padded_plane(&img, &kern, &spec, &call, false, &mut scalar);
-                let stats_wide = depthwise_padded_plane(&img, &kern, &spec, &call, true, &mut wide);
-                assert_same_bits(&scalar, &wide, &format!("{what} int8 {int8}: avx2 vs scalar twin"));
-                assert_same_bits(&[stats_scalar.0, stats_scalar.1], &[stats_wide.0, stats_wide.1], &format!("{what}: twin stats"));
-                assert_eq!(stats_wide.0, scalar.iter().fold(0.0f32, |m, v| m.max(v.abs())), "{what}: abs-max vs fold");
-            }
+            let mut img = vec![0.0f32; lay.floats(xs.w)];
+            pad_plane(&x.data()[..xs.hw()], xs.w, spec.ph, spec.pw, lay, &mut img);
+            let call = DwCall { lay, oh: os.h, ow: os.w, bias: bias[0], act };
+            let (mut scalar, mut wide) = (vec![0.0f32; os.hw()], vec![0.0f32; os.hw()]);
+            let sum_scalar = depthwise_padded_plane(&img, &w.data()[..ksz], &spec, &call, false, &mut scalar);
+            let sum_wide = depthwise_padded_plane(&img, &w.data()[..ksz], &spec, &call, true, &mut wide);
+            assert_same_bits(&scalar, &wide, &format!("{what}: avx2 vs scalar twin"));
+            assert_same_bits(&[sum_scalar], &[sum_wide], &format!("{what}: twin sums"));
         }
     }
 

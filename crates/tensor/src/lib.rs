@@ -37,10 +37,7 @@ mod shape;
 mod tensor;
 
 pub use blob::SharedBytes;
-pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_accumulate, try_conv2d, ConvGrads, ConvPlan, ConvSpec, PlanKind, QuantConvPlan,
-    QuantPlanKind,
-};
+pub use conv::{conv2d, conv2d_backward, conv2d_backward_accumulate, try_conv2d, ConvGrads, ConvPlan, ConvSpec, PlanKind};
 pub use matmul::{
     gemm_layout_fingerprint, gemm_stats, reference, runs_blocked, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
     sgemm_prepacked, Epilogue, EpilogueAct, GemmStats, PackedGemmA,

@@ -268,22 +268,11 @@ impl PackedGemmA {
 }
 
 /// FNV-1a fingerprint of every blocking constant that shapes packed panel
-/// images (f32 and int8 tiers). A serialized panel image is only loadable by
-/// a build with the same fingerprint — artifact containers store it and
-/// refuse mismatches instead of multiplying with garbage layouts.
+/// images. A serialized panel image is only loadable by a build with the
+/// same fingerprint — artifact containers store it and refuse mismatches
+/// instead of multiplying with garbage layouts.
 pub fn gemm_layout_fingerprint() -> u32 {
-    let consts: [usize; 10] = [
-        MR,
-        NR,
-        KC,
-        MC,
-        NC,
-        crate::qmatmul::QMR,
-        crate::qmatmul::QNR,
-        crate::qmatmul::QK,
-        crate::qmatmul::QMC,
-        crate::qmatmul::QNC,
-    ];
+    let consts: [usize; 5] = [MR, NR, KC, MC, NC];
     let mut h: u32 = 0x811c_9dc5;
     for c in consts {
         for b in (c as u64).to_le_bytes() {
@@ -326,6 +315,15 @@ impl MatRef<'_> {
     }
 }
 
+/// Row-major `[m, k]` int8 weights with one f32 scale per row: element
+/// `(i, j)` is `q[i * k + j] as f32 * scales[i]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Int8Rows<'a> {
+    pub(crate) q: &'a [i8],
+    pub(crate) scales: &'a [f32],
+    pub(crate) k: usize,
+}
+
 /// Packs rows `i0..i0+mc`, depth `p0..p0+kc` of `a` into `MR`-row panels:
 /// panel `ir` stores element `(p, r)` at `ir*MR*kc + p*MR + r`, zero-padded
 /// to a full `MR` rows so the micro-kernel never branches on the edge.
@@ -340,6 +338,24 @@ fn pack_a(a: MatRef<'_>, i0: usize, mc: usize, p0: usize, kc: usize, dst: &mut [
             }
             for r in rows..MR {
                 dst[at + r] = 0.0;
+            }
+        }
+    }
+}
+
+/// [`pack_a`] of the dequantized int8 rows `a`: each row's `kc` weights are
+/// read in a run and written down its lane of the panel.
+fn pack_a_int8(a: Int8Rows<'_>, i0: usize, mc: usize, p0: usize, kc: usize, dst: &mut [f32]) {
+    for (ir, panel) in dst[..mc.div_ceil(MR) * MR * kc].chunks_exact_mut(MR * kc).enumerate() {
+        let rows = MR.min(mc - ir * MR);
+        for r in 0..MR {
+            let lane = panel[r..].iter_mut().step_by(MR);
+            if r < rows {
+                let i = i0 + ir * MR + r;
+                let (row, scale) = (&a.q[i * a.k + p0..][..kc], a.scales[i]);
+                lane.zip(row).for_each(|(d, &q)| *d = q as f32 * scale);
+            } else {
+                lane.for_each(|d| *d = 0.0);
             }
         }
     }
@@ -529,12 +545,13 @@ pub fn gemm_stats() -> GemmStats {
     }
 }
 
-/// The A operand of the blocked engine: a strided view packed per call into
-/// thread-local scratch, or a [`PackedGemmA`] whose panels are sliced
-/// directly (no per-call A traffic).
+/// The A operand of the blocked engine: a strided view or int8 rows, packed
+/// per call into thread-local scratch, or a [`PackedGemmA`] whose panels are
+/// sliced directly (no per-call A traffic).
 #[derive(Clone, Copy)]
 enum ASrc<'a> {
     Mat(MatRef<'a>),
+    Int8(Int8Rows<'a>),
     Packed(&'a PackedGemmA),
 }
 
@@ -570,7 +587,7 @@ fn gemm_blocked(
         let mc = MC.min(m - i0);
         let nc = NC.min(n - j0);
         let mut apack = match a {
-            ASrc::Mat(_) => Some(scratch::take(mc.div_ceil(MR) * MR * KC.min(k))),
+            ASrc::Mat(_) | ASrc::Int8(_) => Some(scratch::take(mc.div_ceil(MR) * MR * KC.min(k))),
             ASrc::Packed(_) => None,
         };
         let mut bpack = scratch::take(NR * KC.min(k));
@@ -587,8 +604,12 @@ fn gemm_blocked(
                     pack_a(view, i0, mc, p0, kc, buf);
                     buf
                 }
+                (ASrc::Int8(rows), Some(buf)) => {
+                    pack_a_int8(rows, i0, mc, p0, kc, buf);
+                    buf
+                }
                 (ASrc::Packed(pa), _) => pa.block(ic, p0, kc),
-                (ASrc::Mat(_), None) => unreachable!("scratch panel allocated for view operands"),
+                (_, None) => unreachable!("scratch panel allocated for unpacked operands"),
             };
             for j in (j0..j0 + nc).step_by(NR) {
                 let cols = NR.min(j0 + nc - j);
@@ -748,6 +769,20 @@ pub fn sgemm_prepacked(pa: &PackedGemmA, n: usize, b: &[f32], c: &mut [f32], epi
         return;
     }
     gemm_blocked(m, k, n, 1.0, 0.0, ASrc::Packed(pa), MatRef { data: b, rs: n, cs: 1 }, c, Some(epi));
+}
+
+/// [`sgemm_prepacked`] whose left operand is int8 rows: the blocked engine
+/// packs each A panel from `rows` as `q as f32 * scale`, so the product has
+/// the bits `sgemm_prepacked` gives for a [`PackedGemmA`] of those
+/// dequantized values.
+pub(crate) fn sgemm_int8(rows: Int8Rows<'_>, n: usize, b: &[f32], c: &mut [f32], epi: &Epilogue<'_>) {
+    let (m, k) = (rows.scales.len(), rows.k);
+    assert_eq!(rows.q.len(), m * k, "int8 rows must be m*k");
+    assert_eq!(b.len(), k * n, "b must be k*n");
+    assert_eq!(c.len(), m * n, "c must be m*n");
+    if n > 0 {
+        gemm_blocked(m, k, n, 1.0, 0.0, ASrc::Int8(rows), MatRef { data: b, rs: n, cs: 1 }, c, Some(epi));
+    }
 }
 
 /// `c = alpha * a^T @ b + beta * c` with `a: [k, m]`, `b: [k, n]`, `c: [m, n]`.

@@ -1,6 +1,9 @@
 //! Int8 quantized GEMM: per-row (output-channel) symmetric int8 weights
 //! against dynamically quantized unsigned activations, with a fused
-//! dequantize + bias + activation epilogue.
+//! dequantize + bias + activation epilogue. No model path calls it: frozen
+//! int8 convs keep int8 weights and run the f32 kernels on them
+//! ([`crate::PlanKind::Int8`]); only [`quantize_weights_per_row`] serves them.
+//! The kernels stay for the benchmark's int8 kernel rates.
 //!
 //! # Quantization scheme
 //!
@@ -40,7 +43,6 @@
 //! write-back — integer accumulation is exact, so no KC-slice ordering
 //! concerns exist and results are byte-identical for any thread count.
 
-use crate::blob::{Panel, SharedBytes};
 #[cfg(target_arch = "x86_64")]
 use crate::matmul::act_avx2;
 use crate::matmul::{Epilogue, EpilogueAct};
@@ -50,15 +52,15 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 /// Micro-kernel rows (register-tile height), as in the f32 engine.
-pub(crate) const QMR: usize = 6;
+const QMR: usize = 6;
 /// Micro-kernel columns (two 8-lane i32 AVX2 accumulators per row).
-pub(crate) const QNR: usize = 16;
+const QNR: usize = 16;
 /// Depth values consumed per `maddubs`+`madd` step.
-pub(crate) const QK: usize = 4;
+const QK: usize = 4;
 /// Macro-tile height (multiple of `QMR`).
-pub(crate) const QMC: usize = 96;
+const QMC: usize = 96;
 /// Macro-tile width (multiple of `QNR`).
-pub(crate) const QNC: usize = 512;
+const QNC: usize = 512;
 
 /// Zero point added to quantized activations so they fit the unsigned
 /// operand of `maddubs`: `byte = q + 64` with `q` in `[-63, 63]`.
@@ -185,7 +187,7 @@ const QMC_PAD: usize = QMC.div_ceil(QMR) * QMR;
 /// dequantization scales and the zero-point correction row sums alongside.
 #[derive(Clone, Debug)]
 pub struct PackedGemmAI8 {
-    data: Panel<i8>,
+    data: Vec<i8>,
     scales: Vec<f32>,
     wsums: Vec<i32>,
     m: usize,
@@ -230,87 +232,7 @@ impl PackedGemmAI8 {
             }
             off += mc.div_ceil(QMR) * QMR * kq * QK;
         }
-        Self { data: Panel::Owned(data), scales, wsums, m, k, kq }
-    }
-
-    /// Length in bytes of the packed int8 image for an `[m, k]` operand —
-    /// the serialized size of [`PackedGemmAI8::image`].
-    pub fn image_len(m: usize, k: usize) -> usize {
-        Self::packed_len(m, k.div_ceil(QK))
-    }
-
-    /// The raw quad-interleaved packed image (stable only for a fixed
-    /// [`crate::gemm_layout_fingerprint`]).
-    pub fn image(&self) -> &[i8] {
-        self.data.as_slice()
-    }
-
-    /// Per-row zero-point-correction weight sums.
-    pub fn wsums(&self) -> &[i32] {
-        &self.wsums
-    }
-
-    /// Rebuilds a packed operand from a previously serialized image and its
-    /// sidecars, taking ownership of the buffers.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty dimensions and image/sidecar lengths that disagree
-    /// with `(m, k)`.
-    pub fn from_owned_image(
-        m: usize,
-        k: usize,
-        image: Vec<i8>,
-        scales: Vec<f32>,
-        wsums: Vec<i32>,
-    ) -> Result<Self, &'static str> {
-        Self::check_parts(m, k, image.len(), &scales, &wsums)?;
-        Ok(Self { data: Panel::Owned(image), scales, wsums, m, k, kq: k.div_ceil(QK) })
-    }
-
-    /// Rebuilds a packed operand whose int8 image *borrows* `bytes` at byte
-    /// `offset` — the zero-copy artifact-loading path. The small f32/i32
-    /// sidecars are owned copies.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty dimensions, out-of-bounds ranges and sidecar length
-    /// mismatches.
-    pub fn from_shared_image(
-        m: usize,
-        k: usize,
-        bytes: SharedBytes,
-        offset: usize,
-        scales: Vec<f32>,
-        wsums: Vec<i32>,
-    ) -> Result<Self, &'static str> {
-        Self::check_parts(m, k, Self::image_len(m, k), &scales, &wsums)?;
-        let data = Panel::from_shared(bytes, offset, Self::image_len(m, k))?;
-        Ok(Self { data, scales, wsums, m, k, kq: k.div_ceil(QK) })
-    }
-
-    fn check_parts(
-        m: usize,
-        k: usize,
-        image_len: usize,
-        scales: &[f32],
-        wsums: &[i32],
-    ) -> Result<(), &'static str> {
-        if m == 0 || k == 0 {
-            return Err("packed int8 GEMM operand must be non-empty");
-        }
-        if image_len != Self::image_len(m, k) {
-            return Err("packed int8 image length disagrees with (m, k)");
-        }
-        if scales.len() != m || wsums.len() != m {
-            return Err("int8 sidecar length disagrees with m");
-        }
-        Ok(())
-    }
-
-    /// Whether the image borrows a shared (typically mmap-backed) buffer.
-    pub fn is_shared(&self) -> bool {
-        self.data.is_shared()
+        Self { data, scales, wsums, m, k, kq }
     }
 
     fn packed_len(m: usize, kq: usize) -> usize {
@@ -326,7 +248,7 @@ impl PackedGemmAI8 {
         let i0 = ic * QMC;
         let rows_padded = QMC.min(self.m - i0).div_ceil(QMR) * QMR;
         let off = ic * QMC_PAD * self.kq * QK;
-        &self.data.as_slice()[off..off + rows_padded * self.kq * QK]
+        &self.data[off..off + rows_padded * self.kq * QK]
     }
 
     /// Packed row count (`m` of the original matrix).
@@ -337,11 +259,6 @@ impl PackedGemmAI8 {
     /// Packed depth (`k` of the original matrix).
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Per-row dequantization scales (`max|w| / 127`).
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
     }
 
     /// Resident bytes of the packed image plus its f32/i32 sidecars.
@@ -477,88 +394,10 @@ pub fn set_int8_force_scalar(on: bool) {
     force_scalar_flag().store(on, Ordering::Relaxed);
 }
 
-/// Whether this CPU can run the AVX2-compiled kernel bodies (the detection
-/// macro caches its answer).
-pub(crate) fn cpu_has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// AVX2 dispatch for the int8 kernels: the CPU check minus the forced-scalar
 /// switch.
-pub(crate) fn int8_use_avx2() -> bool {
-    cpu_has_avx2() && !force_scalar_flag().load(Ordering::Relaxed)
-}
-
-/// `max |v|` over a slice. The scalar `fold` form does not auto-vectorize
-/// (LLVM will not reorder float reductions), so this hand-vectorizes with
-/// baseline SSE2; max over finite values is order-independent, so the
-/// result is bitwise equal to the sequential fold.
-pub(crate) fn abs_max_slice(v: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is baseline on x86_64; every load is bounds-checked by
-    // the loop condition.
-    unsafe {
-        use std::arch::x86_64::*;
-        let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff));
-        let mut m0 = _mm_setzero_ps();
-        let mut m1 = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= v.len() {
-            m0 = _mm_max_ps(m0, _mm_and_ps(_mm_loadu_ps(v.as_ptr().add(i)), absmask));
-            m1 = _mm_max_ps(m1, _mm_and_ps(_mm_loadu_ps(v.as_ptr().add(i + 4)), absmask));
-            i += 8;
-        }
-        let m = _mm_max_ps(m0, m1);
-        let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-        let m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-        v[i..].iter().fold(_mm_cvtss_f32(m), |r, &x| r.max(x.abs()))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    v.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
-}
-
-/// Centered (unbiased) activation quantization into integer-valued f32
-/// lanes for the quantized depthwise plane kernel:
-/// `round(clamp(v / scale, -63, 63))` with [`quant_round`] semantics, kept
-/// as f32 so the plane kernel's exact integer arithmetic applies.
-/// SSE2-vectorized with the same per-lane formula as the scalar tail
-/// (baseline on x86_64, so no feature dispatch is needed).
-pub(crate) fn quantize_centered_f32(src: &[f32], inv: f32, dst: &mut [f32]) {
-    assert!(dst.len() >= src.len(), "quantize buffer too short");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is baseline on x86_64; loads/stores are bounds-checked
-    // by the loop condition.
-    let done = unsafe {
-        use std::arch::x86_64::*;
-        let vinv = _mm_set1_ps(inv);
-        let vmin = _mm_set1_ps(-INT8_ACT_QMAX);
-        let vmax = _mm_set1_ps(INT8_ACT_QMAX);
-        let sign = _mm_set1_ps(-0.0);
-        let half = _mm_set1_ps(0.5);
-        let mut i = 0;
-        while i + 4 <= src.len() {
-            let t = _mm_mul_ps(_mm_loadu_ps(src.as_ptr().add(i)), vinv);
-            let t = _mm_min_ps(_mm_max_ps(t, vmin), vmax);
-            let h = _mm_or_ps(_mm_and_ps(t, sign), half);
-            let q = _mm_cvtepi32_ps(_mm_cvttps_epi32(_mm_add_ps(t, h)));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), q);
-            i += 4;
-        }
-        i
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    for (d, &v) in dst[done..src.len()].iter_mut().zip(&src[done..]) {
-        let t = (v * inv).clamp(-INT8_ACT_QMAX, INT8_ACT_QMAX);
-        *d = (t + 0.5f32.copysign(t)) as i32 as f32;
-    }
+fn int8_use_avx2() -> bool {
+    crate::dw_plane::cpu_has_avx2() && !force_scalar_flag().load(Ordering::Relaxed)
 }
 
 /// Vector write-back for one output row of the int8 GEMM: dequantize

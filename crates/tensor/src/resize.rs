@@ -362,7 +362,7 @@ mod tests {
         // The [f32; 8] twin against AVX2 on the horizontal pass, the vector
         // one (factors 2, 4, 8; widths 7 to 28, ragged output widths) and
         // the scalar one (a downsample, whose chunks reach too far).
-        if !crate::qmatmul::cpu_has_avx2() {
+        if !crate::dw_plane::cpu_has_avx2() {
             return;
         }
         let mut rng = StdRng::seed_from_u64(6);

@@ -8,8 +8,10 @@
 //! the updates of steps `0..t-K`); the body, neck and head BN running
 //! statistics it normalizes with are the current ones; and the update after
 //! step `t` is one element-wise SGD step at `lr(t)`, applied in step order.
+//! `tiny`'s space-to-depth stem has no BatchNorm, so the last pin runs it
+//! with the convolutional stem, whose BN buffers the first rule moves.
 
-use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig};
+use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, StemKind};
 use revbifpn_data::{SynthScale, SynthScaleConfig};
 use revbifpn_nn::Module;
 use revbifpn_train::{train_pipeline_delayed, PipelineConfig, TrainConfig};
@@ -42,25 +44,26 @@ fn state_digest(model: &mut RevBiFPNClassifier) -> u64 {
     h
 }
 
-/// `(P, K, m)`, then per epoch `(train_loss, train_acc, val_acc)` bits, then
-/// the state digest.
-type Pin = ((usize, usize, usize), [[u64; 3]; 2], u64);
+/// `(P, K, m)`, the stem, then per epoch `(train_loss, train_acc, val_acc)`
+/// bits, then the state digest.
+type Pin = ((usize, usize, usize), StemKind, [[u64; 3]; 2], u64);
 
-const PINS: [Pin; 4] = [
-    ((1, 1, 2), [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
-    ((2, 1, 2), [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
-    ((3, 2, 2), [[0x4006f12db72e2521, 0x3fb8000000000000, 0x3fb0000000000000], [0x4007017028855ec4, 0x3fb4000000000000, 0x3fb8000000000000]], 0xf32b8167a2aefba1),
-    ((2, 1, 4), [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
+const PINS: [Pin; 5] = [
+    ((1, 1, 2), StemKind::SpaceToDepth, [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
+    ((2, 1, 2), StemKind::SpaceToDepth, [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
+    ((3, 2, 2), StemKind::SpaceToDepth, [[0x4006f12db72e2521, 0x3fb8000000000000, 0x3fb0000000000000], [0x4007017028855ec4, 0x3fb4000000000000, 0x3fb8000000000000]], 0xf32b8167a2aefba1),
+    ((2, 1, 4), StemKind::SpaceToDepth, [[0x4006c1839c7da0cc, 0x3fb8000000000000, 0x3fb0000000000000], [0x4006b6033a67a9d5, 0x3fbc000000000000, 0x3fb8000000000000]], 0x583947a1a8b9ee47),
+    ((2, 1, 2), StemKind::Convolutional, [[0x4006891d4f43d5c4, 0x3fa8000000000000, 0x3fb8000000000000], [0x4006c0fc9adf2274, 0x3fc2000000000000, 0x3fa0000000000000]], 0xda36c25bd031e54e),
 ];
 
 #[test]
 fn delayed_runs_reproduce_their_pinned_bits() {
     let mut failures = Vec::new();
-    for ((p, k, m), epochs, digest) in PINS {
+    for ((p, k, m), stem, epochs, digest) in PINS {
         let data = SynthScale::new(SynthScaleConfig::new(32), 5);
-        let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
+        let mut model = RevBiFPNClassifier::new(RevBiFPNConfig { stem, ..RevBiFPNConfig::tiny(data.num_classes()) });
         let h = train_pipeline_delayed(&mut model, &data, &delayed_cfg(p, m, k));
-        assert!(!h.aborted, "P{p} K{k} m{m}: a clean delayed run aborted");
+        assert!(!h.aborted, "P{p} K{k} m{m} {stem:?} stem: a clean delayed run aborted");
         let got: Vec<[u64; 3]> = h
             .epochs
             .iter()
@@ -69,7 +72,7 @@ fn delayed_runs_reproduce_their_pinned_bits() {
         let got_digest = state_digest(&mut model);
         if got != epochs || got_digest != digest {
             failures.push(format!(
-                "(({p}, {k}, {m}), [{}], {got_digest:#018x}),",
+                "(({p}, {k}, {m}), StemKind::{stem:?}, [{}], {got_digest:#018x}),",
                 got.iter()
                     .map(|e| format!("[{:#018x}, {:#018x}, {:#018x}]", e[0], e[1], e[2]))
                     .collect::<Vec<_>>()

@@ -16,7 +16,7 @@ use revbifpn_detect::{
     evaluate_box_ap, AreaRanges, DetHeadConfig, Detector, RevBackbone,
 };
 use revbifpn_nn::{meter, CacheMode, FrozenTree, Module};
-use revbifpn_tensor::{set_int8_force_scalar, Shape, Tensor};
+use revbifpn_tensor::{Shape, Tensor};
 use revbifpn_train::{clip_grad_norm, train_classifier, LrSchedule, Sgd, TrainConfig};
 
 /// A scaling-family config cut down to CPU-test size: the S-variant's
@@ -216,29 +216,6 @@ fn steady_state_frozen_forwards_neither_allocate_nor_repack() {
         meter::event_count("freeze.weights_packed"),
         packs,
         "steady-state frozen forwards must not re-pack weight panels"
-    );
-}
-
-/// The scalar int8 kernel emulates `_mm256_maddubs_epi16` exactly, so the
-/// whole-model forward must be BITWISE identical whichever kernel dispatch
-/// picks — the guarantee that `REVBIFPN_INT8_FORCE_SCALAR=1` runs (CI) test
-/// the same numerics the AVX2 path serves.
-#[test]
-fn int8_model_forward_is_bitwise_identical_scalar_vs_vector() {
-    let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(10));
-    randomize_bn(&mut model, 91);
-    let quant = model.freeze_int8().unwrap();
-
-    let mut rng = StdRng::seed_from_u64(92);
-    let x = Tensor::randn(Shape::new(2, 3, 32, 32), 1.0, &mut rng);
-    let auto = quant.forward(&x);
-    set_int8_force_scalar(true);
-    let scalar = quant.forward(&x);
-    set_int8_force_scalar(false);
-    assert_eq!(
-        auto.data(),
-        scalar.data(),
-        "scalar and vector int8 paths must agree to the bit"
     );
 }
 
