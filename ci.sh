@@ -121,6 +121,10 @@ if git grep -nE 'forward_quant|im2col_u8|quantize_activations|int8_use_avx2' \
     echo "the lines above quantize activations on the model path: int8 is a weight format, run by the f32 kernels" >&2
     exit 1
 fi
+if git grep -nE 'weight: Option<Tensor>' -- crates/nn/src/freeze.rs; then
+    echo "the lines above keep a fused conv's raw weights beside its plan: a frozen model holds each weight once" >&2
+    exit 1
+fi
 if git grep -nE 'dyn FnOnce\(\) \+ Send|parallel_join' -- 'crates/*/src/*' ':!crates/tensor/src/par.rs'; then
     echo "the lines above bring back a hand-rolled task fan-out beside \`meter::join\`" >&2
     exit 1

@@ -157,8 +157,26 @@ impl FrozenClassifier {
     }
 
     /// Images `[n, 3, r, r]` to logits `[n, classes, 1, 1]` using only fused
-    /// kernels. Each stream's neck layer is one pool task.
+    /// kernels. A batch runs sample by sample, in order, each a batch-1
+    /// forward with its stream tasks: every row is its sample's forward run
+    /// alone, bit for bit, and no layer's maps are wider than one sample's.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        let xs = x.shape();
+        if xs.n == 1 {
+            return self.forward_sample(x);
+        }
+        let one = Shape::new(1, xs.c, xs.h, xs.w);
+        let mut logits = Tensor::zeros(self.logit_shape(xs.n));
+        let rows = logits.data_mut().chunks_exact_mut(self.cfg().num_classes);
+        for (sample, row) in x.data().chunks_exact(xs.chw()).zip(rows) {
+            row.copy_from_slice(self.forward_sample(&Tensor::from_vec_unchecked(one, sample.to_vec())).data());
+        }
+        logits
+    }
+
+    /// One image `[1, 3, r, r]` to its logits. Each stream's neck layer is
+    /// one pool task.
+    fn forward_sample(&self, x: &Tensor) -> Tensor {
         let pyramid = self.backbone.forward(x);
         let neck = par::join_map(pyramid.iter().zip(&self.neck), |(t, b)| b.forward(t));
         self.head.forward(&neck)

@@ -49,8 +49,8 @@
 use crate::checkpoint::crc32;
 use crate::freeze::{ActKind, FrozenLayer, FusedConv, PackedLinear};
 use revbifpn_tensor::{
-    gemm_layout_fingerprint, ConvPlan, ConvSpec, EpilogueAct, PackedGemmA, PlanKind, ResizeMode,
-    Shape, SharedBytes, Tensor,
+    gemm_layout_fingerprint, ConvPlan, ConvSpec, EpilogueAct, PackedGemmA, Panel, PlanKind,
+    ResizeMode, Shape, SharedBytes, Tensor,
 };
 use std::cell::Cell;
 use std::fs::{self, File};
@@ -658,30 +658,27 @@ impl<'a> TreeReader<'a> {
         Ok(f32s_from_le_bytes(raw))
     }
 
-    /// Reads an `i8` array written by [`ArtifactWriter::put_i8s`].
-    pub fn get_i8s(&mut self) -> io::Result<Vec<i8>> {
+    /// Reads an `i8` array written by [`ArtifactWriter::put_i8s`] as a
+    /// [`Panel`] that *borrows* the artifact buffer (zero-copy), inline or
+    /// in a section.
+    pub fn get_i8s(&mut self) -> io::Result<Panel<i8>> {
         let tag = self.get_u8()?;
         let len = self.get_u32()? as usize;
-        let raw = match tag {
-            0 => self.take(len)?,
+        let off = match tag {
+            0 => {
+                self.take(len)?;
+                self.pos - len
+            }
             1 => {
-                let id = self.get_u32()?;
-                let s = self.r.section(id)?;
+                let s = self.r.section(self.get_u32()?)?;
                 if s.len != len {
                     return Err(inv("i8 section length mismatch"));
                 }
-                &self.r.bytes.as_slice()[s.off..s.off + s.len]
+                s.off
             }
             _ => return Err(inv("bad i8 array tag")),
         };
-        let mut v = Vec::<i8>::with_capacity(raw.len());
-        // SAFETY: u8 -> i8 bit reinterpretation into freshly reserved
-        // capacity of the same length.
-        unsafe {
-            std::ptr::copy_nonoverlapping(raw.as_ptr(), v.as_mut_ptr().cast::<u8>(), raw.len());
-            v.set_len(raw.len());
-        }
-        Ok(v)
+        Panel::from_shared(self.r.bytes.clone(), off, len).map_err(inv)
     }
 
     /// Resolves an f32 panel reference into a [`PackedGemmA`]. On
@@ -805,7 +802,7 @@ fn encode_conv(w: &mut ArtifactWriter, fc: &FusedConv) -> io::Result<()> {
         PlanKind::Int8 { qweight, scales } => {
             w.put_u8(3);
             w.put_f32s(scales);
-            w.put_i8s(qweight);
+            w.put_i8s(qweight.as_slice());
         }
     }
     Ok(())
@@ -1069,6 +1066,38 @@ mod tests {
         let path = dir.join("q.frz");
         let (decoded, _) = roundtrip(&path, &frozen, true);
         assert_eq!(decoded.forward(&x), want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn loaded_int8_rows_lie_inside_the_mapping() {
+        // A 72-byte row block is written inline in the structure stream, a
+        // 3 456-byte one as a section: both load as views of the buffer.
+        let dir = tmp_dir("int8_map");
+        let mut rng = StdRng::seed_from_u64(14);
+        let seq = Sequential::new()
+            .push(Box::new(Conv2d::pointwise(6, 12, false, &mut rng)))
+            .push(Box::new(Conv2d::new(12, 32, ConvSpec::kxk(3, 1), true, &mut rng)));
+        let frozen = crate::freeze::freeze_layer_int8(&seq).unwrap();
+        let path = dir.join("q.frz");
+        let mut w = ArtifactWriter::new(0);
+        encode_layer(&mut w, &frozen).unwrap();
+        w.save(&path).unwrap();
+        let r = ArtifactReader::open(&path, true).unwrap();
+        let decoded = decode_layer(&mut r.cursor()).unwrap();
+        let FrozenLayer::Seq(convs) = &decoded else { panic!("two convs stay two layers") };
+        let span = r.bytes.as_ptr() as usize..r.bytes.as_ptr() as usize + r.bytes.len();
+        for (conv, len) in convs.iter().zip([72, 3456]) {
+            let FrozenLayer::Conv(fc) = conv else { panic!("a conv decodes as a conv") };
+            let Some(PlanKind::Int8 { qweight, .. }) = fc.plan().map(ConvPlan::kind) else { panic!("an int8 plan") };
+            let rows = qweight.as_slice().as_ptr_range();
+            assert!(qweight.is_shared() && qweight.len() == len, "{len} int8 weights borrow the buffer");
+            assert!(span.contains(&(rows.start as usize)) && rows.end as usize <= span.end);
+        }
+        assert_eq!(r.is_mapped(), SharedBytes::mmap_supported());
+        drop(r);
+        let x = Tensor::randn(Shape::new(1, 6, 8, 8), 1.0, &mut rng);
+        assert_eq!(decoded.forward(&x), frozen.forward(&x), "the rows outlive the reader");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,7 +35,7 @@
 use crate::meter;
 use crate::module::Layer;
 use revbifpn_tensor::{
-    global_avg_pool, runs_blocked, sgemm_a_bt, sgemm_prepacked, space_to_depth, upsample, ConvPlan,
+    global_avg_pool, runs_blocked, sgemm_a_bt, sgemv_prepacked, space_to_depth, upsample, ConvPlan,
     ConvSpec, Epilogue, EpilogueAct, PackedGemmA, ResizeMode, Shape, Tensor,
 };
 
@@ -107,15 +107,22 @@ impl Drop for PackedBytes {
 /// (or, once quantized, from int8 weights).
 #[derive(Debug)]
 pub struct FusedConv {
-    /// The folded f32 weights; `None` for a conv rebuilt from a serialized
-    /// plan (artifact loading), which can never re-pack or re-quantize.
-    weight: Option<Tensor>,
     c_out: usize,
-    bias: Vec<f32>,
     spec: ConvSpec,
     act: EpilogueAct,
-    plan: Option<ConvPlan>,
-    resident: Option<PackedBytes>,
+    weights: Weights,
+}
+
+/// A fused conv's weights: raw until [`FusedConv::compile`] or
+/// [`FusedConv::quantize`] lowers them to a plan, which replaces them, so a
+/// frozen model holds each weight once.
+#[derive(Debug)]
+enum Weights {
+    /// The folded f32 weights and bias, still open to folding.
+    Raw(Tensor, Vec<f32>),
+    /// The compiled plan and its meter registration (none for a conv
+    /// rebuilt from a serialized plan, see [`FusedConv::from_plan`]).
+    Plan { plan: ConvPlan, _resident: Option<PackedBytes> },
 }
 
 impl FusedConv {
@@ -125,39 +132,25 @@ impl FusedConv {
         let c_out = weight.shape().n;
         let bias = bias.map(|b| b.data().to_vec()).unwrap_or_else(|| vec![0.0; c_out]);
         assert_eq!(bias.len(), c_out, "fused conv bias length mismatch");
-        Self {
-            weight: Some(weight),
-            c_out,
-            bias,
-            spec,
-            act: EpilogueAct::None,
-            plan: None,
-            resident: None,
-        }
+        Self { c_out, spec, act: EpilogueAct::None, weights: Weights::Raw(weight, bias) }
     }
 
     /// Rebuilds a *plan-only* fused conv from a deserialized [`ConvPlan`]
-    /// (the zero-copy artifact path), f32 or int8. The original weights are
-    /// gone: the conv serves forwards from the plan but cannot be re-folded
-    /// or quantized. Its weight bytes are deliberately **not** registered on
+    /// (the zero-copy artifact path), f32 or int8 — what a compiled conv
+    /// looks like. Its weight bytes are deliberately **not** registered on
     /// the thread-local gauges — loaded models may be shared across worker
     /// threads behind an `Arc` and would unbalance per-thread accounting;
     /// the artifact layer reports their residency instead.
     pub fn from_plan(plan: ConvPlan) -> Self {
-        Self {
-            weight: None,
-            c_out: plan.c_out(),
-            bias: plan.bias().to_vec(),
-            spec: *plan.spec(),
-            act: plan.act(),
-            plan: Some(plan),
-            resident: None,
-        }
+        Self { c_out: plan.c_out(), spec: *plan.spec(), act: plan.act(), weights: Weights::Plan { plan, _resident: None } }
     }
 
     /// The compiled plan, if present (serialization support).
     pub fn plan(&self) -> Option<&ConvPlan> {
-        self.plan.as_ref()
+        match &self.weights {
+            Weights::Plan { plan, .. } => Some(plan),
+            Weights::Raw(..) => None,
+        }
     }
 
     /// Output channel count.
@@ -168,17 +161,16 @@ impl FusedConv {
     /// Folds a following per-channel affine `y = scale * x + shift` into the
     /// weights and bias: `w' = scale * w`, `b' = scale * b + shift`.
     pub(crate) fn fold_affine(&mut self, scale: &[f32], shift: &[f32]) {
-        assert!(self.plan.is_none(), "cannot fold into a compiled conv");
-        let c_out = self.c_out();
+        let Weights::Raw(weight, bias) = &mut self.weights else { panic!("cannot fold into a compiled conv") };
+        let c_out = self.c_out;
         assert_eq!(scale.len(), c_out, "affine scale length mismatch");
         assert_eq!(shift.len(), c_out, "affine shift length mismatch");
-        let weight = self.weight.as_mut().expect("cannot fold into a plan-only conv");
         let per = weight.shape().numel() / c_out;
         for (o, chunk) in weight.data_mut().chunks_mut(per).enumerate() {
             for w in chunk.iter_mut() {
                 *w *= scale[o];
             }
-            self.bias[o] = self.bias[o] * scale[o] + shift[o];
+            bias[o] = bias[o] * scale[o] + shift[o];
         }
     }
 
@@ -186,7 +178,7 @@ impl FusedConv {
     /// Returns `false` (leaving the conv unchanged) when an activation is
     /// already fused or the conv is compiled.
     pub(crate) fn try_set_act(&mut self, act: EpilogueAct) -> bool {
-        if self.act == EpilogueAct::None && act != EpilogueAct::None && self.plan.is_none() {
+        if self.act == EpilogueAct::None && act != EpilogueAct::None && self.plan().is_none() {
             self.act = act;
             true
         } else {
@@ -194,56 +186,59 @@ impl FusedConv {
         }
     }
 
-    /// Packs the weight panels (idempotent). Counts one
-    /// `"freeze.weights_packed"` event and registers the resident bytes.
-    /// A no-op on a conv that was already [`FusedConv::quantize`]d — its
-    /// int8 weights supersede the f32 panels.
+    /// Packs the weight panels (idempotent), dropping the raw weights.
+    /// Counts one `"freeze.weights_packed"` event and registers the
+    /// resident bytes. A no-op on a conv that was already
+    /// [`FusedConv::quantize`]d — its int8 weights supersede the f32 panels.
     pub fn compile(&mut self) {
-        if self.plan.is_none() {
-            let weight = self.weight.as_ref().expect("plan-only convs are always compiled");
-            let plan = ConvPlan::new(weight, self.bias.clone(), self.spec, self.act);
+        if let Weights::Raw(weight, bias) = &mut self.weights {
+            let plan = ConvPlan::new(weight, std::mem::take(bias), self.spec, self.act);
             meter::count("freeze.weights_packed");
-            self.resident = Some(PackedBytes::new(plan.packed_bytes(), false));
-            self.plan = Some(plan);
+            let resident = PackedBytes::new(plan.packed_bytes(), false);
+            self.weights = Weights::Plan { plan, _resident: Some(resident) };
         }
     }
 
     /// Lowers this conv to int8 (idempotent): quantizes the folded weights
-    /// per output channel, counts one `"freeze.weights_quantized"` event and
-    /// registers the resident bytes on the quantized gauge. Any existing f32
-    /// packed panels are released — a quantized conv keeps int8 weights
-    /// only.
+    /// per output channel, drops them, counts one
+    /// `"freeze.weights_quantized"` event and registers the resident bytes
+    /// on the quantized gauge.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an f32-compiled or f32 plan-only conv: its raw weights are
+    /// gone ("quantize before compile").
     pub fn quantize(&mut self) {
-        if !self.is_quantized() {
-            // A plan-only conv has no raw weights left to re-quantize; it
-            // keeps serving its existing f32 plan.
-            let Some(weight) = self.weight.as_ref() else { return };
-            let plan = ConvPlan::new_int8(weight, self.bias.clone(), self.spec, self.act);
-            meter::count("freeze.weights_quantized");
-            self.resident = Some(PackedBytes::new(plan.packed_bytes(), true));
-            self.plan = Some(plan);
+        match &mut self.weights {
+            Weights::Raw(weight, bias) => {
+                let plan = ConvPlan::new_int8(weight, std::mem::take(bias), self.spec, self.act);
+                meter::count("freeze.weights_quantized");
+                let resident = PackedBytes::new(plan.packed_bytes(), true);
+                self.weights = Weights::Plan { plan, _resident: Some(resident) };
+            }
+            Weights::Plan { plan, .. } => assert!(plan.is_int8(), "quantize before compile"),
         }
     }
 
     /// `true` once [`FusedConv::quantize`] has lowered this conv to int8.
     pub fn is_quantized(&self) -> bool {
-        self.plan.as_ref().is_some_and(ConvPlan::is_int8)
+        self.plan().is_some_and(ConvPlan::is_int8)
     }
 
     /// Bytes of packed f32 panels (0 before [`FusedConv::compile`] and
     /// after [`FusedConv::quantize`]).
     pub fn packed_bytes(&self) -> usize {
-        self.plan.as_ref().filter(|p| !p.is_int8()).map_or(0, ConvPlan::packed_bytes)
+        self.plan().filter(|p| !p.is_int8()).map_or(0, ConvPlan::packed_bytes)
     }
 
     /// Bytes of int8 weights and their scales (0 unless quantized).
     pub fn quant_packed_bytes(&self) -> usize {
-        self.plan.as_ref().filter(|p| p.is_int8()).map_or(0, ConvPlan::packed_bytes)
+        self.plan().filter(|p| p.is_int8()).map_or(0, ConvPlan::packed_bytes)
     }
 
     /// Output shape for input shape `x`.
     pub fn out_shape(&self, x: Shape) -> Shape {
-        self.spec.out_shape(x, self.c_out())
+        self.spec.out_shape(x, self.c_out)
     }
 
     /// Fused forward pass.
@@ -262,16 +257,15 @@ impl FusedConv {
     ///
     /// Panics if the conv was not compiled.
     fn forward_sums(&self, x: &Tensor) -> (Tensor, Option<Tensor>) {
-        let plan = self.plan.as_ref().expect("FusedConv::forward before compile()");
+        let plan = self.plan().expect("FusedConv::forward before compile()");
         plan.try_forward_sums(x).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// A dense layer whose `[out, in]` weight is packed once as the GEMM's left
-/// operand: the logits of a batch are `W x^T + b` over the batch's columns,
-/// bit for bit what [`sgemm_a_bt`] plus a bias pass gives wherever that GEMM
-/// runs on the blocked engine — which is where [`FrozenLayer::compile`]
-/// packs one.
+/// operand: each sample's logits are `W x + b`, bit for bit what
+/// [`sgemm_a_bt`] plus a bias pass gives wherever that GEMM runs on the
+/// blocked engine — which is where [`FrozenLayer::compile`] packs one.
 #[derive(Debug)]
 pub struct PackedLinear {
     pub(crate) weight: PackedGemmA,
@@ -299,17 +293,17 @@ impl PackedLinear {
         Some(Self { weight, bias: bias.data().to_vec(), _resident: resident })
     }
 
+    /// Each sample's logits as one [`sgemv_prepacked`].
     fn forward(&self, x: &Tensor) -> Tensor {
         let xs = x.shape();
         let (out_f, in_f) = (self.weight.m(), self.weight.k());
         assert_eq!((xs.c, xs.h, xs.w), (in_f, 1, 1), "frozen linear expects [n, {in_f}, 1, 1], got {xs}");
-        let transposed = |a: &[f32], rows: usize, cols: usize| -> Vec<f32> {
-            (0..rows * cols).map(|i| a[i % rows * cols + i / rows]).collect()
-        };
-        let mut yt = vec![0.0f32; out_f * xs.n];
+        let mut y = Tensor::zeros(Shape::new(xs.n, out_f, 1, 1));
         let epi = Epilogue::new(Some(&self.bias), EpilogueAct::None);
-        sgemm_prepacked(&self.weight, xs.n, &transposed(x.data(), xs.n, in_f), &mut yt, &epi);
-        Tensor::from_vec_unchecked(Shape::new(xs.n, out_f, 1, 1), transposed(&yt, out_f, xs.n))
+        for (x, y) in x.data().chunks_exact(in_f).zip(y.data_mut().chunks_exact_mut(out_f)) {
+            sgemv_prepacked(&self.weight, x, y, &epi);
+        }
+        y
     }
 }
 
@@ -901,19 +895,34 @@ mod tests {
     }
 
     #[test]
-    fn quantize_after_compile_swaps_the_resident_image() {
+    fn quantize_after_compile_is_refused() {
+        // Compiling drops the raw weights, so an f32-compiled conv, like one
+        // rebuilt from its f32 plan, has nothing left to quantize; an int8
+        // conv quantizes again as a no-op.
         let mut rng = StdRng::seed_from_u64(8);
         let conv = Conv2d::pointwise(4, 6, true, &mut rng);
         let base_f = meter::packed_current();
         let base_q = meter::quant_packed_current();
-        let mut frozen = conv.freeze().unwrap();
-        frozen.compile();
-        assert!(meter::packed_current() > base_f);
-        frozen.quantize();
-        assert_eq!(meter::packed_current(), base_f, "f32 panels released on quantize");
-        assert_eq!(meter::quant_packed_current(), base_q + frozen.quant_packed_bytes());
-        drop(frozen);
-        assert_eq!(meter::quant_packed_current(), base_q);
+        let mut compiled = conv.freeze().unwrap();
+        compiled.compile();
+        let plan = match &compiled {
+            FrozenLayer::Conv(fc) => fc.plan().expect("compiled").clone(),
+            _ => panic!("a conv freezes to a conv"),
+        };
+        let mut plan_only = FrozenLayer::Conv(Box::new(FusedConv::from_plan(plan)));
+        for frozen in [&mut compiled, &mut plan_only] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| frozen.quantize())).unwrap_err();
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"quantize before compile"));
+            assert_eq!(frozen.quant_packed_bytes(), 0, "the f32 plan stays");
+        }
+        assert!(meter::packed_current() > base_f && meter::quant_packed_current() == base_q);
+        drop((compiled, plan_only));
+        assert_eq!(meter::packed_current(), base_f);
+        let mut int8 = freeze_layer_int8(&conv).unwrap();
+        let bytes = int8.quant_packed_bytes();
+        int8.quantize();
+        int8.compile();
+        assert_eq!((int8.quant_packed_bytes(), meter::quant_packed_current()), (bytes, base_q + bytes));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! directly on x86_64 Linux and every other target transparently falls back
 //! to copy-loading.
 //!
-//! Packed GEMM panels ([`crate::PackedGemmA`], [`crate::PackedGemmAI8`])
-//! can borrow sub-ranges of a `SharedBytes` directly (see [`Panel`]), so a
-//! frozen model deserialized from a mapped artifact references the page
-//! cache instead of copying tens of megabytes of weight panels — that is
-//! what makes millisecond cold-starts possible.
+//! Packed GEMM panels ([`crate::PackedGemmA`]) and int8 conv rows
+//! ([`crate::PlanKind::Int8`]) can borrow sub-ranges of a `SharedBytes`
+//! directly (see [`Panel`]), so a frozen model deserialized from a mapped
+//! artifact references the page cache instead of copying tens of megabytes
+//! of weight panels — that is what makes millisecond cold-starts possible.
 
 use std::fs::File;
 use std::io;
@@ -214,14 +214,27 @@ impl SharedBytes {
     }
 }
 
-/// Backing storage of a packed GEMM panel image: an owned vector or a
-/// typed view into a [`SharedBytes`] range (validated for bounds and
-/// alignment at construction).
-///
-/// `T` must be a plain-old-data element type for which every bit pattern is
-/// a valid value (`f32`, `i8`) — the shared arm reinterprets raw bytes.
+/// Element types a [`Panel`] may reinterpret raw bytes as: plain old data
+/// for which every bit pattern is a valid value. Sealed.
+pub trait PanelElem: Copy + sealed::Sealed {}
+
+impl PanelElem for f32 {}
+impl PanelElem for i8 {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for i8 {}
+}
+
+/// Backing storage of a frozen weight image (packed GEMM panels, int8
+/// rows): an owned vector or a typed view into a [`SharedBytes`] range
+/// (validated for bounds and alignment at construction).
 #[derive(Clone, Debug)]
-pub(crate) enum Panel<T> {
+pub struct Panel<T>(Repr<T>);
+
+#[derive(Clone, Debug)]
+enum Repr<T> {
     /// Heap-owned elements (the pack-at-freeze path).
     Owned(Vec<T>),
     /// A borrowed range of a shared buffer (the zero-copy artifact path).
@@ -235,13 +248,19 @@ pub(crate) enum Panel<T> {
     },
 }
 
-impl<T: Copy> Panel<T> {
+impl<T: PanelElem> From<Vec<T>> for Panel<T> {
+    fn from(v: Vec<T>) -> Self {
+        Self(Repr::Owned(v))
+    }
+}
+
+impl<T: PanelElem> Panel<T> {
     /// A view of `len` elements at byte `offset` of `bytes`.
     ///
     /// # Errors
     ///
     /// Rejects out-of-bounds ranges and offsets misaligned for `T`.
-    pub(crate) fn from_shared(bytes: SharedBytes, offset: usize, len: usize) -> Result<Self, &'static str> {
+    pub fn from_shared(bytes: SharedBytes, offset: usize, len: usize) -> Result<Self, &'static str> {
         let elem = std::mem::size_of::<T>();
         let span = len.checked_mul(elem).ok_or("panel length overflows")?;
         let end = offset.checked_add(span).ok_or("panel range overflows")?;
@@ -251,35 +270,42 @@ impl<T: Copy> Panel<T> {
         if !(bytes.as_ptr() as usize + offset).is_multiple_of(std::mem::align_of::<T>()) {
             return Err("panel offset misaligned for the element type");
         }
-        Ok(Self::Shared { bytes, offset, len })
+        Ok(Self(Repr::Shared { bytes, offset, len }))
     }
 
     /// The elements.
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[T] {
-        match self {
-            Panel::Owned(v) => v,
-            Panel::Shared { bytes, offset, len } => unsafe {
-                // Bounds and alignment were validated by `from_shared`, and
-                // the buffer is immutable and kept alive by `bytes`.
+    pub fn as_slice(&self) -> &[T] {
+        match &self.0 {
+            Repr::Owned(v) => v,
+            Repr::Shared { bytes, offset, len } => unsafe {
+                // Bounds and alignment were validated by `from_shared`, every
+                // bit pattern is a `T` (`PanelElem`), and the buffer is
+                // immutable and kept alive by `bytes`.
                 std::slice::from_raw_parts(bytes.as_ptr().add(*offset).cast::<T>(), *len)
             },
         }
     }
 
     /// Element count.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Panel::Owned(v) => v.len(),
-            Panel::Shared { len, .. } => *len,
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Owned(v) => v.len(),
+            Repr::Shared { len, .. } => *len,
         }
     }
 
+    /// Whether the panel holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Whether the panel borrows a shared buffer.
-    pub(crate) fn is_shared(&self) -> bool {
-        matches!(self, Panel::Shared { .. })
+    pub fn is_shared(&self) -> bool {
+        matches!(self.0, Repr::Shared { .. })
     }
 }
+
 
 #[cfg(test)]
 mod tests {

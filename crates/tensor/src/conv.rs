@@ -49,6 +49,7 @@
 //! (6², 3²) go several to a parallel tile so one scratch borrow serves them
 //! all.
 
+use crate::blob::Panel;
 use crate::dw_plane::{
     cpu_has_avx2, depthwise_padded_plane, pad_plane, run_lanes, DwCall, GatherRows, GradPlane, LaneKernel, Lanes,
     PlaneImage,
@@ -313,8 +314,9 @@ pub enum PlanKind {
     /// for bit. Activations stay f32.
     Int8 {
         /// Row-major `[c_out, c_in / groups * kh * kw]`, each row
-        /// `round(w / scale)` clamped to `[-127, 127]`.
-        qweight: Vec<i8>,
+        /// `round(w / scale)` clamped to `[-127, 127]`; owned, or borrowed
+        /// from a loaded artifact.
+        qweight: Panel<i8>,
         /// Per-output-channel scales, `max|w| / 127` (1 for a zero row).
         scales: Vec<f32>,
     },
@@ -371,7 +373,7 @@ impl ConvPlan {
     pub fn new_int8(w: &Tensor, bias: Vec<f32>, spec: ConvSpec, act: EpilogueAct) -> Self {
         let (c_in, c_out) = check_plan_args(w, &bias, &spec);
         let (qweight, scales) = quantize_weights_per_row(c_out, w.data().len() / c_out, w.data());
-        Self { spec, c_in, c_out, bias, act, kind: PlanKind::Int8 { qweight, scales } }
+        Self { spec, c_in, c_out, bias, act, kind: PlanKind::Int8 { qweight: qweight.into(), scales } }
     }
 
     /// The convolution geometry this plan was compiled for.
@@ -523,7 +525,7 @@ impl ConvPlan {
             })),
             PlanKind::Int8 { qweight, scales } if is_depthwise(&self.spec, self.c_in, self.c_out) => {
                 Some(self.depthwise(x, &mut out, |c, kern| {
-                    for (t, &q) in kern.iter_mut().zip(&qweight[c * ksz..(c + 1) * ksz]) {
+                    for (t, &q) in kern.iter_mut().zip(&qweight.as_slice()[c * ksz..(c + 1) * ksz]) {
                         *t = q as f32 * scales[c];
                     }
                 }))
@@ -563,7 +565,7 @@ impl ConvPlan {
             PlanKind::General { groups } => sgemm_prepacked(&groups[g], n, b, c, &epi),
             PlanKind::Int8 { qweight, scales } => {
                 let k = qweight.len() / self.c_out;
-                let q = &qweight[rows.start * k..rows.end * k];
+                let q = &qweight.as_slice()[rows.start * k..rows.end * k];
                 sgemm_int8(Int8Rows { q, scales: &scales[rows], k }, n, b, c, &epi);
             }
             PlanKind::Depthwise { .. } => unreachable!("depthwise plans run the plane kernel"),
@@ -1290,7 +1292,7 @@ mod tests {
                 let plan = ConvPlan::new_int8(&w, bias.clone(), spec, act);
                 assert!(plan.is_int8() && plan.packed_bytes() == ws.numel() + 4 * ws.n);
                 let PlanKind::Int8 { qweight, scales } = plan.kind() else { unreachable!() };
-                let deq: Vec<f32> = qweight.iter().enumerate().map(|(j, &q)| q as f32 * scales[j / k]).collect();
+                let deq: Vec<f32> = qweight.as_slice().iter().enumerate().map(|(j, &q)| q as f32 * scales[j / k]).collect();
                 let twin = ConvPlan::new(&Tensor::from_vec(ws, deq).unwrap(), bias.clone(), spec, act);
                 let (got, sums) = plan.try_forward_sums(&x).unwrap();
                 let (want, want_sums) = twin.try_forward_sums(&x).unwrap();

@@ -36,11 +36,11 @@ pub mod scratch;
 mod shape;
 mod tensor;
 
-pub use blob::SharedBytes;
+pub use blob::{Panel, PanelElem, SharedBytes};
 pub use conv::{conv2d, conv2d_backward, conv2d_backward_accumulate, try_conv2d, ConvGrads, ConvPlan, ConvSpec, PlanKind};
 pub use matmul::{
     gemm_layout_fingerprint, gemm_stats, reference, runs_blocked, sgemm, sgemm_a_bt, sgemm_at_b, sgemm_fused,
-    sgemm_prepacked, Epilogue, EpilogueAct, GemmStats, PackedGemmA,
+    sgemm_prepacked, sgemv_prepacked, Epilogue, EpilogueAct, GemmStats, PackedGemmA,
 };
 pub use qmatmul::{
     int8_act_scale, qgemm_prepacked, quantize_activations, quantize_weights_per_row,

@@ -43,7 +43,7 @@
 //! the baseline for before/after benchmarks.
 
 use crate::blob::{Panel, SharedBytes};
-use crate::par::{parallel_tiles, SyncPtr};
+use crate::par::{parallel_tiles, tiles_mut, Runs, SyncPtr};
 use crate::scratch;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -172,7 +172,7 @@ impl PackedGemmA {
                 off += rows_padded * kc;
             }
         }
-        Self { data: Panel::Owned(data), m, k }
+        Self { data: data.into(), m, k }
     }
 
     /// Length in floats of the packed image for an `[m, k]` operand — the
@@ -202,7 +202,7 @@ impl PackedGemmA {
         if image.len() != Self::packed_len(m, k) {
             return Err("packed image length disagrees with (m, k)");
         }
-        Ok(Self { data: Panel::Owned(image), m, k })
+        Ok(Self { data: image.into(), m, k })
     }
 
     /// Rebuilds a packed operand whose image *borrows* `bytes` at byte
@@ -514,10 +514,18 @@ unsafe fn mk_avx2(kc: usize, ap: *const f32, bp: *const f32, ldb: usize, t: &CTi
     finish! { 0 0 lo; 0 8 hi; 1 0 lo; 1 8 hi; 2 0 lo; 2 8 hi; 3 0 lo; 3 8 hi; 4 0 lo; 4 8 hi; 5 0 lo; 5 8 hi; }
 }
 
-/// This process's micro-kernel (the detection macro caches its answer).
+/// Whether the CPU has AVX2 and FMA (the detection macro caches its answer).
+fn avx2_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// This process's micro-kernel.
 fn microkernel() -> MicroKernel {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+    if avx2_fma() {
         return mk_avx2;
     }
     mk_portable
@@ -782,6 +790,101 @@ pub(crate) fn sgemm_int8(rows: Int8Rows<'_>, n: usize, b: &[f32], c: &mut [f32],
     assert_eq!(c.len(), m * n, "c must be m*n");
     if n > 0 {
         gemm_blocked(m, k, n, 1.0, 0.0, ASrc::Int8(rows), MatRef { data: b, rs: n, cs: 1 }, c, Some(epi));
+    }
+}
+
+/// [`sgemm_prepacked`] of one column: `c = epilogue(pa @ b)` with `b: [k]`
+/// and `c: [m]`, bit for bit. Each output keeps the blocked engine's
+/// arithmetic — per `KC` slice one multiply-add chain over the depth in
+/// order (fused where the micro-kernel fuses), then the slice's finish:
+/// added to the earlier slices' sum, and on the last slice the epilogue —
+/// but the chains run straight down the packed A panels, where the engine
+/// would pad the one column to a 16-wide tile. One tile per macro-tile of
+/// rows, as the engine's.
+///
+/// # Panics
+///
+/// Panics if `b.len() != pa.k()`, `c.len() != pa.m()` or a bias is present
+/// with length != `pa.m()`.
+pub fn sgemv_prepacked(pa: &PackedGemmA, b: &[f32], c: &mut [f32], epi: &Epilogue<'_>) {
+    let (m, k) = (pa.m, pa.k);
+    assert_eq!(b.len(), k, "b must be k");
+    assert_eq!(c.len(), m, "c must be m");
+    if let Some(bias) = epi.bias {
+        assert_eq!(bias.len(), m, "bias must have one entry per output row");
+    }
+    let fused = avx2_fma();
+    tiles_mut(m.div_ceil(MC), Runs::new(c, MC), |ic, rows| {
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            let mut acc = [[0.0f32; MR]; MC_PAD / MR];
+            let acc = &mut acc[..rows.len().div_ceil(MR)];
+            panel_chains(fused, kc, pa.block(ic, p0, kc), &b[p0..p0 + kc], acc);
+            // The micro-kernel's finish at `alpha = 1`, `beta = 1` after the
+            // first slice: `1 * x` is exact, so this is its sum.
+            for (r, (cv, &v)) in rows.iter_mut().zip(acc.iter().flatten()).enumerate() {
+                let v = if p0 > 0 { *cv + v } else { v };
+                *cv = if p0 + kc == k { epi.apply(ic * MC + r, v) } else { v };
+            }
+        }
+    });
+}
+
+/// Lane `r` of `acc[i]` = the depth chain of row `r` of packed A panel `i`
+/// in `panels` against `b`: `fma` steps when `fused` (the AVX2 engine's),
+/// else a multiply then an add (the portable engine's).
+fn panel_chains(fused: bool, kc: usize, panels: &[f32], b: &[f32], acc: &mut [[f32; MR]]) {
+    assert!(panels.len() >= acc.len() * MR * kc && b.len() == kc);
+    #[cfg(target_arch = "x86_64")]
+    if fused {
+        let (full, rest) = acc.split_at_mut(acc.len() / 4 * 4);
+        let at = |i: usize| panels[i * MR * kc..].as_ptr();
+        // SAFETY: `fused` means the CPU has AVX2 and FMA; panel `i` holds
+        // `MR * kc` floats from `at(i)` and `b` holds `kc` (asserted above).
+        unsafe {
+            for (g, accs) in full.chunks_exact_mut(4).enumerate() {
+                chains_avx2::<4>(at(4 * g), b, accs);
+            }
+            for (i, lanes) in rest.iter_mut().enumerate() {
+                chains_avx2::<1>(at(full.len() + i), b, std::slice::from_mut(lanes));
+            }
+        }
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = fused;
+    for (i, lanes) in acc.iter_mut().enumerate() {
+        for (p, &bv) in b.iter().enumerate() {
+            let a = &panels[(i * kc + p) * MR..][..MR];
+            lanes.iter_mut().zip(a).for_each(|(s, &av)| *s += av * bv);
+        }
+    }
+}
+
+/// [`panel_chains`]' fused form for `G` consecutive panels from `ap`, each
+/// panel's chains in the six low lanes of one register.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA; `ap` must be valid for `G` panels of
+/// `MR * b.len()` floats, and `acc` must hold `G` entries.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn chains_avx2<const G: usize>(ap: *const f32, b: &[f32], acc: &mut [[f32; MR]]) {
+    use std::arch::x86_64::*;
+    const _: () = assert!(MR == 6, "a panel's rows fill six lanes");
+    let (kc, six) = (b.len(), _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0));
+    let mut v = [_mm256_setzero_ps(); G];
+    for (p, &bv) in b.iter().enumerate() {
+        let bv = _mm256_set1_ps(bv);
+        for (i, v) in v.iter_mut().enumerate() {
+            *v = _mm256_fmadd_ps(_mm256_maskload_ps(ap.add((i * kc + p) * MR), six), bv, *v);
+        }
+    }
+    let mut out = [0.0f32; 8];
+    for (lanes, v) in acc.iter_mut().zip(v) {
+        _mm256_storeu_ps(out.as_mut_ptr(), v);
+        lanes.copy_from_slice(&out[..MR]);
     }
 }
 
@@ -1183,6 +1286,60 @@ mod tests {
             let mut packed = vec![0.0; m * n];
             sgemm_prepacked(&pa, n, &b, &mut packed, &epi);
             assert_eq!(packed, fused, "({m},{k},{n}): prepacked must match per-call packing bitwise");
+        }
+    }
+
+    #[test]
+    fn gemv_is_the_one_column_prepacked_gemm() {
+        // Row and depth edges: a ragged last panel and macro-tile, one and
+        // several KC slices, at one and four threads.
+        for &(m, k) in &[(1, 1), (7, 33), (97, 256), (1000, 1280), (200, 600)] {
+            let (a, b, bias) = (rand_vec(m * k, 74), rand_vec(k, 75), rand_vec(m, 76));
+            let pa = PackedGemmA::pack(m, k, &a);
+            for act in ACTS {
+                let epi = Epilogue::new(Some(&bias), act);
+                let mut want = vec![0.0; m];
+                sgemm_prepacked(&pa, 1, &b, &mut want, &epi);
+                for threads in [1, 4] {
+                    crate::par::set_max_threads(threads);
+                    let mut got = vec![f32::NAN; m];
+                    sgemv_prepacked(&pa, &b, &mut got, &epi);
+                    let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+                    assert!(same, "({m},{k}) {act:?} at {threads} threads");
+                }
+            }
+        }
+        crate::par::set_max_threads(0);
+    }
+
+    #[test]
+    fn gemv_chains_are_the_micro_kernels_column() {
+        // Each kernel family against its own micro-kernel: the portable
+        // chains against `mk_portable`, the fused ones (where the CPU has
+        // AVX2 and FMA) against `mk_avx2`, column 0 of a one-column tile.
+        let (m, k) = (31, 300);
+        let (a, b) = (rand_vec(m * k, 77), rand_vec(k, 78));
+        let panels = m.div_ceil(MR);
+        let mut ap = vec![0.0; panels * MR * k];
+        pack_a(MatRef { data: &a, rs: k, cs: 1 }, 0, m, 0, k, &mut ap);
+        let mut bp = vec![0.0; NR * k];
+        pack_b(MatRef { data: &b, rs: 1, cs: 1 }, 0, 1, 0, k, &mut bp);
+        let fin = Finish { alpha: 1.0, beta: None, epi: None };
+        for fused in [false, avx2_fma()] {
+            let mk: MicroKernel = if fused { microkernel() } else { mk_portable };
+            let mut acc = vec![[0.0f32; MR]; panels];
+            panel_chains(fused, k, &ap, &b, &mut acc);
+            for (i, lanes) in acc.iter().enumerate() {
+                let mut c = [0.0f32; MR];
+                // SAFETY: panel `i` holds `MR * k` floats, `bp` a `k * NR`
+                // packed panel, and `c` the `MR x 1` tile (`ldc == 1`); the
+                // fused kernel is only chosen where the CPU has AVX2 and FMA.
+                unsafe {
+                    let t = CTile { c: c.as_mut_ptr(), ldc: 1, rows: MR, cols: 1, row0: 0 };
+                    mk(k, ap[i * MR * k..].as_ptr(), bp.as_ptr(), NR, &t, &fin);
+                }
+                assert_eq!(lanes.map(f32::to_bits), c.map(f32::to_bits), "panel {i}, fused {fused}");
+            }
         }
     }
 

@@ -21,7 +21,12 @@
 //!   share beside it;
 //! * the bilinear upsample at every shape that forward calls (its calls and
 //!   total), the frozen stem and the packed classifier `Linear`, and "silo
-//!   edges per frozen S0@224 forward": strided depthwise plus upsample.
+//!   edges per frozen S0@224 forward": strided depthwise plus upsample;
+//! * the frozen S0@224 (1000 classes) as a whole, f32 and int8: one batch
+//!   of 8 against eight batch-1 forwards in twelve alternated pairs ("b8 /
+//!   (8 x b1)", min / median / max and the pairs at or below 1.05), and its
+//!   live heap beside its weight gauges ("frozen resident vs gauges", read
+//!   by a counting allocator).
 //!
 //! Run the same file from a checkout of another commit to compare kernels
 //! (`revbifpn-perf run --trace 1` reports a subset of these as metrics).
@@ -36,9 +41,40 @@ use revbifpn_repro::tensor::{
     conv2d, conv2d_backward, conv2d_backward_accumulate, resize, sgemm, sgemm_prepacked, ConvPlan, ConvSpec, Epilogue,
     EpilogueAct, PackedGemmA, ResizeMode, Shape, Tensor,
 };
+use revbifpn_repro::nn::FrozenTree;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Live heap bytes, kept by [`Counting`].
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// `System` with a live-bytes count.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the wrapper only
+// counts the sizes of successful calls.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's layout, passed through.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 /// Times `f` for about 300 ms after a warm-up and prints median and minimum;
 /// `macs` (0 = none) adds the GMAC/s at the median. Returns the median in µs.
@@ -255,6 +291,48 @@ fn train_pointwise_rows(rng: &mut StdRng) {
     });
 }
 
+/// The frozen S0@224 with 1000 classes in f32 and int8: a batch of 8
+/// against eight batch-1 forwards in twelve alternated pairs, then the live
+/// heap of each freeze beside its weight gauges.
+fn frozen_model_rows(rng: &mut StdRng) {
+    let model = RevBiFPNClassifier::new(RevBiFPNConfig::s0(1000));
+    let x8 = Tensor::randn(Shape::new(8, 3, 224, 224), 1.0, rng);
+    let one = Shape::new(1, 3, 224, 224);
+    let x1: Vec<Tensor> = x8.data().chunks_exact(one.numel()).map(|s| Tensor::from_vec(one, s.to_vec()).unwrap()).collect();
+    let ms = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    for int8 in [false, true] {
+        let precision = if int8 { "int8" } else { "f32" };
+        let start = LIVE.load(Ordering::Relaxed);
+        let frozen = if int8 { model.freeze_int8() } else { model.freeze() }.expect("S0 freezes");
+        let resident = LIVE.load(Ordering::Relaxed) - start;
+        let mut b8 = || drop(black_box(frozen.forward(&x8)));
+        let mut b1s = || x1.iter().for_each(|x| drop(black_box(frozen.forward(x))));
+        b8();
+        b1s();
+        let mut ratios: Vec<f64> = (0..12).map(|_| ms(&mut b8) / ms(&mut b1s)).collect();
+        ratios.sort_by(f64::total_cmp);
+        println!(
+            "frozen S0@224 {precision} b8 / (8 x b1), 12 alternated pairs: min {:.3} median {:.3} max {:.3}, \
+             {} at or below 1.05",
+            ratios[0],
+            ratios[6],
+            ratios[11],
+            ratios.iter().filter(|&&r| r <= 1.05).count()
+        );
+        let gauges = (frozen.packed_bytes() as f64 / 1e6, frozen.quant_packed_bytes() as f64 / 1e6);
+        println!(
+            "frozen resident vs gauges, S0@224 {precision}: {:.2} MB live, gauges f32 {:.2} + int8 {:.2} MB",
+            resident as f64 / 1e6,
+            gauges.0,
+            gauges.1
+        );
+    }
+}
+
 fn randn(len: usize, rng: &mut StdRng) -> Vec<f32> {
     Tensor::randn(Shape::new(1, 1, 1, len), 1.0, rng).into_vec()
 }
@@ -310,4 +388,5 @@ fn main() {
     train_pointwise_rows(&mut rng);
     let strided = frozen_rows(&mut rng);
     frozen_edge_rows(&mut rng, strided);
+    frozen_model_rows(&mut rng);
 }

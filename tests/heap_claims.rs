@@ -24,6 +24,13 @@
 //!   its gradients into the primary's accumulators instead of owning any,
 //!   and nothing is staged.
 //!
+//! - A frozen S0@224 with 1000 classes holds each weight once: its live heap
+//!   is its weight gauges (`packed_bytes() + quant_packed_bytes()`) within
+//!   0.5 MB, at most 13.2 MB in f32 and 8.1 MB in int8 (20.45 and 15.32 MB
+//!   while every conv kept its folded f32 weights beside its plan). A batch
+//!   of 8 runs sample by sample, so its forward rises at most 1 MiB and its
+//!   logits above a batch-1 forward's rise.
+//!
 //! The allocator sees every thread, so this file holds exactly one test, and
 //! the test pins the worker pool to one thread so no other thread's arena
 //! grows inside a window.
@@ -32,6 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_nn::loss::one_hot;
+use revbifpn_nn::FrozenTree;
 use revbifpn_rev::DriftConfig;
 use revbifpn_tensor::{par, Shape, Tensor};
 use revbifpn_train::{ShardEngine, ShardStepFaults};
@@ -95,6 +103,25 @@ fn step(m: &mut RevBiFPNClassifier, x: &Tensor, mode: RunMode) -> (usize, usize)
     (rise, meter_peak)
 }
 
+/// Live heap of `model` frozen in f32 or int8 beside its weight gauges, and
+/// the heap rise of a warm batch-1 and batch-8 forward at 224², in bytes.
+fn frozen_heap(model: &RevBiFPNClassifier, int8: bool) -> [usize; 4] {
+    let start = LIVE.load(Ordering::Relaxed);
+    let frozen = if int8 { model.freeze_int8() } else { model.freeze() }.expect("S0 freezes");
+    let resident = LIVE.load(Ordering::Relaxed) - start;
+    let gauges = frozen.packed_bytes() + frozen.quant_packed_bytes();
+    let mut rng = StdRng::seed_from_u64(6);
+    let [b1, b8] = [1, 8].map(|n| {
+        let x = Tensor::randn(Shape::new(n, 3, 224, 224), 1.0, &mut rng);
+        drop(frozen.forward(&x));
+        let start = LIVE.load(Ordering::Relaxed);
+        PEAK.store(start, Ordering::Relaxed);
+        drop(frozen.forward(&x));
+        PEAK.load(Ordering::Relaxed) - start
+    });
+    [resident, gauges, b1, b8]
+}
+
 /// Live heap a `ShardEngine` built with `shards` holds over `m` after two
 /// warm steps on `x`, in bytes.
 fn engine_resident(m: &mut RevBiFPNClassifier, x: &Tensor, targets: &Tensor, shards: usize) -> usize {
@@ -138,6 +165,9 @@ fn train_step_heap_follows_the_meter_and_figure4() {
         (rev as f64, conv as f64)
     };
     let ((rev1, conv1), (rev5, conv5)) = (rises(1), rises(5));
+    let s0 = RevBiFPNClassifier::new(RevBiFPNConfig::s0(1000));
+    let frozen = [false, true].map(|int8| frozen_heap(&s0, int8));
+    drop(s0);
     par::set_max_threads(0);
 
     let mb = |b: f64| b / 1e6;
@@ -193,6 +223,31 @@ fn train_step_heap_follows_the_meter_and_figure4() {
         mb(resident2 as f64),
         mb(grad_bytes as f64)
     );
+    for ([resident, gauges, b1, b8], (precision, bound)) in frozen.into_iter().zip([("f32", 13.2e6), ("int8", 8.1e6)]) {
+        println!(
+            "frozen S0@224 {precision}: resident {:.2} MB, gauges {:.2} MB; forward heap rise b1 {:.2} MB, b8 {:.2} MB",
+            mb(resident as f64),
+            mb(gauges as f64),
+            mb(b1 as f64),
+            mb(b8 as f64)
+        );
+        assert!(
+            resident.abs_diff(gauges) as f64 <= 0.5e6 && resident as f64 <= bound,
+            "frozen S0@224 {precision} holds {:.2} MB against gauges of {:.2} MB (bound {:.1} MB): \
+             a weight is held twice or outside the gauges",
+            mb(resident as f64),
+            mb(gauges as f64),
+            mb(bound)
+        );
+        let logits = 8 * 1000 * std::mem::size_of::<f32>();
+        assert!(
+            b8 <= b1 + MIB + logits,
+            "frozen S0@224 {precision}: a batch of 8 rises {:.2} MB against {:.2} MB for one sample: \
+             the batch is not run sample by sample",
+            mb(b8 as f64),
+            mb(b1 as f64)
+        );
+    }
     assert!(
         rev5 < 1.05 * rev1,
         "reversible heap rise not flat in depth: d=1 {:.2} MB, d=5 {:.2} MB",
